@@ -27,8 +27,8 @@ from .systems import EMValue, eval_constants, make_system
 from .lattice import (MomentumValue, annulus_sweep, cross_check,
                       fit_asymptotic_model, from_momentum_chart,
                       period_lattice, to_momentum_chart)
-from .rotation import (AnnulusRegion, extract_level_curve, fit_log_spiral,
-                       monodromy_index, rotation_grid)
+from .rotation import (MIN_LOOP_POINTS, AnnulusRegion, extract_level_curve,
+                       fit_log_spiral, monodromy_index, rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
 from .kolmogorov import asymptote_sweep
 
@@ -42,12 +42,8 @@ class ConfigError(Exception):
     pass
 
 
-TOL_KEYS = {"quad_rel", "flow_rtol", "cross", "energy_drift", "root_xtol",
-            "fd_floor", "fd_rel", "jac_step_rel"}
-
-CONFIG_KEYS = {"system", "window", "res", "out", "jobs", "radius",
-               "n_points", "h_values", "ray_angle", "levels", "n_tori",
-               "seed"}
+# the only tolerance a subcommand reads (crosscheck's engine agreement)
+TOL_KEYS = {"cross"}
 
 
 @dataclass
@@ -76,6 +72,9 @@ class RunConfig:
             raise ConfigError(f"resolution too small {self.res}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.n_points < MIN_LOOP_POINTS:
+            raise ConfigError(f"n_points must be >= {MIN_LOOP_POINTS}, got "
+                              f"{self.n_points}")
         for k, v in self.tol.items():
             if k not in TOL_KEYS:
                 raise ConfigError(f"unknown tolerance key {k!r}; known: "
@@ -118,26 +117,59 @@ def _parse_pair(text: str, what: str, cast=float) -> tuple:
         raise ConfigError(f"bad {what}: {text!r}") from exc
 
 
+def _parse_floats(text: str, what: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(t) for t in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}: {text!r}") from exc
+
+
+# configuration-file keys (RunConfig fields) and the parser of each value
+CONFIG_KEYS = {
+    "system": str,
+    "window": lambda v: _parse_pair(v, "window"),
+    "res": lambda v: _parse_pair(v, "res", int),
+    "out": str,
+    "jobs": int,
+    "radius": float,
+    "n_points": int,
+    "h_values": lambda v: _parse_floats(v, "h_values"),
+    "ray_angle": float,
+    "levels": lambda v: _parse_floats(v, "levels"),
+    "n_tori": int,
+    "seed": int,
+}
+
+
 def parse_config_file(path: str | Path) -> dict:
     """Flat "key = value" lines; '#' starts a comment; keys param.NAME and
-    tol.NAME feed the respective dictionaries.  Unknown keys rejected."""
+    tol.NAME feed the respective dictionaries.  Unknown keys, unparsable
+    values and an unreadable file are configuration errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          f"{exc.strerror or exc}") from exc
     raw: dict = {"params": {}, "tol": {}}
-    for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (t.strip() for t in line.split("=", 1))
-        if key.startswith("param."):
-            raw["params"][key[6:]] = float(value)
-        elif key.startswith("tol."):
-            raw["tol"][key[4:]] = float(value)
-        elif key in CONFIG_KEYS:
-            raw[key] = value
-        else:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            if key.startswith("param."):
+                raw["params"][key[6:]] = float(value)
+            elif key.startswith("tol."):
+                raw["tol"][key[4:]] = float(value)
+            elif key in CONFIG_KEYS:
+                raw[key] = CONFIG_KEYS[key](value)
+            else:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for "
+                              f"{key!r}") from exc
     return raw
 
 
@@ -147,32 +179,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raw = parse_config_file(args.config)
         cfg.params.update(raw.pop("params"))
         cfg.tol.update(raw.pop("tol"))
+        cfg.window_given = "window" in raw
         for key, value in raw.items():
-            if key == "system":
-                cfg.system = value
-            elif key == "window":
-                cfg.window = _parse_pair(value, "window")
-                cfg.window_given = True
-            elif key == "res":
-                cfg.res = _parse_pair(value, "res", int)
-            elif key == "out":
-                cfg.out = value
-            elif key == "jobs":
-                cfg.jobs = int(value)
-            elif key == "radius":
-                cfg.radius = float(value)
-            elif key == "n_points":
-                cfg.n_points = int(value)
-            elif key == "n_tori":
-                cfg.n_tori = int(value)
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "ray_angle":
-                cfg.ray_angle = float(value)
-            elif key == "h_values":
-                cfg.h_values = tuple(float(t) for t in value.split(","))
-            elif key == "levels":
-                cfg.levels = tuple(float(t) for t in value.split(","))
+            setattr(cfg, key, value)
     # flags override the file
     if args.system:
         cfg.system = args.system
@@ -196,7 +205,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if v is not None:
             setattr(cfg, name, v)
     if getattr(args, "h_values", None):
-        cfg.h_values = tuple(float(t) for t in args.h_values.split(","))
+        cfg.h_values = _parse_floats(args.h_values, "--h-values")
     cfg.validate()
     return cfg
 

@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Adaptive ODE integration with event detection (Dormand-Prince 5(4) with
-dense-output event polishing, via scipy), quadrature with inverse-square-root
-endpoint singularities (singularity-removing substitution + adaptive
-refinement), bracketed root finding, and extrapolated finite differences.
+Adaptive ODE integration with event detection (Dormand-Prince 8(5,3),
+DOP853, with dense-output event polishing, via scipy), quadrature with
+inverse-square-root endpoint singularities (singularity-removing
+substitution + adaptive refinement), bracketed root finding, and
+extrapolated finite differences.
 
 All functions here are pure; callers may evaluate them concurrently.
 """
@@ -76,7 +77,9 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
                    events: Sequence[EventSpec] = (),
                    tol: float = FLOW_RTOL,
                    atol: float = FLOW_ATOL) -> Trajectory:
-    """Integrate `field` from p0 with an embedded RK 5(4) pair.
+    """Integrate `field` from p0 with the embedded Dormand-Prince 8(5,3)
+    pair (DOP853), whose high order keeps the step count low at the tight
+    tolerances the flow oracle runs at.
 
     Events are localized on the step interpolant to machine-level accuracy
     in t.  Raises FlowError on step-size underflow (near-singular dynamics)
@@ -102,7 +105,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         scipy_events.append(g)
 
     sol = solve_ivp(field, (0.0, float(t_max)), p0,
-                    method="RK45", rtol=tol, atol=atol,
+                    method="DOP853", rtol=tol, atol=atol,
                     events=scipy_events or None)
     if sol.status == -1:
         raise FlowError(f"integration failed near t={sol.t[-1]:.6g}: "

@@ -25,6 +25,10 @@ MASK_REGULAR = 0
 MASK_CORE = 1        # below the |j| floor: too close to the singular fiber
 MASK_FAILED = 2
 
+# fewest loop points for which branch transport around the monodromy loop
+# stays below the wrap limit
+MIN_LOOP_POINTS = 64
+
 
 def rotation_number(system: SystemDefinition, c: EMValue,
                     branch_anchor: tuple[EMValue, float] | None = None,
@@ -186,8 +190,8 @@ def monodromy_index(system: SystemDefinition, radius: float,
     (equivalently W_start - W_transported; +1 for a simple focus-focus
     point on the positively oriented circle).
     """
-    if n_points < 64:
-        raise ValueError("n_points >= 64 required")
+    if n_points < MIN_LOOP_POINTS:
+        raise ValueError(f"n_points >= {MIN_LOOP_POINTS} required")
     if center.as_tuple() != (0.0, 0.0):
         raise ValueError("only loops centered at the critical value are "
                          "supported")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -136,12 +137,16 @@ class SystemDefinition:
         _check_window(self, c)
 
 
+@lru_cache(maxsize=1024)
 def eval_constants(system: SystemDefinition) -> FocusFocusData:
     """Eigenvalue data (alpha, omega) of J d^2H at the equilibrium.
 
     alpha is the positive real part, omega the |imaginary part| of the
     quadruple +-alpha +- i omega.  Rejects spectra that do not form such a
     quadruple within 1e-8.
+
+    Memoized per system (systems are frozen, so the Hessian is fixed); a
+    rejection is raised afresh on every call, never cached.
     """
     d2h = np.asarray(system.hessian(), dtype=float)
     if d2h.shape != (4, 4):

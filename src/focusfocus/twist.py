@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ScanError, StencilError
+from .errors import FocusFocusError, ScanError, StencilError
 from .numerics import (FD_STEP_FLOOR, FD_STEP_REL, ROOT_XTOL, TWO_PI,
                        align_angle, find_root_bracketed)
 from .lattice import reduced_period_rotation, to_momentum_chart
@@ -149,7 +149,7 @@ def twistless_point(system: SystemDefinition, h: float,
     def s_or_nan(l: float) -> float:
         try:
             return twist(system, EMValue(h, l))
-        except Exception:  # noqa: BLE001 - window edge / failed torus
+        except FocusFocusError:   # window edge / failed torus
             return math.nan
 
     ls = np.linspace(l_range[0], l_range[1], n_scan)

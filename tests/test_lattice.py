@@ -7,6 +7,7 @@ from focusfocus import (EMValue, MomentumValue, annulus_sweep, cross_check,
                         eval_constants, fit_asymptotic_model,
                         from_momentum_chart, period_lattice,
                         reduced_period_rotation, to_momentum_chart)
+from focusfocus import lattice
 from focusfocus.errors import FitError
 from focusfocus.lattice import PeriodLatticeSample, SweepSample
 
@@ -48,6 +49,29 @@ class TestCrossEngine:
         res = cross_check(pendulum, EMValue(0.1, 0.05))
         assert res["rel_dT"] <= 1e-7
         assert abs(res["theta_quad"] - res["theta_flow"]) <= 1e-7
+
+    @pytest.mark.parametrize("name,j_mod", [("champagne", 1e-4),
+                                            ("pendulum", 1e-3)])
+    @pytest.mark.parametrize("angle", [0.5, 2.0, 4.0])
+    def test_domain_inner_edge(self, request, monkeypatch, name, j_mod,
+                               angle):
+        # the near-fiber tori at the inner |j| edge of the C1 sample domain
+        # are the flow oracle's hardest: longest returns, tightest passages
+        system = request.getfixturevalue(name)
+        integrate_flow = lattice.integrate_flow
+        trajectories = []
+
+        def recording_flow(*args, **kwargs):
+            trajectories.append(integrate_flow(*args, **kwargs))
+            return trajectories[-1]
+
+        monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
+        c = from_momentum_chart(system, MomentumValue(
+            j_mod * math.cos(angle), j_mod * math.sin(angle)))
+        res = cross_check(system, c, cross_tol=1e-7)
+        assert res["rel_dT"] <= 1e-7 and res["rel_dtheta"] <= 1e-7
+        (traj,) = trajectories
+        assert traj.max_relative_drift(system.flow_hamiltonian) <= 1e-10
 
 
 class TestThetaStructure:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,6 +36,26 @@ class TestEvalConstants:
                 return np.eye(4)   # harmonic oscillator: +-i, +-i
         with pytest.raises(SystemRejected):
             eval_constants(Elliptic())
+
+    def test_rejection_raised_on_every_call(self):
+        @dataclasses.dataclass(frozen=True)
+        class Elliptic(SystemDefinition):
+            def hessian(self):
+                return np.eye(4)
+        system = Elliptic()
+        for _ in range(2):
+            with pytest.raises(SystemRejected):
+                eval_constants(system)
+
+    @pytest.mark.parametrize("name", ["champagne", "champagne0", "pendulum"])
+    def test_window_variants_share_constants(self, request, name):
+        system = request.getfixturevalue(name)
+        base = eval_constants(system)
+        assert eval_constants(system) is base
+        for variant in (dataclasses.replace(system, j_floor=1e-3),
+                        dataclasses.replace(system, j_cap=0.05),
+                        dataclasses.replace(system, j_floor=1e-4, j_cap=0.1)):
+            assert eval_constants(variant) == base
 
     def test_invariance_under_symplectic_basis_change(self, champagne):
         from scipy.linalg import expm
