@@ -42,8 +42,9 @@ class ConfigError(Exception):
     pass
 
 
-# the only tolerance a subcommand reads (crosscheck's engine agreement)
-TOL_KEYS = {"cross"}
+# the tolerance keys each subcommand reads: only crosscheck reads one (its
+# engine agreement); a tolerance given to any other subcommand is an error
+TOL_KEYS = {"crosscheck": {"cross"}}
 
 
 @dataclass
@@ -65,7 +66,7 @@ class RunConfig:
     seed: int = 20260810
     tol: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
         if not (0 < self.window[0] < self.window[1]):
             raise ConfigError(f"invalid window {self.window}")
         if self.res[0] < 2 or self.res[1] < 4:
@@ -75,10 +76,11 @@ class RunConfig:
         if self.n_points < MIN_LOOP_POINTS:
             raise ConfigError(f"n_points must be >= {MIN_LOOP_POINTS}, got "
                               f"{self.n_points}")
+        known = TOL_KEYS.get(command, set())
         for k, v in self.tol.items():
-            if k not in TOL_KEYS:
-                raise ConfigError(f"unknown tolerance key {k!r}; known: "
-                                  f"{sorted(TOL_KEYS)}")
+            if k not in known:
+                raise ConfigError(f"{command} reads no tolerance {k!r}; "
+                                  f"known: {sorted(known)}")
             if not v > 0:
                 raise ConfigError(f"tolerance {k} must be > 0, got {v}")
 
@@ -206,7 +208,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, name, v)
     if getattr(args, "h_values", None):
         cfg.h_values = _parse_floats(args.h_values, "--h-values")
-    cfg.validate()
+    cfg.validate(args.command)
     return cfg
 
 

@@ -4,10 +4,13 @@ Two independent engines produce the first-return time T of the Hamiltonian
 flow to the reduced section and the continuous azimuth advance Theta over
 one return:
 
-* quadrature: T = 2 int dr / sqrt(P),  Theta = 2 int a(r) / sqrt(P) dr over
-  the reduced orbit, with turning-point singularities removed analytically
-  (profiles supply smooth transformed integrands plus closed-form pole
-  contributions);
+* quadrature (the primary engine): the reduced-profile integrals
+  T = 2 int dr / sqrt(P) and Theta = 2 int a(r) / sqrt(P) dr over the
+  reduced orbit, in closed form.  Both profiles are cubics, so these are
+  complete elliptic integrals of the first and third kind, which each
+  system evaluates in Carlson's symmetric form (period_rotation).  One
+  torus costs a few microseconds and is accurate to rounding (checked
+  against mpmath); the engine keeps its historical name;
 * flow: direct integration of the full vector field from a torus seed, with
   the return localized by section events and the azimuth unwrapped as an
   extra state component.
@@ -32,12 +35,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BranchError, CrossEngineMismatch, FitError, FlowError
-from .numerics import (EventSpec, QUAD_REL_TOL, FLOW_RTOL, T_BUDGET_FACTOR,
-                       TWO_PI, QuadratureSpec, align_angle, integrate_flow,
-                       quad_singular)
+from .numerics import (EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR, TWO_PI,
+                       align_angle, integrate_flow)
 from .systems import EMValue, SystemDefinition
 
 CROSS_TOL = 1e-7
+# tightest accuracy request the closed form is verified to meet against
+# mpmath (relative in T, absolute in Theta)
+CLOSED_FORM_REL_TOL = 1e-13
 ENERGY_DRIFT_TOL = 1e-10
 
 
@@ -91,17 +96,8 @@ def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
 @lru_cache(maxsize=500_000)
 def _torus_quadrature(system: SystemDefinition, h: float, l: float,
                       rel_tol: float) -> tuple[float, float]:
-    prof = system.reduced_profile(EMValue(h, l))
-    T = quad_singular(QuadratureSpec(prof.t_integrand_u, 0.0, 0.5 * math.pi),
-                      rel_tol=rel_tol)
-    theta = prof.theta_closed
-    if prof.theta_integrand_u is not None:
-        # the angular part can pass near 0; its absolute accuracy is what
-        # propagates into Theta
-        theta += quad_singular(
-            QuadratureSpec(prof.theta_integrand_u, 0.0, 0.5 * math.pi),
-            rel_tol=rel_tol, abs_tol=1e-11)
-    return T, theta
+    # rel_tol is part of the cache key only: every admitted request is met
+    return system.period_rotation(EMValue(h, l))
 
 
 def _torus_flow(system: SystemDefinition, c: EMValue,
@@ -135,7 +131,16 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     Both engines report the same branch convention: the honest per-torus
     Theta, with pole passages on the l = 0 axis counted as +pi each (the
     l -> 0+ limit).
+
+    rel_tol is the accuracy requested of the quadrature engine.  Its
+    closed form meets any request down to CLOSED_FORM_REL_TOL = 1e-13; a
+    tighter one raises ValueError rather than being silently ignored.
+    flow_rtol is the flow engine's solver tolerance (default: the
+    system's flow_rtol).
     """
+    if engine == "quadrature" and rel_tol < CLOSED_FORM_REL_TOL:
+        raise ValueError(f"rel_tol={rel_tol:.1e} is below the closed form's "
+                         f"verified accuracy {CLOSED_FORM_REL_TOL:.0e}")
     system.check_window(c)
     if engine == "quadrature":
         return _torus_quadrature(system, c.h, c.l, rel_tol)

@@ -3,8 +3,9 @@
 Adaptive ODE integration with event detection (Dormand-Prince 8(5,3),
 DOP853, with dense-output event polishing, via scipy), quadrature with
 inverse-square-root endpoint singularities (singularity-removing
-substitution + adaptive refinement), bracketed root finding, and
-extrapolated finite differences.
+substitution + adaptive refinement; no engine uses it, the tests use it
+as a reference), bracketed root finding, and extrapolated finite
+differences.
 
 All functions here are pure; callers may evaluate them concurrently.
 """
@@ -19,7 +20,8 @@ from scipy.integrate import quad as _quadpack
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import BracketError, FlowError, QuadratureError, StencilError
+from .errors import (BracketError, FlowError, FocusFocusError,
+                     QuadratureError, StencilError)
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,6 +236,6 @@ def fd_derivative(f: Callable[[float], float], x: float,
         if scheme == "central":
             return d1
         d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    except Exception as exc:  # noqa: BLE001 - stencil left the domain
+    except FocusFocusError as exc:   # stencil left the domain
         raise StencilError(f"stencil around x={x:.6g} failed: {exc}") from exc
     return (4.0 * d2 - d1) / 3.0

@@ -8,12 +8,22 @@ Two models around a focus-focus equilibrium at energy-momentum value (0,0):
   S^1-reduced radial profile:  rdot^2 = P(r) = 2(h - gamma l) - l^2/r^2
                                               + 2 r^2 - 2 r^4,
                                phidot = a(r) = l/r^2 + gamma.
+  In s = r^2 the profile is a cubic, s P = C(s) = 2 (s - s3)(s - s1)(s2 - s)
+  with s3 < 0 < s1 < s2.
 
 * spherical pendulum (unit length and gravity; omega = 0)
   reduced in the vertical coordinate z in [-1, 1]:
       zdot^2 = f(z) = 2(h_raw - z)(1 - z^2) - l^2,   phidot = l/(1 - z^2),
   with the upright equilibrium at (h_raw, l) = (1, 0); all (h, l) used by
   this toolkit are shifted so the critical value sits at (0, 0).
+  f(z) = 2 (z - z1)(z - z2)(z - z3) with -1 < z1 < z2 < 1 < z3.
+
+Both profiles being cubics, the first-return time T and the azimuth
+advance Theta of a torus are complete elliptic integrals of the first and
+third kind.  period_rotation evaluates them in Carlson's symmetric form
+(B. C. Carlson, Numer. Algorithms 10 (1995) 13-26; DLMF 19.29) from roots
+taken without cancellation: the largest root by Newton, the two small
+ones from Vieta's formulas.
 
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable, hashable, safely shareable across workers.
@@ -26,14 +36,18 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import elliprf, elliprj
 
 from .errors import NoTorusError, SystemRejected, TurningPointDegeneracy, WindowError
 
 TWO_PI = 2.0 * math.pi
+SQRT2 = math.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
+NEWTON_MAX_ITER = 100
 
 ROOT_DEGENERACY_TOL = 1e-8
-# treat |l| below this as exactly on the l = 0 axis (turning-point root
-# finding degenerates there; the angular jump is added analytically)
+# treat |l| below this as exactly on the l = 0 axis (the third-kind
+# integrals' 1 - n vanishes there; the angular jump is added analytically)
 L_AXIS_TOL = 1e-13
 
 
@@ -65,14 +79,14 @@ class EMValue:
 
 @dataclass(frozen=True)
 class ReducedProfile:
-    """S^1-reduced radial data of one torus.
+    """S^1-reduced radial data of one torus: the reduced orbit runs over
+    [r_lo, r_hi] with rdot^2 = p(r).
 
-    r_lo/r_hi bound the reduced orbit; pole_lo/pole_hi flag endpoints where
-    the angular coordinate degenerates (center / sphere pole) -- reachable
-    only on the l = 0 axis, where each passage adds pi to Theta
-    analytically.  The u-space integrands are smooth on (0, pi/2) after the
-    r = r_lo + (r_hi - r_lo) sin^2 u substitution; Theta additionally gets
-    theta_closed (analytic pole-model part).
+    The turning points come from the system's stable cubic roots, the same
+    roots its closed-form period_rotation uses.  pole_lo/pole_hi flag
+    endpoints where the angular coordinate degenerates (center / sphere
+    pole), reachable only on the l = 0 axis.  p and dp serve the
+    turning-point checks and the flow oracle's seed and section.
     """
     r_lo: float
     r_hi: float
@@ -80,28 +94,53 @@ class ReducedProfile:
     pole_hi: bool
     p: Callable[[float], float]
     dp: Callable[[float], float]
-    angular_rate: Callable[[float], float]
-    t_integrand_u: Callable[[float], float]
-    theta_integrand_u: Callable[[float], float] | None
-    theta_closed: float
 
 
-def _cubic_roots_polished(coeffs: tuple[float, float, float, float]) -> np.ndarray:
-    """Real roots of a cubic, Newton-polished (tiny roots from the
-    companion-matrix eigensolve carry O(eps) absolute error, which is a
-    large relative error; two Newton steps restore it)."""
-    c3, c2, c1, c0 = coeffs
-    rts = np.roots([c3, c2, c1, c0])
-    real = rts.real[np.abs(rts.imag) <= 1e-9 * (1.0 + np.abs(rts.real))]
-    out = []
-    for x in real:
-        for _ in range(2):
-            fx = ((c3 * x + c2) * x + c1) * x + c0
-            dfx = (3.0 * c3 * x + 2.0 * c2) * x + c1
-            if dfx != 0.0:
-                x = x - fx / dfx
-        out.append(x)
-    return np.sort(np.asarray(out))
+def _cubic_roots(b: float, c: float, d: float, x0: float,
+                 where: str) -> tuple[float, float, float]:
+    """Roots top > y >= 0 >= z of x^3 + b x^2 + c x + d, d >= 0, given a
+    start x0 at or right of top.
+
+    Newton takes top: right of the inflection -b/3, the mean of the roots
+    and so left of top, the cubic is convex and the iterates fall
+    monotonically onto top.  An iterate left of -b/3, or a slope <= 0,
+    means no real root there: a single real root, so no torus.  Vieta then
+    gives the pair without cancellation: y z = -d/top and
+    y + z = (c + d/top)/top, the larger magnitude first, the other as the
+    quotient.
+    """
+    x = x0
+    for _ in range(NEWTON_MAX_ITER):
+        if x < -b / 3.0:
+            raise NoTorusError(f"no regular torus at {where}")
+        value = ((x + b) * x + c) * x + d
+        if value <= 0.0:   # reached top (to rounding) from the right
+            break
+        slope = (3.0 * x + 2.0 * b) * x + c
+        if slope <= 0.0:
+            raise NoTorusError(f"no regular torus at {where}")
+        step = value / slope
+        x -= step
+        if step <= 4.0 * EPS * x:
+            break
+    else:
+        raise NoTorusError(f"no regular torus at {where}: root iteration "
+                           "did not settle")
+    prod = -d / x
+    total = (c - prod) / x
+    big = 0.5 * (total + math.copysign(math.sqrt(total * total - 4.0 * prod),
+                                       total))
+    small = prod / big
+    return (x, big, small) if big >= 0.0 else (x, small, big)
+
+
+def _third_kind(n: float, one_minus_n: float, x: float) -> float:
+    """Complete elliptic integral of the third kind in Carlson form,
+    Pi(n; x) = R_F(0, x, 1) + (n/3) R_J(0, x, 1, 1 - n) (DLMF 19.25.2 with
+    1 - m = x).  1 - n is passed as computed from the roots: near the
+    l = 0 axis it is tiny and 1 - n would lose all its digits."""
+    return float(elliprf(0.0, x, 1.0)
+                 + n / 3.0 * elliprj(0.0, x, 1.0, one_minus_n))
 
 
 def _check_window(system: "SystemDefinition", c: EMValue) -> None:
@@ -121,8 +160,9 @@ class SystemDefinition:
 
     Required surface: name, j_floor, j_cap, hamiltonian/second_integral and
     their gradients on a 4-dim symplectic chart, hessian() at the
-    equilibrium, reduced_profile(c), flow components (field, seed, section,
-    angle index, invariants on the flow chart), constants().
+    equilibrium, reduced_profile(c), period_rotation(c) -> (T, Theta), flow
+    components (field, seed, section, angle index, invariants on the flow
+    chart), constants().
     """
 
     name = "abstract"
@@ -248,16 +288,33 @@ class ChampagneBottle(SystemDefinition):
     def random_phase_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(-0.8, 0.8, size=(n, 4))
 
-    # -- reduced profile ----------------------------------------------
-    def _cubic(self, c: EMValue) -> tuple[float, float, float, float]:
-        # s^2 P(r) form, s = r^2:  -2 s^3 + 2 s^2 + 2(h - gamma l) s - l^2
-        g = c.h - self.gamma * c.l
-        return (-2.0, 2.0, 2.0 * g, -c.l * c.l)
+    # -- reduced profile and closed form -------------------------------
+    def _roots(self, c: EMValue) -> tuple[float, float, float]:
+        """Roots s3 <= 0 <= s1 < s2 of s^3 - s^2 - g s + l^2/2 = -C(s)/2,
+        g = h - gamma l.  On the l = 0 axis s1 (g > 0) or s3 (g < 0) is
+        exactly 0."""
+        h, l = c.h, c.l
+        g = h - self.gamma * l
+        on_axis = abs(l) <= L_AXIS_TOL
+        if on_axis and g == 0.0:
+            raise NoTorusError("(h, l) = (0, 0) is the singular fiber")
+        disc = 1.0 + 4.0 * g
+        if disc < 0.0:
+            raise NoTorusError(f"no torus at (h, l)=({h:.4g}, {l:.4g})")
+        # the l = 0 root (1 + sqrt(disc))/2 lies at or right of s2
+        s2, s1, s3 = _cubic_roots(-1.0, -g, 0.0 if on_axis else 0.5 * l * l,
+                                  0.5 * (1.0 + math.sqrt(disc)),
+                                  f"(h, l)=({h:.4g}, {l:.4g})")
+        if (s2 - s1) <= (1e-6 if on_axis else 1e-12) * max(1.0, s2):
+            raise TurningPointDegeneracy(
+                f"double turning point at (h, l)=({h:.4g}, {l:.4g}): "
+                "elliptic boundary")
+        return s1, s2, s3
 
     def reduced_profile(self, c: EMValue) -> ReducedProfile:
-        h, l = c.h, c.l
-        geff = h - self.gamma * l
-        gamma = self.gamma
+        l = c.l
+        geff = c.h - self.gamma * l
+        s1, s2, _ = self._roots(c)
 
         def p(r):
             r2 = r * r
@@ -268,68 +325,23 @@ class ChampagneBottle(SystemDefinition):
             cf = 2.0 * l * l / r ** 3 if l != 0.0 else 0.0
             return cf + 4.0 * r - 8.0 * r ** 3
 
-        def a(r):
-            return (l / (r * r) if l != 0.0 else 0.0) + gamma
+        return ReducedProfile(r_lo=math.sqrt(s1), r_hi=math.sqrt(s2),
+                              pole_lo=s1 == 0.0, pole_hi=False, p=p, dp=dp)
 
-        if abs(l) <= L_AXIS_TOL:
-            if geff == 0.0:
-                raise NoTorusError("(h, l) = (0, 0) is the singular fiber")
-            disc = 1.0 + 4.0 * geff
-            if disc < 0.0:
-                raise NoTorusError(f"no torus at (h, l)=({h:.4g}, {l:.4g})")
-            sq = math.sqrt(disc)
-            if geff > 0.0:
-                s1, s2, s3, pole = 0.0, (1.0 + sq) / 2.0, (1.0 - sq) / 2.0, True
-            else:
-                s1, s2, s3, pole = (1.0 - sq) / 2.0, (1.0 + sq) / 2.0, 0.0, False
-                if (s2 - s1) <= 1e-6 * max(1.0, s2):
-                    raise TurningPointDegeneracy(
-                        f"double turning point at (h, l)=({h:.4g}, 0): "
-                        "elliptic boundary")
-            theta_closed = math.pi * math.copysign(1.0, l) if pole else 0.0
-            # l = +0.0 takes the upper sign; copysign(1, +0.0) = +1
-        else:
-            roots = _cubic_roots_polished(self._cubic(c))
-            pos = roots[roots > 0.0]
-            if len(roots) < 3 or len(pos) != 2 or roots[0] >= 0.0:
-                raise NoTorusError(
-                    f"no regular torus at (h, l)=({h:.4g}, {l:.4g}) "
-                    f"(cubic roots {np.round(roots, 8)})")
-            s3, s1, s2 = roots[0], pos[0], pos[1]
-            if (s2 - s1) <= 1e-12 * max(1.0, s2):
-                raise TurningPointDegeneracy(
-                    f"double turning point at (h, l)=({h:.4g}, {l:.4g})")
-            pole = False
-            theta_closed = 0.0
-
-        r1, r2 = math.sqrt(s1), math.sqrt(s2)
-        dd = r2 - r1
-
-        # P(r) = 2 (r - r1)(r2 - r)(r + r1)(r + r2)(s - s3) / s  with s = r^2;
-        # Qhat = P / ((r - r1)(r2 - r)) stays positive and cancellation-free.
-        def qhat(r):
-            s = r * r
-            if s1 == 0.0:
-                return 2.0 * (r + r2) * (s - s3) / r
-            return 2.0 * (r + r1) * (r + r2) * (s - s3) / s
-
-        def r_of_u(u):
-            si = math.sin(u)
-            return r1 + dd * si * si
-
-        def t_integrand(u):
-            return 4.0 / math.sqrt(qhat(r_of_u(u)))
-
-        def theta_integrand(u):
-            r = r_of_u(u)
-            return a(r) * 4.0 / math.sqrt(qhat(r))
-
-        return ReducedProfile(
-            r_lo=r1, r_hi=r2, pole_lo=pole, pole_hi=False,
-            p=p, dp=dp, angular_rate=a,
-            t_integrand_u=t_integrand,
-            theta_integrand_u=theta_integrand,
-            theta_closed=theta_closed)
+    def period_rotation(self, c: EMValue) -> tuple[float, float]:
+        """(T, Theta) in closed form.  T = int ds/sqrt(C) over [s1, s2] and
+        Theta = gamma T + l int ds/(s sqrt(C)), a third-kind integral with
+        its pole at s = 0."""
+        s1, s2, s3 = self._roots(c)
+        T = SQRT2 * float(elliprf(0.0, s1 - s3, s2 - s3))
+        if abs(c.l) <= L_AXIS_TOL:
+            # a center passage (s1 = 0) adds pi, with the sign of l; l = +0.0
+            # takes the upper sign (copysign(1, +0.0) = +1)
+            pole = math.pi * math.copysign(1.0, c.l) if s1 == 0.0 else 0.0
+            return T, self.gamma * T + pole
+        pi3 = _third_kind((s2 - s1) / s2, s1 / s2, (s1 - s3) / (s2 - s3))
+        theta_l = SQRT2 * c.l / (s2 * math.sqrt(s2 - s3)) * pi3
+        return T, self.gamma * T + theta_l
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, c: EMValue) -> Callable:
@@ -433,16 +445,32 @@ class SphericalPendulum(SystemDefinition):
         pts[:, 3] = rng.uniform(-0.5, 0.5, n)
         return pts
 
-    # -- reduced profile ----------------------------------------------
-    def _cubic(self, c: EMValue) -> tuple[float, float, float, float]:
-        # f(z) = 2 z^3 - 2 h_raw z^2 - 2 z + (2 h_raw - l^2)
-        hr = c.h + 1.0
-        return (2.0, -2.0 * hr, -2.0, 2.0 * hr - c.l * c.l)
+    # -- reduced profile and closed form -------------------------------
+    def _roots(self, c: EMValue) -> tuple[float, float, float, float]:
+        """(wc, w2, w3, 1 + z1) with wc = 1 - z1 > w2 = 1 - z2 >= 0 >= w3
+        = 1 - z3, the roots of w^3 + (h - 2) w^2 - 2 h w + l^2/2 = 0, which
+        is f(1 - w) = 0.  1 + z1 comes from the turning-point identity
+        2 (h + wc) wc (1 + z1) = l^2, free of the cancellation in 2 - wc.
+        On the l = 0 axis, z1 = -1 and z2 = 1 (h > 0) or z3 = 1 (h < 0)."""
+        h, l = c.h, c.l
+        on_axis = abs(l) <= L_AXIS_TOL
+        if on_axis and h == 0.0:
+            raise NoTorusError("(h, l) = (0, 0) is the singular fiber")
+        l2h = 0.0 if on_axis else 0.5 * l * l
+        where = f"(h, l)=({h:.4g}, {l:.4g})"
+        # w (w - 2)(w + h) + l^2/2 > 0 for w > 2 > -h: wc <= 2
+        wc, w2, w3 = _cubic_roots(h - 2.0, -2.0 * h, l2h, 2.0, where)
+        if h + wc <= 0.0:
+            raise NoTorusError(f"no torus at {where}")
+        if (wc - w2) <= 1e-12:
+            raise TurningPointDegeneracy(f"double turning point at {where}")
+        return wc, w2, w3, l2h / ((h + wc) * wc)
 
     def reduced_profile(self, c: EMValue) -> ReducedProfile:
-        h, l = c.h, c.l
-        hr = h + 1.0
+        l = c.l
+        hr = c.h + 1.0
         l2 = l * l
+        _, w2, _, one_z1 = self._roots(c)
 
         def p(z):
             return 2.0 * (hr - z) * (1.0 - z * z) - l2
@@ -450,94 +478,31 @@ class SphericalPendulum(SystemDefinition):
         def dp(z):
             return -2.0 * (1.0 - z * z) - 4.0 * z * (hr - z)
 
-        def a(z):
-            return l / (1.0 - z * z) if l != 0.0 else 0.0
+        on_axis = abs(l) <= L_AXIS_TOL
+        return ReducedProfile(r_lo=one_z1 - 1.0, r_hi=1.0 - w2,
+                              pole_lo=on_axis, pole_hi=on_axis and c.h > 0.0,
+                              p=p, dp=dp)
 
-        if abs(l) <= L_AXIS_TOL:
-            if h == 0.0:
-                raise NoTorusError("(h, l) = (0, 0) is the singular fiber")
-            if h > 0.0:
-                z1, z2, z3 = -1.0, 1.0, hr
-                npoles, pole_hi = 2, True
-            else:
-                if hr <= -1.0:
-                    raise NoTorusError(f"no torus at (h, l)=({h:.4g}, 0)")
-                z1, z2, z3 = -1.0, hr, 1.0
-                npoles, pole_hi = 1, False
-            theta_closed = npoles * math.pi * math.copysign(1.0, l)
-            dd = z2 - z1
-
-            def zu(u):
-                si = math.sin(u)
-                return z1 + dd * si * si
-
-            def t_integrand(u):
-                return 4.0 / math.sqrt(2.0 * (z3 - zu(u)))
-
-            return ReducedProfile(
-                r_lo=z1, r_hi=z2, pole_lo=True, pole_hi=pole_hi,
-                p=p, dp=dp, angular_rate=a,
-                t_integrand_u=t_integrand,
-                theta_integrand_u=None,
-                theta_closed=theta_closed)
-
-        roots = _cubic_roots_polished(self._cubic(c))
-        inside = roots[(roots > -1.0) & (roots < 1.0)]
-        if len(roots) < 3 or len(inside) != 2:
-            raise NoTorusError(
-                f"no regular torus at (h, l)=({h:.4g}, {l:.4g}) "
-                f"(cubic roots {np.round(roots, 8)})")
-        z1, z2 = inside
-        z3 = roots[-1]
-        if (z2 - z1) <= 1e-12:
-            raise TurningPointDegeneracy(
-                f"double turning point at (h, l)=({h:.4g}, {l:.4g})")
-        dd = z2 - z1
-
-        # Theta handling: a(z) = (l/2)(1/(1+z) + 1/(1-z)).  Each 1/w factor
-        # is integrated against an exact local model sharing the turning
-        # point (f = w gS - l^2 frozen at z1, f = v gN - l^2 frozen at z2),
-        # whose integral is an arctan; only the bounded remainder is
-        # integrated numerically.  This keeps Theta accurate arbitrarily
-        # close to the l = 0 axis, where the pole passage makes the naive
-        # integrand an unresolvable spike of width ~|l|.
-        gS = 2.0 * (hr - z1) * (1.0 - z1)
-        if (1.0 - z2) > (hr - z2):
-            gN = l2 / (1.0 - z2)      # turning-point identity, stable for z2 near 1
-        else:
-            gN = 2.0 * (hr - z2) * (1.0 + z2)
-        sq_dd = math.sqrt(dd)
-        s_fS = math.sqrt(gS)
-        s_fN = math.sqrt(gN)
-
-        def zu(u):
-            si = math.sin(u)
-            return z1 + dd * si * si
-
-        def t_integrand(u):
-            return 4.0 / math.sqrt(2.0 * (z3 - zu(u)))
-
-        def theta_remainder(u):
-            si, cu = math.sin(u), math.cos(u)
-            z = z1 + dd * si * si
-            w = (1.0 + z1) + dd * si * si       # 1 + z, no cancellation
-            v = (1.0 - z2) + dd * cu * cu       # 1 - z, no cancellation
-            s_f = math.sqrt(2.0 * (z3 - z))
-            tS = 2.0 / (w * s_f) - 2.0 * sq_dd * cu / (w * s_fS)
-            tN = 2.0 / (v * s_f) - 2.0 * sq_dd * si / (v * s_fN)
-            return (l / 2.0) * (tS + tN) * 2.0   # full period = 2x half
-
-        sgn = math.copysign(1.0, l)
-        atan_s = math.atan(math.sqrt(max(gS * (1.0 + z2) - l2, 0.0)) / abs(l))
-        atan_n = math.atan(math.sqrt(max(gN * (1.0 - z1) - l2, 0.0)) / abs(l))
-        theta_closed = 2.0 * sgn * (atan_s + atan_n)
-
-        return ReducedProfile(
-            r_lo=z1, r_hi=z2, pole_lo=False, pole_hi=False,
-            p=p, dp=dp, angular_rate=a,
-            t_integrand_u=t_integrand,
-            theta_integrand_u=theta_remainder,
-            theta_closed=theta_closed)
+    def period_rotation(self, c: EMValue) -> tuple[float, float]:
+        """(T, Theta) in closed form.  T = 2 int dz/sqrt(f) over [z1, z2];
+        Theta = l int (1/(1 - z) + 1/(1 + z)) dz/sqrt(f) splits into two
+        third-kind integrals, with poles at the north (z = 1) and the south
+        (z = -1) pole; each 1 - n is the ratio of that pole's distances to
+        the near and the far turning point."""
+        wc, w2, w3, one_z1 = self._roots(c)
+        T = 2.0 * SQRT2 * float(elliprf(0.0, w2 - w3, wc - w3))
+        if abs(c.l) <= L_AXIS_TOL:
+            # each pole passage adds pi, with the sign of l (l = +0.0 takes
+            # the upper sign): the south pole always, the north one at h > 0
+            npoles = 2 if c.h > 0.0 else 1
+            return T, npoles * math.pi * math.copysign(1.0, c.l)
+        one_z2 = one_z1 + (wc - w2)
+        north = (_third_kind((wc - w2) / wc, w2 / wc, (w2 - w3) / (wc - w3))
+                 / (wc * math.sqrt(wc - w3)))
+        south = (_third_kind((wc - w2) / one_z2, one_z1 / one_z2,
+                             (wc - w3) / (w2 - w3))
+                 / (one_z2 * math.sqrt(w2 - w3)))
+        return T, SQRT2 * c.l * (north + south)
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, c: EMValue) -> Callable:

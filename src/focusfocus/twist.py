@@ -59,7 +59,7 @@ def twist(system: SystemDefinition, c: EMValue,
     try:
         d1 = (w(l + dl) - w(l - dl)) / (2.0 * dl)
         d2 = (w(l + 0.5 * dl) - w(l - 0.5 * dl)) / dl
-    except Exception as exc:  # noqa: BLE001
+    except FocusFocusError as exc:   # a stencil torus failed
         raise StencilError(
             f"twist stencil at (h, l)=({h:.6g}, {l:.6g}) failed: {exc}") from exc
     return (4.0 * d2 - d1) / 3.0

@@ -1,3 +1,7 @@
+import csv
+import json
+import math
+
 import pytest
 
 from focusfocus import cli
@@ -60,3 +64,46 @@ class TestConfigErrors:
                     "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_OK
         assert (tmp_path / "out" / "crosscheck_summary.json").is_file()
+
+    @pytest.mark.parametrize("command", sorted(set(cli.COMMANDS)
+                                               - {"crosscheck"}))
+    def test_tolerance_rejected_outside_crosscheck(self, tmp_path, capsys,
+                                                   command):
+        # only crosscheck reads a tolerance; elsewhere it would be echoed
+        # into the summary while changing nothing
+        rc, err = run(capsys, command, "--tol", "cross=1e-7",
+                      "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err
+
+    def test_tolerance_in_config_file_rejected_outside_crosscheck(
+            self, tmp_path, capsys):
+        rc, err = run(capsys, "report",
+                      "--config", config_file(tmp_path, "tol.cross = 1e-7\n"),
+                      "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err
+
+
+class TestKolmogorovNearAxis:
+    @pytest.mark.parametrize("angle", [math.pi, math.pi + 1e-4,
+                                       math.pi - 1e-4, math.pi - 1e-2, 0.01])
+    def test_pendulum_ray_near_the_l_axis(self, tmp_path, capsys, angle):
+        # finite-difference stencils on these rays land within ~1e-8 of
+        # l = 0 without reaching the axis tolerance
+        out = tmp_path / "out"
+        rc, err = run(capsys, "kolmogorov", "--system", "pendulum",
+                      "--ray-angle", repr(angle), "--out", str(out))
+        assert rc == cli.EXIT_OK, err
+        with (out / "kolmogorov.csv").open(newline="") as fh:
+            dets = [float(row["det_I"]) for row in csv.DictReader(fh)]
+        assert dets and all(d < 0.0 for d in dets)
+
+
+def test_report_smoke(tmp_path, capsys):
+    # the acceptance battery end to end at reduced size: nine criteria pass
+    rc, _ = run(capsys, "report", "--n-tori", "4", "--res", "8,16",
+                "--out", str(tmp_path))
+    assert rc == cli.EXIT_OK
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert [c["status"] for c in doc["criteria"]] == ["pass"] * 9

@@ -1,0 +1,160 @@
+"""The closed-form torus engine against high-precision references.
+
+REFERENCE holds (h, l, T, Theta) per system: 16 tori each, covering
+|l| in {1e-11, 1e-7} on both sides of the l = 0 axis at h = +-1e-3, three
+tori at |j| = j_floor, two near j_cap, and three generic ones.  The values
+come from tanh-sinh quadrature of the reduced-profile integrals at 40
+digits, independent of the Carlson forms under test; they agree with
+mpmath's own Carlson forms to 1e-21.  Generator (mpmath, ~20 s):
+
+    import mpmath as mp
+    mp.mp.dps = 40
+
+    def reference(system, h, l):
+        h, l = mp.mpf(h), mp.mpf(l)
+        if system == "champagne":       # gamma = 1/2, over s = r^2
+            far, lo, hi = sorted(mp.re(r) for r in mp.polyroots(
+                [1, -1, l / 2 - h, l * l / 2], maxsteps=200, extraprec=400))
+            rate = lambda s: l / s + mp.mpf(1) / 2
+        else:                           # over z
+            lo, hi, far = sorted(mp.re(r) for r in mp.polyroots(
+                [1, -h - 1, -1, h + 1 - l * l / 2], maxsteps=200,
+                extraprec=400))
+            rate = lambda z: 2 * l / (1 - z * z)
+        x = lambda u: lo + (hi - lo) * mp.sin(u) ** 2
+        dt = lambda u: 2 / mp.sqrt(2 * abs(x(u) - far))
+        cuts = [mp.mpf(10) ** -k for k in range(16, 0, -1)]
+        cuts = ([0] + cuts + [mp.pi / 2 - c for c in reversed(cuts)]
+                + [mp.pi / 2])
+        k = 1 if system == "champagne" else 2
+        return (k * mp.quad(dt, cuts),
+                mp.quad(lambda u: rate(x(u)) * dt(u), cuts))
+
+The j_floor and j_cap tori are from_momentum_chart of |j| = j_floor
+(angles 0.3, 2.0, 4.0) and |j| = 0.99 j_cap (champagne 0.5, 1.5; pendulum
+0.5, 3.0).
+"""
+import math
+
+import pytest
+
+from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
+                        SphericalPendulum, reduced_period_rotation)
+from focusfocus.lattice import CLOSED_FORM_REL_TOL
+from focusfocus.systems import L_AXIS_TOL
+
+REFERENCE = {
+    "champagne": [
+        (0.001, 1e-11, 6.841677794018033, 6.5624315364802526),
+        (0.001, -1e-11, 6.8416777869187349, 0.27924625398813115),
+        (0.001, 1e-07, 6.841713280773474, 6.56230810133758),
+        (0.001, -1e-07, 6.8416422877938457, 0.27936966880751322),
+        (-0.001, 1e-11, 6.8484098455978482, 3.4242049369647184),
+        (-0.001, -1e-11, 6.8484098526404316, 3.4242049121544213),
+        (-0.001, 1e-07, 6.8483746300130684, 3.4243289658770787),
+        (-0.001, -1e-07, 6.8484450558460413, 3.4240808629068389),
+        (1.4988099228819988e-05, 2.9552020666133956e-06,
+         9.8562432228433869, 7.7697257852269768),
+        (-1.338717867707874e-06, 9.092974268256818e-06,
+         9.8563533807482261, 6.0698071695279059),
+        (-1.3027929212379417e-05, -7.568024953079283e-06,
+         9.8563723479811262, 4.0697480252490235),
+        (0.439798173337589, 0.14238938496544828,
+         2.5087651654673057, 3.9357548352803081),
+        (0.1778391459696496, 0.29625601102140414,
+         2.5955152584654659, 3.1174492396032473),
+        (0.05, 0.02, 4.0428051534283243, 4.5684815882196364),
+        (-0.03, 0.01, 4.3326905431129261, 2.5622546520758012),
+        (0.01, -0.004, 4.9932473419304698, -0.21039751761516452),
+    ],
+    "pendulum": [
+        (0.001, 1e-11, 10.372444777949458, 6.2831852972122279),
+        (0.001, -1e-11, 10.372444777949458, -6.2831852972122279),
+        (0.001, 1e-07, 10.372444772951337, 6.283085633594392),
+        (0.001, -1e-07, 10.372444772951337, -6.283085633594392),
+        (-0.001, 1e-11, 10.374538150937941, 3.141592663622453),
+        (-0.001, -1e-11, 10.374538150937941, -3.141592663622453),
+        (-0.001, 1e-07, 10.37453814593607, 3.1416929801869046),
+        (-0.001, -1e-07, 10.37453814593607, -3.1416929801869046),
+        (9.55336489125606e-06, 2.9552020666133956e-06,
+         14.978645973370119, 5.9832000272410213),
+        (-4.161468365471424e-06, 9.092974268256818e-06,
+         14.978667689024237, 4.2832297595583844),
+        (-6.53643620863612e-06, -7.568024953079283e-06,
+         14.978671504135774, -4.0000372378122181),
+        (0.17376134725429382, 0.0949262566436322,
+         5.0268898071524683, 5.8979650278930358),
+        (-0.1960185143268882, 0.02794176159585371,
+         5.1644109595090471, 3.320691853125564),
+        (0.05, 0.02, 6.3611230432350093, 5.9373118321994903),
+        (-0.03, 0.01, 6.9378562342832647, 3.4830696751876358),
+        (0.01, -0.004, 7.9893969829351414, -5.9120800987551954),
+    ],
+}
+
+SYSTEMS = {"champagne": ChampagneBottle(gamma=0.5),
+           "pendulum": SphericalPendulum()}
+
+
+def _cases():
+    for name, rows in REFERENCE.items():
+        for h, l, T, theta in rows:
+            yield pytest.param(name, h, l, T, theta,
+                               id=f"{name}-{h:.3g}-{l:.3g}")
+
+
+@pytest.mark.parametrize("name,h,l,T_ref,theta_ref", _cases())
+def test_matches_reference(name, h, l, T_ref, theta_ref):
+    system = SYSTEMS[name]
+    # the closed form itself: j_floor tori may round to just below the floor
+    T, theta = system.period_rotation(EMValue(h, l))
+    assert abs(T - T_ref) <= 1e-13 * T_ref
+    assert abs(theta - theta_ref) <= 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("h", [1e-3, -1e-3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_axis_branch_continues_general_formula(name, h, sign):
+    # just off the axis the general formula approaches the axis branch's
+    # l -> 0+- limit (pi per pole passage, with the sign of l)
+    system = SYSTEMS[name]
+    T_axis, theta_axis = system.period_rotation(EMValue(h, sign * 0.0))
+    T, theta = system.period_rotation(EMValue(h, sign * 2 * L_AXIS_TOL))
+    assert abs(T - T_axis) <= 1e-8 * T_axis
+    assert abs(theta - theta_axis) <= 1e-8
+
+
+def test_pendulum_torus_just_off_the_axis():
+    # |l| = 1e-11 puts 1 + z1 ~ 1e-23 below the spacing of floats near -1;
+    # the roots must not collapse z1 onto the pole
+    T, theta = reduced_period_rotation(SphericalPendulum(),
+                                       EMValue(1e-5, 1e-11))
+    assert math.isfinite(T) and math.isfinite(theta)
+    assert theta == pytest.approx(2.0 * math.pi, abs=1e-3)
+
+
+def test_champagne_below_the_image_has_no_torus():
+    # h - gamma l < -1/4: the reduced cubic has a single real root
+    with pytest.raises(NoTorusError):
+        reduced_period_rotation(SYSTEMS["champagne"], EMValue(-0.42, 3e-5))
+
+
+@pytest.mark.parametrize("name,h,l", [("champagne", 1.31, 2.92),
+                                      ("champagne", -0.3, 0.0),
+                                      ("pendulum", -2.5, 0.1),
+                                      ("pendulum", -2.5, 0.0),
+                                      ("pendulum", 0.5, 3.0)])
+def test_outside_the_image_raises_no_torus(name, h, l):
+    # a single real root: Newton leaves the convex branch of the cubic,
+    # which must read as "no torus", never as a math domain error
+    with pytest.raises(NoTorusError):
+        SYSTEMS[name].period_rotation(EMValue(h, l))
+
+
+def test_accuracy_request_below_verified_floor_rejected():
+    system = SYSTEMS["champagne"]
+    c = EMValue(0.05, 0.02)
+    reduced_period_rotation(system, c, rel_tol=CLOSED_FORM_REL_TOL)
+    with pytest.raises(ValueError, match="rel_tol"):
+        reduced_period_rotation(system, c, rel_tol=1e-14)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
-                        QuadratureSpec, align_angle, fd_derivative,
-                        find_root_bracketed, integrate_flow, quad_singular)
+                        NoTorusError, QuadratureSpec, StencilError,
+                        align_angle, fd_derivative, find_root_bracketed,
+                        integrate_flow, quad_singular)
 from focusfocus.lattice import reduced_period_rotation
 from focusfocus.systems import turning_points
 
@@ -138,6 +139,20 @@ class TestFdDerivative:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             fd_derivative(math.sin, 0.0, "fwd")
+
+    def test_toolkit_error_becomes_stencil_error(self):
+        def edge(x):
+            if x > 1.0:
+                raise NoTorusError("outside the image")
+            return x
+        with pytest.raises(StencilError):
+            fd_derivative(edge, 1.0)
+
+    def test_programming_error_propagates(self):
+        def buggy(x):
+            raise TypeError("bug")
+        with pytest.raises(TypeError):
+            fd_derivative(buggy, 1.0, "richardson")
 
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=30, deadline=None)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -112,6 +113,19 @@ class TestTwistlessPoint:
         l_star, resid = twistless_point(champagne, h)
         assert abs(resid) <= 1e-6
         assert np.sign(l_star) == -np.sign(h)
+
+    def test_programming_error_is_not_read_as_no_root(self, champagne,
+                                                      monkeypatch):
+        # only toolkit errors mean "no torus here"; a bug must surface
+        # (the package re-exports the function twist under the module's name)
+        twist_module = importlib.import_module("focusfocus.twist")
+
+        def broken(*args):
+            raise TypeError("bug in the stencil")
+
+        monkeypatch.setattr(twist_module, "_w_aligned", broken)
+        with pytest.raises(TypeError):
+            twistless_point(champagne, 0.02)
 
     def test_root_count_stable_under_refinement(self, champagne):
         l64, _ = twistless_point(champagne, 0.02, n_scan=64)
