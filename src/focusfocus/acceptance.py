@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import TWO_PI
-from .systems import ChampagneBottle, EMValue, SphericalPendulum, eval_constants
-from .lattice import (annulus_sweep, cross_check, fit_asymptotic_model,
-                      from_momentum_chart, MomentumValue)
+from .systems import ChampagneBottle, SphericalPendulum, eval_constants
+from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
+                      fit_asymptotic_model, from_momentum_chart,
+                      sample_cross_tori, MomentumValue)
 from .rotation import (AnnulusRegion, extract_level_curve, fit_log_spiral,
                        monodromy_index, rotation_grid)
 from .twist import tilde_s, twistless_curve
@@ -45,6 +45,7 @@ class AcceptanceConfig:
     n_cross_tori: int = 50
     grid_resolution: tuple[int, int] = (32, 64)
     jobs: int = 1
+    seed: int = RNG_SEED             # draws C1's cross-check tori
 
     def systems(self):
         import dataclasses
@@ -79,36 +80,25 @@ def c1_cross_engine(cfg: AcceptanceConfig) -> CriterionResult:
     desc = ("quadrature vs flow (T, Theta) on random regular tori agree to "
             "1e-7 relative, both systems")
     champ, _, pend = cfg.systems()
-    rng = np.random.default_rng(RNG_SEED)
-    # flow-oracle domains: stay off the coordinate seams the flow charts
-    # cannot resolve (azimuth spike at near-axis passages)
-    plans = [(champ, 1e-4, 0.12, 0.05), (pend, 1e-3, 0.1, 0.1)]
+    rng = np.random.default_rng(cfg.seed)
     worst = {"rel_dT": 0.0, "rel_dtheta": 0.0}
     n_done = 0
-    try:
-        for system, r_lo, r_hi, sin_margin in plans:
-            if not _range_ok(system, r_lo, r_hi):
-                return _insufficient("C1", desc, (r_lo, r_hi), system)
-            done = 0
-            while done < cfg.n_cross_tori:
-                rho = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-                th = rng.uniform(0.0, TWO_PI)
-                if abs(math.sin(th)) < sin_margin:
-                    continue
-                c = from_momentum_chart(
-                    system, MomentumValue(rho * math.cos(th),
-                                          rho * math.sin(th)))
-                res = cross_check(system, c, cross_tol=1e-7)
-                worst["rel_dT"] = max(worst["rel_dT"], res["rel_dT"])
-                worst["rel_dtheta"] = max(worst["rel_dtheta"],
-                                          res["rel_dtheta"])
-                done += 1
-                n_done += 1
-    except FocusFocusError as exc:
-        return CriterionResult("C1", desc, "fail",
-                               {"error": str(exc), "tori_checked": n_done})
+    for system in (champ, pend):
+        r_lo, r_hi, _ = CROSS_DOMAINS[system.name]
+        if not _range_ok(system, r_lo, r_hi):
+            return _insufficient("C1", desc, (r_lo, r_hi), system)
+        tori = sample_cross_tori(system, rng, cfg.n_cross_tori)
+        for res in cross_checks(system, tori, cross_tol=CROSS_TOL):
+            if isinstance(res, FocusFocusError):
+                return CriterionResult("C1", desc, "fail",
+                                       {"error": str(res),
+                                        "tori_checked": n_done})
+            worst["rel_dT"] = max(worst["rel_dT"], res["rel_dT"])
+            worst["rel_dtheta"] = max(worst["rel_dtheta"], res["rel_dtheta"])
+            n_done += 1
     return CriterionResult("C1", desc, "pass",
-                           {"tori_checked": n_done, **worst, "tol": 1e-7})
+                           {"tori_checked": n_done, **worst,
+                            "tol": CROSS_TOL})
 
 
 def c2_monodromy(cfg: AcceptanceConfig) -> CriterionResult:

@@ -24,9 +24,9 @@ import numpy as np
 from .errors import FocusFocusError
 from .numerics import TWO_PI
 from .systems import EMValue, eval_constants, make_system
-from .lattice import (MomentumValue, annulus_sweep, cross_check,
+from .lattice import (CROSS_TOL, MomentumValue, annulus_sweep, cross_checks,
                       fit_asymptotic_model, from_momentum_chart,
-                      period_lattice, to_momentum_chart)
+                      period_lattice, sample_cross_tori, to_momentum_chart)
 from .rotation import (MIN_LOOP_POINTS, AnnulusRegion, extract_level_curve,
                        fit_log_spiral, monodromy_index, rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
@@ -367,39 +367,24 @@ def cmd_kolmogorov(cfg: RunConfig) -> int:
 def cmd_crosscheck(cfg: RunConfig) -> int:
     system = cfg.build_system()
     rng = np.random.default_rng(cfg.seed)
-    r_lo = max(cfg.window[0], 1e-4 if system.name == "champagne" else 1e-3)
-    r_hi = min(cfg.window[1], 0.12 if system.name == "champagne" else 0.1)
-    margin = 0.05 if system.name == "champagne" else 0.1
-    rows = []
-    worst_t = worst_th = 0.0
-    failures = 0
-    done = 0
-    while done < cfg.n_tori:
-        rho = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
-        th = rng.uniform(0.0, TWO_PI)
-        if abs(math.sin(th)) < margin:
-            continue
-        c = from_momentum_chart(
-            system, MomentumValue(rho * math.cos(th), rho * math.sin(th)))
-        try:
-            res = cross_check(system, c, cross_tol=cfg.tol.get("cross", 1e-7))
-        except FocusFocusError:
-            failures += 1
-            done += 1
-            continue
-        rows.append((c.h, c.l, res["T_quad"], res["T_flow"],
-                     res["theta_quad"], res["theta_flow"],
-                     res["rel_dT"], res["rel_dtheta"]))
-        worst_t = max(worst_t, res["rel_dT"])
-        worst_th = max(worst_th, res["rel_dtheta"])
-        done += 1
+    try:
+        tori = sample_cross_tori(system, rng, cfg.n_tori, window=cfg.window)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    results = cross_checks(system, tori,
+                           cross_tol=cfg.tol.get("cross", CROSS_TOL))
+    rows = [(c.h, c.l, res["T_quad"], res["T_flow"], res["theta_quad"],
+             res["theta_flow"], res["rel_dT"], res["rel_dtheta"])
+            for c, res in zip(tori, results) if isinstance(res, dict)]
+    failures = len(tori) - len(rows)
     out = Path(cfg.out)
     write_csv(out / "crosscheck.csv",
               ["h", "l", "T_quad", "T_flow", "Theta_quad", "Theta_flow",
                "rel_dT", "rel_dTheta"], rows)
     write_summary(out / "crosscheck_summary.json", cfg, {
         "n_tori": cfg.n_tori, "failures": failures,
-        "max_rel_dT": worst_t, "max_rel_dTheta": worst_th})
+        "max_rel_dT": max((r[6] for r in rows), default=0.0),
+        "max_rel_dTheta": max((r[7] for r in rows), default=0.0)})
     # per-point failures are recorded in the summary; only total failure
     # is a nonzero exit
     return EXIT_NUMERICAL if failures == cfg.n_tori else EXIT_OK
@@ -416,7 +401,8 @@ def cmd_report(cfg: RunConfig) -> int:
         j_cap=cfg.window[1] if cfg.window_given else None,
         jobs=cfg.jobs,
         n_cross_tori=cfg.n_tori,
-        grid_resolution=cfg.res)
+        grid_resolution=cfg.res,
+        seed=cfg.seed)
     results = run_all(acc_cfg)
     for r in results:
         tag = {"pass": "PASS", "fail": "FAIL",

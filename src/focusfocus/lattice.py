@@ -11,9 +11,17 @@ one return:
   system evaluates in Carlson's symmetric form (period_rotation).  One
   torus costs a few microseconds and is accurate to rounding (checked
   against mpmath); the engine keeps its historical name;
-* flow: direct integration of the full vector field from a torus seed, with
-  the return localized by section events and the azimuth unwrapped as an
-  extra state component.
+* flow (the independent oracle): direct integration of the full vector
+  field from a torus seed, with the return localized by section events and
+  the azimuth unwrapped as an extra state component.  A batch of tori of
+  one system runs as one batched DOP853 integration (integrate_flow), each
+  torus a lane with its own step control, events and energy-drift check;
+  a failing torus stops only its own lane.
+
+cross_checks runs both engines on a batch of tori drawn by
+sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)
+and compares them to CROSS_TOL; cross_check and the "flow" engine of
+reduced_period_rotation are its one-torus cases.
 
 Conversion to the lattice basis uses the linear momentum chart at the
 origin (Phi1 ~ alpha, Phi2 ~ omega; the deviation of the true chart from
@@ -34,12 +42,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BranchError, CrossEngineMismatch, FitError, FlowError
+from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
+                     FocusFocusError)
 from .numerics import (EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR, TWO_PI,
                        align_angle, integrate_flow)
 from .systems import EMValue, SystemDefinition
 
 CROSS_TOL = 1e-7
+# flow-oracle sample domain per system: |j| range, and the |sin arg zeta|
+# margin that keeps seeds off the coordinate seams the flow charts cannot
+# resolve (azimuth spike at near-axis passages)
+CROSS_DOMAINS = {"champagne": (1e-4, 0.12, 0.05),
+                 "pendulum": (1e-3, 0.1, 0.1)}
 # tightest accuracy request the closed form is verified to meet against
 # mpmath (relative in T, absolute in Theta)
 CLOSED_FORM_REL_TOL = 1e-13
@@ -100,26 +114,55 @@ def _torus_quadrature(system: SystemDefinition, h: float, l: float,
     return system.period_rotation(EMValue(h, l))
 
 
-def _torus_flow(system: SystemDefinition, c: EMValue,
-                rtol: float | None) -> tuple[float, float]:
+def _tori_flow(system: SystemDefinition, cs: list[EMValue],
+               rtol: float | None) -> list:
+    """Flow-engine (T, Theta) of each torus in cs, or the FocusFocusError
+    that stopped it, from one batched integration."""
     ff = system.constants()
     if rtol is None:
         rtol = system.flow_rtol
-    j = to_momentum_chart(system, c)
-    budget = T_BUDGET_FACTOR * (1.0 + abs(math.log(j.modulus))) / ff.alpha
-    section, direction = system.flow_section(c)
-    seed = system.flow_seed(c)
-    traj = integrate_flow(system.flow_field(c), seed, t_max=budget,
-                          events=[EventSpec(section, direction, count=2)],
+    out: list = [None] * len(cs)
+    lanes, seeds, levels, budgets = [], [], [], []
+    for i, c in enumerate(cs):
+        try:
+            system.check_window(c)
+            seed, level = system.flow_seed(c), system.flow_section_level(c)
+        except FocusFocusError as exc:
+            out[i] = exc
+            continue
+        seeds.append(seed)
+        levels.append(level)
+        j = to_momentum_chart(system, c)
+        budgets.append(T_BUDGET_FACTOR * (1.0 + abs(math.log(j.modulus)))
+                       / ff.alpha)
+        lanes.append(i)
+    if not lanes:
+        return out
+    section = EventSpec(system.flow_section_value, -1.0, count=2,
+                        level=np.array(levels))
+    traj = integrate_flow(system.flow_field, np.column_stack(seeds),
+                          t_max=np.array(budgets), events=[section],
                           tol=rtol)
     drift = traj.max_relative_drift(system.flow_hamiltonian)
-    if drift > ENERGY_DRIFT_TOL:
-        raise FlowError(f"energy drift {drift:.2e} above "
-                        f"{ENERGY_DRIFT_TOL:.0e} at (h, l)="
-                        f"({c.h:.4g}, {c.l:.4g})")
-    (t1, s1, _), (t2, s2, _) = traj.event_records[:2]
     k = system.flow_angle_index
-    return t2 - t1, float(s2[k] - s1[k])
+    for lane, i in enumerate(lanes):
+        c = cs[i]
+        if traj.errors[lane] is not None:
+            out[i] = traj.errors[lane]
+        elif drift[lane] > ENERGY_DRIFT_TOL:
+            out[i] = FlowError(f"energy drift {drift[lane]:.2e} above "
+                               f"{ENERGY_DRIFT_TOL:.0e} at (h, l)="
+                               f"({c.h:.4g}, {c.l:.4g})")
+        else:
+            (t1, s1, _), (t2, s2, _) = traj.event_records[lane][:2]
+            out[i] = (t2 - t1, float(s2[k] - s1[k]))
+    return out
+
+
+def _raise_failed(result):
+    if isinstance(result, FocusFocusError):
+        raise result
+    return result
 
 
 def reduced_period_rotation(system: SystemDefinition, c: EMValue,
@@ -145,8 +188,60 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     if engine == "quadrature":
         return _torus_quadrature(system, c.h, c.l, rel_tol)
     if engine == "flow":
-        return _torus_flow(system, c, flow_rtol)
+        return _raise_failed(_tori_flow(system, [c], flow_rtol)[0])
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def sample_cross_tori(system: SystemDefinition, rng: np.random.Generator,
+                      n: int, window: tuple[float, float] | None = None
+                      ) -> list[EMValue]:
+    """n tori drawn from the system's cross-check domain (CROSS_DOMAINS),
+    optionally narrowed to a |j| window: log-uniform |j|, uniform arg
+    zeta, rejecting angles within the |sin| margin of the l = 0 axis."""
+    r_lo, r_hi, margin = CROSS_DOMAINS[system.name]
+    if window is not None:
+        r_lo, r_hi = max(r_lo, window[0]), min(r_hi, window[1])
+        if not r_lo < r_hi:
+            raise ValueError(f"window {list(window)} misses the "
+                             f"{system.name} cross-check |j| range "
+                             f"{list(CROSS_DOMAINS[system.name][:2])}")
+    out = []
+    while len(out) < n:
+        rho = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+        th = rng.uniform(0.0, TWO_PI)
+        if abs(math.sin(th)) < margin:
+            continue
+        out.append(from_momentum_chart(
+            system, MomentumValue(rho * math.cos(th), rho * math.sin(th))))
+    return out
+
+
+def cross_checks(system: SystemDefinition, cs: list[EMValue],
+                 cross_tol: float = CROSS_TOL) -> list:
+    """Run both engines on each torus in cs, the flow engine as one batched
+    integration.  Each entry is the measured discrepancies (see
+    cross_check) or the FocusFocusError that failed that torus: no torus,
+    a flow failure or energy drift, or CrossEngineMismatch beyond
+    cross_tol.  A failing torus leaves the others' results intact.
+    """
+    out = []
+    for c, flow in zip(cs, _tori_flow(system, cs, None)):
+        try:
+            Tq, thq = reduced_period_rotation(system, c, "quadrature")
+            Tf, thf = _raise_failed(flow)
+        except FocusFocusError as exc:
+            out.append(exc)
+            continue
+        dT = abs(Tq - Tf) / Tq
+        dth = abs(thq - thf) / max(1.0, abs(thq))
+        if dT > cross_tol or dth > cross_tol:
+            out.append(CrossEngineMismatch(
+                f"engines disagree at (h, l)=({c.h:.6g}, {c.l:.6g}): "
+                f"dT/T={dT:.2e}, dTheta={dth:.2e} (tol {cross_tol:.0e})"))
+            continue
+        out.append({"T_quad": Tq, "T_flow": Tf, "theta_quad": thq,
+                    "theta_flow": thf, "rel_dT": dT, "rel_dtheta": dth})
+    return out
 
 
 def cross_check(system: SystemDefinition, c: EMValue,
@@ -156,16 +251,7 @@ def cross_check(system: SystemDefinition, c: EMValue,
     Returns the measured discrepancies.  T is compared relatively, Theta
     absolutely with a relative floor (|Theta| can pass through 0).
     """
-    Tq, thq = reduced_period_rotation(system, c, "quadrature")
-    Tf, thf = reduced_period_rotation(system, c, "flow")
-    dT = abs(Tq - Tf) / Tq
-    dth = abs(thq - thf) / max(1.0, abs(thq))
-    if dT > cross_tol or dth > cross_tol:
-        raise CrossEngineMismatch(
-            f"engines disagree at (h, l)=({c.h:.6g}, {c.l:.6g}): "
-            f"dT/T={dT:.2e}, dTheta={dth:.2e} (tol {cross_tol:.0e})")
-    return {"T_quad": Tq, "T_flow": Tf, "theta_quad": thq, "theta_flow": thf,
-            "rel_dT": dT, "rel_dtheta": dth}
+    return _raise_failed(cross_checks(system, [c], cross_tol)[0])
 
 
 def period_lattice(system: SystemDefinition, c: EMValue,

@@ -161,8 +161,10 @@ class SystemDefinition:
     Required surface: name, j_floor, j_cap, hamiltonian/second_integral and
     their gradients on a 4-dim symplectic chart, hessian() at the
     equilibrium, reduced_profile(c), period_rotation(c) -> (T, Theta), flow
-    components (field, seed, section, angle index, invariants on the flow
-    chart), constants().
+    components (field, seed, section value and level, angle index, energy
+    on the flow chart), constants().  The flow field, the section value
+    and the energy take a state or a block of states (d, m), unpacked row
+    by row.
     """
 
     name = "abstract"
@@ -175,6 +177,13 @@ class SystemDefinition:
 
     def check_window(self, c: EMValue) -> None:
         _check_window(self, c)
+
+    def flow_section(self, c: EMValue) -> tuple[Callable, float]:
+        """One torus's return section (g, direction): g(state) =
+        flow_section_value(state) - flow_section_level(c) has one falling
+        crossing per radial period."""
+        value, level = self.flow_section_value, self.flow_section_level(c)
+        return (lambda s: value(s) - level), -1.0
 
 
 @lru_cache(maxsize=1024)
@@ -275,9 +284,6 @@ class ChampagneBottle(SystemDefinition):
         x, y, px, py = s[:4]
         return np.array([py, -px, -y, x])
 
-    def equilibrium(self) -> np.ndarray:
-        return np.zeros(4)
-
     def hessian(self) -> np.ndarray:
         g = self.gamma
         return np.array([[-2.0, 0.0, 0.0, g],
@@ -344,43 +350,37 @@ class ChampagneBottle(SystemDefinition):
         return T, self.gamma * T + theta_l
 
     # -- full flow (oracle engine) ------------------------------------
-    def flow_field(self, c: EMValue) -> Callable:
+    def flow_field(self, t, s) -> list:
         """Cartesian field augmented with the unwrapped polar angle:
         state (x, y, px, py, phi)."""
         g = self.gamma
-
-        def field(t, s):
-            x, y, px, py, _ = s
-            r2 = x * x + y * y
-            xd = px - g * y
-            yd = py + g * x
-            return [xd, yd,
-                    2 * x - 4 * x * r2 - g * py,
-                    2 * y - 4 * y * r2 + g * px,
-                    (x * yd - y * xd) / r2]
-        return field
+        x, y, px, py, _ = s
+        r2 = x * x + y * y
+        xd = px - g * y
+        yd = py + g * x
+        return [xd, yd,
+                2 * x - 4 * x * r2 - g * py,
+                2 * y - 4 * y * r2 + g * px,
+                (x * yd - y * xd) / r2]
 
     def flow_seed(self, c: EMValue) -> np.ndarray:
         prof = self.reduced_profile(c)
         r2 = prof.r_hi
         return np.array([r2, 0.0, 0.0, c.l / r2, 0.0])
 
-    def flow_section(self, c: EMValue) -> tuple[Callable, float]:
-        """Event g(state) with one falling crossing per radial period."""
-        prof = self.reduced_profile(c)
-        smid = 0.5 * (prof.r_lo ** 2 + prof.r_hi ** 2)
+    def flow_section_value(self, s):
+        """r^2, which falls through its mid-orbit level once per radial
+        period."""
+        return s[0] * s[0] + s[1] * s[1]
 
-        def g(s):
-            return s[0] * s[0] + s[1] * s[1] - smid
-        return g, -1.0
+    def flow_section_level(self, c: EMValue) -> float:
+        prof = self.reduced_profile(c)
+        return 0.5 * (prof.r_lo ** 2 + prof.r_hi ** 2)
 
     flow_angle_index = 4
 
     def flow_hamiltonian(self, s) -> float:
         return self.hamiltonian(s)
-
-    def flow_second_integral(self, s) -> float:
-        return self.second_integral(s)
 
 
 # --------------------------------------------------------------------------
@@ -423,10 +423,6 @@ class SphericalPendulum(SystemDefinition):
 
     def grad_second_integral(self, s) -> np.ndarray:
         return np.array([0.0, 0.0, 0.0, 1.0])
-
-    def equilibrium(self) -> np.ndarray:
-        # upright position; in the north-pole tangent chart used by hessian()
-        return np.zeros(4)
 
     def hessian(self) -> np.ndarray:
         # d^2H at the upright equilibrium in the north-pole chart (x, y, px, py):
@@ -505,7 +501,7 @@ class SphericalPendulum(SystemDefinition):
         return T, SQRT2 * c.l * (north + south)
 
     # -- full flow (oracle engine) ------------------------------------
-    def flow_field(self, c: EMValue) -> Callable:
+    def flow_field(self, t, s) -> list:
         """Constrained Cartesian flow on T S^2 with unwrapped azimuth:
         state (x, y, z, vx, vy, vz, phi); qddot = -e_z + (z - |v|^2) q.
 
@@ -514,19 +510,16 @@ class SphericalPendulum(SystemDefinition):
         numerical drift of |q| = 1, q.v = 0 -- and with it the energy
         drift -- inside the 1e-10 budget on near-fiber tori."""
         eta = 2.0
-
-        def field(t, s):
-            x, y, z, vx, vy, vz, _ = s
-            q2m1 = x * x + y * y + z * z - 1.0
-            qv = x * vx + y * vy + z * vz
-            lam = z - (vx * vx + vy * vy + vz * vz)
-            r2 = x * x + y * y
-            return [vx, vy, vz,
-                    lam * x - eta * (qv * x + q2m1 * vx),
-                    lam * y - eta * (qv * y + q2m1 * vy),
-                    lam * z - 1.0 - eta * (qv * z + q2m1 * vz),
-                    (x * vy - y * vx) / r2]
-        return field
+        x, y, z, vx, vy, vz, _ = s
+        q2m1 = x * x + y * y + z * z - 1.0
+        qv = x * vx + y * vy + z * vz
+        lam = z - (vx * vx + vy * vy + vz * vz)
+        r2 = x * x + y * y
+        return [vx, vy, vz,
+                lam * x - eta * (qv * x + q2m1 * vx),
+                lam * y - eta * (qv * y + q2m1 * vy),
+                lam * z - 1.0 - eta * (qv * z + q2m1 * vz),
+                (x * vy - y * vx) / r2]
 
     def flow_seed(self, c: EMValue) -> np.ndarray:
         prof = self.reduced_profile(c)
@@ -534,23 +527,20 @@ class SphericalPendulum(SystemDefinition):
         x0 = math.sqrt(1.0 - z2 * z2)
         return np.array([x0, 0.0, z2, 0.0, c.l / x0, 0.0, 0.0])
 
-    def flow_section(self, c: EMValue) -> tuple[Callable, float]:
-        prof = self.reduced_profile(c)
-        zmid = 0.5 * (prof.r_lo + prof.r_hi)
+    def flow_section_value(self, s):
+        """z, which falls through its mid-orbit level once per radial
+        period."""
+        return s[2]
 
-        def g(s):
-            return s[2] - zmid
-        return g, -1.0
+    def flow_section_level(self, c: EMValue) -> float:
+        prof = self.reduced_profile(c)
+        return 0.5 * (prof.r_lo + prof.r_hi)
 
     flow_angle_index = 6
 
     def flow_hamiltonian(self, s) -> float:
         x, y, z, vx, vy, vz = s[:6]
         return (vx * vx + vy * vy + vz * vz) / 2.0 + z - 1.0
-
-    def flow_second_integral(self, s) -> float:
-        x, y, _z, vx, vy, _vz = s[:6]
-        return x * vy - y * vx
 
 
 SYSTEMS = {

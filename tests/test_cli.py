@@ -2,9 +2,10 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from focusfocus import cli
+from focusfocus import acceptance, cli
 
 # tolerance names no subcommand reads; only "cross" is a known key
 UNREAD_TOL_KEYS = ["quad_rel", "flow_rtol", "energy_drift", "root_xtol",
@@ -107,3 +108,70 @@ def test_report_smoke(tmp_path, capsys):
     assert rc == cli.EXIT_OK
     doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert [c["status"] for c in doc["criteria"]] == ["pass"] * 9
+
+
+class TestCrosscheck:
+    @pytest.mark.parametrize("fault", ["budget", "drift"])
+    def test_one_failing_torus_counts_once(self, tmp_path, capsys,
+                                           monkeypatch, fault):
+        from focusfocus import lattice
+        integrate_flow = lattice.integrate_flow
+
+        def faulty_flow(field, p0, t_max, **kwargs):
+            if fault == "budget":
+                t_max = np.array(t_max, dtype=float)
+                t_max[2] = 1.0
+                return integrate_flow(field, p0, t_max, **kwargs)
+            traj = integrate_flow(field, p0, t_max, **kwargs)
+            traj.states[-1, 3, 2] += 1e-6
+            return traj
+
+        monkeypatch.setattr(lattice, "integrate_flow", faulty_flow)
+        out = tmp_path / "out"
+        rc, _ = run(capsys, "crosscheck", "--n-tori", "4", "--out", str(out))
+        assert rc == cli.EXIT_OK
+        doc = json.loads((out / "crosscheck_summary.json").read_text())
+        assert doc["failures"] == 1
+        with (out / "crosscheck.csv").open(newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 3
+
+    def test_window_outside_the_domain(self, tmp_path, capsys):
+        rc, err = run(capsys, "crosscheck", "--window", "0.2,0.3",
+                      "--n-tori", "1", "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err
+
+
+def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):
+    # C1 alone, on two tori per system: the seed picks the tori, and a
+    # seed repeats its C1 details exactly
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.c1_cross_engine])
+    sample = acceptance.sample_cross_tori
+    drawn = []
+
+    def recording_sample(*args, **kwargs):
+        drawn.append(sample(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(acceptance, "sample_cross_tori", recording_sample)
+
+    def c1(tag, *seed):
+        drawn.clear()
+        out = tmp_path / tag
+        rc, _ = run(capsys, "report", "--n-tori", "1", *seed,
+                    "--out", str(out))
+        assert rc == cli.EXIT_OK
+        (doc,) = json.loads((out / "report.json").read_text())["criteria"]
+        assert doc["status"] == "pass"
+        return list(drawn), doc["details"]
+
+    tori_a, details_a = c1("a", "--seed", "1")
+    tori_b, details_b = c1("b", "--seed", "1")
+    tori_c, _ = c1("c", "--seed", "2")
+    tori_d, _ = c1("d")
+    assert tori_a == tori_b and details_a == details_b
+    assert tori_a != tori_c
+    # the default seed draws the tori C1 has always drawn
+    rng = np.random.default_rng(acceptance.RNG_SEED)
+    champ, _, pend = acceptance.AcceptanceConfig().systems()
+    assert tori_d == [sample(s, rng, 1) for s in (champ, pend)]

@@ -8,7 +8,7 @@ from focusfocus import (EMValue, MomentumValue, annulus_sweep, cross_check,
                         from_momentum_chart, period_lattice,
                         reduced_period_rotation, to_momentum_chart)
 from focusfocus import lattice
-from focusfocus.errors import FitError
+from focusfocus.errors import FitError, FlowError
 from focusfocus.lattice import PeriodLatticeSample, SweepSample
 
 TWO_PI = 2.0 * math.pi
@@ -72,6 +72,77 @@ class TestCrossEngine:
         assert res["rel_dT"] <= 1e-7 and res["rel_dtheta"] <= 1e-7
         (traj,) = trajectories
         assert traj.max_relative_drift(system.flow_hamiltonian) <= 1e-10
+
+
+def batch_tori(system, n=4, seed=7):
+    return lattice.sample_cross_tori(system, np.random.default_rng(seed), n)
+
+
+class TestBatchedCrossCheck:
+    @pytest.mark.parametrize("name", ["champagne", "pendulum"])
+    def test_batch_matches_one_torus_calls(self, request, name):
+        system = request.getfixturevalue(name)
+        tori = batch_tori(system)
+        for c, res in zip(tori, lattice.cross_checks(system, tori)):
+            T, theta = reduced_period_rotation(system, c, engine="flow")
+            assert res["T_flow"] == pytest.approx(T, rel=1e-10)
+            assert res["theta_flow"] == pytest.approx(theta, rel=1e-10)
+
+    @pytest.mark.parametrize("fault", ["budget", "drift"])
+    def test_failing_lane_is_isolated(self, champagne, monkeypatch, fault):
+        tori = batch_tori(champagne)
+        clean = lattice.cross_checks(champagne, tori)
+        integrate_flow = lattice.integrate_flow
+
+        def faulty_flow(field, p0, t_max, **kwargs):
+            if fault == "budget":
+                # lane 1 stops well before its first return
+                t_max = np.array(t_max, dtype=float)
+                t_max[1] = 1.0
+                return integrate_flow(field, p0, t_max, **kwargs)
+            traj = integrate_flow(field, p0, t_max, **kwargs)
+            traj.states[-1, 3, 1] += 1e-6   # lane 1's energy jumps
+            return traj
+
+        monkeypatch.setattr(lattice, "integrate_flow", faulty_flow)
+        results = lattice.cross_checks(champagne, tori)
+        assert isinstance(results[1], FlowError)
+        assert ("exceeded" if fault == "budget" else "energy drift") \
+            in str(results[1])
+        for k in (0, 2, 3):
+            for key, value in clean[k].items():
+                assert results[k][key] == pytest.approx(value, rel=1e-10)
+
+    def test_sampler_draws_the_reference_sequence(self, champagne,
+                                                  pendulum):
+        # the draw loop C1 and crosscheck each carried before they shared
+        # sample_cross_tori; C1 continues one generator across systems
+        def reference(system, rng, n, r_lo, r_hi, margin):
+            out = []
+            while len(out) < n:
+                rho = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
+                th = rng.uniform(0.0, TWO_PI)
+                if abs(math.sin(th)) < margin:
+                    continue
+                out.append(from_momentum_chart(system, MomentumValue(
+                    rho * math.cos(th), rho * math.sin(th))))
+            return out
+
+        rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+        for system, domain in ((champagne, (1e-4, 0.12, 0.05)),
+                               (pendulum, (1e-3, 0.1, 0.1))):
+            got = lattice.sample_cross_tori(system, rng_a, 20)
+            assert got == reference(system, rng_b, 20, *domain)
+        window = (1e-4, 1e-2)
+        got = lattice.sample_cross_tori(
+            champagne, np.random.default_rng(3), 20, window=window)
+        assert got == reference(champagne, np.random.default_rng(3), 20,
+                                1e-4, 1e-2, 0.05)
+
+    def test_sampler_rejects_a_window_outside_the_domain(self, champagne):
+        with pytest.raises(ValueError, match="misses"):
+            lattice.sample_cross_tori(champagne, np.random.default_rng(0), 1,
+                                      window=(0.2, 0.3))
 
 
 class TestThetaStructure:

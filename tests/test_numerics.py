@@ -29,21 +29,21 @@ class TestIntegrateFlow:
         assert t1 == pytest.approx(TWO_PI, abs=1e-9)
 
     def test_energy_conservation_long_run(self, champagne):
-        field = champagne.flow_field(EMValue(0.1, 0.05))
+        field = champagne.flow_field
         seed = champagne.flow_seed(EMValue(0.1, 0.05))
         traj = integrate_flow(field, seed, t_max=100.0, tol=1e-12)
         assert traj.max_relative_drift(champagne.flow_hamiltonian) <= 1e-10
 
     def test_energy_conservation_pendulum(self, pendulum):
         c = EMValue(0.05, 0.02)
-        traj = integrate_flow(pendulum.flow_field(c), pendulum.flow_seed(c),
+        traj = integrate_flow(pendulum.flow_field, pendulum.flow_seed(c),
                               t_max=100.0, tol=pendulum.flow_rtol)
         assert traj.max_relative_drift(pendulum.flow_hamiltonian) <= 1e-10
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
         c = EMValue(0.1, 0.05)
         section, direction = champagne.flow_section(c)
-        traj = integrate_flow(champagne.flow_field(c), champagne.flow_seed(c),
+        traj = integrate_flow(champagne.flow_field, champagne.flow_seed(c),
                               t_max=1e3,
                               events=[EventSpec(section, direction, count=2)],
                               tol=1e-10)
@@ -54,6 +54,70 @@ class TestIntegrateFlow:
         ev = EventSpec(lambda y: y[0], direction=+1, count=3)
         with pytest.raises(FlowError, match="exceeded"):
             integrate_flow(oscillator, [0.0, 1.0], t_max=8.0, events=[ev])
+
+
+def blowup(t, y):
+    # y' = y^2: y(t) = y0 / (1 - y0 t) leaves every float at t = 1/y0
+    return [y[0] * y[0]]
+
+
+class TestBatchedFlow:
+    def test_step_underflow_raises(self):
+        # as solve_ivp's status -1: the step falls below ten ulps of t
+        with pytest.raises(FlowError, match="spacing between numbers"):
+            integrate_flow(blowup, [1.0], t_max=2.0)
+
+    def test_underflow_stays_in_its_lane(self):
+        traj = integrate_flow(blowup, [[1.0, 0.1]], t_max=2.0)
+        assert isinstance(traj.errors[0], FlowError)
+        assert "spacing between numbers" in str(traj.errors[0])
+        assert traj.errors[1] is None
+        assert traj.times[-1, 1] == 2.0
+        assert traj.states[-1, 0, 1] == pytest.approx(0.1 / 0.8, rel=1e-10)
+        assert traj.times.shape == (len(traj.times), 2)
+        assert traj.states.shape == (len(traj.times), 1, 2)
+
+    def test_lanes_match_single_seeds(self):
+        # per-lane levels, budgets and event counts; every lane agrees
+        # with its own one-seed run
+        seeds = np.array([[0.0, 0.3, -0.5], [1.0, 0.8, 0.2]])
+        levels = np.array([0.0, 0.1, -0.2])
+        ev = EventSpec(lambda y: y[0], direction=+1, count=2, level=levels)
+        traj = integrate_flow(oscillator, seeds, t_max=[20.0, 20.0, 30.0],
+                              events=[ev])
+        for i in range(3):
+            one = integrate_flow(
+                oscillator, seeds[:, i], t_max=20.0,
+                events=[EventSpec(lambda y, v=levels[i]: y[0] - v,
+                                  direction=+1, count=2)])
+            assert traj.errors[i] is None
+            got = [(t, k) for t, _, k in traj.event_records[i]]
+            assert got == pytest.approx([(t, k) for t, _, k
+                                         in one.event_records], abs=1e-12)
+        # the seed on the section (lane 0) is not a crossing
+        assert traj.event_records[0][0][0] == pytest.approx(TWO_PI,
+                                                            abs=1e-9)
+
+    def test_budget_is_per_lane(self):
+        ev = EventSpec(lambda y: y[0], direction=+1, count=2)
+        traj = integrate_flow(oscillator, [[0.0, 0.0], [1.0, 1.0]],
+                              t_max=[20.0, 8.0], events=[ev])
+        assert traj.errors[0] is None
+        assert len(traj.event_records[0]) == 2
+        assert isinstance(traj.errors[1], FlowError)
+        assert "exceeded with 1/2" in str(traj.errors[1])
+
+    def test_drift_matches_loop_reference(self, champagne):
+        c = EMValue(0.1, 0.05)
+        seeds = np.column_stack([champagne.flow_seed(c),
+                                 champagne.flow_seed(EMValue(0.05, -0.02))])
+        traj = integrate_flow(champagne.flow_field, seeds, t_max=5.0)
+        drift = traj.max_relative_drift(champagne.flow_hamiltonian)
+        for i in range(2):
+            lane = traj.states[:, :, i]
+            v0 = champagne.flow_hamiltonian(lane[0])
+            ref = max(abs(champagne.flow_hamiltonian(s) - v0) for s in lane)
+            assert drift[i] == ref / (1.0 + abs(v0))
 
 
 class TestQuadSingular:

@@ -195,7 +195,7 @@ class TestProfileAlongFlow:
         # (dr/dt)^2 along an integrated trajectory equals P(r) to 1e-9
         c = EMValue(0.08, -0.03)
         prof = champagne.reduced_profile(c)
-        traj = integrate_flow(champagne.flow_field(c),
+        traj = integrate_flow(champagne.flow_field,
                               champagne.flow_seed(c), t_max=5.0, tol=1e-12)
         for s in traj.states[::20]:
             r = math.hypot(s[0], s[1])
