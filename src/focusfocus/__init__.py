@@ -17,10 +17,10 @@ from .lattice import (AsymptoticModel, MomentumValue, PeriodLatticeSample,
                       SweepSample, annulus_sweep, cross_check,
                       fit_asymptotic_model, from_momentum_chart,
                       period_lattice, reduced_period_rotation,
-                      to_momentum_chart)
-from .rotation import (AnnulusRegion, LevelCurve, RectRegion, RotationGrid,
-                       SpiralFit, extract_level_curve, fit_log_spiral,
-                       monodromy_index, rotation_grid, rotation_number)
+                      to_momentum_chart, transport)
+from .rotation import (AnnulusRegion, LevelCurve, RotationGrid, SpiralFit,
+                       extract_level_curve, fit_log_spiral, monodromy_index,
+                       monodromy_loop, rotation_grid, rotation_number)
 from .twist import (TorusInvariants, TwistlessCurve, TwistlessSample,
                     expected_twistless_slope, tilde_s, torus_invariants,
                     twist, twist_via_j_chart, twistless_curve,

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import fd_derivative
 from .systems import ChampagneBottle, SphericalPendulum, eval_constants
 from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, from_momentum_chart,
@@ -240,13 +241,11 @@ def c7_tilde_s(cfg: AcceptanceConfig) -> CriterionResult:
         ray_values.append(vals)
         decay_ok &= vals[0] > vals[1] > vals[2]
 
-    d = 1e-3
-    g1 = (tilde_s(champ, from_momentum_chart(champ, MomentumValue(d, 0.0)))
-          - tilde_s(champ, from_momentum_chart(champ, MomentumValue(-d, 0.0)))) \
-        / (2 * d)
-    g2 = (tilde_s(champ, from_momentum_chart(champ, MomentumValue(0.0, d)))
-          - tilde_s(champ, from_momentum_chart(champ, MomentumValue(0.0, -d)))) \
-        / (2 * d)
+    def s_tilde_at(j1: float, j2: float) -> float:
+        return tilde_s(champ, from_momentum_chart(champ, MomentumValue(j1, j2)))
+
+    g1 = fd_derivative(lambda t: s_tilde_at(t, 0.0), 0.0, step=1e-3)
+    g2 = fd_derivative(lambda t: s_tilde_at(0.0, t), 0.0, step=1e-3)
     exp1, exp2 = ff.A0 ** 2 - 1.0, -2.0 * ff.A0
     grad_ok = (abs(g1 - exp1) <= 0.10 * abs(exp1)
                and abs(g2 - exp2) <= 0.10 * abs(exp2))

@@ -22,13 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FocusFocusError
-from .numerics import TWO_PI
-from .systems import EMValue, eval_constants, make_system
-from .lattice import (CROSS_TOL, MomentumValue, annulus_sweep, cross_checks,
-                      fit_asymptotic_model, from_momentum_chart,
-                      period_lattice, sample_cross_tori, to_momentum_chart)
+from .systems import eval_constants, make_system
+from .lattice import (CROSS_TOL, MomentumValue, cross_checks,
+                      from_momentum_chart, sample_cross_tori)
 from .rotation import (MIN_LOOP_POINTS, AnnulusRegion, extract_level_curve,
-                       fit_log_spiral, monodromy_index, rotation_grid)
+                       fit_log_spiral, monodromy_loop, rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
 from .kolmogorov import asymptote_sweep
 
@@ -69,7 +67,9 @@ class RunConfig:
     def validate(self, command: str) -> None:
         if not (0 < self.window[0] < self.window[1]):
             raise ConfigError(f"invalid window {self.window}")
-        if self.res[0] < 2 or self.res[1] < 4:
+        # a row of 4 angles steps Theta by 0.5 pi + O(|j|), which the wrap
+        # guard of lattice.transport (MAX_BRANCH_STEP = 0.5 pi) rejects
+        if self.res[0] < 2 or self.res[1] < 5:
             raise ConfigError(f"resolution too small {self.res}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
@@ -308,18 +308,9 @@ def cmd_spiral(cfg: RunConfig) -> int:
 
 def cmd_monodromy(cfg: RunConfig) -> int:
     system = cfg.build_system()
-    index = monodromy_index(system, cfg.radius, cfg.n_points)
-    rows = []
-    angles = (np.arange(cfg.n_points + 1) * TWO_PI / cfg.n_points
-              + math.pi / cfg.n_points)
-    theta_ref = None
-    for th in angles:
-        j = MomentumValue(cfg.radius * math.cos(th), cfg.radius * math.sin(th))
-        c = from_momentum_chart(system, j)
-        samp = period_lattice(system, c, theta_ref=theta_ref)
-        theta_ref = samp.theta
-        rows.append((c.h, c.l, samp.T, samp.theta, samp.tau1, samp.tau2,
-                     samp.branch))
+    cs, samples, index = monodromy_loop(system, cfg.radius, cfg.n_points)
+    rows = [(c.h, c.l, s.T, s.theta, s.tau1, s.tau2, s.branch)
+            for c, s in zip(cs, samples)]
     out = Path(cfg.out)
     write_csv(out / "monodromy_loop.csv",
               ["h", "l", "T", "Theta", "tau1", "tau2", "branch"], rows)

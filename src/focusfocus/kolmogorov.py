@@ -11,7 +11,8 @@ and the exact chain factor:
 It is compared against the predicted asymptote -(2 pi alpha / (|j| tau1^2))^2,
 which is negative: the frequency map is non-degenerate on every regular
 torus close to the fiber.  The Jacobian is branch-invariant, so stencils
-only need local Theta alignment.
+(numerics.fd_derivative) only need Theta aligned to their centre
+(lattice.period_lattice).
 """
 from __future__ import annotations
 
@@ -20,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import TWO_PI, align_angle
-from .lattice import reduced_period_rotation, to_momentum_chart
+from .numerics import TWO_PI, fd_derivative
+from .lattice import (MomentumValue, from_momentum_chart, period_lattice,
+                      reduced_period_rotation, to_momentum_chart)
 from .systems import EMValue, SystemDefinition
 
 JAC_STEP_REL = 1e-2     # FD steps shrink with |j|: derivative scales ~1/|j|
@@ -47,32 +49,22 @@ def frequency_map(system: SystemDefinition, c: EMValue,
     return TWO_PI / T, theta / T
 
 
-def _aligned_frequencies(system: SystemDefinition, c: EMValue,
-                         theta_ref: float) -> tuple[float, float]:
-    T, theta = reduced_period_rotation(system, c)
-    theta = align_angle(theta, theta_ref)
-    return TWO_PI / T, theta / T
-
-
-def frequency_jacobian_det(system: SystemDefinition, c: EMValue,
-                           step_rel: float = JAC_STEP_REL) -> FrequencySample:
+def frequency_jacobian_det(system: SystemDefinition,
+                           c: EMValue) -> FrequencySample:
     """Central differences of (omega1, omega2) in (h, l), with Theta locally
     branch-aligned across the stencil."""
     ff = system.constants()
     j = to_momentum_chart(system, c)
-    d = step_rel * j.modulus
+    d = JAC_STEP_REL * j.modulus
     T0, theta0 = reduced_period_rotation(system, c)
 
-    w1hp, w2hp = _aligned_frequencies(system, EMValue(c.h + d, c.l), theta0)
-    w1hm, w2hm = _aligned_frequencies(system, EMValue(c.h - d, c.l), theta0)
-    w1lp, w2lp = _aligned_frequencies(system, EMValue(c.h, c.l + d), theta0)
-    w1lm, w2lm = _aligned_frequencies(system, EMValue(c.h, c.l - d), theta0)
+    def omegas(h: float, l: float) -> np.ndarray:
+        s = period_lattice(system, EMValue(h, l), theta0)
+        return np.array([TWO_PI / s.T, s.theta / s.T])
 
-    d11 = (w1hp - w1hm) / (2 * d)
-    d21 = (w2hp - w2hm) / (2 * d)
-    d12 = (w1lp - w1lm) / (2 * d)
-    d22 = (w2lp - w2lm) / (2 * d)
-    det_c = d11 * d22 - d12 * d21
+    d11, d21 = fd_derivative(lambda h: omegas(h, c.l), c.h, step=d)
+    d12, d22 = fd_derivative(lambda l: omegas(c.h, l), c.l, step=d)
+    det_c = float(d11 * d22 - d12 * d21)
 
     omega1 = TWO_PI / T0
     tau1 = ff.alpha * T0
@@ -84,36 +76,21 @@ def frequency_jacobian_det(system: SystemDefinition, c: EMValue,
                            ratio=det_i / asym)
 
 
-def tau_jacobian(system: SystemDefinition, c: EMValue,
-                 step_rel: float = JAC_STEP_REL,
-                 richardson: bool = True) -> np.ndarray:
-    """d(tau1, tau2)/d(j1, j2) on the linear chart by (optionally
-    Richardson-extrapolated) central differences; rows = (tau1, tau2),
-    columns = (d/dj1, d/dj2)."""
-    ff = system.constants()
+def tau_jacobian(system: SystemDefinition, c: EMValue) -> np.ndarray:
+    """d(tau1, tau2)/d(j1, j2) on the linear chart by Richardson-extrapolated
+    central differences; rows = (tau1, tau2), columns = (d/dj1, d/dj2)."""
     j = to_momentum_chart(system, c)
-    d = step_rel * j.modulus
+    d = JAC_STEP_REL * j.modulus
     _, theta0 = reduced_period_rotation(system, c)
 
-    def taus(j1: float, j2: float) -> tuple[float, float]:
-        cc = EMValue(ff.alpha * j1 + ff.omega * j2, j2)
-        T, theta = reduced_period_rotation(system, cc)
-        theta = align_angle(theta, theta0)
-        return ff.alpha * T, ff.omega * T - theta
+    def taus(j1: float, j2: float) -> np.ndarray:
+        s = period_lattice(system, from_momentum_chart(
+            system, MomentumValue(j1, j2)), theta0)
+        return np.array([s.tau1, s.tau2])
 
-    def jac(step: float) -> np.ndarray:
-        t1p = taus(j.j1 + step, j.j2)
-        t1m = taus(j.j1 - step, j.j2)
-        t2p = taus(j.j1, j.j2 + step)
-        t2m = taus(j.j1, j.j2 - step)
-        return np.array([
-            [(t1p[0] - t1m[0]) / (2 * step), (t2p[0] - t2m[0]) / (2 * step)],
-            [(t1p[1] - t1m[1]) / (2 * step), (t2p[1] - t2m[1]) / (2 * step)],
-        ])
-
-    if not richardson:
-        return jac(d)
-    return (4.0 * jac(0.5 * d) - jac(d)) / 3.0
+    return np.column_stack([
+        fd_derivative(lambda t: taus(t, j.j2), j.j1, "richardson", step=d),
+        fd_derivative(lambda t: taus(j.j1, t), j.j2, "richardson", step=d)])
 
 
 def asymptote_sweep(system: SystemDefinition, ray_angle: float,

@@ -31,8 +31,13 @@ linear is smooth and is absorbed by the asymptotic fits):
     (tau1, tau2) and (0, 2 pi) span the period lattice.
 
 Branch convention: the raw per-torus Theta (with the +pi convention on the
-l = 0 axis) anchors the principal sheet on the positive-j1 ray; sweeps
-transport it continuously (align_angle) and record the sheet offset.
+l = 0 axis) is the principal value.  transport carries Theta continuously
+along a path of tori: the first torus keeps its raw value, each next one
+moves to the sheet nearest its predecessor, and the sheet offset from the
+raw value is recorded as branch.  Every path in the package (sweep rows,
+grid rows, monodromy loops, rotation-number arcs) goes through it, with one
+wrap guard, MAX_BRANCH_STEP.  Finite-difference stencils align each point
+to the stencil centre instead (period_lattice with theta_ref).
 """
 from __future__ import annotations
 
@@ -58,6 +63,13 @@ CROSS_DOMAINS = {"champagne": (1e-4, 0.12, 0.05),
 # mpmath (relative in T, absolute in Theta)
 CLOSED_FORM_REL_TOL = 1e-13
 ENERGY_DRIFT_TOL = 1e-10
+# largest aligned Theta step transport accepts between neighbouring tori.
+# An aligned step reads at most pi, so a true step in (pi, 1.5 pi) shows as
+# one above 0.5 pi: the guard catches under-resolved paths before they wrap.
+MAX_BRANCH_STEP = 0.5 * math.pi
+# polar rows start just past the positive-j1 reference ray, where the raw
+# Theta is the principal value, so no row crosses the principal cut
+RAY_OFFSET = 1e-3
 
 
 @dataclass(frozen=True)
@@ -159,7 +171,9 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue],
     return out
 
 
-def _raise_failed(result):
+def raise_failed(result):
+    """result itself, or raised if it is the FocusFocusError that failed a
+    torus (the per-torus entries of cross_checks and transport)."""
     if isinstance(result, FocusFocusError):
         raise result
     return result
@@ -188,7 +202,7 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     if engine == "quadrature":
         return _torus_quadrature(system, c.h, c.l, rel_tol)
     if engine == "flow":
-        return _raise_failed(_tori_flow(system, [c], flow_rtol)[0])
+        return raise_failed(_tori_flow(system, [c], flow_rtol)[0])
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -228,7 +242,7 @@ def cross_checks(system: SystemDefinition, cs: list[EMValue],
     for c, flow in zip(cs, _tori_flow(system, cs, None)):
         try:
             Tq, thq = reduced_period_rotation(system, c, "quadrature")
-            Tf, thf = _raise_failed(flow)
+            Tf, thf = raise_failed(flow)
         except FocusFocusError as exc:
             out.append(exc)
             continue
@@ -251,25 +265,71 @@ def cross_check(system: SystemDefinition, c: EMValue,
     Returns the measured discrepancies.  T is compared relatively, Theta
     absolutely with a relative floor (|Theta| can pass through 0).
     """
-    return _raise_failed(cross_checks(system, [c], cross_tol)[0])
+    return raise_failed(cross_checks(system, [c], cross_tol)[0])
 
 
 def period_lattice(system: SystemDefinition, c: EMValue,
                    theta_ref: float | None = None,
                    engine: str = "quadrature") -> PeriodLatticeSample:
-    """Lattice sample at c.  With theta_ref given, Theta is transported to
-    the sheet continuous with that reference (steps must stay below half a
+    """Lattice sample at c.  With theta_ref given, Theta is moved to the
+    sheet nearest that reference (the true change must stay below half a
     branch width); otherwise the raw principal value is returned.  branch
     is the sheet offset from the raw value, in units of 2 pi."""
-    ff = system.constants()
     T, theta_raw = reduced_period_rotation(system, c, engine=engine)
     theta = theta_raw
     if theta_ref is not None:
         theta = align_angle(theta_raw, theta_ref)
-    return PeriodLatticeSample(T=T, theta=theta,
-                               tau1=ff.alpha * T,
-                               tau2=ff.omega * T - theta,
-                               branch=int(round((theta - theta_raw) / TWO_PI)))
+    return _lattice_sample(system, T, theta,
+                           int(round((theta - theta_raw) / TWO_PI)))
+
+
+def _lattice_sample(system: SystemDefinition, T: float, theta: float,
+                    branch: int) -> PeriodLatticeSample:
+    ff = system.constants()
+    return PeriodLatticeSample(T=T, theta=theta, tau1=ff.alpha * T,
+                               tau2=ff.omega * T - theta, branch=branch)
+
+
+def transport(system: SystemDefinition, path: list[EMValue]) -> list:
+    """Theta carried continuously along a path of tori.
+
+    Each entry is the PeriodLatticeSample of that torus, or the
+    FocusFocusError that failed it; a failed torus is skipped as a
+    reference.  The first torus that evaluates keeps its raw principal
+    Theta (branch 0); each next one moves to the sheet nearest its
+    predecessor, so branch is the cumulative sum of the rounded raw steps.
+    Raises BranchError when an aligned step exceeds MAX_BRANCH_STEP: the
+    path is too coarse to tell its sheet.
+    """
+    out: list = [None] * len(path)
+    live, Ts, raw = [], [], []
+    for i, c in enumerate(path):
+        try:
+            T, theta = reduced_period_rotation(system, c)
+        except FocusFocusError as exc:
+            out[i] = exc
+            continue
+        live.append(i)
+        Ts.append(T)
+        raw.append(theta)
+    if not live:
+        return out
+    raw = np.array(raw)
+    branch = np.concatenate(
+        ([0], np.cumsum(np.round(-np.diff(raw) / TWO_PI)))).astype(int)
+    theta = raw + TWO_PI * branch
+    steps = np.abs(np.diff(theta))
+    over = np.flatnonzero(steps > MAX_BRANCH_STEP)
+    if over.size:
+        k = over[0]
+        c = path[live[k + 1]]
+        raise BranchError(f"aligned Theta step {steps[k] / math.pi:.4f} pi "
+                          f"above {MAX_BRANCH_STEP / math.pi:.1f} pi at path "
+                          f"point {live[k + 1]}, (h, l)=({c.h:.4g}, "
+                          f"{c.l:.4g}): refine the path")
+    for i, T, th, b in zip(live, Ts, theta.tolist(), branch.tolist()):
+        out[i] = _lattice_sample(system, T, th, b)
+    return out
 
 
 @dataclass(frozen=True)
@@ -282,37 +342,25 @@ class SweepSample:
 
 
 def annulus_sweep(system: SystemDefinition, r_in: float, r_out: float,
-                  n_r: int, n_theta: int,
-                  theta_offset: float = 1e-3) -> list[SweepSample]:
+                  n_r: int, n_theta: int) -> list[SweepSample]:
     """Branch-consistent samples on a log-radial polar grid.
 
-    Each constant-radius row starts just past the positive-j1 reference ray
-    (theta_offset) where the raw Theta is the principal value, then sweeps
-    counterclockwise with continuous transport.  All rows therefore live on
-    one common sheet and the sample set is fit-ready.
+    Each constant-radius row starts at RAY_OFFSET past the positive-j1
+    reference ray and is transported counterclockwise.  All rows therefore
+    live on one common sheet and the sample set is fit-ready.  A failed
+    torus or a BranchError fails the sweep.
     """
     if not (0.0 < r_in < r_out):
         raise ValueError("need 0 < r_in < r_out")
-    radii = np.geomspace(r_in, r_out, n_r)
-    angles = theta_offset + TWO_PI * np.arange(n_theta) / n_theta
+    angles = RAY_OFFSET + TWO_PI * np.arange(n_theta) / n_theta
     out: list[SweepSample] = []
-    for rho in radii:
-        prev: PeriodLatticeSample | None = None
-        for th in angles:
-            j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-            c = from_momentum_chart(system, j)
-            if prev is None:
-                samp = period_lattice(system, c)
-            else:
-                samp = period_lattice(system, c, theta_ref=prev.theta)
-                if abs(samp.theta - prev.theta) > 0.5 * math.pi:
-                    raise BranchError(
-                        f"Theta step {abs(samp.theta - prev.theta):.3f} too "
-                        f"large at rho={rho:.3g}, theta={th:.3f}; refine "
-                        "n_theta")
+    for rho in np.geomspace(r_in, r_out, n_r):
+        js = [MomentumValue(rho * math.cos(th), rho * math.sin(th))
+              for th in angles]
+        cs = [from_momentum_chart(system, j) for j in js]
+        for c, j, th, samp in zip(cs, js, angles, transport(system, cs)):
             out.append(SweepSample(c=c, j=j, theta_tracked=float(th),
-                                   lattice=samp))
-            prev = samp
+                                   lattice=raise_failed(samp)))
     return out
 
 

@@ -1,24 +1,26 @@
 """Rotation numbers with branch tracking, monodromy, level curves, spirals.
 
 W = Theta / 2 pi on the principal sheet anchored at the positive-j1 ray
-(arg zeta = 0).  Single-point queries transport W along a constant-radius
-arc from the reference ray; grids and loops track continuously along their
-evaluation paths.  Level sets of W are extracted in the (ln rho, theta)
-plane by marching squares and compared against the predicted logarithmic
-spiral pitch d theta / d ln rho = -omega/alpha (a star, slope 0, in the
-degenerate omega = 0 case).
+(arg zeta = 0).  Every path here is a lattice.transport path: a
+single-point query transports W along the constant-|j| arc from the
+reference ray, a grid row along its circle from RAY_OFFSET, and the
+monodromy loop once around the critical value.  Level sets of W are
+extracted in the (ln rho, theta) plane by marching squares and compared
+against the predicted logarithmic spiral pitch d theta / d ln rho =
+-omega/alpha (a star, slope 0, in the degenerate omega = 0 case).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, FitError, NoTorusError, WindowError
-from .numerics import TWO_PI, align_angle
-from .lattice import (MomentumValue, from_momentum_chart, period_lattice,
-                      reduced_period_rotation, to_momentum_chart)
+from .errors import FitError, NoTorusError, WindowError
+from .numerics import TWO_PI
+from .lattice import (RAY_OFFSET, MomentumValue, PeriodLatticeSample,
+                      from_momentum_chart, period_lattice, raise_failed,
+                      to_momentum_chart, transport)
 from .systems import EMValue, SystemDefinition
 
 MASK_REGULAR = 0
@@ -26,14 +28,22 @@ MASK_CORE = 1        # below the |j| floor: too close to the singular fiber
 MASK_FAILED = 2
 
 # fewest loop points for which branch transport around the monodromy loop
-# stays below the wrap limit
+# stays below the wrap guard
 MIN_LOOP_POINTS = 64
+# largest arg zeta step of the rotation_number arc
+ARC_STEP = 0.3
+
+
+def _circle(system: SystemDefinition, rho: float, angles) -> list[EMValue]:
+    """The tori at |j| = rho and the given arguments of zeta."""
+    return [from_momentum_chart(system, MomentumValue(rho * math.cos(th),
+                                                      rho * math.sin(th)))
+            for th in angles]
 
 
 def rotation_number(system: SystemDefinition, c: EMValue,
                     branch_anchor: tuple[EMValue, float] | None = None,
-                    engine: str = "quadrature",
-                    arc_step: float = 0.3) -> float:
+                    engine: str = "quadrature") -> float:
     """Branch-consistent rotation number W at c.
 
     With branch_anchor = (c_ref, W_ref), returns the branch continuous with
@@ -43,30 +53,19 @@ def rotation_number(system: SystemDefinition, c: EMValue,
     """
     if branch_anchor is not None:
         _, w_ref = branch_anchor
-        _, theta = reduced_period_rotation(system, c, engine=engine)
-        return float(align_angle(theta, w_ref * TWO_PI) / TWO_PI)
+        return float(period_lattice(system, c, w_ref * TWO_PI,
+                                    engine).theta / TWO_PI)
 
     # branch transport always runs on the quadrature engine (the flow chart
     # cannot evaluate the l = 0 anchor); the requested engine only supplies
     # the final value, aligned onto the transported sheet
     j = to_momentum_chart(system, c)
-    target = j.angle
-    n_steps = max(1, int(math.ceil(target / arc_step)))
-    c0 = from_momentum_chart(system, MomentumValue(j.modulus, 0.0))
-    _, theta = reduced_period_rotation(system, c0)
-    for k in range(1, n_steps + 1):
-        if k == n_steps:
-            ck = c
-        else:
-            th = target * k / n_steps
-            ck = from_momentum_chart(
-                system, MomentumValue(j.modulus * math.cos(th),
-                                      j.modulus * math.sin(th)))
-        _, raw = reduced_period_rotation(system, ck)
-        theta = align_angle(raw, theta)
+    n_steps = max(1, int(math.ceil(j.angle / ARC_STEP)))
+    arc = _circle(system, j.modulus, j.angle * np.arange(n_steps) / n_steps)
+    samples = [raise_failed(s) for s in transport(system, arc + [c])]
+    theta = samples[-1].theta
     if engine != "quadrature":
-        _, theta_eng = reduced_period_rotation(system, c, engine=engine)
-        theta = align_angle(theta_eng, theta)
+        theta = period_lattice(system, c, theta, engine).theta
     return float(theta / TWO_PI)
 
 
@@ -76,28 +75,15 @@ def rotation_number(system: SystemDefinition, c: EMValue,
 
 @dataclass(frozen=True)
 class AnnulusRegion:
-    """Log-radial polar region r_in <= |j| <= r_out; the angular sweep
-    starts at theta_offset past the reference ray so no row crosses the
-    principal cut."""
+    """Log-radial polar region r_in <= |j| <= r_out."""
     r_in: float
     r_out: float
-    theta_offset: float = 1e-3
-
-
-@dataclass(frozen=True)
-class RectRegion:
-    """Rectangle in (h, l)."""
-    h_min: float
-    h_max: float
-    l_min: float
-    l_max: float
 
 
 @dataclass
 class RotationGrid:
-    kind: str                 # "annulus" | "rect"
-    axis0: np.ndarray         # radii (annulus) or h values (rect)
-    axis1: np.ndarray         # angles or l values
+    axis0: np.ndarray         # radii
+    axis1: np.ndarray         # angles, from RAY_OFFSET
     w: np.ndarray             # (n0, n1) branch-consistent W; NaN where masked
     branch: np.ndarray        # int sheet offset from the raw value
     mask: np.ndarray          # MASK_* codes
@@ -108,60 +94,48 @@ class RotationGrid:
 
 def _grid_row(system: SystemDefinition, points: list[EMValue],
               j_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate one branch-tracked row; each point's reference is its
-    predecessor.  A failed anchor fails the whole row."""
+    """Evaluate one transported row.  Points below j_floor are masked as
+    core and points without a regular torus as failed; neither serves as a
+    reference.  A failed anchor fails the whole row."""
     n = len(points)
     w = np.full(n, np.nan)
     br = np.zeros(n, dtype=int)
     mask = np.full(n, MASK_FAILED, dtype=np.uint8)
-    theta_ref = None
+    live = []
     for i, c in enumerate(points):
-        j = to_momentum_chart(system, c)
-        if j.modulus < j_floor:
+        if to_momentum_chart(system, c).modulus < j_floor:
             mask[i] = MASK_CORE
+        else:
+            live.append(i)
+    for i, samp in zip(live, transport(system, [points[i] for i in live])):
+        if isinstance(samp, (NoTorusError, WindowError)):
+            if i == 0:   # row anchor failed: whole row failed
+                return w, br, np.full(n, MASK_FAILED, dtype=np.uint8)
             continue
-        try:
-            samp = period_lattice(system, c, theta_ref=theta_ref)
-        except (NoTorusError, WindowError):
-            if i == 0:
-                return w, br, mask   # row anchor failed: whole row failed
-            continue
+        samp = raise_failed(samp)
         w[i] = samp.theta / TWO_PI
         br[i] = samp.branch
         mask[i] = MASK_REGULAR
-        theta_ref = samp.theta
     return w, br, mask
 
 
-def rotation_grid(system: SystemDefinition,
-                  region: AnnulusRegion | RectRegion,
+def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
                   resolution: tuple[int, int],
                   j_floor: float | None = None,
                   jobs: int = 1) -> RotationGrid:
     """Branch-consistent W matrix.
 
-    Annulus rows are constant-|j| circles anchored on the reference ray;
-    rect rows are constant-h lines anchored at their first in-window point.
-    Rows satisfy |W_neighbor - W| < 1/2 by construction (transport).  Rows
-    are independent after anchoring and may be evaluated in parallel;
-    results are assembled by row index, so output is jobs-independent.
+    Rows are constant-|j| circles anchored just past the reference ray and
+    transported counterclockwise, so |W_neighbor - W| < 1/2 along each
+    row.  Rows are independent after anchoring and may be evaluated in
+    parallel; results are assembled by row index, so output is
+    jobs-independent.
     """
     n0, n1 = resolution
     floor = system.j_floor if j_floor is None else j_floor
-    if isinstance(region, AnnulusRegion):
-        radii = np.geomspace(region.r_in, region.r_out, n0)
-        angles = region.theta_offset + TWO_PI * np.arange(n1) / n1
-        row_points = [
-            [from_momentum_chart(system, MomentumValue(rho * math.cos(th),
-                                                       rho * math.sin(th)))
-             for th in angles]
-            for rho in radii]
-        kind, ax0, ax1 = "annulus", radii, angles
-    else:
-        hs = np.linspace(region.h_min, region.h_max, n0)
-        ls = np.linspace(region.l_min, region.l_max, n1)
-        row_points = [[EMValue(h, l) for l in ls] for h in hs]
-        kind, ax0, ax1 = "rect", hs, ls
+    radii = np.geomspace(region.r_in, region.r_out, n0)
+    angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
+    row_points = [_circle(system, rho, angles) for rho in radii]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -174,48 +148,36 @@ def rotation_grid(system: SystemDefinition,
     w = np.vstack([r[0] for r in rows])
     br = np.vstack([r[1] for r in rows])
     mask = np.vstack([r[2] for r in rows])
-    return RotationGrid(kind=kind, axis0=ax0, axis1=ax1, w=w, branch=br,
-                        mask=mask)
+    return RotationGrid(axis0=radii, axis1=angles, w=w, branch=br, mask=mask)
 
 
 # --------------------------------------------------------------------------
 # monodromy
 # --------------------------------------------------------------------------
 
-def monodromy_index(system: SystemDefinition, radius: float,
-                    n_points: int = 256, center: EMValue = EMValue(0.0, 0.0),
-                    orientation: int = +1) -> float:
-    """Lattice monodromy around the critical value: the advance of the
-    branch-transported tau2 over one closed loop, in units of 2 pi
-    (equivalently W_start - W_transported; +1 for a simple focus-focus
-    point on the positively oriented circle).
-    """
+def monodromy_loop(system: SystemDefinition, radius: float,
+                   n_points: int = 256, orientation: int = +1
+                   ) -> tuple[list[EMValue], list[PeriodLatticeSample], float]:
+    """The transported loop of n_points + 1 tori around the critical value
+    (the last closes it), their lattice samples, and the monodromy index:
+    the advance of tau2 over the loop in units of 2 pi (equivalently
+    W_start - W_transported; +1 for a simple focus-focus point on the
+    positively oriented circle)."""
     if n_points < MIN_LOOP_POINTS:
         raise ValueError(f"n_points >= {MIN_LOOP_POINTS} required")
-    if center.as_tuple() != (0.0, 0.0):
-        raise ValueError("only loops centered at the critical value are "
-                         "supported")
     # half-step offset keeps loop points off the l = 0 seam
     angles = (np.arange(n_points + 1) * TWO_PI / n_points + math.pi / n_points)
     if orientation < 0:
         angles = angles[::-1]
-    samp0 = None
-    prev_theta = None
-    tau2_first = tau2_last = None
-    for th in angles:
-        j = MomentumValue(radius * math.cos(th), radius * math.sin(th))
-        c = from_momentum_chart(system, j)
-        samp = period_lattice(system, c, theta_ref=prev_theta)
-        if prev_theta is not None and abs(samp.theta - prev_theta) > 0.9 * math.pi:
-            # alignment wraps silently beyond pi; flag anything close to it
-            raise BranchError(f"Theta step {abs(samp.theta - prev_theta):.2f}"
-                              f" rad near the wrap limit at loop angle "
-                              f"{th:.3f}: n_points too small")
-        if samp0 is None:
-            samp0, tau2_first = samp, samp.tau2
-        tau2_last = samp.tau2
-        prev_theta = samp.theta
-    return float((tau2_last - tau2_first) / TWO_PI)
+    cs = _circle(system, radius, angles)
+    samples = [raise_failed(s) for s in transport(system, cs)]
+    return cs, samples, float((samples[-1].tau2 - samples[0].tau2) / TWO_PI)
+
+
+def monodromy_index(system: SystemDefinition, radius: float,
+                    n_points: int = 256, orientation: int = +1) -> float:
+    """Lattice monodromy index around the critical value (monodromy_loop)."""
+    return monodromy_loop(system, radius, n_points, orientation)[2]
 
 
 # --------------------------------------------------------------------------
@@ -313,14 +275,12 @@ def _marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
 
 def extract_level_curve(grid: RotationGrid, level: float,
                         extend_angle: float = 2.2) -> LevelCurve:
-    """Longest contour polyline of W = level on an annulus grid.
+    """Longest contour polyline of W = level on a rotation grid.
 
     The angular axis is extended past 2 pi using the tracked continuation
     W(theta + 2 pi) = W(theta) - 1, so spirals cross the reference-ray seam
     seamlessly while staying on a single sheet of the tracked surface.
     """
-    if grid.kind != "annulus":
-        raise ValueError("level curves are extracted on annulus grids")
     lnr = np.log(grid.axis0)
     th = np.asarray(grid.axis1)
     w = grid.w.copy()

@@ -73,9 +73,6 @@ class EMValue:
     h: float
     l: float
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.h, self.l)
-
 
 @dataclass(frozen=True)
 class ReducedProfile:

@@ -1,13 +1,14 @@
 """Twist along isoenergy curves and the twistless torus.
 
-The twist S = dW/dl at fixed energy h is computed by branch-consistent
-central differences with Richardson extrapolation (local alignment of
-Theta across the stencil makes the derivative sheet-independent).  The
-rescaled twist S~ = 2 pi |j|^2 S extends continuously by 0 to the origin
-with gradient (A0^2 - 1, -2 A0); its zero set is a curve through the origin
-whose tangent satisfies h = omega (omega^2 + alpha^2)/(omega^2 - alpha^2) l
-in the loxodromic case.  For omega = 0 the transversality degenerates and
-the toolkit only reports the |h|/|l*| trend.
+The twist S = dW/dl at fixed energy h is computed by central differences
+with Richardson extrapolation (numerics.fd_derivative) of Theta aligned to
+the stencil centre (lattice.period_lattice), which makes the derivative
+sheet-independent.  The rescaled twist S~ = 2 pi |j|^2 S extends
+continuously by 0 to the origin with gradient (A0^2 - 1, -2 A0); its zero
+set is a curve through the origin whose tangent satisfies
+h = omega (omega^2 + alpha^2)/(omega^2 - alpha^2) l in the loxodromic case.
+For omega = 0 the transversality degenerates and the toolkit only reports
+the |h|/|l*| trend.
 """
 from __future__ import annotations
 
@@ -16,11 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FocusFocusError, ScanError, StencilError
-from .numerics import (FD_STEP_FLOOR, FD_STEP_REL, ROOT_XTOL, TWO_PI,
-                       align_angle, find_root_bracketed)
-from .lattice import reduced_period_rotation, to_momentum_chart
+from .errors import FocusFocusError, ScanError
+from .numerics import (FD_STEP_FLOOR, FD_STEP_REL, TWO_PI, fd_derivative,
+                       find_root_bracketed)
+from .lattice import period_lattice, reduced_period_rotation, to_momentum_chart
 from .systems import EMValue, SystemDefinition
+
+# twistless scans stay within |j| <= SCAN_CAP (and the system's j_cap)
+SCAN_CAP = 0.2
 
 
 @dataclass(frozen=True)
@@ -34,60 +38,35 @@ class TorusInvariants:
     S_tilde: float
 
 
-def _w_aligned(system: SystemDefinition, c: EMValue, theta_ref: float) -> float:
-    """W at c on the sheet continuous with theta_ref (radians)."""
-    _, theta = reduced_period_rotation(system, c)
-    return align_angle(theta, theta_ref) / TWO_PI
-
-
-def _fd_step(l: float, dl_floor: float, dl_rel: float) -> float:
-    return max(dl_floor, dl_rel * abs(l))
-
-
 def twist(system: SystemDefinition, c: EMValue,
-          dl_floor: float = FD_STEP_FLOOR,
           dl_rel: float = FD_STEP_REL) -> float:
     """S = dW/dl at fixed h: Richardson-extrapolated central differences of
     the branch-aligned rotation number along the isoenergy line."""
-    h, l = c.h, c.l
-    dl = _fd_step(l, dl_floor, dl_rel)
     _, theta0 = reduced_period_rotation(system, c)
 
-    def w(lv: float) -> float:
-        return _w_aligned(system, EMValue(h, lv), theta0)
+    def w(l: float) -> float:
+        return period_lattice(system, EMValue(c.h, l), theta0).theta / TWO_PI
 
-    try:
-        d1 = (w(l + dl) - w(l - dl)) / (2.0 * dl)
-        d2 = (w(l + 0.5 * dl) - w(l - 0.5 * dl)) / dl
-    except FocusFocusError as exc:   # a stencil torus failed
-        raise StencilError(
-            f"twist stencil at (h, l)=({h:.6g}, {l:.6g}) failed: {exc}") from exc
-    return (4.0 * d2 - d1) / 3.0
+    return fd_derivative(w, c.l, "richardson",
+                         step=max(FD_STEP_FLOOR, dl_rel * abs(c.l)))
 
 
-def twist_via_j_chart(system: SystemDefinition, c: EMValue,
-                      dl_floor: float = FD_STEP_FLOOR,
-                      dl_rel: float = FD_STEP_REL) -> float:
+def twist_via_j_chart(system: SystemDefinition, c: EMValue) -> float:
     """S from the momentum-chart form -A dW/dj1 + dW/dj2 with A = A0 and
     the exact linear chart.  Algebraically identical to twist(); computed
     on different stencils, so agreement checks the FD machinery."""
     ff = system.constants()
     h, l = c.h, c.l
-    dj = _fd_step(l, dl_floor, dl_rel)
+    dj = max(FD_STEP_FLOOR, FD_STEP_REL * abs(l))
     _, theta0 = reduced_period_rotation(system, c)
 
     def w(hv: float, lv: float) -> float:
-        return _w_aligned(system, EMValue(hv, lv), theta0)
+        return period_lattice(system, EMValue(hv, lv), theta0).theta / TWO_PI
 
-    def d_dj1(step):
-        return (w(h + ff.alpha * step, l) - w(h - ff.alpha * step, l)) / (2 * step)
-
-    def d_dj2(step):
-        return (w(h + ff.omega * step, l + step)
-                - w(h - ff.omega * step, l - step)) / (2 * step)
-
-    g1 = (4.0 * d_dj1(0.5 * dj) - d_dj1(dj)) / 3.0
-    g2 = (4.0 * d_dj2(0.5 * dj) - d_dj2(dj)) / 3.0
+    g1 = fd_derivative(lambda t: w(h + ff.alpha * t, l), 0.0, "richardson",
+                       step=dj)
+    g2 = fd_derivative(lambda t: w(h + ff.omega * t, l + t), 0.0,
+                       "richardson", step=dj)
     return -ff.A0 * g1 + g2
 
 
@@ -128,10 +107,9 @@ def _l_window(system: SystemDefinition, h: float, j_cap: float) -> float:
     return lo
 
 
-def twistless_point(system: SystemDefinition, h: float,
-                    scan_cap: float = 0.2, n_scan: int = 64,
-                    l_range: tuple[float, float] | None = None,
-                    s_tol: float = ROOT_XTOL) -> tuple[float, float]:
+def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
+                    l_range: tuple[float, float] | None = None
+                    ) -> tuple[float, float]:
     """The unique zero of S along the isoenergy curve C_h inside the scan
     window, by sign scan (refined x4 near candidate changes) plus a
     bracketed root.  Returns (l*, S(l*)).
@@ -143,7 +121,7 @@ def twistless_point(system: SystemDefinition, h: float,
     if h == 0.0:
         raise ValueError("h must be nonzero")
     if l_range is None:
-        lmax = _l_window(system, h, min(scan_cap, system.j_cap))
+        lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
         l_range = (-lmax, lmax)
 
     def s_or_nan(l: float) -> float:
@@ -152,13 +130,14 @@ def twistless_point(system: SystemDefinition, h: float,
         except FocusFocusError:   # window edge / failed torus
             return math.nan
 
-    ls = np.linspace(l_range[0], l_range[1], n_scan)
+    # plain floats: NumPy scalars would slow every stencil point's arithmetic
+    ls = np.linspace(l_range[0], l_range[1], n_scan).tolist()
     sv = np.array([s_or_nan(l) for l in ls])
     flips = np.flatnonzero(sv[:-1] * sv[1:] < 0)   # NaN pairs compare False
 
     brackets = []
     for i in flips:
-        fine = np.linspace(ls[i], ls[i + 1], 5)
+        fine = np.linspace(ls[i], ls[i + 1], 5).tolist()
         fv = [sv[i]] + [s_or_nan(l) for l in fine[1:-1]] + [sv[i + 1]]
         for k in range(4):
             if fv[k] * fv[k + 1] < 0:
@@ -171,7 +150,7 @@ def twistless_point(system: SystemDefinition, h: float,
                         f"h={h:.6g}: window too large")
 
     l_star = find_root_bracketed(lambda l: twist(system, EMValue(h, l)),
-                                 brackets[0], tol=s_tol)
+                                 brackets[0])
     return float(l_star), float(twist(system, EMValue(h, l_star)))
 
 
@@ -207,8 +186,8 @@ def expected_twistless_slope(alpha: float, omega: float) -> float:
     return omega * (omega ** 2 + alpha ** 2) / (omega ** 2 - alpha ** 2)
 
 
-def twistless_curve(system: SystemDefinition, h_values: list[float],
-                    scan_cap: float = 0.2, n_scan: int = 64) -> TwistlessCurve:
+def twistless_curve(system: SystemDefinition,
+                    h_values: list[float]) -> TwistlessCurve:
     """Vanishing-twist curve over the given energies.
 
     Loxodromic systems: one root per h, then a weighted through-origin fit
@@ -227,12 +206,11 @@ def twistless_curve(system: SystemDefinition, h_values: list[float],
             continue
         try:
             if degenerate:
-                lmax = _l_window(system, h, min(scan_cap, system.j_cap))
+                lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
                 found = []
                 for rng in ((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax)):
                     try:
-                        found.append(twistless_point(system, h, l_range=rng,
-                                                     n_scan=n_scan))
+                        found.append(twistless_point(system, h, l_range=rng))
                     except ScanError:
                         pass
                 if not found:
@@ -240,8 +218,7 @@ def twistless_curve(system: SystemDefinition, h_values: list[float],
                                     "(expected for one h sign at omega = 0)")
                 l_star, resid = min(found, key=lambda t: abs(t[0]))
             else:
-                l_star, resid = twistless_point(system, h, scan_cap=scan_cap,
-                                                n_scan=n_scan)
+                l_star, resid = twistless_point(system, h)
         except ScanError as exc:
             failures.append((h, str(exc)))
             continue

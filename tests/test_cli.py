@@ -175,3 +175,30 @@ def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(acceptance.RNG_SEED)
     champ, _, pend = acceptance.AcceptanceConfig().systems()
     assert tori_d == [sample(s, rng, 1) for s in (champ, pend)]
+
+
+class TestExitCodes:
+    def test_grid_row_below_the_wrap_guard_resolution(self, tmp_path, capsys):
+        # a 4-angle row steps Theta by just over the 0.5 pi wrap guard
+        rc, err = run(capsys, "grid", "--res", "2,4",
+                      "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err
+
+    def test_acceptance_failure(self, tmp_path, capsys):
+        # a window that cannot host the criteria's |j| ranges degrades them
+        # to insufficient_range, which is not a pass
+        rc, _ = run(capsys, "report", "--window", "1e-3,1e-2",
+                    "--n-tori", "4", "--res", "8,16", "--out", str(tmp_path))
+        assert rc == cli.EXIT_ACCEPTANCE
+        doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert not doc["all_passed"]
+
+    def test_numerical_failure(self, tmp_path, capsys):
+        # every grid point lies below the system's |j| floor
+        out = tmp_path / "out"
+        rc, _ = run(capsys, "grid", "--window", "1e-7,1e-6", "--res", "2,5",
+                    "--out", str(out))
+        assert rc == cli.EXIT_NUMERICAL
+        with (out / "grid.csv").open(newline="") as fh:
+            assert {row["mask"] for row in csv.DictReader(fh)} == {"1"}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from focusfocus import (EMValue, MomentumValue, asymptote_sweep,
+from focusfocus import (EMValue, MomentumValue, StencilError, asymptote_sweep,
                         eval_constants, frequency_jacobian_det, frequency_map,
                         from_momentum_chart, rotation_number, tau_jacobian)
 from focusfocus.lattice import reduced_period_rotation
@@ -123,6 +123,16 @@ class TestTauJacobian:
             assert abs(dw_dj2[0]) * rho * tau1 ** 2 <= bound1
             assert abs(dw_dj1[1]) * rho * tau1 <= bound2
             assert abs(dw_dj2[1]) * rho * tau1 <= bound2
+
+
+class TestStencilLeavesTheWindow:
+    # at 0.999 j_cap the 1% stencil steps cross the window cap
+    @pytest.mark.parametrize("jacobian", [frequency_jacobian_det,
+                                          tau_jacobian])
+    def test_raises_stencil_error(self, champagne, jacobian):
+        c = ray_point(champagne, 0.999 * champagne.j_cap, 0.0)
+        with pytest.raises(StencilError):
+            jacobian(champagne, c)
 
 
 class TestSweep:

@@ -218,6 +218,14 @@ class TestFdDerivative:
         with pytest.raises(TypeError):
             fd_derivative(buggy, 1.0, "richardson")
 
+    @pytest.mark.parametrize("scheme", ["central", "richardson"])
+    def test_vector_valued_matches_components(self, scheme):
+        # a vector f differentiates each component exactly as a scalar f
+        est = fd_derivative(lambda x: np.array([math.sin(x), x ** 3]), 0.7,
+                            scheme)
+        assert est.tolist() == [fd_derivative(math.sin, 0.7, scheme),
+                                fd_derivative(lambda x: x ** 3, 0.7, scheme)]
+
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_richardson_beats_central_on_smooth(self, x):

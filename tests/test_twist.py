@@ -123,7 +123,7 @@ class TestTwistlessPoint:
         def broken(*args):
             raise TypeError("bug in the stencil")
 
-        monkeypatch.setattr(twist_module, "_w_aligned", broken)
+        monkeypatch.setattr(twist_module, "period_lattice", broken)
         with pytest.raises(TypeError):
             twistless_point(champagne, 0.02)
 
