@@ -6,18 +6,33 @@ deterministic for a fixed configuration at any parallelism degree: numbers
 are serialized with 17 significant digits and results are assembled by
 index, never by arrival order.
 
+Each subcommand reads the keys below (READS), given as flags or as
+"key = value" lines of a --config file, which the flags override; any
+other key is a configuration error.  param.NAME sets one parameter of the
+system (--param NAME=V), tol.NAME one tolerance (--tol NAME=V).  Every
+subcommand also takes --out DIR and --jobs N.
+
+    constants   system, param.NAME
+    grid        system, param.NAME, window, res
+    spiral      system, param.NAME, window, res, levels
+    monodromy   system, param.NAME, radius, n_points
+    twistless   system, param.NAME, h_values
+    kolmogorov  system, param.NAME, window, ray_angle
+    crosscheck  system, param.NAME, window, n_tori, seed, tol.cross
+    report      param.gamma, window, res, n_tori, seed
+
 Exit codes: 0 success, 1 configuration error, 2 acceptance failure,
 3 numerical total failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +44,7 @@ from .rotation import (MIN_LOOP_POINTS, AnnulusRegion, extract_level_curve,
                        fit_log_spiral, monodromy_loop, rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
 from .kolmogorov import asymptote_sweep
+from .acceptance import RNG_SEED, AcceptanceConfig, run_all
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -40,176 +56,164 @@ class ConfigError(Exception):
     pass
 
 
-# the tolerance keys each subcommand reads: only crosscheck reads one (its
-# engine agreement); a tolerance given to any other subcommand is an error
-TOL_KEYS = {"crosscheck": {"cross"}}
-
-
-@dataclass
-class RunConfig:
-    system: str = "champagne"
-    params: dict = field(default_factory=dict)
-    window: tuple[float, float] = (1e-4, 1e-2)   # |j| range for the command
-    window_given: bool = False                   # explicit --window / file key
-    res: tuple[int, int] = (32, 64)
-    out: str = "out"
-    jobs: int = 1
-    radius: float = 0.1
-    n_points: int = 256
-    h_values: tuple[float, ...] = (0.005, -0.005, 0.01, -0.01,
-                                   0.02, -0.02, 0.05, -0.05)
-    ray_angle: float = 0.7
-    levels: tuple[float, ...] = (0.3, 0.5, 0.7)  # quantiles of mid-row W
-    n_tori: int = 50
-    seed: int = 20260810
-    tol: dict = field(default_factory=dict)
-
-    def validate(self, command: str) -> None:
-        if not (0 < self.window[0] < self.window[1]):
-            raise ConfigError(f"invalid window {self.window}")
-        # a row of 4 angles steps Theta by 0.5 pi + O(|j|), which the wrap
-        # guard of lattice.transport (MAX_BRANCH_STEP = 0.5 pi) rejects
-        if self.res[0] < 2 or self.res[1] < 5:
-            raise ConfigError(f"resolution too small {self.res}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.n_points < MIN_LOOP_POINTS:
-            raise ConfigError(f"n_points must be >= {MIN_LOOP_POINTS}, got "
-                              f"{self.n_points}")
-        known = TOL_KEYS.get(command, set())
-        for k, v in self.tol.items():
-            if k not in known:
-                raise ConfigError(f"{command} reads no tolerance {k!r}; "
-                                  f"known: {sorted(known)}")
-            if not v > 0:
-                raise ConfigError(f"tolerance {k} must be > 0, got {v}")
-
-    def build_system(self):
-        try:
-            return make_system(self.system, **self.params)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["window"] = list(self.window)
-        d["res"] = list(self.res)
-        d["h_values"] = list(self.h_values)
-        d["levels"] = list(self.levels)
-        return d
-
-
-def _parse_kv(text: str, what: str) -> tuple[str, float]:
-    if "=" not in text:
-        raise ConfigError(f"{what} must look like key=value, got {text!r}")
-    k, v = text.split("=", 1)
-    try:
-        return k.strip(), float(v)
-    except ValueError as exc:
-        raise ConfigError(f"bad {what} value {v!r}") from exc
-
-
-def _parse_pair(text: str, what: str, cast=float) -> tuple:
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must be two comma-separated values")
-    try:
-        return tuple(cast(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad {what}: {text!r}") from exc
-
-
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad {what}: {text!r}") from exc
-
-
-# configuration-file keys (RunConfig fields) and the parser of each value
-CONFIG_KEYS = {
-    "system": str,
-    "window": lambda v: _parse_pair(v, "window"),
-    "res": lambda v: _parse_pair(v, "res", int),
-    "out": str,
-    "jobs": int,
-    "radius": float,
-    "n_points": int,
-    "h_values": lambda v: _parse_floats(v, "h_values"),
-    "ray_angle": float,
-    "levels": lambda v: _parse_floats(v, "levels"),
-    "n_tori": int,
-    "seed": int,
+WINDOW = (1e-4, 1e-2)
+RES = (32, 64)
+# the keys each subcommand reads, with their defaults.  A subcommand that
+# reads "system" also reads every param.NAME of that system.
+READS = {
+    "constants": {"system": "champagne"},
+    "grid": {"system": "champagne", "window": WINDOW, "res": RES},
+    "spiral": {"system": "champagne", "window": WINDOW, "res": RES,
+               "levels": (0.3, 0.5, 0.7)},
+    "monodromy": {"system": "champagne", "radius": 0.1, "n_points": 256},
+    "twistless": {"system": "champagne",
+                  "h_values": (0.005, -0.005, 0.01, -0.01,
+                               0.02, -0.02, 0.05, -0.05)},
+    "kolmogorov": {"system": "champagne", "window": WINDOW, "ray_angle": 0.7},
+    "crosscheck": {"system": "champagne", "window": WINDOW, "n_tori": 50,
+                   "seed": RNG_SEED, "tol.cross": CROSS_TOL},
+    # no default window: the criteria run on each system's own |j|
+    # window, which a given window narrows
+    "report": {"param.gamma": 0.5, "window": None, "res": RES, "n_tori": 50,
+               "seed": RNG_SEED},
 }
 
 
-def parse_config_file(path: str | Path) -> dict:
-    """Flat "key = value" lines; '#' starts a comment; keys param.NAME and
-    tol.NAME feed the respective dictionaries.  Unknown keys, unparsable
-    values and an unreadable file are configuration errors."""
+@dataclass(frozen=True)
+class Key:
+    """How the text of a key parses, the condition its value must meet
+    (need, in words), and the metavar and help of its flag."""
+    parse: Callable[[str], object]
+    metavar: str
+    help: str
+    check: Callable[[object], bool] | None = None
+    need: str = ""
+
+
+def _float(text: str) -> float:
+    """A finite float: inf and nan would pass every order check."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _numbers(cast, count: int | None = None):
+    """Parser of comma-separated numbers, exactly count of them if given."""
+    def parse(text: str) -> tuple:
+        values = tuple(cast(t) for t in text.split(","))
+        if count is not None and len(values) != count:
+            raise ValueError(f"need {count} comma-separated values")
+        return values
+    return parse
+
+
+# every key by its file name; param.NAME and tol.NAME take the param and
+# tol entries.  The flag of a key is --NAME, with dashes for underscores.
+KEYS = {
+    "system": Key(str, "{champagne,pendulum}", "system under study"),
+    "param": Key(_float, "NAME=V", "system parameter"),
+    "tol": Key(_float, "NAME=V", "tolerance", lambda v: v > 0, "> 0"),
+    "window": Key(_numbers(_float, 2), "RIN,ROUT", "|j| window",
+                  lambda w: 0 < w[0] < w[1], "0 < RIN < ROUT"),
+    # a row of 4 angles steps Theta by 0.5 pi + O(|j|), which the wrap
+    # guard of lattice.transport (MAX_BRANCH_STEP = 0.5 pi) rejects
+    "res": Key(_numbers(int, 2), "N_R,N_THETA", "grid radii and angles",
+               lambda r: r[0] >= 2 and r[1] >= 5, "N_R >= 2, N_THETA >= 5"),
+    "levels": Key(_numbers(_float), "Q1,Q2,...",
+                  "contour levels, as quantiles of the mid-row W",
+                  lambda qs: all(0 <= q <= 1 for q in qs), "in [0, 1]"),
+    "radius": Key(_float, "R", "|j| of the monodromy loop", lambda r: r > 0,
+                  "> 0"),
+    "n_points": Key(int, "N", "tori on the monodromy loop",
+                    lambda n: n >= MIN_LOOP_POINTS, f">= {MIN_LOOP_POINTS}"),
+    "h_values": Key(_numbers(_float), "H1,H2,...",
+                    "energies of the twistless tori"),
+    "ray_angle": Key(_float, "ANGLE", "arg zeta of the ray"),
+    "n_tori": Key(int, "N", "cross-check tori per system", lambda n: n >= 1,
+                  ">= 1"),
+    "seed": Key(int, "N", "seed of the cross-check tori"),
+    "out": Key(str, "DIR", "output directory"),
+    "jobs": Key(int, "N", "worker processes", lambda n: n >= 1, ">= 1"),
+}
+
+
+def _flags(command: str) -> list[str]:
+    """The KEYS entries a subcommand has a flag for, in table order."""
+    flags = []
+    for key in READS[command]:
+        flags.append(key.partition(".")[0])
+        if key == "system":
+            flags.append("param")
+    return list(dict.fromkeys(flags + ["out", "jobs"]))
+
+
+def parse_config_file(path: str | Path) -> list[tuple[str, str, str]]:
+    """(key, value text, file:line) of each "key = value" line, in order;
+    '#' starts a comment.  An unreadable file or a line without '=' is a
+    configuration error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: "
                           f"{exc.strerror or exc}") from exc
-    raw: dict = {"params": {}, "tol": {}}
+    lines = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (t.strip() for t in line.split("=", 1))
-        try:
-            if key.startswith("param."):
-                raw["params"][key[6:]] = float(value)
-            elif key.startswith("tol."):
-                raw["tol"][key[4:]] = float(value)
-            elif key in CONFIG_KEYS:
-                raw[key] = CONFIG_KEYS[key](value)
-            else:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value {value!r} for "
-                              f"{key!r}") from exc
-    return raw
+        lines.append((key.strip(), value.strip(), f"{path}:{lineno}"))
+    return lines
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        raw = parse_config_file(args.config)
-        cfg.params.update(raw.pop("params"))
-        cfg.tol.update(raw.pop("tol"))
-        cfg.window_given = "window" in raw
-        for key, value in raw.items():
-            setattr(cfg, key, value)
-    # flags override the file
-    if args.system:
-        cfg.system = args.system
-    for kv in args.param or []:
-        k, v = _parse_kv(kv, "--param")
-        cfg.params[k] = v
-    for kv in args.tol or []:
-        k, v = _parse_kv(kv, "--tol")
-        cfg.tol[k] = v
-    if args.window:
-        cfg.window = _parse_pair(args.window, "--window")
-        cfg.window_given = True
-    if args.res:
-        cfg.res = _parse_pair(args.res, "--res", int)
-    if args.out:
-        cfg.out = args.out
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    for name in ("radius", "n_points", "ray_angle", "n_tori", "seed"):
-        v = getattr(args, name, None)
-        if v is not None:
-            setattr(cfg, name, v)
-    if getattr(args, "h_values", None):
-        cfg.h_values = _parse_floats(args.h_values, "--h-values")
-    cfg.validate(args.command)
+def _assign(cfg: dict, command: str, key: str, text: str, where: str) -> None:
+    """Parse and check text as the value of key, into cfg."""
+    if not (key in cfg or key.startswith("param.") and "system" in cfg):
+        raise ConfigError(f"{where}: {command} reads no key {key!r}")
+    spec = KEYS[key.partition(".")[0]]
+    try:
+        value = spec.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value {text!r} for {key!r}: "
+                          f"{exc}") from exc
+    if spec.check is not None and not spec.check(value):
+        raise ConfigError(f"{where}: {key} must be {spec.need}, got {text!r}")
+    cfg[key] = value
+
+
+def build_config(args: argparse.Namespace) -> dict:
+    """The value of every key the subcommand reads, plus out and jobs: the
+    defaults of READS, then the --config file, then the flags."""
+    cfg = {**READS[args.command], "out": "out", "jobs": 1}
+    given = parse_config_file(args.config) if args.config else []
+    for flag, value in vars(args).items():
+        if flag in ("command", "config") or value is None:
+            continue
+        where = "--" + flag.replace("_", "-")
+        if flag not in ("param", "tol"):
+            given.append((flag, value, where))
+            continue
+        for kv in value:
+            name, eq, text = kv.partition("=")
+            if not eq:
+                raise ConfigError(f"{where} must look like NAME=V, got "
+                                  f"{kv!r}")
+            given.append((f"{flag}.{name.strip()}", text, where))
+    for key, text, where in given:
+        _assign(cfg, args.command, key, text, where)
     return cfg
+
+
+def build_system(cfg: dict):
+    """The system cfg names, with its param.NAME values."""
+    params = {k[6:]: cfg[k] for k in cfg if k.startswith("param.")}
+    try:
+        return make_system(cfg["system"], **params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # --------------------------------------------------------------------------
@@ -229,9 +233,9 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_summary(path: Path, cfg: RunConfig, payload: dict) -> None:
+def write_summary(path: Path, cfg: dict, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"config": cfg.as_dict(), **payload}
+    doc = {"config": cfg, **payload}
     path.write_text(json.dumps(doc, sort_keys=True, indent=2,
                                default=float) + "\n", encoding="utf-8")
 
@@ -240,8 +244,8 @@ def write_summary(path: Path, cfg: RunConfig, payload: dict) -> None:
 # subcommands
 # --------------------------------------------------------------------------
 
-def cmd_constants(cfg: RunConfig) -> int:
-    system = cfg.build_system()
+def cmd_constants(cfg: dict) -> int:
+    system = build_system(cfg)
     ff = eval_constants(system)
     slope = expected_twistless_slope(ff.alpha, ff.omega)
     doc = {
@@ -252,16 +256,16 @@ def cmd_constants(cfg: RunConfig) -> int:
         "expected_twistless_slope":
             slope if ff.omega != 0.0 else "degenerate (omega = 0)",
     }
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     write_summary(out / "constants.json", cfg, doc)
     print(json.dumps(doc, sort_keys=True, indent=2, default=float))
     return EXIT_OK
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    grid = rotation_grid(system, AnnulusRegion(*cfg.window), cfg.res,
-                         jobs=cfg.jobs)
+def cmd_grid(cfg: dict) -> int:
+    system = build_system(cfg)
+    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"],
+                         jobs=cfg["jobs"])
     rows = []
     for i, rho in enumerate(grid.axis0):
         for k, th in enumerate(grid.axis1):
@@ -269,7 +273,7 @@ def cmd_grid(cfg: RunConfig) -> int:
             c = from_momentum_chart(system, j)
             rows.append((c.h, c.l, j.j1, j.j2, grid.w[i, k],
                          grid.branch[i, k], grid.mask[i, k]))
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     write_csv(out / "grid.csv", ["h", "l", "j1", "j2", "W", "branch", "mask"],
               rows)
     if np.all(grid.mask != 0):
@@ -280,15 +284,15 @@ def cmd_grid(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_spiral(cfg: RunConfig) -> int:
-    system = cfg.build_system()
+def cmd_spiral(cfg: dict) -> int:
+    system = build_system(cfg)
     ff = eval_constants(system)
-    grid = rotation_grid(system, AnnulusRegion(*cfg.window), cfg.res,
-                         jobs=cfg.jobs)
+    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"],
+                         jobs=cfg["jobs"])
     mid = grid.w[len(grid.axis0) // 2]
     fits = []
     rows = []
-    for q in cfg.levels:
+    for q in cfg["levels"]:
         level = float(np.quantile(mid, q))
         curve = extract_level_curve(grid, level)
         fit = fit_log_spiral(curve, -ff.A0)
@@ -299,32 +303,34 @@ def cmd_spiral(cfg: RunConfig) -> int:
         for (lr, th), (j1, j2) in zip(zip(curve.lnrho, curve.theta),
                                       curve.j_points):
             rows.append((level, lr, th, j1, j2))
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     write_csv(out / "contours.csv", ["level", "ln_rho", "theta", "j1", "j2"],
               rows)
     write_summary(out / "spiral_summary.json", cfg, {"fits": fits})
     return EXIT_OK
 
 
-def cmd_monodromy(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    cs, samples, index = monodromy_loop(system, cfg.radius, cfg.n_points)
+def cmd_monodromy(cfg: dict) -> int:
+    system = build_system(cfg)
+    cs, samples, index = monodromy_loop(system, cfg["radius"],
+                                        cfg["n_points"])
     rows = [(c.h, c.l, s.T, s.theta, s.tau1, s.tau2, s.branch)
             for c, s in zip(cs, samples)]
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     write_csv(out / "monodromy_loop.csv",
               ["h", "l", "T", "Theta", "tau1", "tau2", "branch"], rows)
-    doc = {"index": index, "radius": cfg.radius, "n_points": cfg.n_points}
+    doc = {"index": index, "radius": cfg["radius"],
+           "n_points": cfg["n_points"]}
     write_summary(out / "monodromy_summary.json", cfg, doc)
     print(json.dumps(doc, sort_keys=True, default=float))
     return EXIT_OK
 
 
-def cmd_twistless(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    curve = twistless_curve(system, list(cfg.h_values))
+def cmd_twistless(cfg: dict) -> int:
+    system = build_system(cfg)
+    curve = twistless_curve(system, list(cfg["h_values"]))
     rows = [(s.h, s.l_star, s.j1, s.j2, s.s_residual) for s in curve.samples]
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     write_csv(out / "twistless.csv",
               ["h", "l_star", "j1", "j2", "S_residual"], rows)
     doc = {
@@ -340,60 +346,60 @@ def cmd_twistless(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_kolmogorov(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    sweep = asymptote_sweep(system, cfg.ray_angle, cfg.window[0],
-                            cfg.window[1], samples_per_decade=3)
+def cmd_kolmogorov(cfg: dict) -> int:
+    system = build_system(cfg)
+    sweep = asymptote_sweep(system, cfg["ray_angle"], *cfg["window"],
+                            samples_per_decade=3)
     rows = [(s.j_mod, s.tau1, s.det_I, s.asymptote, s.ratio) for s in sweep]
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     write_csv(out / "kolmogorov.csv",
               ["j_mod", "tau1", "det_I", "asymptote", "ratio"], rows)
     write_summary(out / "kolmogorov_summary.json", cfg, {
-        "ray_angle": cfg.ray_angle,
+        "ray_angle": cfg["ray_angle"],
         "all_negative": bool(all(s.det_I < 0 for s in sweep)),
         "ratios": [s.ratio for s in sweep]})
     return EXIT_OK
 
 
-def cmd_crosscheck(cfg: RunConfig) -> int:
-    system = cfg.build_system()
-    rng = np.random.default_rng(cfg.seed)
+def cmd_crosscheck(cfg: dict) -> int:
+    system = build_system(cfg)
+    rng = np.random.default_rng(cfg["seed"])
     try:
-        tori = sample_cross_tori(system, rng, cfg.n_tori, window=cfg.window)
+        tori = sample_cross_tori(system, rng, cfg["n_tori"],
+                                 window=cfg["window"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    results = cross_checks(system, tori,
-                           cross_tol=cfg.tol.get("cross", CROSS_TOL))
+    results = cross_checks(system, tori, cross_tol=cfg["tol.cross"])
     rows = [(c.h, c.l, res["T_quad"], res["T_flow"], res["theta_quad"],
              res["theta_flow"], res["rel_dT"], res["rel_dtheta"])
             for c, res in zip(tori, results) if isinstance(res, dict)]
     failures = len(tori) - len(rows)
-    out = Path(cfg.out)
+    out = Path(cfg["out"])
     write_csv(out / "crosscheck.csv",
               ["h", "l", "T_quad", "T_flow", "Theta_quad", "Theta_flow",
                "rel_dT", "rel_dTheta"], rows)
     write_summary(out / "crosscheck_summary.json", cfg, {
-        "n_tori": cfg.n_tori, "failures": failures,
+        "n_tori": cfg["n_tori"], "failures": failures,
         "max_rel_dT": max((r[6] for r in rows), default=0.0),
         "max_rel_dTheta": max((r[7] for r in rows), default=0.0)})
     # per-point failures are recorded in the summary; only total failure
     # is a nonzero exit
-    return EXIT_NUMERICAL if failures == cfg.n_tori else EXIT_OK
+    return EXIT_NUMERICAL if failures == cfg["n_tori"] else EXIT_OK
 
 
-def cmd_report(cfg: RunConfig) -> int:
-    from .acceptance import AcceptanceConfig, run_all
-    # an explicit --window narrows the regular window of every system under
-    # test; criteria whose |j| ranges no longer fit degrade to the
+def cmd_report(cfg: dict) -> int:
+    # a given window narrows the regular window of every system under test;
+    # criteria whose |j| ranges no longer fit degrade to the
     # insufficient_range status
+    j_floor, j_cap = cfg["window"] or (None, None)
     acc_cfg = AcceptanceConfig(
-        gamma=cfg.params.get("gamma", 0.5),
-        j_floor=cfg.window[0] if cfg.window_given else None,
-        j_cap=cfg.window[1] if cfg.window_given else None,
-        jobs=cfg.jobs,
-        n_cross_tori=cfg.n_tori,
-        grid_resolution=cfg.res,
-        seed=cfg.seed)
+        gamma=cfg["param.gamma"],
+        j_floor=j_floor,
+        j_cap=j_cap,
+        jobs=cfg["jobs"],
+        n_cross_tori=cfg["n_tori"],
+        grid_resolution=cfg["res"],
+        seed=cfg["seed"])
     results = run_all(acc_cfg)
     for r in results:
         tag = {"pass": "PASS", "fail": "FAIL",
@@ -404,7 +410,7 @@ def cmd_report(cfg: RunConfig) -> int:
                          "status": r.status, "details": r.details}
                         for r in results],
            "all_passed": all(r.passed for r in results)}
-    write_summary(Path(cfg.out) / "report.json", cfg, doc)
+    write_summary(Path(cfg["out"]) / "report.json", cfg, doc)
     return EXIT_OK if doc["all_passed"] else EXIT_ACCEPTANCE
 
 
@@ -420,49 +426,43 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad command line as a
+    ConfigError, as build_config reports a bad key or value."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="focusfocus",
-        description="rotation number, twist and frequency-map analyses near "
-                    "a focus-focus equilibrium")
+    p = _Parser(prog="focusfocus",
+                description="rotation number, twist and frequency-map "
+                            "analyses near a focus-focus equilibrium")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, reads in READS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--config", help="key = value configuration file")
-        sp.add_argument("--system", choices=["champagne", "pendulum"])
-        sp.add_argument("--param", action="append", metavar="K=V")
-        sp.add_argument("--tol", action="append", metavar="K=V")
-        sp.add_argument("--window", metavar="RIN,ROUT")
-        sp.add_argument("--res", metavar="N_R,N_THETA")
-        sp.add_argument("--out")
-        sp.add_argument("--jobs", type=int)
-        if name == "monodromy":
-            sp.add_argument("--radius", type=float)
-            sp.add_argument("--n-points", dest="n_points", type=int)
-        if name == "twistless":
-            sp.add_argument("--h-values", dest="h_values",
-                            metavar="H1,H2,...")
-        if name == "kolmogorov":
-            sp.add_argument("--ray-angle", dest="ray_angle", type=float)
-        if name in ("crosscheck", "report"):
-            sp.add_argument("--n-tori", dest="n_tori", type=int)
-            sp.add_argument("--seed", type=int)
+        sp.add_argument("--config", metavar="FILE",
+                        help="'key = value' lines, which the flags override")
+        for flag in _flags(name):
+            key = KEYS[flag]
+            if flag in ("param", "tol"):
+                names = [k.partition(".")[2] for k in reads
+                         if k.startswith(flag + ".")]
+                sp.add_argument("--" + flag, action="append", help=key.help,
+                                metavar="|".join(names) + "=V" if names
+                                else key.metavar)
+            else:
+                sp.add_argument("--" + flag.replace("_", "-"),
+                                metavar=key.metavar, help=key.help)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        cfg = build_config(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](cfg)
+        args = build_parser().parse_args(argv)
+        return COMMANDS[args.command](build_config(args))
+    except SystemExit:   # --help; a bad command line raises ConfigError
+        return EXIT_OK
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -42,10 +42,9 @@ class FrequencySample:
     ratio: float          # det_I / asymptote
 
 
-def frequency_map(system: SystemDefinition, c: EMValue,
-                  engine: str = "quadrature") -> tuple[float, float]:
+def frequency_map(system: SystemDefinition, c: EMValue) -> tuple[float, float]:
     """(omega1, omega2) = (2 pi / T, Theta / T) with the per-torus Theta."""
-    T, theta = reduced_period_rotation(system, c, engine=engine)
+    T, theta = reduced_period_rotation(system, c)
     return TWO_PI / T, theta / T
 
 
@@ -99,12 +98,10 @@ def asymptote_sweep(system: SystemDefinition, ray_angle: float,
     """Logarithmically spaced frequency-Jacobian samples along one ray."""
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
-    ff = system.constants()
     n = max(2, int(round(samples_per_decade * math.log10(r_max / r_min))) + 1)
     out = []
-    for rho in np.geomspace(r_min, r_max, n):
-        j1 = rho * math.cos(ray_angle)
-        j2 = rho * math.sin(ray_angle)
-        c = EMValue(ff.alpha * j1 + ff.omega * j2, j2)
-        out.append(frequency_jacobian_det(system, c))
+    for rho in np.geomspace(r_min, r_max, n).tolist():
+        j = MomentumValue(rho * math.cos(ray_angle), rho * math.sin(ray_angle))
+        out.append(frequency_jacobian_det(system,
+                                          from_momentum_chart(system, j)))
     return out

@@ -120,19 +120,16 @@ def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
 
 
 @lru_cache(maxsize=500_000)
-def _torus_quadrature(system: SystemDefinition, h: float, l: float,
-                      rel_tol: float) -> tuple[float, float]:
-    # rel_tol is part of the cache key only: every admitted request is met
+def _torus_quadrature(system: SystemDefinition, h: float,
+                      l: float) -> tuple[float, float]:
     return system.period_rotation(EMValue(h, l))
 
 
-def _tori_flow(system: SystemDefinition, cs: list[EMValue],
-               rtol: float | None) -> list:
+def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:
     """Flow-engine (T, Theta) of each torus in cs, or the FocusFocusError
-    that stopped it, from one batched integration."""
+    that stopped it, from one batched integration at the system's
+    flow_rtol."""
     ff = system.constants()
-    if rtol is None:
-        rtol = system.flow_rtol
     out: list = [None] * len(cs)
     lanes, seeds, levels, budgets = [], [], [], []
     for i, c in enumerate(cs):
@@ -154,7 +151,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue],
                         level=np.array(levels))
     traj = integrate_flow(system.flow_field, np.column_stack(seeds),
                           t_max=np.array(budgets), events=[section],
-                          tol=rtol)
+                          tol=system.flow_rtol)
     drift = traj.max_relative_drift(system.flow_hamiltonian)
     k = system.flow_angle_index
     for lane, i in enumerate(lanes):
@@ -181,8 +178,8 @@ def raise_failed(result):
 
 def reduced_period_rotation(system: SystemDefinition, c: EMValue,
                             engine: str = "quadrature",
-                            rel_tol: float = QUAD_REL_TOL,
-                            flow_rtol: float | None = None) -> tuple[float, float]:
+                            rel_tol: float = QUAD_REL_TOL
+                            ) -> tuple[float, float]:
     """First-return time and continuous azimuth advance of one torus.
 
     Both engines report the same branch convention: the honest per-torus
@@ -192,17 +189,15 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     rel_tol is the accuracy requested of the quadrature engine.  Its
     closed form meets any request down to CLOSED_FORM_REL_TOL = 1e-13; a
     tighter one raises ValueError rather than being silently ignored.
-    flow_rtol is the flow engine's solver tolerance (default: the
-    system's flow_rtol).
     """
     if engine == "quadrature" and rel_tol < CLOSED_FORM_REL_TOL:
         raise ValueError(f"rel_tol={rel_tol:.1e} is below the closed form's "
                          f"verified accuracy {CLOSED_FORM_REL_TOL:.0e}")
     system.check_window(c)
     if engine == "quadrature":
-        return _torus_quadrature(system, c.h, c.l, rel_tol)
+        return _torus_quadrature(system, c.h, c.l)
     if engine == "flow":
-        return raise_failed(_tori_flow(system, [c], flow_rtol)[0])
+        return raise_failed(_tori_flow(system, [c])[0])
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -239,7 +234,7 @@ def cross_checks(system: SystemDefinition, cs: list[EMValue],
     cross_tol.  A failing torus leaves the others' results intact.
     """
     out = []
-    for c, flow in zip(cs, _tori_flow(system, cs, None)):
+    for c, flow in zip(cs, _tori_flow(system, cs)):
         try:
             Tq, thq = reduced_period_rotation(system, c, "quadrature")
             Tf, thf = raise_failed(flow)
@@ -269,13 +264,12 @@ def cross_check(system: SystemDefinition, c: EMValue,
 
 
 def period_lattice(system: SystemDefinition, c: EMValue,
-                   theta_ref: float | None = None,
-                   engine: str = "quadrature") -> PeriodLatticeSample:
+                   theta_ref: float | None = None) -> PeriodLatticeSample:
     """Lattice sample at c.  With theta_ref given, Theta is moved to the
     sheet nearest that reference (the true change must stay below half a
     branch width); otherwise the raw principal value is returned.  branch
     is the sheet offset from the raw value, in units of 2 pi."""
-    T, theta_raw = reduced_period_rotation(system, c, engine=engine)
+    T, theta_raw = reduced_period_rotation(system, c)
     theta = theta_raw
     if theta_ref is not None:
         theta = align_angle(theta_raw, theta_ref)
@@ -352,14 +346,14 @@ def annulus_sweep(system: SystemDefinition, r_in: float, r_out: float,
     """
     if not (0.0 < r_in < r_out):
         raise ValueError("need 0 < r_in < r_out")
-    angles = RAY_OFFSET + TWO_PI * np.arange(n_theta) / n_theta
+    angles = (RAY_OFFSET + TWO_PI * np.arange(n_theta) / n_theta).tolist()
     out: list[SweepSample] = []
-    for rho in np.geomspace(r_in, r_out, n_r):
+    for rho in np.geomspace(r_in, r_out, n_r).tolist():
         js = [MomentumValue(rho * math.cos(th), rho * math.sin(th))
               for th in angles]
         cs = [from_momentum_chart(system, j) for j in js]
         for c, j, th, samp in zip(cs, js, angles, transport(system, cs)):
-            out.append(SweepSample(c=c, j=j, theta_tracked=float(th),
+            out.append(SweepSample(c=c, j=j, theta_tracked=th,
                                    lattice=raise_failed(samp)))
     return out
 

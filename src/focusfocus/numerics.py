@@ -27,7 +27,7 @@ from .errors import (BracketError, FlowError, FocusFocusError,
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
 
-# Defaults shared across modules (all overridable per call).
+# Defaults shared across modules.
 QUAD_REL_TOL = 1e-10
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-14
@@ -184,8 +184,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
                    p0: Sequence[float],
                    t_max: float | Sequence[float],
                    events: Sequence[EventSpec] = (),
-                   tol: float = FLOW_RTOL,
-                   atol: float = FLOW_ATOL) -> Trajectory:
+                   tol: float = FLOW_RTOL) -> Trajectory:
     """Integrate `field` from p0 with the embedded Dormand-Prince 8(5,3)
     pair (DOP853), whose high order keeps the step count low at the tight
     tolerances the flow oracle runs at.
@@ -234,7 +233,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     t = np.zeros(n)
     y = y0.copy()
     f = np.asarray(field(t, y), dtype=float)
-    h_abs = _initial_step(field, t, y, f, t_bound, tol, atol)
+    h_abs = _initial_step(field, t, y, f, t_bound, tol, FLOW_ATOL)
     rejected = np.zeros(n, dtype=bool)
     g = np.array([ev.fn(y) for ev in events]).reshape(n_ev, n) - level
     # a seed lying exactly on a section is not a crossing: it reads as a
@@ -283,7 +282,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         h = t_new - t
         K = np.empty((_N_STAGES + 4, d, lane.size))
         y_new = _rk_step(field, t, y, f, h, K)
-        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * tol
+        scale = FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * tol
         err = _error_norm(K, h, scale)
         accept = err < 1.0
         base = np.where(err == 0.0, 1.0, err) ** _ERROR_EXPONENT
@@ -433,8 +432,7 @@ def _adaptive_quad(g: Callable[[float], float], lo: float, hi: float,
 
 
 def find_root_bracketed(f: Callable[[float], float],
-                        bracket: tuple[float, float],
-                        tol: float = ROOT_XTOL) -> float:
+                        bracket: tuple[float, float]) -> float:
     """Bisection-safeguarded superlinear root finding (Brent).  The result
     never leaves the initial bracket."""
     a, b = float(bracket[0]), float(bracket[1])
@@ -448,7 +446,7 @@ def find_root_bracketed(f: Callable[[float], float],
     if fa * fb > 0:
         raise BracketError(f"f({a})={fa:.3g} and f({b})={fb:.3g} "
                            "have the same sign")
-    return brentq(f, a, b, xtol=tol, rtol=8 * np.finfo(float).eps)
+    return brentq(f, a, b, xtol=ROOT_XTOL, rtol=8 * np.finfo(float).eps)
 
 
 def fd_derivative(f: Callable[[float], float | np.ndarray], x: float,

@@ -32,18 +32,22 @@ MASK_FAILED = 2
 MIN_LOOP_POINTS = 64
 # largest arg zeta step of the rotation_number arc
 ARC_STEP = 0.3
+# the angular extension of a grid past 2 pi in extract_level_curve
+EXTEND_ANGLE = 2.2
 
 
 def _circle(system: SystemDefinition, rho: float, angles) -> list[EMValue]:
-    """The tori at |j| = rho and the given arguments of zeta."""
+    """The tori at |j| = rho and the given arguments of zeta, as Python
+    floats: NumPy scalars would slow the closed form's arithmetic."""
+    rho = float(rho)
     return [from_momentum_chart(system, MomentumValue(rho * math.cos(th),
                                                       rho * math.sin(th)))
             for th in angles]
 
 
 def rotation_number(system: SystemDefinition, c: EMValue,
-                    branch_anchor: tuple[EMValue, float] | None = None,
-                    engine: str = "quadrature") -> float:
+                    branch_anchor: tuple[EMValue, float] | None = None
+                    ) -> float:
     """Branch-consistent rotation number W at c.
 
     With branch_anchor = (c_ref, W_ref), returns the branch continuous with
@@ -53,20 +57,13 @@ def rotation_number(system: SystemDefinition, c: EMValue,
     """
     if branch_anchor is not None:
         _, w_ref = branch_anchor
-        return float(period_lattice(system, c, w_ref * TWO_PI,
-                                    engine).theta / TWO_PI)
+        return float(period_lattice(system, c, w_ref * TWO_PI).theta / TWO_PI)
 
-    # branch transport always runs on the quadrature engine (the flow chart
-    # cannot evaluate the l = 0 anchor); the requested engine only supplies
-    # the final value, aligned onto the transported sheet
     j = to_momentum_chart(system, c)
     n_steps = max(1, int(math.ceil(j.angle / ARC_STEP)))
     arc = _circle(system, j.modulus, j.angle * np.arange(n_steps) / n_steps)
     samples = [raise_failed(s) for s in transport(system, arc + [c])]
-    theta = samples[-1].theta
-    if engine != "quadrature":
-        theta = period_lattice(system, c, theta, engine).theta
-    return float(theta / TWO_PI)
+    return float(samples[-1].theta / TWO_PI)
 
 
 # --------------------------------------------------------------------------
@@ -92,18 +89,18 @@ class RotationGrid:
         return float(np.mean(self.mask != MASK_REGULAR))
 
 
-def _grid_row(system: SystemDefinition, points: list[EMValue],
-              j_floor: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate one transported row.  Points below j_floor are masked as
-    core and points without a regular torus as failed; neither serves as a
-    reference.  A failed anchor fails the whole row."""
+def _grid_row(system: SystemDefinition, points: list[EMValue]
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate one transported row.  Points below the system's j_floor
+    are masked as core and points without a regular torus as failed;
+    neither serves as a reference.  A failed anchor fails the whole row."""
     n = len(points)
     w = np.full(n, np.nan)
     br = np.zeros(n, dtype=int)
     mask = np.full(n, MASK_FAILED, dtype=np.uint8)
     live = []
     for i, c in enumerate(points):
-        if to_momentum_chart(system, c).modulus < j_floor:
+        if to_momentum_chart(system, c).modulus < system.j_floor:
             mask[i] = MASK_CORE
         else:
             live.append(i)
@@ -120,9 +117,7 @@ def _grid_row(system: SystemDefinition, points: list[EMValue],
 
 
 def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
-                  resolution: tuple[int, int],
-                  j_floor: float | None = None,
-                  jobs: int = 1) -> RotationGrid:
+                  resolution: tuple[int, int], jobs: int = 1) -> RotationGrid:
     """Branch-consistent W matrix.
 
     Rows are constant-|j| circles anchored just past the reference ray and
@@ -132,7 +127,6 @@ def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
     jobs-independent.
     """
     n0, n1 = resolution
-    floor = system.j_floor if j_floor is None else j_floor
     radii = np.geomspace(region.r_in, region.r_out, n0)
     angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
     row_points = [_circle(system, rho, angles) for rho in radii]
@@ -141,9 +135,9 @@ def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             rows = list(ex.map(_grid_row, [system] * len(row_points),
-                               row_points, [floor] * len(row_points)))
+                               row_points))
     else:
-        rows = [_grid_row(system, pts, floor) for pts in row_points]
+        rows = [_grid_row(system, pts) for pts in row_points]
 
     w = np.vstack([r[0] for r in rows])
     br = np.vstack([r[1] for r in rows])
@@ -273,20 +267,20 @@ def _marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
     return polylines
 
 
-def extract_level_curve(grid: RotationGrid, level: float,
-                        extend_angle: float = 2.2) -> LevelCurve:
+def extract_level_curve(grid: RotationGrid, level: float) -> LevelCurve:
     """Longest contour polyline of W = level on a rotation grid.
 
-    The angular axis is extended past 2 pi using the tracked continuation
-    W(theta + 2 pi) = W(theta) - 1, so spirals cross the reference-ray seam
-    seamlessly while staying on a single sheet of the tracked surface.
+    The angular axis is extended by EXTEND_ANGLE past 2 pi using the
+    tracked continuation W(theta + 2 pi) = W(theta) - 1, so spirals cross
+    the reference-ray seam seamlessly while staying on a single sheet of
+    the tracked surface.
     """
     lnr = np.log(grid.axis0)
     th = np.asarray(grid.axis1)
     w = grid.w.copy()
     w[grid.mask != MASK_REGULAR] = np.nan
 
-    n_ext = int(np.ceil(extend_angle / (th[1] - th[0])))
+    n_ext = int(np.ceil(EXTEND_ANGLE / (th[1] - th[0])))
     n_ext = min(n_ext, len(th))
     th_ext = np.concatenate([th, th[:n_ext] + TWO_PI])
     w_ext = np.hstack([w, w[:, :n_ext] - 1.0])

@@ -167,20 +167,13 @@ class SystemDefinition:
     name = "abstract"
     j_floor = 1e-5
     j_cap = 0.3
-    flow_rtol = 1e-12   # per-system default for the flow oracle
+    flow_rtol = 1e-12   # the flow oracle's solver tolerance
 
     def constants(self) -> FocusFocusData:
         return eval_constants(self)
 
     def check_window(self, c: EMValue) -> None:
         _check_window(self, c)
-
-    def flow_section(self, c: EMValue) -> tuple[Callable, float]:
-        """One torus's return section (g, direction): g(state) =
-        flow_section_value(state) - flow_section_level(c) has one falling
-        crossing per radial period."""
-        value, level = self.flow_section_value, self.flow_section_level(c)
-        return (lambda s: value(s) - level), -1.0
 
 
 @lru_cache(maxsize=1024)

@@ -92,15 +92,10 @@ def torus_invariants(system: SystemDefinition, c: EMValue) -> TorusInvariants:
 
 def _l_window(system: SystemDefinition, h: float, j_cap: float) -> float:
     """Largest |l| with |j(h, l)| <= j_cap (conservative bisection)."""
-    ff = system.constants()
-
-    def jmod(l):
-        return math.hypot((h - ff.omega * l) / ff.alpha, l)
-
     lo, hi = 0.0, j_cap * 1.5
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if jmod(mid) <= j_cap:
+        if to_momentum_chart(system, EMValue(h, mid)).modulus <= j_cap:
             lo = mid
         else:
             hi = mid

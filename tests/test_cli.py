@@ -11,6 +11,42 @@ from focusfocus import acceptance, cli
 UNREAD_TOL_KEYS = ["quad_rel", "flow_rtol", "energy_drift", "root_xtol",
                  "fd_floor", "fd_rel", "jac_step_rel"]
 
+# the keys each subcommand's analysis uses.  A subcommand that builds the
+# system named by "system" takes every parameter of it (param.j_cap stands
+# for them); report builds its own systems and takes gamma alone.
+READ = {
+    "constants": {"system", "param.j_cap"},
+    "grid": {"system", "param.j_cap", "window", "res"},
+    "spiral": {"system", "param.j_cap", "window", "res", "levels"},
+    "monodromy": {"system", "param.j_cap", "radius", "n_points"},
+    "twistless": {"system", "param.j_cap", "h_values"},
+    "kolmogorov": {"system", "param.j_cap", "window", "ray_angle"},
+    "crosscheck": {"system", "param.j_cap", "window", "n_tori", "seed",
+                   "tol.cross"},
+    "report": {"param.gamma", "window", "res", "n_tori", "seed"},
+}
+# an admissible value of every key, and its parsed form
+VALUES = {"system": ("pendulum", "pendulum"), "param.gamma": ("0.3", 0.3),
+          "param.j_cap": ("0.15", 0.15),
+          "tol.cross": ("1e-6", 1e-6), "window": ("1e-3,2e-3", (1e-3, 2e-3)),
+          "res": ("3,7", (3, 7)), "radius": ("0.05", 0.05),
+          "n_points": ("64", 64), "h_values": ("0.01,-0.01", (0.01, -0.01)),
+          "ray_angle": ("0.3", 0.3), "levels": ("0.4", (0.4,)),
+          "n_tori": ("2", 2), "seed": ("3", 3)}
+PAIRS = [(command, key) for command in READ for key in VALUES]
+
+
+def reads(command, key):
+    return key in READ[command] or (key.startswith("param.")
+                                    and "system" in READ[command])
+
+
+def as_flag(key, text):
+    name, _, sub = key.partition(".")
+    if sub:
+        return [f"--{name}", f"{sub}={text}"]
+    return ["--" + key.replace("_", "-"), text]
+
 
 def run(capsys, *argv):
     rc = cli.main(list(argv))
@@ -23,15 +59,77 @@ def config_file(tmp_path, text):
     return str(path)
 
 
+class TestKeysEachSubcommandReads:
+    @pytest.mark.parametrize("form", ["flag", "file"])
+    @pytest.mark.parametrize("command,key", PAIRS)
+    def test_accepted_only_where_read(self, tmp_path, capsys, monkeypatch,
+                                      command, key, form):
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            lambda cfg: seen.append(cfg) or cli.EXIT_OK)
+        text, value = VALUES[key]
+        if form == "flag":
+            argv = as_flag(key, text)
+        else:
+            argv = ["--config", config_file(tmp_path, f"{key} = {text}\n")]
+        rc, err = run(capsys, command, *argv)
+        if reads(command, key):
+            assert rc == cli.EXIT_OK, err
+            assert seen[0][key] == value
+        else:
+            assert rc == cli.EXIT_CONFIG
+            assert "configuration error:" in err
+            assert not seen
+
+    @pytest.mark.parametrize("command", sorted(READ))
+    def test_every_accepted_key_is_read(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        # each subcommand runs at small size with every key of its table
+        # entry set; a key it accepts and never reads would be a knob that
+        # does nothing
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        build_config = cli.build_config
+        monkeypatch.setattr(cli, "build_config",
+                            lambda args: Recording(build_config(args)))
+        monkeypatch.setattr(acceptance, "CRITERIA", [])
+        keys = set(cli.READS[command])
+        if "system" in keys:
+            keys.add("param.j_cap")
+        argv = [a for key in sorted(keys)
+                for a in as_flag(key, VALUES[key][0])]
+        run(capsys, command, *argv, "--out", str(tmp_path))
+        assert read - {"out", "jobs"} == keys
+
+    def test_module_docstring_lists_them(self):
+        listed = {line.split()[0]: set(line.split(None, 1)[1].split(", "))
+                  for line in cli.__doc__.splitlines()
+                  if line.startswith("    ") and line.split()[0] in READ}
+        for command, keys in READ.items():
+            if "system" in keys:
+                keys = keys - {"param.j_cap"} | {"param.NAME"}
+            assert listed[command] == keys
+
+
 class TestConfigErrors:
-    @pytest.mark.parametrize("line", ["param.gamma = abc", "tol.cross = x",
-                                      "n_points = many", "h_values = 0.1,y"])
-    def test_non_numeric_value_in_config_file(self, tmp_path, capsys, line):
-        rc, err = run(capsys, "constants",
+    # each line goes to a subcommand that reads its key
+    @pytest.mark.parametrize("command,line", [
+        pytest.param(command, line, id=line) for command, line in [
+            ("constants", "param.gamma = abc"),
+            ("crosscheck", "tol.cross = x"), ("monodromy", "n_points = many"),
+            ("twistless", "h_values = 0.1,y")]])
+    def test_non_numeric_value_in_config_file(self, tmp_path, capsys,
+                                              command, line):
+        rc, err = run(capsys, command,
                       "--config", config_file(tmp_path, line + "\n"),
                       "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_CONFIG
         assert "configuration error:" in err
+        assert "bad value" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc, err = run(capsys, "constants",
@@ -54,7 +152,33 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("key", UNREAD_TOL_KEYS)
     def test_unread_tolerance_key_rejected(self, tmp_path, capsys, key):
-        rc, err = run(capsys, "constants", "--tol", f"{key}=1e-9",
+        rc, err = run(capsys, "crosscheck", "--tol", f"{key}=1e-9",
+                      "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--n-tori", "0", "--res", "8,16"],
+        ["crosscheck", "--n-tori", "-3"],
+        ["crosscheck", "--n-tori", "0"],
+        ["monodromy", "--radius", "-0.1"]])
+    def test_non_positive_count_or_radius(self, tmp_path, capsys, argv):
+        rc, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["grid", "--window", "1e-3,inf"], ["kolmogorov", "--ray-angle", "inf"],
+        ["twistless", "--h-values", "0.01,nan"],
+        ["constants", "--param", "gamma=nan"]])
+    def test_non_finite_value(self, tmp_path, capsys, argv):
+        rc, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "not a finite number" in err
+
+    def test_level_quantile_outside_the_unit_interval(self, tmp_path, capsys):
+        rc, err = run(capsys, "spiral", "--levels", "0.5,2", "--res", "2,5",
                       "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_CONFIG
         assert "configuration error:" in err
@@ -140,6 +264,13 @@ class TestCrosscheck:
                       "--n-tori", "1", "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_CONFIG
         assert "configuration error:" in err
+
+
+def test_c1_fails_when_no_torus_is_checked():
+    res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig(
+        n_cross_tori=0))
+    assert res.status == "fail"
+    assert res.details["tori_checked"] == 0
 
 
 def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):

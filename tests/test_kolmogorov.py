@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from focusfocus import (EMValue, MomentumValue, StencilError, asymptote_sweep,
-                        eval_constants, frequency_jacobian_det, frequency_map,
-                        from_momentum_chart, rotation_number, tau_jacobian)
+                        cross_check, eval_constants, frequency_jacobian_det,
+                        frequency_map, from_momentum_chart, rotation_number,
+                        tau_jacobian)
 from focusfocus.lattice import reduced_period_rotation
 
 TWO_PI = 2.0 * math.pi
@@ -25,8 +26,9 @@ class TestFrequencyMap:
 
     def test_cross_engine(self, champagne):
         c = EMValue(0.1, 0.05)
-        q = frequency_map(champagne, c, engine="quadrature")
-        f = frequency_map(champagne, c, engine="flow")
+        q = frequency_map(champagne, c)
+        res = cross_check(champagne, c)
+        f = (TWO_PI / res["T_flow"], res["theta_flow"] / res["T_flow"])
         assert q[0] == pytest.approx(f[0], rel=1e-7)
         assert q[1] == pytest.approx(f[1], rel=1e-7)
 

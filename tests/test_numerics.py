@@ -42,11 +42,10 @@ class TestIntegrateFlow:
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
         c = EMValue(0.1, 0.05)
-        section, direction = champagne.flow_section(c)
+        section = EventSpec(champagne.flow_section_value, -1.0, count=2,
+                            level=champagne.flow_section_level(c))
         traj = integrate_flow(champagne.flow_field, champagne.flow_seed(c),
-                              t_max=1e3,
-                              events=[EventSpec(section, direction, count=2)],
-                              tol=1e-10)
+                              t_max=1e3, events=[section], tol=1e-10)
         assert len(traj.event_records) >= 2
         assert traj.event_records[1][0] < 1e3
 

@@ -1,13 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from focusfocus import (AnnulusRegion, EMValue, FitError, MomentumValue,
-                        eval_constants, extract_level_curve, fit_log_spiral,
+                        align_angle, cross_check, eval_constants,
+                        extract_level_curve, fit_log_spiral,
                         from_momentum_chart, monodromy_index, rotation_grid,
                         rotation_number)
-from focusfocus.lattice import reduced_period_rotation
+from focusfocus import lattice
+from focusfocus.lattice import annulus_sweep, reduced_period_rotation
 from focusfocus.rotation import LevelCurve, MASK_CORE, MASK_REGULAR
 
 TWO_PI = 2.0 * math.pi
@@ -16,8 +19,10 @@ TWO_PI = 2.0 * math.pi
 class TestRotationNumber:
     def test_cross_engine(self, champagne):
         c = EMValue(0.1, 0.05)
-        wq = rotation_number(champagne, c, engine="quadrature")
-        wf = rotation_number(champagne, c, engine="flow")
+        wq = rotation_number(champagne, c)
+        # the flow's per-torus Theta, on the transported sheet
+        theta_flow = cross_check(champagne, c)["theta_flow"]
+        wf = align_angle(theta_flow, wq * TWO_PI) / TWO_PI
         assert wq == pytest.approx(wf, abs=1e-7)
 
     def test_reflection_antisymmetry(self, champagne0):
@@ -72,15 +77,15 @@ class TestRotationGrid:
 
     def test_masked_fraction_monotone_in_floor(self, champagne):
         region = AnnulusRegion(1e-4, 1e-2)
-        fractions = [rotation_grid(champagne, region, (6, 8),
-                                   j_floor=f).masked_fraction()
+        fractions = [rotation_grid(dataclasses.replace(champagne, j_floor=f),
+                                   region, (6, 8)).masked_fraction()
                      for f in (1e-5, 5e-4, 3e-3)]
         assert fractions[0] <= fractions[1] <= fractions[2]
         assert fractions[0] == 0.0 and fractions[2] > 0.0
 
     def test_core_mask_code(self, champagne):
-        g = rotation_grid(champagne, AnnulusRegion(1e-4, 1e-2), (6, 8),
-                          j_floor=1e-3)
+        g = rotation_grid(dataclasses.replace(champagne, j_floor=1e-3),
+                          AnnulusRegion(1e-4, 1e-2), (6, 8))
         assert MASK_CORE in g.mask
         assert np.all(np.isnan(g.w[g.mask != MASK_REGULAR]))
 
@@ -89,6 +94,22 @@ class TestRotationGrid:
         g2 = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (4, 8),
                            jobs=2)
         assert np.array_equal(g1.w, g2.w)
+
+
+def test_grid_and_sweep_tori_are_plain_floats(champagne, monkeypatch):
+    # NumPy scalars would run the closed form's arithmetic at NumPy's
+    # scalar speed
+    seen = []
+
+    def recording(system, c, *args, **kwargs):
+        seen.append(c)
+        return reduced_period_rotation(system, c, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
+    rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (2, 5))
+    annulus_sweep(champagne, 1e-3, 1e-2, 2, 5)
+    assert len(seen) == 20
+    assert all(type(c.h) is float and type(c.l) is float for c in seen)
 
 
 class TestMonodromy:
