@@ -187,3 +187,41 @@ class TestTwistlessCurve:
         assert curve.degenerate
         assert len(curve.ratios) >= 3
         assert all(a > b for a, b in zip(curve.ratios, curve.ratios[1:]))
+
+    @pytest.mark.parametrize("skew", [1e-12, -1e-12])
+    def test_mirror_pair_takes_the_positive_root(self, pendulum, monkeypatch,
+                                                 skew):
+        # omega = 0: the half-axes give mirror roots +-l*, equal in |l|
+        # only to rounding; which one is nearer the axis must not pick the
+        # sign (at the parent, h = 0.007 picked l* < 0)
+        twist_module = importlib.import_module("focusfocus.twist")
+
+        def mirrored(system, h, l_range):
+            l_star = 0.0642 + skew if l_range[0] > 0 else -0.0642
+            return l_star, 0.0
+
+        monkeypatch.setattr(twist_module, "twistless_point", mirrored)
+        curve = twistless_curve(pendulum, [0.005])
+        assert curve.samples[0].l_star == pytest.approx(0.0642, abs=1e-11)
+
+    def test_distinct_half_axis_roots_take_the_nearer(self, pendulum,
+                                                      monkeypatch):
+        twist_module = importlib.import_module("focusfocus.twist")
+
+        def lopsided(system, h, l_range):
+            return (0.0642 if l_range[0] > 0 else -0.05), 0.0
+
+        monkeypatch.setattr(twist_module, "twistless_point", lopsided)
+        assert twistless_curve(pendulum, [0.005]).samples[0].l_star == -0.05
+
+    def test_pendulum_mirror_roots_agree_to_rounding(self, pendulum):
+        # the real pair the mirror rule relies on: |l*| on the two
+        # half-axes agree far inside MIRROR_RTOL
+        twist_module = importlib.import_module("focusfocus.twist")
+        lmax = twist_module._l_window(pendulum, 0.007, twist_module.SCAN_CAP)
+        plus, _ = twistless_point(pendulum, 0.007, l_range=(1e-4 * lmax, lmax))
+        minus, _ = twistless_point(pendulum, 0.007,
+                                   l_range=(-lmax, -1e-4 * lmax))
+        assert plus > 0 > minus
+        assert abs(plus + minus) <= 1e-2 * twist_module.MIRROR_RTOL * plus
+        assert twistless_curve(pendulum, [0.007]).samples[0].l_star == plus
