@@ -8,7 +8,7 @@ one return:
   T = 2 int dr / sqrt(P) and Theta = 2 int a(r) / sqrt(P) dr over the
   reduced orbit, in closed form.  Both profiles are cubics, so these are
   complete elliptic integrals of the first and third kind, which each
-  system evaluates in Carlson's symmetric form (period_rotation).  One
+  system evaluates with Bulirsch's cel (period_rotation).  One
   torus costs a few microseconds and is accurate to rounding (checked
   against mpmath); the engine keeps its historical name;
 * flow (the independent oracle): direct integration of the full vector

@@ -6,7 +6,10 @@ with its own step-size controller and event localization (Hairer, Norsett
 and Wanner, Solving ODEs I, II.4-II.6 and II.10).  Quadrature with
 inverse-square-root endpoint singularities (singularity-removing
 substitution + adaptive refinement; no engine uses it, the tests use it as
-a reference), bracketed root finding, and extrapolated finite differences.
+a reference), Brent root finding (scipy's brentq.c, ported), and
+extrapolated finite differences.  With Bulirsch's cel for T and Theta
+(systems), the package runs on numpy alone: scipy serves only the flow
+oracle (the DOP853 tableau, imported by integrate_flow) and quad_singular.
 
 All functions here are pure; callers may evaluate them concurrently.
 """
@@ -17,9 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.integrate import quad as _quadpack
-from scipy.optimize import brentq
 
 from .errors import (BracketError, FlowError, FocusFocusError,
                      QuadratureError, StencilError)
@@ -35,13 +35,12 @@ ROOT_XTOL = 1e-12
 FD_STEP_FLOOR = 1e-6
 FD_STEP_REL = 1e-3
 T_BUDGET_FACTOR = 50.0
+BRENT_MAX_ITER = 100   # brentq's default
 
 # DOP853 step control, as in scipy's solve_ivp driver
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-_N_STAGES = DOP853.n_stages
-_ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
 
 
 def align_angle(value: float, reference: float, period: float = TWO_PI) -> float:
@@ -97,7 +96,7 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(x * x, axis=0) / x.shape[0])
 
 
-def _initial_step(field, t, y, f, t_bound, rtol, atol) -> np.ndarray:
+def _initial_step(tab, field, t, y, f, t_bound, rtol, atol) -> np.ndarray:
     """solve_ivp's starting step (Hairer-Norsett-Wanner II.4), per lane."""
     interval = t_bound - t
     scale = atol + np.abs(y) * rtol
@@ -111,7 +110,7 @@ def _initial_step(field, t, y, f, t_bound, rtol, atol) -> np.ndarray:
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     dmax = np.where(flat, 1.0, np.maximum(d1, d2))
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / dmax) ** (1.0 / (DOP853.error_estimator_order + 1)))
+                  (0.01 / dmax) ** (1.0 / (tab.error_estimator_order + 1)))
     return np.minimum(np.minimum(100.0 * h0, h1), interval)
 
 
@@ -128,21 +127,21 @@ def _combine(w: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.einsum("...s,sdm->...dm", w, K[:w.shape[-1]])
 
 
-def _rk_step(field, t, y, f, h, K):
+def _rk_step(tab, field, t, y, f, h, K):
     """One DOP853 step of every lane; fills the stages K[:13]."""
     K[0] = f
-    for s in range(1, _N_STAGES):
-        dy = _combine(DOP853.A[s, :s], K) * h
-        K[s] = field(t + DOP853.C[s] * h, y + dy)
-    y_new = y + h * _combine(DOP853.B, K)
-    K[_N_STAGES] = field(t + h, y_new)
+    for s in range(1, tab.n_stages):
+        dy = _combine(tab.A[s, :s], K) * h
+        K[s] = field(t + tab.C[s] * h, y + dy)
+    y_new = y + h * _combine(tab.B, K)
+    K[tab.n_stages] = field(t + h, y_new)
     return y_new
 
 
-def _error_norm(K, h, scale) -> np.ndarray:
+def _error_norm(tab, K, h, scale) -> np.ndarray:
     """DOP853's blended 5th/3rd-order error estimate, one value per lane."""
-    err5 = _combine(DOP853.E5, K) / scale
-    err3 = _combine(DOP853.E3, K) / scale
+    err5 = _combine(tab.E5, K) / scale
+    err3 = _combine(tab.E3, K) / scale
     e5 = np.sum(err5 * err5, axis=0)
     e3 = np.sum(err3 * err3, axis=0)
     denom = e5 + 0.01 * e3
@@ -150,21 +149,21 @@ def _error_norm(K, h, scale) -> np.ndarray:
             / np.sqrt(np.where(denom > 0.0, denom, 1.0) * scale.shape[0]))
 
 
-def _dense_coefficients(field, t_old, y_old, y_new, h, K):
+def _dense_coefficients(tab, field, t_old, y_old, y_new, h, K):
     """7th-order dense-output coefficients F (7, d, q) of the steps
     y_old -> y_new of q lanes, whose stages are K (16, d, q); adds the
     three extra stages."""
-    for s, (a, c) in enumerate(zip(DOP853.A_EXTRA, DOP853.C_EXTRA),
-                               start=_N_STAGES + 1):
+    for s, (a, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA),
+                               start=tab.n_stages + 1):
         dy = _combine(a[:s], K) * h
         K[s] = field(t_old + c * h, y_old + dy)
-    f_old, f_new = K[0], K[_N_STAGES]
+    f_old, f_new = K[0], K[tab.n_stages]
     delta_y = y_new - y_old
     F = np.empty((7,) + y_old.shape)
     F[0] = delta_y
     F[1] = h * f_old - delta_y
     F[2] = 2.0 * delta_y - h * (f_new + f_old)
-    F[3:] = h * _combine(DOP853.D, K)
+    F[3:] = h * _combine(tab.D, K)
     return F
 
 
@@ -197,8 +196,9 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     one budget per lane.  Each lane runs solve_ivp's controller on its own:
     starting step, error norm, SAFETY/MIN/MAX factors, no growth right
     after a rejection, and failure once the step falls below ten ulps of
-    t.  Events are localized per lane on the 7th-order interpolant with
-    brentq at 4 eps; a seed lying exactly on a section is not a crossing.
+    t.  Events are localized per lane on the 7th-order interpolant by
+    Brent's method at 4 eps; a seed lying exactly on a section is not a
+    crossing.
 
     A lane fails with FlowError on step-size underflow (near-singular
     dynamics) or when a requested event count is not reached before its
@@ -207,6 +207,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    from scipy.integrate import DOP853 as tab   # only the oracle needs scipy
     y0 = np.array(p0, dtype=float)
     single = y0.ndim == 1
     if single:
@@ -233,7 +234,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     t = np.zeros(n)
     y = y0.copy()
     f = np.asarray(field(t, y), dtype=float)
-    h_abs = _initial_step(field, t, y, f, t_bound, tol, FLOW_ATOL)
+    h_abs = _initial_step(tab, field, t, y, f, t_bound, tol, FLOW_ATOL)
     rejected = np.zeros(n, dtype=bool)
     g = np.array([ev.fn(y) for ev in events]).reshape(n_ev, n) - level
     # a seed lying exactly on a section is not a crossing: it reads as a
@@ -280,12 +281,13 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         t_b = t_bound[lane]
         t_new = np.minimum(t + h_abs, t_b)
         h = t_new - t
-        K = np.empty((_N_STAGES + 4, d, lane.size))
-        y_new = _rk_step(field, t, y, f, h, K)
+        K = np.empty((tab.n_stages + 4, d, lane.size))
+        y_new = _rk_step(tab, field, t, y, f, h, K)
         scale = FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err = _error_norm(K, h, scale)
+        err = _error_norm(tab, K, h, scale)
         accept = err < 1.0
-        base = np.where(err == 0.0, 1.0, err) ** _ERROR_EXPONENT
+        base = (np.where(err == 0.0, 1.0, err)
+                ** (-1.0 / (tab.error_estimator_order + 1)))
         grow = np.where(err == 0.0, MAX_FACTOR,
                         np.minimum(MAX_FACTOR, SAFETY * base))
         grow = np.where(rejected, np.minimum(1.0, grow), grow)
@@ -299,7 +301,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         t_old, y_old = t[acc], y[:, acc]
         t[acc] = t_new[acc]
         y[:, acc] = y_new[:, acc]
-        f[:, acc] = K[_N_STAGES][:, acc]
+        f[:, acc] = K[tab.n_stages][:, acc]
         done = np.zeros(lane.size, dtype=bool)
         done[acc] = t_new[acc] >= t_b[acc]
         if n_ev:
@@ -315,17 +317,18 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
             hit = np.flatnonzero(active.any(axis=0))
             if hit.size:
                 cols = acc[hit]
-                F = _dense_coefficients(field, t_old[hit], y_old[:, hit],
+                F = _dense_coefficients(tab, field, t_old[hit], y_old[:, hit],
                                         y_new[:, cols], h[cols],
                                         K[:, :, cols])
             for q, a in enumerate(hit):
                 j, i = acc[a], lane[acc[a]]
                 sol = _dense_output(t_old[a], h[j], y_old[:, a], F[:, :, q])
                 fired = np.flatnonzero(active[:, a])
-                roots = np.array([
-                    brentq(lambda tt, k=k: event_value(k, i, tt, sol(tt)),
-                           t_old[a], t[j], xtol=4 * EPS, rtol=4 * EPS)
-                    for k in fired])
+                ta, tb = float(t_old[a]), float(t[j])
+                gs = [lambda tt, k=k: event_value(k, i, tt, sol(tt))
+                      for k in fired]
+                roots = np.array([_brent(g, ta, tb, g(ta), g(tb), 4 * EPS,
+                                         4 * EPS) for g in gs])
                 seen = np.array([sum(1 for r in records[i] if r[2] == k)
                                  for k in fired])
                 stop = seen + 1 >= max_count[fired]
@@ -416,6 +419,7 @@ def _adaptive_quad(g: Callable[[float], float], lo: float, hi: float,
                    rel_tol: float, abs_tol: float = 1e-12) -> float:
     """QUADPACK with convergence verification; retries with a larger
     subdivision limit before giving up."""
+    from scipy.integrate import quad as _quadpack
     epsrel = max(0.1 * rel_tol, 1e-13)
     last = None
     for limit in (200, 1000):
@@ -431,6 +435,51 @@ def _adaptive_quad(g: Callable[[float], float], lo: float, hi: float,
         f"(wrong exponent declaration or interior singularity?)")
 
 
+def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
+           fb: float, xtol: float, rtol: float) -> float:
+    """scipy's brentq.c, ported line for line (bit-identical iterates), given
+    fa = f(a) and fb = f(b).  Raises BracketError where brentq raises: f(a),
+    f(b) of one sign, a NaN, or no convergence in BRENT_MAX_ITER steps."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
+        raise BracketError(f"f({a})={fa:.3g} and f({b})={fb:.3g} do not "
+                           "bracket a root")
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        stry = math.inf   # bisect unless a short step is computed and good
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise BracketError(f"f({xcur})=NaN")
+    raise BracketError(f"Brent's method did not converge in "
+                       f"{BRENT_MAX_ITER} iterations")
+
+
 def find_root_bracketed(f: Callable[[float], float],
                         bracket: tuple[float, float]) -> float:
     """Bisection-safeguarded superlinear root finding (Brent).  The result
@@ -438,15 +487,7 @@ def find_root_bracketed(f: Callable[[float], float],
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise BracketError(f"invalid bracket [{a}, {b}]")
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise BracketError(f"f({a})={fa:.3g} and f({b})={fb:.3g} "
-                           "have the same sign")
-    return brentq(f, a, b, xtol=ROOT_XTOL, rtol=8 * np.finfo(float).eps)
+    return _brent(f, a, b, f(a), f(b), ROOT_XTOL, 8 * EPS)
 
 
 def fd_derivative(f: Callable[[float], float | np.ndarray], x: float,

@@ -20,10 +20,14 @@ Two models around a focus-focus equilibrium at energy-momentum value (0,0):
 
 Both profiles being cubics, the first-return time T and the azimuth
 advance Theta of a torus are complete elliptic integrals of the first and
-third kind.  period_rotation evaluates them in Carlson's symmetric form
-(B. C. Carlson, Numer. Algorithms 10 (1995) 13-26; DLMF 19.29) from roots
-taken without cancellation: the largest root by Newton, the two small
-ones from Vieta's formulas.
+third kind, both from one quadratically convergent loop on Python floats,
+Bulirsch's cel(kc, p) = int_0^{pi/2} dt / ((cos^2 + p sin^2) sqrt(cos^2 +
+kc^2 sin^2)) (Numer. Math. 13 (1969) 305-315): K = cel(kc, 1) = R_F(0,
+kc^2, 1), so R_F(0, x, y) = cel(sqrt(x/y), 1)/sqrt(y), and Pi(n) =
+cel(kc, 1 - n) = K + (n/3) R_J(0, kc^2, 1, 1 - n) (DLMF 19.25.2).  The
+roots are taken without cancellation (the largest by Newton, the small
+pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
+serves only the flow oracle.
 
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable, hashable, safely shareable across workers.
@@ -36,7 +40,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import elliprf, elliprj
 
 from .errors import NoTorusError, SystemRejected, TurningPointDegeneracy, WindowError
 
@@ -44,6 +47,8 @@ TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
 NEWTON_MAX_ITER = 100
+# cel stops when its means agree to CEL_TOL; its last pass squares that: EPS
+CEL_TOL = math.sqrt(EPS)
 
 ROOT_DEGENERACY_TOL = 1e-8
 # treat |l| below this as exactly on the l = 0 axis (the third-kind
@@ -131,13 +136,23 @@ def _cubic_roots(b: float, c: float, d: float, x0: float,
     return (x, big, small) if big >= 0.0 else (x, small, big)
 
 
-def _third_kind(n: float, one_minus_n: float, x: float) -> float:
-    """Complete elliptic integral of the third kind in Carlson form,
-    Pi(n; x) = R_F(0, x, 1) + (n/3) R_J(0, x, 1, 1 - n) (DLMF 19.25.2 with
-    1 - m = x).  1 - n is passed as computed from the roots: near the
-    l = 0 axis it is tiny and 1 - n would lose all its digits."""
-    return float(elliprf(0.0, x, 1.0)
-                 + n / 3.0 * elliprj(0.0, x, 1.0, one_minus_n))
+def _cel(kc: float, p: float) -> float:
+    """Bulirsch's cel(kc, p, 1, 1) for kc > 0 and p > 0 (Numer. Math. 13
+    (1969) 305-315): K(kc) at p = 1, Pi(n; kc) at p = 1 - n."""
+    p = math.sqrt(p)
+    a, b, e, m = 1.0, 1.0 / p, kc, 1.0
+    while True:
+        f = a
+        a += b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p += g
+        g = m
+        m += kc
+        if abs(g - kc) <= g * CEL_TOL:
+            return 0.5 * math.pi * (b + a * m) / (m * (m + p))
+        kc = 2.0 * math.sqrt(e)
+        e = kc * m
 
 
 def _check_window(system: "SystemDefinition", c: EMValue) -> None:
@@ -329,14 +344,14 @@ class ChampagneBottle(SystemDefinition):
         Theta = gamma T + l int ds/(s sqrt(C)), a third-kind integral with
         its pole at s = 0."""
         s1, s2, s3 = self._roots(c)
-        T = SQRT2 * float(elliprf(0.0, s1 - s3, s2 - s3))
+        kc = math.sqrt((s1 - s3) / (s2 - s3))
+        T = SQRT2 * _cel(kc, 1.0) / math.sqrt(s2 - s3)
         if abs(c.l) <= L_AXIS_TOL:
             # a center passage (s1 = 0) adds pi, with the sign of l; l = +0.0
             # takes the upper sign (copysign(1, +0.0) = +1)
             pole = math.pi * math.copysign(1.0, c.l) if s1 == 0.0 else 0.0
             return T, self.gamma * T + pole
-        pi3 = _third_kind((s2 - s1) / s2, s1 / s2, (s1 - s3) / (s2 - s3))
-        theta_l = SQRT2 * c.l / (s2 * math.sqrt(s2 - s3)) * pi3
+        theta_l = SQRT2 * c.l / (s2 * math.sqrt(s2 - s3)) * _cel(kc, s1 / s2)
         return T, self.gamma * T + theta_l
 
     # -- full flow (oracle engine) ------------------------------------
@@ -476,17 +491,16 @@ class SphericalPendulum(SystemDefinition):
         (z = -1) pole; each 1 - n is the ratio of that pole's distances to
         the near and the far turning point."""
         wc, w2, w3, one_z1 = self._roots(c)
-        T = 2.0 * SQRT2 * float(elliprf(0.0, w2 - w3, wc - w3))
+        kc = math.sqrt((w2 - w3) / (wc - w3))
+        T = 2.0 * SQRT2 * _cel(kc, 1.0) / math.sqrt(wc - w3)
         if abs(c.l) <= L_AXIS_TOL:
             # each pole passage adds pi, with the sign of l (l = +0.0 takes
             # the upper sign): the south pole always, the north one at h > 0
             npoles = 2 if c.h > 0.0 else 1
             return T, npoles * math.pi * math.copysign(1.0, c.l)
         one_z2 = one_z1 + (wc - w2)
-        north = (_third_kind((wc - w2) / wc, w2 / wc, (w2 - w3) / (wc - w3))
-                 / (wc * math.sqrt(wc - w3)))
-        south = (_third_kind((wc - w2) / one_z2, one_z1 / one_z2,
-                             (wc - w3) / (w2 - w3))
+        north = _cel(kc, w2 / wc) / (wc * math.sqrt(wc - w3))
+        south = (_cel(math.sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2)
                  / (one_z2 * math.sqrt(w2 - w3)))
         return T, SQRT2 * c.l * (north + south)
 

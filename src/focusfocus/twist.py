@@ -25,11 +25,9 @@ from .systems import EMValue, SystemDefinition
 
 # twistless scans stay within |j| <= SCAN_CAP (and the system's j_cap)
 SCAN_CAP = 0.2
-# omega = 0: half-axis roots whose |l*| agree to this relative width are
-# one mirror pair of an S even in l (the pendulum's).  Their |l*| then
-# differ only by Brent's stopping point and the noise of the evaluated S
-# (measured <= 5e-11 relative); 1e-8 is the relative noise floor that
-# fd_derivative's default step is balanced against.
+# omega = 0: half-axis roots of an S even in l (the pendulum's) agree in |l*|
+# to Brent's stopping noise (<= 5e-11 measured); within fd_derivative's 1e-8
+# relative noise floor they are one mirror pair, whose l > 0 root is taken
 MIRROR_RTOL = 1e-8
 
 
@@ -193,9 +191,8 @@ def twistless_curve(system: SystemDefinition,
 
     Loxodromic systems: one root per h, then a weighted through-origin fit
     of h against j2 on the 4 smallest |h| samples (weights 1/h^2) compared
-    against the predicted tangent.  omega = 0 systems: scan each half-axis
-    of l separately per h and keep the root nearest the axis, the l > 0 one
-    of a mirror pair; report found roots and the |h|/|l*| trend.
+    against the predicted tangent.  omega = 0 systems: per h, the half-axis
+    root nearest the axis (l > 0 of a mirror pair), and the |h|/|l*| trend.
     """
     ff = system.constants()
     degenerate = ff.omega == 0.0
@@ -218,11 +215,8 @@ def twistless_curve(system: SystemDefinition,
                 if not found:
                     raise ScanError(f"no twistless torus at h={h:.6g} "
                                     "(expected for one h sign at omega = 0)")
-                if (len(found) == 2 and abs(abs(found[0][0]) - abs(found[1][0]))
-                        <= MIRROR_RTOL * found[0][0]):
-                    l_star, resid = found[0]   # a mirror pair: take l > 0
-                else:
-                    l_star, resid = min(found, key=lambda t: abs(t[0]))
+                l_star, resid = min(found, key=lambda t: abs(t[0]) * (
+                    1.0 - MIRROR_RTOL if t[0] > 0.0 else 1.0))
             else:
                 l_star, resid = twistless_point(system, h)
         except ScanError as exc:

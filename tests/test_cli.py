@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,3 +337,55 @@ class TestExitCodes:
         assert rc == cli.EXIT_NUMERICAL
         with (out / "grid.csv").open(newline="") as fh:
             assert {row["mask"] for row in csv.DictReader(fh)} == {"1"}
+
+    def test_brent_without_convergence_exits_numerical(self, tmp_path, capsys,
+                                                       monkeypatch):
+        from focusfocus import numerics
+        monkeypatch.setattr(numerics, "BRENT_MAX_ITER", 2)
+        rc, err = run(capsys, "twistless", "--h-values", "0.02",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert "did not converge" in err and "Traceback" not in err
+
+
+# runs in a fresh interpreter: the scipy modules loaded after importing the
+# CLI and after each subcommand
+IMPORT_PROBE = """
+import json, sys
+from focusfocus import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+out, seen = sys.argv[1], [["import", 0, scipy_modules()]]
+for system in ("champagne", "pendulum"):
+    for command in ("constants", "grid", "spiral", "twistless", "kolmogorov",
+                    "monodromy"):
+        rc = cli.main([command, "--system", system,
+                       "--out", f"{out}/{command}-{system}"])
+        seen.append([f"{command} {system}", rc, scipy_modules()])
+rc = cli.main(["crosscheck", "--n-tori", "1", "--out", f"{out}/crosscheck"])
+seen.append(["crosscheck", rc, scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
+    # only the flow oracle (report's C1, crosscheck) imports scipy; a cold
+    # start of every other subcommand pays for numpy alone
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env,
+                          timeout=300, check=True)
+    # the subcommands print to stdout; the probe's record is the last line
+    *closed_form, (_, rc, flow_modules) = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert len(closed_form) == 13
+    for stage, rc, modules in closed_form:
+        assert rc == cli.EXIT_OK, stage
+        assert modules == [], stage
+    # the probe sees scipy once the flow oracle runs
+    assert rc == cli.EXIT_OK and "scipy.integrate" in flow_modules

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from focusfocus import numerics
 from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
                         NoTorusError, QuadratureSpec, StencilError,
                         align_angle, fd_derivative, find_root_bracketed,
@@ -183,6 +184,72 @@ class TestFindRoot:
         x = find_root_bracketed(f, (a, b))
         assert a <= x <= b
         assert x == pytest.approx(root, abs=1e-9)
+
+
+# drawn functions with one simple root r in the bracket; their shapes reach
+# each of Brent's steps: interpolation, extrapolation and bisection
+SHAPES = {
+    "cubic": lambda x, r, k: k * (x - r) * (1.0 + (x - r) ** 2),
+    "exp": lambda x, r, k: math.expm1(k * (x - r)),
+    "atan": lambda x, r, k: math.atan(k * (x - r)) + 1e-3 * (x - r),
+    "flat": lambda x, r, k: (x - r) ** 3 + 1e-9 * abs(k) * (x - r),
+}
+# the two call sites' (xtol, rtol): find_root_bracketed, event localizer
+BRENT_TOLS = [(numerics.ROOT_XTOL, 8 * numerics.EPS),
+              (4 * numerics.EPS, 4 * numerics.EPS)]
+
+
+class TestBrentPort:
+    @pytest.mark.parametrize("xtol,rtol", BRENT_TOLS)
+    @given(shape=st.sampled_from(sorted(SHAPES)), root=st.floats(-5.0, 5.0),
+           k=st.one_of(st.floats(0.05, 20.0), st.floats(-20.0, -0.05)),
+           left=st.floats(1e-6, 3.0), right=st.floats(1e-6, 3.0))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_scipy_brentq(self, xtol, rtol, shape, root, k,
+                                           left, right):
+        from scipy.optimize import brentq
+
+        def f(x):
+            return SHAPES[shape](x, root, k)
+
+        a, b = root - left, root + right
+        want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert numerics._brent(f, a, b, f(a), f(b), xtol, rtol) == want
+
+    @given(shape=st.sampled_from(sorted(SHAPES)), root=st.floats(-5.0, 5.0),
+           left=st.floats(1e-6, 3.0), right=st.floats(1e-6, 3.0))
+    @settings(max_examples=50, deadline=None)
+    def test_find_root_evaluates_each_end_once(self, shape, root, left,
+                                               right):
+        # brentq evaluates f(a) and f(b) a second time; the port takes them in
+        from scipy.optimize import brentq
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return SHAPES[shape](x, root, 1.5)
+
+        a, b = root - left, root + right
+        x = find_root_bracketed(f, (a, b))
+        mine = len(calls)
+        want, info = brentq(f, a, b, xtol=numerics.ROOT_XTOL,
+                            rtol=8 * numerics.EPS, full_output=True)
+        assert x == want
+        assert mine == info.function_calls
+
+    def test_no_convergence_raises_bracket_error(self, monkeypatch):
+        monkeypatch.setattr(numerics, "BRENT_MAX_ITER", 3)
+        with pytest.raises(BracketError, match="did not converge"):
+            find_root_bracketed(math.cos, (0.0, 2.0))
+
+    @pytest.mark.parametrize("nan_at_ends", [True, False])
+    def test_nan_raises_bracket_error(self, nan_at_ends):
+        def f(x):
+            at_end = x in (0.0, 2.0)
+            return math.nan if at_end == nan_at_ends else math.cos(x)
+
+        with pytest.raises(BracketError, match="(?i)nan"):
+            find_root_bracketed(f, (0.0, 2.0))
 
 
 class TestFdDerivative:
