@@ -47,7 +47,7 @@ TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
 NEWTON_MAX_ITER = 100
-# cel stops when its means agree to CEL_TOL; its last pass squares that: EPS
+# cel stops once its means agree to CEL_TOL; its last pass squares that, ~EPS
 CEL_TOL = math.sqrt(EPS)
 
 ROOT_DEGENERACY_TOL = 1e-8

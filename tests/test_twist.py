@@ -193,7 +193,7 @@ class TestTwistlessCurve:
                                                  skew):
         # omega = 0: the half-axes give mirror roots +-l*, equal in |l|
         # only to rounding; which one is nearer the axis must not pick the
-        # sign (at the parent, h = 0.007 picked l* < 0)
+        # sign
         twist_module = importlib.import_module("focusfocus.twist")
 
         def mirrored(system, h, l_range):
