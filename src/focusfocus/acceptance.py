@@ -17,8 +17,8 @@ from .systems import ChampagneBottle, SphericalPendulum, eval_constants
 from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, from_momentum_chart,
                       sample_cross_tori, MomentumValue)
-from .rotation import (AnnulusRegion, extract_level_curve, fit_log_spiral,
-                       monodromy_index, rotation_grid)
+from .rotation import (AnnulusRegion, contour_levels, extract_level_curve,
+                       fit_log_spiral, monodromy_index, rotation_grid)
 from .twist import tilde_s, twistless_curve
 from .kolmogorov import asymptote_sweep, frequency_jacobian_det, tau_jacobian
 from .errors import FocusFocusError
@@ -169,11 +169,8 @@ def c5_spirals(cfg: AcceptanceConfig) -> CriterionResult:
             (pend, 0.0, 0.02, "pendulum")):
         grid = rotation_grid(system, AnnulusRegion(1e-4, 1e-2),
                              cfg.grid_resolution, jobs=cfg.jobs)
-        mid = grid.w[len(grid.axis0) // 2]
-        for q in (0.3, 0.5, 0.7):
-            fit = fit_log_spiral(
-                extract_level_curve(grid, float(np.quantile(mid, q))),
-                expected)
+        for level in contour_levels(grid, (0.3, 0.5, 0.7)):
+            fit = fit_log_spiral(extract_level_curve(grid, level), expected)
             out[key].append({"level": fit.level, "slope": fit.slope_fit,
                              "expected": expected,
                              "residual": fit.residual})

@@ -40,8 +40,9 @@ from .errors import FocusFocusError
 from .systems import eval_constants, make_system
 from .lattice import (CROSS_TOL, MomentumValue, cross_checks,
                       from_momentum_chart, sample_cross_tori)
-from .rotation import (MIN_LOOP_POINTS, AnnulusRegion, extract_level_curve,
-                       fit_log_spiral, monodromy_loop, rotation_grid)
+from .rotation import (MIN_LOOP_POINTS, AnnulusRegion, contour_levels,
+                       extract_level_curve, fit_log_spiral, monodromy_loop,
+                       rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
 from .kolmogorov import asymptote_sweep
 from .acceptance import RNG_SEED, AcceptanceConfig, run_all
@@ -289,11 +290,9 @@ def cmd_spiral(cfg: dict) -> int:
     ff = eval_constants(system)
     grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"],
                          jobs=cfg["jobs"])
-    mid = grid.w[len(grid.axis0) // 2]
     fits = []
     rows = []
-    for q in cfg["levels"]:
-        level = float(np.quantile(mid, q))
+    for level in contour_levels(grid, cfg["levels"]):
         curve = extract_level_curve(grid, level)
         fit = fit_log_spiral(curve, -ff.A0)
         fits.append({"level": fit.level, "slope_fit": fit.slope_fit,

@@ -10,7 +10,10 @@ one return:
   complete elliptic integrals of the first and third kind, which each
   system evaluates with Bulirsch's cel (period_rotation).  One
   torus costs a few microseconds and is accurate to rounding (checked
-  against mpmath); the engine keeps its historical name;
+  against mpmath); the engine keeps its historical name.  A path or a
+  grid evaluates its tori in one array call (_tori_quadrature, the
+  systems' period_rotation_array), bit-identical to the one-torus
+  reduced_period_rotation that stencils and Brent brackets call;
 * flow (the independent oracle): direct integration of the full vector
   field from a torus seed, with the return localized by section events and
   the azimuth unwrapped as an extra state component.  A batch of tori of
@@ -35,9 +38,11 @@ l = 0 axis) is the principal value.  transport carries Theta continuously
 along a path of tori: the first torus keeps its raw value, each next one
 moves to the sheet nearest its predecessor, and the sheet offset from the
 raw value is recorded as branch.  Every path in the package (sweep rows,
-grid rows, monodromy loops, rotation-number arcs) goes through it, with one
-wrap guard, MAX_BRANCH_STEP.  Finite-difference stencils align each point
-to the stencil centre instead (period_lattice with theta_ref).
+grid rows, monodromy loops, rotation-number arcs) goes through it: a path
+is evaluated in one array call, a grid (rotation.rotation_grid) in one call
+for all its rows, and each path or row is then carried by carry_branch,
+with one wrap guard, MAX_BRANCH_STEP.  Finite-difference stencils align
+each point to the stencil centre instead (period_lattice with theta_ref).
 """
 from __future__ import annotations
 
@@ -120,9 +125,25 @@ def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
 
 
 @lru_cache(maxsize=500_000)
-def _torus_quadrature(system: SystemDefinition, h: float,
-                      l: float) -> tuple[float, float]:
+def _torus_quadrature(system: SystemDefinition, h: float, l: float,
+                      l_sign: float) -> tuple[float, float]:
+    """The cached closed form.  l_sign keeps l = -0.0 and +0.0 apart: they
+    compare equal, but on the axis Theta takes the sign of l."""
     return system.period_rotation(EMValue(h, l))
+
+
+def _tori_quadrature(system: SystemDefinition, h: np.ndarray, l: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature-engine (T, Theta, ok) of the tori (h, l), arrays, from one
+    call of the system's array closed form.  ok marks the lanes inside the
+    window that the array form accepted; each equals reduced_period_rotation
+    to the last bit.  The others are left to that scalar call."""
+    T, theta = np.full(h.shape, np.nan), np.full(h.shape, np.nan)
+    r = system.window_radius(h, l)
+    ok = ~((r < system.j_floor) | (r > system.j_cap))   # as check_window
+    if ok.any():
+        T[ok], theta[ok], ok[ok] = system.period_rotation_array(h[ok], l[ok])
+    return T, theta, ok
 
 
 def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:
@@ -195,7 +216,7 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
                          f"verified accuracy {CLOSED_FORM_REL_TOL:.0e}")
     system.check_window(c)
     if engine == "quadrature":
-        return _torus_quadrature(system, c.h, c.l)
+        return _torus_quadrature(system, c.h, c.l, math.copysign(1.0, c.l))
     if engine == "flow":
         return raise_failed(_tori_flow(system, [c])[0])
     raise ValueError(f"unknown engine {engine!r}")
@@ -289,41 +310,60 @@ def transport(system: SystemDefinition, path: list[EMValue]) -> list:
 
     Each entry is the PeriodLatticeSample of that torus, or the
     FocusFocusError that failed it; a failed torus is skipped as a
-    reference.  The first torus that evaluates keeps its raw principal
-    Theta (branch 0); each next one moves to the sheet nearest its
-    predecessor, so branch is the cumulative sum of the rounded raw steps.
-    Raises BranchError when an aligned step exceeds MAX_BRANCH_STEP: the
-    path is too coarse to tell its sheet.
+    reference.  The path's tori are evaluated in one array call
+    (_tori_quadrature); a torus it does not accept goes through
+    reduced_period_rotation.  The first torus that evaluates keeps its raw
+    principal Theta (branch 0); each next one moves to the sheet nearest
+    its predecessor, so branch is the cumulative sum of the rounded raw
+    steps.  Raises BranchError when an aligned step exceeds
+    MAX_BRANCH_STEP: the path is too coarse to tell its sheet.
     """
+    h = np.array([c.h for c in path], dtype=float)
+    l = np.array([c.l for c in path], dtype=float)
+    failed, live, T, theta, branch = carry_branch(
+        system, h, l, *_tori_quadrature(system, h, l))
     out: list = [None] * len(path)
-    live, Ts, raw = [], [], []
-    for i, c in enumerate(path):
+    for i, exc in failed.items():
+        out[i] = exc
+    for i, t, th, b in zip(live.tolist(), T.tolist(), theta.tolist(),
+                           branch.tolist()):
+        out[i] = _lattice_sample(system, t, th, b)
+    return out
+
+
+def carry_branch(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
+                 T: np.ndarray, raw: np.ndarray, ok: np.ndarray
+                 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray,
+                            np.ndarray]:
+    """transport on one path's array results (T, raw Theta, ok): each lane
+    not ok goes through reduced_period_rotation, which fills it in place
+    or raises the scalar exception.  Returns the failed lanes (path index
+    -> FocusFocusError) and, over the lanes that evaluated (live), T, the
+    carried Theta and the branch."""
+    failed = {}
+    for i in np.flatnonzero(~ok).tolist():
         try:
-            T, theta = reduced_period_rotation(system, c)
+            T[i], raw[i] = reduced_period_rotation(
+                system, EMValue(float(h[i]), float(l[i])))
+            ok[i] = True
         except FocusFocusError as exc:
-            out[i] = exc
-            continue
-        live.append(i)
-        Ts.append(T)
-        raw.append(theta)
-    if not live:
-        return out
-    raw = np.array(raw)
-    branch = np.concatenate(
-        ([0], np.cumsum(np.round(-np.diff(raw) / TWO_PI)))).astype(int)
+            failed[i] = exc
+    live = np.flatnonzero(ok)
+    raw = raw[live]
+    branch = np.concatenate(    # [:live.size]: an empty path has no anchor
+        ([0], np.cumsum(np.round(-np.diff(raw) / TWO_PI))))[:live.size]
+    branch = branch.astype(int)
     theta = raw + TWO_PI * branch
     steps = np.abs(np.diff(theta))
     over = np.flatnonzero(steps > MAX_BRANCH_STEP)
     if over.size:
         k = over[0]
-        c = path[live[k + 1]]
+        i = int(live[k + 1])
         raise BranchError(f"aligned Theta step {steps[k] / math.pi:.4f} pi "
                           f"above {MAX_BRANCH_STEP / math.pi:.1f} pi at path "
-                          f"point {live[k + 1]}, (h, l)=({c.h:.4g}, "
-                          f"{c.l:.4g}): refine the path")
-    for i, T, th, b in zip(live, Ts, theta.tolist(), branch.tolist()):
-        out[i] = _lattice_sample(system, T, th, b)
-    return out
+                          f"point {i}, (h, l)=({float(h[i]):.4g}, "
+                          f"{float(l[i]):.4g}): refine the path")
+    return failed, live, T[live], theta, branch
 
 
 @dataclass(frozen=True)

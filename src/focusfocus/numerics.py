@@ -512,3 +512,24 @@ def fd_derivative(f: Callable[[float], float | np.ndarray], x: float,
     except FocusFocusError as exc:   # stencil left the domain
         raise StencilError(f"stencil around x={x:.6g} failed: {exc}") from exc
     return (4.0 * d2 - d1) / 3.0
+
+
+def linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:
+    """Quantiles qs of values by numpy's 'linear' rule, as np.quantile
+    computes them, without its lazy numpy.ma import: virtual index
+    (n - 1) q into the sorted values, then numpy's two-sided lerp."""
+    s = np.sort(values).tolist()
+    n = len(s)
+    out = []
+    for q in qs:
+        v = (n - 1) * q
+        if v >= n - 1:   # np.quantile's top clamp: both ends the last value
+            i = j = -1
+        else:
+            i = math.floor(v)
+            j = i + 1
+        g = v - i
+        a, b = s[i], s[j]
+        d = b - a
+        out.append(b - d * (1 - g) if g >= 0.5 else a + d * g)
+    return out

@@ -1,13 +1,16 @@
 """Rotation numbers with branch tracking, monodromy, level curves, spirals.
 
 W = Theta / 2 pi on the principal sheet anchored at the positive-j1 ray
-(arg zeta = 0).  Every path here is a lattice.transport path: a
+(arg zeta = 0).  Every path here is carried as a lattice.transport path: a
 single-point query transports W along the constant-|j| arc from the
 reference ray, a grid row along its circle from RAY_OFFSET, and the
-monodromy loop once around the critical value.  Level sets of W are
-extracted in the (ln rho, theta) plane by marching squares and compared
-against the predicted logarithmic spiral pitch d theta / d ln rho =
--omega/alpha (a star, slope 0, in the degenerate omega = 0 case).
+monodromy loop once around the critical value.  A grid evaluates all its
+tori in one array call and carries each row with lattice.carry_branch.
+Level sets of W are extracted in the (ln rho, theta) plane by marching
+squares, its cell pass on arrays, at levels taken as quantiles of the
+grid's mid row (contour_levels), and compared against the predicted
+logarithmic spiral pitch d theta / d ln rho = -omega/alpha (a star, slope
+0, in the degenerate omega = 0 case).
 """
 from __future__ import annotations
 
@@ -17,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, NoTorusError, WindowError
-from .numerics import TWO_PI
+from .numerics import TWO_PI, linear_quantiles
 from .lattice import (RAY_OFFSET, MomentumValue, PeriodLatticeSample,
-                      from_momentum_chart, period_lattice, raise_failed,
-                      to_momentum_chart, transport)
+                      _tori_quadrature, carry_branch, from_momentum_chart,
+                      period_lattice, raise_failed, to_momentum_chart,
+                      transport)
 from .systems import EMValue, SystemDefinition
 
 MASK_REGULAR = 0
@@ -38,7 +42,7 @@ EXTEND_ANGLE = 2.2
 
 def _circle(system: SystemDefinition, rho: float, angles) -> list[EMValue]:
     """The tori at |j| = rho and the given arguments of zeta, as Python
-    floats: NumPy scalars would slow the closed form's arithmetic."""
+    floats, with math's cos and sin (rotation_grid uses the same)."""
     rho = float(rho)
     return [from_momentum_chart(system, MomentumValue(rho * math.cos(th),
                                                       rho * math.sin(th)))
@@ -89,30 +93,32 @@ class RotationGrid:
         return float(np.mean(self.mask != MASK_REGULAR))
 
 
-def _grid_row(system: SystemDefinition, points: list[EMValue]
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate one transported row.  Points below the system's j_floor
-    are masked as core and points without a regular torus as failed;
-    neither serves as a reference.  A failed anchor fails the whole row."""
-    n = len(points)
-    w = np.full(n, np.nan)
-    br = np.zeros(n, dtype=int)
-    mask = np.full(n, MASK_FAILED, dtype=np.uint8)
-    live = []
-    for i, c in enumerate(points):
-        if to_momentum_chart(system, c).modulus < system.j_floor:
-            mask[i] = MASK_CORE
-        else:
-            live.append(i)
-    for i, samp in zip(live, transport(system, [points[i] for i in live])):
-        if isinstance(samp, (NoTorusError, WindowError)):
-            if i == 0:   # row anchor failed: whole row failed
-                return w, br, np.full(n, MASK_FAILED, dtype=np.uint8)
+def _grid_rows(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
+               core: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w, branch and mask of a block of transported rows, (rows, angles)
+    arrays, its tori in one array call.  Points flagged core (below the
+    system's j_floor) and points without a regular torus (failed) do not
+    serve as references.  A failed anchor fails the whole row."""
+    w = np.full(h.shape, np.nan)
+    br = np.zeros(h.shape, dtype=int)
+    mask = np.where(core, MASK_CORE, MASK_FAILED).astype(np.uint8)
+    T, raw, ok = _tori_quadrature(system, h[~core], l[~core])
+    ends = np.cumsum(np.count_nonzero(~core, axis=1)).tolist()
+    for row, (a, b) in enumerate(zip([0] + ends, ends)):
+        cols = np.flatnonzero(~core[row])
+        failed, live, _, theta, branch = carry_branch(
+            system, h[row, cols], l[row, cols], T[a:b], raw[a:b], ok[a:b])
+        anchor = failed.get(0) if cols.size and cols[0] == 0 else None
+        if isinstance(anchor, (NoTorusError, WindowError)):
+            mask[row] = MASK_FAILED   # row anchor failed: whole row failed
             continue
-        samp = raise_failed(samp)
-        w[i] = samp.theta / TWO_PI
-        br[i] = samp.branch
-        mask[i] = MASK_REGULAR
+        for exc in failed.values():
+            if not isinstance(exc, (NoTorusError, WindowError)):
+                raise exc
+        cols = cols[live]
+        w[row, cols] = theta / TWO_PI
+        br[row, cols] = branch
+        mask[row, cols] = MASK_REGULAR
     return w, br, mask
 
 
@@ -122,26 +128,31 @@ def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
 
     Rows are constant-|j| circles anchored just past the reference ray and
     transported counterclockwise, so |W_neighbor - W| < 1/2 along each
-    row.  Rows are independent after anchoring and may be evaluated in
-    parallel; results are assembled by row index, so output is
-    jobs-independent.
+    row.  All tori of the grid are evaluated in one array call, or with
+    jobs > 1 one call per contiguous block of rows, one block per worker;
+    results are assembled by row index, so output is jobs-independent.
     """
     n0, n1 = resolution
     radii = np.geomspace(region.r_in, region.r_out, n0)
     angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
-    row_points = [_circle(system, rho, angles) for rho in radii]
+    # the tori of _circle, with math's cos and sin
+    cos = np.array([math.cos(th) for th in angles.tolist()])
+    sin = np.array([math.sin(th) for th in angles.tolist()])
+    ff = system.constants()
+    l = np.outer(radii, sin)
+    h = np.outer(radii, cos) * ff.alpha + l * ff.omega
+    core = system.window_radius(h, l) < system.j_floor
 
-    if jobs > 1:
+    blocks = [b for b in np.array_split(np.arange(n0), max(1, jobs)) if b.size]
+    args = [(system, h[b], l[b], core[b]) for b in blocks]
+    if len(blocks) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            rows = list(ex.map(_grid_row, [system] * len(row_points),
-                               row_points))
+        with ProcessPoolExecutor(max_workers=len(blocks)) as ex:
+            parts = list(ex.map(_grid_rows, *zip(*args)))
     else:
-        rows = [_grid_row(system, pts) for pts in row_points]
+        parts = [_grid_rows(*a) for a in args]
 
-    w = np.vstack([r[0] for r in rows])
-    br = np.vstack([r[1] for r in rows])
-    mask = np.vstack([r[2] for r in rows])
+    w, br, mask = (np.vstack(p) for p in zip(*parts))
     return RotationGrid(axis0=radii, axis1=angles, w=w, branch=br, mask=mask)
 
 
@@ -193,46 +204,55 @@ class LevelCurve:
                                 rho * np.sin(self.theta)])
 
 
+# corner e of cell (i, k) sits at (x[i + _DI[e]], y[k + _DK[e]]); edge e runs
+# from corner e to corner e + 1 (mod 4)
+_DI = np.array([0, 0, 1, 1])
+_DK = np.array([0, 1, 1, 0])
+
+
 def _marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
                       level: float) -> list[np.ndarray]:
     """Contours of z(x, y) on a rectangular grid by marching squares with
     linear interpolation; NaN cells are skipped.  Returns chained polylines
-    as arrays of (x, y) vertices."""
-    segs: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    n0, n1 = z.shape
+    as arrays of (x, y) vertices.
 
-    def interp(p1, p2, v1, v2):
-        t = (level - v1) / (v2 - v1)
-        return (p1[0] + t * (p2[0] - p1[0]), p1[1] + t * (p2[1] - p1[1]))
+    The cell pass runs on arrays: the crossing edges of every cell, in
+    row-major cell order and edge order within a cell, are interpolated at
+    once.  A saddle cell (four crossings) is split by its centre value.
+    """
+    v = np.stack([z[:-1, :-1], z[:-1, 1:], z[1:, 1:], z[1:, :-1]], axis=-1)
+    above = v >= level
+    n_above = np.count_nonzero(above, axis=-1)
+    ci, ck = np.nonzero(~np.isnan(v).any(axis=-1)
+                        & (n_above > 0) & (n_above < 4))
+    v, above = v[ci, ck], above[ci, ck]
+    cell, e1 = np.nonzero(above != np.roll(above, -1, axis=1))
+    e2 = (e1 + 1) % 4
+    v1 = v[cell, e1]
+    t = (level - v1) / (v[cell, e2] - v1)
+    x1, y1 = x[ci[cell] + _DI[e1]], y[ck[cell] + _DK[e1]]
+    px = x1 + t * (x[ci[cell] + _DI[e2]] - x1)
+    py = y1 + t * (y[ck[cell] + _DK[e2]] - y1)
+    # each cell's points start at s; two make one segment, four a saddle
+    # pair (0, 3) + (1, 2) when the centre sides with corner 0, else
+    # (0, 1) + (2, 3)
+    count = np.bincount(cell, minlength=len(ci))
+    s = np.cumsum(count) - count
+    saddle = count == 4
+    vc = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0
+    by_corner0 = saddle & ((vc >= level) == above[:, 0])
+    first = np.column_stack([s, np.where(by_corner0, s + 3, s + 1)])
+    second = np.column_stack([np.where(by_corner0, s + 1, s + 2),
+                              np.where(by_corner0, s + 2, s + 3)])
+    pairs = np.stack([first, second], axis=1)[
+        np.column_stack([np.ones_like(saddle), saddle])]
+    pts = list(zip(px, py))
+    segs = [(pts[a], pts[b]) for a, b in pairs.tolist()]
+    return _chain(segs)
 
-    for i in range(n0 - 1):
-        for k in range(n1 - 1):
-            v = (z[i, k], z[i, k + 1], z[i + 1, k + 1], z[i + 1, k])
-            if any(math.isnan(t) for t in v):
-                continue
-            corners = ((x[i], y[k]), (x[i], y[k + 1]),
-                       (x[i + 1], y[k + 1]), (x[i + 1], y[k]))
-            above = [t >= level for t in v]
-            if all(above) or not any(above):
-                continue
-            pts = []
-            for e in range(4):
-                e2 = (e + 1) % 4
-                if above[e] != above[e2]:
-                    pts.append(interp(corners[e], corners[e2], v[e], v[e2]))
-            if len(pts) == 2:
-                segs.append((pts[0], pts[1]))
-            elif len(pts) == 4:
-                # saddle cell: split by the center value
-                vc = sum(v) / 4.0
-                if (vc >= level) == above[0]:
-                    segs.append((pts[0], pts[3]))
-                    segs.append((pts[1], pts[2]))
-                else:
-                    segs.append((pts[0], pts[1]))
-                    segs.append((pts[2], pts[3]))
 
-    # chain segments into polylines by shared endpoints
+def _chain(segs: list) -> list[np.ndarray]:
+    """Chain segments ((x, y), (x, y)) into polylines by shared endpoints."""
     def key(p):
         return (round(p[0], 12), round(p[1], 12))
 
@@ -265,6 +285,19 @@ def _marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
                     chain.insert(0, nxt)
         polylines.append(np.asarray(chain))
     return polylines
+
+
+def contour_levels(grid: RotationGrid, qs) -> list[float]:
+    """W levels at the quantiles qs of the grid's mid row (numpy's 'linear'
+    rule).  Raises FitError when the mid row holds a masked torus: its W is
+    NaN there, so it has no quantiles."""
+    row = len(grid.axis0) // 2
+    masked = np.count_nonzero(grid.mask[row] != MASK_REGULAR)
+    if masked:
+        raise FitError(f"mid row {row} of the grid (|j| = "
+                       f"{grid.axis0[row]:.4g}) holds {masked} masked "
+                       "tori: no contour levels")
+    return linear_quantiles(grid.w[row], qs)
 
 
 def extract_level_curve(grid: RotationGrid, level: float) -> LevelCurve:

@@ -29,6 +29,19 @@ roots are taken without cancellation (the largest by Newton, the small
 pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
 serves only the flow oracle.
 
+Each system has two forms of the closed form.  period_rotation takes one
+torus on Python floats (~13 us); finite-difference stencils and Brent
+brackets, which ask for one torus at a time, use it.  period_rotation_array
+takes arrays h, l (a grid or a path, ~1.5 us per torus on thousands) and
+returns T, Theta and an ok mask: ok is False where the scalar form raises
+or a step would leave its domain, and such a lane is left to the scalar
+form.  The array form runs the scalar operations in the scalar order
+(numpy's + - * / sqrt round as Python's do), and each lane leaves the
+Newton and cel loops by compaction at the iteration at which its scalar
+loop stops, so every accepted lane is bit-identical to period_rotation
+and does not depend on the other lanes of its batch.  On one torus the
+array form would cost ~50 times the scalar one, which is why both stay.
+
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable, hashable, safely shareable across workers.
 """
@@ -42,6 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NoTorusError, SystemRejected, TurningPointDegeneracy, WindowError
+from .numerics import _lanes
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -136,6 +150,52 @@ def _cubic_roots(b: float, c: float, d: float, x0: float,
     return (x, big, small) if big >= 0.0 else (x, small, big)
 
 
+def _cubic_roots_array(b: np.ndarray, c: np.ndarray, d: np.ndarray,
+                       x0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray, np.ndarray]:
+    """_cubic_roots over arrays of coefficients: (top, y, z, ok), with ok
+    False where the scalar form raises or its Vieta step would fail (a
+    negative discriminant, a zero divisor).
+
+    Each lane runs the scalar Newton loop in the scalar order of
+    operations and leaves the batch, by compaction, at the iteration at
+    which that loop stops.
+    """
+    top = np.array(x0, dtype=float)
+    settled = np.zeros(top.shape, dtype=bool)
+    lane = np.arange(top.size)
+    x, bl, cl, dl = top, b, c, d
+    for _ in range(NEWTON_MAX_ITER):
+        if not lane.size:
+            break
+        fail = x < -bl / 3.0
+        value = ((x + bl) * x + cl) * x + dl
+        done = ~fail & (value <= 0.0)
+        slope = (3.0 * x + 2.0 * bl) * x + cl
+        settled[lane[done]], top[lane[done]] = True, x[done]
+        lane, x, value, slope, bl, cl, dl = _lanes(
+            ~(fail | done | (slope <= 0.0)), lane, x, value, slope, bl, cl, dl)
+        step = value / slope
+        x = x - step
+        done = step <= 4.0 * EPS * x
+        settled[lane[done]], top[lane[done]] = True, x[done]
+        lane, x, bl, cl, dl = _lanes(~done, lane, x, bl, cl, dl)
+    i = np.flatnonzero(settled & (top != 0.0))
+    prod = -d[i] / top[i]
+    total = (c[i] - prod) / top[i]
+    disc = total * total - 4.0 * prod
+    i, prod, total, disc = _lanes(disc >= 0.0, i, prod, total, disc)
+    big = 0.5 * (total + np.copysign(np.sqrt(disc), total))
+    i, prod, big = _lanes(big != 0.0, i, prod, big)
+    small = prod / big
+    pos = big >= 0.0
+    y, z = np.zeros_like(top), np.zeros_like(top)
+    y[i], z[i] = np.where(pos, big, small), np.where(pos, small, big)
+    ok = np.zeros(top.shape, dtype=bool)
+    ok[i] = True
+    return top, y, z, ok
+
+
 def _cel(kc: float, p: float) -> float:
     """Bulirsch's cel(kc, p, 1, 1) for kc > 0 and p > 0 (Numer. Math. 13
     (1969) 305-315): K(kc) at p = 1, Pi(n; kc) at p = 1 - n."""
@@ -153,6 +213,50 @@ def _cel(kc: float, p: float) -> float:
             return 0.5 * math.pi * (b + a * m) / (m * (m + p))
         kc = 2.0 * math.sqrt(e)
         e = kc * m
+
+
+def _cel_array(kc: np.ndarray, p: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """_cel over arrays: (values, ok).  Each lane runs the scalar loop and
+    leaves, by compaction, when its own means agree.  ok is False where kc
+    or p is not > 0, outside the scalar form's domain (there it divides by
+    zero or never settles); such a lane runs as cel(1, 1)."""
+    ok = (kc > 0.0) & (p > 0.0)
+    kc, p = np.where(ok, kc, 1.0), np.where(ok, p, 1.0)
+    out = np.empty(kc.shape)
+    lane = np.arange(kc.size)
+    p = np.sqrt(p)
+    a, b, e, m = np.ones(kc.shape), 1.0 / p, kc, np.ones(kc.shape)
+    while lane.size:
+        f = a
+        a = a + b / p
+        g = e / p
+        b = 2.0 * (b + f * g)
+        p = p + g
+        g = m
+        m = m + kc
+        done = np.abs(g - kc) <= g * CEL_TOL
+        if done.any():
+            md = m[done]
+            out[lane[done]] = (0.5 * math.pi * (b[done] + a[done] * md)
+                               / (md * (md + p[done])))
+            go = ~done
+            lane, a, b, e, m, p = (lane[go], a[go], b[go], e[go], m[go],
+                                   p[go])
+        kc = 2.0 * np.sqrt(e)
+        e = kc * m
+    return out, ok
+
+
+def _scatter(n: int, lane: np.ndarray, ok: np.ndarray, T: np.ndarray,
+             theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(T, Theta, ok) over n input lanes from the accepted ok lanes of the
+    surviving lanes lane."""
+    T_out, theta_out = np.full(n, np.nan), np.full(n, np.nan)
+    accepted = np.zeros(n, dtype=bool)
+    lane = lane[ok]
+    T_out[lane], theta_out[lane], accepted[lane] = T[ok], theta[ok], True
+    return T_out, theta_out, accepted
 
 
 def _check_window(system: "SystemDefinition", c: EMValue) -> None:
@@ -189,6 +293,22 @@ class SystemDefinition:
 
     def check_window(self, c: EMValue) -> None:
         _check_window(self, c)
+
+    def window_radius(self, h: np.ndarray, l: np.ndarray) -> np.ndarray:
+        """|j| of the tori (h, l), arrays, as check_window measures it:
+        math.hypot lane by lane, so the two agree to the last bit."""
+        ff = self.constants()
+        j1 = (h - ff.omega * l) / ff.alpha
+        return np.array(list(map(math.hypot, j1.ravel().tolist(),
+                                 l.ravel().tolist())),
+                        dtype=float).reshape(h.shape)
+
+    def period_rotation_array(self, h: np.ndarray, l: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array form of period_rotation: (T, Theta, ok) over arrays h, l.
+        Here no lane is accepted, so each takes the scalar path."""
+        nan = np.full(h.shape, np.nan)
+        return nan, nan.copy(), np.zeros(h.shape, dtype=bool)
 
 
 @lru_cache(maxsize=1024)
@@ -354,6 +474,39 @@ class ChampagneBottle(SystemDefinition):
         theta_l = SQRT2 * c.l / (s2 * math.sqrt(s2 - s3)) * _cel(kc, s1 / s2)
         return T, self.gamma * T + theta_l
 
+    def period_rotation_array(self, h: np.ndarray, l: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """period_rotation over arrays h, l: (T, Theta, ok).  ok is False
+        where the scalar form raises or a step would leave its domain;
+        every accepted lane is bit-identical to period_rotation."""
+        lane = np.arange(h.size)
+        g = h - self.gamma * l
+        axis = np.abs(l) <= L_AXIS_TOL
+        disc = 1.0 + 4.0 * g
+        lane, g, l, axis, disc = _lanes((disc >= 0.0) & ~(axis & (g == 0.0)),
+                                       lane, g, l, axis, disc)
+        s2, s1, s3, ok = _cubic_roots_array(
+            np.full(lane.size, -1.0), -g, np.where(axis, 0.0, 0.5 * l * l),
+            0.5 * (1.0 + np.sqrt(disc)))
+        ok &= (s2 - s1) > np.where(axis, 1e-6, 1e-12) * np.maximum(1.0, s2)
+        lane, l, axis, s1, s2, s3 = _lanes(ok, lane, l, axis, s1, s2, s3)
+        kc = np.sqrt((s1 - s3) / (s2 - s3))
+        off = ~axis
+        n = kc.size
+        # one cel pass: K on every lane, the third kind off the axis
+        cels, cel_ok = _cel_array(
+            np.concatenate([kc, kc[off]]),
+            np.concatenate([np.ones(n), s1[off] / s2[off]]))
+        ok = cel_ok[:n]
+        ok[off] &= cel_ok[n:]
+        T = SQRT2 * cels[:n] / np.sqrt(s2 - s3)
+        pole = np.where(s1 == 0.0, math.pi * np.copysign(1.0, l), 0.0)
+        theta = self.gamma * T + pole
+        lo, s2o, s3o = l[off], s2[off], s3[off]
+        theta[off] = self.gamma * T[off] + (
+            SQRT2 * lo / (s2o * np.sqrt(s2o - s3o)) * cels[n:])
+        return _scatter(h.size, lane, ok, T, theta)
+
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, t, s) -> list:
         """Cartesian field augmented with the unwrapped polar angle:
@@ -503,6 +656,40 @@ class SphericalPendulum(SystemDefinition):
         south = (_cel(math.sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2)
                  / (one_z2 * math.sqrt(w2 - w3)))
         return T, SQRT2 * c.l * (north + south)
+
+    def period_rotation_array(self, h: np.ndarray, l: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """period_rotation over arrays h, l: (T, Theta, ok).  ok is False
+        where the scalar form raises or a step would leave its domain;
+        every accepted lane is bit-identical to period_rotation."""
+        size, lane = h.size, np.arange(h.size)
+        axis = np.abs(l) <= L_AXIS_TOL
+        lane, h, l, axis = _lanes(~(axis & (h == 0.0)), lane, h, l, axis)
+        l2h = np.where(axis, 0.0, 0.5 * l * l)
+        wc, w2, w3, ok = _cubic_roots_array(h - 2.0, -2.0 * h, l2h,
+                                            np.full(lane.size, 2.0))
+        ok &= (h + wc > 0.0) & (wc - w2 > 1e-12)
+        lane, h, l, axis, l2h, wc, w2, w3 = _lanes(ok, lane, h, l, axis, l2h,
+                                                  wc, w2, w3)
+        kc = np.sqrt((w2 - w3) / (wc - w3))
+        off = ~axis
+        n = kc.size
+        lo, wco, w2o, w3o = l[off], wc[off], w2[off], w3[off]
+        one_z1 = l2h[off] / ((h[off] + wco) * wco)
+        one_z2 = one_z1 + (wco - w2o)
+        # one cel pass: K on every lane, north and south off the axis
+        cels, cel_ok = _cel_array(
+            np.concatenate([kc, kc[off], np.sqrt((wco - w3o) / (w2o - w3o))]),
+            np.concatenate([np.ones(n), w2o / wco, one_z1 / one_z2]))
+        m = lo.size
+        ok = cel_ok[:n]
+        ok[off] &= cel_ok[n:n + m] & cel_ok[n + m:]
+        T = 2.0 * SQRT2 * cels[:n] / np.sqrt(wc - w3)
+        theta = np.where(h > 0.0, 2.0, 1.0) * math.pi * np.copysign(1.0, l)
+        north = cels[n:n + m] / (wco * np.sqrt(wco - w3o))
+        south = cels[n + m:] / (one_z2 * np.sqrt(w2o - w3o))
+        theta[off] = SQRT2 * lo * (north + south)
+        return _scatter(size, lane, ok, T, theta)
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, t, s) -> list:

@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focusfocus import acceptance, cli
+from focusfocus import (ChampagneBottle, SphericalPendulum, acceptance, cli,
+                        lattice, rotation)
+from focusfocus.systems import SystemDefinition
+from reference_marching_squares import marching_squares
 
 # tolerance names no subcommand reads; only "cross" is a known key
 UNREAD_TOL_KEYS = ["quad_rel", "flow_rtol", "energy_drift", "root_xtol",
@@ -338,6 +341,14 @@ class TestExitCodes:
         with (out / "grid.csv").open(newline="") as fh:
             assert {row["mask"] for row in csv.DictReader(fh)} == {"1"}
 
+    def test_spiral_with_a_masked_mid_row(self, tmp_path, capsys):
+        # |j| beyond the pendulum's cap 0.2 masks the grid's mid row
+        rc, err = run(capsys, "spiral", "--system", "pendulum",
+                      "--window", "0.1,0.5", "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert "mid row 16 of the grid" in err and "masked" in err
+        assert "nan" not in err and "Traceback" not in err
+
     def test_brent_without_convergence_exits_numerical(self, tmp_path, capsys,
                                                        monkeypatch):
         from focusfocus import numerics
@@ -348,31 +359,34 @@ class TestExitCodes:
         assert "did not converge" in err and "Traceback" not in err
 
 
-# runs in a fresh interpreter: the scipy modules loaded after importing the
-# CLI and after each subcommand
+# runs in a fresh interpreter: the scipy modules (and numpy.ma, which
+# np.quantile imports lazily) loaded after importing the CLI and after each
+# subcommand
 IMPORT_PROBE = """
 import json, sys
 from focusfocus import cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+def watched_modules():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] == "scipy" or m == "numpy.ma")
 
-out, seen = sys.argv[1], [["import", 0, scipy_modules()]]
+out, seen = sys.argv[1], [["import", 0, watched_modules()]]
 for system in ("champagne", "pendulum"):
     for command in ("constants", "grid", "spiral", "twistless", "kolmogorov",
                     "monodromy"):
         rc = cli.main([command, "--system", system,
                        "--out", f"{out}/{command}-{system}"])
-        seen.append([f"{command} {system}", rc, scipy_modules()])
+        seen.append([f"{command} {system}", rc, watched_modules()])
 rc = cli.main(["crosscheck", "--n-tori", "1", "--out", f"{out}/crosscheck"])
-seen.append(["crosscheck", rc, scipy_modules()])
+seen.append(["crosscheck", rc, watched_modules()])
 print(json.dumps(seen))
 """
 
 
 def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
     # only the flow oracle (report's C1, crosscheck) imports scipy; a cold
-    # start of every other subcommand pays for numpy alone
+    # start of every other subcommand pays for numpy alone, without
+    # numpy.ma
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -389,3 +403,49 @@ def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
         assert modules == [], stage
     # the probe sees scipy once the flow oracle runs
     assert rc == cli.EXIT_OK and "scipy.integrate" in flow_modules
+
+
+def default_outputs(root, capsys):
+    """The files grid, spiral and monodromy write on both systems at
+    defaults, JSON summaries without their config (it holds the path)."""
+    out = {}
+    for system in ("champagne", "pendulum"):
+        for command in ("grid", "spiral", "monodromy"):
+            d = root / f"{command}-{system}"
+            rc = cli.main([command, "--system", system, "--out", str(d)])
+            assert rc == cli.EXIT_OK
+            for path in sorted(d.iterdir()):
+                data = path.read_bytes()
+                if path.suffix == ".json":
+                    doc = json.loads(data)
+                    doc.pop("config")
+                    data = json.dumps(doc, sort_keys=True).encode()
+                out[f"{d.name}/{path.name}"] = data
+    capsys.readouterr()
+    return out
+
+
+def test_outputs_byte_identical_on_the_scalar_path(tmp_path, capsys,
+                                                   monkeypatch):
+    # the array closed form and the array cell pass against every torus
+    # through the scalar closed form and the cell-loop marching squares
+    shipped = default_outputs(tmp_path / "shipped", capsys)
+    for cls in (ChampagneBottle, SphericalPendulum):
+        monkeypatch.setattr(cls, "period_rotation_array",
+                            SystemDefinition.period_rotation_array)
+    monkeypatch.setattr(rotation, "_marching_squares", marching_squares)
+    scalar_calls = []
+    rpr = lattice.reduced_period_rotation
+
+    def counting(system, c, *args, **kwargs):
+        scalar_calls.append(c)
+        return rpr(system, c, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "reduced_period_rotation", counting)
+    scalar = default_outputs(tmp_path / "scalar", capsys)
+    # two 32 x 64 grids per system, and a 257-torus loop
+    assert len(scalar_calls) == 2 * (2 * 32 * 64 + 257)
+    assert sorted(shipped) == sorted(scalar)
+    assert sum(name.endswith(".csv") for name in shipped) == 6
+    for name in shipped:
+        assert shipped[name] == scalar[name], name

@@ -179,6 +179,17 @@ class TestThetaStructure:
         assert th_low == pytest.approx(math.pi, abs=1e-12)
         assert th_high == pytest.approx(TWO_PI, abs=1e-12)
 
+    @pytest.mark.parametrize("name", ["champagne", "pendulum"])
+    def test_signed_zero_l_is_its_own_torus(self, name, request):
+        # -0.0 == +0.0, yet the axis passages take the sign of l: the torus
+        # cache must not hand one the other's Theta
+        system = request.getfixturevalue(name)
+        minus, plus = EMValue(0.0031, -0.0), EMValue(0.0031, 0.0)
+        _, th_minus = reduced_period_rotation(system, minus)
+        _, th_plus = reduced_period_rotation(system, plus)
+        assert th_minus == system.period_rotation(minus)[1]
+        assert th_plus == system.period_rotation(plus)[1] > th_minus
+
 
 class TestPeriodLattice:
     def test_rotation_identity(self, champagne):

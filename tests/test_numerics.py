@@ -9,6 +9,7 @@ from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
                         NoTorusError, QuadratureSpec, StencilError,
                         align_angle, fd_derivative, find_root_bracketed,
                         integrate_flow, quad_singular)
+from focusfocus.numerics import linear_quantiles
 from focusfocus.lattice import reduced_period_rotation
 from focusfocus.systems import turning_points
 
@@ -301,6 +302,23 @@ class TestFdDerivative:
         r = fd_derivative(math.sin, x, "richardson", step=1e-4)
         assert abs(r - exact) <= max(abs(c - exact), 1e-12)
         assert abs(c - exact) <= 1e-7   # h^2 * |f'''|/6 bound with margin
+
+
+class TestLinearQuantiles:
+    # signed zeros are drawn as +0.0: they compare equal, and np.sort and
+    # np.quantile's partition may order a -0.0 and a +0.0 either way
+    @given(row=st.lists(st.floats(-1e300, 1e300).map(lambda x: x + 0.0),
+                        min_size=1, max_size=80),
+           qs=st.lists(st.one_of(st.floats(0.0, 1.0),
+                                 st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0])),
+                       min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_np_quantile(self, row, qs):
+        values = np.array(row)
+        got = linear_quantiles(values, qs)
+        assert [x.hex() for x in got] == \
+            [float(np.quantile(values, q)).hex() for q in qs]
+        assert values.tolist() == row   # the input is left unsorted
 
 
 class TestAlignAngle:

@@ -3,15 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focusfocus import (AnnulusRegion, EMValue, FitError, MomentumValue,
                         align_angle, cross_check, eval_constants,
                         extract_level_curve, fit_log_spiral,
                         from_momentum_chart, monodromy_index, rotation_grid,
-                        rotation_number)
-from focusfocus import lattice
+                        rotation_number, twist)
+from focusfocus import lattice, rotation
 from focusfocus.lattice import annulus_sweep, reduced_period_rotation
-from focusfocus.rotation import LevelCurve, MASK_CORE, MASK_REGULAR
+from focusfocus.rotation import (LevelCurve, MASK_CORE, MASK_REGULAR,
+                                 contour_levels)
+from reference_marching_squares import marching_squares
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,26 +92,45 @@ class TestRotationGrid:
         assert MASK_CORE in g.mask
         assert np.all(np.isnan(g.w[g.mask != MASK_REGULAR]))
 
-    def test_parallel_rows_identical(self, champagne):
-        g1 = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (4, 8))
-        g2 = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (4, 8),
+    @pytest.mark.parametrize("j_floor", [1e-5, 2e-3])
+    def test_parallel_rows_identical(self, champagne, j_floor):
+        # at j_floor = 2e-3 the first row is core
+        system = dataclasses.replace(champagne, j_floor=j_floor)
+        g1 = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8))
+        g2 = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8),
                            jobs=2)
-        assert np.array_equal(g1.w, g2.w)
+        assert np.array_equal(g1.w, g2.w, equal_nan=True)
+        assert np.array_equal(g1.branch, g2.branch)
+        assert np.array_equal(g1.mask, g2.mask)
+        assert (MASK_CORE in g1.mask) == (j_floor > 1e-3)
 
 
-def test_grid_and_sweep_tori_are_plain_floats(champagne, monkeypatch):
-    # NumPy scalars would run the closed form's arithmetic at NumPy's
-    # scalar speed
-    seen = []
+def test_grid_is_one_array_call_and_stencils_stay_scalar(champagne,
+                                                          monkeypatch):
+    # a grid evaluates all its tori in one call of the array form; a
+    # stencil point is one scalar call on Python floats (NumPy scalars
+    # would run the closed form's arithmetic at NumPy's scalar speed)
+    batches, seen = [], []
+    array_form = type(champagne).period_rotation_array
+
+    def recording_array(self, h, l):
+        batches.append(h.size)
+        return array_form(self, h, l)
 
     def recording(system, c, *args, **kwargs):
         seen.append(c)
         return reduced_period_rotation(system, c, *args, **kwargs)
 
+    monkeypatch.setattr(type(champagne), "period_rotation_array",
+                        recording_array)
     monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
-    rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (2, 5))
+    rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (3, 7))
+    assert batches == [21] and seen == []
     annulus_sweep(champagne, 1e-3, 1e-2, 2, 5)
-    assert len(seen) == 20
+    assert batches == [21, 5, 5] and seen == []
+    twist(champagne, EMValue(0.01, 0.005))
+    assert batches == [21, 5, 5]
+    assert len(seen) == 4   # the Richardson stencil's points
     assert all(type(c.h) is float and type(c.l) is float for c in seen)
 
 
@@ -185,6 +207,89 @@ class TestLevelCurves:
     def test_level_not_attained(self, champagne_grid):
         with pytest.raises(FitError, match="not attained"):
             extract_level_curve(champagne_grid, 99.0)
+
+
+def same_polylines(x, y, z, level):
+    got = rotation._marching_squares(x, y, z, level)
+    want = marching_squares(x, y, z, level)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return got
+
+
+class TestMarchingSquares:
+    """The array cell pass against the cell loop it replaced
+    (reference_marching_squares), polyline for polyline and bit for bit."""
+
+    @pytest.mark.parametrize("name", ["champagne", "pendulum"])
+    def test_default_grids(self, name, request, monkeypatch):
+        system = request.getfixturevalue(name)
+        grid = rotation_grid(system, AnnulusRegion(1e-4, 1e-2), (32, 64))
+        inputs = []
+        vectorised = rotation._marching_squares
+
+        def spy(x, y, z, level):
+            inputs.append((x, y, z, level))
+            return vectorised(x, y, z, level)
+
+        monkeypatch.setattr(rotation, "_marching_squares", spy)
+        mid = np.sort(grid.w[16])
+        for level in mid[::8]:
+            extract_level_curve(grid, float(level))
+        monkeypatch.undo()
+        assert len(inputs) == 8
+        for args in inputs:
+            assert same_polylines(*args)
+
+    @given(seed=st.integers(0, 2**32 - 1), holes=st.floats(0.0, 0.3),
+           shape=st.tuples(st.integers(2, 12), st.integers(2, 12)))
+    @settings(max_examples=60, deadline=None)
+    def test_nan_holes(self, seed, holes, shape):
+        # few distinct values make ties with the level and saddle cells
+        rng = np.random.default_rng(seed)
+        z = rng.integers(0, 4, shape).astype(float) / 3.0
+        z[rng.random(shape) < holes] = np.nan
+        x = np.cumsum(rng.uniform(0.1, 1.0, shape[0]))
+        y = np.cumsum(rng.uniform(0.1, 1.0, shape[1]))
+        for level in (0.0, 0.2, 1.0 / 3.0, 0.5, 1.0):
+            same_polylines(x, y, z, level)
+
+    @pytest.mark.parametrize("z, level, pairs", [
+        # corner 0 above, centre 0.5 above: (0, 3) + (1, 2)
+        ([[1.0, 0.0], [0.0, 1.0]], 0.5,
+         [[(0.0, 0.5), (0.5, 0.0)], [(0.5, 1.0), (1.0, 0.5)]]),
+        # corner 0 above, centre below: (0, 1) + (2, 3)
+        ([[1.0, 0.0], [0.0, 1.0]], 0.6,
+         [[(0.0, 0.4), (0.6, 1.0)], [(1.0, 0.6), (0.4, 0.0)]]),
+        # corner 0 below, centre above: (0, 1) + (2, 3)
+        ([[0.0, 1.0], [1.0, 0.0]], 0.5,
+         [[(0.0, 0.5), (0.5, 1.0)], [(1.0, 0.5), (0.5, 0.0)]]),
+        # corner 0 below, centre below: (0, 3) + (1, 2)
+        ([[0.0, 1.0], [1.0, 0.0]], 0.6,
+         [[(0.0, 0.6), (0.6, 0.0)], [(0.4, 1.0), (1.0, 0.4)]]),
+    ])
+    def test_saddle_splits(self, z, level, pairs):
+        # opposite corners equal: all four edges cross
+        lines = same_polylines(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                               np.array(z), level)
+        got = sorted(sorted(map(tuple, line.round(12).tolist()))
+                     for line in lines)
+        assert got == sorted(sorted(p) for p in pairs)
+
+
+class TestContourLevels:
+    def test_mid_row_quantiles(self, champagne_grid):
+        mid = champagne_grid.w[len(champagne_grid.axis0) // 2]
+        qs = (0.0, 0.3, 0.5, 0.7, 1.0)
+        assert contour_levels(champagne_grid, qs) == \
+            [float(np.quantile(mid, q)) for q in qs]
+
+    def test_masked_mid_row(self, pendulum):
+        # |j| beyond the pendulum's cap 0.2 from the mid row on
+        grid = rotation_grid(pendulum, AnnulusRegion(0.1, 0.5), (8, 16))
+        with pytest.raises(FitError, match="mid row 4 .* masked"):
+            contour_levels(grid, (0.5,))
 
 
 class TestSpiralFit:

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfocus import (AnnulusRegion, BranchError, ChampagneBottle,
+from focusfocus import (AnnulusRegion, BranchError, ChampagneBottle, EMValue,
                         MomentumValue, NoTorusError, PeriodLatticeSample,
                         SphericalPendulum, align_angle, from_momentum_chart,
                         monodromy_index, rotation_grid, transport)
@@ -110,23 +111,18 @@ class TestWrapGuard:
 
 class TestFailedTori:
     @pytest.mark.parametrize("k", [0, 2])
-    def test_failed_torus_is_recorded_and_skipped(self, monkeypatch, k):
-        # torus k fails: the rest are transported as if it were absent, so
-        # a failed anchor hands the anchor to the next live torus
-        from focusfocus import lattice
+    def test_failed_torus_is_recorded_and_skipped(self, k):
+        # torus k has no torus (1 + 4 h < 0 on the champagne bottle's axis):
+        # the array form rejects it, the scalar call raises, and the rest are
+        # transported as if it were absent, so a failed anchor hands the
+        # anchor to the next live torus
         sys_ = SYSTEMS["champagne"]
         path = circle(sys_, 1e-2, 0.5 + np.arange(5) * 0.1)
-        rpr = lattice.reduced_period_rotation
-
-        def failing(system, c, *args, **kwargs):
-            if c == path[k]:
-                raise NoTorusError("no torus here")
-            return rpr(system, c, *args, **kwargs)
-
-        monkeypatch.setattr(lattice, "reduced_period_rotation", failing)
+        path[k] = EMValue(-0.3, 0.0)
         out = transport(sys_, path)
-        monkeypatch.undo()
         assert isinstance(out[k], NoTorusError)
+        with pytest.raises(NoTorusError, match=f"^{re.escape(str(out[k]))}$"):
+            reduced_period_rotation(sys_, path[k])
         rest = out[:k] + out[k + 1:]
         assert all(isinstance(s, PeriodLatticeSample) for s in rest)
         assert rest == transport(sys_, path[:k] + path[k + 1:])
