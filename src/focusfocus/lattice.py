@@ -141,8 +141,9 @@ def _tori_quadrature(system: SystemDefinition, h: np.ndarray, l: np.ndarray
     T, theta = np.full(h.shape, np.nan), np.full(h.shape, np.nan)
     r = system.window_radius(h, l)
     ok = ~((r < system.j_floor) | (r > system.j_cap))   # as check_window
-    if ok.any():
-        T[ok], theta[ok], ok[ok] = system.period_rotation_array(h[ok], l[ok])
+    i = np.flatnonzero(ok)
+    if i.size:
+        T[i], theta[i], ok[i] = system.period_rotation_array(h[i], l[i])
     return T, theta, ok
 
 

@@ -92,17 +92,25 @@ class TestRotationGrid:
         assert MASK_CORE in g.mask
         assert np.all(np.isnan(g.w[g.mask != MASK_REGULAR]))
 
-    @pytest.mark.parametrize("j_floor", [1e-5, 2e-3])
-    def test_parallel_rows_identical(self, champagne, j_floor):
-        # at j_floor = 2e-3 the first row is core
-        system = dataclasses.replace(champagne, j_floor=j_floor)
+    def test_parallel_rows_identical(self, champagne, pendulum):
+        self.assert_jobs_identical(champagne)
+        # the pendulum's rows cross a sheet: nonzero branch offsets
+        assert np.any(self.assert_jobs_identical(pendulum).branch != 0)
+
+    def test_parallel_rows_identical_with_a_core_row(self, champagne):
+        grid = self.assert_jobs_identical(
+            dataclasses.replace(champagne, j_floor=2e-3))
+        assert MASK_CORE in grid.mask
+
+    @staticmethod
+    def assert_jobs_identical(system):
         g1 = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8))
         g2 = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8),
                            jobs=2)
         assert np.array_equal(g1.w, g2.w, equal_nan=True)
         assert np.array_equal(g1.branch, g2.branch)
         assert np.array_equal(g1.mask, g2.mask)
-        assert (MASK_CORE in g1.mask) == (j_floor > 1e-3)
+        return g1
 
 
 def test_grid_is_one_array_call_and_stencils_stay_scalar(champagne,
