@@ -125,10 +125,8 @@ def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
 
 
 @lru_cache(maxsize=500_000)
-def _torus_quadrature(system: SystemDefinition, h: float, l: float,
-                      l_sign: float) -> tuple[float, float]:
-    """The cached closed form.  l_sign keeps l = -0.0 and +0.0 apart: they
-    compare equal, but on the axis Theta takes the sign of l."""
+def _torus_quadrature(system: SystemDefinition, h: float,
+                      l: float) -> tuple[float, float]:
     return system.period_rotation(EMValue(h, l))
 
 
@@ -217,7 +215,11 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
                          f"verified accuracy {CLOSED_FORM_REL_TOL:.0e}")
     system.check_window(c)
     if engine == "quadrature":
-        return _torus_quadrature(system, c.h, c.l, math.copysign(1.0, c.l))
+        if c.l == 0.0 and math.copysign(1.0, c.l) < 0.0:
+            # -0.0 would hit the cache entry of +0.0 (they compare equal),
+            # but on the axis Theta takes the sign of l
+            return system.period_rotation(c)
+        return _torus_quadrature(system, c.h, c.l)
     if engine == "flow":
         return raise_failed(_tori_flow(system, [c])[0])
     raise ValueError(f"unknown engine {engine!r}")
