@@ -23,7 +23,7 @@ from .rotation import (AnnulusRegion, LevelCurve, RotationGrid, SpiralFit,
                        monodromy_loop, rotation_grid, rotation_number)
 from .twist import (TorusInvariants, TwistlessCurve, TwistlessSample,
                     expected_twistless_slope, tilde_s, torus_invariants,
-                    twist, twist_via_j_chart, twistless_curve,
+                    twist, twist_scan, twist_via_j_chart, twistless_curve,
                     twistless_point)
 from .kolmogorov import (FrequencySample, asymptote_sweep, frequency_jacobian_det,
                          frequency_map, tau_jacobian)

@@ -128,8 +128,10 @@ KEYS = {
                   "> 0"),
     "n_points": Key(int, "N", "tori on the monodromy loop",
                     lambda n: n >= MIN_LOOP_POINTS, f">= {MIN_LOOP_POINTS}"),
+    # a repeated energy would count twice toward the tangent fit's samples
     "h_values": Key(_numbers(_float), "H1,H2,...",
-                    "energies of the twistless tori"),
+                    "energies of the twistless tori",
+                    lambda hs: len(set(hs)) == len(hs), "distinct"),
     "ray_angle": Key(_float, "ANGLE", "arg zeta of the ray"),
     "n_tori": Key(int, "N", "cross-check tori per system", lambda n: n >= 1,
                   ">= 1"),

@@ -10,10 +10,13 @@ one return:
   complete elliptic integrals of the first and third kind, which each
   system evaluates with Bulirsch's cel (period_rotation).  One
   torus costs a few microseconds and is accurate to rounding (checked
-  against mpmath); the engine keeps its historical name.  A path or a
-  grid evaluates its tori in one array call (_tori_quadrature, the
-  systems' period_rotation_array), bit-identical to the one-torus
-  reduced_period_rotation that stencils and Brent brackets call;
+  against mpmath); the engine keeps its historical name.  A path, a grid,
+  an annulus sweep and the stencils of a twistless scan
+  (twist.twist_scan) evaluate their tori in one array call
+  (_tori_quadrature, the systems' period_rotation_array), bit-identical
+  to the one-torus reduced_period_rotation.  That scalar form takes the
+  lanes the array form rejects (fill_rejected), and the scalar stencils
+  (twist.twist at Brent's iterates, kolmogorov) call it directly;
 * flow (the independent oracle): direct integration of the full vector
   field from a torus seed, with the return localized by section events and
   the azimuth unwrapped as an extra state component.  A batch of tori of
@@ -39,10 +42,11 @@ along a path of tori: the first torus keeps its raw value, each next one
 moves to the sheet nearest its predecessor, and the sheet offset from the
 raw value is recorded as branch.  Every path in the package (sweep rows,
 grid rows, monodromy loops, rotation-number arcs) goes through it: a path
-is evaluated in one array call, a grid (rotation.rotation_grid) in one call
-for all its rows, and each path or row is then carried by carry_branch,
-with one wrap guard, MAX_BRANCH_STEP.  Finite-difference stencils align
-each point to the stencil centre instead (period_lattice with theta_ref).
+is evaluated in one array call, a grid (rotation.rotation_grid) or an
+annulus sweep in one call for all its rows, and each path or row is then
+carried by carry_branch, with one wrap guard, MAX_BRANCH_STEP.
+Finite-difference stencils align each point to the stencil centre instead
+(period_lattice with theta_ref; twist.twist_scan as align_angle, on arrays).
 """
 from __future__ import annotations
 
@@ -135,7 +139,7 @@ def _tori_quadrature(system: SystemDefinition, h: np.ndarray, l: np.ndarray
     """Quadrature-engine (T, Theta, ok) of the tori (h, l), arrays, from one
     call of the system's array closed form.  ok marks the lanes inside the
     window that the array form accepted; each equals reduced_period_rotation
-    to the last bit.  The others are left to that scalar call."""
+    to the last bit.  The others hold NaN, left to that scalar call."""
     T, theta = np.full(h.shape, np.nan), np.full(h.shape, np.nan)
     r = system.window_radius(h, l)
     ok = ~((r < system.j_floor) | (r > system.j_cap))   # as check_window
@@ -334,15 +338,13 @@ def transport(system: SystemDefinition, path: list[EMValue]) -> list:
     return out
 
 
-def carry_branch(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
-                 T: np.ndarray, raw: np.ndarray, ok: np.ndarray
-                 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray,
-                            np.ndarray]:
-    """transport on one path's array results (T, raw Theta, ok): each lane
-    not ok goes through reduced_period_rotation, which fills it in place
-    or raises the scalar exception.  Returns the failed lanes (path index
-    -> FocusFocusError) and, over the lanes that evaluated (live), T, the
-    carried Theta and the branch."""
+def fill_rejected(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
+                  T: np.ndarray, raw: np.ndarray, ok: np.ndarray) -> dict:
+    """Complete array results (T, raw Theta, ok) of the tori (h, l): each
+    lane not ok goes through reduced_period_rotation, which fills it in
+    place (and sets ok) or raises the scalar exception.  Returns the failed
+    lanes (index -> FocusFocusError), whose values it leaves as they were;
+    any other exception propagates."""
     failed = {}
     for i in np.flatnonzero(~ok).tolist():
         try:
@@ -351,6 +353,18 @@ def carry_branch(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
             ok[i] = True
         except FocusFocusError as exc:
             failed[i] = exc
+    return failed
+
+
+def carry_branch(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
+                 T: np.ndarray, raw: np.ndarray, ok: np.ndarray
+                 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray,
+                            np.ndarray]:
+    """transport on one path's array results (T, raw Theta, ok), its
+    rejected lanes filled by fill_rejected.  Returns the failed lanes (path
+    index -> FocusFocusError) and, over the lanes that evaluated (live), T,
+    the carried Theta and the branch."""
+    failed = fill_rejected(system, h, l, T, raw, ok)
     live = np.flatnonzero(ok)
     raw = raw[live]
     branch = np.concatenate(    # [:live.size]: an empty path has no anchor
@@ -384,20 +398,30 @@ def annulus_sweep(system: SystemDefinition, r_in: float, r_out: float,
 
     Each constant-radius row starts at RAY_OFFSET past the positive-j1
     reference ray and is transported counterclockwise.  All rows therefore
-    live on one common sheet and the sample set is fit-ready.  A failed
-    torus or a BranchError fails the sweep.
+    live on one common sheet and the sample set is fit-ready.  The sweep's
+    tori are evaluated in one array call, then each row is carried by
+    carry_branch.  A failed torus or a BranchError fails the sweep.
     """
     if not (0.0 < r_in < r_out):
         raise ValueError("need 0 < r_in < r_out")
     angles = (RAY_OFFSET + TWO_PI * np.arange(n_theta) / n_theta).tolist()
+    js = [MomentumValue(rho * math.cos(th), rho * math.sin(th))
+          for rho in np.geomspace(r_in, r_out, n_r).tolist() for th in angles]
+    cs = [from_momentum_chart(system, j) for j in js]
+    h = np.array([c.h for c in cs], dtype=float)
+    l = np.array([c.l for c in cs], dtype=float)
+    T, raw, ok = _tori_quadrature(system, h, l)
     out: list[SweepSample] = []
-    for rho in np.geomspace(r_in, r_out, n_r).tolist():
-        js = [MomentumValue(rho * math.cos(th), rho * math.sin(th))
-              for th in angles]
-        cs = [from_momentum_chart(system, j) for j in js]
-        for c, j, th, samp in zip(cs, js, angles, transport(system, cs)):
+    for row in range(n_r):
+        a = slice(row * n_theta, (row + 1) * n_theta)
+        failed, _, Ta, theta, branch = carry_branch(system, h[a], l[a], T[a],
+                                                    raw[a], ok[a])
+        if failed:   # the row's first failed torus, as transport orders them
+            raise failed[min(failed)]
+        for c, j, th, t, tht, b in zip(cs[a], js[a], angles, Ta.tolist(),
+                                       theta.tolist(), branch.tolist()):
             out.append(SweepSample(c=c, j=j, theta_tracked=th,
-                                   lattice=raise_failed(samp)))
+                                   lattice=_lattice_sample(system, t, tht, b)))
     return out
 
 

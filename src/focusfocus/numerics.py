@@ -496,21 +496,31 @@ def fd_derivative(f: Callable[[float], float | np.ndarray], x: float,
     """Finite-difference first derivative; the one stencil of the package.
 
     central: O(h^2).  richardson: two central estimates at h and h/2
-    combined to O(h^4).  f may return a float or a NumPy vector (the
-    derivative of each component).  The default step balances truncation
-    against a ~1e-8 relative noise floor of the evaluated quantities.  A
-    FocusFocusError raised by f becomes a StencilError.
+    combined to O(h^4), by richardson(), which also combines precomputed
+    values.  f may return a float or a NumPy vector (the derivative of each
+    component).  The default step balances truncation against a ~1e-8
+    relative noise floor of the evaluated quantities.  A FocusFocusError
+    raised by f becomes a StencilError.
     """
     if scheme not in ("central", "richardson"):
         raise ValueError(f"unknown scheme {scheme!r}")
     h = step if step is not None else max(FD_STEP_FLOOR, FD_STEP_REL * abs(x))
     try:
-        d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+        f_plus, f_minus = f(x + h), f(x - h)
         if scheme == "central":
-            return d1
-        d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
+            return (f_plus - f_minus) / (2.0 * h)
+        return richardson(f_plus, f_minus, f(x + 0.5 * h), f(x - 0.5 * h), h)
     except FocusFocusError as exc:   # stencil left the domain
         raise StencilError(f"stencil around x={x:.6g} failed: {exc}") from exc
+
+
+def richardson(f_plus, f_minus, f_half_plus, f_half_minus, h):
+    """The richardson scheme of fd_derivative on precomputed values of f at
+    x + h, x - h, x + h/2 and x - h/2.  Scalars, or arrays holding one
+    stencil per lane (h a scalar or an array), each lane combined exactly
+    as a scalar stencil."""
+    d1 = (f_plus - f_minus) / (2.0 * h)
+    d2 = (f_half_plus - f_half_minus) / h
     return (4.0 * d2 - d1) / 3.0
 
 

@@ -246,20 +246,20 @@ def _marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
                               np.where(by_corner0, s + 2, s + 3)])
     pairs = np.stack([first, second], axis=1)[
         np.column_stack([np.ones_like(saddle), saddle])]
-    pts = list(zip(px, py))
-    segs = [(pts[a], pts[b]) for a, b in pairs.tolist()]
-    return _chain(segs)
+    # endpoints meet where they agree to 12 decimals; np.round on the array
+    # rounds each point as round(np.float64, 12) would
+    keys = list(zip(np.round(px, 12).tolist(), np.round(py, 12).tolist()))
+    return [np.column_stack([px[c], py[c]])
+            for c in _chain(pairs.tolist(), keys)]
 
 
-def _chain(segs: list) -> list[np.ndarray]:
-    """Chain segments ((x, y), (x, y)) into polylines by shared endpoints."""
-    def key(p):
-        return (round(p[0], 12), round(p[1], 12))
-
+def _chain(segs: list[list[int]], keys: list[tuple]) -> list[list[int]]:
+    """Chain segments (pairs of point indices) into polylines (lists of
+    point indices) by shared endpoints: points with equal keys."""
     adj: dict[tuple, list[int]] = {}
     for idx, (a, b) in enumerate(segs):
-        adj.setdefault(key(a), []).append(idx)
-        adj.setdefault(key(b), []).append(idx)
+        adj.setdefault(keys[a], []).append(idx)
+        adj.setdefault(keys[b], []).append(idx)
 
     used = [False] * len(segs)
     polylines = []
@@ -271,19 +271,19 @@ def _chain(segs: list) -> list[np.ndarray]:
         chain = [a, b]
         for endpoint_idx in (0, 1):
             while True:
-                tip = chain[-1] if endpoint_idx == 0 else chain[0]
-                cands = [i for i in adj.get(key(tip), []) if not used[i]]
+                tip = keys[chain[-1] if endpoint_idx == 0 else chain[0]]
+                cands = [i for i in adj.get(tip, []) if not used[i]]
                 if not cands:
                     break
                 i = cands[0]
                 used[i] = True
                 pa, pb = segs[i]
-                nxt = pb if key(pa) == key(tip) else pa
+                nxt = pb if keys[pa] == tip else pa
                 if endpoint_idx == 0:
                     chain.append(nxt)
                 else:
                     chain.insert(0, nxt)
-        polylines.append(np.asarray(chain))
+        polylines.append(chain)
     return polylines
 
 

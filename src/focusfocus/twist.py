@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FocusFocusError, ScanError
+from .errors import ScanError
 from .numerics import (FD_STEP_FLOOR, FD_STEP_REL, TWO_PI, fd_derivative,
-                       find_root_bracketed)
-from .lattice import period_lattice, reduced_period_rotation, to_momentum_chart
+                       find_root_bracketed, richardson)
+from .lattice import (_tori_quadrature, fill_rejected, period_lattice,
+                      reduced_period_rotation, to_momentum_chart)
 from .systems import EMValue, SystemDefinition
 
 # twistless scans stay within |j| <= SCAN_CAP (and the system's j_cap)
@@ -53,6 +54,27 @@ def twist(system: SystemDefinition, c: EMValue,
 
     return fd_derivative(w, c.l, "richardson",
                          step=max(FD_STEP_FLOOR, dl_rel * abs(c.l)))
+
+
+def twist_scan(system: SystemDefinition, h: float, ls) -> np.ndarray:
+    """twist at each l of ls along C_h, with the default step, every
+    stencil in one array call: the centre torus and the Richardson points
+    l +- step and l +- step/2 of each l go through _tori_quadrature
+    together, the lanes it rejects through reduced_period_rotation
+    (fill_rejected).  Theta is aligned to the centre as align_angle does,
+    so each value equals twist bit for bit; it is NaN where twist raises a
+    FocusFocusError (at the centre or a stencil point)."""
+    l = np.asarray(ls, dtype=float).ravel()
+    step = np.maximum(FD_STEP_FLOOR, FD_STEP_REL * np.abs(l))
+    lanes = np.concatenate([l, l + step, l - step,
+                            l + 0.5 * step, l - 0.5 * step])
+    hs = np.full(lanes.shape, float(h))
+    T, raw, ok = _tori_quadrature(system, hs, lanes)
+    fill_rejected(system, hs, lanes, T, raw, ok)   # a failed lane stays NaN
+    theta0, *stencil = raw.reshape(5, l.size)
+    w = [(r + TWO_PI * np.round((theta0 - r) / TWO_PI)) / TWO_PI
+         for r in stencil]
+    return richardson(*w, step)
 
 
 def twist_via_j_chart(system: SystemDefinition, c: EMValue) -> float:
@@ -113,6 +135,11 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
     window, by sign scan (refined x4 near candidate changes) plus a
     bracketed root.  Returns (l*, S(l*)).
 
+    The scan's n_scan points are one twist_scan, and the 3 refinement
+    points inside every interval where S changes sign another; a point
+    whose torus or stencil fails reads NaN and brackets no root.  Brent's
+    iterates then call the scalar twist.
+
     Raises ScanError when no sign change exists in the window (expected for
     omega = 0 systems at one sign of h) or when several exist (window too
     large for the asymptotic regime).
@@ -123,24 +150,17 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
         lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
         l_range = (-lmax, lmax)
 
-    def s_or_nan(l: float) -> float:
-        try:
-            return twist(system, EMValue(h, l))
-        except FocusFocusError:   # window edge / failed torus
-            return math.nan
-
-    # plain floats: NumPy scalars would slow every stencil point's arithmetic
-    ls = np.linspace(l_range[0], l_range[1], n_scan).tolist()
-    sv = np.array([s_or_nan(l) for l in ls])
+    ls = np.linspace(l_range[0], l_range[1], n_scan)
+    sv = twist_scan(system, h, ls)
     flips = np.flatnonzero(sv[:-1] * sv[1:] < 0)   # NaN pairs compare False
 
-    brackets = []
-    for i in flips:
-        fine = np.linspace(ls[i], ls[i + 1], 5).tolist()
-        fv = [sv[i]] + [s_or_nan(l) for l in fine[1:-1]] + [sv[i + 1]]
-        for k in range(4):
-            if fv[k] * fv[k + 1] < 0:
-                brackets.append((fine[k], fine[k + 1]))
+    fine = np.array([np.linspace(ls[i], ls[i + 1], 5)
+                     for i in flips.tolist()]).reshape(-1, 5)
+    fv = np.column_stack([
+        sv[flips], twist_scan(system, h, fine[:, 1:-1]).reshape(-1, 3),
+        sv[flips + 1]])
+    r, k = np.nonzero(fv[:, :-1] * fv[:, 1:] < 0)
+    brackets = list(zip(fine[r, k].tolist(), fine[r, k + 1].tolist()))
     if not brackets:
         raise ScanError(f"no twistless torus on C_h, h={h:.6g}, within "
                         f"|l| <= {l_range[1]:.3g}")

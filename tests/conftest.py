@@ -12,7 +12,8 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
-from focusfocus import ChampagneBottle, SphericalPendulum
+from focusfocus import ChampagneBottle, SphericalPendulum, lattice
+from focusfocus.systems import SystemDefinition
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,25 @@ def champagne0():
 @pytest.fixture(scope="session")
 def pendulum():
     return SphericalPendulum()
+
+
+@pytest.fixture
+def scalar_path(monkeypatch):
+    """A switch that puts every torus on the scalar path for the rest of
+    the test: no system's array closed form accepts a lane, so each goes
+    through lattice.reduced_period_rotation.  Calling it returns the list
+    of tori that function then receives."""
+    def switch() -> list:
+        for cls in (ChampagneBottle, SphericalPendulum):
+            monkeypatch.setattr(cls, "period_rotation_array",
+                                SystemDefinition.period_rotation_array)
+        calls = []
+        rpr = lattice.reduced_period_rotation
+
+        def counting(system, c, *args, **kwargs):
+            calls.append(c)
+            return rpr(system, c, *args, **kwargs)
+
+        monkeypatch.setattr(lattice, "reduced_period_rotation", counting)
+        return calls
+    return switch

@@ -9,9 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focusfocus import (ChampagneBottle, SphericalPendulum, acceptance, cli,
-                        lattice, rotation)
-from focusfocus.systems import SystemDefinition
+from focusfocus import acceptance, cli, lattice, rotation
 from reference_marching_squares import marching_squares
 
 # tolerance names no subcommand reads; only "cross" is a known key
@@ -150,6 +148,18 @@ class TestConfigErrors:
                       "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_CONFIG
         assert "configuration error:" in err
+
+    @pytest.mark.parametrize("values", ["0.01,0.01,0.02,0.02",
+                                        "0.01,-0.01,0.01"])
+    def test_repeated_energy(self, tmp_path, capsys, values):
+        # a repeated energy would be written twice and count twice toward
+        # the tangent fit's 4 samples
+        rc, err = run(capsys, "twistless", "--h-values", values,
+                      "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err
+        assert "distinct" in err
+        assert not (tmp_path / "out").exists()
 
     def test_monodromy_too_few_points(self, tmp_path, capsys):
         rc, err = run(capsys, "monodromy", "--n-points", "10",
@@ -405,12 +415,12 @@ def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
     assert rc == cli.EXIT_OK and "scipy.integrate" in flow_modules
 
 
-def default_outputs(root, capsys):
-    """The files grid, spiral and monodromy write on both systems at
-    defaults, JSON summaries without their config (it holds the path)."""
+def default_outputs(root, capsys, commands=("grid", "spiral", "monodromy")):
+    """The files the commands write on both systems at defaults, JSON
+    summaries without their config (it holds the path)."""
     out = {}
     for system in ("champagne", "pendulum"):
-        for command in ("grid", "spiral", "monodromy"):
+        for command in commands:
             d = root / f"{command}-{system}"
             rc = cli.main([command, "--system", system, "--out", str(d)])
             assert rc == cli.EXIT_OK
@@ -426,26 +436,43 @@ def default_outputs(root, capsys):
 
 
 def test_outputs_byte_identical_on_the_scalar_path(tmp_path, capsys,
-                                                   monkeypatch):
+                                                   monkeypatch, scalar_path):
     # the array closed form and the array cell pass against every torus
     # through the scalar closed form and the cell-loop marching squares
     shipped = default_outputs(tmp_path / "shipped", capsys)
-    for cls in (ChampagneBottle, SphericalPendulum):
-        monkeypatch.setattr(cls, "period_rotation_array",
-                            SystemDefinition.period_rotation_array)
+    scalar_calls = scalar_path()
     monkeypatch.setattr(rotation, "_marching_squares", marching_squares)
-    scalar_calls = []
-    rpr = lattice.reduced_period_rotation
-
-    def counting(system, c, *args, **kwargs):
-        scalar_calls.append(c)
-        return rpr(system, c, *args, **kwargs)
-
-    monkeypatch.setattr(lattice, "reduced_period_rotation", counting)
     scalar = default_outputs(tmp_path / "scalar", capsys)
     # two 32 x 64 grids per system, and a 257-torus loop
     assert len(scalar_calls) == 2 * (2 * 32 * 64 + 257)
     assert sorted(shipped) == sorted(scalar)
     assert sum(name.endswith(".csv") for name in shipped) == 6
+    for name in shipped:
+        assert shipped[name] == scalar[name], name
+
+
+def twistless_outputs(root, capsys):
+    """twistless on both systems at defaults, and C6's result as
+    report.json holds it."""
+    out = default_outputs(root, capsys, ("twistless",))
+    c6 = acceptance.c6_twistless(acceptance.AcceptanceConfig())
+    out["C6"] = json.dumps({"status": c6.status, "details": c6.details},
+                           sort_keys=True, indent=2, default=float).encode()
+    return out
+
+
+def test_twistless_byte_identical_on_the_scalar_path(tmp_path, capsys,
+                                                     scalar_path):
+    # each scan's stencils in one array call against every stencil torus
+    # through the scalar closed form
+    shipped = twistless_outputs(tmp_path / "shipped", capsys)
+    scalar_calls = scalar_path()
+    scalar = twistless_outputs(tmp_path / "scalar", capsys)
+    # 8 champagne scans and 2 x 8 pendulum half-axis scans, then C6's 8
+    # gamma = 0.5 and 2 x 6 gamma = 0 scans, 5 tori per scan point
+    assert len(scalar_calls) >= (24 + 20) * 64 * 5
+    assert sorted(shipped) == sorted(scalar)
+    assert sum(name.endswith(".csv") for name in shipped) == 2
+    assert json.loads(shipped["C6"])["status"] == "pass"
     for name in shipped:
         assert shipped[name] == scalar[name], name

@@ -8,7 +8,7 @@ from focusfocus import (EMValue, MomentumValue, annulus_sweep, cross_check,
                         from_momentum_chart, period_lattice,
                         reduced_period_rotation, to_momentum_chart)
 from focusfocus import lattice
-from focusfocus.errors import FitError, FlowError
+from focusfocus.errors import FitError, FlowError, WindowError
 from focusfocus.lattice import PeriodLatticeSample, SweepSample
 
 TWO_PI = 2.0 * math.pi
@@ -262,6 +262,34 @@ class TestPeriodLattice:
 @pytest.fixture(scope="module")
 def sweep(champagne):
     return annulus_sweep(champagne, 1e-4, 1e-2, 8, 16)
+
+
+class TestAnnulusSweep:
+    @pytest.mark.parametrize("name", ["champagne", "pendulum"])
+    def test_one_call_equals_transport_row_by_row(self, name, request):
+        # the whole sweep in one array call, against each row transported
+        # on its own
+        system = request.getfixturevalue(name)
+        n_r, n_theta = 5, 12
+        got = annulus_sweep(system, 1e-4, 1e-2, n_r, n_theta)
+        assert len(got) == n_r * n_theta
+        for row in range(n_r):
+            samples = got[row * n_theta:(row + 1) * n_theta]
+            carried = lattice.transport(system, [s.c for s in samples])
+            assert [s.lattice for s in samples] == carried
+
+    def test_failed_torus_raises_the_scalar_exception(self, champagne):
+        # the inner row sits below the |j| floor: its first torus fails
+        # the sweep, with reduced_period_rotation's exception
+        rho = 1e-6
+        c = from_momentum_chart(champagne, MomentumValue(
+            rho * math.cos(lattice.RAY_OFFSET),
+            rho * math.sin(lattice.RAY_OFFSET)))
+        with pytest.raises(WindowError) as want:
+            reduced_period_rotation(champagne, c)
+        with pytest.raises(WindowError) as got:
+            annulus_sweep(champagne, rho, 1e-2, 3, 8)
+        assert str(got.value) == str(want.value)
 
 
 class TestAsymptoticFit:

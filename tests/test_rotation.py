@@ -115,9 +115,10 @@ class TestRotationGrid:
 
 def test_grid_is_one_array_call_and_stencils_stay_scalar(champagne,
                                                           monkeypatch):
-    # a grid evaluates all its tori in one call of the array form; a
-    # stencil point is one scalar call on Python floats (NumPy scalars
-    # would run the closed form's arithmetic at NumPy's scalar speed)
+    # a grid and an annulus sweep each evaluate all their tori in one call
+    # of the array form; a stencil point of the scalar twist is one scalar
+    # call on Python floats (NumPy scalars would run the closed form's
+    # arithmetic at NumPy's scalar speed)
     batches, seen = [], []
     array_form = type(champagne).period_rotation_array
 
@@ -135,9 +136,9 @@ def test_grid_is_one_array_call_and_stencils_stay_scalar(champagne,
     rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (3, 7))
     assert batches == [21] and seen == []
     annulus_sweep(champagne, 1e-3, 1e-2, 2, 5)
-    assert batches == [21, 5, 5] and seen == []
+    assert batches == [21, 10] and seen == []
     twist(champagne, EMValue(0.01, 0.005))
-    assert batches == [21, 5, 5]
+    assert batches == [21, 10]
     assert len(seen) == 4   # the Richardson stencil's points
     assert all(type(c.h) is float and type(c.l) is float for c in seen)
 

@@ -3,13 +3,54 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from focusfocus import (EMValue, MomentumValue, ScanError, eval_constants,
-                        expected_twistless_slope, from_momentum_chart,
-                        rotation_number, tilde_s, torus_invariants, twist,
+from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
+                        MomentumValue, ScanError, SphericalPendulum,
+                        eval_constants, expected_twistless_slope,
+                        from_momentum_chart, lattice, rotation_number,
+                        tilde_s, torus_invariants, twist, twist_scan,
                         twist_via_j_chart, twistless_curve, twistless_point)
+from focusfocus.twist import _l_window
 
 TWO_PI = 2.0 * math.pi
+SCAN_SYSTEMS = {"champagne": ChampagneBottle(gamma=0.5),
+                "champagne0": ChampagneBottle(gamma=0.0),
+                "pendulum": SphericalPendulum()}
+
+
+def scalar_scan(system, h, ls):
+    """twist at each l, NaN where it raises a FocusFocusError."""
+    out = []
+    for l in ls:
+        try:
+            out.append(twist(system, EMValue(h, l)))
+        except FocusFocusError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+def same_scan(got, want):
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@st.composite
+def scans(draw):
+    """A system, an energy and a scan along C_h: centred on the l = 0 axis,
+    on the l of the window cap (either sign), or anywhere inside it."""
+    name = draw(st.sampled_from(sorted(SCAN_SYSTEMS)))
+    system = SCAN_SYSTEMS[name]
+    h = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+        st.floats(-5.0, -1.0))
+    lcap = _l_window(system, h, system.j_cap)
+    where = draw(st.sampled_from(["axis", "cap", "-cap", "inside"]))
+    centre = {"axis": 0.0, "cap": lcap, "-cap": -lcap,
+              "inside": draw(st.floats(-lcap, lcap))}[where]
+    half = lcap * 10.0 ** draw(st.floats(-7.0, 0.0))
+    n = draw(st.integers(1, 17))
+    return name, system, h, np.linspace(centre - half, centre + half, n)
 
 
 class TestTwist:
@@ -105,6 +146,61 @@ class TestTildeS:
             lead = (ff.A0 ** 2 - 1.0) * j.j1 - 2.0 * ff.A0 * j.j2
             val = tilde_s(champagne, from_momentum_chart(champagne, j))
             assert abs(val - lead) <= bound * abs(lead)
+
+
+class TestTwistScan:
+    """twist_scan, every stencil of a scan in one array call, against the
+    scalar twist at each scan point."""
+
+    @given(scans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scalar_twist_bit_for_bit(self, scan):
+        _, system, h, ls = scan
+        same_scan(twist_scan(system, h, ls), scalar_scan(system, h, ls.tolist()))
+
+    @pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
+    @pytest.mark.parametrize("h", [0.005, -0.02])
+    def test_default_scans_with_window_edges(self, name, h):
+        # the default scan window, widened past the cap: NaN exactly where
+        # a torus or a stencil point leaves the window
+        system = SCAN_SYSTEMS[name]
+        lcap = _l_window(system, h, system.j_cap)
+        ls = np.linspace(-1.05 * lcap, 1.05 * lcap, 65)
+        got = twist_scan(system, h, ls)
+        same_scan(got, scalar_scan(system, h, ls.tolist()))
+        assert np.isnan(got[[0, -1]]).all() and np.isfinite(got[32])
+
+    @given(scans(), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_independent_of_the_scan_length(self, scan, rnd):
+        # a point reads the same alone, in any part of the scan, or in all
+        _, system, h, ls = scan
+        whole = twist_scan(system, h, ls)
+        cut = rnd.randint(0, ls.size)
+        same_scan(np.concatenate([twist_scan(system, h, ls[:cut]),
+                                  twist_scan(system, h, ls[cut:])]), whole)
+        i = rnd.randrange(ls.size)
+        same_scan(twist_scan(system, h, ls[i:i + 1]), whole[i:i + 1])
+        assert twist_scan(system, h, ls[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("where", ["array form", "rejected lanes"])
+    def test_programming_error_in_the_scan_surfaces(self, champagne,
+                                                    monkeypatch, scalar_path,
+                                                    where):
+        # only toolkit errors read as NaN; a bug in the scan's evaluation,
+        # in the array form or in the scalar call its rejected lanes take,
+        # must reach the caller
+        def broken(*args, **kwargs):
+            raise TypeError("bug in the scan")
+
+        if where == "array form":
+            monkeypatch.setattr(type(champagne), "period_rotation_array",
+                                broken)
+        else:
+            scalar_path()
+            monkeypatch.setattr(lattice, "reduced_period_rotation", broken)
+        with pytest.raises(TypeError, match="bug in the scan"):
+            twistless_point(champagne, 0.02)
 
 
 class TestTwistlessPoint:
