@@ -36,13 +36,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FocusFocusError
+from .errors import FocusFocusError, ScanError
 from .systems import eval_constants, make_system
 from .lattice import (CROSS_TOL, MomentumValue, cross_checks,
                       from_momentum_chart, sample_cross_tori)
-from .rotation import (MIN_LOOP_POINTS, AnnulusRegion, contour_levels,
-                       extract_level_curve, fit_log_spiral, monodromy_loop,
-                       rotation_grid)
+from .rotation import (MASK_CORE, MASK_REGULAR, MIN_LOOP_POINTS,
+                       AnnulusRegion, contour_levels, extract_level_curve,
+                       fit_log_spiral, monodromy_loop, rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
 from .kolmogorov import asymptote_sweep
 from .acceptance import RNG_SEED, AcceptanceConfig, run_all
@@ -236,11 +236,23 @@ def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _strict(value):
+    """value with every non-finite float as None: JSON has no NaN or
+    infinity, and a strict parser rejects the NaN that json writes."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_summary(path: Path, cfg: dict, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"config": cfg, **payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2,
-                               default=float) + "\n", encoding="utf-8")
+    doc = _strict({"config": cfg, **payload})
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, default=float,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 # --------------------------------------------------------------------------
@@ -279,8 +291,11 @@ def cmd_grid(cfg: dict) -> int:
     out = Path(cfg["out"])
     write_csv(out / "grid.csv", ["h", "l", "j1", "j2", "W", "branch", "mask"],
               rows)
-    if np.all(grid.mask != 0):
-        return EXIT_NUMERICAL
+    if np.all(grid.mask != MASK_REGULAR):
+        core = np.count_nonzero(grid.mask == MASK_CORE)
+        raise FocusFocusError(f"every torus of the grid is masked: {core} "
+                              f"below the |j| floor, {grid.mask.size - core} "
+                              "failed")
     write_summary(out / "grid_summary.json", cfg, {
         "masked_fraction": grid.masked_fraction(),
         "W_range": [float(np.nanmin(grid.w)), float(np.nanmax(grid.w))]})
@@ -343,7 +358,9 @@ def cmd_twistless(cfg: dict) -> int:
     }
     write_summary(out / "twistless_summary.json", cfg, doc)
     if not curve.samples:
-        return EXIT_NUMERICAL
+        h, reason = curve.failures[0]
+        raise ScanError(f"no twistless torus at any energy; at h={h:.6g}: "
+                        f"{reason}")
     return EXIT_OK
 
 
@@ -385,7 +402,12 @@ def cmd_crosscheck(cfg: dict) -> int:
         "max_rel_dTheta": max((r[7] for r in rows), default=0.0)})
     # per-point failures are recorded in the summary; only total failure
     # is a nonzero exit
-    return EXIT_NUMERICAL if failures == cfg["n_tori"] else EXIT_OK
+    if failures == cfg["n_tori"]:
+        first = results[0]
+        raise FocusFocusError(f"every one of the {failures} cross-check tori "
+                              f"failed, the first with "
+                              f"{type(first).__name__}: {first}")
+    return EXIT_OK
 
 
 def cmd_report(cfg: dict) -> int:
@@ -435,12 +457,17 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given the name of a subcommand, only that
+    subcommand's parser is built (the one a command line naming it runs);
+    otherwise all of them, which --help lists and an unknown name is
+    checked against."""
     p = _Parser(prog="focusfocus",
                 description="rotation number, twist and frequency-map "
                             "analyses near a focus-focus equilibrium")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, reads in READS.items():
+    for name in [command] if command in READS else READS:
+        reads = READS[name]
         sp = sub.add_parser(name)
         sp.add_argument("--config", metavar="FILE",
                         help="'key = value' lines, which the flags override")
@@ -459,8 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return COMMANDS[args.command](build_config(args))
     except SystemExit:   # --help; a bad command line raises ConfigError
         return EXIT_OK

@@ -9,6 +9,11 @@ set is a curve through the origin whose tangent satisfies
 h = omega (omega^2 + alpha^2)/(omega^2 - alpha^2) l in the loxodromic case.
 For omega = 0 the transversality degenerates and the toolkit only reports
 the |h|/|l*| trend.
+
+A twistless curve is found by sign scans along each C_h.  The scans of all
+its energies are one array call (twist_scan) and the refinement points
+around their sign changes a second; only Brent's iterates, one root at a
+time, call the scalar twist.
 """
 from __future__ import annotations
 
@@ -56,25 +61,29 @@ def twist(system: SystemDefinition, c: EMValue,
                          step=max(FD_STEP_FLOOR, dl_rel * abs(c.l)))
 
 
-def twist_scan(system: SystemDefinition, h: float, ls) -> np.ndarray:
-    """twist at each l of ls along C_h, with the default step, every
-    stencil in one array call: the centre torus and the Richardson points
-    l +- step and l +- step/2 of each l go through _tori_quadrature
-    together, the lanes it rejects through reduced_period_rotation
-    (fill_rejected).  Theta is aligned to the centre as align_angle does,
-    so each value equals twist bit for bit; it is NaN where twist raises a
-    FocusFocusError (at the centre or a stencil point)."""
-    l = np.asarray(ls, dtype=float).ravel()
+def twist_scan(system: SystemDefinition, h, ls) -> np.ndarray:
+    """twist at each (h, l) of h and ls broadcast together (h a float, or
+    one energy per lane), with the default step, every stencil in one
+    array call: the centre torus and the Richardson points l +- step and
+    l +- step/2 of each lane go through _tori_quadrature together, the
+    lanes it rejects through reduced_period_rotation (fill_rejected).
+    Theta is aligned to the centre as align_angle does, so each value
+    equals twist bit for bit; it is NaN where twist raises a
+    FocusFocusError (at the centre or a stencil point).  The result has
+    the broadcast shape."""
+    h, l = np.broadcast_arrays(np.asarray(h, dtype=float),
+                               np.asarray(ls, dtype=float))
+    shape, h, l = l.shape, h.ravel(), l.ravel()
     step = np.maximum(FD_STEP_FLOOR, FD_STEP_REL * np.abs(l))
     lanes = np.concatenate([l, l + step, l - step,
                             l + 0.5 * step, l - 0.5 * step])
-    hs = np.full(lanes.shape, float(h))
+    hs = np.tile(h, 5)
     T, raw, ok = _tori_quadrature(system, hs, lanes)
     fill_rejected(system, hs, lanes, T, raw, ok)   # a failed lane stays NaN
     theta0, *stencil = raw.reshape(5, l.size)
     w = [(r + TWO_PI * np.round((theta0 - r) / TWO_PI)) / TWO_PI
          for r in stencil]
-    return richardson(*w, step)
+    return richardson(*w, step).reshape(shape)
 
 
 def twist_via_j_chart(system: SystemDefinition, c: EMValue) -> float:
@@ -128,6 +137,52 @@ def _l_window(system: SystemDefinition, h: float, j_cap: float) -> float:
     return lo
 
 
+def _twistless_roots(system: SystemDefinition,
+                     jobs: list[tuple[float, tuple[float, float]]],
+                     n_scan: int = 64) -> list:
+    """The unique zero of S along C_h inside l_range, for each job
+    (h, l_range): (l*, S(l*)), or the ScanError that rules it out.
+
+    The n_scan points of every job's sign scan are one twist_scan, and the
+    3 refinement points inside every interval where S changes sign, over
+    all jobs, another; a point whose torus or stencil fails reads NaN and
+    brackets no root.  Each job then brackets its root alone, and Brent's
+    iterates call the scalar twist.
+    """
+    hs = np.array([h for h, _ in jobs], dtype=float).reshape(-1, 1)
+    ls = np.array([np.linspace(lo, hi, n_scan)
+                   for _, (lo, hi) in jobs]).reshape(-1, n_scan)
+    sv = twist_scan(system, hs, ls)
+    job, i = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0)   # NaN pairs: False
+
+    fine = np.array([np.linspace(ls[r, k], ls[r, k + 1], 5)
+                     for r, k in zip(job.tolist(), i.tolist())]
+                    ).reshape(-1, 5)
+    fv = np.column_stack([sv[job, i], twist_scan(system, hs[job],
+                                                 fine[:, 1:-1]),
+                          sv[job, i + 1]])
+    f, k = np.nonzero(fv[:, :-1] * fv[:, 1:] < 0)
+    brackets = [[] for _ in jobs]
+    for r, a, b in zip(job[f].tolist(), fine[f, k].tolist(),
+                       fine[f, k + 1].tolist()):
+        brackets[r].append((a, b))
+
+    out: list = []
+    for (h, (_, l_hi)), found in zip(jobs, brackets):
+        if not found:
+            out.append(ScanError(f"no twistless torus on C_h, h={h:.6g}, "
+                                 f"within |l| <= {l_hi:.3g}"))
+            continue
+        if len(found) > 1:
+            out.append(ScanError(f"{len(found)} sign changes of S on C_h, "
+                                 f"h={h:.6g}: window too large"))
+            continue
+        l_star = find_root_bracketed(
+            lambda l: twist(system, EMValue(h, l)), found[0])
+        out.append((float(l_star), float(twist(system, EMValue(h, l_star)))))
+    return out
+
+
 def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
                     l_range: tuple[float, float] | None = None
                     ) -> tuple[float, float]:
@@ -135,10 +190,9 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
     window, by sign scan (refined x4 near candidate changes) plus a
     bracketed root.  Returns (l*, S(l*)).
 
-    The scan's n_scan points are one twist_scan, and the 3 refinement
-    points inside every interval where S changes sign another; a point
-    whose torus or stencil fails reads NaN and brackets no root.  Brent's
-    iterates then call the scalar twist.
+    The one-job case of the twistless core: the scan is one twist_scan
+    call and its refinement points another, and Brent's iterates call the
+    scalar twist.
 
     Raises ScanError when no sign change exists in the window (expected for
     omega = 0 systems at one sign of h) or when several exist (window too
@@ -149,28 +203,10 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
     if l_range is None:
         lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
         l_range = (-lmax, lmax)
-
-    ls = np.linspace(l_range[0], l_range[1], n_scan)
-    sv = twist_scan(system, h, ls)
-    flips = np.flatnonzero(sv[:-1] * sv[1:] < 0)   # NaN pairs compare False
-
-    fine = np.array([np.linspace(ls[i], ls[i + 1], 5)
-                     for i in flips.tolist()]).reshape(-1, 5)
-    fv = np.column_stack([
-        sv[flips], twist_scan(system, h, fine[:, 1:-1]).reshape(-1, 3),
-        sv[flips + 1]])
-    r, k = np.nonzero(fv[:, :-1] * fv[:, 1:] < 0)
-    brackets = list(zip(fine[r, k].tolist(), fine[r, k + 1].tolist()))
-    if not brackets:
-        raise ScanError(f"no twistless torus on C_h, h={h:.6g}, within "
-                        f"|l| <= {l_range[1]:.3g}")
-    if len(brackets) > 1:
-        raise ScanError(f"{len(brackets)} sign changes of S on C_h, "
-                        f"h={h:.6g}: window too large")
-
-    l_star = find_root_bracketed(lambda l: twist(system, EMValue(h, l)),
-                                 brackets[0])
-    return float(l_star), float(twist(system, EMValue(h, l_star)))
+    (root,) = _twistless_roots(system, [(h, l_range)], n_scan)
+    if isinstance(root, ScanError):
+        raise root
+    return root
 
 
 @dataclass(frozen=True)
@@ -213,35 +249,42 @@ def twistless_curve(system: SystemDefinition,
     of h against j2 on the 4 smallest |h| samples (weights 1/h^2) compared
     against the predicted tangent.  omega = 0 systems: per h, the half-axis
     root nearest the axis (l > 0 of a mirror pair), and the |h|/|l*| trend.
+
+    Each energy (each half-axis at omega = 0) is one job of the twistless
+    core, as twistless_point is, so the roots equal a loop of
+    twistless_point bit for bit; the scans of all jobs are one twist_scan
+    call and their refinement points another.
     """
     ff = system.constants()
     degenerate = ff.omega == 0.0
     samples: list[TwistlessSample] = []
     failures: list[tuple[float, str]] = []
 
-    for h in sorted(h_values):
+    energies = sorted(h_values)
+    windows = []   # the l ranges scanned at each energy: half-axes at omega = 0
+    for h in energies:
+        if h == 0.0:
+            windows.append(())
+            continue
+        lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
+        windows.append(((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax))
+                       if degenerate else ((-lmax, lmax),))
+    roots = iter(_twistless_roots(system, [
+        (h, rng) for h, rngs in zip(energies, windows) for rng in rngs]))
+
+    for h, rngs in zip(energies, windows):
         if h == 0.0:
             failures.append((h, "h = 0 excluded"))
             continue
-        try:
-            if degenerate:
-                lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
-                found = []
-                for rng in ((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax)):
-                    try:
-                        found.append(twistless_point(system, h, l_range=rng))
-                    except ScanError:
-                        pass
-                if not found:
-                    raise ScanError(f"no twistless torus at h={h:.6g} "
-                                    "(expected for one h sign at omega = 0)")
-                l_star, resid = min(found, key=lambda t: abs(t[0]) * (
-                    1.0 - MIRROR_RTOL if t[0] > 0.0 else 1.0))
-            else:
-                l_star, resid = twistless_point(system, h)
-        except ScanError as exc:
-            failures.append((h, str(exc)))
+        results = [next(roots) for _ in rngs]
+        found = [r for r in results if not isinstance(r, ScanError)]
+        if not found:
+            failures.append((h, f"no twistless torus at h={h:.6g} (expected "
+                             "for one h sign at omega = 0)" if degenerate
+                             else str(results[0])))
             continue
+        l_star, resid = min(found, key=lambda t: abs(t[0]) * (
+            1.0 - MIRROR_RTOL if t[0] > 0.0 else 1.0))
         j = to_momentum_chart(system, EMValue(h, l_star))
         samples.append(TwistlessSample(h=h, l_star=l_star, j1=j.j1, j2=j.j2,
                                        s_residual=resid))

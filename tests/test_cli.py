@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -325,6 +326,75 @@ def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):
     assert tori_d == [sample(s, rng, 1) for s in (champ, pend)]
 
 
+def rejecting_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_summaries_are_strict_json(tmp_path, capsys):
+    # JSON has no NaN: a non-finite number (the pendulum's tangent slope
+    # fit, which omega = 0 leaves undefined) is written as null
+    for system in ("champagne", "pendulum"):
+        for command in ("constants", "grid", "spiral", "monodromy",
+                        "twistless", "kolmogorov"):
+            rc = cli.main([command, "--system", system,
+                           "--out", str(tmp_path / f"{command}-{system}")])
+            assert rc == cli.EXIT_OK
+    assert cli.main(["crosscheck", "--n-tori", "2",
+                     "--out", str(tmp_path / "crosscheck")]) == cli.EXIT_OK
+    assert cli.main(["report", "--n-tori", "2", "--res", "8,16",
+                     "--out", str(tmp_path / "report")]) == cli.EXIT_OK
+    capsys.readouterr()
+    docs = {path.relative_to(tmp_path).as_posix(): json.loads(
+                path.read_text(encoding="utf-8"),
+                parse_constant=rejecting_constant)
+            for path in tmp_path.glob("*/*.json")}
+    assert len(docs) == 14 and "report/report.json" in docs
+    fit = docs["twistless-pendulum/twistless_summary.json"]
+    assert fit["tangent_slope_fit"] is None
+
+
+class TestParser:
+    def test_help_lists_every_subcommand(self, capsys):
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli.READS) + "}" in out
+
+    def test_unknown_subcommand(self, capsys):
+        rc, err = run(capsys, "bogus")
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith("configuration error:")
+        assert "invalid choice: 'bogus'" in err
+
+    def test_subcommand_help_shows_its_flags_alone(self, capsys):
+        assert cli.main(["spiral", "--help"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        flags = {word.strip("[],") for word in out.split()
+                 if word.strip("[],").startswith("--")}
+        assert flags == {"--config", "--system", "--param", "--window",
+                         "--res", "--levels", "--out", "--jobs", "--help"}
+
+    def test_one_subparser_for_a_named_subcommand(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # main() reads sys.argv; naming a subcommand builds its parser alone
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            recording)
+        monkeypatch.setattr(sys, "argv", ["focusfocus", "constants", "--out",
+                                          str(tmp_path)])
+        assert cli.main() == cli.EXIT_OK
+        assert built == ["constants"]
+        assert cli.main(["--config", "missing.cfg", "constants"]) \
+            == cli.EXIT_CONFIG
+        assert built == ["constants", *cli.READS]
+        capsys.readouterr()
+
+
 class TestExitCodes:
     def test_grid_row_below_the_wrap_guard_resolution(self, tmp_path, capsys):
         # a 4-angle row steps Theta by just over the 0.5 pi wrap guard
@@ -345,11 +415,41 @@ class TestExitCodes:
     def test_numerical_failure(self, tmp_path, capsys):
         # every grid point lies below the system's |j| floor
         out = tmp_path / "out"
-        rc, _ = run(capsys, "grid", "--window", "1e-7,1e-6", "--res", "2,5",
-                    "--out", str(out))
+        rc, err = run(capsys, "grid", "--window", "1e-7,1e-6", "--res",
+                      "2,5", "--out", str(out))
         assert rc == cli.EXIT_NUMERICAL
+        assert err == ("numerical failure: every torus of the grid is "
+                       "masked: 10 below the |j| floor, 0 failed\n")
         with (out / "grid.csv").open(newline="") as fh:
             assert {row["mask"] for row in csv.DictReader(fh)} == {"1"}
+
+    def test_twistless_without_a_sample(self, tmp_path, capsys):
+        # omega = 0: no twistless torus at any energy given
+        rc, err = run(capsys, "twistless", "--system", "pendulum",
+                      "--h-values", "0.3", "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert err.startswith("numerical failure: no twistless torus at any "
+                              "energy; at h=0.3: no twistless torus")
+        doc = json.loads((tmp_path / "twistless_summary.json").read_text())
+        assert [f["h"] for f in doc["failures"]] == [0.3]
+
+    def test_crosscheck_with_every_torus_failed(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a flow budget no torus closes in
+        integrate_flow = lattice.integrate_flow
+
+        def short_flow(field, p0, t_max, **kwargs):
+            return integrate_flow(field, p0, np.full(np.shape(t_max), 1.0),
+                                  **kwargs)
+
+        monkeypatch.setattr(lattice, "integrate_flow", short_flow)
+        rc, err = run(capsys, "crosscheck", "--n-tori", "3",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert err.startswith("numerical failure: every one of the 3 "
+                              "cross-check tori failed, the first with ")
+        doc = json.loads((tmp_path / "crosscheck_summary.json").read_text())
+        assert doc["failures"] == 3
 
     def test_spiral_with_a_masked_mid_row(self, tmp_path, capsys):
         # |j| beyond the pendulum's cap 0.2 masks the grid's mid row
@@ -463,13 +563,14 @@ def twistless_outputs(root, capsys):
 
 def test_twistless_byte_identical_on_the_scalar_path(tmp_path, capsys,
                                                      scalar_path):
-    # each scan's stencils in one array call against every stencil torus
-    # through the scalar closed form
+    # each curve's scans in one array call and their refinement points in
+    # another, against every stencil torus through the scalar closed form
     shipped = twistless_outputs(tmp_path / "shipped", capsys)
     scalar_calls = scalar_path()
     scalar = twistless_outputs(tmp_path / "scalar", capsys)
-    # 8 champagne scans and 2 x 8 pendulum half-axis scans, then C6's 8
-    # gamma = 0.5 and 2 x 6 gamma = 0 scans, 5 tori per scan point
+    # four curves, two array calls each: 8 champagne scans and 2 x 8
+    # pendulum half-axis scans, then C6's 8 gamma = 0.5 and 2 x 6 gamma = 0
+    # scans, 64 points of 5 tori per scan, each torus now a scalar call
     assert len(scalar_calls) >= (24 + 20) * 64 * 5
     assert sorted(shipped) == sorted(scalar)
     assert sum(name.endswith(".csv") for name in shipped) == 2

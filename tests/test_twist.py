@@ -20,9 +20,10 @@ SCAN_SYSTEMS = {"champagne": ChampagneBottle(gamma=0.5),
 
 
 def scalar_scan(system, h, ls):
-    """twist at each l, NaN where it raises a FocusFocusError."""
+    """twist at each (h, l), h a float or one energy per l, NaN where it
+    raises a FocusFocusError."""
     out = []
-    for l in ls:
+    for h, l in zip(np.broadcast_to(h, np.shape(ls)).tolist(), ls):
         try:
             out.append(twist(system, EMValue(h, l)))
         except FocusFocusError:
@@ -37,10 +38,9 @@ def same_scan(got, want):
 
 
 @st.composite
-def scans(draw):
-    """A system, an energy and a scan along C_h: centred on the l = 0 axis,
-    on the l of the window cap (either sign), or anywhere inside it."""
-    system = SCAN_SYSTEMS[draw(st.sampled_from(sorted(SCAN_SYSTEMS)))]
+def energy_scans(draw, system):
+    """An energy and a scan along C_h: centred on the l = 0 axis, on the l
+    of the window cap (either sign), or anywhere inside it."""
     h = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
         st.floats(-5.0, -1.0))
     lcap = _l_window(system, h, system.j_cap)
@@ -49,7 +49,17 @@ def scans(draw):
               "inside": draw(st.floats(-lcap, lcap))}[where]
     half = lcap * 10.0 ** draw(st.floats(-7.0, 0.0))
     n = draw(st.integers(1, 17))
-    return system, h, np.linspace(centre - half, centre + half, n)
+    return h, np.linspace(centre - half, centre + half, n)
+
+
+@st.composite
+def scans(draw):
+    """A system and the scans of 1 to 3 energies as one scan whose lanes
+    carry their own energy: (system, h per lane, l per lane)."""
+    system = SCAN_SYSTEMS[draw(st.sampled_from(sorted(SCAN_SYSTEMS)))]
+    parts = draw(st.lists(energy_scans(system), min_size=1, max_size=3))
+    return (system, np.concatenate([np.full(ls.size, h) for h, ls in parts]),
+            np.concatenate([ls for _, ls in parts]))
 
 
 class TestTwist:
@@ -149,14 +159,24 @@ class TestTildeS:
 
 class TestTwistScan:
     """twist_scan, every stencil of a scan in one array call, against the
-    scalar twist at each scan point."""
+    scalar twist at each scan point.  The drawn scans mix energies."""
 
     @given(scans())
     @settings(max_examples=200, deadline=None)
     def test_equals_scalar_twist_bit_for_bit(self, scan):
-        system, h, ls = scan
-        same_scan(twist_scan(system, h, ls),
-                  scalar_scan(system, h, ls.tolist()))
+        system, hs, ls = scan
+        same_scan(twist_scan(system, hs, ls),
+                  scalar_scan(system, hs, ls.tolist()))
+
+    @given(scans())
+    @settings(max_examples=30, deadline=None)
+    def test_energy_per_row_broadcasts(self, scan):
+        # the twistless core's form: one energy per row of a 2-D scan
+        system, hs, ls = scan
+        got = twist_scan(system, hs[:, None], np.column_stack([ls, -ls]))
+        assert got.shape == (ls.size, 2)
+        same_scan(got.ravel(), np.column_stack([
+            twist_scan(system, hs, ls), twist_scan(system, hs, -ls)]).ravel())
 
     @pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
     @pytest.mark.parametrize("h", [0.005, -0.02])
@@ -174,14 +194,16 @@ class TestTwistScan:
     @settings(max_examples=60, deadline=None)
     def test_independent_of_the_scan_length(self, scan, rnd):
         # a point reads the same alone, in any part of the scan, or in all
-        system, h, ls = scan
-        whole = twist_scan(system, h, ls)
+        system, hs, ls = scan
+        whole = twist_scan(system, hs, ls)
         cut = rnd.randint(0, ls.size)
-        same_scan(np.concatenate([twist_scan(system, h, ls[:cut]),
-                                  twist_scan(system, h, ls[cut:])]), whole)
+        same_scan(np.concatenate([twist_scan(system, hs[:cut], ls[:cut]),
+                                  twist_scan(system, hs[cut:], ls[cut:])]),
+                  whole)
         i = rnd.randrange(ls.size)
-        same_scan(twist_scan(system, h, ls[i:i + 1]), whole[i:i + 1])
-        assert twist_scan(system, h, ls[:0]).shape == (0,)
+        same_scan(twist_scan(system, float(hs[i]), ls[i:i + 1]),
+                  whole[i:i + 1])
+        assert twist_scan(system, hs[:0], ls[:0]).shape == (0,)
 
     @pytest.mark.parametrize("where", ["array form", "rejected lanes"])
     def test_programming_error_in_the_scan_surfaces(self, champagne,
@@ -292,11 +314,11 @@ class TestTwistlessCurve:
         # sign
         twist_module = importlib.import_module("focusfocus.twist")
 
-        def mirrored(system, h, l_range):
-            l_star = 0.0642 + skew if l_range[0] > 0 else -0.0642
-            return l_star, 0.0
+        def mirrored(system, jobs, n_scan=64):
+            return [(0.0642 + skew if l_range[0] > 0 else -0.0642, 0.0)
+                    for _, l_range in jobs]
 
-        monkeypatch.setattr(twist_module, "twistless_point", mirrored)
+        monkeypatch.setattr(twist_module, "_twistless_roots", mirrored)
         curve = twistless_curve(pendulum, [0.005])
         assert curve.samples[0].l_star == pytest.approx(0.0642, abs=1e-11)
 
@@ -304,10 +326,11 @@ class TestTwistlessCurve:
                                                       monkeypatch):
         twist_module = importlib.import_module("focusfocus.twist")
 
-        def lopsided(system, h, l_range):
-            return (0.0642 if l_range[0] > 0 else -0.05), 0.0
+        def lopsided(system, jobs, n_scan=64):
+            return [(0.0642 if l_range[0] > 0 else -0.05, 0.0)
+                    for _, l_range in jobs]
 
-        monkeypatch.setattr(twist_module, "twistless_point", lopsided)
+        monkeypatch.setattr(twist_module, "_twistless_roots", lopsided)
         assert twistless_curve(pendulum, [0.005]).samples[0].l_star == -0.05
 
     def test_pendulum_mirror_roots_agree_to_rounding(self, pendulum):
@@ -321,3 +344,75 @@ class TestTwistlessCurve:
         assert plus > 0 > minus
         assert abs(plus + minus) <= 1e-2 * twist_module.MIRROR_RTOL * plus
         assert twistless_curve(pendulum, [0.007]).samples[0].l_star == plus
+
+
+def reference_curve(system, h_values):
+    """The samples (h, l*, S(l*)) and failures of twistless_curve, by a
+    loop of twistless_point over the energies and, at omega = 0, over
+    each energy's half-axes."""
+    twist_module = importlib.import_module("focusfocus.twist")
+    degenerate = eval_constants(system).omega == 0.0
+    samples, failures = [], []
+    for h in sorted(h_values):
+        if h == 0.0:
+            failures.append((h, "h = 0 excluded"))
+            continue
+        try:
+            if not degenerate:
+                samples.append((h, *twistless_point(system, h)))
+                continue
+            lmax = _l_window(system, h, min(twist_module.SCAN_CAP,
+                                            system.j_cap))
+            found = []
+            for rng in ((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax)):
+                try:
+                    found.append(twistless_point(system, h, l_range=rng))
+                except ScanError:
+                    pass
+            if not found:
+                raise ScanError(f"no twistless torus at h={h:.6g} "
+                                "(expected for one h sign at omega = 0)")
+            samples.append((h, *min(found, key=lambda t: abs(t[0]) * (
+                1.0 - twist_module.MIRROR_RTOL if t[0] > 0.0 else 1.0))))
+        except ScanError as exc:
+            failures.append((h, str(exc)))
+    return samples, failures
+
+
+CURVE_ENERGIES = [0.005, -0.005, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05,
+                  0.0, 0.001, -0.002, 0.1]
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
+def test_curve_equals_the_per_energy_loop(name):
+    # all energies' scans in one array call and their refinement points in
+    # another, against one twistless_point (two calls) per energy and
+    # half-axis: the same roots, residuals and failures, bit for bit
+    system = SCAN_SYSTEMS[name]
+    curve = twistless_curve(system, CURVE_ENERGIES)
+    samples, failures = reference_curve(system, CURVE_ENERGIES)
+    got = [(s.h, s.l_star, s.s_residual) for s in curve.samples]
+    assert np.array(got).tobytes() == np.array(samples).tobytes()
+    assert curve.failures == failures
+    assert len(samples) >= 4 and ("h = 0 excluded" in dict(failures)[0.0])
+
+
+@pytest.mark.parametrize("name", ["champagne", "pendulum"])
+@pytest.mark.parametrize("n_energies", [4, 8, 16])
+def test_curve_is_two_array_calls(monkeypatch, name, n_energies):
+    # the scans of every energy (and half-axis) in one _tori_quadrature
+    # call, the refinement points in a second, whatever the energy count
+    twist_module = importlib.import_module("focusfocus.twist")
+    system = SCAN_SYSTEMS[name]
+    batches = []
+    quadrature = twist_module._tori_quadrature
+
+    def recording(system, h, l):
+        batches.append(h.size)
+        return quadrature(system, h, l)
+
+    monkeypatch.setattr(twist_module, "_tori_quadrature", recording)
+    hs = np.geomspace(0.003, 0.05, n_energies // 2).tolist()
+    twistless_curve(system, hs + [-h for h in hs])
+    jobs = n_energies * (2 if name == "pendulum" else 1)
+    assert len(batches) == 2 and batches[0] == jobs * 64 * 5
