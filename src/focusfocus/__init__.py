@@ -21,12 +21,11 @@ from .lattice import (AsymptoticModel, MomentumValue, PeriodLatticeSample,
 from .rotation import (AnnulusRegion, LevelCurve, RotationGrid, SpiralFit,
                        extract_level_curve, fit_log_spiral, monodromy_index,
                        monodromy_loop, rotation_grid, rotation_number)
-from .twist import (TorusInvariants, TwistlessCurve, TwistlessSample,
-                    expected_twistless_slope, tilde_s, torus_invariants,
-                    twist, twist_scan, twist_via_j_chart, twistless_curve,
+from .twist import (TwistlessCurve, TwistlessSample, expected_twistless_slope,
+                    tilde_s, twist, twist_scan, twistless_curve,
                     twistless_point)
 from .kolmogorov import (FrequencySample, asymptote_sweep, frequency_jacobian_det,
-                         frequency_map, tau_jacobian)
+                         tau_jacobian)
 
 __version__ = "0.1.0"
 

@@ -42,12 +42,6 @@ class FrequencySample:
     ratio: float          # det_I / asymptote
 
 
-def frequency_map(system: SystemDefinition, c: EMValue) -> tuple[float, float]:
-    """(omega1, omega2) = (2 pi / T, Theta / T) with the per-torus Theta."""
-    T, theta = reduced_period_rotation(system, c)
-    return TWO_PI / T, theta / T
-
-
 def frequency_jacobian_det(system: SystemDefinition,
                            c: EMValue) -> FrequencySample:
     """Central differences of (omega1, omega2) in (h, l), with Theta locally

@@ -21,8 +21,9 @@ one return:
   field from a torus seed, with the return localized by section events and
   the azimuth unwrapped as an extra state component.  A batch of tori of
   one system runs as one batched DOP853 integration (integrate_flow), each
-  torus a lane with its own step control, events and energy-drift check;
-  a failing torus stops only its own lane.
+  torus a lane with its own step control, its second falling crossing of
+  the section, and the energy drift the kernel tracks over its steps; a
+  failing torus stops only its own lane.
 
 cross_checks runs both engines on a batch of tori drawn by
 sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class MomentumValue:
     j2: float
 
     @property
-    def zeta(self) -> complex:
-        return complex(self.j1, self.j2)
-
-    @property
     def modulus(self) -> float:
         return math.hypot(self.j1, self.j2)
 
@@ -126,12 +122,6 @@ def to_momentum_chart(system: SystemDefinition, c: EMValue) -> MomentumValue:
 def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
     ff = system.constants()
     return EMValue(h=j.j1 * ff.alpha + j.j2 * ff.omega, l=j.j2)
-
-
-@lru_cache(maxsize=500_000)
-def _torus_quadrature(system: SystemDefinition, h: float,
-                      l: float) -> tuple[float, float]:
-    return system.period_rotation(EMValue(h, l))
 
 
 def _tori_quadrature(system: SystemDefinition, h: np.ndarray, l: np.ndarray
@@ -174,20 +164,20 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:
     section = EventSpec(system.flow_section_value, -1.0, count=2,
                         level=np.array(levels))
     traj = integrate_flow(system.flow_field, np.column_stack(seeds),
-                          t_max=np.array(budgets), events=[section],
+                          t_max=np.array(budgets),
+                          invariant=system.flow_hamiltonian, section=section,
                           tol=system.flow_rtol)
-    drift = traj.max_relative_drift(system.flow_hamiltonian)
     k = system.flow_angle_index
     for lane, i in enumerate(lanes):
         c = cs[i]
         if traj.errors[lane] is not None:
             out[i] = traj.errors[lane]
-        elif drift[lane] > ENERGY_DRIFT_TOL:
-            out[i] = FlowError(f"energy drift {drift[lane]:.2e} above "
+        elif traj.drift[lane] > ENERGY_DRIFT_TOL:
+            out[i] = FlowError(f"energy drift {traj.drift[lane]:.2e} above "
                                f"{ENERGY_DRIFT_TOL:.0e} at (h, l)="
                                f"({c.h:.4g}, {c.l:.4g})")
         else:
-            (t1, s1, _), (t2, s2, _) = traj.event_records[lane][:2]
+            (t1, s1), (t2, s2) = traj.event_records[lane]
             out[i] = (t2 - t1, float(s2[k] - s1[k]))
     return out
 
@@ -219,11 +209,7 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
                          f"verified accuracy {CLOSED_FORM_REL_TOL:.0e}")
     system.check_window(c)
     if engine == "quadrature":
-        if c.l == 0.0 and math.copysign(1.0, c.l) < 0.0:
-            # -0.0 would hit the cache entry of +0.0 (they compare equal),
-            # but on the axis Theta takes the sign of l
-            return system.period_rotation(c)
-        return _torus_quadrature(system, c.h, c.l)
+        return system.period_rotation(c)
     if engine == "flow":
         return raise_failed(_tori_flow(system, [c])[0])
     raise ValueError(f"unknown engine {engine!r}")

@@ -1,8 +1,9 @@
 """Shared numerical kernels.
 
-Adaptive ODE integration with event detection: a batched Dormand-Prince
-8(5,3) integrator (DOP853) that steps a block of seeds at once, each lane
-with its own step-size controller and event localization (Hairer, Norsett
+Adaptive ODE integration to a section: a batched Dormand-Prince 8(5,3)
+integrator (DOP853) that steps a block of seeds at once, each lane with its
+own step-size controller, crossings of one section localized per lane, and
+the running drift of an invariant tracked in the kernel (Hairer, Norsett
 and Wanner, Solving ODEs I, II.4-II.6 and II.10).  Quadrature with
 inverse-square-root endpoint singularities (singularity-removing
 substitution + adaptive refinement; no engine uses it, the tests use it as
@@ -16,7 +17,7 @@ All functions here are pure; callers may evaluate them concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,43 +54,37 @@ def align_angle(value: float, reference: float, period: float = TWO_PI) -> float
 
 @dataclass
 class Trajectory:
-    """Accepted steps of one adaptive-step trajectory, or of a batch.
+    """A batch of n lanes integrated together.
 
-    One seed: times (k+1,) are strictly increasing solver steps, states
-    (k+1, d), and event_records the polished (time, state, event_id)
-    triples in chronological order.
-
-    A batch of n seeds: row i of times (k+1, n) and states (k+1, d, n)
-    holds every lane after the i-th batch step; a lane that retries a
-    rejected step or has stopped repeats its last state.  event_records
-    holds one list of triples per lane, and errors the FlowError that
+    Row i of times (k+1, n) holds every lane's time after the i-th batch
+    step; a lane that retries a rejected step or has stopped repeats its
+    last time.  final (d, n) holds each lane's last state, event_records
+    one list per lane of its polished (time, state) section crossings in
+    order, drift each lane's largest |f(y) - f(y0)| / (1 + |f(y0)|) of the
+    invariant f over its accepted steps, and errors the FlowError that
     stopped each lane, or None.
     """
     times: np.ndarray
-    states: np.ndarray
-    event_records: list = field(default_factory=list)
-    errors: list = field(default_factory=list)
-
-    def max_relative_drift(self, scalar: Callable[[np.ndarray], float]):
-        """Max |f(state_k) - f(state_0)| / (1 + |f(state_0)|) over samples:
-        a float for one seed, one value per lane for a batch.  scalar must
-        accept states stacked along trailing axes (row-wise unpacking)."""
-        v = scalar(np.moveaxis(self.states, 0, -1))
-        v0 = v[..., 0]
-        return np.max(np.abs(v - v0[..., None]), axis=-1) / (1.0 + np.abs(v0))
+    final: np.ndarray
+    event_records: list
+    drift: np.ndarray
+    errors: list
 
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar event g(state) = fn(state) - level; a zero crossing (filtered
-    by direction) is an event.  direction >0 / <0 / 0 selects rising /
-    falling / any crossing.  count, when set on the triggering event,
-    terminates the integration after that many occurrences.  In a batch,
-    level may hold one value per lane."""
+    """A section g(state) = fn(state) - level, crossed where g changes sign
+    in its direction: rising (+1) or falling (-1).  A lane stops at its
+    count-th crossing.  level may hold one value per lane."""
     fn: Callable[[np.ndarray], float]
-    direction: float = 0.0
-    count: int | None = None
+    direction: float
+    count: int
     level: float | np.ndarray = 0.0
+
+    def __post_init__(self):
+        if self.direction not in (-1.0, 1.0) or self.count < 1:
+            raise ValueError("a section needs direction +1 or -1 and "
+                             "count >= 1")
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -180,38 +175,39 @@ def _dense_output(t_old: float, h: float, y_old: np.ndarray, F: np.ndarray):
 
 
 def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
-                   p0: Sequence[float],
+                   p0: np.ndarray,
                    t_max: float | Sequence[float],
-                   events: Sequence[EventSpec] = (),
+                   invariant: Callable[[np.ndarray], np.ndarray],
+                   section: EventSpec | None = None,
                    tol: float = FLOW_RTOL) -> Trajectory:
-    """Integrate `field` from p0 with the embedded Dormand-Prince 8(5,3)
-    pair (DOP853), whose high order keeps the step count low at the tight
-    tolerances the flow oracle runs at.
+    """Integrate `field` from the seeds p0 (d, n), n lanes stepped together,
+    with the embedded Dormand-Prince 8(5,3) pair (DOP853), whose high order
+    keeps the step count low at the tight tolerances the flow oracle runs
+    at.
 
-    p0 of shape (d,) is one seed; p0 of shape (d, n) is a batch of n
-    lanes, stepped together.  In a batch, field(t, y) must accept a block
-    of states y (d, m) with times t (m,), unpacked row by row; a single
-    lane (one seed, or a batch of one) hands it a state (d,) and a float.
-    Event fns must accept both a block and a state (d,).  t_max may hold
-    one budget per lane.  Each lane runs solve_ivp's controller on its own:
-    starting step, error norm, SAFETY/MIN/MAX factors, no growth right
-    after a rejection, and failure once the step falls below ten ulps of
-    t.  Events are localized per lane on the 7th-order interpolant by
-    Brent's method at 4 eps; a seed lying exactly on a section is not a
-    crossing.
+    field(t, y) must accept a block of states y (d, m) with times t (m,),
+    unpacked row by row; a batch of one hands it a state (d,) and a float.
+    The section's fn must accept both a block and a state (d,), the
+    invariant a block.  t_max may hold one budget per lane.  Each lane runs
+    solve_ivp's controller on its own: starting step, error norm,
+    SAFETY/MIN/MAX factors, no growth right after a rejection, and failure
+    once the step falls below ten ulps of t.  Section crossings are
+    localized per lane on the 7th-order interpolant by Brent's method at
+    4 eps; a seed lying exactly on the section is not a crossing.  The
+    invariant is evaluated on every accepted state, for each lane's
+    running maximum drift.
 
     A lane fails with FlowError on step-size underflow (near-singular
-    dynamics) or when a requested event count is not reached before its
-    t_max.  One seed raises the error; a batch records it in
-    Trajectory.errors and goes on with the other lanes.
+    dynamics) or when it does not reach its count of crossings before its
+    t_max; the error is recorded in Trajectory.errors and the other lanes
+    go on.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     from scipy.integrate import DOP853 as tab   # only the oracle needs scipy
     y0 = np.array(p0, dtype=float)
-    single = y0.ndim == 1
-    if single:
-        y0 = y0[:, None]
+    if y0.ndim != 2:
+        raise ValueError("p0 must hold one seed per column, shape (d, n)")
     d, n = y0.shape
     if n == 1:
         lone = field
@@ -223,12 +219,6 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     t_bound = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
     if not np.all(t_bound > 0.0):
         raise ValueError("t_max must be positive")
-    n_ev = len(events)
-    direction = np.array([ev.direction for ev in events], dtype=float)
-    max_count = np.array([np.inf if ev.count is None else ev.count
-                          for ev in events])
-    level = np.array([np.broadcast_to(np.asarray(ev.level, dtype=float), (n,))
-                      for ev in events]).reshape(n_ev, n)
 
     lane = np.arange(n)
     t = np.zeros(n)
@@ -236,34 +226,27 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     f = np.asarray(field(t, y), dtype=float)
     h_abs = _initial_step(tab, field, t, y, f, t_bound, tol, FLOW_ATOL)
     rejected = np.zeros(n, dtype=bool)
-    g = np.array([ev.fn(y) for ev in events]).reshape(n_ev, n) - level
-    # a seed lying exactly on a section is not a crossing: it reads as a
-    # tiny already-past-zero value at t = 0
-    on_section = g == 0.0
-    past = np.where(direction == 0.0, 1.0, direction) * 1e-300
-    g = np.where(on_section, past[:, None], g)
+    v0 = np.asarray(invariant(y0), dtype=float)
+    drift = np.zeros(n)
+    if section is not None:
+        level = np.broadcast_to(np.asarray(section.level, dtype=float), (n,))
+        g = section.fn(y) - level
+        # a seed lying exactly on the section is not a crossing: it reads
+        # as a tiny already-past-zero value at t = 0
+        on_section = g == 0.0
+        past = section.direction * 1e-300
+        g = np.where(on_section, past, g)
 
     records: list[list] = [[] for _ in range(n)]
     errors: list[FlowError | None] = [None] * n
-    now_t, now_y = t.copy(), y.copy()
-    times, states = [now_t.copy()], [now_y.copy()]
+    now_t, final = t.copy(), y0.copy()
+    times = [now_t.copy()]
 
-    def event_value(k: int, i: int, tt: float, state: np.ndarray) -> float:
-        v = events[k].fn(state) - level[k, i]
-        if on_section[k, i] and tt == 0.0 and v == 0.0:
-            return past[k]
+    def section_value(i: int, tt: float, state: np.ndarray) -> float:
+        v = section.fn(state) - level[i]
+        if on_section[i] and tt == 0.0 and v == 0.0:
+            return past
         return v
-
-    def finish(i: int) -> None:
-        """Check the event counts of a lane that has stopped."""
-        for k, ev in enumerate(events):
-            if ev.count is not None:
-                got = sum(1 for r in records[i] if r[2] == k)
-                if got < ev.count:
-                    errors[i] = FlowError(
-                        f"t_max={t_bound[i]:.6g} exceeded with {got}/"
-                        f"{ev.count} occurrences of event {k}")
-                    return
 
     while lane.size:
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
@@ -275,8 +258,8 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
                     f"integration failed near t={t[j]:.6g}: Required step "
                     "size is less than spacing between numbers. "
                     "(near-singular dynamics?)")
-            lane, t, y, f, h_abs, rejected, g = _lanes(
-                ~tiny, lane, t, y, f, h_abs, rejected, g)
+            lane, t, y, f, h_abs, rejected = _lanes(
+                ~tiny, lane, t, y, f, h_abs, rejected)
             continue
         t_b = t_bound[lane]
         t_new = np.minimum(t + h_abs, t_b)
@@ -298,72 +281,55 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         if not acc.size:
             continue
 
+        ids = lane[acc]
         t_old, y_old = t[acc], y[:, acc]
         t[acc] = t_new[acc]
         y[:, acc] = y_new[:, acc]
         f[:, acc] = K[tab.n_stages][:, acc]
         done = np.zeros(lane.size, dtype=bool)
         done[acc] = t_new[acc] >= t_b[acc]
-        if n_ev:
-            g_new = (np.array([ev.fn(y[:, acc]) for ev in events])
-                     .reshape(n_ev, acc.size) - level[:, lane[acc]])
-            g_old = g[:, acc]
-            g[:, acc] = g_new
-            up = (g_old <= 0.0) & (g_new >= 0.0)
-            down = (g_old >= 0.0) & (g_new <= 0.0)
-            dirs = direction[:, None]
-            active = ((up & (dirs > 0.0)) | (down & (dirs < 0.0))
-                      | ((up | down) & (dirs == 0.0)))
-            hit = np.flatnonzero(active.any(axis=0))
+        if section is not None:
+            g_old, g_new = g[ids], section.fn(y[:, acc]) - level[ids]
+            g[ids] = g_new
+            s_old, s_new = section.direction * g_old, section.direction * g_new
+            hit = np.flatnonzero((s_old <= 0.0) & (s_new >= 0.0))
             if hit.size:
                 cols = acc[hit]
                 F = _dense_coefficients(tab, field, t_old[hit], y_old[:, hit],
                                         y_new[:, cols], h[cols],
                                         K[:, :, cols])
             for q, a in enumerate(hit):
-                j, i = acc[a], lane[acc[a]]
+                j, i = acc[a], ids[a]
                 sol = _dense_output(t_old[a], h[j], y_old[:, a], F[:, :, q])
-                fired = np.flatnonzero(active[:, a])
                 ta, tb = float(t_old[a]), float(t[j])
-                gs = [lambda tt, k=k: event_value(k, i, tt, sol(tt))
-                      for k in fired]
-                roots = np.array([_brent(g, ta, tb, g(ta), g(tb), 4 * EPS,
-                                         4 * EPS) for g in gs])
-                seen = np.array([sum(1 for r in records[i] if r[2] == k)
-                                 for k in fired])
-                stop = seen + 1 >= max_count[fired]
-                if stop.any():
-                    # as solve_ivp: keep the crossings up to the first
-                    # one that completes its count, in time order
-                    order = np.argsort(roots)
-                    last = np.flatnonzero(stop[order])[0]
-                    fired, roots = fired[order], roots[order]
-                    fired, roots = fired[:last + 1], roots[:last + 1]
-                records[i].extend((float(r), sol(r), int(k))
-                                  for k, r in zip(fired, roots))
-                if stop.any():
-                    t[j] = roots[-1]
-                    y[:, j] = sol(t[j])
+
+                def g_at(tt):
+                    return section_value(i, tt, sol(tt))
+                root, _ = _brent(g_at, ta, tb, g_at(ta), g_at(tb), 4 * EPS,
+                                 4 * EPS)
+                records[i].append((float(root), sol(root)))
+                if len(records[i]) >= section.count:
+                    t[j], y[:, j] = records[i][-1]
                     done[j] = True
 
-        now_t[lane[acc]] = t[acc]
-        now_y[:, lane[acc]] = y[:, acc]
+        now_t[ids] = t[acc]
+        final[:, ids] = y[:, acc]
+        drift[ids] = np.maximum(drift[ids],
+                                np.abs(invariant(y[:, acc]) - v0[ids]))
         times.append(now_t.copy())
-        states.append(now_y.copy())
         if done.any():
-            for j in np.flatnonzero(done):
-                finish(lane[j])
-            lane, t, y, f, h_abs, rejected, g = _lanes(
-                ~done, lane, t, y, f, h_abs, rejected, g)
+            for i in lane[done]:
+                got = len(records[i])
+                if section is not None and got < section.count:
+                    errors[i] = FlowError(
+                        f"t_max={t_bound[i]:.6g} exceeded with {got}/"
+                        f"{section.count} section crossings")
+            lane, t, y, f, h_abs, rejected = _lanes(
+                ~done, lane, t, y, f, h_abs, rejected)
 
-    times_a, states_a = np.array(times), np.array(states)
-    if single:
-        if errors[0] is not None:
-            raise errors[0]
-        return Trajectory(times=times_a[:, 0], states=states_a[:, :, 0],
-                          event_records=records[0])
-    return Trajectory(times=times_a, states=states_a, event_records=records,
-                      errors=errors)
+    return Trajectory(times=np.array(times), final=final,
+                      event_records=records,
+                      drift=drift / (1.0 + np.abs(v0)), errors=errors)
 
 
 @dataclass(frozen=True)
@@ -436,12 +402,13 @@ def _adaptive_quad(g: Callable[[float], float], lo: float, hi: float,
 
 
 def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
-           fb: float, xtol: float, rtol: float) -> float:
+           fb: float, xtol: float, rtol: float) -> tuple[float, float]:
     """scipy's brentq.c, ported line for line (bit-identical iterates), given
-    fa = f(a) and fb = f(b).  Raises BracketError where brentq raises: f(a),
-    f(b) of one sign, a NaN, or no convergence in BRENT_MAX_ITER steps."""
+    fa = f(a) and fb = f(b).  Returns brentq's root and the value of f it
+    holds there.  Raises BracketError where brentq raises: f(a), f(b) of
+    one sign, a NaN, or no convergence in BRENT_MAX_ITER steps."""
     if fa == 0.0 or fb == 0.0:
-        return a if fa == 0.0 else b
+        return (a, fa) if fa == 0.0 else (b, fb)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"f({a})={fa:.3g} and f({b})={fb:.3g} do not "
                            "bracket a root")
@@ -458,7 +425,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             if xpre == xblk:    # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -481,13 +448,15 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
 
 
 def find_root_bracketed(f: Callable[[float], float],
-                        bracket: tuple[float, float]) -> float:
-    """Bisection-safeguarded superlinear root finding (Brent).  The result
-    never leaves the initial bracket."""
+                        bracket: tuple[float, float],
+                        f_ends: tuple[float, float]) -> tuple[float, float]:
+    """Bisection-safeguarded superlinear root finding (Brent), given the
+    values f_ends of f at the bracket ends: the root and the value of f
+    there.  The result never leaves the initial bracket."""
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise BracketError(f"invalid bracket [{a}, {b}]")
-    return _brent(f, a, b, f(a), f(b), ROOT_XTOL, 8 * EPS)
+    return _brent(f, a, b, *f_ends, ROOT_XTOL, 8 * EPS)
 
 
 def fd_derivative(f: Callable[[float], float | np.ndarray], x: float,

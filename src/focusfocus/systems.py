@@ -77,10 +77,6 @@ class FocusFocusData:
     omega: float
 
     @property
-    def lam(self) -> complex:
-        return complex(self.alpha, self.omega)
-
-    @property
     def A0(self) -> float:
         """omega / alpha, the leading rotation-number coefficient."""
         return self.omega / self.alpha

@@ -13,7 +13,8 @@ the |h|/|l*| trend.
 A twistless curve is found by sign scans along each C_h.  The scans of all
 its energies are one array call (twist_scan) and the refinement points
 around their sign changes a second; only Brent's iterates, one root at a
-time, call the scalar twist.
+time, call the scalar twist, and S(l*) is the value Brent holds at its
+root.
 """
 from __future__ import annotations
 
@@ -35,17 +36,6 @@ SCAN_CAP = 0.2
 # to Brent's stopping noise (<= 5e-11 measured); within fd_derivative's 1e-8
 # relative noise floor they are one mirror pair, whose l > 0 root is taken
 MIRROR_RTOL = 1e-8
-
-
-@dataclass(frozen=True)
-class TorusInvariants:
-    """Per-torus dynamical invariants on one branch sheet."""
-    c: EMValue
-    W: float
-    omega1: float
-    omega2: float
-    S: float
-    S_tilde: float
 
 
 def twist(system: SystemDefinition, c: EMValue,
@@ -86,39 +76,12 @@ def twist_scan(system: SystemDefinition, h, ls) -> np.ndarray:
     return richardson(*w, step).reshape(shape)
 
 
-def twist_via_j_chart(system: SystemDefinition, c: EMValue) -> float:
-    """S from the momentum-chart form -A dW/dj1 + dW/dj2 with A = A0 and
-    the exact linear chart.  Algebraically identical to twist(); computed
-    on different stencils, so agreement checks the FD machinery."""
-    ff = system.constants()
-    h, l = c.h, c.l
-    dj = max(FD_STEP_FLOOR, FD_STEP_REL * abs(l))
-    _, theta0 = reduced_period_rotation(system, c)
-
-    def w(hv: float, lv: float) -> float:
-        return period_lattice(system, EMValue(hv, lv), theta0).theta / TWO_PI
-
-    g1 = fd_derivative(lambda t: w(h + ff.alpha * t, l), 0.0, "richardson",
-                       step=dj)
-    g2 = fd_derivative(lambda t: w(h + ff.omega * t, l + t), 0.0,
-                       "richardson", step=dj)
-    return -ff.A0 * g1 + g2
-
-
 def tilde_s(system: SystemDefinition, c: EMValue, S: float | None = None) -> float:
     """S~ = 2 pi |j|^2 S."""
     if S is None:
         S = twist(system, c)
     j = to_momentum_chart(system, c)
     return TWO_PI * (j.j1 ** 2 + j.j2 ** 2) * S
-
-
-def torus_invariants(system: SystemDefinition, c: EMValue) -> TorusInvariants:
-    T, theta = reduced_period_rotation(system, c)
-    S = twist(system, c)
-    return TorusInvariants(c=c, W=theta / TWO_PI,
-                           omega1=TWO_PI / T, omega2=theta / T,
-                           S=S, S_tilde=tilde_s(system, c, S))
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +109,9 @@ def _twistless_roots(system: SystemDefinition,
     The n_scan points of every job's sign scan are one twist_scan, and the
     3 refinement points inside every interval where S changes sign, over
     all jobs, another; a point whose torus or stencil fails reads NaN and
-    brackets no root.  Each job then brackets its root alone, and Brent's
-    iterates call the scalar twist.
+    brackets no root.  Each job then brackets its root alone: Brent starts
+    from the scanned S at the bracket ends, its iterates call the scalar
+    twist, and S(l*) is the value it holds at the root it returns.
     """
     hs = np.array([h for h, _ in jobs], dtype=float).reshape(-1, 1)
     ls = np.array([np.linspace(lo, hi, n_scan)
@@ -162,10 +126,11 @@ def _twistless_roots(system: SystemDefinition,
                                                  fine[:, 1:-1]),
                           sv[job, i + 1]])
     f, k = np.nonzero(fv[:, :-1] * fv[:, 1:] < 0)
-    brackets = [[] for _ in jobs]
-    for r, a, b in zip(job[f].tolist(), fine[f, k].tolist(),
-                       fine[f, k + 1].tolist()):
-        brackets[r].append((a, b))
+    brackets = [[] for _ in jobs]   # (bracket, S at its ends) per job
+    for r, a, b, fa, fb in zip(job[f].tolist(), fine[f, k].tolist(),
+                               fine[f, k + 1].tolist(), fv[f, k].tolist(),
+                               fv[f, k + 1].tolist()):
+        brackets[r].append(((a, b), (fa, fb)))
 
     out: list = []
     for (h, (_, l_hi)), found in zip(jobs, brackets):
@@ -177,9 +142,9 @@ def _twistless_roots(system: SystemDefinition,
             out.append(ScanError(f"{len(found)} sign changes of S on C_h, "
                                  f"h={h:.6g}: window too large"))
             continue
-        l_star = find_root_bracketed(
-            lambda l: twist(system, EMValue(h, l)), found[0])
-        out.append((float(l_star), float(twist(system, EMValue(h, l_star)))))
+        l_star, s_star = find_root_bracketed(
+            lambda l: twist(system, EMValue(h, l)), *found[0])
+        out.append((float(l_star), float(s_star)))
     return out
 
 

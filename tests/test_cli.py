@@ -265,7 +265,7 @@ class TestCrosscheck:
                 t_max[2] = 1.0
                 return integrate_flow(field, p0, t_max, **kwargs)
             traj = integrate_flow(field, p0, t_max, **kwargs)
-            traj.states[-1, 3, 2] += 1e-6
+            traj.drift[2] = 1e-6
             return traj
 
         monkeypatch.setattr(lattice, "integrate_flow", faulty_flow)

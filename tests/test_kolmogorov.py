@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from focusfocus import (EMValue, MomentumValue, StencilError, asymptote_sweep,
-                        cross_check, eval_constants, frequency_jacobian_det,
-                        frequency_map, from_momentum_chart, rotation_number,
-                        tau_jacobian)
+                        eval_constants, frequency_jacobian_det,
+                        from_momentum_chart, tau_jacobian)
 from focusfocus.lattice import reduced_period_rotation
 
 TWO_PI = 2.0 * math.pi
@@ -18,26 +17,15 @@ def ray_point(system, rho, th):
 
 
 class TestFrequencyMap:
-    def test_rotation_number_identity(self, champagne):
-        c = EMValue(0.08, 0.02)
-        w1, w2 = frequency_map(champagne, c)
-        assert w2 / w1 == pytest.approx(rotation_number(champagne, c),
-                                        abs=1e-10)
-
-    def test_cross_engine(self, champagne):
-        c = EMValue(0.1, 0.05)
-        q = frequency_map(champagne, c)
-        res = cross_check(champagne, c)
-        f = (TWO_PI / res["T_flow"], res["theta_flow"] / res["T_flow"])
-        assert q[0] == pytest.approx(f[0], rel=1e-7)
-        assert q[1] == pytest.approx(f[1], rel=1e-7)
-
     def test_omega1_log_vanishing_along_ray(self, champagne):
-        # omega1 (-ln|j|) / (2 pi alpha) -> 1, monotonically
+        # omega1 = 2 pi / T: omega1 (-ln|j|) / (2 pi alpha) -> 1,
+        # monotonically
         ff = eval_constants(champagne)
         errs = []
         for rho in (1e-2, 1e-3, 1e-4):
-            w1, _ = frequency_map(champagne, ray_point(champagne, rho, 0.7))
+            T, _ = reduced_period_rotation(champagne,
+                                           ray_point(champagne, rho, 0.7))
+            w1 = TWO_PI / T
             errs.append(abs(w1 * (-math.log(rho)) / (TWO_PI * ff.alpha) - 1))
         assert errs[0] > errs[1] > errs[2]
 

@@ -20,41 +20,69 @@ def oscillator(t, y):
     return [y[1], -y[0]]
 
 
+def amplitude(y):
+    return y[0] * y[0] + y[1] * y[1]
+
+
+def one_lane(seed):
+    return np.array(seed, dtype=float)[:, None]
+
+
 class TestIntegrateFlow:
     def test_harmonic_first_return(self):
         # start on the section x = 0 moving upward; the next rising crossing
         # is one full period later
         ev = EventSpec(lambda y: y[0], direction=+1, count=1)
-        traj = integrate_flow(oscillator, [0.0, 1.0], t_max=10.0, events=[ev],
-                              tol=1e-12)
-        t1 = traj.event_records[0][0]
+        traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=10.0,
+                              invariant=amplitude, section=ev, tol=1e-12)
+        t1 = traj.event_records[0][0][0]
         assert t1 == pytest.approx(TWO_PI, abs=1e-9)
+        assert traj.final[:, 0] == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_energy_conservation_long_run(self, champagne):
-        field = champagne.flow_field
         seed = champagne.flow_seed(EMValue(0.1, 0.05))
-        traj = integrate_flow(field, seed, t_max=100.0, tol=1e-12)
-        assert traj.max_relative_drift(champagne.flow_hamiltonian) <= 1e-10
+        traj = integrate_flow(champagne.flow_field, one_lane(seed),
+                              t_max=100.0,
+                              invariant=champagne.flow_hamiltonian, tol=1e-12)
+        assert traj.drift[0] <= 1e-10
 
     def test_energy_conservation_pendulum(self, pendulum):
         c = EMValue(0.05, 0.02)
-        traj = integrate_flow(pendulum.flow_field, pendulum.flow_seed(c),
-                              t_max=100.0, tol=pendulum.flow_rtol)
-        assert traj.max_relative_drift(pendulum.flow_hamiltonian) <= 1e-10
+        traj = integrate_flow(pendulum.flow_field,
+                              one_lane(pendulum.flow_seed(c)), t_max=100.0,
+                              invariant=pendulum.flow_hamiltonian,
+                              tol=pendulum.flow_rtol)
+        assert traj.drift[0] <= 1e-10
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
         c = EMValue(0.1, 0.05)
         section = EventSpec(champagne.flow_section_value, -1.0, count=2,
                             level=champagne.flow_section_level(c))
-        traj = integrate_flow(champagne.flow_field, champagne.flow_seed(c),
-                              t_max=1e3, events=[section], tol=1e-10)
-        assert len(traj.event_records) >= 2
-        assert traj.event_records[1][0] < 1e3
+        traj = integrate_flow(champagne.flow_field,
+                              one_lane(champagne.flow_seed(c)), t_max=1e3,
+                              invariant=champagne.flow_hamiltonian,
+                              section=section, tol=1e-10)
+        assert traj.errors[0] is None
+        assert len(traj.event_records[0]) == 2
+        assert traj.event_records[0][1][0] < 1e3
 
     def test_event_count_not_reached(self):
         ev = EventSpec(lambda y: y[0], direction=+1, count=3)
-        with pytest.raises(FlowError, match="exceeded"):
-            integrate_flow(oscillator, [0.0, 1.0], t_max=8.0, events=[ev])
+        traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=8.0,
+                              invariant=amplitude, section=ev)
+        assert isinstance(traj.errors[0], FlowError)
+        assert "exceeded with 1/3" in str(traj.errors[0])
+
+    @pytest.mark.parametrize("kwargs", [dict(direction=0.0, count=1),
+                                        dict(direction=1.0, count=0)])
+    def test_section_needs_a_direction_and_a_count(self, kwargs):
+        with pytest.raises(ValueError, match="direction"):
+            EventSpec(lambda y: y[0], **kwargs)
+
+    def test_one_seed_is_one_column(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_flow(oscillator, [0.0, 1.0], t_max=1.0,
+                           invariant=amplitude)
 
 
 def blowup(t, y):
@@ -65,36 +93,43 @@ def blowup(t, y):
 class TestBatchedFlow:
     def test_step_underflow_raises(self):
         # as solve_ivp's status -1: the step falls below ten ulps of t
-        with pytest.raises(FlowError, match="spacing between numbers"):
-            integrate_flow(blowup, [1.0], t_max=2.0)
+        traj = integrate_flow(blowup, [[1.0]], t_max=2.0,
+                              invariant=lambda y: y[0])
+        assert isinstance(traj.errors[0], FlowError)
+        assert "spacing between numbers" in str(traj.errors[0])
 
     def test_underflow_stays_in_its_lane(self):
-        traj = integrate_flow(blowup, [[1.0, 0.1]], t_max=2.0)
+        traj = integrate_flow(blowup, [[1.0, 0.1]], t_max=2.0,
+                              invariant=lambda y: y[0])
         assert isinstance(traj.errors[0], FlowError)
         assert "spacing between numbers" in str(traj.errors[0])
         assert traj.errors[1] is None
         assert traj.times[-1, 1] == 2.0
-        assert traj.states[-1, 0, 1] == pytest.approx(0.1 / 0.8, rel=1e-10)
+        assert traj.final[0, 1] == pytest.approx(0.1 / 0.8, rel=1e-10)
         assert traj.times.shape == (len(traj.times), 2)
-        assert traj.states.shape == (len(traj.times), 1, 2)
+        assert traj.final.shape == (1, 2)
 
     def test_lanes_match_single_seeds(self):
-        # per-lane levels, budgets and event counts; every lane agrees
-        # with its own one-seed run
+        # per-lane levels and budgets; every lane agrees with its own
+        # one-lane run
         seeds = np.array([[0.0, 0.3, -0.5], [1.0, 0.8, 0.2]])
         levels = np.array([0.0, 0.1, -0.2])
         ev = EventSpec(lambda y: y[0], direction=+1, count=2, level=levels)
         traj = integrate_flow(oscillator, seeds, t_max=[20.0, 20.0, 30.0],
-                              events=[ev])
+                              invariant=amplitude, section=ev)
         for i in range(3):
             one = integrate_flow(
-                oscillator, seeds[:, i], t_max=20.0,
-                events=[EventSpec(lambda y, v=levels[i]: y[0] - v,
-                                  direction=+1, count=2)])
+                oscillator, seeds[:, i:i + 1], t_max=20.0,
+                invariant=amplitude,
+                section=EventSpec(lambda y, v=levels[i]: y[0] - v,
+                                  direction=+1, count=2))
             assert traj.errors[i] is None
-            got = [(t, k) for t, _, k in traj.event_records[i]]
-            assert got == pytest.approx([(t, k) for t, _, k
-                                         in one.event_records], abs=1e-12)
+            got = [t for t, _ in traj.event_records[i]]
+            assert got == pytest.approx([t for t, _ in one.event_records[0]],
+                                        abs=1e-12)
+            assert traj.final[:, i] == pytest.approx(one.final[:, 0],
+                                                     abs=1e-12)
+            assert traj.drift[i] == pytest.approx(one.drift[0], abs=1e-14)
         # the seed on the section (lane 0) is not a crossing
         assert traj.event_records[0][0][0] == pytest.approx(TWO_PI,
                                                             abs=1e-9)
@@ -102,23 +137,42 @@ class TestBatchedFlow:
     def test_budget_is_per_lane(self):
         ev = EventSpec(lambda y: y[0], direction=+1, count=2)
         traj = integrate_flow(oscillator, [[0.0, 0.0], [1.0, 1.0]],
-                              t_max=[20.0, 8.0], events=[ev])
+                              t_max=[20.0, 8.0], invariant=amplitude,
+                              section=ev)
         assert traj.errors[0] is None
         assert len(traj.event_records[0]) == 2
         assert isinstance(traj.errors[1], FlowError)
         assert "exceeded with 1/2" in str(traj.errors[1])
 
     def test_drift_matches_loop_reference(self, champagne):
-        c = EMValue(0.1, 0.05)
-        seeds = np.column_stack([champagne.flow_seed(c),
+        # a sixth, constant state component tags each lane, so the blocks
+        # the kernel passes to the invariant can be told apart by lane; the
+        # running maximum must equal the max-then-divide formula over every
+        # state the kernel evaluated, lane by lane
+        seeds = np.column_stack([champagne.flow_seed(EMValue(0.1, 0.05)),
                                  champagne.flow_seed(EMValue(0.05, -0.02))])
-        traj = integrate_flow(champagne.flow_field, seeds, t_max=5.0)
-        drift = traj.max_relative_drift(champagne.flow_hamiltonian)
-        for i in range(2):
-            lane = traj.states[:, :, i]
+        seeds = np.vstack([seeds, [0.0, 1.0]])
+        seen = []
+
+        def field(t, y):
+            return [*champagne.flow_field(t, y[:5]), 0.0 * y[5]]
+
+        def invariant(y):
+            seen.append(y.copy())
+            return champagne.flow_hamiltonian(y)
+
+        traj = integrate_flow(field, seeds, t_max=[5.0, 3.0],
+                              invariant=invariant)
+        states = [[], []]
+        for block in seen:
+            for s in block.T:
+                states[int(s[5])].append(s)
+        for i, lane in enumerate(states):
+            assert len(lane) >= 2 and lane[0].tolist() == seeds[:, i].tolist()
             v0 = champagne.flow_hamiltonian(lane[0])
             ref = max(abs(champagne.flow_hamiltonian(s) - v0) for s in lane)
-            assert drift[i] == ref / (1.0 + abs(v0))
+            assert traj.drift[i] == ref / (1.0 + abs(v0))
+        assert traj.drift[0] > 0.0
 
 
 class TestQuadSingular:
@@ -164,27 +218,34 @@ class TestQuadSingular:
         assert quad_singular(spec) == pytest.approx(exact, abs=1e-11)
 
 
+def root_of(f, bracket):
+    """find_root_bracketed, given f at the bracket ends."""
+    return find_root_bracketed(f, bracket, (f(bracket[0]), f(bracket[1])))
+
+
 class TestFindRoot:
     def test_cosine(self):
-        assert find_root_bracketed(math.cos, (0.0, 2.0)) == pytest.approx(
-            math.pi / 2, abs=1e-12)
+        x, fx = root_of(math.cos, (0.0, 2.0))
+        assert x == pytest.approx(math.pi / 2, abs=1e-12)
+        assert fx == math.cos(x)
 
     def test_sqrt2(self):
-        r = find_root_bracketed(lambda x: x * x - 2.0, (1.0, 2.0))
+        r, _ = root_of(lambda x: x * x - 2.0, (1.0, 2.0))
         assert r == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_invalid_bracket(self):
         with pytest.raises(BracketError):
-            find_root_bracketed(lambda x: x * x + 1.0, (0.0, 1.0))
+            root_of(lambda x: x * x + 1.0, (0.0, 1.0))
 
     @given(st.floats(-5.0, 5.0), st.floats(0.01, 3.0), st.floats(0.2, 2.0))
     @settings(max_examples=50, deadline=None)
     def test_never_leaves_bracket(self, root, off, scale):
         f = lambda x: scale * (x - root) * (1.0 + (x - root) ** 2)
         a, b = root - off, root + 2 * off
-        x = find_root_bracketed(f, (a, b))
+        x, fx = root_of(f, (a, b))
         assert a <= x <= b
         assert x == pytest.approx(root, abs=1e-9)
+        assert fx == f(x)
 
 
 # drawn functions with one simple root r in the bracket; their shapes reach
@@ -215,14 +276,16 @@ class TestBrentPort:
 
         a, b = root - left, root + right
         want = brentq(f, a, b, xtol=xtol, rtol=rtol)
-        assert numerics._brent(f, a, b, f(a), f(b), xtol, rtol) == want
+        x, fx = numerics._brent(f, a, b, f(a), f(b), xtol, rtol)
+        assert x == want and fx == f(x)
 
     @given(shape=st.sampled_from(sorted(SHAPES)), root=st.floats(-5.0, 5.0),
            left=st.floats(1e-6, 3.0), right=st.floats(1e-6, 3.0))
     @settings(max_examples=50, deadline=None)
     def test_find_root_evaluates_each_end_once(self, shape, root, left,
                                                right):
-        # brentq evaluates f(a) and f(b) a second time; the port takes them in
+        # brentq evaluates f(a) and f(b) a second time; the port takes them
+        # in, and evaluates f only at its iterates
         from scipy.optimize import brentq
         calls = []
 
@@ -231,17 +294,19 @@ class TestBrentPort:
             return SHAPES[shape](x, root, 1.5)
 
         a, b = root - left, root + right
-        x = find_root_bracketed(f, (a, b))
+        ends = (f(a), f(b))
+        calls.clear()
+        x, _ = find_root_bracketed(f, (a, b), ends)
         mine = len(calls)
         want, info = brentq(f, a, b, xtol=numerics.ROOT_XTOL,
                             rtol=8 * numerics.EPS, full_output=True)
         assert x == want
-        assert mine == info.function_calls
+        assert mine == info.function_calls - 2
 
     def test_no_convergence_raises_bracket_error(self, monkeypatch):
         monkeypatch.setattr(numerics, "BRENT_MAX_ITER", 3)
         with pytest.raises(BracketError, match="did not converge"):
-            find_root_bracketed(math.cos, (0.0, 2.0))
+            root_of(math.cos, (0.0, 2.0))
 
     @pytest.mark.parametrize("nan_at_ends", [True, False])
     def test_nan_raises_bracket_error(self, nan_at_ends):
@@ -250,7 +315,7 @@ class TestBrentPort:
             return math.nan if at_end == nan_at_ends else math.cos(x)
 
         with pytest.raises(BracketError, match="(?i)nan"):
-            find_root_bracketed(f, (0.0, 2.0))
+            root_of(f, (0.0, 2.0))
 
 
 class TestFdDerivative:
@@ -345,7 +410,6 @@ class TestTwistBracketFromScan:
         flips = [i for i in range(len(ls) - 1) if sv[i] * sv[i + 1] < 0]
         assert len(flips) == 1
         a, b = ls[flips[0]], ls[flips[0] + 1]
-        lstar = find_root_bracketed(
-            lambda l: twist(champagne, EMValue(h, l)), (a, b))
+        lstar, _ = root_of(lambda l: twist(champagne, EMValue(h, l)), (a, b))
         assert a <= lstar <= b
         assert abs(twist(champagne, EMValue(h, lstar))) <= 1e-8

@@ -192,12 +192,15 @@ class TestTurningPoints:
 
 class TestProfileAlongFlow:
     def test_radial_speed_matches_profile(self, champagne):
-        # (dr/dt)^2 along an integrated trajectory equals P(r) to 1e-9
+        # (dr/dt)^2 along an integrated trajectory equals P(r) to 1e-9: the
+        # final states of one seed run at several budgets
         c = EMValue(0.08, -0.03)
         prof = champagne.reduced_profile(c)
-        traj = integrate_flow(champagne.flow_field,
-                              champagne.flow_seed(c), t_max=5.0, tol=1e-12)
-        for s in traj.states[::20]:
+        budgets = np.linspace(0.25, 5.0, 20)
+        seeds = np.tile(champagne.flow_seed(c)[:, None], budgets.size)
+        traj = integrate_flow(champagne.flow_field, seeds, t_max=budgets,
+                              invariant=champagne.flow_hamiltonian, tol=1e-12)
+        for s in traj.final.T:
             r = math.hypot(s[0], s[1])
             rdot = (s[0] * s[2] + s[1] * s[3]) / r
             assert prof.p(r) == pytest.approx(rdot * rdot, abs=1e-9)

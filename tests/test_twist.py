@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
-                        MomentumValue, ScanError, SphericalPendulum,
+                        MomentumValue, ScanError, SphericalPendulum, cli,
                         eval_constants, expected_twistless_slope,
                         from_momentum_chart, lattice, rotation_number,
-                        tilde_s, torus_invariants, twist, twist_scan,
-                        twist_via_j_chart, twistless_curve, twistless_point)
+                        tilde_s, twist, twist_scan, twistless_curve,
+                        twistless_point)
 from focusfocus.twist import _l_window
 
 TWO_PI = 2.0 * math.pi
@@ -80,12 +80,6 @@ class TestTwist:
         s2 = twist(champagne, c, dl_rel=5e-4)
         assert s2 == pytest.approx(s1, rel=1e-4)
 
-    def test_j_chart_form_agrees(self, champagne):
-        c = EMValue(0.05, 0.02)
-        s_hl = twist(champagne, c)
-        s_j = twist_via_j_chart(champagne, c)
-        assert s_j == pytest.approx(s_hl, rel=1e-4)
-
     def test_branch_reference_invariance(self, champagne):
         # shifting the whole stencil by one sheet leaves S unchanged
         c = EMValue(0.05, 0.02)
@@ -99,13 +93,6 @@ class TestTwist:
         d1 = (w_up(c.l + dl) - w_up(c.l - dl)) / (2 * dl)
         d2 = (w_up(c.l + dl / 2) - w_up(c.l - dl / 2)) / dl
         assert (4 * d2 - d1) / 3 == pytest.approx(s, abs=1e-6)
-
-    def test_invariants_consistency(self, champagne):
-        inv = torus_invariants(champagne, EMValue(0.05, 0.02))
-        assert inv.W == pytest.approx(inv.omega2 / inv.omega1, abs=1e-10)
-        j = MomentumValue((0.05 - 0.5 * 0.02) / math.sqrt(2), 0.02)
-        assert inv.S_tilde == pytest.approx(
-            TWO_PI * inv.S * j.modulus ** 2, rel=1e-12)
 
 
 class TestTildeS:
@@ -416,3 +403,23 @@ def test_curve_is_two_array_calls(monkeypatch, name, n_energies):
     twistless_curve(system, hs + [-h for h in hs])
     jobs = n_energies * (2 if name == "pendulum" else 1)
     assert len(batches) == 2 and batches[0] == jobs * 64 * 5
+
+
+@pytest.mark.parametrize("name,calls", [("champagne", 40), ("pendulum", 34)])
+def test_brent_reuses_the_scanned_values(monkeypatch, name, calls):
+    # Brent starts from the scanned S at both bracket ends, and S(l*) is the
+    # value it holds at its root: at the default energies only Brent's
+    # iterates call the scalar twist (64 and 52 calls when each root
+    # evaluated its bracket ends and its residual afresh)
+    twist_module = importlib.import_module("focusfocus.twist")
+    scalar = twist_module.twist
+    calls_made = []
+
+    def counting(*args, **kwargs):
+        calls_made.append(args[1])
+        return scalar(*args, **kwargs)
+
+    monkeypatch.setattr(twist_module, "twist", counting)
+    system = cli.build_system({"system": name})
+    twistless_curve(system, list(cli.READS["twistless"]["h_values"]))
+    assert len(calls_made) == calls
