@@ -10,14 +10,13 @@ from .numerics import (EventSpec, QuadratureSpec, Trajectory, align_angle,
                        fd_derivative, find_root_bracketed, integrate_flow,
                        quad_singular)
 from .systems import (ChampagneBottle, EMValue, FocusFocusData,
-                      ReducedProfile, SphericalPendulum, SystemDefinition,
-                      eval_constants, make_system, poisson_bracket,
+                      MomentumValue, ReducedProfile, SphericalPendulum,
+                      SystemDefinition, eval_constants, from_momentum_chart,
+                      make_system, poisson_bracket, to_momentum_chart,
                       turning_points)
-from .lattice import (AsymptoticModel, MomentumValue, PeriodLatticeSample,
-                      SweepSample, annulus_sweep, cross_check,
-                      fit_asymptotic_model, from_momentum_chart,
-                      period_lattice, reduced_period_rotation,
-                      to_momentum_chart, transport)
+from .lattice import (AsymptoticModel, PeriodLatticeSample, SweepSample,
+                      annulus_sweep, cross_check, fit_asymptotic_model,
+                      period_lattice, reduced_period_rotation, transport)
 from .rotation import (AnnulusRegion, LevelCurve, RotationGrid, SpiralFit,
                        extract_level_curve, fit_log_spiral, monodromy_index,
                        monodromy_loop, rotation_grid, rotation_number)

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import fd_derivative
-from .systems import ChampagneBottle, SphericalPendulum, eval_constants
+from .systems import (ChampagneBottle, MomentumValue, SphericalPendulum,
+                      eval_constants, from_momentum_chart)
 from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
-                      fit_asymptotic_model, from_momentum_chart,
-                      sample_cross_tori, MomentumValue)
+                      fit_asymptotic_model, sample_cross_tori)
 from .rotation import (AnnulusRegion, contour_levels, extract_level_curve,
                        fit_log_spiral, monodromy_index, rotation_grid)
 from .twist import tilde_s, twistless_curve

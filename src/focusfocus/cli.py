@@ -37,9 +37,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import FocusFocusError, ScanError
-from .systems import eval_constants, make_system
-from .lattice import (CROSS_TOL, MomentumValue, cross_checks,
-                      from_momentum_chart, sample_cross_tori)
+from .systems import (MomentumValue, eval_constants, from_momentum_chart,
+                      make_system)
+from .lattice import CROSS_TOL, cross_checks, sample_cross_tori
 from .rotation import (MASK_CORE, MASK_REGULAR, MIN_LOOP_POINTS,
                        AnnulusRegion, contour_levels, extract_level_curve,
                        fit_log_spiral, monodromy_loop, rotation_grid)
@@ -135,7 +135,8 @@ KEYS = {
     "ray_angle": Key(_float, "ANGLE", "arg zeta of the ray"),
     "n_tori": Key(int, "N", "cross-check tori per system", lambda n: n >= 1,
                   ">= 1"),
-    "seed": Key(int, "N", "seed of the cross-check tori"),
+    "seed": Key(int, "N", "seed of the cross-check tori", lambda n: n >= 0,
+                ">= 0"),
     "out": Key(str, "DIR", "output directory"),
     "jobs": Key(int, "N", "worker processes", lambda n: n >= 1, ">= 1"),
 }

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import TWO_PI, fd_derivative
-from .lattice import (MomentumValue, from_momentum_chart, period_lattice,
-                      reduced_period_rotation, to_momentum_chart)
-from .systems import EMValue, SystemDefinition
+from .lattice import period_lattice, reduced_period_rotation
+from .systems import (EMValue, MomentumValue, SystemDefinition,
+                      from_momentum_chart, to_momentum_chart)
 
 JAC_STEP_REL = 1e-2     # FD steps shrink with |j|: derivative scales ~1/|j|
 

@@ -18,12 +18,13 @@ one return:
   lanes the array form rejects (fill_rejected), and the scalar stencils
   (twist.twist at Brent's iterates, kolmogorov) call it directly;
 * flow (the independent oracle): direct integration of the full vector
-  field from a torus seed, with the return localized by section events and
-  the azimuth unwrapped as an extra state component.  A batch of tori of
-  one system runs as one batched DOP853 integration (integrate_flow), each
-  torus a lane with its own step control, its second falling crossing of
-  the section, and the energy drift the kernel tracks over its steps; a
-  failing torus stops only its own lane.
+  field from a torus seed, with the azimuth unwrapped as an extra state
+  component.  A batch of tori of one system runs as one batched DOP853
+  integration (integrate_flow), each torus a lane with its own step
+  control, its second falling crossing of the section, landed on it by
+  Henon's step at the rate the system gives (flow_section_rate), and the
+  energy drift the kernel tracks over its steps; a failing torus stops
+  only its own lane.
 
 cross_checks runs both engines on a batch of tori drawn by
 sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)
@@ -31,8 +32,9 @@ and compares them to CROSS_TOL; cross_check and the "flow" engine of
 reduced_period_rotation are its one-torus cases.
 
 Conversion to the lattice basis uses the linear momentum chart at the
-origin (Phi1 ~ alpha, Phi2 ~ omega; the deviation of the true chart from
-linear is smooth and is absorbed by the asymptotic fits):
+origin (systems.to_momentum_chart; Phi1 ~ alpha, Phi2 ~ omega; the
+deviation of the true chart from linear is smooth and is absorbed by the
+asymptotic fits):
 
     tau1 = alpha T,   tau2 = omega T - Theta,
     (tau1, tau2) and (0, 2 pi) span the period lattice.
@@ -60,7 +62,8 @@ from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
                      FocusFocusError)
 from .numerics import (EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR, TWO_PI,
                        align_angle, integrate_flow)
-from .systems import EMValue, SystemDefinition
+from .systems import (EMValue, MomentumValue, SystemDefinition,
+                      from_momentum_chart, to_momentum_chart)
 
 CROSS_TOL = 1e-7
 # flow-oracle sample domain per system: |j| range, and the |sin arg zeta|
@@ -82,24 +85,6 @@ RAY_OFFSET = 1e-3
 
 
 @dataclass(frozen=True)
-class MomentumValue:
-    """Point in the linearized momentum chart, identified with
-    zeta = j1 + i j2."""
-    j1: float
-    j2: float
-
-    @property
-    def modulus(self) -> float:
-        return math.hypot(self.j1, self.j2)
-
-    @property
-    def angle(self) -> float:
-        """Principal argument in [0, 2 pi), cut on the positive-j1 ray."""
-        th = math.atan2(self.j2, self.j1)
-        return th if th >= 0.0 else th + TWO_PI
-
-
-@dataclass(frozen=True)
 class PeriodLatticeSample:
     """(T, Theta) of one torus plus the derived lattice basis entries."""
     T: float
@@ -111,17 +96,6 @@ class PeriodLatticeSample:
     @property
     def rotation_number(self) -> float:
         return self.theta / TWO_PI
-
-
-def to_momentum_chart(system: SystemDefinition, c: EMValue) -> MomentumValue:
-    """Exact linear chart (h, l) = (j1 alpha + j2 omega, j2)."""
-    ff = system.constants()
-    return MomentumValue(j1=(c.h - ff.omega * c.l) / ff.alpha, j2=c.l)
-
-
-def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
-    ff = system.constants()
-    return EMValue(h=j.j1 * ff.alpha + j.j2 * ff.omega, l=j.j2)
 
 
 def _tori_quadrature(system: SystemDefinition, h: np.ndarray, l: np.ndarray
@@ -161,8 +135,8 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:
         lanes.append(i)
     if not lanes:
         return out
-    section = EventSpec(system.flow_section_value, -1.0, count=2,
-                        level=np.array(levels))
+    section = EventSpec(system.flow_section_value, system.flow_section_rate,
+                        -1.0, count=2, level=np.array(levels))
     traj = integrate_flow(system.flow_field, np.column_stack(seeds),
                           t_max=np.array(budgets),
                           invariant=system.flow_hamiltonian, section=section,

@@ -2,15 +2,17 @@
 
 Adaptive ODE integration to a section: a batched Dormand-Prince 8(5,3)
 integrator (DOP853) that steps a block of seeds at once, each lane with its
-own step-size controller, crossings of one section localized per lane, and
-the running drift of an invariant tracked in the kernel (Hairer, Norsett
-and Wanner, Solving ODEs I, II.4-II.6 and II.10).  Quadrature with
-inverse-square-root endpoint singularities (singularity-removing
-substitution + adaptive refinement; no engine uses it, the tests use it as
-a reference), Brent root finding (scipy's brentq.c, ported), and
-extrapolated finite differences.  With Bulirsch's cel for T and Theta
-(systems), the package runs on numpy alone: scipy serves only the flow
-oracle (the DOP853 tableau, imported by integrate_flow) and quad_singular.
+own step-size controller, each crossing landed on the section by Henon's
+step (one DOP853 step in the section function; M. Henon, Physica D 5
+(1982) 412-414), and the running drift of an invariant tracked in the
+kernel (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).
+Quadrature with inverse-square-root endpoint singularities
+(singularity-removing substitution + adaptive refinement; no engine uses
+it, the tests use it as a reference), Brent root finding (scipy's
+brentq.c, ported), and extrapolated finite differences.  With Bulirsch's
+cel for T and Theta (systems), the package runs on numpy alone: scipy
+serves only the flow oracle (the DOP853 tableau, imported by
+integrate_flow) and quad_singular.
 
 All functions here are pure; callers may evaluate them concurrently.
 """
@@ -59,7 +61,7 @@ class Trajectory:
     Row i of times (k+1, n) holds every lane's time after the i-th batch
     step; a lane that retries a rejected step or has stopped repeats its
     last time.  final (d, n) holds each lane's last state, event_records
-    one list per lane of its polished (time, state) section crossings in
+    one list per lane of its landed (time, state) section crossings in
     order, drift each lane's largest |f(y) - f(y0)| / (1 + |f(y0)|) of the
     invariant f over its accepted steps, and errors the FlowError that
     stopped each lane, or None.
@@ -74,9 +76,11 @@ class Trajectory:
 @dataclass(frozen=True)
 class EventSpec:
     """A section g(state) = fn(state) - level, crossed where g changes sign
-    in its direction: rising (+1) or falling (-1).  A lane stops at its
-    count-th crossing.  level may hold one value per lane."""
+    in its direction: rising (+1) or falling (-1), at the rate(state, f) =
+    dg/dt where the field is f.  A lane stops at its count-th crossing.
+    level may hold one value per lane."""
     fn: Callable[[np.ndarray], float]
+    rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     direction: float
     count: int
     level: float | np.ndarray = 0.0
@@ -144,34 +148,27 @@ def _error_norm(tab, K, h, scale) -> np.ndarray:
             / np.sqrt(np.where(denom > 0.0, denom, 1.0) * scale.shape[0]))
 
 
-def _dense_coefficients(tab, field, t_old, y_old, y_new, h, K):
-    """7th-order dense-output coefficients F (7, d, q) of the steps
-    y_old -> y_new of q lanes, whose stages are K (16, d, q); adds the
-    three extra stages."""
-    for s, (a, c) in enumerate(zip(tab.A_EXTRA, tab.C_EXTRA),
-                               start=tab.n_stages + 1):
-        dy = _combine(a[:s], K) * h
-        K[s] = field(t_old + c * h, y_old + dy)
-    f_old, f_new = K[0], K[tab.n_stages]
-    delta_y = y_new - y_old
-    F = np.empty((7,) + y_old.shape)
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2.0 * delta_y - h * (f_new + f_old)
-    F[3:] = h * _combine(tab.D, K)
-    return F
+def _one_lane(field):
+    """field on a block of one lane (d, 1): the rows of one state (d,)
+    unpack to scalars, which is far cheaper than arithmetic on (1,)
+    arrays."""
+    return lambda t, y: np.asarray(field(t[0], y[:, 0]), dtype=float)[:, None]
 
 
-def _dense_output(t_old: float, h: float, y_old: np.ndarray, F: np.ndarray):
-    """The interpolant of one lane's step, t -> state (d,)."""
-    def sol(t):
-        x = (t - t_old) / h
-        y = np.zeros_like(y_old)
-        for i, f in enumerate(F[::-1]):
-            y += f
-            y *= x if i % 2 == 0 else 1.0 - x
-        return y + y_old
-    return sol
+def _land(tab, field, rate, t, y, f, g):
+    """Henon's step: one DOP853 step of the lanes at (t, y), field values f,
+    over -g in their section value g, on the state (y, t) with field
+    (f, 1) / rate.  Returns the landing times, states and starting rates."""
+    def field_in_g(_, yt):
+        fy = np.asarray(field(yt[-1], yt[:-1]), dtype=float)
+        return np.vstack([fy, np.ones_like(yt[-1])]) / rate(yt[:-1], fy)
+
+    r = rate(y, f)
+    K = np.empty((tab.n_stages + 1, y.shape[0] + 1, y.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        yt = _rk_step(tab, field_in_g, g, np.vstack([y, t]),
+                      np.vstack([f, np.ones_like(t)]) / r, -g, K)
+    return yt[-1], yt[:-1], r
 
 
 def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
@@ -186,21 +183,23 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     at.
 
     field(t, y) must accept a block of states y (d, m) with times t (m,),
-    unpacked row by row; a batch of one hands it a state (d,) and a float.
-    The section's fn must accept both a block and a state (d,), the
-    invariant a block.  t_max may hold one budget per lane.  Each lane runs
-    solve_ivp's controller on its own: starting step, error norm,
-    SAFETY/MIN/MAX factors, no growth right after a rejection, and failure
-    once the step falls below ten ulps of t.  Section crossings are
-    localized per lane on the 7th-order interpolant by Brent's method at
-    4 eps; a seed lying exactly on the section is not a crossing.  The
-    invariant is evaluated on every accepted state, for each lane's
-    running maximum drift.
+    unpacked row by row; a batch of one, and the landing of one lane, hand
+    it a state (d,) and a float.  The section's fn and rate and the
+    invariant must accept a block.  t_max may hold one budget per lane.
+    Each lane runs solve_ivp's controller on its own: starting step, error
+    norm, SAFETY/MIN/MAX factors, no growth right after a rejection, and
+    failure once the step falls below ten ulps of t.  A lane crosses the
+    section on an accepted step where g, signed by the direction, goes from
+    below zero to zero or above (so a seed lying on the section is not a
+    crossing); the crossing lanes of a step land on the section together by
+    Henon's step (_land) from the step's start.  The invariant is evaluated
+    on every accepted state, for each lane's running maximum drift.
 
     A lane fails with FlowError on step-size underflow (near-singular
-    dynamics) or when it does not reach its count of crossings before its
-    t_max; the error is recorded in Trajectory.errors and the other lanes
-    go on.
+    dynamics), when it does not reach its count of crossings before its
+    t_max, or when a landing fails: a rate without the section's direction,
+    a non-finite landing, or a landing time outside its step.  The error is
+    recorded in Trajectory.errors and the other lanes go on.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -209,13 +208,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     if y0.ndim != 2:
         raise ValueError("p0 must hold one seed per column, shape (d, n)")
     d, n = y0.shape
-    if n == 1:
-        lone = field
-
-        def field(t, y):
-            # the rows of one state (d,) unpack to scalars, which is far
-            # cheaper than arithmetic on (1,) arrays
-            return np.asarray(lone(t[0], y[:, 0]), dtype=float)[:, None]
+    block = _one_lane(field) if n == 1 else field
     t_bound = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
     if not np.all(t_bound > 0.0):
         raise ValueError("t_max must be positive")
@@ -223,30 +216,19 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     lane = np.arange(n)
     t = np.zeros(n)
     y = y0.copy()
-    f = np.asarray(field(t, y), dtype=float)
-    h_abs = _initial_step(tab, field, t, y, f, t_bound, tol, FLOW_ATOL)
+    f = np.asarray(block(t, y), dtype=float)
+    h_abs = _initial_step(tab, block, t, y, f, t_bound, tol, FLOW_ATOL)
     rejected = np.zeros(n, dtype=bool)
     v0 = np.asarray(invariant(y0), dtype=float)
     drift = np.zeros(n)
     if section is not None:
         level = np.broadcast_to(np.asarray(section.level, dtype=float), (n,))
         g = section.fn(y) - level
-        # a seed lying exactly on the section is not a crossing: it reads
-        # as a tiny already-past-zero value at t = 0
-        on_section = g == 0.0
-        past = section.direction * 1e-300
-        g = np.where(on_section, past, g)
 
     records: list[list] = [[] for _ in range(n)]
     errors: list[FlowError | None] = [None] * n
     now_t, final = t.copy(), y0.copy()
     times = [now_t.copy()]
-
-    def section_value(i: int, tt: float, state: np.ndarray) -> float:
-        v = section.fn(state) - level[i]
-        if on_section[i] and tt == 0.0 and v == 0.0:
-            return past
-        return v
 
     while lane.size:
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
@@ -264,8 +246,8 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         t_b = t_bound[lane]
         t_new = np.minimum(t + h_abs, t_b)
         h = t_new - t
-        K = np.empty((tab.n_stages + 4, d, lane.size))
-        y_new = _rk_step(tab, field, t, y, f, h, K)
+        K = np.empty((tab.n_stages + 1, d, lane.size))
+        y_new = _rk_step(tab, block, t, y, f, h, K)
         scale = FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * tol
         err = _error_norm(tab, K, h, scale)
         accept = err < 1.0
@@ -292,22 +274,24 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
             g_old, g_new = g[ids], section.fn(y[:, acc]) - level[ids]
             g[ids] = g_new
             s_old, s_new = section.direction * g_old, section.direction * g_new
-            hit = np.flatnonzero((s_old <= 0.0) & (s_new >= 0.0))
+            # strict before, so a seed on the section is not a crossing
+            hit = np.flatnonzero((s_old < 0.0) & (s_new >= 0.0))
             if hit.size:
-                cols = acc[hit]
-                F = _dense_coefficients(tab, field, t_old[hit], y_old[:, hit],
-                                        y_new[:, cols], h[cols],
-                                        K[:, :, cols])
+                t_at, y_at, r = _land(
+                    tab, _one_lane(field) if hit.size == 1 else field,
+                    section.rate, t_old[hit], y_old[:, hit], K[0][:, acc[hit]],
+                    g_old[hit])
             for q, a in enumerate(hit):
                 j, i = acc[a], ids[a]
-                sol = _dense_output(t_old[a], h[j], y_old[:, a], F[:, :, q])
-                ta, tb = float(t_old[a]), float(t[j])
-
-                def g_at(tt):
-                    return section_value(i, tt, sol(tt))
-                root, _ = _brent(g_at, ta, tb, g_at(ta), g_at(tb), 4 * EPS,
-                                 4 * EPS)
-                records[i].append((float(root), sol(root)))
+                if not (section.direction * r[q] > 0.0
+                        and np.isfinite(y_at[:, q]).all()
+                        and t_old[a] <= t_at[q] <= t[j]):
+                    errors[i] = FlowError(
+                        f"no landing on the section from t={t_old[a]:.6g}: "
+                        f"rate {r[q]:.3g}, landing time {t_at[q]:.6g}")
+                    done[j] = True
+                    continue
+                records[i].append((float(t_at[q]), y_at[:, q]))
                 if len(records[i]) >= section.count:
                     t[j], y[:, j] = records[i][-1]
                     done[j] = True
@@ -320,7 +304,8 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         if done.any():
             for i in lane[done]:
                 got = len(records[i])
-                if section is not None and got < section.count:
+                if (section is not None and got < section.count
+                        and errors[i] is None):
                     errors[i] = FlowError(
                         f"t_max={t_bound[i]:.6g} exceeded with {got}/"
                         f"{section.count} section crossings")
@@ -401,12 +386,20 @@ def _adaptive_quad(g: Callable[[float], float], lo: float, hi: float,
         f"(wrong exponent declaration or interior singularity?)")
 
 
-def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
-           fb: float, xtol: float, rtol: float) -> tuple[float, float]:
-    """scipy's brentq.c, ported line for line (bit-identical iterates), given
-    fa = f(a) and fb = f(b).  Returns brentq's root and the value of f it
-    holds there.  Raises BracketError where brentq raises: f(a), f(b) of
-    one sign, a NaN, or no convergence in BRENT_MAX_ITER steps."""
+def find_root_bracketed(f: Callable[[float], float],
+                        bracket: tuple[float, float],
+                        f_ends: tuple[float, float]) -> tuple[float, float]:
+    """Brent's method, given the values f_ends of f at the bracket ends: the
+    root and the value of f there.  The result never leaves the initial
+    bracket.  A port of scipy's brentq.c, line for line, at xtol ROOT_XTOL
+    and rtol 8 eps: its iterates and root are brentq's, bit for bit, but it
+    does not evaluate f at the ends again.  Raises BracketError on an
+    invalid bracket and where brentq raises: f(a), f(b) of one sign, a NaN,
+    or no convergence in BRENT_MAX_ITER steps."""
+    a, b = float(bracket[0]), float(bracket[1])
+    if not a < b:
+        raise BracketError(f"invalid bracket [{a}, {b}]")
+    fa, fb = f_ends
     if fa == 0.0 or fb == 0.0:
         return (a, fa) if fa == 0.0 else (b, fb)
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
@@ -422,7 +415,7 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (ROOT_XTOL + 8 * EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0.0 or abs(sbis) < delta:
             return xcur, fcur
@@ -445,18 +438,6 @@ def _brent(f: Callable[[float], float], a: float, b: float, fa: float,
             raise BracketError(f"f({xcur})=NaN")
     raise BracketError(f"Brent's method did not converge in "
                        f"{BRENT_MAX_ITER} iterations")
-
-
-def find_root_bracketed(f: Callable[[float], float],
-                        bracket: tuple[float, float],
-                        f_ends: tuple[float, float]) -> tuple[float, float]:
-    """Bisection-safeguarded superlinear root finding (Brent), given the
-    values f_ends of f at the bracket ends: the root and the value of f
-    there.  The result never leaves the initial bracket."""
-    a, b = float(bracket[0]), float(bracket[1])
-    if not a < b:
-        raise BracketError(f"invalid bracket [{a}, {b}]")
-    return _brent(f, a, b, *f_ends, ROOT_XTOL, 8 * EPS)
 
 
 def fd_derivative(f: Callable[[float], float | np.ndarray], x: float,

@@ -21,11 +21,10 @@ import numpy as np
 
 from .errors import FitError, NoTorusError, WindowError
 from .numerics import TWO_PI, linear_quantiles
-from .lattice import (RAY_OFFSET, MomentumValue, PeriodLatticeSample,
-                      _tori_quadrature, carry_branch, from_momentum_chart,
-                      period_lattice, raise_failed, to_momentum_chart,
-                      transport)
-from .systems import EMValue, SystemDefinition
+from .lattice import (RAY_OFFSET, PeriodLatticeSample, _tori_quadrature,
+                      carry_branch, period_lattice, raise_failed, transport)
+from .systems import (EMValue, MomentumValue, SystemDefinition,
+                      from_momentum_chart, to_momentum_chart)
 
 MASK_REGULAR = 0
 MASK_CORE = 1        # below the |j| floor: too close to the singular fiber
@@ -138,9 +137,8 @@ def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
     # the tori of _circle, with math's cos and sin
     cos = np.array([math.cos(th) for th in angles.tolist()])
     sin = np.array([math.sin(th) for th in angles.tolist()])
-    ff = system.constants()
     l = np.outer(radii, sin)
-    h = np.outer(radii, cos) * ff.alpha + l * ff.omega
+    h = from_momentum_chart(system, MomentumValue(np.outer(radii, cos), l)).h
     core = system.window_radius(h, l) < system.j_floor
 
     blocks = [b for b in np.array_split(np.arange(n0), max(1, jobs)) if b.size]

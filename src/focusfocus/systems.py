@@ -30,9 +30,9 @@ pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
 serves only the flow oracle.
 
 Each system has two forms of the closed form.  period_rotation takes one
-torus on Python floats (~13 us); finite-difference stencils and Brent
+torus on Python floats (~5 us); finite-difference stencils and Brent
 brackets, which ask for one torus at a time, use it.  period_rotation_array
-takes arrays h, l (a grid or a path, ~1.5 us per torus on thousands) and
+takes arrays h, l (a grid or a path, ~0.6 us per torus on thousands) and
 returns T, Theta and an ok mask: ok is False where the scalar form raises
 or a step would leave its domain, and such a lane is left to the scalar
 form.  The array form runs the scalar operations in the scalar order
@@ -40,7 +40,7 @@ form.  The array form runs the scalar operations in the scalar order
 Newton and cel loops by compaction at the iteration at which its scalar
 loop stops, so every accepted lane is bit-identical to period_rotation
 and does not depend on the other lanes of its batch.  On one torus the
-array form would cost ~50 times the scalar one, which is why both stay.
+array form would cost ~40 times the scalar one, which is why both stay.
 
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable, hashable, safely shareable across workers.
@@ -87,6 +87,24 @@ class EMValue:
     """Point in the energy-momentum image, relative to the critical value."""
     h: float
     l: float
+
+
+@dataclass(frozen=True)
+class MomentumValue:
+    """Point in the linearized momentum chart, identified with
+    zeta = j1 + i j2."""
+    j1: float
+    j2: float
+
+    @property
+    def modulus(self) -> float:
+        return math.hypot(self.j1, self.j2)
+
+    @property
+    def angle(self) -> float:
+        """Principal argument in [0, 2 pi), cut on the positive-j1 ray."""
+        th = math.atan2(self.j2, self.j1)
+        return th if th >= 0.0 else th + TWO_PI
 
 
 @dataclass(frozen=True)
@@ -255,28 +273,16 @@ def _scatter(n: int, lane: np.ndarray, ok: np.ndarray, T: np.ndarray,
     return T_out, theta_out, accepted
 
 
-def _check_window(system: "SystemDefinition", c: EMValue) -> None:
-    ff = system.constants()
-    j1 = (c.h - ff.omega * c.l) / ff.alpha
-    r = math.hypot(j1, c.l)
-    if r < system.j_floor:
-        raise WindowError(
-            f"|j|={r:.3g} below floor {system.j_floor:.3g}: too close to the "
-            "singular fiber")
-    if r > system.j_cap:
-        raise WindowError(f"|j|={r:.3g} above cap {system.j_cap:.3g}")
-
-
 class SystemDefinition:
     """Duck-typed interface shared by the built-in systems.
 
     Required surface: name, j_floor, j_cap, hamiltonian/second_integral and
     their gradients on a 4-dim symplectic chart, hessian() at the
     equilibrium, reduced_profile(c), period_rotation(c) -> (T, Theta), flow
-    components (field, seed, section value and level, angle index, energy
-    on the flow chart), constants().  The flow field, the section value
-    and the energy take a state or a block of states (d, m), unpacked row
-    by row.
+    components (field, seed, section value, rate and level, angle index,
+    energy on the flow chart), constants().  The flow field, the section
+    value and rate and the energy take a state or a block of states
+    (d, m), unpacked row by row.
     """
 
     name = "abstract"
@@ -288,13 +294,17 @@ class SystemDefinition:
         return eval_constants(self)
 
     def check_window(self, c: EMValue) -> None:
-        _check_window(self, c)
+        r = to_momentum_chart(self, c).modulus
+        if r < self.j_floor:
+            raise WindowError(f"|j|={r:.3g} below floor {self.j_floor:.3g}: "
+                              "too close to the singular fiber")
+        if r > self.j_cap:
+            raise WindowError(f"|j|={r:.3g} above cap {self.j_cap:.3g}")
 
     def window_radius(self, h: np.ndarray, l: np.ndarray) -> np.ndarray:
         """|j| of the tori (h, l), arrays, as check_window measures it:
         math.hypot lane by lane, so the two agree to the last bit."""
-        ff = self.constants()
-        j1 = (h - ff.omega * l) / ff.alpha
+        j1 = to_momentum_chart(self, EMValue(h, l)).j1
         return np.array(list(map(math.hypot, j1.ravel().tolist(),
                                  l.ravel().tolist())),
                         dtype=float).reshape(h.shape)
@@ -305,6 +315,19 @@ class SystemDefinition:
         Here no lane is accepted, so each takes the scalar path."""
         nan = np.full(h.shape, np.nan)
         return nan, nan.copy(), np.zeros(h.shape, dtype=bool)
+
+
+def to_momentum_chart(system: SystemDefinition, c: EMValue) -> MomentumValue:
+    """The linear momentum chart at the origin, j1 = (h - omega l) / alpha
+    and j2 = l, on floats or arrays (one torus per lane)."""
+    ff = system.constants()
+    return MomentumValue(j1=(c.h - ff.omega * c.l) / ff.alpha, j2=c.l)
+
+
+def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
+    """(h, l) = (alpha j1 + omega j2, j2), on floats or arrays."""
+    ff = system.constants()
+    return EMValue(h=j.j1 * ff.alpha + j.j2 * ff.omega, l=j.j2)
 
 
 @lru_cache(maxsize=1024)
@@ -527,6 +550,10 @@ class ChampagneBottle(SystemDefinition):
         period."""
         return s[0] * s[0] + s[1] * s[1]
 
+    def flow_section_rate(self, s, f):
+        """d(r^2)/dt where the field takes the value f."""
+        return 2.0 * (s[0] * f[0] + s[1] * f[1])
+
     def flow_section_level(self, c: EMValue) -> float:
         prof = self.reduced_profile(c)
         return 0.5 * (prof.r_lo ** 2 + prof.r_hi ** 2)
@@ -718,6 +745,10 @@ class SphericalPendulum(SystemDefinition):
         """z, which falls through its mid-orbit level once per radial
         period."""
         return s[2]
+
+    def flow_section_rate(self, s, f):
+        """dz/dt where the field takes the value f."""
+        return f[2]
 
     def flow_section_level(self, c: EMValue) -> float:
         prof = self.reduced_profile(c)

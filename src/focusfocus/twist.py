@@ -27,8 +27,8 @@ from .errors import ScanError
 from .numerics import (FD_STEP_FLOOR, FD_STEP_REL, TWO_PI, fd_derivative,
                        find_root_bracketed, richardson)
 from .lattice import (_tori_quadrature, fill_rejected, period_lattice,
-                      reduced_period_rotation, to_momentum_chart)
-from .systems import EMValue, SystemDefinition
+                      reduced_period_rotation)
+from .systems import EMValue, SystemDefinition, to_momentum_chart
 
 # twistless scans stay within |j| <= SCAN_CAP (and the system's j_cap)
 SCAN_CAP = 0.2

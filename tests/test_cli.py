@@ -186,6 +186,15 @@ class TestConfigErrors:
         assert "configuration error:" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv", [["crosscheck", "--seed", "-1"],
+                                      ["report", "--seed", "-5"]])
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        # numpy's generator takes only non-negative seeds
+        rc, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["grid", "--window", "1e-3,inf"], ["kolmogorov", "--ray-angle", "inf"],
         ["twistless", "--h-values", "0.01,nan"],

@@ -7,7 +7,7 @@ from focusfocus import (EMValue, MomentumValue, annulus_sweep, cross_check,
                         eval_constants, fit_asymptotic_model,
                         from_momentum_chart, period_lattice,
                         reduced_period_rotation, to_momentum_chart)
-from focusfocus import lattice
+from focusfocus import acceptance, lattice
 from focusfocus.errors import FitError, FlowError, WindowError
 from focusfocus.lattice import PeriodLatticeSample, SweepSample
 
@@ -112,6 +112,27 @@ class TestBatchedCrossCheck:
         for k in (0, 2, 3):
             for key, value in clean[k].items():
                 assert results[k][key] == pytest.approx(value, rel=1e-10)
+
+    def test_crossings_land_on_the_section(self, monkeypatch):
+        # C1's two 50-lane batches: Henon's step puts every recorded
+        # crossing on its section to rounding
+        integrate_flow = lattice.integrate_flow
+        calls = []
+
+        def recording_flow(*args, **kwargs):
+            calls.append((kwargs["section"], integrate_flow(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
+        assert acceptance.c1_cross_engine(
+            acceptance.AcceptanceConfig()).status == "pass"
+        assert [traj.final.shape[1] for _, traj in calls] == [50, 50]
+        for section, traj in calls:
+            for level, records in zip(section.level, traj.event_records):
+                assert len(records) == 2
+                for _, state in records:
+                    assert abs(section.fn(state) - level) <= \
+                        1e-13 * (1.0 + abs(level))
 
     def test_sampler_draws_the_reference_sequence(self, champagne,
                                                   pendulum):

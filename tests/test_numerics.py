@@ -24,6 +24,11 @@ def amplitude(y):
     return y[0] * y[0] + y[1] * y[1]
 
 
+def x_rate(y, f):
+    # dx/dt, the rate of the sections fn(y) = y[0] - level
+    return f[0]
+
+
 def one_lane(seed):
     return np.array(seed, dtype=float)[:, None]
 
@@ -32,7 +37,7 @@ class TestIntegrateFlow:
     def test_harmonic_first_return(self):
         # start on the section x = 0 moving upward; the next rising crossing
         # is one full period later
-        ev = EventSpec(lambda y: y[0], direction=+1, count=1)
+        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=1)
         traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=10.0,
                               invariant=amplitude, section=ev, tol=1e-12)
         t1 = traj.event_records[0][0][0]
@@ -56,7 +61,8 @@ class TestIntegrateFlow:
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
         c = EMValue(0.1, 0.05)
-        section = EventSpec(champagne.flow_section_value, -1.0, count=2,
+        section = EventSpec(champagne.flow_section_value,
+                            champagne.flow_section_rate, -1.0, count=2,
                             level=champagne.flow_section_level(c))
         traj = integrate_flow(champagne.flow_field,
                               one_lane(champagne.flow_seed(c)), t_max=1e3,
@@ -67,7 +73,7 @@ class TestIntegrateFlow:
         assert traj.event_records[0][1][0] < 1e3
 
     def test_event_count_not_reached(self):
-        ev = EventSpec(lambda y: y[0], direction=+1, count=3)
+        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=3)
         traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=8.0,
                               invariant=amplitude, section=ev)
         assert isinstance(traj.errors[0], FlowError)
@@ -77,7 +83,7 @@ class TestIntegrateFlow:
                                         dict(direction=1.0, count=0)])
     def test_section_needs_a_direction_and_a_count(self, kwargs):
         with pytest.raises(ValueError, match="direction"):
-            EventSpec(lambda y: y[0], **kwargs)
+            EventSpec(lambda y: y[0], x_rate, **kwargs)
 
     def test_one_seed_is_one_column(self):
         with pytest.raises(ValueError, match="shape"):
@@ -114,14 +120,15 @@ class TestBatchedFlow:
         # one-lane run
         seeds = np.array([[0.0, 0.3, -0.5], [1.0, 0.8, 0.2]])
         levels = np.array([0.0, 0.1, -0.2])
-        ev = EventSpec(lambda y: y[0], direction=+1, count=2, level=levels)
+        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=2,
+                       level=levels)
         traj = integrate_flow(oscillator, seeds, t_max=[20.0, 20.0, 30.0],
                               invariant=amplitude, section=ev)
         for i in range(3):
             one = integrate_flow(
                 oscillator, seeds[:, i:i + 1], t_max=20.0,
                 invariant=amplitude,
-                section=EventSpec(lambda y, v=levels[i]: y[0] - v,
+                section=EventSpec(lambda y, v=levels[i]: y[0] - v, x_rate,
                                   direction=+1, count=2))
             assert traj.errors[i] is None
             got = [t for t, _ in traj.event_records[i]]
@@ -134,8 +141,25 @@ class TestBatchedFlow:
         assert traj.event_records[0][0][0] == pytest.approx(TWO_PI,
                                                             abs=1e-9)
 
+    def test_zero_rate_fails_only_its_lane(self):
+        # a third, constant component tags lane 1, whose section rate reads
+        # 0: it cannot land, and lane 0 lands as if alone
+        def field(t, y):
+            return [y[1], -y[0], 0.0 * y[2]]
+
+        ev = EventSpec(lambda y: y[0], lambda y, f: f[0] * (1.0 - y[2]),
+                       direction=+1, count=2)
+        traj = integrate_flow(field, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
+                              t_max=20.0, invariant=amplitude, section=ev)
+        assert traj.errors[0] is None
+        assert [t for t, _ in traj.event_records[0]] == pytest.approx(
+            [TWO_PI, 2.0 * TWO_PI], abs=1e-9)
+        assert isinstance(traj.errors[1], FlowError)
+        assert "no landing on the section" in str(traj.errors[1])
+        assert traj.event_records[1] == []
+
     def test_budget_is_per_lane(self):
-        ev = EventSpec(lambda y: y[0], direction=+1, count=2)
+        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=2)
         traj = integrate_flow(oscillator, [[0.0, 0.0], [1.0, 1.0]],
                               t_max=[20.0, 8.0], invariant=amplitude,
                               section=ev)
@@ -256,9 +280,8 @@ SHAPES = {
     "atan": lambda x, r, k: math.atan(k * (x - r)) + 1e-3 * (x - r),
     "flat": lambda x, r, k: (x - r) ** 3 + 1e-9 * abs(k) * (x - r),
 }
-# the two call sites' (xtol, rtol): find_root_bracketed, event localizer
-BRENT_TOLS = [(numerics.ROOT_XTOL, 8 * numerics.EPS),
-              (4 * numerics.EPS, 4 * numerics.EPS)]
+# the (xtol, rtol) of find_root_bracketed, the one caller of the port
+BRENT_TOLS = [(numerics.ROOT_XTOL, 8 * numerics.EPS)]
 
 
 class TestBrentPort:
@@ -276,7 +299,7 @@ class TestBrentPort:
 
         a, b = root - left, root + right
         want = brentq(f, a, b, xtol=xtol, rtol=rtol)
-        x, fx = numerics._brent(f, a, b, f(a), f(b), xtol, rtol)
+        x, fx = find_root_bracketed(f, (a, b), (f(a), f(b)))
         assert x == want and fx == f(x)
 
     @given(shape=st.sampled_from(sorted(SHAPES)), root=st.floats(-5.0, 5.0),

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfocus import (AnnulusRegion, EMValue, FitError, MomentumValue,
-                        align_angle, cross_check, eval_constants,
-                        extract_level_curve, fit_log_spiral,
-                        from_momentum_chart, monodromy_index, rotation_grid,
-                        rotation_number, twist)
+from focusfocus import (AnnulusRegion, ChampagneBottle, EMValue, FitError,
+                        MomentumValue, SphericalPendulum, align_angle,
+                        cross_check, eval_constants, extract_level_curve,
+                        fit_log_spiral, from_momentum_chart, monodromy_index,
+                        rotation_grid, rotation_number, twist)
 from focusfocus import lattice, rotation
 from focusfocus.lattice import annulus_sweep, reduced_period_rotation
 from focusfocus.rotation import (LevelCurve, MASK_CORE, MASK_REGULAR,
@@ -101,6 +101,31 @@ class TestRotationGrid:
         grid = self.assert_jobs_identical(
             dataclasses.replace(champagne, j_floor=2e-3))
         assert MASK_CORE in grid.mask
+
+    @given(name=st.sampled_from(["champagne", "pendulum"]),
+           gamma=st.floats(-1.5, 1.5), start=st.floats(0.0, 0.99),
+           span=st.floats(0.01, 1.0), extra_rows=st.integers(0, 2),
+           n_angles=st.integers(32, 96))
+    @settings(max_examples=100, deadline=None)
+    def test_w_continuous_across_rows(self, name, gamma, start, span,
+                                      extra_rows, n_angles):
+        # each row is carried from its own anchor, so nothing but the
+        # anchors ties neighbouring rows to one sheet: a branch slip between
+        # them reads about 1, the true step, (omega / alpha) d ln rho /
+        # 2 pi, stays below 0.1 at d ln rho <= 0.5
+        system = (ChampagneBottle(gamma=gamma) if name == "champagne"
+                  else SphericalPendulum())
+        lo, hi = math.log(system.j_floor), math.log(0.1)
+        ln_in = lo + (hi - lo) * start
+        ln_out = ln_in + (hi - ln_in) * span
+        n_rows = math.ceil((ln_out - ln_in) / 0.5) + 2 + extra_rows
+        g = rotation_grid(system, AnnulusRegion(math.exp(ln_in),
+                                                math.exp(ln_out)),
+                          (n_rows, n_angles))
+        # a first row at j_floor may round into the core
+        assert np.all(g.mask[1:] == MASK_REGULAR)
+        both = (g.mask[1:] == MASK_REGULAR) & (g.mask[:-1] == MASK_REGULAR)
+        assert np.max(np.abs(np.diff(g.w, axis=0))[both]) <= 0.25
 
     @staticmethod
     def assert_jobs_identical(system):
