@@ -4,27 +4,27 @@ frequency-map non-degeneracy."""
 
 from .errors import (BracketError, BranchError, CrossEngineMismatch,
                      FitError, FlowError, FocusFocusError, NoTorusError,
-                     QuadratureError, ScanError, StencilError,
-                     SystemRejected, TurningPointDegeneracy, WindowError)
+                     QuadratureError, ScanError, SystemRejected,
+                     TurningPointDegeneracy, WindowError)
 from .numerics import (EventSpec, QuadratureSpec, Trajectory, align_angle,
-                       fd_derivative, find_root_bracketed, integrate_flow,
-                       quad_singular)
+                       find_root_bracketed, integrate_flow, quad_singular)
 from .systems import (ChampagneBottle, EMValue, FocusFocusData,
                       MomentumValue, ReducedProfile, SphericalPendulum,
                       SystemDefinition, eval_constants, from_momentum_chart,
                       make_system, poisson_bracket, to_momentum_chart,
                       turning_points)
 from .lattice import (AsymptoticModel, PeriodLatticeSample, SweepSample,
-                      annulus_sweep, cross_check, fit_asymptotic_model,
-                      period_lattice, reduced_period_rotation, transport)
+                      annulus_sweep, cross_check, derivatives,
+                      fit_asymptotic_model, period_lattice,
+                      reduced_period_rotation, transport)
 from .rotation import (AnnulusRegion, LevelCurve, RotationGrid, SpiralFit,
                        extract_level_curve, fit_log_spiral, monodromy_index,
                        monodromy_loop, rotation_grid, rotation_number)
 from .twist import (TwistlessCurve, TwistlessSample, expected_twistless_slope,
                     tilde_s, twist, twist_scan, twistless_curve,
-                    twistless_point)
+                    twistless_point, twists)
 from .kolmogorov import (FrequencySample, asymptote_sweep, frequency_jacobian_det,
-                         tau_jacobian)
+                         frequency_samples, tau_jacobian)
 
 __version__ = "0.1.0"
 

@@ -12,15 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import fd_derivative
 from .systems import (ChampagneBottle, MomentumValue, SphericalPendulum,
                       eval_constants, from_momentum_chart)
 from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, sample_cross_tori)
 from .rotation import (AnnulusRegion, contour_levels, extract_level_curve,
                        fit_log_spiral, monodromy_index, rotation_grid)
-from .twist import tilde_s, twistless_curve
-from .kolmogorov import asymptote_sweep, frequency_jacobian_det, tau_jacobian
+from .twist import tilde_s, twistless_curve, twists
+from .kolmogorov import asymptote_sweep, frequency_samples, tau_jacobian
 from .errors import FocusFocusError
 
 RNG_SEED = 20260810
@@ -222,28 +221,22 @@ def c6_twistless(cfg: AcceptanceConfig) -> CriterionResult:
 
 def c7_tilde_s(cfg: AcceptanceConfig) -> CriterionResult:
     desc = ("S~ -> 0 at the origin (monotone over |j| = 1e-2, 1e-3, 1e-4 "
-            "along 8 rays) and FD gradient at the origin equals "
-            "(A0^2 - 1, -2 A0) within 10%")
+            "along 8 rays) and its central-difference gradient at the "
+            "origin equals (A0^2 - 1, -2 A0) within 10%")
     champ, _, _ = cfg.systems()
     if not _range_ok(champ, 1e-4, 1e-2):
         return _insufficient("C7", desc, (1e-4, 1e-2), champ)
     ff = eval_constants(champ)
     rays = [k * math.pi / 4 + 0.02 for k in range(8)]
-    decay_ok = True
-    ray_values = []
-    for th in rays:
-        vals = []
-        for rho in (1e-2, 1e-3, 1e-4):
-            j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-            vals.append(abs(tilde_s(champ, from_momentum_chart(champ, j))))
-        ray_values.append(vals)
-        decay_ok &= vals[0] > vals[1] > vals[2]
-
-    def s_tilde_at(j1: float, j2: float) -> float:
-        return tilde_s(champ, from_momentum_chart(champ, MomentumValue(j1, j2)))
-
-    g1 = fd_derivative(lambda t: s_tilde_at(t, 0.0), 0.0, step=1e-3)
-    g2 = fd_derivative(lambda t: s_tilde_at(0.0, t), 0.0, step=1e-3)
+    d = 1e-3   # the gradient's central-difference step in j
+    js = [MomentumValue(rho * math.cos(th), rho * math.sin(th))
+          for th in rays for rho in (1e-2, 1e-3, 1e-4)]
+    js += [MomentumValue(*v) for v in ((d, 0.), (-d, 0.), (0., d), (0., -d))]
+    cs = [from_momentum_chart(champ, j) for j in js]
+    st = [tilde_s(champ, c, S) for c, S in zip(cs, twists(champ, cs))]
+    ray_values = [list(map(abs, st[k:k + 3])) for k in range(0, 24, 3)]
+    decay_ok = all(v[0] > v[1] > v[2] for v in ray_values)
+    g1, g2 = (st[-4] - st[-3]) / (2.0 * d), (st[-2] - st[-1]) / (2.0 * d)
     exp1, exp2 = ff.A0 ** 2 - 1.0, -2.0 * ff.A0
     grad_ok = (abs(g1 - exp1) <= 0.10 * abs(exp1)
                and abs(g2 - exp2) <= 0.10 * abs(exp2))
@@ -263,17 +256,15 @@ def c8_kolmogorov(cfg: AcceptanceConfig) -> CriterionResult:
         return _insufficient("C8", desc, (1e-4, 1e-2), champ)
     details: dict = {}
 
-    # negativity on both systems
-    neg_ok = True
+    # negativity on both systems, each in one call
     dets = []
-    for system, r_lo in ((champ, 1e-4), (pend, 1e-4)):
-        for th in (0.7, 2.2, 3.9, 5.5):
-            for rho in np.geomspace(r_lo, 1e-2, 3).tolist():
-                j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-                fs = frequency_jacobian_det(system,
-                                            from_momentum_chart(system, j))
-                dets.append(fs.det_I)
-                neg_ok &= fs.det_I < 0.0
+    for system in (champ, pend):
+        dets += [fs.det_I for fs in frequency_samples(system, [
+            from_momentum_chart(system, MomentumValue(rho * math.cos(th),
+                                                      rho * math.sin(th)))
+            for th in (0.7, 2.2, 3.9, 5.5)
+            for rho in np.geomspace(1e-4, 1e-2, 3).tolist()])]
+    neg_ok = all(d < 0.0 for d in dets)
     details["n_negativity_samples"] = len(dets)
     details["max_det_I"] = max(dets)
 

@@ -33,10 +33,6 @@ class BracketError(FocusFocusError):
     """Root bracket invalid (no sign change)."""
 
 
-class StencilError(FocusFocusError):
-    """Finite-difference stencil left the admissible domain."""
-
-
 class BranchError(FocusFocusError):
     """Branch tracking failed (step too large between samples)."""
 

@@ -8,11 +8,12 @@ and the exact chain factor:
     => det d(h,l)/dI = 2 pi / T = omega1,
     det domega/dI = omega1 * det domega/d(h,l).
 
-It is compared against the predicted asymptote -(2 pi alpha / (|j| tau1^2))^2,
-which is negative: the frequency map is non-degenerate on every regular
-torus close to the fiber.  The Jacobian is branch-invariant, so stencils
-(numerics.fd_derivative) only need Theta aligned to their centre
-(lattice.period_lattice).
+So T and Theta are the gradient of one action, and every Jacobian here
+comes from its Hessian, T_h, T_l = -Theta_h and Theta_l, exact to rounding
+by a complex step (lattice.derivatives).  The determinant is compared
+against the predicted asymptote -(2 pi alpha / (|j| tau1^2))^2, which is
+negative: the frequency map is non-degenerate on every regular torus close
+to the fiber.
 """
 from __future__ import annotations
 
@@ -21,12 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import TWO_PI, fd_derivative
-from .lattice import period_lattice, reduced_period_rotation
+from .numerics import TWO_PI
+from .lattice import derivatives, reduced_period_rotation
 from .systems import (EMValue, MomentumValue, SystemDefinition,
                       from_momentum_chart, to_momentum_chart)
-
-JAC_STEP_REL = 1e-2     # FD steps shrink with |j|: derivative scales ~1/|j|
 
 
 @dataclass(frozen=True)
@@ -42,60 +41,65 @@ class FrequencySample:
     ratio: float          # det_I / asymptote
 
 
-def frequency_jacobian_det(system: SystemDefinition,
-                           c: EMValue) -> FrequencySample:
-    """Central differences of (omega1, omega2) in (h, l), with Theta locally
-    branch-aligned across the stencil."""
+def _hessian(system: SystemDefinition, cs: list[EMValue]) -> np.ndarray:
+    """(T_h, T_l, Theta_h, Theta_l) of each torus of cs, rows (4, n), from
+    one call of 2n lanes; raises the first failing torus's error."""
+    n = len(cs)
+    along_h = np.repeat([1.0, 0.0], n)
+    dT, dtheta, failed = derivatives(system, np.tile([c.h for c in cs], 2),
+                                     np.tile([c.l for c in cs], 2), along_h,
+                                     1.0 - along_h)
+    if failed:
+        raise failed[min(failed, key=lambda k: (k % n, k))]
+    return np.concatenate([dT.reshape(2, n), dtheta.reshape(2, n)])
+
+
+def frequency_samples(system: SystemDefinition,
+                      cs: list[EMValue]) -> list[FrequencySample]:
+    """The frequency-map Jacobian at each torus of cs: det domega/d(h, l)
+    = -2 pi (T_h Theta_l - T_l Theta_h) / T^3, the derivatives of all tori
+    from one array call, T and Theta from the real closed form."""
     ff = system.constants()
-    j = to_momentum_chart(system, c)
-    d = JAC_STEP_REL * j.modulus
-    T0, theta0 = reduced_period_rotation(system, c)
+    out = []
+    for c, (T_h, T_l, th_h, th_l) in zip(cs, _hessian(system, cs).T.tolist()):
+        j = to_momentum_chart(system, c).modulus
+        T, theta = reduced_period_rotation(system, c)
+        det_c = -TWO_PI * (T_h * th_l - T_l * th_h) / T ** 3
+        omega1, tau1 = TWO_PI / T, ff.alpha * T
+        asym = -((TWO_PI * ff.alpha) / (j * tau1 ** 2)) ** 2
+        det_i = omega1 * det_c
+        out.append(FrequencySample(c, j, tau1, omega1, theta / T, det_c,
+                                   det_i, asym, det_i / asym))
+    return out
 
-    def omegas(h: float, l: float) -> np.ndarray:
-        s = period_lattice(system, EMValue(h, l), theta0)
-        return np.array([TWO_PI / s.T, s.theta / s.T])
 
-    d11, d21 = fd_derivative(lambda h: omegas(h, c.l), c.h, step=d)
-    d12, d22 = fd_derivative(lambda l: omegas(c.h, l), c.l, step=d)
-    det_c = float(d11 * d22 - d12 * d21)
-
-    omega1 = TWO_PI / T0
-    tau1 = ff.alpha * T0
-    asym = -((TWO_PI * ff.alpha) / (j.modulus * tau1 ** 2)) ** 2
-    det_i = omega1 * det_c
-    return FrequencySample(c=c, j_mod=j.modulus, tau1=tau1,
-                           omega1=omega1, omega2=theta0 / T0,
-                           det_c=det_c, det_I=det_i, asymptote=asym,
-                           ratio=det_i / asym)
+def frequency_jacobian_det(system: SystemDefinition, c: EMValue
+                           ) -> FrequencySample:
+    """frequency_samples at one torus."""
+    return frequency_samples(system, [c])[0]
 
 
 def tau_jacobian(system: SystemDefinition, c: EMValue) -> np.ndarray:
-    """d(tau1, tau2)/d(j1, j2) on the linear chart by Richardson-extrapolated
-    central differences; rows = (tau1, tau2), columns = (d/dj1, d/dj2)."""
-    j = to_momentum_chart(system, c)
-    d = JAC_STEP_REL * j.modulus
-    _, theta0 = reduced_period_rotation(system, c)
-
-    def taus(j1: float, j2: float) -> np.ndarray:
-        s = period_lattice(system, from_momentum_chart(
-            system, MomentumValue(j1, j2)), theta0)
-        return np.array([s.tau1, s.tau2])
-
-    return np.column_stack([
-        fd_derivative(lambda t: taus(t, j.j2), j.j1, "richardson", step=d),
-        fd_derivative(lambda t: taus(j.j1, t), j.j2, "richardson", step=d)])
+    """d(tau1, tau2)/d(j1, j2) on the linear chart, rows = (tau1, tau2),
+    columns = (d/dj1, d/dj2): with tau1 = alpha T, tau2 = omega T - Theta,
+    d/dj1 = alpha d/dh and d/dj2 = omega d/dh + d/dl."""
+    ff = system.constants()
+    a, w = ff.alpha, ff.omega
+    (T_h, T_l, th_h, th_l), = _hessian(system, [c]).T.tolist()
+    return np.array([[a * a * T_h, a * (w * T_h + T_l)],
+                     [a * (w * T_h - th_h),
+                      w * (w * T_h + T_l) - (w * th_h + th_l)]])
 
 
 def asymptote_sweep(system: SystemDefinition, ray_angle: float,
                     r_min: float, r_max: float,
                     samples_per_decade: int = 3) -> list[FrequencySample]:
-    """Logarithmically spaced frequency-Jacobian samples along one ray."""
+    """Logarithmically spaced frequency-Jacobian samples along one ray, in
+    one frequency_samples call."""
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
     n = max(2, int(round(samples_per_decade * math.log10(r_max / r_min))) + 1)
-    out = []
-    for rho in np.geomspace(r_min, r_max, n).tolist():
-        j = MomentumValue(rho * math.cos(ray_angle), rho * math.sin(ray_angle))
-        out.append(frequency_jacobian_det(system,
-                                          from_momentum_chart(system, j)))
-    return out
+    return frequency_samples(system, [
+        from_momentum_chart(system, MomentumValue(rho * math.cos(ray_angle),
+                                                  rho * math.sin(ray_angle)))
+        for rho in np.geomspace(r_min, r_max, n).tolist()])

@@ -10,13 +10,12 @@ one return:
   complete elliptic integrals of the first and third kind, which each
   system evaluates with Bulirsch's cel (period_rotation).  One
   torus costs a few microseconds and is accurate to rounding (checked
-  against mpmath); the engine keeps its historical name.  A path, a grid,
-  an annulus sweep and the stencils of a twistless scan
-  (twist.twist_scan) evaluate their tori in one array call
+  against mpmath); the engine keeps its historical name.  A path, a grid
+  and an annulus sweep evaluate their tori in one array call
   (_tori_quadrature, the systems' period_rotation_array), bit-identical
-  to the one-torus reduced_period_rotation.  That scalar form takes the
-  lanes the array form rejects (fill_rejected), and the scalar stencils
-  (twist.twist at Brent's iterates, kolmogorov) call it directly;
+  to the one-torus reduced_period_rotation, which takes the lanes the
+  array form rejects (fill_rejected).  On complex (h, l) the array form
+  gives every derivative of T and Theta by a complex step (derivatives);
 * flow (the independent oracle): direct integration of the full vector
   field from a torus seed, with the azimuth unwrapped as an extra state
   component.  A batch of tori of one system runs as one batched DOP853
@@ -47,9 +46,8 @@ raw value is recorded as branch.  Every path in the package (sweep rows,
 grid rows, monodromy loops, rotation-number arcs) goes through it: a path
 is evaluated in one array call, a grid (rotation.rotation_grid) or an
 annulus sweep in one call for all its rows, and each path or row is then
-carried by carry_branch, with one wrap guard, MAX_BRANCH_STEP.
-Finite-difference stencils align each point to the stencil centre instead
-(period_lattice with theta_ref; twist.twist_scan as align_angle, on arrays).
+carried by carry_branch, with one wrap guard, MAX_BRANCH_STEP.  A single
+torus can be aligned to a reference Theta instead (period_lattice).
 """
 from __future__ import annotations
 
@@ -75,6 +73,9 @@ CROSS_DOMAINS = {"champagne": (1e-4, 0.12, 0.05),
 # mpmath (relative in T, absolute in Theta)
 CLOSED_FORM_REL_TOL = 1e-13
 ENERGY_DRIFT_TOL = 1e-10
+# the complex step of derivatives: far below the scale of any torus, so its
+# square vanishes beside every real part
+STEP = 1e-30
 # largest aligned Theta step transport accepts between neighbouring tori.
 # An aligned step reads at most pi, so a true step in (pi, 1.5 pi) shows as
 # one above 0.5 pi: the guard catches under-resolved paths before they wrap.
@@ -100,17 +101,43 @@ class PeriodLatticeSample:
 
 def _tori_quadrature(system: SystemDefinition, h: np.ndarray, l: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature-engine (T, Theta, ok) of the tori (h, l), arrays, from one
-    call of the system's array closed form.  ok marks the lanes inside the
-    window that the array form accepted; each equals reduced_period_rotation
-    to the last bit.  The others hold NaN, left to that scalar call."""
-    T, theta = np.full(h.shape, np.nan), np.full(h.shape, np.nan)
+    """Quadrature-engine (T, Theta, ok) of the tori (h, l), arrays, real or
+    complex, from one call of the system's array closed form: ok marks the
+    lanes in the window (real parts) that it accepted, each real one
+    reduced_period_rotation's to the last bit; the others hold NaN."""
+    T, theta = (np.full(h.shape, np.nan, dtype=h.dtype) for _ in range(2))
     r = system.window_radius(h, l)
     ok = ~((r < system.j_floor) | (r > system.j_cap))   # as check_window
     i = np.flatnonzero(ok)
     if i.size:
         T[i], theta[i], ok[i] = system.period_rotation_array(h[i], l[i])
     return T, theta, ok
+
+
+def derivatives(system: SystemDefinition, h, l, dh, dl
+                ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(dT, dTheta, failed): the derivatives of T and Theta along (dh, dl)
+    at the tori (h, l), all four broadcast together and flattened, from one
+    complex call of the array closed form.  Each lane runs at (h + i STEP
+    dh, l + i STEP dl), and Im/STEP is the derivative to rounding, with no
+    difference taken and no step to tune (Squire and Trapp, SIAM Rev. 40
+    (1998) 110-112), whatever Theta's sheet; on the l = 0 axis, the limit
+    l -> 0.  Near the axis, Theta's third-kind term is l times ~ pi/|l|, and
+    dTheta loses ~ EPS pi/(|l| |dTheta/dl|) relative.  A lane outside the
+    window or rejected by the array form holds NaN, and failed maps its
+    index to the FocusFocusError reduced_period_rotation raises there."""
+    h, l, dh, dl = (a.ravel() for a in np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (h, l, dh, dl))))
+    T, theta, ok = _tori_quadrature(system, h + 1j * STEP * dh,
+                                    l + 1j * STEP * dl)
+    filled = ok.copy()
+    failed = fill_rejected(system, h, l, T.real, theta.real, filled)
+    for k in np.flatnonzero(filled & ~ok).tolist():
+        failed[k] = FocusFocusError(
+            f"no derivative at (h, l)=({h[k]:.4g}, {l[k]:.4g}): the complex "
+            "step leaves the closed form's domain")
+    return (np.where(ok, T.imag / STEP, np.nan),
+            np.where(ok, theta.imag / STEP, np.nan), failed)
 
 
 def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:

@@ -8,10 +8,10 @@ step (one DOP853 step in the section function; M. Henon, Physica D 5
 kernel (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).
 Quadrature with inverse-square-root endpoint singularities
 (singularity-removing substitution + adaptive refinement; no engine uses
-it, the tests use it as a reference), Brent root finding (scipy's
-brentq.c, ported), and extrapolated finite differences.  With Bulirsch's
-cel for T and Theta (systems), the package runs on numpy alone: scipy
-serves only the flow oracle (the DOP853 tableau, imported by
+it, the tests use it as a reference), and Brent root finding (scipy's
+brentq.c, ported, as a generator that roots step in lockstep).  With
+Bulirsch's cel for T and Theta (systems), the package runs on numpy alone:
+scipy serves only the flow oracle (the DOP853 tableau, imported by
 integrate_flow) and quad_singular.
 
 All functions here are pure; callers may evaluate them concurrently.
@@ -24,8 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (BracketError, FlowError, FocusFocusError,
-                     QuadratureError, StencilError)
+from .errors import BracketError, FlowError, QuadratureError
 
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
@@ -35,8 +34,6 @@ QUAD_REL_TOL = 1e-10
 FLOW_RTOL = 1e-12
 FLOW_ATOL = 1e-14
 ROOT_XTOL = 1e-12
-FD_STEP_FLOOR = 1e-6
-FD_STEP_REL = 1e-3
 T_BUDGET_FACTOR = 50.0
 BRENT_MAX_ITER = 100   # brentq's default
 
@@ -386,16 +383,16 @@ def _adaptive_quad(g: Callable[[float], float], lo: float, hi: float,
         f"(wrong exponent declaration or interior singularity?)")
 
 
-def find_root_bracketed(f: Callable[[float], float],
-                        bracket: tuple[float, float],
-                        f_ends: tuple[float, float]) -> tuple[float, float]:
-    """Brent's method, given the values f_ends of f at the bracket ends: the
-    root and the value of f there.  The result never leaves the initial
-    bracket.  A port of scipy's brentq.c, line for line, at xtol ROOT_XTOL
-    and rtol 8 eps: its iterates and root are brentq's, bit for bit, but it
-    does not evaluate f at the ends again.  Raises BracketError on an
-    invalid bracket and where brentq raises: f(a), f(b) of one sign, a NaN,
-    or no convergence in BRENT_MAX_ITER steps."""
+def find_root_bracketed(bracket: tuple[float, float],
+                        f_ends: tuple[float, float]):
+    """Brent's method as a generator, given the values f_ends of f at the
+    bracket ends: it yields each iterate x, is sent f(x), and returns the
+    root and f there, so that roots can step in lockstep.  The root never
+    leaves the bracket.  A port of scipy's brentq.c, line for line, at xtol
+    ROOT_XTOL and rtol 8 eps: its iterates and root are brentq's, bit for
+    bit, but it does not evaluate f at the ends again.  Raises BracketError
+    on an invalid bracket and where brentq raises: f(a), f(b) of one sign,
+    a NaN, or no convergence in BRENT_MAX_ITER steps."""
     a, b = float(bracket[0]), float(bracket[1])
     if not a < b:
         raise BracketError(f"invalid bracket [{a}, {b}]")
@@ -433,45 +430,11 @@ def find_root_bracketed(f: Callable[[float], float],
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
+        fcur = yield xcur
         if math.isnan(fcur):
             raise BracketError(f"f({xcur})=NaN")
     raise BracketError(f"Brent's method did not converge in "
                        f"{BRENT_MAX_ITER} iterations")
-
-
-def fd_derivative(f: Callable[[float], float | np.ndarray], x: float,
-                  scheme: str = "central",
-                  step: float | None = None) -> float | np.ndarray:
-    """Finite-difference first derivative; the one stencil of the package.
-
-    central: O(h^2).  richardson: two central estimates at h and h/2
-    combined to O(h^4), by richardson(), which also combines precomputed
-    values.  f may return a float or a NumPy vector (the derivative of each
-    component).  The default step balances truncation against a ~1e-8
-    relative noise floor of the evaluated quantities.  A FocusFocusError
-    raised by f becomes a StencilError.
-    """
-    if scheme not in ("central", "richardson"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    h = step if step is not None else max(FD_STEP_FLOOR, FD_STEP_REL * abs(x))
-    try:
-        f_plus, f_minus = f(x + h), f(x - h)
-        if scheme == "central":
-            return (f_plus - f_minus) / (2.0 * h)
-        return richardson(f_plus, f_minus, f(x + 0.5 * h), f(x - 0.5 * h), h)
-    except FocusFocusError as exc:   # stencil left the domain
-        raise StencilError(f"stencil around x={x:.6g} failed: {exc}") from exc
-
-
-def richardson(f_plus, f_minus, f_half_plus, f_half_minus, h):
-    """The richardson scheme of fd_derivative on precomputed values of f at
-    x + h, x - h, x + h/2 and x - h/2.  Scalars, or arrays holding one
-    stencil per lane (h a scalar or an array), each lane combined exactly
-    as a scalar stencil."""
-    d1 = (f_plus - f_minus) / (2.0 * h)
-    d2 = (f_half_plus - f_half_minus) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 def linear_quantiles(values: np.ndarray, qs: Sequence[float]) -> list[float]:

@@ -30,17 +30,17 @@ pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
 serves only the flow oracle.
 
 Each system has two forms of the closed form.  period_rotation takes one
-torus on Python floats (~5 us); finite-difference stencils and Brent
-brackets, which ask for one torus at a time, use it.  period_rotation_array
-takes arrays h, l (a grid or a path, ~0.6 us per torus on thousands) and
-returns T, Theta and an ok mask: ok is False where the scalar form raises
-or a step would leave its domain, and such a lane is left to the scalar
-form.  The array form runs the scalar operations in the scalar order
-(numpy's + - * / sqrt round as Python's do), and each lane leaves the
-Newton and cel loops by compaction at the iteration at which its scalar
-loop stops, so every accepted lane is bit-identical to period_rotation
-and does not depend on the other lanes of its batch.  On one torus the
-array form would cost ~40 times the scalar one, which is why both stay.
+torus on Python floats (~5 us): reduced_period_rotation, and the lanes
+the array form rejects, use it.  period_rotation_array takes arrays h, l
+(~0.6 us per torus on thousands) and returns T, Theta and an ok mask, False
+where the scalar form raises or a step would leave its domain.  It runs
+the scalar operations in the scalar order (numpy's + - * / sqrt round as
+Python's do), and each lane leaves the Newton and cel loops by compaction
+at the iteration at which its scalar loop stops, so every accepted real
+lane is bit-identical to period_rotation, whatever its batch.  It also
+takes complex h, l: every comparison reads the real parts, so a lane at
+(h + i d, l) or (h, l + i d), d tiny, holds the derivative of T and Theta
+in h or l as its imaginary part over d (lattice.derivatives).
 
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable, hashable, safely shareable across workers.
@@ -169,40 +169,47 @@ def _cubic_roots_array(b: np.ndarray, c: np.ndarray, d: np.ndarray,
                                                 np.ndarray, np.ndarray]:
     """_cubic_roots over arrays of coefficients: (top, y, z, ok), with ok
     False where the scalar form raises or its Vieta step would fail (a
-    negative discriminant, a zero divisor).
+    negative discriminant, a zero divisor).  Complex coefficients take
+    every comparison on their real parts.
 
     Each lane runs the scalar Newton loop in the scalar order of
     operations and leaves the batch, by compaction, at the iteration at
     which that loop stops.
     """
-    top = np.array(x0, dtype=float)
+    top = np.array(x0, dtype=np.result_type(b, c, d, float))
     settled = np.zeros(top.shape, dtype=bool)
     lane = np.arange(top.size)
     x, bl, cl, dl = top, b, c, d
     for _ in range(NEWTON_MAX_ITER):
         if not lane.size:
             break
-        fail = x < -bl / 3.0
+        fail = x.real < -bl.real / 3.0
         value = ((x + bl) * x + cl) * x + dl
-        done = ~fail & (value <= 0.0)
+        done = ~fail & (value.real <= 0.0)
         slope = (3.0 * x + 2.0 * bl) * x + cl
         settled[lane[done]], top[lane[done]] = True, x[done]
         lane, x, value, slope, bl, cl, dl = _lanes(
-            ~(fail | done | (slope <= 0.0)), lane, x, value, slope, bl, cl, dl)
+            ~(fail | done | (slope.real <= 0.0)), lane, x, value, slope, bl,
+            cl, dl)
         step = value / slope
         x = x - step
-        done = step <= 4.0 * EPS * x
+        done = step.real <= 4.0 * EPS * x.real
         settled[lane[done]], top[lane[done]] = True, x[done]
         lane, x, bl, cl, dl = _lanes(~done, lane, x, bl, cl, dl)
     i = np.flatnonzero(settled & (top != 0.0))
+    if top.dtype.kind == "c":   # Im, a derivative, lags Re by one step
+        x = top[i]
+        top[i] = x - ((((x + b[i]) * x + c[i]) * x + d[i])
+                      / ((3.0 * x + 2.0 * b[i]) * x + c[i]))
     prod = -d[i] / top[i]
     total = (c[i] - prod) / top[i]
     disc = total * total - 4.0 * prod
-    i, prod, total, disc = _lanes(disc >= 0.0, i, prod, total, disc)
-    big = 0.5 * (total + np.copysign(np.sqrt(disc), total))
+    i, prod, total, disc = _lanes(disc.real >= 0.0, i, prod, total, disc)
+    root = np.sqrt(disc)
+    big = 0.5 * (total + np.where(np.signbit(total.real), -root, root))
     i, prod, big = _lanes(big != 0.0, i, prod, big)
     small = prod / big
-    pos = big >= 0.0
+    pos = big.real >= 0.0
     y, z = np.zeros_like(top), np.zeros_like(top)
     y[i], z[i] = np.where(pos, big, small), np.where(pos, small, big)
     ok = np.zeros(top.shape, dtype=bool)
@@ -231,16 +238,21 @@ def _cel(kc: float, p: float) -> float:
 
 def _cel_array(kc: np.ndarray, p: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """_cel over arrays: (values, ok).  Each lane runs the scalar loop and
-    leaves, by compaction, when its own means agree.  ok is False where kc
-    or p is not > 0, outside the scalar form's domain (there it divides by
-    zero or never settles); such a lane runs as cel(1, 1)."""
-    ok = (kc > 0.0) & (p > 0.0)
-    kc, p = np.where(ok, kc, 1.0), np.where(ok, p, 1.0)
-    out = np.empty(kc.shape)
+    """_cel over arrays, real or complex: (values, ok).  Each lane runs the
+    scalar loop and leaves, by compaction, when the real parts of its means
+    agree.  ok is False where kc is not > 0 or p < 0 (real parts); such a
+    lane runs as cel(1, 1).  At p = 0, a pole passage on the l = 0 axis, a
+    lane takes the finite part of cel(kc, p) = pi/(2 kc sqrt(p)) + K -
+    E/kc^2 + O(p) (DLMF 19.7.9), which is Bulirsch's cel(kc, 1, 1 - 1/kc^2,
+    0)."""
+    ok = (kc.real > 0.0) & (p.real >= 0.0)
+    passage = p == 0.0
+    kc, p = np.where(ok, kc, 1.0), np.where(ok & ~passage, p, 1.0)
+    out = np.empty(kc.shape, dtype=np.result_type(kc, p))
     lane = np.arange(kc.size)
     p = np.sqrt(p)
-    a, b, e, m = np.ones(kc.shape), 1.0 / p, kc, np.ones(kc.shape)
+    a = np.where(passage, 1.0 - 1.0 / np.where(passage, kc * kc, 1.0), 1.0)
+    b, e, m = np.where(passage, 0.0, 1.0) / p, kc, np.ones(kc.shape)
     while lane.size:
         f = a
         a = a + b / p
@@ -249,7 +261,7 @@ def _cel_array(kc: np.ndarray, p: np.ndarray
         p = p + g
         g = m
         m = m + kc
-        done = np.abs(g - kc) <= g * CEL_TOL
+        done = np.abs((g - kc).real) <= g.real * CEL_TOL
         if done.any():
             md = m[done]
             out[lane[done]] = (0.5 * math.pi * (b[done] + a[done] * md)
@@ -266,7 +278,7 @@ def _scatter(n: int, lane: np.ndarray, ok: np.ndarray, T: np.ndarray,
              theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(T, Theta, ok) over n input lanes from the accepted ok lanes of the
     surviving lanes lane."""
-    T_out, theta_out = np.full(n, np.nan), np.full(n, np.nan)
+    T_out, theta_out = (np.full(n, np.nan, dtype=x.dtype) for x in (T, theta))
     accepted = np.zeros(n, dtype=bool)
     lane = lane[ok]
     T_out[lane], theta_out[lane], accepted[lane] = T[ok], theta[ok], True
@@ -277,10 +289,11 @@ class SystemDefinition:
     """Duck-typed interface shared by the built-in systems.
 
     Required surface: name, j_floor, j_cap, hamiltonian/second_integral and
-    their gradients on a 4-dim symplectic chart, hessian() at the
-    equilibrium, reduced_profile(c), period_rotation(c) -> (T, Theta), flow
-    components (field, seed, section value, rate and level, angle index,
-    energy on the flow chart), constants().  The flow field, the section
+    their gradients on a 4-dim symplectic chart, hessian() and
+    second_integral_hessian() at the equilibrium (on one chart),
+    reduced_profile(c), period_rotation(c) -> (T, Theta), flow components
+    (field, seed, section value, rate and level, angle index, energy on the
+    flow chart), constants().  The flow field, the section
     value and rate and the energy take a state or a block of states
     (d, m), unpacked row by row.
     """
@@ -302,11 +315,12 @@ class SystemDefinition:
             raise WindowError(f"|j|={r:.3g} above cap {self.j_cap:.3g}")
 
     def window_radius(self, h: np.ndarray, l: np.ndarray) -> np.ndarray:
-        """|j| of the tori (h, l), arrays, as check_window measures it:
-        math.hypot lane by lane, so the two agree to the last bit."""
-        j1 = to_momentum_chart(self, EMValue(h, l)).j1
+        """|j| of the tori (h, l), arrays (their real parts), as
+        check_window measures it: math.hypot lane by lane, so the two agree
+        to the last bit."""
+        j1 = to_momentum_chart(self, EMValue(h.real, l.real)).j1
         return np.array(list(map(math.hypot, j1.ravel().tolist(),
-                                 l.ravel().tolist())),
+                                 l.real.ravel().tolist())),
                         dtype=float).reshape(h.shape)
 
     def period_rotation_array(self, h: np.ndarray, l: np.ndarray
@@ -334,11 +348,12 @@ def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
 def eval_constants(system: SystemDefinition) -> FocusFocusData:
     """Eigenvalue data (alpha, omega) of J d^2H at the equilibrium.
 
-    alpha is the positive real part, omega the |imaginary part| of the
-    quadruple +-alpha +- i omega.  Rejects spectra that do not form such a
-    quadruple within 1e-8.
+    alpha is the positive real part of the quadruple +-alpha +- i omega,
+    and the S^1 action orients omega: alpha + i omega is the eigenvalue on
+    the eigenvector where J d^2L acts as +i (H + gamma L turns by +gamma).
+    Rejects spectra that do not form such a quadruple within 1e-8.
 
-    Memoized per system (systems are frozen, so the Hessian is fixed); a
+    Memoized per system (systems are frozen, so the Hessians are fixed); a
     rejection is raised afresh on every call, never cached.
     """
     d2h = np.asarray(system.hessian(), dtype=float)
@@ -347,15 +362,17 @@ def eval_constants(system: SystemDefinition) -> FocusFocusData:
     J = np.zeros((4, 4))
     J[0, 2] = J[1, 3] = 1.0
     J[2, 0] = J[3, 1] = -1.0
-    eig = np.linalg.eigvals(J @ d2h)
+    eig, vec = np.linalg.eig(J @ d2h)
     scale = max(1.0, float(np.max(np.abs(eig))))
-    pos = eig[eig.real > 1e-8 * scale]
+    pos = np.flatnonzero(eig.real > 1e-8 * scale)
     if len(pos) != 2:
         raise SystemRejected(
             f"expected two eigenvalues with positive real part, got {len(pos)}"
             f" (spectrum {np.round(eig, 6)})")
-    lam = pos[np.argmax(pos.imag)]
-    alpha, omega = float(lam.real), abs(float(lam.imag))
+    d2l = np.asarray(system.second_integral_hessian(), dtype=float)
+    turn = [(v.conj() @ J @ d2l @ v).imag for v in vec[:, pos].T]
+    lam = eig[pos[np.argmax(turn)]]
+    alpha, omega = float(lam.real), float(lam.imag) + 0.0   # never -0.0
     target = np.array([alpha + 1j * omega, alpha - 1j * omega,
                        -alpha + 1j * omega, -alpha - 1j * omega])
     # multiset match of the quadruple
@@ -366,6 +383,11 @@ def eval_constants(system: SystemDefinition) -> FocusFocusData:
             f"spectrum {np.round(got, 8)} is not a +-alpha +- i omega "
             "quadruple")
     return FocusFocusData(alpha=alpha, omega=omega)
+
+
+def _rotation_hessian(system: SystemDefinition) -> np.ndarray:
+    """d^2L of L = x p_y - y p_x on (x, y, p_x, p_y), both built-ins'."""
+    return np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def turning_points(system: SystemDefinition, c: EMValue) -> tuple[float, float]:
@@ -435,6 +457,8 @@ class ChampagneBottle(SystemDefinition):
                          [0.0, -g, 1.0, 0.0],
                          [g, 0.0, 0.0, 1.0]])
 
+    second_integral_hessian = _rotation_hessian
+
     def random_phase_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(-0.8, 0.8, size=(n, 4))
 
@@ -497,33 +521,34 @@ class ChampagneBottle(SystemDefinition):
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """period_rotation over arrays h, l: (T, Theta, ok).  ok is False
         where the scalar form raises or a step would leave its domain;
-        every accepted lane is bit-identical to period_rotation."""
+        every accepted real lane is bit-identical to period_rotation.  On
+        the axis a complex l adds i Im(l) pref cel(kc, s1/s2), the l -> 0
+        limit of the l-derivative of the third-kind term l pref cel: l pref
+        times the pole part of cel (_cel_array) is pi sign(l) exactly."""
         lane = np.arange(h.size)
         g = h - self.gamma * l
-        axis = np.abs(l) <= L_AXIS_TOL
+        axis = np.abs(l.real) <= L_AXIS_TOL
         disc = 1.0 + 4.0 * g
-        lane, g, l, axis, disc = _lanes((disc >= 0.0) & ~(axis & (g == 0.0)),
-                                       lane, g, l, axis, disc)
+        lane, g, l, axis, disc = _lanes(
+            (disc.real >= 0.0) & ~(axis & (g.real == 0.0)), lane, g, l, axis,
+            disc)
         s2, s1, s3, ok = _cubic_roots_array(
             np.full(lane.size, -1.0), -g, np.where(axis, 0.0, 0.5 * l * l),
             0.5 * (1.0 + np.sqrt(disc)))
-        ok &= (s2 - s1) > np.where(axis, 1e-6, 1e-12) * np.maximum(1.0, s2)
+        ok &= ((s2 - s1).real
+               > np.where(axis, 1e-6, 1e-12) * np.maximum(1.0, s2.real))
         lane, l, axis, s1, s2, s3 = _lanes(ok, lane, l, axis, s1, s2, s3)
         kc = np.sqrt((s1 - s3) / (s2 - s3))
-        off = ~axis
         n = kc.size
-        # one cel pass: K on every lane, the third kind off the axis
-        cels, cel_ok = _cel_array(
-            np.concatenate([kc, kc[off]]),
-            np.concatenate([np.ones(n), s1[off] / s2[off]]))
-        ok = cel_ok[:n]
-        ok[off] &= cel_ok[n:]
+        # one cel pass: K, then the third kind (on the axis, only for d/dl)
+        cels, cel_ok = _cel_array(np.concatenate([kc, kc]), np.concatenate(
+            [np.ones(n), np.where(axis & (l.imag == 0.0), 1.0, s1 / s2)]))
+        ok = cel_ok[:n] & cel_ok[n:]
         T = SQRT2 * cels[:n] / np.sqrt(s2 - s3)
-        pole = np.where(s1 == 0.0, math.pi * np.copysign(1.0, l), 0.0)
-        theta = self.gamma * T + pole
-        lo, s2o, s3o = l[off], s2[off], s3[off]
-        theta[off] = self.gamma * T[off] + (
-            SQRT2 * lo / (s2o * np.sqrt(s2o - s3o)) * cels[n:])
+        pole = np.where(s1 == 0.0, math.pi * np.copysign(1.0, l.real), 0.0)
+        third = (SQRT2 * np.where(axis, l - l.real, l)
+                 / (s2 * np.sqrt(s2 - s3)) * cels[n:])
+        theta = self.gamma * T + (pole + third)
         return _scatter(h.size, lane, ok, T, theta)
 
     # -- full flow (oracle engine) ------------------------------------
@@ -614,6 +639,8 @@ class SphericalPendulum(SystemDefinition):
                          [0.0, 0.0, 1.0, 0.0],
                          [0.0, 0.0, 0.0, 1.0]])
 
+    second_integral_hessian = _rotation_hessian
+
     def random_phase_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         pts = np.empty((n, 4))
         pts[:, 0] = rng.uniform(-0.9, 0.9, n)      # z away from the poles
@@ -684,34 +711,35 @@ class SphericalPendulum(SystemDefinition):
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """period_rotation over arrays h, l: (T, Theta, ok).  ok is False
         where the scalar form raises or a step would leave its domain;
-        every accepted lane is bit-identical to period_rotation."""
+        every accepted real lane is bit-identical to period_rotation, and
+        on the axis a complex l adds the champagne bottle's limit."""
         size, lane = h.size, np.arange(h.size)
-        axis = np.abs(l) <= L_AXIS_TOL
-        lane, h, l, axis = _lanes(~(axis & (h == 0.0)), lane, h, l, axis)
+        axis = np.abs(l.real) <= L_AXIS_TOL
+        lane, h, l, axis = _lanes(~(axis & (h.real == 0.0)), lane, h, l, axis)
         l2h = np.where(axis, 0.0, 0.5 * l * l)
         wc, w2, w3, ok = _cubic_roots_array(h - 2.0, -2.0 * h, l2h,
                                             np.full(lane.size, 2.0))
-        ok &= (h + wc > 0.0) & (wc - w2 > 1e-12)
+        ok &= ((h + wc).real > 0.0) & ((wc - w2).real > 1e-12)
         lane, h, l, axis, l2h, wc, w2, w3 = _lanes(ok, lane, h, l, axis, l2h,
                                                   wc, w2, w3)
         kc = np.sqrt((w2 - w3) / (wc - w3))
-        off = ~axis
         n = kc.size
-        lo, wco, w2o, w3o = l[off], wc[off], w2[off], w3[off]
-        one_z1 = l2h[off] / ((h[off] + wco) * wco)
-        one_z2 = one_z1 + (wco - w2o)
-        # one cel pass: K on every lane, north and south off the axis
+        one_z1 = l2h / ((h + wc) * wc)
+        one_z2 = one_z1 + (wc - w2)
+        # one cel pass: K, north and south, as the champagne bottle's
         cels, cel_ok = _cel_array(
-            np.concatenate([kc, kc[off], np.sqrt((wco - w3o) / (w2o - w3o))]),
-            np.concatenate([np.ones(n), w2o / wco, one_z1 / one_z2]))
-        m = lo.size
-        ok = cel_ok[:n]
-        ok[off] &= cel_ok[n:n + m] & cel_ok[n + m:]
+            np.concatenate([kc, kc, np.sqrt((wc - w3) / (w2 - w3))]),
+            np.concatenate([np.ones(n), np.where(
+                np.tile(axis & (l.imag == 0.0), 2), 1.0,
+                np.concatenate([w2 / wc, one_z1 / one_z2]))]))
+        ok = cel_ok[:n] & cel_ok[n:2 * n] & cel_ok[2 * n:]
         T = 2.0 * SQRT2 * cels[:n] / np.sqrt(wc - w3)
-        theta = np.where(h > 0.0, 2.0, 1.0) * math.pi * np.copysign(1.0, l)
-        north = cels[n:n + m] / (wco * np.sqrt(wco - w3o))
-        south = cels[n + m:] / (one_z2 * np.sqrt(w2o - w3o))
-        theta[off] = SQRT2 * lo * (north + south)
+        # pi per pole passage, as period_rotation adds it
+        poles = np.where(axis, np.where(h.real > 0.0, 2.0, 1.0) * math.pi
+                         * np.copysign(1.0, l.real), 0.0)
+        north = cels[n:2 * n] / (wc * np.sqrt(wc - w3))
+        south = cels[2 * n:] / (one_z2 * np.sqrt(w2 - w3))
+        theta = poles + SQRT2 * np.where(axis, l - l.real, l) * (north + south)
         return _scatter(size, lane, ok, T, theta)
 
     # -- full flow (oracle engine) ------------------------------------

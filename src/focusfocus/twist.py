@@ -1,20 +1,17 @@
 """Twist along isoenergy curves and the twistless torus.
 
-The twist S = dW/dl at fixed energy h is computed by central differences
-with Richardson extrapolation (numerics.fd_derivative) of Theta aligned to
-the stencil centre (lattice.period_lattice), which makes the derivative
-sheet-independent.  The rescaled twist S~ = 2 pi |j|^2 S extends
-continuously by 0 to the origin with gradient (A0^2 - 1, -2 A0); its zero
-set is a curve through the origin whose tangent satisfies
-h = omega (omega^2 + alpha^2)/(omega^2 - alpha^2) l in the loxodromic case.
-For omega = 0 the transversality degenerates and the toolkit only reports
-the |h|/|l*| trend.
+The twist S = dW/dl at fixed energy h is (dTheta/dl)/2 pi, one
+complex-step lane per torus (lattice.derivatives), exact to rounding.  The
+rescaled twist S~ = 2 pi |j|^2 S extends continuously by 0 to the origin
+with gradient (A0^2 - 1, -2 A0); its zero set is a curve through the
+origin whose tangent satisfies h = omega (omega^2 + alpha^2)/(omega^2 -
+alpha^2) l in the loxodromic case.  For omega = 0 the transversality
+degenerates and the toolkit only reports the |h|/|l*| trend.
 
-A twistless curve is found by sign scans along each C_h.  The scans of all
-its energies are one array call (twist_scan) and the refinement points
-around their sign changes a second; only Brent's iterates, one root at a
-time, call the scalar twist, and S(l*) is the value Brent holds at its
-root.
+A twistless curve is found by sign scans along each C_h: the scans of all
+its energies are one array call (twist_scan), the refinement points around
+their sign changes a second, then each round of Brent's iterates of all
+roots one more; S(l*) is the value Brent holds at its root.
 """
 from __future__ import annotations
 
@@ -24,56 +21,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ScanError
-from .numerics import (FD_STEP_FLOOR, FD_STEP_REL, TWO_PI, fd_derivative,
-                       find_root_bracketed, richardson)
-from .lattice import (_tori_quadrature, fill_rejected, period_lattice,
-                      reduced_period_rotation)
+from .numerics import TWO_PI, find_root_bracketed
+from .lattice import derivatives
 from .systems import EMValue, SystemDefinition, to_momentum_chart
 
 # twistless scans stay within |j| <= SCAN_CAP (and the system's j_cap)
 SCAN_CAP = 0.2
 # omega = 0: half-axis roots of an S even in l (the pendulum's) agree in |l*|
-# to Brent's stopping noise (<= 5e-11 measured); within fd_derivative's 1e-8
-# relative noise floor they are one mirror pair, whose l > 0 root is taken
-MIRROR_RTOL = 1e-8
+# to 3.2e-14 relative (measured at h = 0.002-0.02); within MIRROR_RTOL, over
+# 100x that, they are one mirror pair, whose l > 0 root is taken
+MIRROR_RTOL = 1e-10
 
 
-def twist(system: SystemDefinition, c: EMValue,
-          dl_rel: float = FD_STEP_REL) -> float:
-    """S = dW/dl at fixed h: Richardson-extrapolated central differences of
-    the branch-aligned rotation number along the isoenergy line."""
-    _, theta0 = reduced_period_rotation(system, c)
+def twists(system: SystemDefinition, cs: list[EMValue]) -> list[float]:
+    """twist at each torus of cs, in one array call; raises the first
+    torus's FocusFocusError."""
+    _, dtheta, failed = derivatives(system, [c.h for c in cs],
+                                    [c.l for c in cs], 0.0, 1.0)
+    if failed:
+        raise failed[min(failed)]
+    return (dtheta / TWO_PI).tolist()
 
-    def w(l: float) -> float:
-        return period_lattice(system, EMValue(c.h, l), theta0).theta / TWO_PI
 
-    return fd_derivative(w, c.l, "richardson",
-                         step=max(FD_STEP_FLOOR, dl_rel * abs(c.l)))
+def twist(system: SystemDefinition, c: EMValue) -> float:
+    """S = dW/dl at fixed h: (dTheta/dl)/2 pi by a complex step in l."""
+    return twists(system, [c])[0]
 
 
 def twist_scan(system: SystemDefinition, h, ls) -> np.ndarray:
     """twist at each (h, l) of h and ls broadcast together (h a float, or
-    one energy per lane), with the default step, every stencil in one
-    array call: the centre torus and the Richardson points l +- step and
-    l +- step/2 of each lane go through _tori_quadrature together, the
-    lanes it rejects through reduced_period_rotation (fill_rejected).
-    Theta is aligned to the centre as align_angle does, so each value
-    equals twist bit for bit; it is NaN where twist raises a
-    FocusFocusError (at the centre or a stencil point).  The result has
-    the broadcast shape."""
-    h, l = np.broadcast_arrays(np.asarray(h, dtype=float),
-                               np.asarray(ls, dtype=float))
-    shape, h, l = l.shape, h.ravel(), l.ravel()
-    step = np.maximum(FD_STEP_FLOOR, FD_STEP_REL * np.abs(l))
-    lanes = np.concatenate([l, l + step, l - step,
-                            l + 0.5 * step, l - 0.5 * step])
-    hs = np.tile(h, 5)
-    T, raw, ok = _tori_quadrature(system, hs, lanes)
-    fill_rejected(system, hs, lanes, T, raw, ok)   # a failed lane stays NaN
-    theta0, *stencil = raw.reshape(5, l.size)
-    w = [(r + TWO_PI * np.round((theta0 - r) / TWO_PI)) / TWO_PI
-         for r in stencil]
-    return richardson(*w, step).reshape(shape)
+    one energy per lane), one lane each in one array call, with the
+    broadcast shape; NaN where twist raises a FocusFocusError."""
+    _, dtheta, _ = derivatives(system, h, ls, 0.0, 1.0)
+    return (dtheta / TWO_PI).reshape(np.broadcast_shapes(np.shape(h),
+                                                         np.shape(ls)))
 
 
 def tilde_s(system: SystemDefinition, c: EMValue, S: float | None = None) -> float:
@@ -108,10 +89,11 @@ def _twistless_roots(system: SystemDefinition,
 
     The n_scan points of every job's sign scan are one twist_scan, and the
     3 refinement points inside every interval where S changes sign, over
-    all jobs, another; a point whose torus or stencil fails reads NaN and
-    brackets no root.  Each job then brackets its root alone: Brent starts
-    from the scanned S at the bracket ends, its iterates call the scalar
-    twist, and S(l*) is the value it holds at the root it returns.
+    all jobs, another; a point whose torus fails reads NaN and brackets no
+    root.  Brent then starts each root from the scanned S at its bracket
+    ends, the iterates of all roots go through twists together, one lane
+    per live root per round (a failing one raises), and S(l*) is the value
+    Brent holds at the root it returns.
     """
     hs = np.array([h for h, _ in jobs], dtype=float).reshape(-1, 1)
     ls = np.array([np.linspace(lo, hi, n_scan)
@@ -132,19 +114,29 @@ def _twistless_roots(system: SystemDefinition,
                                fv[f, k + 1].tolist()):
         brackets[r].append(((a, b), (fa, fb)))
 
-    out: list = []
-    for (h, (_, l_hi)), found in zip(jobs, brackets):
+    out: list = [None] * len(jobs)
+    brent = {}   # job -> Brent's generator for its root
+    for r, ((h, (_, l_hi)), found) in enumerate(zip(jobs, brackets)):
         if not found:
-            out.append(ScanError(f"no twistless torus on C_h, h={h:.6g}, "
-                                 f"within |l| <= {l_hi:.3g}"))
-            continue
-        if len(found) > 1:
-            out.append(ScanError(f"{len(found)} sign changes of S on C_h, "
-                                 f"h={h:.6g}: window too large"))
-            continue
-        l_star, s_star = find_root_bracketed(
-            lambda l: twist(system, EMValue(h, l)), *found[0])
-        out.append((float(l_star), float(s_star)))
+            out[r] = ScanError(f"no twistless torus on C_h, h={h:.6g}, "
+                               f"within |l| <= {l_hi:.3g}")
+        elif len(found) > 1:
+            out[r] = ScanError(f"{len(found)} sign changes of S on C_h, "
+                               f"h={h:.6g}: window too large")
+        else:
+            brent[r] = find_root_bracketed(*found[0])
+    sent = dict.fromkeys(brent)   # None starts each generator
+    while brent:
+        at = {}
+        for r, gen in list(brent.items()):
+            try:
+                at[r] = gen.send(sent[r])
+            except StopIteration as stop:
+                out[r] = tuple(map(float, stop.value))
+                del brent[r]
+        if at:
+            sent = dict(zip(at, twists(system, [EMValue(jobs[r][0], x)
+                                                for r, x in at.items()])))
     return out
 
 
@@ -153,11 +145,8 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
                     ) -> tuple[float, float]:
     """The unique zero of S along the isoenergy curve C_h inside the scan
     window, by sign scan (refined x4 near candidate changes) plus a
-    bracketed root.  Returns (l*, S(l*)).
-
-    The one-job case of the twistless core: the scan is one twist_scan
-    call and its refinement points another, and Brent's iterates call the
-    scalar twist.
+    bracketed root: the one-job case of the twistless core.  Returns (l*,
+    S(l*)).
 
     Raises ScanError when no sign change exists in the window (expected for
     omega = 0 systems at one sign of h) or when several exist (window too
@@ -218,7 +207,8 @@ def twistless_curve(system: SystemDefinition,
     Each energy (each half-axis at omega = 0) is one job of the twistless
     core, as twistless_point is, so the roots equal a loop of
     twistless_point bit for bit; the scans of all jobs are one twist_scan
-    call and their refinement points another.
+    call, their refinement points another, and Brent's iterates of all
+    roots one call per round.
     """
     ff = system.constants()
     degenerate = ff.omega == 0.0

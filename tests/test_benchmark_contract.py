@@ -7,7 +7,8 @@ len(Trajectory.times) - 1.  One traced crosscheck through the benchmark's
 own child process exercises all of it, so a change to src/ that drops one
 of these names fails here rather than only in the slower perfbench suite.
 perfbench/run.py adds "--jobs 1 --out DIR" to every command line of its
-workloads, which must therefore all parse.
+workloads, which must therefore all parse, and the spiral and stencil
+workloads' outputs must pass perfbench/workloads.check.
 """
 import importlib.util
 import json
@@ -37,16 +38,34 @@ def test_traced_crosscheck_runs(tmp_path):
     assert doc["trace"]["engine_calls"]["quadrature"] > 0
 
 
-@pytest.mark.parametrize("workload", ["report", "spiral", "stencil"])
-def test_workload_command_lines_parse(tmp_path, capsys, monkeypatch,
-                                      workload):
+def load_workloads(monkeypatch):
+    """perfbench/workloads.py, imported without writing bytecode there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "workloads", ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("workload", ["report", "spiral", "stencil"])
+def test_workload_command_lines_parse(tmp_path, capsys, monkeypatch,
+                                      workload):
+    workloads = load_workloads(monkeypatch)
     for command in cli.COMMANDS:
         monkeypatch.setitem(cli.COMMANDS, command, lambda cfg: cli.EXIT_OK)
     for label, argv in workloads.invocations(workload, 1):
         rc = cli.main([*argv, "--jobs", "1", "--out", str(tmp_path)])
         assert rc == cli.EXIT_OK, (label, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("workload", ["spiral", "stencil"])
+def test_workload_operations_pass(tmp_path, capsys, monkeypatch, workload):
+    # the benchmark's own output checks on every invocation at seed 1, run
+    # in-process: a pass_frac regression fails here before the benchmark
+    workloads = load_workloads(monkeypatch)
+    for label, argv in workloads.invocations(workload, 1):
+        out = tmp_path / label
+        rc = cli.main([*argv, "--jobs", "1", "--out", str(out)])
+        ops = workloads.check(label, rc, out)
+        assert ops and all(ops), (label, ops, capsys.readouterr().err)

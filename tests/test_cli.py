@@ -468,6 +468,13 @@ class TestExitCodes:
         assert "mid row 16 of the grid" in err and "masked" in err
         assert "nan" not in err and "Traceback" not in err
 
+    def test_kolmogorov_past_the_window_cap(self, tmp_path, capsys):
+        # the champagne bottle's cap is |j| = 0.3
+        rc, err = run(capsys, "kolmogorov", "--window", "0.1,0.5",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert err.startswith("numerical failure: ") and "above cap" in err
+
     def test_brent_without_convergence_exits_numerical(self, tmp_path, capsys,
                                                        monkeypatch):
         from focusfocus import numerics
@@ -560,29 +567,22 @@ def test_outputs_byte_identical_on_the_scalar_path(tmp_path, capsys,
         assert shipped[name] == scalar[name], name
 
 
-def twistless_outputs(root, capsys):
-    """twistless on both systems at defaults, and C6's result as
-    report.json holds it."""
-    out = default_outputs(root, capsys, ("twistless",))
-    c6 = acceptance.c6_twistless(acceptance.AcceptanceConfig())
-    out["C6"] = json.dumps({"status": c6.status, "details": c6.details},
-                           sort_keys=True, indent=2, default=float).encode()
-    return out
+class TestNegativeGamma:
+    # gamma < 0 turns omega negative (the S^1 action orients it): the
+    # spirals wind the other way, and the twistless tangent flips sign
+    def test_spiral(self, tmp_path, capsys):
+        rc, err = run(capsys, "spiral", "--param", "gamma=-0.5",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK, err
+        doc = json.loads((tmp_path / "spiral_summary.json").read_text())
+        expected = 0.5 / math.sqrt(2.0)   # -omega/alpha
+        assert len(doc["fits"]) == 3
+        for fit in doc["fits"]:
+            assert fit["slope_fit"] == pytest.approx(expected, rel=0.10)
 
-
-def test_twistless_byte_identical_on_the_scalar_path(tmp_path, capsys,
-                                                     scalar_path):
-    # each curve's scans in one array call and their refinement points in
-    # another, against every stencil torus through the scalar closed form
-    shipped = twistless_outputs(tmp_path / "shipped", capsys)
-    scalar_calls = scalar_path()
-    scalar = twistless_outputs(tmp_path / "scalar", capsys)
-    # four curves, two array calls each: 8 champagne scans and 2 x 8
-    # pendulum half-axis scans, then C6's 8 gamma = 0.5 and 2 x 6 gamma = 0
-    # scans, 64 points of 5 tori per scan, each torus now a scalar call
-    assert len(scalar_calls) >= (24 + 20) * 64 * 5
-    assert sorted(shipped) == sorted(scalar)
-    assert sum(name.endswith(".csv") for name in shipped) == 2
-    assert json.loads(shipped["C6"])["status"] == "pass"
-    for name in shipped:
-        assert shipped[name] == scalar[name], name
+    def test_twistless(self, tmp_path, capsys):
+        rc, err = run(capsys, "twistless", "--param", "gamma=-0.5",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK, err
+        doc = json.loads((tmp_path / "twistless_summary.json").read_text())
+        assert doc["tangent_slope_fit"] == pytest.approx(9.0 / 14.0, rel=0.15)

@@ -37,13 +37,15 @@ The j_floor and j_cap tori are from_momentum_chart of |j| = j_floor
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
+from focusfocus import (ChampagneBottle, EMValue, MomentumValue, NoTorusError,
                         SphericalPendulum, reduced_period_rotation)
-from focusfocus.lattice import CLOSED_FORM_REL_TOL
-from focusfocus.systems import L_AXIS_TOL, _cel
+from focusfocus import derivatives, from_momentum_chart
+from focusfocus.lattice import CLOSED_FORM_REL_TOL, _tori_quadrature
+from focusfocus.systems import EPS, L_AXIS_TOL, _cel
 
 # cel's worst relative error against 40-digit Carlson forms, measured on
 # 9,500 draws over the ranges below, was 9.3e-16 (Pi) and 5.6e-16 (K); the
@@ -179,3 +181,178 @@ def test_accuracy_request_below_verified_floor_rejected():
     reduced_period_rotation(system, c, rel_tol=CLOSED_FORM_REL_TOL)
     with pytest.raises(ValueError, match="rel_tol"):
         reduced_period_rotation(system, c, rel_tol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# derivatives by the complex step (lattice.derivatives) against mpmath.diff
+# ---------------------------------------------------------------------------
+
+MP_DPS = 50
+
+
+def mp_period_rotation(name, h, l):
+    """(T, Theta) of the closed form in mpmath at the working precision.
+    The smallest root comes from the other two by Vieta, so that it keeps
+    its digits near the axis, where it is ~ l^2."""
+    if name == "champagne":   # gamma = 1/2, over s = r^2
+        coeffs = [1, -1, l / 2 - h, l * l / 2]
+    else:                     # over w = 1 - z
+        coeffs = [1, h - 2, -2 * h, l * l / 2]
+    a, b, _ = sorted((mp.re(r) for r in mp.polyroots(
+        coeffs, maxsteps=200, extraprec=mp.mp.prec)), key=abs,
+        reverse=True)
+    lo, mid, hi = sorted([a, b, -coeffs[3] / (a * b)])
+
+    def cel(kc, p):
+        x = kc * kc
+        return mp.elliprf(0, x, 1) + (1 - p) / 3 * mp.elliprj(0, x, 1, p)
+
+    if name == "champagne":
+        s3, s1, s2 = lo, mid, hi
+        kc = mp.sqrt((s1 - s3) / (s2 - s3))
+        T = mp.sqrt(2) * cel(kc, 1) / mp.sqrt(s2 - s3)
+        return T, (T / 2 + mp.sqrt(2) * l / (s2 * mp.sqrt(s2 - s3))
+                   * cel(kc, s1 / s2))
+    w3, w2, wc = lo, mid, hi
+    kc = mp.sqrt((w2 - w3) / (wc - w3))
+    one_z1 = l * l / (2 * (h + wc) * wc)
+    one_z2 = one_z1 + (wc - w2)
+    north = cel(kc, w2 / wc) / (wc * mp.sqrt(wc - w3))
+    south = (cel(mp.sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2)
+             / (one_z2 * mp.sqrt(w2 - w3)))
+    return (2 * mp.sqrt(2) * cel(kc, 1) / mp.sqrt(wc - w3),
+            mp.sqrt(2) * l * (north + south))
+
+
+def mp_derivatives(name, h, l):
+    """(T_h, T_l, Theta_h, Theta_l) by mpmath.diff of mp_period_rotation at
+    MP_DPS digits.  On the axis (|l| <= L_AXIS_TOL) the closed form takes
+    the limit l -> 0 from l's side at g = h - gamma l fixed, and so does
+    this reference, at |l| = 1e-25."""
+    with mp.workdps(MP_DPS):
+        if abs(l) <= L_AXIS_TOL:
+            h = h - (l / 2 if name == "champagne" else 0.0)
+            l = mp.mpf(math.copysign(1e-25, l))
+        h, l = mp.mpf(h), mp.mpf(l)
+        step = min(mp.mpf(10) ** -20, abs(l) / 1000)
+        values = {}
+
+        def at(x, y, k):
+            if (x, y) not in values:
+                values[x, y] = mp_period_rotation(name, x, y)
+            return values[x, y][k]
+
+        return [float(mp.diff(f, x, h=step)) for f, x in (
+            (lambda x: at(x, l, 0), h), (lambda y: at(h, y, 0), l),
+            (lambda x: at(x, l, 1), h), (lambda y: at(h, y, 1), l))]
+
+
+def complex_step(system, h, l):
+    """(T_h, T_l, Theta_h, Theta_l) of one torus from lattice.derivatives,
+    and whether both of its lanes were accepted."""
+    dT, dtheta, failed = derivatives(system, [h, h], [l, l], [1.0, 0.0],
+                                     [0.0, 1.0])
+    return [*dT, *dtheta], not failed
+
+
+@st.composite
+def derivative_tori(draw, region):
+    """(system name, h, l) of one torus in a region: generic (|j| from 1e-4
+    to 0.9 j_cap), at j_floor, near j_cap (0.99 j_cap), all three with
+    |sin arg zeta| >= 0.3 and inside the image; near the axis (2e-13 <=
+    |l| <= 1e-7, 1e-3 <= |h| <= 0.05) and on it (|l| <= L_AXIS_TOL), both
+    sides."""
+    name = draw(st.sampled_from(sorted(SYSTEMS)))
+    system = SYSTEMS[name]
+    if region in ("near_axis", "axis"):
+        h = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+            st.floats(-3.0, math.log10(0.05)))
+        if region == "axis":
+            return name, h, draw(st.sampled_from(
+                [0.0, -0.0, 0.5 * L_AXIS_TOL, -L_AXIS_TOL]))
+        return name, h, draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+            st.floats(math.log10(2 * L_AXIS_TOL), -7.0))
+    rho = {"floor": 1.001 * system.j_floor, "cap": 0.99 * system.j_cap,
+           "generic": 10.0 ** draw(st.floats(
+               -4.0, math.log10(0.9 * system.j_cap)))}[region]
+    th = draw(st.floats(0.0, 2.0 * math.pi).filter(
+        lambda t: abs(math.sin(t)) >= 0.3))
+    c = from_momentum_chart(system, MomentumValue(rho * math.cos(th),
+                                                  rho * math.sin(th)))
+    # |j| <= j_cap reaches beyond the image at some angles
+    assume(_tori_quadrature(system, np.array([c.h]), np.array([c.l]))[2][0])
+    return name, c.h, c.l
+
+
+def gradient_errors(name, h, l):
+    """The largest error of (T_h, T_l) relative to |grad T|, of (Theta_h,
+    Theta_l) relative to |grad Theta|, and |grad Theta|."""
+    got, accepted = complex_step(SYSTEMS[name], h, l)
+    assert accepted, (name, h, l)
+    want = mp_derivatives(name, h, l)
+    norms = [math.hypot(*want[k:k + 2]) for k in (0, 2)]
+    return [max(abs(g - w) for g, w in zip(got[k:k + 2], want[k:k + 2]))
+            / norm for k, norm in zip((0, 2), norms)] + norms[1:]
+
+
+# Gates at 100 x the worst error measured over 300 draws per region (both
+# systems): generic 1.1e-14 (gated at 1e-12, the bound set for exact
+# derivatives), floor 1.5e-14, cap 8.5e-15, axis 1.3e-15, near the axis
+# 1.6e-15 in grad T.
+DERIVATIVE_REL_TOL = {"generic": 1e-12, "floor": 1.5e-12, "cap": 8.5e-13,
+                      "axis": 1.3e-13, "near_axis": 1.6e-13}
+# Near the axis Theta's third-kind term is l times a value ~ pi/|l|, so
+# grad Theta loses ~ EPS pi/(|l| |grad Theta|) relative: at most 6.4 times
+# that over the draws (1.9e-4 at |l| ~ 2e-13), gated at 100 x.
+NEAR_AXIS_LOSS = 640.0
+
+
+@pytest.mark.parametrize("region", sorted(DERIVATIVE_REL_TOL))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_derivatives_against_mpmath(region, data):
+    name, h, l = data.draw(derivative_tori(region))
+    err_T, err_theta, grad_theta = gradient_errors(name, h, l)
+    tol = DERIVATIVE_REL_TOL[region]
+    assert err_T <= tol
+    if region == "near_axis":
+        tol += NEAR_AXIS_LOSS * EPS * math.pi / (abs(l) * grad_theta)
+    assert err_theta <= tol
+
+
+@given(torus=derivative_tori("generic"))
+@settings(max_examples=100, deadline=None)
+def test_hessian_is_symmetric(torus):
+    # T and Theta are the gradient of one action: T_l + Theta_h = 0, here
+    # relative to the largest entry of its Hessian (2.4e-15 at worst over
+    # 2,000 draws)
+    name, h, l = torus
+    (T_h, T_l, theta_h, theta_l), accepted = complex_step(SYSTEMS[name], h, l)
+    assert accepted
+    assert abs(T_l + theta_h) <= 1e-13 * max(abs(T_h), abs(T_l),
+                                             abs(theta_l))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_complex_call_accepts_the_real_lanes(data):
+    # on the same draws, and on draws moved out of the window or the image,
+    # the complex call accepts a lane exactly where the real one does (the
+    # window and every branch read the real parts)
+    region = data.draw(st.sampled_from(sorted(DERIVATIVE_REL_TOL)))
+    name, h, l = data.draw(derivative_tori(region))
+    system = SYSTEMS[name]
+    scale = data.draw(st.sampled_from([1.0, 0.5, 3.0, 30.0]))
+    hs, ls = np.array([h * scale]), np.array([l * scale])
+    _, _, ok = _tori_quadrature(system, hs, ls)
+    _, dtheta, failed = derivatives(system, hs, ls, 1.0, 1.0)
+    assert bool(ok[0]) == (not failed) == bool(np.isfinite(dtheta[0]))
+
+
+def test_lane_without_a_complex_step(scalar_path):
+    # a lane that the array form rejects and the scalar form accepts has no
+    # derivative: it fails with that reason, never as a silent NaN
+    scalar_path()
+    _, dtheta, failed = derivatives(SYSTEMS["champagne"], [0.05], [0.02],
+                                    0.0, 1.0)
+    assert np.isnan(dtheta[0]) and "no derivative" in str(failed[0])

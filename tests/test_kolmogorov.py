@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from focusfocus import (EMValue, MomentumValue, StencilError, asymptote_sweep,
+from focusfocus import (EMValue, MomentumValue, WindowError, asymptote_sweep,
                         eval_constants, frequency_jacobian_det,
                         from_momentum_chart, tau_jacobian)
 from focusfocus.lattice import reduced_period_rotation
@@ -52,25 +52,27 @@ class TestJacobianDeterminant:
         assert all(errs[i] <= errs[i + 1] * 1.05 for i in range(len(errs) - 1))
 
     def test_branch_reference_invariance(self, champagne):
-        # the Jacobian does not depend on the sheet: recompute with every
-        # stencil Theta shifted one sheet up
+        # the Jacobian does not depend on the sheet: a Richardson stencil
+        # with every stencil Theta shifted one sheet up gives the exact
+        # determinant to its O(d^4) truncation
         c = ray_point(champagne, 1e-3, 0.7)
         base = frequency_jacobian_det(champagne, c)
-        d = 1e-2 * 1e-3
         _, theta0 = reduced_period_rotation(champagne, c)
 
-        def omegas(cc, shift):
+        def omegas(cc):
             T, theta = reduced_period_rotation(champagne, cc)
-            theta = theta + TWO_PI * np.round((theta0 - theta) / TWO_PI) + shift
-            return TWO_PI / T, theta / T
+            theta = theta + TWO_PI * np.round((theta0 - theta) / TWO_PI)
+            return np.array([TWO_PI / T, (theta + TWO_PI) / T])
 
-        w1hp, w2hp = omegas(EMValue(c.h + d, c.l), TWO_PI)
-        w1hm, w2hm = omegas(EMValue(c.h - d, c.l), TWO_PI)
-        w1lp, w2lp = omegas(EMValue(c.h, c.l + d), TWO_PI)
-        w1lm, w2lm = omegas(EMValue(c.h, c.l - d), TWO_PI)
-        det_c = ((w1hp - w1hm) * (w2lp - w2lm)
-                 - (w1lp - w1lm) * (w2hp - w2hm)) / (4 * d * d)
-        det_shifted = det_c * base.omega1
+        def gradient(d):
+            return [(omegas(EMValue(c.h + d * e, c.l + d * (1 - e)))
+                     - omegas(EMValue(c.h - d * e, c.l - d * (1 - e))))
+                    / (2 * d) for e in (1, 0)]
+
+        d = 1e-2 * 1e-3
+        (w1h, w2h), (w1l, w2l) = [(4 * b - a) / 3 for a, b in
+                                  zip(gradient(d), gradient(d / 2))]
+        det_shifted = (w1h * w2l - w1l * w2h) * base.omega1
         assert det_shifted == pytest.approx(base.det_I, rel=1e-6)
 
 
@@ -84,8 +86,9 @@ class TestTauJacobian:
 
     def test_mixed_partials_symmetric(self, champagne):
         tj = tau_jacobian(champagne, ray_point(champagne, 1e-3, 0.7))
+        # T_l = -Theta_h makes them equal to rounding
         rel = abs(tj[0, 1] - tj[1, 0]) / max(abs(tj[0, 1]), abs(tj[1, 0]))
-        assert rel <= 1e-5
+        assert rel <= 1e-13
 
     def test_partial_scaling_table_bounded(self, champagne):
         # |d omega1 / dj| |j| tau1^2 and |d omega2 / dj| |j| tau1 stay
@@ -115,14 +118,16 @@ class TestTauJacobian:
             assert abs(dw_dj2[1]) * rho * tau1 <= bound2
 
 
-class TestStencilLeavesTheWindow:
-    # at 0.999 j_cap the 1% stencil steps cross the window cap
+class TestJacobianAtTheWindowCap:
+    # a torus inside the cap evaluates however close to it; past the cap
+    # the Jacobian raises the window's error
     @pytest.mark.parametrize("jacobian", [frequency_jacobian_det,
                                           tau_jacobian])
-    def test_raises_stencil_error(self, champagne, jacobian):
-        c = ray_point(champagne, 0.999 * champagne.j_cap, 0.0)
-        with pytest.raises(StencilError):
-            jacobian(champagne, c)
+    def test_evaluates_inside_raises_beyond(self, champagne, jacobian):
+        jacobian(champagne, ray_point(champagne, 0.999 * champagne.j_cap, 0.0))
+        with pytest.raises(WindowError):
+            jacobian(champagne,
+                     ray_point(champagne, 1.001 * champagne.j_cap, 0.0))
 
 
 class TestSweep:

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from focusfocus import numerics
 from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
-                        NoTorusError, QuadratureSpec, StencilError,
-                        align_angle, fd_derivative, find_root_bracketed,
+                        QuadratureSpec, align_angle, find_root_bracketed,
                         integrate_flow, quad_singular)
 from focusfocus.numerics import linear_quantiles
 from focusfocus.lattice import reduced_period_rotation
@@ -242,9 +241,20 @@ class TestQuadSingular:
         assert quad_singular(spec) == pytest.approx(exact, abs=1e-11)
 
 
+def solve(f, bracket, f_ends):
+    """Drive find_root_bracketed's iterates through f: (root, f there)."""
+    steps = find_root_bracketed(bracket, f_ends)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def root_of(f, bracket):
     """find_root_bracketed, given f at the bracket ends."""
-    return find_root_bracketed(f, bracket, (f(bracket[0]), f(bracket[1])))
+    return solve(f, bracket, (f(bracket[0]), f(bracket[1])))
 
 
 class TestFindRoot:
@@ -299,7 +309,7 @@ class TestBrentPort:
 
         a, b = root - left, root + right
         want = brentq(f, a, b, xtol=xtol, rtol=rtol)
-        x, fx = find_root_bracketed(f, (a, b), (f(a), f(b)))
+        x, fx = solve(f, (a, b), (f(a), f(b)))
         assert x == want and fx == f(x)
 
     @given(shape=st.sampled_from(sorted(SHAPES)), root=st.floats(-5.0, 5.0),
@@ -319,7 +329,7 @@ class TestBrentPort:
         a, b = root - left, root + right
         ends = (f(a), f(b))
         calls.clear()
-        x, _ = find_root_bracketed(f, (a, b), ends)
+        x, _ = solve(f, (a, b), ends)
         mine = len(calls)
         want, info = brentq(f, a, b, xtol=numerics.ROOT_XTOL,
                             rtol=8 * numerics.EPS, full_output=True)
@@ -339,57 +349,6 @@ class TestBrentPort:
 
         with pytest.raises(BracketError, match="(?i)nan"):
             root_of(f, (0.0, 2.0))
-
-
-class TestFdDerivative:
-    def test_sin_at_zero(self):
-        assert fd_derivative(math.sin, 0.0, "richardson") == pytest.approx(
-            1.0, abs=1e-8)
-
-    def test_cubic(self):
-        assert fd_derivative(lambda x: x ** 3, 2.0, "richardson") == \
-            pytest.approx(12.0, abs=1e-6)
-
-    def test_cubic_central_within_truncation(self):
-        # central at the default step carries the full O(h^2) truncation
-        est = fd_derivative(lambda x: x ** 3, 2.0, "central")
-        assert est == pytest.approx(12.0, abs=1e-5)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            fd_derivative(math.sin, 0.0, "fwd")
-
-    def test_toolkit_error_becomes_stencil_error(self):
-        def edge(x):
-            if x > 1.0:
-                raise NoTorusError("outside the image")
-            return x
-        with pytest.raises(StencilError):
-            fd_derivative(edge, 1.0)
-
-    def test_programming_error_propagates(self):
-        def buggy(x):
-            raise TypeError("bug")
-        with pytest.raises(TypeError):
-            fd_derivative(buggy, 1.0, "richardson")
-
-    @pytest.mark.parametrize("scheme", ["central", "richardson"])
-    def test_vector_valued_matches_components(self, scheme):
-        # a vector f differentiates each component exactly as a scalar f
-        est = fd_derivative(lambda x: np.array([math.sin(x), x ** 3]), 0.7,
-                            scheme)
-        assert est.tolist() == [fd_derivative(math.sin, 0.7, scheme),
-                                fd_derivative(lambda x: x ** 3, 0.7, scheme)]
-
-    @given(st.floats(-2.0, 2.0))
-    @settings(max_examples=30, deadline=None)
-    def test_richardson_beats_central_on_smooth(self, x):
-        # richardson's O(h^4) must sit inside the central O(h^2) gap
-        exact = math.cos(x)
-        c = fd_derivative(math.sin, x, "central", step=1e-4)
-        r = fd_derivative(math.sin, x, "richardson", step=1e-4)
-        assert abs(r - exact) <= max(abs(c - exact), 1e-12)
-        assert abs(c - exact) <= 1e-7   # h^2 * |f'''|/6 bound with margin
 
 
 class TestLinearQuantiles:

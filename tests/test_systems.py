@@ -69,10 +69,14 @@ class TestEvalConstants:
             S = S + S.T
             M = expm(J @ S)
             transformed = M.T @ champagne.hessian() @ M
+            transformed_l = M.T @ champagne.second_integral_hessian() @ M
 
             class Transformed(SystemDefinition):
                 def hessian(self):
                     return transformed
+
+                def second_integral_hessian(self):
+                    return transformed_l
 
             ff = eval_constants(Transformed())
             assert ff.alpha == pytest.approx(base.alpha, abs=1e-10)

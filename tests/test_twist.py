@@ -74,12 +74,6 @@ class TestTwist:
         assert abs(twist(champagne0, EMValue(0.1, 0.005))) > \
             abs(twist(champagne0, EMValue(0.1, 0.05)))
 
-    def test_step_halving_self_consistency(self, champagne):
-        c = EMValue(0.05, 0.02)
-        s1 = twist(champagne, c)
-        s2 = twist(champagne, c, dl_rel=5e-4)
-        assert s2 == pytest.approx(s1, rel=1e-4)
-
     def test_branch_reference_invariance(self, champagne):
         # shifting the whole stencil by one sheet leaves S unchanged
         c = EMValue(0.05, 0.02)
@@ -145,8 +139,9 @@ class TestTildeS:
 
 
 class TestTwistScan:
-    """twist_scan, every stencil of a scan in one array call, against the
-    scalar twist at each scan point.  The drawn scans mix energies."""
+    """twist_scan, every point of a scan one lane of one array call,
+    against twist at each scan point alone.  The drawn scans mix
+    energies."""
 
     @given(scans())
     @settings(max_examples=200, deadline=None)
@@ -169,7 +164,7 @@ class TestTwistScan:
     @pytest.mark.parametrize("h", [0.005, -0.02])
     def test_default_scans_with_window_edges(self, name, h):
         # the default scan window, widened past the cap: NaN exactly where
-        # a torus or a stencil point leaves the window
+        # a torus leaves the window
         system = SCAN_SYSTEMS[name]
         lcap = _l_window(system, h, system.j_cap)
         ls = np.linspace(-1.05 * lcap, 1.05 * lcap, 65)
@@ -226,9 +221,9 @@ class TestTwistlessPoint:
         twist_module = importlib.import_module("focusfocus.twist")
 
         def broken(*args):
-            raise TypeError("bug in the stencil")
+            raise TypeError("bug in the derivative")
 
-        monkeypatch.setattr(twist_module, "period_lattice", broken)
+        monkeypatch.setattr(twist_module, "derivatives", broken)
         with pytest.raises(TypeError):
             twistless_point(champagne, 0.02)
 
@@ -384,42 +379,44 @@ def test_curve_equals_the_per_energy_loop(name):
     assert len(samples) >= 4 and ("h = 0 excluded" in dict(failures)[0.0])
 
 
+def recorded_calls(monkeypatch):
+    """The lanes of each lattice.derivatives call the twistless core makes
+    from then on."""
+    twist_module = importlib.import_module("focusfocus.twist")
+    lanes = []
+    derivatives = twist_module.derivatives
+
+    def recording(system, h, l, dh, dl):
+        lanes.append(np.size(l))
+        return derivatives(system, h, l, dh, dl)
+
+    monkeypatch.setattr(twist_module, "derivatives", recording)
+    return lanes
+
+
 @pytest.mark.parametrize("name", ["champagne", "pendulum"])
 @pytest.mark.parametrize("n_energies", [4, 8, 16])
 def test_curve_is_two_array_calls(monkeypatch, name, n_energies):
-    # the scans of every energy (and half-axis) in one _tori_quadrature
-    # call, the refinement points in a second, whatever the energy count
-    twist_module = importlib.import_module("focusfocus.twist")
+    # the scans of every energy (and half-axis) in one call, one lane per
+    # point, the refinement points in a second, whatever the energy count;
+    # then one call per round of Brent's iterates, one lane per live root
     system = SCAN_SYSTEMS[name]
-    batches = []
-    quadrature = twist_module._tori_quadrature
-
-    def recording(system, h, l):
-        batches.append(h.size)
-        return quadrature(system, h, l)
-
-    monkeypatch.setattr(twist_module, "_tori_quadrature", recording)
+    lanes = recorded_calls(monkeypatch)
     hs = np.geomspace(0.003, 0.05, n_energies // 2).tolist()
-    twistless_curve(system, hs + [-h for h in hs])
+    curve = twistless_curve(system, hs + [-h for h in hs])
     jobs = n_energies * (2 if name == "pendulum" else 1)
-    assert len(batches) == 2 and batches[0] == jobs * 64 * 5
+    assert lanes[0] == jobs * 64 and lanes[1] % 3 == 0
+    # a root per sample, on both half-axes at omega = 0 (mirror pairs)
+    roots = len(curve.samples) * (2 if name == "pendulum" else 1)
+    assert lanes[2] == roots and sorted(lanes[2:], reverse=True) == lanes[2:]
 
 
-@pytest.mark.parametrize("name,calls", [("champagne", 40), ("pendulum", 34)])
+@pytest.mark.parametrize("name,calls", [("champagne", 38), ("pendulum", 24)])
 def test_brent_reuses_the_scanned_values(monkeypatch, name, calls):
     # Brent starts from the scanned S at both bracket ends, and S(l*) is the
     # value it holds at its root: at the default energies only Brent's
-    # iterates call the scalar twist (64 and 52 calls when each root
-    # evaluated its bracket ends and its residual afresh)
-    twist_module = importlib.import_module("focusfocus.twist")
-    scalar = twist_module.twist
-    calls_made = []
-
-    def counting(*args, **kwargs):
-        calls_made.append(args[1])
-        return scalar(*args, **kwargs)
-
-    monkeypatch.setattr(twist_module, "twist", counting)
+    # iterates are evaluated after the scan and its refinement
+    lanes = recorded_calls(monkeypatch)
     system = cli.build_system({"system": name})
     twistless_curve(system, list(cli.READS["twistless"]["h_values"]))
-    assert len(calls_made) == calls
+    assert sum(lanes[2:]) == calls
