@@ -19,11 +19,12 @@ one return:
 * flow (the independent oracle): direct integration of the full vector
   field from a torus seed, with the azimuth unwrapped as an extra state
   component.  A batch of tori of one system runs as one batched DOP853
-  integration (integrate_flow), each torus a lane with its own step
-  control, its second falling crossing of the section, landed on it by
-  Henon's step at the rate the system gives (flow_section_rate), and the
-  energy drift the kernel tracks over its steps; a failing torus stops
-  only its own lane.
+  integration (integrate_flow) of the system's array-valued field, each
+  torus a lane with its own step control, its second falling crossing of
+  the section, and the energy drift the kernel tracks over its steps;
+  after the loop all crossings of the batch land on the section in one
+  Henon step at the rate the system gives (flow_section_rate).  A failing
+  torus stops only its own lane.
 
 cross_checks runs both engines on a batch of tori drawn by
 sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)

@@ -2,17 +2,17 @@
 
 Adaptive ODE integration to a section: a batched Dormand-Prince 8(5,3)
 integrator (DOP853) that steps a block of seeds at once, each lane with its
-own step-size controller, each crossing landed on the section by Henon's
-step (one DOP853 step in the section function; M. Henon, Physica D 5
-(1982) 412-414), and the running drift of an invariant tracked in the
-kernel (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).
+own step-size controller, on an autonomous field evaluated on whole blocks
+of states.  Every crossing lands on the section after the loop, all in one
+call, by Henon's step (one DOP853 step in the section function; M. Henon,
+Physica D 5 (1982) 412-414), and the kernel tracks the running drift of an
+invariant (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).
 Quadrature with inverse-square-root endpoint singularities
 (singularity-removing substitution + adaptive refinement; no engine uses
 it, the tests use it as a reference), and Brent root finding (scipy's
 brentq.c, ported, as a generator that roots step in lockstep).  With
-Bulirsch's cel for T and Theta (systems), the package runs on numpy alone:
-scipy serves only the flow oracle (the DOP853 tableau, imported by
-integrate_flow) and quad_singular.
+Bulirsch's cel for T and Theta (systems) and the DOP853 tableau written out
+here, the package runs on numpy alone: only quad_singular imports scipy.
 
 All functions here are pure; callers may evaluate them concurrently.
 """
@@ -43,6 +43,52 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 
 
+class DOP853:
+    """The DOP853 tableau (Hairer, Norsett and Wanner; the coefficients of
+    dop853.f as scipy.integrate.DOP853 holds them, bit for bit): the stage
+    matrix A, the weights B and the error weights E3, E5 of the 12 stages
+    and the FSAL stage.  The stage times C are not needed: every field the
+    kernel integrates is autonomous."""
+    n_stages = 12
+    error_estimator_order = 7
+    A = np.array([row + (0.0,) * (12 - len(row)) for row in (
+        (),
+        (0.05260015195876773,),
+        (0.0197250569845379, 0.0591751709536137),
+        (0.02958758547680685, 0.0, 0.08876275643042054),
+        (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+        (0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+         0.12546768756682242),
+        (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+         -0.017578125),
+        (0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+         0.10726203044637328, -0.015319437748624402, 0.008273789163814023),
+        (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+         27.59209969944671, 20.154067550477894, -43.48988418106996),
+        (0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+         -0.590290826836843, 21.230051448181193, 15.279233632882423,
+         -33.28821096898486, -0.020331201708508627),
+        (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+         -8.149787010746927, -18.52006565999696, 22.739487099350505,
+         2.4936055526796523, -3.0467644718982196),
+        (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+         -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+         -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    )])
+    B = np.array([
+        0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+        1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+        -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+    E3 = np.array([
+        -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+        1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+        -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+    E5 = np.array([
+        0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+        -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+        0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
+
+
 def align_angle(value: float, reference: float, period: float = TWO_PI) -> float:
     """Shift `value` by an integer multiple of `period` to land nearest
     `reference`.  Exact as long as the true continuous change between the
@@ -57,11 +103,11 @@ class Trajectory:
 
     Row i of times (k+1, n) holds every lane's time after the i-th batch
     step; a lane that retries a rejected step or has stopped repeats its
-    last time.  final (d, n) holds each lane's last state, event_records
-    one list per lane of its landed (time, state) section crossings in
-    order, drift each lane's largest |f(y) - f(y0)| / (1 + |f(y0)|) of the
-    invariant f over its accepted steps, and errors the FlowError that
-    stopped each lane, or None.
+    last time.  final (d, n) holds each lane's count-th landing, or else
+    its last state, event_records one list per lane of its landed (time,
+    state) section crossings in order, drift each lane's largest
+    |f(y) - f(y0)| / (1 + |f(y0)|) of the invariant f over its accepted
+    steps, and errors the FlowError that stopped each lane, or None.
     """
     times: np.ndarray
     final: np.ndarray
@@ -92,22 +138,21 @@ def _rms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(x * x, axis=0) / x.shape[0])
 
 
-def _initial_step(tab, field, t, y, f, t_bound, rtol, atol) -> np.ndarray:
-    """solve_ivp's starting step (Hairer-Norsett-Wanner II.4), per lane."""
-    interval = t_bound - t
+def _initial_step(field, y, f, t_bound, rtol, atol) -> np.ndarray:
+    """solve_ivp's starting step from t = 0 (Hairer-Norsett-Wanner II.4)."""
     scale = atol + np.abs(y) * rtol
     d0 = _rms(y / scale)
     d1 = _rms(f / scale)
     small = (d0 < 1e-5) | (d1 < 1e-5)
     h0 = np.where(small, 1e-6, 0.01 * d0 / np.where(small, 1.0, d1))
-    h0 = np.minimum(h0, interval)
-    f1 = np.asarray(field(t + h0, y + h0 * f), dtype=float)
+    h0 = np.minimum(h0, t_bound)
+    f1 = np.asarray(field(y + h0 * f), dtype=float)
     d2 = _rms((f1 - f) / scale) / h0
     flat = (d1 <= 1e-15) & (d2 <= 1e-15)
     dmax = np.where(flat, 1.0, np.maximum(d1, d2))
     h1 = np.where(flat, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / dmax) ** (1.0 / (tab.error_estimator_order + 1)))
-    return np.minimum(np.minimum(100.0 * h0, h1), interval)
+                  (0.01 / dmax) ** (1.0 / (DOP853.error_estimator_order + 1)))
+    return np.minimum(np.minimum(100.0 * h0, h1), t_bound)
 
 
 def _lanes(mask, *arrays):
@@ -123,21 +168,20 @@ def _combine(w: np.ndarray, K: np.ndarray) -> np.ndarray:
     return np.einsum("...s,sdm->...dm", w, K[:w.shape[-1]])
 
 
-def _rk_step(tab, field, t, y, f, h, K):
+def _rk_step(field, y, f, h, K):
     """One DOP853 step of every lane; fills the stages K[:13]."""
     K[0] = f
-    for s in range(1, tab.n_stages):
-        dy = _combine(tab.A[s, :s], K) * h
-        K[s] = field(t + tab.C[s] * h, y + dy)
-    y_new = y + h * _combine(tab.B, K)
-    K[tab.n_stages] = field(t + h, y_new)
+    for s in range(1, DOP853.n_stages):
+        K[s] = field(y + _combine(DOP853.A[s, :s], K) * h)
+    y_new = y + h * _combine(DOP853.B, K)
+    K[DOP853.n_stages] = field(y_new)
     return y_new
 
 
-def _error_norm(tab, K, h, scale) -> np.ndarray:
+def _error_norm(K, h, scale) -> np.ndarray:
     """DOP853's blended 5th/3rd-order error estimate, one value per lane."""
-    err5 = _combine(tab.E5, K) / scale
-    err3 = _combine(tab.E3, K) / scale
+    err5 = _combine(DOP853.E5, K) / scale
+    err3 = _combine(DOP853.E3, K) / scale
     e5 = np.sum(err5 * err5, axis=0)
     e3 = np.sum(err3 * err3, axis=0)
     denom = e5 + 0.01 * e3
@@ -146,81 +190,83 @@ def _error_norm(tab, K, h, scale) -> np.ndarray:
 
 
 def _one_lane(field):
-    """field on a block of one lane (d, 1): the rows of one state (d,)
-    unpack to scalars, which is far cheaper than arithmetic on (1,)
-    arrays."""
-    return lambda t, y: np.asarray(field(t[0], y[:, 0]), dtype=float)[:, None]
+    """field on a block of one lane (d, 1), handed the state (d,): far
+    cheaper than arithmetic on (1,) rows."""
+    return lambda y: np.asarray(field(y[:, 0]), dtype=float)[:, None]
 
 
-def _land(tab, field, rate, t, y, f, g):
+def _land(field, rate, t, y, f, g):
     """Henon's step: one DOP853 step of the lanes at (t, y), field values f,
     over -g in their section value g, on the state (y, t) with field
     (f, 1) / rate.  Returns the landing times, states and starting rates."""
-    def field_in_g(_, yt):
-        fy = np.asarray(field(yt[-1], yt[:-1]), dtype=float)
+    def field_in_g(yt):
+        fy = np.asarray(field(yt[:-1]), dtype=float)
         return np.vstack([fy, np.ones_like(yt[-1])]) / rate(yt[:-1], fy)
 
     r = rate(y, f)
-    K = np.empty((tab.n_stages + 1, y.shape[0] + 1, y.shape[1]))
+    K = np.empty((DOP853.n_stages + 1, y.shape[0] + 1, y.shape[1]))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        yt = _rk_step(tab, field_in_g, g, np.vstack([y, t]),
+        yt = _rk_step(field_in_g, np.vstack([y, t]),
                       np.vstack([f, np.ones_like(t)]) / r, -g, K)
     return yt[-1], yt[:-1], r
 
 
-def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
+def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
                    p0: np.ndarray,
                    t_max: float | Sequence[float],
                    invariant: Callable[[np.ndarray], np.ndarray],
                    section: EventSpec | None = None,
                    tol: float = FLOW_RTOL) -> Trajectory:
-    """Integrate `field` from the seeds p0 (d, n), n lanes stepped together,
-    with the embedded Dormand-Prince 8(5,3) pair (DOP853), whose high order
-    keeps the step count low at the tight tolerances the flow oracle runs
-    at.
+    """Integrate the autonomous `field` from the seeds p0 (d, n), n lanes
+    stepped together, with the embedded Dormand-Prince 8(5,3) pair
+    (DOP853), whose high order keeps the step count low at the tight
+    tolerances the flow oracle runs at.
 
-    field(t, y) must accept a block of states y (d, m) with times t (m,),
-    unpacked row by row; a batch of one, and the landing of one lane, hand
-    it a state (d,) and a float.  The section's fn and rate and the
-    invariant must accept a block.  t_max may hold one budget per lane.
+    field(y) must map a block of states y (d, m) to an array (d, m), and
+    one state (d,), which a batch or a landing of one hands it, to (d,).
+    The section's fn and rate and the invariant must accept a block.
+    t_max may hold one budget per lane.
     Each lane runs solve_ivp's controller on its own: starting step, error
     norm, SAFETY/MIN/MAX factors, no growth right after a rejection, and
     failure once the step falls below ten ulps of t.  A lane crosses the
     section on an accepted step where g, signed by the direction, goes from
     below zero to zero or above (so a seed lying on the section is not a
-    crossing); the crossing lanes of a step land on the section together by
-    Henon's step (_land) from the step's start.  The invariant is evaluated
-    on every accepted state, for each lane's running maximum drift.
+    crossing), and stops at its count-th crossing.  After the loop every
+    crossing lands on the section in one call of Henon's step (_land) from
+    its step's start.  The invariant is evaluated on every accepted state,
+    for each lane's running maximum drift.
 
     A lane fails with FlowError on step-size underflow (near-singular
-    dynamics), when it does not reach its count of crossings before its
-    t_max, or when a landing fails: a rate without the section's direction,
-    a non-finite landing, or a landing time outside its step.  The error is
+    dynamics) or a non-finite step size, when it does not reach its count
+    of crossings before its t_max, or when a landing fails: a rate without
+    the section's direction, a non-finite landing, or a landing time
+    outside its step; it then records no later landing.  The error is
     recorded in Trajectory.errors and the other lanes go on.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    from scipy.integrate import DOP853 as tab   # only the oracle needs scipy
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     y0 = np.array(p0, dtype=float)
     if y0.ndim != 2:
         raise ValueError("p0 must hold one seed per column, shape (d, n)")
     d, n = y0.shape
     block = _one_lane(field) if n == 1 else field
     t_bound = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
-    if not np.all(t_bound > 0.0):
-        raise ValueError("t_max must be positive")
+    if not np.all((t_bound > 0.0) & np.isfinite(t_bound)):
+        raise ValueError("t_max must be positive and finite")
 
     lane = np.arange(n)
     t = np.zeros(n)
     y = y0.copy()
-    f = np.asarray(block(t, y), dtype=float)
-    h_abs = _initial_step(tab, block, t, y, f, t_bound, tol, FLOW_ATOL)
+    f = np.asarray(block(y), dtype=float)
+    h_abs = _initial_step(block, y, f, t_bound, tol, FLOW_ATOL)
     rejected = np.zeros(n, dtype=bool)
     v0 = np.asarray(invariant(y0), dtype=float)
     drift = np.zeros(n)
     if section is not None:
         level = np.broadcast_to(np.asarray(section.level, dtype=float), (n,))
         g = section.fn(y) - level
+        found = np.zeros(n, dtype=int)
+    crossings = []   # per step: its crossing lanes' ids, t, t_end, y, f, g
 
     records: list[list] = [[] for _ in range(n)]
     errors: list[FlowError | None] = [None] * n
@@ -230,26 +276,28 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
     while lane.size:
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
-        tiny = h_abs < min_step
+        tiny = ~(h_abs >= min_step)   # NaN too
         if tiny.any():
             for j in np.flatnonzero(tiny):
                 errors[lane[j]] = FlowError(
-                    f"integration failed near t={t[j]:.6g}: Required step "
-                    "size is less than spacing between numbers. "
-                    "(near-singular dynamics?)")
+                    f"integration failed near t={t[j]:.6g}: " + (
+                        "Required step size is less than spacing between "
+                        "numbers. (near-singular dynamics?)"
+                        if h_abs[j] < min_step[j] else
+                        "non-finite step size (a non-finite seed or field?)"))
             lane, t, y, f, h_abs, rejected = _lanes(
                 ~tiny, lane, t, y, f, h_abs, rejected)
             continue
         t_b = t_bound[lane]
         t_new = np.minimum(t + h_abs, t_b)
         h = t_new - t
-        K = np.empty((tab.n_stages + 1, d, lane.size))
-        y_new = _rk_step(tab, block, t, y, f, h, K)
+        K = np.empty((DOP853.n_stages + 1, d, lane.size))
+        y_new = _rk_step(block, y, f, h, K)
         scale = FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        err = _error_norm(tab, K, h, scale)
+        err = _error_norm(K, h, scale)
         accept = err < 1.0
         base = (np.where(err == 0.0, 1.0, err)
-                ** (-1.0 / (tab.error_estimator_order + 1)))
+                ** (-1.0 / (DOP853.error_estimator_order + 1)))
         grow = np.where(err == 0.0, MAX_FACTOR,
                         np.minimum(MAX_FACTOR, SAFETY * base))
         grow = np.where(rejected, np.minimum(1.0, grow), grow)
@@ -264,7 +312,7 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         t_old, y_old = t[acc], y[:, acc]
         t[acc] = t_new[acc]
         y[:, acc] = y_new[:, acc]
-        f[:, acc] = K[tab.n_stages][:, acc]
+        f[:, acc] = K[DOP853.n_stages][:, acc]
         done = np.zeros(lane.size, dtype=bool)
         done[acc] = t_new[acc] >= t_b[acc]
         if section is not None:
@@ -274,24 +322,11 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
             # strict before, so a seed on the section is not a crossing
             hit = np.flatnonzero((s_old < 0.0) & (s_new >= 0.0))
             if hit.size:
-                t_at, y_at, r = _land(
-                    tab, _one_lane(field) if hit.size == 1 else field,
-                    section.rate, t_old[hit], y_old[:, hit], K[0][:, acc[hit]],
-                    g_old[hit])
-            for q, a in enumerate(hit):
-                j, i = acc[a], ids[a]
-                if not (section.direction * r[q] > 0.0
-                        and np.isfinite(y_at[:, q]).all()
-                        and t_old[a] <= t_at[q] <= t[j]):
-                    errors[i] = FlowError(
-                        f"no landing on the section from t={t_old[a]:.6g}: "
-                        f"rate {r[q]:.3g}, landing time {t_at[q]:.6g}")
-                    done[j] = True
-                    continue
-                records[i].append((float(t_at[q]), y_at[:, q]))
-                if len(records[i]) >= section.count:
-                    t[j], y[:, j] = records[i][-1]
-                    done[j] = True
+                crossings.append((ids[hit], t_old[hit], t[acc[hit]],
+                                  y_old[:, hit], K[0][:, acc[hit]],
+                                  g_old[hit]))
+                found[ids[hit]] += 1
+                done[acc[hit]] |= found[ids[hit]] >= section.count
 
         now_t[ids] = t[acc]
         final[:, ids] = y[:, acc]
@@ -300,14 +335,33 @@ def integrate_flow(field: Callable[[float, np.ndarray], Sequence[float]],
         times.append(now_t.copy())
         if done.any():
             for i in lane[done]:
-                got = len(records[i])
-                if (section is not None and got < section.count
-                        and errors[i] is None):
+                if section is not None and found[i] < section.count:
                     errors[i] = FlowError(
-                        f"t_max={t_bound[i]:.6g} exceeded with {got}/"
+                        f"t_max={t_bound[i]:.6g} exceeded with {found[i]}/"
                         f"{section.count} section crossings")
             lane, t, y, f, h_abs, rejected = _lanes(
                 ~done, lane, t, y, f, h_abs, rejected)
+
+    if crossings:
+        ids, t_old, t_end, y_old, f_old, g_old = (
+            np.concatenate(a, axis=-1) for a in zip(*crossings))
+        t_at, y_at, r = _land(_one_lane(field) if ids.size == 1 else field,
+                              section.rate, t_old, y_old, f_old, g_old)
+        failed = set()
+        for q, i in enumerate(ids.tolist()):
+            if i in failed:
+                continue
+            if not (section.direction * r[q] > 0.0
+                    and np.isfinite(y_at[:, q]).all()
+                    and t_old[q] <= t_at[q] <= t_end[q]):
+                errors[i] = FlowError(
+                    f"no landing on the section from t={t_old[q]:.6g}: "
+                    f"rate {r[q]:.3g}, landing time {t_at[q]:.6g}")
+                failed.add(i)
+                continue
+            records[i].append((float(t_at[q]), y_at[:, q]))
+            if len(records[i]) == section.count:
+                final[:, i] = y_at[:, q]
 
     return Trajectory(times=np.array(times), final=final,
                       event_records=records,

@@ -552,18 +552,17 @@ class ChampagneBottle(SystemDefinition):
         return _scatter(h.size, lane, ok, T, theta)
 
     # -- full flow (oracle engine) ------------------------------------
-    def flow_field(self, t, s) -> list:
+    def flow_field(self, s) -> np.ndarray:
         """Cartesian field augmented with the unwrapped polar angle:
-        state (x, y, px, py, phi)."""
+        state (x, y, px, py, phi), or a block of states, one per column."""
         g = self.gamma
-        x, y, px, py, _ = s
+        x, y, px, py = s[:4]
         r2 = x * x + y * y
-        xd = px - g * y
-        yd = py + g * x
-        return [xd, yd,
-                2 * x - 4 * x * r2 - g * py,
-                2 * y - 4 * y * r2 + g * px,
-                (x * yd - y * xd) / r2]
+        xd, yd = px - g * y, py + g * x
+        acc = 2 * s[:2] - 4 * s[:2] * r2
+        acc[0] -= g * py
+        acc[1] += g * px
+        return np.concatenate([[xd, yd], acc, [(x * yd - y * xd) / r2]])
 
     def flow_seed(self, c: EMValue) -> np.ndarray:
         prof = self.reduced_profile(c)
@@ -743,25 +742,25 @@ class SphericalPendulum(SystemDefinition):
         return _scatter(size, lane, ok, T, theta)
 
     # -- full flow (oracle engine) ------------------------------------
-    def flow_field(self, t, s) -> list:
+    def flow_field(self, s) -> np.ndarray:
         """Constrained Cartesian flow on T S^2 with unwrapped azimuth:
-        state (x, y, z, vx, vy, vz, phi); qddot = -e_z + (z - |v|^2) q.
+        state (x, y, z, vx, vy, vz, phi), or a block of states, one per
+        column; qddot = -e_z + (z - |v|^2) q.
 
         The -eta[(q.v) q + (|q|^2 - 1) v] damping vanishes identically on
         the constraint manifold (trajectories unchanged) and keeps the
         numerical drift of |q| = 1, q.v = 0 -- and with it the energy
         drift -- inside the 1e-10 budget on near-fiber tori."""
         eta = 2.0
-        x, y, z, vx, vy, vz, _ = s
-        q2m1 = x * x + y * y + z * z - 1.0
-        qv = x * vx + y * vy + z * vz
-        lam = z - (vx * vx + vy * vy + vz * vz)
-        r2 = x * x + y * y
-        return [vx, vy, vz,
-                lam * x - eta * (qv * x + q2m1 * vx),
-                lam * y - eta * (qv * y + q2m1 * vy),
-                lam * z - 1.0 - eta * (qv * z + q2m1 * vz),
-                (x * vy - y * vx) / r2]
+        q, v = s[:3], s[3:6]
+        qq, qv3, vv = q * q, q * v, v * v
+        r2 = qq[0] + qq[1]
+        q2m1 = r2 + qq[2] - 1.0
+        qv = (qv3[0] + qv3[1]) + qv3[2]
+        acc = (q[2] - ((vv[0] + vv[1]) + vv[2])) * q   # lam q
+        acc[2] -= 1.0
+        return np.concatenate([v, acc - eta * (qv * q + q2m1 * v),
+                               [(q[0] * v[1] - q[1] * v[0]) / r2]])
 
     def flow_seed(self, c: EMValue) -> np.ndarray:
         prof = self.reduced_profile(c)

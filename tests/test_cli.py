@@ -510,9 +510,8 @@ print(json.dumps(seen))
 
 
 def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
-    # only the flow oracle (report's C1, crosscheck) imports scipy; a cold
-    # start of every other subcommand pays for numpy alone, without
-    # numpy.ma
+    # a cold start of every subcommand, the flow oracle's crosscheck (and
+    # report's C1) too, pays for numpy alone, without numpy.ma
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -527,8 +526,8 @@ def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
     for stage, rc, modules in closed_form:
         assert rc == cli.EXIT_OK, stage
         assert modules == [], stage
-    # the probe sees scipy once the flow oracle runs
-    assert rc == cli.EXIT_OK and "scipy.integrate" in flow_modules
+    # the flow oracle carries its own DOP853 tableau
+    assert rc == cli.EXIT_OK and flow_modules == []
 
 
 def default_outputs(root, capsys, commands=("grid", "spiral", "monodromy")):

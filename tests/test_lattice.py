@@ -7,7 +7,7 @@ from focusfocus import (EMValue, MomentumValue, annulus_sweep, cross_check,
                         eval_constants, fit_asymptotic_model,
                         from_momentum_chart, period_lattice,
                         reduced_period_rotation, to_momentum_chart)
-from focusfocus import acceptance, lattice
+from focusfocus import acceptance, lattice, numerics
 from focusfocus.errors import FitError, FlowError, WindowError
 from focusfocus.lattice import PeriodLatticeSample, SweepSample
 
@@ -133,6 +133,47 @@ class TestBatchedCrossCheck:
                 for _, state in records:
                     assert abs(section.fn(state) - level) <= \
                         1e-13 * (1.0 + abs(level))
+
+    def test_landing_is_lane_independent(self, monkeypatch):
+        # four of C1's tori per system, as one batch and each alone: every
+        # lane lands on the same bits
+        cfg = acceptance.AcceptanceConfig()
+        champ, _, pend = cfg.systems()
+        rng = np.random.default_rng(cfg.seed)
+        integrate_flow = lattice.integrate_flow
+        records = []
+
+        def recording_flow(*args, **kwargs):
+            traj = integrate_flow(*args, **kwargs)
+            records.extend([(t, s.tolist()) for t, s in lane]
+                           for lane in traj.event_records)
+            return traj
+
+        monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
+        for system in (champ, pend):
+            tori = lattice.sample_cross_tori(system, rng, cfg.n_cross_tori)
+            records.clear()
+            lattice._tori_flow(system, tori[:4])
+            batch = list(records)
+            assert [len(lane) for lane in batch] == [2] * 4
+            for c, lane in zip(tori, batch):
+                records.clear()
+                lattice._tori_flow(system, [c])
+                assert records == [lane]
+
+    def test_one_landing_call_per_integration(self, monkeypatch):
+        # C1's 2 x 50 lanes land their 200 crossings in two calls
+        land = numerics._land
+        calls = []
+
+        def counting_land(field, rate, t, *args):
+            calls.append(t.size)
+            return land(field, rate, t, *args)
+
+        monkeypatch.setattr(numerics, "_land", counting_land)
+        assert acceptance.c1_cross_engine(
+            acceptance.AcceptanceConfig()).status == "pass"
+        assert calls == [100, 100]
 
     def test_sampler_draws_the_reference_sequence(self, champagne,
                                                   pendulum):

@@ -15,7 +15,7 @@ from focusfocus.systems import turning_points
 TWO_PI = 2.0 * math.pi
 
 
-def oscillator(t, y):
+def oscillator(y):
     return [y[1], -y[0]]
 
 
@@ -90,7 +90,7 @@ class TestIntegrateFlow:
                            invariant=amplitude)
 
 
-def blowup(t, y):
+def blowup(y):
     # y' = y^2: y(t) = y0 / (1 - y0 t) leaves every float at t = 1/y0
     return [y[0] * y[0]]
 
@@ -143,7 +143,7 @@ class TestBatchedFlow:
     def test_zero_rate_fails_only_its_lane(self):
         # a third, constant component tags lane 1, whose section rate reads
         # 0: it cannot land, and lane 0 lands as if alone
-        def field(t, y):
+        def field(y):
             return [y[1], -y[0], 0.0 * y[2]]
 
         ev = EventSpec(lambda y: y[0], lambda y, f: f[0] * (1.0 - y[2]),
@@ -177,8 +177,8 @@ class TestBatchedFlow:
         seeds = np.vstack([seeds, [0.0, 1.0]])
         seen = []
 
-        def field(t, y):
-            return [*champagne.flow_field(t, y[:5]), 0.0 * y[5]]
+        def field(y):
+            return [*champagne.flow_field(y[:5]), 0.0 * y[5]]
 
         def invariant(y):
             seen.append(y.copy())
@@ -196,6 +196,43 @@ class TestBatchedFlow:
             ref = max(abs(champagne.flow_hamiltonian(s) - v0) for s in lane)
             assert traj.drift[i] == ref / (1.0 + abs(v0))
         assert traj.drift[0] > 0.0
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("kwargs", [dict(tol=math.nan),
+                                        dict(tol=math.inf),
+                                        dict(t_max=math.inf),
+                                        dict(t_max=[1.0, math.nan])])
+    def test_rejects_a_non_finite_tol_or_budget(self, kwargs):
+        args = {"t_max": 1.0, "invariant": amplitude, **kwargs}
+        with pytest.raises(ValueError, match="finite"):
+            integrate_flow(oscillator, [[0.0, 0.3], [1.0, 0.8]], **args)
+
+    def test_nan_lane_fails_alone(self):
+        # a NaN seed makes its step size NaN, which is never "tiny": the
+        # lane fails at once and its neighbour lands as it does alone
+        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=2)
+        traj = integrate_flow(oscillator, [[math.nan, 0.3], [1.0, 0.8]],
+                              t_max=20.0, invariant=amplitude, section=ev)
+        alone = integrate_flow(oscillator, one_lane([0.3, 0.8]), t_max=20.0,
+                               invariant=amplitude, section=ev)
+        assert isinstance(traj.errors[0], FlowError)
+        assert "non-finite step size" in str(traj.errors[0])
+        assert traj.event_records[0] == []
+        assert traj.errors[1] is None and alone.errors[0] is None
+        assert [(t, s.tolist()) for t, s in traj.event_records[1]] == \
+            [(t, s.tolist()) for t, s in alone.event_records[0]]
+        assert traj.final[:, 1].tolist() == alone.final[:, 0].tolist()
+
+
+def test_dop853_tableau_is_scipys():
+    from scipy.integrate import DOP853
+    for name in ("n_stages", "error_estimator_order"):
+        assert getattr(numerics.DOP853, name) == getattr(DOP853, name)
+    for name in ("A", "B", "E3", "E5"):
+        ours, theirs = getattr(numerics.DOP853, name), getattr(DOP853, name)
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
 
 
 class TestQuadSingular:

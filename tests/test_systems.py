@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
                         SystemRejected, TurningPointDegeneracy, WindowError,
@@ -208,6 +210,64 @@ class TestProfileAlongFlow:
             r = math.hypot(s[0], s[1])
             rdot = (s[0] * s[2] + s[1] * s[3]) / r
             assert prof.p(r) == pytest.approx(rdot * rdot, abs=1e-9)
+
+
+def champagne_list_field(gamma, s):
+    """The champagne bottle's field as a list of rows, as flow_field once
+    returned it: the reference for the array form."""
+    x, y, px, py, _ = s
+    r2 = x * x + y * y
+    xd = px - gamma * y
+    yd = py + gamma * x
+    return [xd, yd,
+            2 * x - 4 * x * r2 - gamma * py,
+            2 * y - 4 * y * r2 + gamma * px,
+            (x * yd - y * xd) / r2]
+
+
+def pendulum_list_field(s):
+    """The spherical pendulum's field as a list of rows, as flow_field
+    once returned it: the reference for the array form."""
+    eta = 2.0
+    x, y, z, vx, vy, vz, _ = s
+    q2m1 = x * x + y * y + z * z - 1.0
+    qv = x * vx + y * vy + z * vz
+    lam = z - (vx * vx + vy * vy + vz * vz)
+    r2 = x * x + y * y
+    return [vx, vy, vz,
+            lam * x - eta * (qv * x + q2m1 * vx),
+            lam * y - eta * (qv * y + q2m1 * vy),
+            lam * z - 1.0 - eta * (qv * z + q2m1 * vz),
+            (x * vy - y * vx) / r2]
+
+
+@st.composite
+def states(draw, d):
+    """A state (d,) or a block (d, m) of m in {1, 2, 50} states."""
+    m = draw(st.sampled_from([None, 1, 2, 50]))
+    return draw(arrays(float, d if m is None else (d, m),
+                       elements=st.floats(-2.0, 2.0)))
+
+
+class TestArrayFlowField:
+    # the array fields keep each element's operation order: bit for bit
+    @given(st.sampled_from([-1.0, 0.0, 0.5]), states(5))
+    @settings(max_examples=200, deadline=None)
+    def test_champagne(self, gamma, s):
+        with np.errstate(all="ignore"):   # r = 0 draws divide by zero
+            ref = np.asarray(champagne_list_field(gamma, s), dtype=float)
+            got = ChampagneBottle(gamma=gamma).flow_field(s)
+        assert got.shape == s.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @given(states(7))
+    @settings(max_examples=200, deadline=None)
+    def test_pendulum(self, pendulum, s):
+        with np.errstate(all="ignore"):
+            ref = np.asarray(pendulum_list_field(s), dtype=float)
+            got = pendulum.flow_field(s)
+        assert got.shape == s.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestMakeSystem:
