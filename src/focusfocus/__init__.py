@@ -9,10 +9,9 @@ from .errors import (BracketError, BranchError, CrossEngineMismatch,
 from .numerics import (EventSpec, QuadratureSpec, Trajectory, align_angle,
                        find_root_bracketed, integrate_flow, quad_singular)
 from .systems import (ChampagneBottle, EMValue, FocusFocusData,
-                      MomentumValue, ReducedProfile, SphericalPendulum,
-                      SystemDefinition, eval_constants, from_momentum_chart,
-                      make_system, poisson_bracket, to_momentum_chart,
-                      turning_points)
+                      MomentumValue, SphericalPendulum, SystemDefinition,
+                      eval_constants, from_momentum_chart, make_system,
+                      poisson_bracket, to_momentum_chart)
 from .lattice import (AsymptoticModel, PeriodLatticeSample, SweepSample,
                       annulus_sweep, cross_check, derivatives,
                       fit_asymptotic_model, period_lattice,

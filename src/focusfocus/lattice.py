@@ -18,13 +18,14 @@ one return:
   gives every derivative of T and Theta by a complex step (derivatives);
 * flow (the independent oracle): direct integration of the full vector
   field from a torus seed, with the azimuth unwrapped as an extra state
-  component.  A batch of tori of one system runs as one batched DOP853
-  integration (integrate_flow) of the system's array-valued field, each
-  torus a lane with its own step control, its second falling crossing of
-  the section, and the energy drift the kernel tracks over its steps;
-  after the loop all crossings of the batch land on the section in one
-  Henon step at the rate the system gives (flow_section_rate).  A failing
-  torus stops only its own lane.
+  component.  A torus's seed and section level come from one solve of its
+  cubic (the system's flow_start).  A batch of tori of one system runs as
+  one batched DOP853 integration (integrate_flow) of the system's
+  array-valued field, each torus a lane with its own step control, its
+  second falling crossing of the section, and the energy drift the kernel
+  tracks over its steps; after the loop all crossings of the batch land on
+  the section in one Henon step at the rate the system gives
+  (flow_section_rate).  A failing torus stops only its own lane.
 
 cross_checks runs both engines on a batch of tori drawn by
 sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)
@@ -151,7 +152,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:
     for i, c in enumerate(cs):
         try:
             system.check_window(c)
-            seed, level = system.flow_seed(c), system.flow_section_level(c)
+            seed, level = system.flow_start(c)
         except FocusFocusError as exc:
             out[i] = exc
             continue

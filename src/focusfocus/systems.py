@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -64,7 +63,6 @@ NEWTON_MAX_ITER = 100
 # cel stops once its means agree to CEL_TOL; its last pass squares that, ~EPS
 CEL_TOL = math.sqrt(EPS)
 
-ROOT_DEGENERACY_TOL = 1e-8
 # treat |l| below this as exactly on the l = 0 axis (the third-kind
 # integrals' 1 - n vanishes there; the angular jump is added analytically)
 L_AXIS_TOL = 1e-13
@@ -105,25 +103,6 @@ class MomentumValue:
         """Principal argument in [0, 2 pi), cut on the positive-j1 ray."""
         th = math.atan2(self.j2, self.j1)
         return th if th >= 0.0 else th + TWO_PI
-
-
-@dataclass(frozen=True)
-class ReducedProfile:
-    """S^1-reduced radial data of one torus: the reduced orbit runs over
-    [r_lo, r_hi] with rdot^2 = p(r).
-
-    The turning points come from the system's stable cubic roots, the same
-    roots its closed-form period_rotation uses.  pole_lo/pole_hi flag
-    endpoints where the angular coordinate degenerates (center / sphere
-    pole), reachable only on the l = 0 axis.  p and dp serve the
-    turning-point checks and the flow oracle's seed and section.
-    """
-    r_lo: float
-    r_hi: float
-    pole_lo: bool
-    pole_hi: bool
-    p: Callable[[float], float]
-    dp: Callable[[float], float]
 
 
 def _cubic_roots(b: float, c: float, d: float, x0: float,
@@ -291,11 +270,12 @@ class SystemDefinition:
     Required surface: name, j_floor, j_cap, hamiltonian/second_integral and
     their gradients on a 4-dim symplectic chart, hessian() and
     second_integral_hessian() at the equilibrium (on one chart),
-    reduced_profile(c), period_rotation(c) -> (T, Theta), flow components
-    (field, seed, section value, rate and level, angle index, energy on the
-    flow chart), constants().  The flow field, the section
-    value and rate and the energy take a state or a block of states
-    (d, m), unpacked row by row.
+    reduced_profile(c) -> the turning points (lo, hi), period_rotation(c)
+    -> (T, Theta), flow components (field, flow_start(c) -> (seed, section
+    level) from one reduced_profile call, section value and rate, angle
+    index, energy on the flow chart), constants().  The flow field, the
+    section value and rate and the energy take a state or a block of
+    states (d, m), unpacked row by row.
     """
 
     name = "abstract"
@@ -309,10 +289,10 @@ class SystemDefinition:
     def check_window(self, c: EMValue) -> None:
         r = to_momentum_chart(self, c).modulus
         if r < self.j_floor:
-            raise WindowError(f"|j|={r:.3g} below floor {self.j_floor:.3g}: "
-                              "too close to the singular fiber")
+            raise WindowError(f"|j|={r:.17g} below floor {self.j_floor:.17g}"
+                              ": too close to the singular fiber")
         if r > self.j_cap:
-            raise WindowError(f"|j|={r:.3g} above cap {self.j_cap:.3g}")
+            raise WindowError(f"|j|={r:.17g} above cap {self.j_cap:.17g}")
 
     def window_radius(self, h: np.ndarray, l: np.ndarray) -> np.ndarray:
         """|j| of the tori (h, l), arrays (their real parts), as
@@ -388,22 +368,6 @@ def eval_constants(system: SystemDefinition) -> FocusFocusData:
 def _rotation_hessian(system: SystemDefinition) -> np.ndarray:
     """d^2L of L = x p_y - y p_x on (x, y, p_x, p_y), both built-ins'."""
     return np.fliplr(np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def turning_points(system: SystemDefinition, c: EMValue) -> tuple[float, float]:
-    """Endpoints of the reduced orbit through c, with a simple-root check
-    |P'(r)| > tol on genuine roots (pole endpoints on the l = 0 axis are
-    domain boundaries, not roots, and are exempt)."""
-    system.check_window(c)
-    prof = system.reduced_profile(c)
-    for r, is_pole in ((prof.r_lo, prof.pole_lo), (prof.r_hi, prof.pole_hi)):
-        if is_pole and prof.p(r) > 0:
-            continue  # center/pole passage endpoint, not a turning point
-        if abs(prof.dp(r)) <= ROOT_DEGENERACY_TOL:
-            raise TurningPointDegeneracy(
-                f"|P'({r:.6g})|={abs(prof.dp(r)):.2g} <= "
-                f"{ROOT_DEGENERACY_TOL}: too close to an elliptic boundary")
-    return prof.r_lo, prof.r_hi
 
 
 # --------------------------------------------------------------------------
@@ -485,22 +449,11 @@ class ChampagneBottle(SystemDefinition):
                 "elliptic boundary")
         return s1, s2, s3
 
-    def reduced_profile(self, c: EMValue) -> ReducedProfile:
-        l = c.l
-        geff = c.h - self.gamma * l
+    def reduced_profile(self, c: EMValue) -> tuple[float, float]:
+        """Turning points (sqrt(s1), sqrt(s2)) of the reduced orbit; on the
+        l = 0 axis at g > 0, r_lo = 0 is a center passage."""
         s1, s2, _ = self._roots(c)
-
-        def p(r):
-            r2 = r * r
-            cf = -l * l / r2 if l != 0.0 else 0.0
-            return 2.0 * geff + cf + 2.0 * r2 - 2.0 * r2 * r2
-
-        def dp(r):
-            cf = 2.0 * l * l / r ** 3 if l != 0.0 else 0.0
-            return cf + 4.0 * r - 8.0 * r ** 3
-
-        return ReducedProfile(r_lo=math.sqrt(s1), r_hi=math.sqrt(s2),
-                              pole_lo=s1 == 0.0, pole_hi=False, p=p, dp=dp)
+        return math.sqrt(s1), math.sqrt(s2)
 
     def period_rotation(self, c: EMValue) -> tuple[float, float]:
         """(T, Theta) in closed form.  T = int ds/sqrt(C) over [s1, s2] and
@@ -564,10 +517,12 @@ class ChampagneBottle(SystemDefinition):
         acc[1] += g * px
         return np.concatenate([[xd, yd], acc, [(x * yd - y * xd) / r2]])
 
-    def flow_seed(self, c: EMValue) -> np.ndarray:
-        prof = self.reduced_profile(c)
-        r2 = prof.r_hi
-        return np.array([r2, 0.0, 0.0, c.l / r2, 0.0])
+    def flow_start(self, c: EMValue) -> tuple[np.ndarray, float]:
+        """(seed, level): the state at r = r_hi on the x axis, and r^2
+        midway between the turning points' r^2."""
+        r_lo, r_hi = self.reduced_profile(c)
+        return (np.array([r_hi, 0.0, 0.0, c.l / r_hi, 0.0]),
+                0.5 * (r_lo ** 2 + r_hi ** 2))
 
     def flow_section_value(self, s):
         """r^2, which falls through its mid-orbit level once per radial
@@ -577,10 +532,6 @@ class ChampagneBottle(SystemDefinition):
     def flow_section_rate(self, s, f):
         """d(r^2)/dt where the field takes the value f."""
         return 2.0 * (s[0] * f[0] + s[1] * f[1])
-
-    def flow_section_level(self, c: EMValue) -> float:
-        prof = self.reduced_profile(c)
-        return 0.5 * (prof.r_lo ** 2 + prof.r_hi ** 2)
 
     flow_angle_index = 4
 
@@ -669,22 +620,11 @@ class SphericalPendulum(SystemDefinition):
             raise TurningPointDegeneracy(f"double turning point at {where}")
         return wc, w2, w3, l2h / ((h + wc) * wc)
 
-    def reduced_profile(self, c: EMValue) -> ReducedProfile:
-        l = c.l
-        hr = c.h + 1.0
-        l2 = l * l
+    def reduced_profile(self, c: EMValue) -> tuple[float, float]:
+        """Turning points (z1, z2) of the reduced orbit; on the l = 0 axis
+        they are pole passages, z1 = -1 and, at h > 0, z2 = 1."""
         _, w2, _, one_z1 = self._roots(c)
-
-        def p(z):
-            return 2.0 * (hr - z) * (1.0 - z * z) - l2
-
-        def dp(z):
-            return -2.0 * (1.0 - z * z) - 4.0 * z * (hr - z)
-
-        on_axis = abs(l) <= L_AXIS_TOL
-        return ReducedProfile(r_lo=one_z1 - 1.0, r_hi=1.0 - w2,
-                              pole_lo=on_axis, pole_hi=on_axis and c.h > 0.0,
-                              p=p, dp=dp)
+        return one_z1 - 1.0, 1.0 - w2
 
     def period_rotation(self, c: EMValue) -> tuple[float, float]:
         """(T, Theta) in closed form.  T = 2 int dz/sqrt(f) over [z1, z2];
@@ -762,11 +702,13 @@ class SphericalPendulum(SystemDefinition):
         return np.concatenate([v, acc - eta * (qv * q + q2m1 * v),
                                [(q[0] * v[1] - q[1] * v[0]) / r2]])
 
-    def flow_seed(self, c: EMValue) -> np.ndarray:
-        prof = self.reduced_profile(c)
-        z2 = prof.r_hi
+    def flow_start(self, c: EMValue) -> tuple[np.ndarray, float]:
+        """(seed, level): the state at z = z2 in the x-z plane, and z
+        midway between the turning points."""
+        z1, z2 = self.reduced_profile(c)
         x0 = math.sqrt(1.0 - z2 * z2)
-        return np.array([x0, 0.0, z2, 0.0, c.l / x0, 0.0, 0.0])
+        return (np.array([x0, 0.0, z2, 0.0, c.l / x0, 0.0, 0.0]),
+                0.5 * (z1 + z2))
 
     def flow_section_value(self, s):
         """z, which falls through its mid-orbit level once per radial
@@ -776,10 +718,6 @@ class SphericalPendulum(SystemDefinition):
     def flow_section_rate(self, s, f):
         """dz/dt where the field takes the value f."""
         return f[2]
-
-    def flow_section_level(self, c: EMValue) -> float:
-        prof = self.reduced_profile(c)
-        return 0.5 * (prof.r_lo + prof.r_hi)
 
     flow_angle_index = 6
 

@@ -70,14 +70,31 @@ def tilde_s(system: SystemDefinition, c: EMValue, S: float | None = None) -> flo
 # --------------------------------------------------------------------------
 
 def _l_window(system: SystemDefinition, h: float, j_cap: float) -> float:
-    """Largest |l| with |j(h, l)| <= j_cap (conservative bisection)."""
-    lo, hi = 0.0, j_cap * 1.5
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if to_momentum_chart(system, EMValue(h, mid)).modulus <= j_cap:
-            lo = mid
-        else:
-            hi = mid
+    """Largest l >= 0 with |j(h, l)| <= j_cap (|j| of to_momentum_chart),
+    or 0.0 where no l >= 0 has it.  The larger root of the quadratic |j|^2
+    = j_cap^2 in l is within an ulp or two of it, but near a double root
+    (|h| ~ alpha j_cap, omega = 0) many ulps off; so steps doubling from an
+    ulp of the root bracket the last l inside, and a bisection ends there.
+    """
+    ff = system.constants()
+    a2 = ff.alpha * ff.alpha + ff.omega * ff.omega
+    # (alpha^2 + omega^2) l^2 - 2 h omega l + h^2 - alpha^2 j_cap^2 = 0 has
+    # discriminant 4 alpha^2 disc; at disc < 0, start at the least |j|
+    disc = max(0.0, a2 * j_cap * j_cap - h * h)
+
+    def inside(l: float) -> bool:
+        return to_momentum_chart(system, EMValue(h, l)).modulus <= j_cap
+
+    lo = hi = max(0.0, (h * ff.omega + ff.alpha * math.sqrt(disc)) / a2)
+    step = math.ulp(lo)
+    while not inside(lo):
+        if lo == 0.0:
+            return 0.0
+        hi, lo, step = lo, max(0.0, lo - step), 2.0 * step
+    while inside(hi):
+        lo, hi, step = hi, hi + step, 2.0 * step
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
     return lo
 
 
@@ -254,8 +271,10 @@ def twistless_curve(system: SystemDefinition,
         return curve
 
     if len(samples) < 4:
+        first = (f"; the first failure at h={failures[0][0]:.6g}: "
+                 f"{failures[0][1]}" if failures else "")
         raise ScanError(f"tangent fit needs >= 4 twistless samples, got "
-                        f"{len(samples)}")
+                        f"{len(samples)}{first}")
     smallest = sorted(samples, key=lambda s: abs(s.h))[:4]
     wgt = np.array([1.0 / s.h ** 2 for s in smallest])
     hh = np.array([s.h for s in smallest])

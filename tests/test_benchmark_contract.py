@@ -36,6 +36,8 @@ def test_traced_crosscheck_runs(tmp_path):
     assert doc["rc"] == 0
     assert doc["trace"]["flow_steps"] > 0
     assert doc["trace"]["engine_calls"]["quadrature"] > 0
+    # one solve of the reduced cubic per flow torus
+    assert doc["trace"]["spans"]["systems.reduced_profile"][0] == 2
 
 
 def load_workloads(monkeypatch):

@@ -442,6 +442,24 @@ class TestExitCodes:
         doc = json.loads((tmp_path / "twistless_summary.json").read_text())
         assert [f["h"] for f in doc["failures"]] == [0.3]
 
+    def test_twistless_fit_names_the_first_failed_energy(self, tmp_path,
+                                                         capsys):
+        rc, err = run(capsys, "twistless", "--h-values", "0",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert err == ("numerical failure: tangent fit needs >= 4 twistless "
+                       "samples, got 0; the first failure at h=0: h = 0 "
+                       "excluded\n")
+
+    def test_window_bound_printed_at_full_precision(self, tmp_path, capsys):
+        # a loop of radius 0.2, the pendulum's cap: hypot rounds its |j| up
+        # by an ulp, which three digits would hide
+        rc, err = run(capsys, "monodromy", "--system", "pendulum",
+                      "--radius", "0.2", "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert err == ("numerical failure: |j|=0.20000000000000004 above cap "
+                       "0.20000000000000001\n")
+
     def test_crosscheck_with_every_torus_failed(self, tmp_path, capsys,
                                                 monkeypatch):
         # a flow budget no torus closes in

@@ -10,7 +10,7 @@ from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
                         integrate_flow, quad_singular)
 from focusfocus.numerics import linear_quantiles
 from focusfocus.lattice import reduced_period_rotation
-from focusfocus.systems import turning_points
+from reference_profiles import champagne_profile
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,7 +44,7 @@ class TestIntegrateFlow:
         assert traj.final[:, 0] == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_energy_conservation_long_run(self, champagne):
-        seed = champagne.flow_seed(EMValue(0.1, 0.05))
+        seed, _ = champagne.flow_start(EMValue(0.1, 0.05))
         traj = integrate_flow(champagne.flow_field, one_lane(seed),
                               t_max=100.0,
                               invariant=champagne.flow_hamiltonian, tol=1e-12)
@@ -53,18 +53,17 @@ class TestIntegrateFlow:
     def test_energy_conservation_pendulum(self, pendulum):
         c = EMValue(0.05, 0.02)
         traj = integrate_flow(pendulum.flow_field,
-                              one_lane(pendulum.flow_seed(c)), t_max=100.0,
+                              one_lane(pendulum.flow_start(c)[0]), t_max=100.0,
                               invariant=pendulum.flow_hamiltonian,
                               tol=pendulum.flow_rtol)
         assert traj.drift[0] <= 1e-10
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
-        c = EMValue(0.1, 0.05)
+        seed, level = champagne.flow_start(EMValue(0.1, 0.05))
         section = EventSpec(champagne.flow_section_value,
                             champagne.flow_section_rate, -1.0, count=2,
-                            level=champagne.flow_section_level(c))
-        traj = integrate_flow(champagne.flow_field,
-                              one_lane(champagne.flow_seed(c)), t_max=1e3,
+                            level=level)
+        traj = integrate_flow(champagne.flow_field, one_lane(seed), t_max=1e3,
                               invariant=champagne.flow_hamiltonian,
                               section=section, tol=1e-10)
         assert traj.errors[0] is None
@@ -172,8 +171,8 @@ class TestBatchedFlow:
         # the kernel passes to the invariant can be told apart by lane; the
         # running maximum must equal the max-then-divide formula over every
         # state the kernel evaluated, lane by lane
-        seeds = np.column_stack([champagne.flow_seed(EMValue(0.1, 0.05)),
-                                 champagne.flow_seed(EMValue(0.05, -0.02))])
+        seeds = np.column_stack([champagne.flow_start(c)[0] for c in (
+            EMValue(0.1, 0.05), EMValue(0.05, -0.02))])
         seeds = np.vstack([seeds, [0.0, 1.0]])
         seen = []
 
@@ -250,10 +249,10 @@ class TestQuadSingular:
         # [DERIVED] cross-engine oracle: the raw period integral over the
         # reduced orbit, declared with sqrt endpoints, against the flow T
         c = EMValue(0.1, 0.05)
-        prof = champagne.reduced_profile(c)
-        spec = QuadratureSpec(lambda r: 2.0 / math.sqrt(prof.p(r)),
-                              prof.r_lo, prof.r_hi,
-                              singularity_exponents=(0.5, 0.5))
+        gamma = champagne.gamma
+        spec = QuadratureSpec(
+            lambda r: 2.0 / math.sqrt(champagne_profile(gamma, c, r)),
+            *champagne.reduced_profile(c), singularity_exponents=(0.5, 0.5))
         T_raw = quad_singular(spec)
         T_flow, _ = reduced_period_rotation(champagne, c, engine="flow")
         assert T_raw == pytest.approx(T_flow, rel=1e-8)

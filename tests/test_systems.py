@@ -9,8 +9,10 @@ from hypothesis.extra.numpy import arrays
 from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
                         SystemRejected, TurningPointDegeneracy, WindowError,
                         eval_constants, integrate_flow, make_system,
-                        poisson_bracket, turning_points)
+                        poisson_bracket)
 from focusfocus.systems import SystemDefinition
+from reference_profiles import (champagne_profile, champagne_profile_dr,
+                                pendulum_profile)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -104,8 +106,8 @@ class TestChampagneModel:
         # profile at this state's (H, L)
         s = np.array([0.3, 0.0, 0.0, 0.2])
         c = EMValue(champagne.hamiltonian(s), champagne.second_integral(s))
-        prof = champagne.reduced_profile(c)
-        assert abs(prof.p(0.3)) <= 1e-12
+        assert abs(champagne_profile(champagne.gamma, c, 0.3)) <= 1e-12
+        assert min(abs(r - 0.3) for r in champagne.reduced_profile(c)) <= 1e-12
 
     def test_profile_matches_radial_speed_at_random_states(self, champagne):
         # P(r; H(s), L(s)) = ((x px + y py)/r)^2 identically
@@ -117,11 +119,13 @@ class TestChampagneModel:
             if r < 1e-3 or abs(c.l) < 1e-12:
                 continue
             try:
-                prof = champagne.reduced_profile(c)
+                r_lo, r_hi = champagne.reduced_profile(c)
             except NoTorusError:
                 continue
             pr = (s[0] * s[2] + s[1] * s[3]) / r
-            assert prof.p(r) == pytest.approx(pr * pr, abs=1e-10)
+            assert champagne_profile(champagne.gamma, c, r) == pytest.approx(
+                pr * pr, abs=1e-10)
+            assert r_lo - 1e-12 <= r <= r_hi + 1e-12
             checked += 1
         assert checked >= 10
 
@@ -134,8 +138,8 @@ class TestChampagneModel:
         # H_gamma = H_0 + gamma L: turning points at matched (h - gamma l, l)
         c5 = EMValue(0.1, 0.05)
         c0 = EMValue(0.1 - 0.5 * 0.05, 0.05)
-        assert turning_points(champagne, c5) == pytest.approx(
-            turning_points(champagne0, c0), abs=1e-13)
+        assert champagne.reduced_profile(c5) == pytest.approx(
+            champagne0.reduced_profile(c0), abs=1e-13)
 
     def test_gamma_precondition(self):
         with pytest.raises(ValueError):
@@ -144,7 +148,7 @@ class TestChampagneModel:
 
 class TestTurningPoints:
     def test_champagne_l_zero_positive_h(self, champagne0):
-        r_lo, r_hi = turning_points(champagne0, EMValue(0.1, 0.0))
+        r_lo, r_hi = champagne0.reduced_profile(EMValue(0.1, 0.0))
         assert r_lo == 0.0
         assert r_hi == pytest.approx(
             math.sqrt((1.0 + math.sqrt(1.4)) / 2.0), rel=1e-12)
@@ -152,32 +156,35 @@ class TestTurningPoints:
     def test_champagne_generic(self, champagne):
         # [DERIVED] quartic root finder vs an independent sign-scan oracle
         c = EMValue(0.1, 0.05)
-        r_lo, r_hi = turning_points(champagne, c)
+        r_lo, r_hi = champagne.reduced_profile(c)
         assert 0.0 < r_lo < r_hi
-        prof = champagne.reduced_profile(c)
         rr = np.linspace(1e-3, 1.2, 2000)
-        pv = np.array([prof.p(r) for r in rr])
+        pv = champagne_profile(champagne.gamma, c, rr)
         crossings = rr[np.flatnonzero(np.sign(pv[:-1]) != np.sign(pv[1:]))]
         assert len(crossings) == 2
         assert r_lo == pytest.approx(crossings[0], abs=1e-3)
         assert r_hi == pytest.approx(crossings[1], abs=1e-3)
-        assert abs(prof.dp(r_lo)) > 1e-8 and abs(prof.dp(r_hi)) > 1e-8
+        # simple roots: P vanishes there, and its slope does not
+        for r in (r_lo, r_hi):
+            assert abs(champagne_profile(champagne.gamma, c, r)) <= 1e-14
+            assert abs(champagne_profile_dr(c, r)) > 1e-8
 
     def test_pendulum_generic(self, pendulum):
         c = EMValue(0.1, 0.05)
-        z_lo, z_hi = turning_points(pendulum, c)
+        z_lo, z_hi = pendulum.reduced_profile(c)
         assert -1.0 < z_lo < z_hi < 1.0
-        prof = pendulum.reduced_profile(c)
         zz = np.linspace(-0.99995, 0.99995, 20000)
-        pv = np.array([prof.p(z) for z in zz])
+        pv = pendulum_profile(c, zz)
         crossings = zz[np.flatnonzero(np.sign(pv[:-1]) != np.sign(pv[1:]))]
         assert len(crossings) == 2
         assert z_lo == pytest.approx(crossings[0], abs=1e-4)
         assert z_hi == pytest.approx(crossings[1], abs=1e-4)
+        for z in (z_lo, z_hi):
+            assert abs(pendulum_profile(c, z)) <= 1e-14
 
     def test_pendulum_l_zero(self, pendulum):
         # librating branch: turning points are z = -1 and z = h_raw
-        z_lo, z_hi = turning_points(pendulum, EMValue(-0.1, 0.0))
+        z_lo, z_hi = pendulum.reduced_profile(EMValue(-0.1, 0.0))
         assert z_lo == -1.0
         assert z_hi == pytest.approx(0.9, abs=1e-12)
 
@@ -188,7 +195,7 @@ class TestTurningPoints:
 
     def test_window_floor_reported_distinctly(self, champagne):
         with pytest.raises(WindowError):
-            turning_points(champagne, EMValue(1e-8, 0.0))
+            champagne.check_window(EMValue(1e-8, 0.0))
 
     def test_no_torus_outside_image(self, champagne):
         # below the elliptic boundary the fiber is empty
@@ -201,15 +208,15 @@ class TestProfileAlongFlow:
         # (dr/dt)^2 along an integrated trajectory equals P(r) to 1e-9: the
         # final states of one seed run at several budgets
         c = EMValue(0.08, -0.03)
-        prof = champagne.reduced_profile(c)
         budgets = np.linspace(0.25, 5.0, 20)
-        seeds = np.tile(champagne.flow_seed(c)[:, None], budgets.size)
+        seeds = np.tile(champagne.flow_start(c)[0][:, None], budgets.size)
         traj = integrate_flow(champagne.flow_field, seeds, t_max=budgets,
                               invariant=champagne.flow_hamiltonian, tol=1e-12)
         for s in traj.final.T:
             r = math.hypot(s[0], s[1])
             rdot = (s[0] * s[2] + s[1] * s[3]) / r
-            assert prof.p(r) == pytest.approx(rdot * rdot, abs=1e-9)
+            assert champagne_profile(champagne.gamma, c, r) == pytest.approx(
+                rdot * rdot, abs=1e-9)
 
 
 def champagne_list_field(gamma, s):

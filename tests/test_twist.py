@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,12 @@ from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
                         MomentumValue, ScanError, SphericalPendulum, cli,
                         eval_constants, expected_twistless_slope,
                         from_momentum_chart, lattice, rotation_number,
-                        tilde_s, twist, twist_scan, twistless_curve,
-                        twistless_point)
-from focusfocus.twist import _l_window
+                        tilde_s, to_momentum_chart, twist, twist_scan,
+                        twistless_curve, twistless_point)
+from focusfocus.twist import SCAN_CAP, _l_window
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 SCAN_SYSTEMS = {"champagne": ChampagneBottle(gamma=0.5),
                 "champagne0": ChampagneBottle(gamma=0.0),
                 "pendulum": SphericalPendulum()}
@@ -377,6 +379,62 @@ def test_curve_equals_the_per_energy_loop(name):
     assert np.array(got).tobytes() == np.array(samples).tobytes()
     assert curve.failures == failures
     assert len(samples) >= 4 and ("h = 0 excluded" in dict(failures)[0.0])
+
+
+def bisection_window(system, h, j_cap, steps=60):
+    """The largest l >= 0 with |j(h, l)| <= j_cap by bisection of [0, 1.5
+    j_cap], the reference for _l_window: steps halvings, as the scans once
+    took them, or with steps None until the ends are adjacent floats."""
+    lo, hi = 0.0, j_cap * 1.5
+    for _ in itertools.count() if steps is None else range(steps):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if to_momentum_chart(system, EMValue(h, mid)).modulus <= j_cap:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+WINDOW_SYSTEMS = [*(ChampagneBottle(gamma=g)
+                    for g in (-1.0, 0.0, 0.5, 1.3, 1.5)), SphericalPendulum()]
+
+
+class TestScanWindow:
+    @pytest.mark.parametrize("system", WINDOW_SYSTEMS, ids=lambda s: (
+        f"{s.name}{getattr(s, 'gamma', '')}"))
+    def test_default_energies_equal_the_60_step_bisection(self, system):
+        # the energies twistless and C6 scan at their defaults: the same
+        # windows keep their scans, and so their outputs, bit for bit
+        for cap in (min(SCAN_CAP, system.j_cap), system.j_cap):
+            for h in CURVE_ENERGIES + [0.002, -0.002]:
+                if h:
+                    assert (_l_window(system, h, cap)
+                            == bisection_window(system, h, cap))
+
+    @given(st.sampled_from(WINDOW_SYSTEMS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_last_l_inside_the_cap(self, system, data):
+        ff = eval_constants(system)
+        cap = min(SCAN_CAP, system.j_cap)
+        edge = ff.alpha * cap
+        h = data.draw(st.floats(-edge, edge, exclude_min=True,
+                                exclude_max=True))
+        got = _l_window(system, h, cap)
+
+        def inside(l):
+            return to_momentum_chart(system, EMValue(h, l)).modulus <= cap
+        assert inside(got) or got == 0.0
+        assert not inside(math.nextafter(got, math.inf))
+        # |j| comes out of to_momentum_chart within a few EPS cap, and it
+        # grows at sqrt(disc)/(alpha cap) in l at the window's end, so the
+        # last l inside is fixed only to ~EPS alpha cap^2/sqrt(disc): where
+        # j1's rounding makes |j| step back, two searches may end on two
+        # neighbouring last l's
+        disc = max(0.0, (ff.alpha ** 2 + ff.omega ** 2) * cap * cap - h * h)
+        assert (abs(got - bisection_window(system, h, cap, steps=None))
+                * math.sqrt(disc) <= 16.0 * EPS * ff.alpha * cap * cap)
 
 
 def recorded_calls(monkeypatch):
