@@ -11,7 +11,7 @@ from .numerics import (EventSpec, QuadratureSpec, Trajectory, align_angle,
 from .systems import (ChampagneBottle, EMValue, FocusFocusData,
                       MomentumValue, SphericalPendulum, SystemDefinition,
                       eval_constants, from_momentum_chart, make_system,
-                      poisson_bracket, to_momentum_chart)
+                      to_momentum_chart)
 from .lattice import (AsymptoticModel, PeriodLatticeSample, SweepSample,
                       annulus_sweep, cross_check, derivatives,
                       fit_asymptotic_model, period_lattice,

@@ -44,7 +44,6 @@ class AcceptanceConfig:
     j_cap: float | None = None
     n_cross_tori: int = 50
     grid_resolution: tuple[int, int] = (32, 64)
-    jobs: int = 1
     seed: int = RNG_SEED             # draws C1's cross-check tori
 
     def systems(self):
@@ -167,7 +166,7 @@ def c5_spirals(cfg: AcceptanceConfig) -> CriterionResult:
             (champ, -eval_constants(champ).A0, None, "champagne"),
             (pend, 0.0, 0.02, "pendulum")):
         grid = rotation_grid(system, AnnulusRegion(1e-4, 1e-2),
-                             cfg.grid_resolution, jobs=cfg.jobs)
+                             cfg.grid_resolution)
         for level in contour_levels(grid, (0.3, 0.5, 0.7)):
             fit = fit_log_spiral(extract_level_curve(grid, level), expected)
             out[key].append({"level": fit.level, "slope": fit.slope_fit,
@@ -296,25 +295,24 @@ def c8_kolmogorov(cfg: AcceptanceConfig) -> CriterionResult:
 
 
 def c9_determinism(cfg: AcceptanceConfig) -> CriterionResult:
-    desc = ("identical configs produce byte-identical CSVs at any "
-            "parallelism degree")
+    desc = "identical configs produce byte-identical CSVs run to run"
     import tempfile
     from pathlib import Path
     from .cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as td:
         outs = []
-        for tag, jobs in (("a", 1), ("b", 1), ("c", 2)):
+        for tag in ("a", "b"):
             out = Path(td) / tag
             rc = cli_main(["grid", "--system", "champagne",
                            "--param", f"gamma={cfg.gamma}",
                            "--window", "1e-3,1e-2", "--res", "6,12",
-                           "--jobs", str(jobs), "--out", str(out)])
+                           "--out", str(out)])
             if rc != 0:
                 return CriterionResult("C9", desc, "fail",
                                        {"exit_code": rc, "run": tag})
             outs.append((out / "grid.csv").read_bytes())
-    ok = outs[0] == outs[1] == outs[2]
+    ok = outs[0] == outs[1]
     return CriterionResult("C9", desc, "pass" if ok else "fail",
                            {"bytes": len(outs[0]), "identical": ok})
 

@@ -2,15 +2,16 @@
 
 Subcommands orchestrate the analyses and emit CSV files plus a JSON
 summary embedding the fully resolved configuration.  Outputs are
-deterministic for a fixed configuration at any parallelism degree: numbers
-are serialized with 17 significant digits and results are assembled by
-index, never by arrival order.
+byte-identical run to run for a fixed configuration: every subcommand runs
+in one process, and numbers are serialized with 17 significant digits.
 
 Each subcommand reads the keys below (READS), given as flags or as
 "key = value" lines of a --config file, which the flags override; any
 other key is a configuration error.  param.NAME sets one parameter of the
 system (--param NAME=V), tol.NAME one tolerance (--tol NAME=V).  Every
-subcommand also takes --out DIR and --jobs N.
+subcommand also takes --out DIR and --jobs 1: it runs in one process (a
+grid is one array call, which workers only slowed), and the flag stays for
+the benchmark harness, perfbench/run.py, which passes --jobs 1 to all.
 
     constants   system, param.NAME
     grid        system, param.NAME, window, res
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import FocusFocusError, ScanError
-from .systems import (MomentumValue, eval_constants, from_momentum_chart,
-                      make_system)
+from .systems import eval_constants, make_system
 from .lattice import CROSS_TOL, cross_checks, sample_cross_tori
 from .rotation import (MASK_CORE, MASK_REGULAR, MIN_LOOP_POINTS,
                        AnnulusRegion, contour_levels, extract_level_curve,
@@ -138,7 +139,7 @@ KEYS = {
     "seed": Key(int, "N", "seed of the cross-check tori", lambda n: n >= 0,
                 ">= 0"),
     "out": Key(str, "DIR", "output directory"),
-    "jobs": Key(int, "N", "worker processes", lambda n: n >= 1, ">= 1"),
+    "jobs": Key(int, "N", "worker processes: 1 only", lambda n: n == 1, "1"),
 }
 
 
@@ -280,15 +281,9 @@ def cmd_constants(cfg: dict) -> int:
 
 def cmd_grid(cfg: dict) -> int:
     system = build_system(cfg)
-    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"],
-                         jobs=cfg["jobs"])
-    rows = []
-    for i, rho in enumerate(grid.axis0):
-        for k, th in enumerate(grid.axis1):
-            j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-            c = from_momentum_chart(system, j)
-            rows.append((c.h, c.l, j.j1, j.j2, grid.w[i, k],
-                         grid.branch[i, k], grid.mask[i, k]))
+    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"])
+    rows = list(zip(*(a.ravel().tolist() for a in (
+        grid.h, grid.l, grid.j1, grid.l, grid.w, grid.branch, grid.mask))))
     out = Path(cfg["out"])
     write_csv(out / "grid.csv", ["h", "l", "j1", "j2", "W", "branch", "mask"],
               rows)
@@ -306,8 +301,7 @@ def cmd_grid(cfg: dict) -> int:
 def cmd_spiral(cfg: dict) -> int:
     system = build_system(cfg)
     ff = eval_constants(system)
-    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"],
-                         jobs=cfg["jobs"])
+    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"])
     fits = []
     rows = []
     for level in contour_levels(grid, cfg["levels"]):
@@ -420,7 +414,6 @@ def cmd_report(cfg: dict) -> int:
         gamma=cfg["param.gamma"],
         j_floor=j_floor,
         j_cap=j_cap,
-        jobs=cfg["jobs"],
         n_cross_tori=cfg["n_tori"],
         grid_resolution=cfg["res"],
         seed=cfg["seed"])
@@ -452,7 +445,13 @@ COMMANDS = {
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reports a bad command line as a
-    ConfigError, as build_config reports a bad key or value."""
+    ConfigError, as build_config reports a bad key or value.  A token of
+    "-" or "-." and a digit is a value (-1e-2,2e-2), which argparse, taking
+    only plain numbers such as -0.5 as values, would read as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         raise ConfigError(message)

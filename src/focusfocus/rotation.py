@@ -84,7 +84,10 @@ class AnnulusRegion:
 class RotationGrid:
     axis0: np.ndarray         # radii
     axis1: np.ndarray         # angles, from RAY_OFFSET
-    w: np.ndarray             # (n0, n1) branch-consistent W; NaN where masked
+    h: np.ndarray             # (n0, n1) tori (h, l), relative to the
+    l: np.ndarray             # critical value; l is also the chart's j2
+    j1: np.ndarray            # momentum chart j1
+    w: np.ndarray             # branch-consistent W; NaN where masked
     branch: np.ndarray        # int sheet offset from the raw value
     mask: np.ndarray          # MASK_* codes
 
@@ -92,12 +95,26 @@ class RotationGrid:
         return float(np.mean(self.mask != MASK_REGULAR))
 
 
-def _grid_rows(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
-               core: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """w, branch and mask of a block of transported rows, (rows, angles)
-    arrays, its tori in one array call.  Points flagged core (below the
-    system's j_floor) and points without a regular torus (failed) do not
-    serve as references.  A failed anchor fails the whole row."""
+def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
+                  resolution: tuple[int, int]) -> RotationGrid:
+    """Branch-consistent W matrix, all its tori in one array call.
+
+    Rows are constant-|j| circles anchored just past the reference ray and
+    transported counterclockwise, so |W_neighbor - W| < 1/2 along each
+    row.  Points below the system's j_floor (MASK_CORE) and points without
+    a regular torus (MASK_FAILED) do not serve as references; a failed
+    anchor fails the whole row.
+    """
+    n0, n1 = resolution
+    radii = np.geomspace(region.r_in, region.r_out, n0)
+    angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
+    # the tori of _circle, with math's cos and sin
+    cos = np.array([math.cos(th) for th in angles.tolist()])
+    sin = np.array([math.sin(th) for th in angles.tolist()])
+    j1, l = np.outer(radii, cos), np.outer(radii, sin)
+    h = from_momentum_chart(system, MomentumValue(j1, l)).h
+    core = system.window_radius(h, l) < system.j_floor
+
     w = np.full(h.shape, np.nan)
     br = np.zeros(h.shape, dtype=int)
     mask = np.where(core, MASK_CORE, MASK_FAILED).astype(np.uint8)
@@ -118,40 +135,8 @@ def _grid_rows(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
         w[row, cols] = theta / TWO_PI
         br[row, cols] = branch
         mask[row, cols] = MASK_REGULAR
-    return w, br, mask
-
-
-def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
-                  resolution: tuple[int, int], jobs: int = 1) -> RotationGrid:
-    """Branch-consistent W matrix.
-
-    Rows are constant-|j| circles anchored just past the reference ray and
-    transported counterclockwise, so |W_neighbor - W| < 1/2 along each
-    row.  All tori of the grid are evaluated in one array call, or with
-    jobs > 1 one call per contiguous block of rows, one block per worker;
-    results are assembled by row index, so output is jobs-independent.
-    """
-    n0, n1 = resolution
-    radii = np.geomspace(region.r_in, region.r_out, n0)
-    angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
-    # the tori of _circle, with math's cos and sin
-    cos = np.array([math.cos(th) for th in angles.tolist()])
-    sin = np.array([math.sin(th) for th in angles.tolist()])
-    l = np.outer(radii, sin)
-    h = from_momentum_chart(system, MomentumValue(np.outer(radii, cos), l)).h
-    core = system.window_radius(h, l) < system.j_floor
-
-    blocks = [b for b in np.array_split(np.arange(n0), max(1, jobs)) if b.size]
-    args = [(system, h[b], l[b], core[b]) for b in blocks]
-    if len(blocks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(blocks)) as ex:
-            parts = list(ex.map(_grid_rows, *zip(*args)))
-    else:
-        parts = [_grid_rows(*a) for a in args]
-
-    w, br, mask = (np.vstack(p) for p in zip(*parts))
-    return RotationGrid(axis0=radii, axis1=angles, w=w, branch=br, mask=mask)
+    return RotationGrid(axis0=radii, axis1=angles, h=h, l=l, j1=j1, w=w,
+                        branch=br, mask=mask)
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,8 @@ takes complex h, l: every comparison reads the real parts, so a lane at
 in h or l as its imaginary part over d (lattice.derivatives).
 
 Values (h, l) are always relative to the critical value.  Systems are
-frozen dataclasses: immutable, hashable, safely shareable across workers.
+frozen dataclasses: immutable and hashable, so eval_constants memoizes
+them.
 """
 from __future__ import annotations
 
@@ -267,15 +268,15 @@ def _scatter(n: int, lane: np.ndarray, ok: np.ndarray, T: np.ndarray,
 class SystemDefinition:
     """Duck-typed interface shared by the built-in systems.
 
-    Required surface: name, j_floor, j_cap, hamiltonian/second_integral and
-    their gradients on a 4-dim symplectic chart, hessian() and
-    second_integral_hessian() at the equilibrium (on one chart),
-    reduced_profile(c) -> the turning points (lo, hi), period_rotation(c)
-    -> (T, Theta), flow components (field, flow_start(c) -> (seed, section
-    level) from one reduced_profile call, section value and rate, angle
-    index, energy on the flow chart), constants().  The flow field, the
-    section value and rate and the energy take a state or a block of
-    states (d, m), unpacked row by row.
+    Required surface, what the engines read: name, j_floor, j_cap,
+    hessian() and second_integral_hessian() at the equilibrium (on one
+    4-dim symplectic chart), reduced_profile(c) -> the turning points (lo,
+    hi), period_rotation(c) -> (T, Theta), period_rotation_array, flow
+    components (field, flow_start(c) -> (seed, section level) from one
+    reduced_profile call, section value and rate, angle index, energy on
+    the flow chart), constants().  The flow field, the section value and
+    rate and the energy take a state or a block of states (d, m), unpacked
+    row by row.
     """
 
     name = "abstract"
@@ -401,19 +402,6 @@ class ChampagneBottle(SystemDefinition):
         x, y, px, py = s[:4]
         return x * py - y * px
 
-    def grad_hamiltonian(self, s) -> np.ndarray:
-        x, y, px, py = s[:4]
-        r2 = x * x + y * y
-        g = self.gamma
-        return np.array([g * py - 2 * x + 4 * x * r2,
-                         -g * px - 2 * y + 4 * y * r2,
-                         px - g * y,
-                         py + g * x])
-
-    def grad_second_integral(self, s) -> np.ndarray:
-        x, y, px, py = s[:4]
-        return np.array([py, -px, -y, x])
-
     def hessian(self) -> np.ndarray:
         g = self.gamma
         return np.array([[-2.0, 0.0, 0.0, g],
@@ -422,9 +410,6 @@ class ChampagneBottle(SystemDefinition):
                          [g, 0.0, 0.0, 1.0]])
 
     second_integral_hessian = _rotation_hessian
-
-    def random_phase_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(-0.8, 0.8, size=(n, 4))
 
     # -- reduced profile and closed form -------------------------------
     def _roots(self, c: EMValue) -> tuple[float, float, float]:
@@ -549,9 +534,8 @@ class SphericalPendulum(SystemDefinition):
 
     Primary engine is the reduced profile in z (chart-free).  The flow
     oracle runs in ambient Cartesian coordinates on the unit sphere
-    (polynomial field, smooth across pole passages); the (z, p_z) chart is
-    only used for the 4-dim symplectic surface (H, L, Poisson brackets),
-    where it is valid away from the poles.
+    (polynomial field, smooth across pole passages).  The only 4-dim
+    symplectic chart is the north-pole one of the Hessians.
     """
     j_floor: float = 1e-5
     j_cap: float = 0.2
@@ -559,26 +543,6 @@ class SphericalPendulum(SystemDefinition):
     name = "pendulum"
     flow_rtol = 2e-13   # near-pole passages need headroom under the
                         # 1e-10 energy-drift budget
-
-    # -- 4-dim chart (z, phi, pz, pphi), valid for |z| < 1 -------------
-    def hamiltonian(self, s) -> float:
-        z, _phi, pz, pphi = s[:4]
-        om2 = 1.0 - z * z
-        return om2 * pz * pz / 2.0 + pphi * pphi / (2.0 * om2) + z - 1.0
-
-    def second_integral(self, s) -> float:
-        return s[3]
-
-    def grad_hamiltonian(self, s) -> np.ndarray:
-        z, _phi, pz, pphi = s[:4]
-        om2 = 1.0 - z * z
-        return np.array([-z * pz * pz + pphi * pphi * z / om2 ** 2 + 1.0,
-                         0.0,
-                         om2 * pz,
-                         pphi / om2])
-
-    def grad_second_integral(self, s) -> np.ndarray:
-        return np.array([0.0, 0.0, 0.0, 1.0])
 
     def hessian(self) -> np.ndarray:
         # d^2H at the upright equilibrium in the north-pole chart (x, y, px, py):
@@ -590,14 +554,6 @@ class SphericalPendulum(SystemDefinition):
                          [0.0, 0.0, 0.0, 1.0]])
 
     second_integral_hessian = _rotation_hessian
-
-    def random_phase_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        pts = np.empty((n, 4))
-        pts[:, 0] = rng.uniform(-0.9, 0.9, n)      # z away from the poles
-        pts[:, 1] = rng.uniform(0.0, TWO_PI, n)
-        pts[:, 2] = rng.uniform(-1.0, 1.0, n)
-        pts[:, 3] = rng.uniform(-0.5, 0.5, n)
-        return pts
 
     # -- reduced profile and closed form -------------------------------
     def _roots(self, c: EMValue) -> tuple[float, float, float, float]:
@@ -741,11 +697,3 @@ def make_system(name: str, **params) -> SystemDefinition:
         return SYSTEMS[name](**params)
     except TypeError as exc:
         raise ValueError(f"bad parameters for system {name!r}: {exc}") from exc
-
-
-def poisson_bracket(system: SystemDefinition, s) -> float:
-    """{H, L} at a phase point, from the analytic gradients.  States are
-    ordered (q1, q2, p1, p2)."""
-    gh = system.grad_hamiltonian(s)
-    gl = system.grad_second_integral(s)
-    return float(gh[0] * gl[2] + gh[1] * gl[3] - gh[2] * gl[0] - gh[3] * gl[1])

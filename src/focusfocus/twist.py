@@ -98,6 +98,12 @@ def _l_window(system: SystemDefinition, h: float, j_cap: float) -> float:
     return lo
 
 
+def _no_window(h: float, cap: float) -> ScanError:
+    """The failure at an energy whose scan window _l_window leaves empty."""
+    return ScanError(f"no twistless torus on C_h, h={h:.6g}: every l >= 0 "
+                     f"puts |j| above the scan cap {cap:.3g}")
+
+
 def _twistless_roots(system: SystemDefinition,
                      jobs: list[tuple[float, tuple[float, float]]],
                      n_scan: int = 64) -> list:
@@ -172,7 +178,9 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
     if h == 0.0:
         raise ValueError("h must be nonzero")
     if l_range is None:
-        lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
+        cap = min(SCAN_CAP, system.j_cap)
+        if (lmax := _l_window(system, h, cap)) == 0.0:
+            raise _no_window(h, cap)
         l_range = (-lmax, lmax)
     (root,) = _twistless_roots(system, [(h, l_range)], n_scan)
     if isinstance(root, ScanError):
@@ -233,20 +241,20 @@ def twistless_curve(system: SystemDefinition,
     failures: list[tuple[float, str]] = []
 
     energies = sorted(h_values)
+    cap = min(SCAN_CAP, system.j_cap)
     windows = []   # the l ranges scanned at each energy: half-axes at omega = 0
     for h in energies:
-        if h == 0.0:
-            windows.append(())
-            continue
-        lmax = _l_window(system, h, min(SCAN_CAP, system.j_cap))
-        windows.append(((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax))
+        lmax = _l_window(system, h, cap) if h != 0.0 else 0.0
+        windows.append(() if lmax == 0.0 else
+                       ((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax))
                        if degenerate else ((-lmax, lmax),))
     roots = iter(_twistless_roots(system, [
         (h, rng) for h, rngs in zip(energies, windows) for rng in rngs]))
 
     for h, rngs in zip(energies, windows):
-        if h == 0.0:
-            failures.append((h, "h = 0 excluded"))
+        if not rngs:
+            failures.append((h, "h = 0 excluded" if h == 0.0
+                             else str(_no_window(h, cap))))
             continue
         results = [next(roots) for _ in rngs]
         found = [r for r in results if not isinstance(r, ScanError)]

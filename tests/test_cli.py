@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from focusfocus import acceptance, cli, lattice, rotation
+from focusfocus.systems import MomentumValue, from_momentum_chart
 from reference_marching_squares import marching_squares
 
 # tolerance names no subcommand reads; only "cross" is a known key
@@ -300,6 +301,56 @@ def test_c1_fails_when_no_torus_is_checked():
     assert res.details["tori_checked"] == 0
 
 
+def test_c9_runs_in_one_process(monkeypatch):
+    # two identical grid runs, compared byte for byte, without a worker
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    res = acceptance.c9_determinism(acceptance.AcceptanceConfig())
+    assert res.status == "pass", res.details
+    assert res.details["identical"] and res.details["bytes"] > 0
+    assert res.description == ("identical configs produce byte-identical "
+                               "CSVs run to run")
+
+
+def reference_chart_columns(system, window, res):
+    """(h, l, j1, j2) of each grid point, formatted as grid.csv writes them,
+    each from its own scalar chart evaluation, in row order: the reference
+    for the chart arrays rotation_grid keeps."""
+    n0, n1 = res
+    rows = []
+    for rho in np.geomspace(*window, n0):
+        for th in lattice.RAY_OFFSET + 2.0 * math.pi * np.arange(n1) / n1:
+            j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
+            c = from_momentum_chart(system, j)
+            rows.append([cli.fmt(v) for v in (c.h, c.l, j.j1, j.j2)])
+    return rows
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--res", "5,32", "--window", "1e-5,0.2"],
+    ["--param", "gamma=-0.5", "--res", "7,12", "--window", "3e-4,0.05"],
+    ["--window", "2e-6,1e-3", "--res", "3,16"],   # a core row
+    ["--system", "pendulum"],
+    ["--system", "pendulum", "--res", "6,11", "--window", "2e-3,0.15"]])
+def test_grid_chart_columns_equal_the_per_point_reference(tmp_path, capsys,
+                                                          argv):
+    rc, err = run(capsys, "grid", *argv, "--out", str(tmp_path))
+    assert rc == cli.EXIT_OK, err
+    cfg = json.loads((tmp_path / "grid_summary.json").read_text())["config"]
+    expected = reference_chart_columns(cli.build_system(cfg), cfg["window"],
+                                       cfg["res"])
+    lines = (tmp_path / "grid.csv").read_text().splitlines()
+    assert lines[0] == "h,l,j1,j2,W,branch,mask"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[:4] for row in rows] == expected
+    if "2e-6,1e-3" in argv:
+        assert {row[6] for row in rows[:16]} == {str(rotation.MASK_CORE)}
+
+
 def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):
     # C1 alone, on two tori per system: the seed picks the tori, and a
     # seed repeats its C1 details exactly
@@ -363,6 +414,58 @@ def test_summaries_are_strict_json(tmp_path, capsys):
 
 
 class TestParser:
+    @pytest.mark.parametrize("token", ["-1e-2,2e-2", "-.5,1", "-0.5", "-3",
+                                       "-1,2"])
+    def test_dash_digit_token_is_a_value(self, token):
+        # argparse by itself takes only a plain number such as -0.5 for a
+        # value; _Parser widens its private _negative_number_matcher, which
+        # this pins
+        args = cli.build_parser("twistless").parse_args(
+            ["twistless", "--h-values", token])
+        assert args.h_values == token
+
+    def test_flag_after_a_flag_is_still_a_flag(self):
+        with pytest.raises(cli.ConfigError, match="expected one argument"):
+            cli.build_parser("grid").parse_args(["grid", "--window", "--res",
+                                                 "3,7"])
+
+    def test_h_values_led_by_a_negative_energy(self, tmp_path, capsys):
+        rc, err = run(capsys, "twistless", "--system", "pendulum",
+                      "--h-values", "-1e-2,2e-2", "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK, err
+        doc = json.loads((tmp_path / "twistless_summary.json").read_text())
+        assert doc["config"]["h_values"] == [-0.01, 0.02]
+        assert [f["h"] for f in doc["failures"]] == [-0.01]
+
+    def test_window_led_by_a_negative_value(self, tmp_path, capsys):
+        rc, err = run(capsys, "grid", "--window", "-1,2",
+                      "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert err == ("configuration error: --window: window must be "
+                       "0 < RIN < ROUT, got '-1,2'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli.READS))
+    def test_jobs_accepts_one_alone(self, tmp_path, capsys, monkeypatch,
+                                    command):
+        # every subcommand runs in one process; --jobs 1 stays accepted
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            lambda cfg: seen.append(cfg) or cli.EXIT_OK)
+        for value in ("2", "0", "-1"):
+            rc, err = run(capsys, command, "--jobs", value,
+                          "--out", str(tmp_path))
+            assert rc == cli.EXIT_CONFIG
+            assert err == (f"configuration error: --jobs: jobs must be 1, "
+                           f"got {value!r}\n")
+        rc, err = run(capsys, command, "--config",
+                      config_file(tmp_path, "jobs = 2\n"))
+        assert rc == cli.EXIT_CONFIG and "jobs must be 1" in err
+        assert not seen
+        assert run(capsys, command, "--jobs", "1",
+                   "--out", str(tmp_path)) == (cli.EXIT_OK, "")
+        assert seen[0]["jobs"] == 1
+
     def test_help_lists_every_subcommand(self, capsys):
         assert cli.main(["--help"]) == cli.EXIT_OK
         out = capsys.readouterr().out
@@ -450,6 +553,16 @@ class TestExitCodes:
         assert err == ("numerical failure: tangent fit needs >= 4 twistless "
                        "samples, got 0; the first failure at h=0: h = 0 "
                        "excluded\n")
+
+    def test_twistless_energy_without_a_scan_window(self, tmp_path, capsys):
+        # at h = 0.5 every l >= 0 puts |j| above the scan cap 0.2
+        rc, err = run(capsys, "twistless", "--h-values", "0.5",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_NUMERICAL
+        assert err == ("numerical failure: tangent fit needs >= 4 twistless "
+                       "samples, got 0; the first failure at h=0.5: no "
+                       "twistless torus on C_h, h=0.5: every l >= 0 puts "
+                       "|j| above the scan cap 0.2\n")
 
     def test_window_bound_printed_at_full_precision(self, tmp_path, capsys):
         # a loop of radius 0.2, the pendulum's cap: hypot rounds its |j| up

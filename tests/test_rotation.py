@@ -92,15 +92,16 @@ class TestRotationGrid:
         assert MASK_CORE in g.mask
         assert np.all(np.isnan(g.w[g.mask != MASK_REGULAR]))
 
-    def test_parallel_rows_identical(self, champagne, pendulum):
-        self.assert_jobs_identical(champagne)
+    def test_rows_independent(self, champagne, pendulum):
+        self.assert_rows_independent(champagne)
         # the pendulum's rows cross a sheet: nonzero branch offsets
-        assert np.any(self.assert_jobs_identical(pendulum).branch != 0)
+        assert np.any(self.assert_rows_independent(pendulum).branch != 0)
 
-    def test_parallel_rows_identical_with_a_core_row(self, champagne):
-        grid = self.assert_jobs_identical(
+    def test_rows_independent_with_a_core_row(self, champagne):
+        grid = self.assert_rows_independent(
             dataclasses.replace(champagne, j_floor=2e-3))
-        assert MASK_CORE in grid.mask
+        assert np.all(grid.mask[0] == MASK_CORE)
+        assert np.all(grid.mask[1:] == MASK_REGULAR)
 
     @given(name=st.sampled_from(["champagne", "pendulum"]),
            gamma=st.floats(-1.5, 1.5), start=st.floats(0.0, 0.99),
@@ -132,14 +133,18 @@ class TestRotationGrid:
         assert np.max(np.abs(np.diff(g.w, axis=0))[both]) <= 0.25
 
     @staticmethod
-    def assert_jobs_identical(system):
-        g1 = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8))
-        g2 = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8),
-                           jobs=2)
-        assert np.array_equal(g1.w, g2.w, equal_nan=True)
-        assert np.array_equal(g1.branch, g2.branch)
-        assert np.array_equal(g1.mask, g2.mask)
-        return g1
+    def assert_rows_independent(system):
+        # each row of a grid equals the one-row grid at its radius: its
+        # tori share one array call with the other rows, and nothing else
+        grid = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8))
+        for i, rho in enumerate(grid.axis0.tolist()):
+            row = rotation_grid(system, AnnulusRegion(rho, rho), (1, 8))
+            assert row.axis0[0] == rho
+            for name in ("h", "l", "j1", "w", "branch", "mask"):
+                assert np.array_equal(getattr(row, name)[0],
+                                      getattr(grid, name)[i],
+                                      equal_nan=True), name
+        return grid
 
 
 def test_grid_is_one_array_call_and_twist_one_complex_lane(champagne,

@@ -8,8 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
                         SystemRejected, TurningPointDegeneracy, WindowError,
-                        eval_constants, integrate_flow, make_system,
-                        poisson_bracket)
+                        eval_constants, integrate_flow, make_system)
 from focusfocus.systems import SystemDefinition
 from reference_profiles import (champagne_profile, champagne_profile_dr,
                                 pendulum_profile)
@@ -87,17 +86,28 @@ class TestEvalConstants:
             assert ff.omega == pytest.approx(base.omega, abs=1e-10)
 
 
+def complex_step_gradient(f, s, step=1e-30):
+    """The gradient of f at the phase point s, one complex step per
+    component: f takes the four perturbed states as the columns of one
+    block, row by row, so the step holds each derivative exactly."""
+    return f(s[:, None] + 1j * step * np.eye(4)).imag / step
+
+
 class TestPoissonBracket:
     @pytest.mark.parametrize("name,params", [("champagne", {"gamma": 0.5}),
-                                             ("champagne", {"gamma": 0.0}),
-                                             ("pendulum", {})])
+                                             ("champagne", {"gamma": 0.0})])
     def test_h_l_commute(self, name, params):
+        # {H, L} on (x, y, px, py), the gradients of H and L by complex
+        # steps; the flow oracle integrates this H (flow_hamiltonian)
         system = make_system(name, **params)
         rng = np.random.default_rng(42)
-        for s in system.random_phase_points(rng, 1000):
-            scale = 1.0 + (np.linalg.norm(system.grad_hamiltonian(s))
-                           * np.linalg.norm(system.grad_second_integral(s)))
-            assert abs(poisson_bracket(system, s)) <= 1e-10 * scale
+        for s in rng.uniform(-0.8, 0.8, size=(1000, 4)):
+            gh = complex_step_gradient(system.hamiltonian, s)
+            gl = complex_step_gradient(system.second_integral, s)
+            bracket = gh[0] * gl[2] + gh[1] * gl[3] - gh[2] * gl[0] \
+                - gh[3] * gl[1]
+            scale = 1.0 + np.linalg.norm(gh) * np.linalg.norm(gl)
+            assert abs(bracket) <= 1e-10 * scale
 
 
 class TestChampagneModel:

@@ -469,6 +469,25 @@ def test_curve_is_two_array_calls(monkeypatch, name, n_energies):
     assert lanes[2] == roots and sorted(lanes[2:], reverse=True) == lanes[2:]
 
 
+@pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
+def test_energy_without_a_scan_window_is_not_scanned(monkeypatch, name):
+    # at |h| = 0.5 every l >= 0 puts |j| above the scan cap 0.2, so no l is
+    # left to scan: no lane goes to such an energy, and its failure says why
+    system = SCAN_SYSTEMS[name]
+    lanes = recorded_calls(monkeypatch)
+    curve = twistless_curve(system, [0.5, -0.5, 0.005, -0.005, 0.01, -0.01])
+    jobs = 4 * (2 if curve.degenerate else 1)
+    assert lanes[0] == jobs * 64
+    for h in (0.5, -0.5):
+        reason = (f"no twistless torus on C_h, h={h:.6g}: every l >= 0 puts "
+                  "|j| above the scan cap 0.2")
+        assert dict(curve.failures)[h] == reason
+        del lanes[:]
+        with pytest.raises(ScanError) as exc:
+            twistless_point(system, h)
+        assert str(exc.value) == reason and not lanes
+
+
 @pytest.mark.parametrize("name,calls", [("champagne", 38), ("pendulum", 24)])
 def test_brent_reuses_the_scanned_values(monkeypatch, name, calls):
     # Brent starts from the scanned S at both bracket ends, and S(l*) is the
