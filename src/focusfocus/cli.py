@@ -382,7 +382,8 @@ def cmd_crosscheck(cfg: dict) -> int:
                                  window=cfg["window"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    results = cross_checks(system, tori, cross_tol=cfg["tol.cross"])
+    results, flow_steps = cross_checks(system, tori,
+                                       cross_tol=cfg["tol.cross"])
     rows = [(c.h, c.l, res["T_quad"], res["T_flow"], res["theta_quad"],
              res["theta_flow"], res["rel_dT"], res["rel_dtheta"])
             for c, res in zip(tori, results) if isinstance(res, dict)]
@@ -394,7 +395,8 @@ def cmd_crosscheck(cfg: dict) -> int:
     write_summary(out / "crosscheck_summary.json", cfg, {
         "n_tori": cfg["n_tori"], "failures": failures,
         "max_rel_dT": max((r[6] for r in rows), default=0.0),
-        "max_rel_dTheta": max((r[7] for r in rows), default=0.0)})
+        "max_rel_dTheta": max((r[7] for r in rows), default=0.0),
+        "flow_steps": flow_steps})
     # per-point failures are recorded in the summary; only total failure
     # is a nonzero exit
     if failures == cfg["n_tori"]:

@@ -17,15 +17,22 @@ one return:
   array form rejects (fill_rejected).  On complex (h, l) the array form
   gives every derivative of T and Theta by a complex step (derivatives);
 * flow (the independent oracle): direct integration of the full vector
-  field from a torus seed, with the azimuth unwrapped as an extra state
-  component.  A torus's seed and section level come from one solve of its
-  cubic (the system's flow_start).  A batch of tori of one system runs as
-  one batched DOP853 integration (integrate_flow) of the system's
-  array-valued field, each torus a lane with its own step control, its
-  second falling crossing of the section, and the energy drift the kernel
-  tracks over its steps; after the loop all crossings of the batch land on
-  the section in one Henon step at the rate the system gives
-  (flow_section_rate).  A failing torus stops only its own lane.
+  field over half a return, with the azimuth unwrapped as an extra state
+  component.  Both systems are reversible: a reversor R (a reflection,
+  with t -> -t) keeps H and L and fixes each turning-point state, so the
+  orbit from one turning point to the other takes exactly T/2 and turns
+  by Theta/2 (Lamb and Roberts, Physica D 112 (1998) 1-39).  A torus's
+  seeds, turning-point states, come from one solve of its cubic (the
+  system's flow_start).  Each seed runs one leg, to its first falling
+  crossing of the system's section, and the legs make half a return
+  together: the champagne bottle's one leg runs from r_lo to r_hi, the
+  pendulum's two from z2 and from z1 to the equator.  A batch of tori of
+  one system runs as one batched DOP853 integration (integrate_flow) of
+  the system's array-valued field, each leg a lane with its own step
+  control and the energy drift the kernel tracks over its steps; after
+  the loop all crossings of the batch land on the section in one Henon
+  step at the rate the system gives (flow_section_rate).  A failing leg
+  fails only its own torus.
 
 cross_checks runs both engines on a batch of tori drawn by
 sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)
@@ -142,37 +149,42 @@ def derivatives(system: SystemDefinition, h, l, dh, dl
             np.where(ok, theta.imag / STEP, np.nan), failed)
 
 
-def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:
+def _tori_flow(system: SystemDefinition, cs: list[EMValue]
+               ) -> tuple[list, int]:
     """Flow-engine (T, Theta) of each torus in cs, or the FocusFocusError
     that stopped it, from one batched integration at the system's
-    flow_rtol."""
+    flow_rtol; and that integration's batch steps.  Each seed flow_start
+    gives a torus is a lane: a leg from a turning point to the section.
+    A torus's legs make half a return, so T = 2 sum t and Theta = 2 sum
+    dphi over them, and its first failing leg fails it."""
     ff = system.constants()
     out: list = [None] * len(cs)
-    lanes, seeds, levels, budgets = [], [], [], []
+    seeds, owner, budgets = [], [], []
     for i, c in enumerate(cs):
         try:
             system.check_window(c)
-            seed, level = system.flow_start(c)
+            start = system.flow_start(c)
         except FocusFocusError as exc:
             out[i] = exc
             continue
-        seeds.append(seed)
-        levels.append(level)
         j = to_momentum_chart(system, c)
-        budgets.append(T_BUDGET_FACTOR * (1.0 + abs(math.log(j.modulus)))
-                       / ff.alpha)
-        lanes.append(i)
-    if not lanes:
-        return out
+        seeds.append(start)
+        owner += [i] * start.shape[1]
+        budgets += [T_BUDGET_FACTOR * (1.0 + abs(math.log(j.modulus)))
+                    / ff.alpha] * start.shape[1]
+    if not owner:
+        return out, 0
+    p0 = np.hstack(seeds)
     section = EventSpec(system.flow_section_value, system.flow_section_rate,
-                        -1.0, count=2, level=np.array(levels))
-    traj = integrate_flow(system.flow_field, np.column_stack(seeds),
-                          t_max=np.array(budgets),
+                        -1.0, count=1)
+    traj = integrate_flow(system.flow_field, p0, t_max=np.array(budgets),
                           invariant=system.flow_hamiltonian, section=section,
                           tol=system.flow_rtol)
     k = system.flow_angle_index
-    for lane, i in enumerate(lanes):
+    for lane, i in enumerate(owner):
         c = cs[i]
+        if isinstance(out[i], FocusFocusError):
+            continue
         if traj.errors[lane] is not None:
             out[i] = traj.errors[lane]
         elif traj.drift[lane] > ENERGY_DRIFT_TOL:
@@ -180,9 +192,10 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]) -> list:
                                f"{ENERGY_DRIFT_TOL:.0e} at (h, l)="
                                f"({c.h:.4g}, {c.l:.4g})")
         else:
-            (t1, s1), (t2, s2) = traj.event_records[lane]
-            out[i] = (t2 - t1, float(s2[k] - s1[k]))
-    return out
+            ((t, s),) = traj.event_records[lane]
+            T, theta = out[i] or (0.0, 0.0)
+            out[i] = (T + 2.0 * t, theta + 2.0 * float(s[k] - p0[k, lane]))
+    return out, len(traj.times) - 1
 
 
 def raise_failed(result):
@@ -214,7 +227,7 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     if engine == "quadrature":
         return system.period_rotation(c)
     if engine == "flow":
-        return raise_failed(_tori_flow(system, [c])[0])
+        return raise_failed(_tori_flow(system, [c])[0][0])
     raise ValueError(f"unknown engine {engine!r}")
 
 
@@ -243,15 +256,17 @@ def sample_cross_tori(system: SystemDefinition, rng: np.random.Generator,
 
 
 def cross_checks(system: SystemDefinition, cs: list[EMValue],
-                 cross_tol: float = CROSS_TOL) -> list:
+                 cross_tol: float = CROSS_TOL) -> tuple[list, int]:
     """Run both engines on each torus in cs, the flow engine as one batched
-    integration.  Each entry is the measured discrepancies (see
-    cross_check) or the FocusFocusError that failed that torus: no torus,
-    a flow failure or energy drift, or CrossEngineMismatch beyond
-    cross_tol.  A failing torus leaves the others' results intact.
+    integration.  Returns one entry per torus, the measured discrepancies
+    (see cross_check) or the FocusFocusError that failed that torus: no
+    torus, a flow failure or energy drift, or CrossEngineMismatch beyond
+    cross_tol; and the flow integration's batch steps.  A failing torus
+    leaves the others' results intact.
     """
+    flows, steps = _tori_flow(system, cs)
     out = []
-    for c, flow in zip(cs, _tori_flow(system, cs)):
+    for c, flow in zip(cs, flows):
         try:
             Tq, thq = reduced_period_rotation(system, c, "quadrature")
             Tf, thf = raise_failed(flow)
@@ -267,7 +282,7 @@ def cross_checks(system: SystemDefinition, cs: list[EMValue],
             continue
         out.append({"T_quad": Tq, "T_flow": Tf, "theta_quad": thq,
                     "theta_flow": thf, "rel_dT": dT, "rel_dtheta": dth})
-    return out
+    return out, steps
 
 
 def cross_check(system: SystemDefinition, c: EMValue,
@@ -277,7 +292,7 @@ def cross_check(system: SystemDefinition, c: EMValue,
     Returns the measured discrepancies.  T is compared relatively, Theta
     absolutely with a relative floor (|Theta| can pass through 0).
     """
-    return raise_failed(cross_checks(system, [c], cross_tol)[0])
+    return raise_failed(cross_checks(system, [c], cross_tol)[0][0])
 
 
 def period_lattice(system: SystemDefinition, c: EMValue,

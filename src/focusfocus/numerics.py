@@ -118,15 +118,13 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A section g(state) = fn(state) - level, crossed where g changes sign
-    in its direction: rising (+1) or falling (-1), at the rate(state, f) =
-    dg/dt where the field is f.  A lane stops at its count-th crossing.
-    level may hold one value per lane."""
+    """A section fn(state) = 0, crossed where fn changes sign in its
+    direction: rising (+1) or falling (-1), at the rate(state, f) = d fn/dt
+    where the field is f.  A lane stops at its count-th crossing."""
     fn: Callable[[np.ndarray], float]
     rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     direction: float
     count: int
-    level: float | np.ndarray = 0.0
 
     def __post_init__(self):
         if self.direction not in (-1.0, 1.0) or self.count < 1:
@@ -229,8 +227,8 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     Each lane runs solve_ivp's controller on its own: starting step, error
     norm, SAFETY/MIN/MAX factors, no growth right after a rejection, and
     failure once the step falls below ten ulps of t.  A lane crosses the
-    section on an accepted step where g, signed by the direction, goes from
-    below zero to zero or above (so a seed lying on the section is not a
+    section on an accepted step where its fn, signed by the direction, goes
+    from below zero to zero or above (so a seed lying on the section is not a
     crossing), and stops at its count-th crossing.  After the loop every
     crossing lands on the section in one call of Henon's step (_land) from
     its step's start.  The invariant is evaluated on every accepted state,
@@ -263,8 +261,7 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     v0 = np.asarray(invariant(y0), dtype=float)
     drift = np.zeros(n)
     if section is not None:
-        level = np.broadcast_to(np.asarray(section.level, dtype=float), (n,))
-        g = section.fn(y) - level
+        g = np.array(section.fn(y), dtype=float)   # a copy: fn may slice y
         found = np.zeros(n, dtype=int)
     crossings = []   # per step: its crossing lanes' ids, t, t_end, y, f, g
 
@@ -316,7 +313,7 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
         done = np.zeros(lane.size, dtype=bool)
         done[acc] = t_new[acc] >= t_b[acc]
         if section is not None:
-            g_old, g_new = g[ids], section.fn(y[:, acc]) - level[ids]
+            g_old, g_new = g[ids], section.fn(y[:, acc])
             g[ids] = g_new
             s_old, s_new = section.direction * g_old, section.direction * g_new
             # strict before, so a seed on the section is not a crossing

@@ -54,7 +54,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoTorusError, SystemRejected, TurningPointDegeneracy, WindowError
+from .errors import (FlowError, NoTorusError, SystemRejected,
+                     TurningPointDegeneracy, WindowError)
 from .numerics import _lanes
 
 TWO_PI = 2.0 * math.pi
@@ -272,11 +273,15 @@ class SystemDefinition:
     hessian() and second_integral_hessian() at the equilibrium (on one
     4-dim symplectic chart), reduced_profile(c) -> the turning points (lo,
     hi), period_rotation(c) -> (T, Theta), period_rotation_array, flow
-    components (field, flow_start(c) -> (seed, section level) from one
-    reduced_profile call, section value and rate, angle index, energy on
-    the flow chart), constants().  The flow field, the section value and
-    rate and the energy take a state or a block of states (d, m), unpacked
-    row by row.
+    components (field, flow_start(c) -> seeds (d, m) from one solve of the
+    reduced cubic, section value and rate, angle index, energy on the flow
+    chart), constants().  The flow field, the section value and rate and
+    the energy take a state or a block of states (d, m), unpacked row by
+    row.  Each seed is a turning-point state on Fix(R) of a reversor R of
+    the flow (an involution, with t -> -t, that keeps H and L), and lies
+    on the section without crossing it.  The legs from the seeds to their
+    first falling crossings of the section make half a return together,
+    so T = 2 sum t and Theta = 2 sum dphi over them (lattice._tori_flow).
     """
 
     name = "abstract"
@@ -502,21 +507,30 @@ class ChampagneBottle(SystemDefinition):
         acc[1] += g * px
         return np.concatenate([[xd, yd], acc, [(x * yd - y * xd) / r2]])
 
-    def flow_start(self, c: EMValue) -> tuple[np.ndarray, float]:
-        """(seed, level): the state at r = r_hi on the x axis, and r^2
-        midway between the turning points' r^2."""
-        r_lo, r_hi = self.reduced_profile(c)
-        return (np.array([r_hi, 0.0, 0.0, c.l / r_hi, 0.0]),
-                0.5 * (r_lo ** 2 + r_hi ** 2))
+    def flow_start(self, c: EMValue) -> np.ndarray:
+        """One seed, as a column: the state at the inner turning point r =
+        r_lo on the x axis.  It lies on Fix(R) of the reversor R: (x, y,
+        px, py, phi) -> (x, -y, -px, py, -phi), t -> -t, which keeps H and
+        L; so the orbit reaches the outer turning point after half a
+        return, T/2 and Theta/2.  Seeded beside the saddle passage and
+        landing at r_hi, the leg is ~100x more accurate in T and Theta than
+        the reverse one.  On the l = 0 axis at g > 0, r_lo = 0 is a center
+        passage, not a turning point: FlowError."""
+        r_lo, _ = self.reduced_profile(c)
+        if r_lo == 0.0:
+            raise FlowError(f"no turning-point seed on the l = 0 axis at "
+                            f"(h, l)=({c.h:.4g}, {c.l:.4g}): r_lo = 0 is a "
+                            "center passage")
+        return np.array([[r_lo], [0.0], [0.0], [c.l / r_lo], [0.0]])
 
     def flow_section_value(self, s):
-        """r^2, which falls through its mid-orbit level once per radial
-        period."""
-        return s[0] * s[0] + s[1] * s[1]
+        """r rdot = x px + y py (the gamma terms cancel): zero at both
+        turning points, falling through zero at the outer one."""
+        return s[0] * s[2] + s[1] * s[3]
 
     def flow_section_rate(self, s, f):
-        """d(r^2)/dt where the field takes the value f."""
-        return 2.0 * (s[0] * f[0] + s[1] * f[1])
+        """d(x px + y py)/dt where the field takes the value f."""
+        return f[0] * s[2] + s[0] * f[2] + f[1] * s[3] + s[1] * f[3]
 
     flow_angle_index = 4
 
@@ -658,22 +672,39 @@ class SphericalPendulum(SystemDefinition):
         return np.concatenate([v, acc - eta * (qv * q + q2m1 * v),
                                [(q[0] * v[1] - q[1] * v[0]) / r2]])
 
-    def flow_start(self, c: EMValue) -> tuple[np.ndarray, float]:
-        """(seed, level): the state at z = z2 in the x-z plane, and z
-        midway between the turning points."""
-        z1, z2 = self.reduced_profile(c)
-        x0 = math.sqrt(1.0 - z2 * z2)
-        return (np.array([x0, 0.0, z2, 0.0, c.l / x0, 0.0, 0.0]),
-                0.5 * (z1 + z2))
+    def flow_start(self, c: EMValue) -> np.ndarray:
+        """Two seeds, one per column: the states at the turning points z2
+        and z1 in the x-z plane, x0 = sqrt((1 - z)(1 + z)) from _roots'
+        cancellation-free 1 - z2 and 1 + z1.  Both lie on Fix(R) of the
+        reversor R: (x, y, z, vx, vy, vz, phi) -> (x, -y, z, -vx, vy, -vz,
+        -phi), t -> -t, which keeps H and L; so the legs from z2 down and
+        from z1 up to the equator z = 0 make half a return together, T/2
+        and Theta/2.  Both land where z moves fast and phi' = l/(1 - z^2)
+        is small: a one-leg half return lands at z2, beside the slow saddle
+        passage, or at z1, the south-pole graze, and is some 1000x less
+        accurate in T or Theta.  On the l = 0 axis z1 = -1 is a pole
+        passage, not a turning point, and an orbit that misses the equator
+        has no landing: FlowError."""
+        wc, w2, _, one_z1 = self._roots(c)
+        where = f"(h, l)=({c.h:.4g}, {c.l:.4g})"
+        if one_z1 == 0.0:
+            raise FlowError(f"no turning-point seed on the l = 0 axis at "
+                            f"{where}: z1 = -1 is a pole passage")
+        if not (one_z1 < 1.0 and w2 < 1.0):
+            raise FlowError(f"the orbit at {where} misses the equator z = 0")
+        x2, x1 = math.sqrt(w2 * (2.0 - w2)), math.sqrt(one_z1 * wc)
+        return np.array([[x2, 0.0, 1.0 - w2, 0.0, c.l / x2, 0.0, 0.0],
+                         [x1, 0.0, one_z1 - 1.0, 0.0, c.l / x1, 0.0, 0.0]]).T
 
     def flow_section_value(self, s):
-        """z, which falls through its mid-orbit level once per radial
-        period."""
-        return s[2]
+        """-z sgn(vz), the height left to the equator z = 0 along the
+        motion: zero at both turning points, where it jumps up, and falling
+        through zero at each equator passage."""
+        return -s[2] * np.sign(s[5])
 
     def flow_section_rate(self, s, f):
-        """dz/dt where the field takes the value f."""
-        return f[2]
+        """d(-z sgn(vz))/dt = -|vz| where the field takes the value f."""
+        return -f[2] * np.sign(s[5])
 
     flow_angle_index = 6
 

@@ -294,6 +294,31 @@ class TestCrosscheck:
         assert "configuration error:" in err
 
 
+def test_c1_records_its_flow_steps():
+    # the batch steps of C1's two flow integrations at the default seed:
+    # deterministic, so a change to the oracle's cost shows here
+    res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
+    assert res.status == "pass"
+    assert res.details["flow_steps"] == {"champagne": 88, "pendulum": 107}
+
+
+def test_crosscheck_summary_records_its_flow_steps(tmp_path, capsys,
+                                                   monkeypatch):
+    integrate_flow = lattice.integrate_flow
+    steps = []
+
+    def recording_flow(*args, **kwargs):
+        traj = integrate_flow(*args, **kwargs)
+        steps.append(len(traj.times) - 1)
+        return traj
+
+    monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
+    rc, _ = run(capsys, "crosscheck", "--n-tori", "3", "--out", str(tmp_path))
+    assert rc == cli.EXIT_OK
+    doc = json.loads((tmp_path / "crosscheck_summary.json").read_text())
+    assert len(steps) == 1 and doc["flow_steps"] == steps[0] > 0
+
+
 def test_c1_fails_when_no_torus_is_checked():
     res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig(
         n_cross_tori=0))

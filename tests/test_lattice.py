@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from focusfocus import (EMValue, MomentumValue, annulus_sweep, cross_check,
-                        eval_constants, fit_asymptotic_model,
-                        from_momentum_chart, period_lattice,
-                        reduced_period_rotation, to_momentum_chart)
+from focusfocus import (EMValue, MomentumValue, SphericalPendulum,
+                        annulus_sweep, cross_check, eval_constants,
+                        fit_asymptotic_model, from_momentum_chart,
+                        period_lattice, reduced_period_rotation,
+                        to_momentum_chart)
 from focusfocus import acceptance, lattice, numerics
 from focusfocus.errors import FitError, FlowError, WindowError
 from focusfocus.lattice import PeriodLatticeSample, SweepSample
@@ -71,7 +72,7 @@ class TestCrossEngine:
         res = cross_check(system, c, cross_tol=1e-7)
         assert res["rel_dT"] <= 1e-7 and res["rel_dtheta"] <= 1e-7
         (traj,) = trajectories
-        assert traj.drift[0] <= 1e-10
+        assert traj.drift.max() <= 1e-10
 
 
 def batch_tori(system, n=4, seed=7):
@@ -83,7 +84,8 @@ class TestBatchedCrossCheck:
     def test_batch_matches_one_torus_calls(self, request, name):
         system = request.getfixturevalue(name)
         tori = batch_tori(system)
-        for c, res in zip(tori, lattice.cross_checks(system, tori)):
+        results, _ = lattice.cross_checks(system, tori)
+        for c, res in zip(tori, results):
             T, theta = reduced_period_rotation(system, c, engine="flow")
             assert res["T_flow"] == pytest.approx(T, rel=1e-10)
             assert res["theta_flow"] == pytest.approx(theta, rel=1e-10)
@@ -91,7 +93,7 @@ class TestBatchedCrossCheck:
     @pytest.mark.parametrize("fault", ["budget", "drift"])
     def test_failing_lane_is_isolated(self, champagne, monkeypatch, fault):
         tori = batch_tori(champagne)
-        clean = lattice.cross_checks(champagne, tori)
+        clean, _ = lattice.cross_checks(champagne, tori)
         integrate_flow = lattice.integrate_flow
 
         def faulty_flow(field, p0, t_max, **kwargs):
@@ -105,7 +107,7 @@ class TestBatchedCrossCheck:
             return traj
 
         monkeypatch.setattr(lattice, "integrate_flow", faulty_flow)
-        results = lattice.cross_checks(champagne, tori)
+        results, _ = lattice.cross_checks(champagne, tori)
         assert isinstance(results[1], FlowError)
         assert ("exceeded" if fault == "budget" else "energy drift") \
             in str(results[1])
@@ -114,8 +116,8 @@ class TestBatchedCrossCheck:
                 assert results[k][key] == pytest.approx(value, rel=1e-10)
 
     def test_crossings_land_on_the_section(self, monkeypatch):
-        # C1's two 50-lane batches: Henon's step puts every recorded
-        # crossing on its section to rounding
+        # C1's batches, 50 champagne lanes and 2 x 50 pendulum legs: Henon's
+        # step puts every recorded crossing on its section to rounding
         integrate_flow = lattice.integrate_flow
         calls = []
 
@@ -126,17 +128,17 @@ class TestBatchedCrossCheck:
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
         assert acceptance.c1_cross_engine(
             acceptance.AcceptanceConfig()).status == "pass"
-        assert [traj.final.shape[1] for _, traj in calls] == [50, 50]
+        assert [traj.final.shape[1] for _, traj in calls] == [50, 100]
         for section, traj in calls:
-            for level, records in zip(section.level, traj.event_records):
-                assert len(records) == 2
+            for records in traj.event_records:
+                assert len(records) == 1
                 for _, state in records:
-                    assert abs(section.fn(state) - level) <= \
-                        1e-13 * (1.0 + abs(level))
+                    assert abs(section.fn(state)) <= 1e-13
 
     def test_landing_is_lane_independent(self, monkeypatch):
         # four of C1's tori per system, as one batch and each alone: every
-        # lane lands on the same bits
+        # lane (one per champagne torus, two per pendulum torus) lands on
+        # the same bits
         cfg = acceptance.AcceptanceConfig()
         champ, _, pend = cfg.systems()
         rng = np.random.default_rng(cfg.seed)
@@ -155,14 +157,16 @@ class TestBatchedCrossCheck:
             records.clear()
             lattice._tori_flow(system, tori[:4])
             batch = list(records)
-            assert [len(lane) for lane in batch] == [2] * 4
-            for c, lane in zip(tori, batch):
+            legs = len(batch) // 4
+            assert [len(lane) for lane in batch] == [1] * 4 * legs
+            for k, c in enumerate(tori[:4]):
                 records.clear()
                 lattice._tori_flow(system, [c])
-                assert records == [lane]
+                assert records == batch[k * legs:(k + 1) * legs]
 
     def test_one_landing_call_per_integration(self, monkeypatch):
-        # C1's 2 x 50 lanes land their 200 crossings in two calls
+        # C1's 50 champagne lanes and 100 pendulum legs land their 150
+        # crossings in two calls
         land = numerics._land
         calls = []
 
@@ -173,7 +177,7 @@ class TestBatchedCrossCheck:
         monkeypatch.setattr(numerics, "_land", counting_land)
         assert acceptance.c1_cross_engine(
             acceptance.AcceptanceConfig()).status == "pass"
-        assert calls == [100, 100]
+        assert calls == [50, 100]
 
     def test_sampler_draws_the_reference_sequence(self, champagne,
                                                   pendulum):
@@ -205,6 +209,88 @@ class TestBatchedCrossCheck:
         with pytest.raises(ValueError, match="misses"):
             lattice.sample_cross_tori(champagne, np.random.default_rng(0), 1,
                                       window=(0.2, 0.3))
+
+
+def full_return_reference(system, tori):
+    """(T, Theta) of each torus by a full return, independent of the
+    reversor: seeded at its outer turning point (r_hi, or z2), timed
+    between its first and second falling crossings of the mid-orbit level
+    of r^2, or z.  Each lane's level rides as an extra, constant state
+    component, which the section subtracts."""
+    seeds, budgets = [], []
+    for c in tori:
+        lo, hi = system.reduced_profile(c)
+        if system.name == "champagne":
+            seeds.append([hi, 0.0, 0.0, c.l / hi, 0.0,
+                          0.5 * (lo * lo + hi * hi)])
+        else:
+            x0 = math.sqrt(1.0 - hi * hi)
+            seeds.append([x0, 0.0, hi, 0.0, c.l / x0, 0.0, 0.0,
+                          0.5 * (lo + hi)])
+        j = to_momentum_chart(system, c)
+        budgets.append(numerics.T_BUDGET_FACTOR
+                       * (1.0 + abs(math.log(j.modulus)))
+                       / system.constants().alpha)
+    if system.name == "champagne":
+        section = numerics.EventSpec(
+            lambda s: s[0] * s[0] + s[1] * s[1] - s[5],
+            lambda s, f: 2.0 * (s[0] * f[0] + s[1] * f[1]), -1.0, count=2)
+    else:
+        section = numerics.EventSpec(lambda s: s[2] - s[7],
+                                     lambda s, f: f[2], -1.0, count=2)
+    traj = numerics.integrate_flow(
+        lambda s: np.concatenate([system.flow_field(s[:-1]), 0.0 * s[-1:]]),
+        np.array(seeds).T, t_max=np.array(budgets),
+        invariant=system.flow_hamiltonian, section=section,
+        tol=system.flow_rtol)
+    assert traj.errors == [None] * len(tori)
+    assert traj.drift.max() <= lattice.ENERGY_DRIFT_TOL
+    k = system.flow_angle_index
+    return [(t2 - t1, float(s2[k] - s1[k]))
+            for (t1, s1), (t2, s2) in traj.event_records]
+
+
+class TestHalfReturn:
+    def test_matches_the_full_return_reference(self):
+        # C1's default 2 x 50 tori: half a return, doubled, is a full one
+        cfg = acceptance.AcceptanceConfig()
+        champ, _, pend = cfg.systems()
+        rng = np.random.default_rng(cfg.seed)
+        for system in (champ, pend):
+            tori = lattice.sample_cross_tori(system, rng, cfg.n_cross_tori)
+            flows, _ = lattice._tori_flow(system, tori)
+            for (T, theta), (T_ref, theta_ref) in zip(
+                    flows, full_return_reference(system, tori)):
+                assert abs(T - T_ref) <= 1e-9 * T_ref
+                assert abs(theta - theta_ref) <= 1e-9
+
+    @pytest.mark.parametrize("name,h,axis_error", [
+        ("champagne", 0.01, True), ("champagne", -0.01, False),
+        ("pendulum", 0.01, True), ("pendulum", -0.01, True)])
+    def test_l_axis_tori(self, request, name, h, axis_error):
+        # r_lo = 0 (champagne, g > 0) and z1 = -1 (pendulum) are passages,
+        # not turning points: no seed there, and a FlowError says so
+        system = request.getfixturevalue(name)
+        c = EMValue(h, 0.0)
+        (res,), _ = lattice.cross_checks(system, [c])
+        if axis_error:
+            with pytest.raises(FlowError, match="l = 0 axis"):
+                reduced_period_rotation(system, c, "flow")
+            assert isinstance(res, FlowError) and "l = 0 axis" in str(res)
+        else:
+            T, theta = reduced_period_rotation(system, c, "flow")
+            assert (res["T_flow"], res["theta_flow"]) == (T, theta)
+            assert res["rel_dT"] <= 1e-7 and res["rel_dtheta"] <= 1e-7
+
+    def test_pendulum_orbit_below_the_equator(self):
+        # 2 (1 + h) < l^2: both turning points lie below z = 0, where the
+        # pendulum's legs land, so the oracle has no landing for them
+        system = SphericalPendulum(j_cap=1.5)
+        c = EMValue(-0.9, 0.6)
+        z1, z2 = system.reduced_profile(c)
+        assert z1 < z2 < 0.0
+        with pytest.raises(FlowError, match="misses the equator"):
+            reduced_period_rotation(system, c, "flow")
 
 
 class TestThetaStructure:

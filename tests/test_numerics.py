@@ -44,8 +44,8 @@ class TestIntegrateFlow:
         assert traj.final[:, 0] == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_energy_conservation_long_run(self, champagne):
-        seed, _ = champagne.flow_start(EMValue(0.1, 0.05))
-        traj = integrate_flow(champagne.flow_field, one_lane(seed),
+        traj = integrate_flow(champagne.flow_field,
+                              champagne.flow_start(EMValue(0.1, 0.05)),
                               t_max=100.0,
                               invariant=champagne.flow_hamiltonian, tol=1e-12)
         assert traj.drift[0] <= 1e-10
@@ -53,17 +53,16 @@ class TestIntegrateFlow:
     def test_energy_conservation_pendulum(self, pendulum):
         c = EMValue(0.05, 0.02)
         traj = integrate_flow(pendulum.flow_field,
-                              one_lane(pendulum.flow_start(c)[0]), t_max=100.0,
+                              pendulum.flow_start(c)[:, :1], t_max=100.0,
                               invariant=pendulum.flow_hamiltonian,
                               tol=pendulum.flow_rtol)
         assert traj.drift[0] <= 1e-10
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
-        seed, level = champagne.flow_start(EMValue(0.1, 0.05))
+        seed = champagne.flow_start(EMValue(0.1, 0.05))
         section = EventSpec(champagne.flow_section_value,
-                            champagne.flow_section_rate, -1.0, count=2,
-                            level=level)
-        traj = integrate_flow(champagne.flow_field, one_lane(seed), t_max=1e3,
+                            champagne.flow_section_rate, -1.0, count=2)
+        traj = integrate_flow(champagne.flow_field, seed, t_max=1e3,
                               invariant=champagne.flow_hamiltonian,
                               section=section, tol=1e-10)
         assert traj.errors[0] is None
@@ -114,20 +113,20 @@ class TestBatchedFlow:
         assert traj.final.shape == (1, 2)
 
     def test_lanes_match_single_seeds(self):
-        # per-lane levels and budgets; every lane agrees with its own
-        # one-lane run
-        seeds = np.array([[0.0, 0.3, -0.5], [1.0, 0.8, 0.2]])
-        levels = np.array([0.0, 0.1, -0.2])
-        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=2,
-                       level=levels)
-        traj = integrate_flow(oscillator, seeds, t_max=[20.0, 20.0, 30.0],
+        # per-lane levels, carried as a third, constant state component
+        # that the section subtracts, and budgets; every lane agrees with
+        # its own one-lane run
+        def field(y):
+            return [y[1], -y[0], 0.0 * y[2]]
+
+        seeds = np.array([[0.0, 0.3, -0.5], [1.0, 0.8, 0.2],
+                          [0.0, 0.1, -0.2]])
+        ev = EventSpec(lambda y: y[0] - y[2], x_rate, direction=+1, count=2)
+        traj = integrate_flow(field, seeds, t_max=[20.0, 20.0, 30.0],
                               invariant=amplitude, section=ev)
         for i in range(3):
-            one = integrate_flow(
-                oscillator, seeds[:, i:i + 1], t_max=20.0,
-                invariant=amplitude,
-                section=EventSpec(lambda y, v=levels[i]: y[0] - v, x_rate,
-                                  direction=+1, count=2))
+            one = integrate_flow(field, seeds[:, i:i + 1], t_max=20.0,
+                                 invariant=amplitude, section=ev)
             assert traj.errors[i] is None
             got = [t for t, _ in traj.event_records[i]]
             assert got == pytest.approx([t for t, _ in one.event_records[0]],
@@ -171,7 +170,7 @@ class TestBatchedFlow:
         # the kernel passes to the invariant can be told apart by lane; the
         # running maximum must equal the max-then-divide formula over every
         # state the kernel evaluated, lane by lane
-        seeds = np.column_stack([champagne.flow_start(c)[0] for c in (
+        seeds = np.hstack([champagne.flow_start(c) for c in (
             EMValue(0.1, 0.05), EMValue(0.05, -0.02))])
         seeds = np.vstack([seeds, [0.0, 1.0]])
         seen = []

@@ -219,7 +219,7 @@ class TestProfileAlongFlow:
         # final states of one seed run at several budgets
         c = EMValue(0.08, -0.03)
         budgets = np.linspace(0.25, 5.0, 20)
-        seeds = np.tile(champagne.flow_start(c)[0][:, None], budgets.size)
+        seeds = np.tile(champagne.flow_start(c), budgets.size)
         traj = integrate_flow(champagne.flow_field, seeds, t_max=budgets,
                               invariant=champagne.flow_hamiltonian, tol=1e-12)
         for s in traj.final.T:
