@@ -12,7 +12,7 @@ from .systems import (ChampagneBottle, EMValue, FocusFocusData,
                       MomentumValue, SphericalPendulum, SystemDefinition,
                       eval_constants, from_momentum_chart, make_system,
                       to_momentum_chart)
-from .lattice import (AsymptoticModel, PeriodLatticeSample, SweepSample,
+from .lattice import (AsymptoticModel, PeriodLatticeSample, PolarTori,
                       annulus_sweep, cross_check, derivatives,
                       fit_asymptotic_model, period_lattice,
                       reduced_period_rotation, transport)

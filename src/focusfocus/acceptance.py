@@ -149,8 +149,10 @@ def c4_rotation_form(cfg: AcceptanceConfig) -> CriterionResult:
     if not _range_ok(champ, 1e-4, 1e-3):
         return _insufficient("C4", desc, (1e-4, 1e-3), champ)
     a0 = eval_constants(champ).A0
-    vals = [s.lattice.theta + a0 * math.log(s.j.modulus) + s.theta_tracked
-            for s in annulus_sweep(champ, 1e-4, 1e-3, 5, 16)]
+    sweep = annulus_sweep(champ, 1e-4, 1e-3, 5, 16)
+    vals = [th + a0 * math.log(math.hypot(j1, j2)) + arg
+            for th, j1, j2, arg in zip(*(a.ravel().tolist() for a in (
+                sweep.theta, sweep.j1, sweep.j2, sweep.arg)))]
     spread = float(max(vals) - min(vals))
     return CriterionResult("C4", desc, "pass" if spread < 0.2 else "fail",
                            {"spread": spread, "n_samples": len(vals),
@@ -194,6 +196,10 @@ def c6_twistless(cfg: AcceptanceConfig) -> CriterionResult:
             champ, [0.005, -0.005, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05])
     except FocusFocusError as exc:
         return CriterionResult("C6", desc, "fail", {"error": str(exc)})
+    if curve.degenerate:
+        return CriterionResult("C6", desc, "fail", {
+            "error": "no loxodromic tangent at omega = 0: the expected "
+                     "twistless slope is 0, so no relative error exists"})
     named = {s.h: s for s in curve.samples}
     unique_ok = all(h in named for h in (0.02, -0.02, 0.05, -0.05))
     slope_err = abs(curve.tangent_slope_fit - curve.expected_slope) \

@@ -323,10 +323,10 @@ def cmd_spiral(cfg: dict) -> int:
 
 def cmd_monodromy(cfg: dict) -> int:
     system = build_system(cfg)
-    cs, samples, index = monodromy_loop(system, cfg["radius"],
-                                        cfg["n_points"])
-    rows = [(c.h, c.l, s.T, s.theta, s.tau1, s.tau2, s.branch)
-            for c, s in zip(cs, samples)]
+    loop, index = monodromy_loop(system, cfg["radius"], cfg["n_points"])
+    rows = list(zip(*(a.ravel().tolist() for a in (
+        loop.h, loop.l, loop.T, loop.theta, loop.tau1, loop.tau2,
+        loop.branch))))
     out = Path(cfg["out"])
     write_csv(out / "monodromy_loop.csv",
               ["h", "l", "T", "Theta", "tau1", "tau2", "branch"], rows)

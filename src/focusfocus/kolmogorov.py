@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import TWO_PI
-from .lattice import derivatives, reduced_period_rotation
+from .lattice import _tori_quadrature, derivatives, fill_rejected
 from .systems import (EMValue, MomentumValue, SystemDefinition,
                       from_momentum_chart, to_momentum_chart)
 
@@ -58,12 +58,19 @@ def frequency_samples(system: SystemDefinition,
                       cs: list[EMValue]) -> list[FrequencySample]:
     """The frequency-map Jacobian at each torus of cs: det domega/d(h, l)
     = -2 pi (T_h Theta_l - T_l Theta_h) / T^3, the derivatives of all tori
-    from one array call, T and Theta from the real closed form."""
+    from one complex array call, T and Theta from one real one."""
     ff = system.constants()
+    hessian = _hessian(system, cs)
+    h = np.array([c.h for c in cs], dtype=float)
+    l = np.array([c.l for c in cs], dtype=float)
+    Ts, thetas, ok = _tori_quadrature(system, h, l)
+    failed = fill_rejected(system, h, l, Ts, thetas, ok)
+    if failed:
+        raise failed[min(failed)]
     out = []
-    for c, (T_h, T_l, th_h, th_l) in zip(cs, _hessian(system, cs).T.tolist()):
+    for c, T, theta, (T_h, T_l, th_h, th_l) in zip(
+            cs, Ts.tolist(), thetas.tolist(), hessian.T.tolist()):
         j = to_momentum_chart(system, c).modulus
-        T, theta = reduced_period_rotation(system, c)
         det_c = -TWO_PI * (T_h * th_l - T_l * th_h) / T ** 3
         omega1, tau1 = TWO_PI / T, ff.alpha * T
         asym = -((TWO_PI * ff.alpha) / (j * tau1 ** 2)) ** 2

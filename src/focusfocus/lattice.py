@@ -49,14 +49,13 @@ asymptotic fits):
 
 Branch convention: the raw per-torus Theta (with the +pi convention on the
 l = 0 axis) is the principal value.  transport carries Theta continuously
-along a path of tori: the first torus keeps its raw value, each next one
-moves to the sheet nearest its predecessor, and the sheet offset from the
-raw value is recorded as branch.  Every path in the package (sweep rows,
-grid rows, monodromy loops, rotation-number arcs) goes through it: a path
-is evaluated in one array call, a grid (rotation.rotation_grid) or an
-annulus sweep in one call for all its rows, and each path or row is then
-carried by carry_branch, with one wrap guard, MAX_BRANCH_STEP.  A single
-torus can be aligned to a reference Theta instead (period_lattice).
+along paths of tori, the last axis of its arrays: the first torus of a
+path keeps its raw value, each next one moves to the sheet nearest its
+predecessor, and the sheet offset from the raw value is recorded as
+branch.  Every path in the package (sweep rows, grid rows, monodromy
+loops, rotation-number arcs) goes through it, all the paths of a grid or
+an annulus sweep in one call, with one wrap guard, MAX_BRANCH_STEP.  A
+single torus can be aligned to a reference Theta instead (period_lattice).
 """
 from __future__ import annotations
 
@@ -70,7 +69,7 @@ from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
 from .numerics import (EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR, TWO_PI,
                        align_angle, integrate_flow)
 from .systems import (EMValue, MomentumValue, SystemDefinition,
-                      from_momentum_chart, to_momentum_chart)
+                      from_momentum_chart, polar, to_momentum_chart)
 
 CROSS_TOL = 1e-7
 # flow-oracle sample domain per system: |j| range, and the |sin arg zeta|
@@ -200,7 +199,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
 
 def raise_failed(result):
     """result itself, or raised if it is the FocusFocusError that failed a
-    torus (the per-torus entries of cross_checks and transport)."""
+    torus (the per-torus entries of cross_checks)."""
     if isinstance(result, FocusFocusError):
         raise result
     return result
@@ -305,41 +304,10 @@ def period_lattice(system: SystemDefinition, c: EMValue,
     theta = theta_raw
     if theta_ref is not None:
         theta = align_angle(theta_raw, theta_ref)
-    return _lattice_sample(system, T, theta,
-                           int(round((theta - theta_raw) / TWO_PI)))
-
-
-def _lattice_sample(system: SystemDefinition, T: float, theta: float,
-                    branch: int) -> PeriodLatticeSample:
     ff = system.constants()
-    return PeriodLatticeSample(T=T, theta=theta, tau1=ff.alpha * T,
-                               tau2=ff.omega * T - theta, branch=branch)
-
-
-def transport(system: SystemDefinition, path: list[EMValue]) -> list:
-    """Theta carried continuously along a path of tori.
-
-    Each entry is the PeriodLatticeSample of that torus, or the
-    FocusFocusError that failed it; a failed torus is skipped as a
-    reference.  The path's tori are evaluated in one array call
-    (_tori_quadrature); a torus it does not accept goes through
-    reduced_period_rotation.  The first torus that evaluates keeps its raw
-    principal Theta (branch 0); each next one moves to the sheet nearest
-    its predecessor, so branch is the cumulative sum of the rounded raw
-    steps.  Raises BranchError when an aligned step exceeds
-    MAX_BRANCH_STEP: the path is too coarse to tell its sheet.
-    """
-    h = np.array([c.h for c in path], dtype=float)
-    l = np.array([c.l for c in path], dtype=float)
-    failed, live, T, theta, branch = carry_branch(
-        system, h, l, *_tori_quadrature(system, h, l))
-    out: list = [None] * len(path)
-    for i, exc in failed.items():
-        out[i] = exc
-    for i, t, th, b in zip(live.tolist(), T.tolist(), theta.tolist(),
-                           branch.tolist()):
-        out[i] = _lattice_sample(system, t, th, b)
-    return out
+    return PeriodLatticeSample(
+        T=T, theta=theta, tau1=ff.alpha * T, tau2=ff.omega * T - theta,
+        branch=int(round((theta - theta_raw) / TWO_PI)))
 
 
 def fill_rejected(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
@@ -360,73 +328,101 @@ def fill_rejected(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
     return failed
 
 
-def carry_branch(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
-                 T: np.ndarray, raw: np.ndarray, ok: np.ndarray
-                 ) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray,
-                            np.ndarray]:
-    """transport on one path's array results (T, raw Theta, ok), its
-    rejected lanes filled by fill_rejected.  Returns the failed lanes (path
-    index -> FocusFocusError) and, over the lanes that evaluated (live), T,
-    the carried Theta and the branch."""
-    failed = fill_rejected(system, h, l, T, raw, ok)
-    live = np.flatnonzero(ok)
-    raw = raw[live]
-    branch = np.concatenate(    # [:live.size]: an empty path has no anchor
-        ([0], np.cumsum(np.round(-np.diff(raw) / TWO_PI))))[:live.size]
-    branch = branch.astype(int)
+def transport(system: SystemDefinition, h, l
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Theta carried continuously along paths of tori.
+
+    h and l are arrays of one shape whose last axis runs along a path (a
+    1-D array is one path).  All tori are evaluated in one array call
+    (_tori_quadrature), the lanes it rejects by fill_rejected.  Along each
+    path the first torus that evaluates keeps its raw principal Theta
+    (branch 0); each next one moves to the sheet nearest its predecessor,
+    so branch is the cumulative sum of the rounded raw steps.  Returns T,
+    the carried Theta and branch in h's shape, NaN, NaN and 0 where a torus
+    failed, and failed: flat index -> the FocusFocusError that
+    reduced_period_rotation raises there.  A failed torus is skipped as a
+    reference; a torus whose h is NaN is absent: not evaluated, not a
+    reference and not failed.  Raises BranchError when an aligned step
+    exceeds MAX_BRANCH_STEP: the path is too coarse to tell its sheet.
+    """
+    h, l = np.asarray(h, dtype=float), np.asarray(l, dtype=float)
+    at = np.flatnonzero(~np.isnan(h))
+    h_at, l_at = h.ravel()[at], l.ravel()[at]
+    T_at, raw, ok = _tori_quadrature(system, h_at, l_at)
+    failed = {int(at[k]): exc for k, exc in
+              fill_rejected(system, h_at, l_at, T_at, raw, ok).items()}
+    live, raw = at[ok], raw[ok]
+    n = h.shape[-1]
+    # live tori in path order; the first of each path anchors it
+    first = np.diff(live // n, prepend=-1) != 0
+    steps = np.where(first[1:], 0.0, np.round(-np.diff(raw) / TWO_PI))
+    cum = np.concatenate(([0.0], np.cumsum(steps)))[:live.size]
+    anchor = np.maximum.accumulate(np.where(first, np.arange(live.size), 0))
+    branch = (cum - cum[anchor]).astype(int)
     theta = raw + TWO_PI * branch
-    steps = np.abs(np.diff(theta))
-    over = np.flatnonzero(steps > MAX_BRANCH_STEP)
+    jumps = np.abs(np.diff(theta))
+    over = np.flatnonzero((jumps > MAX_BRANCH_STEP) & ~first[1:])
     if over.size:
         k = over[0]
         i = int(live[k + 1])
-        raise BranchError(f"aligned Theta step {steps[k] / math.pi:.4f} pi "
+        raise BranchError(f"aligned Theta step {jumps[k] / math.pi:.4f} pi "
                           f"above {MAX_BRANCH_STEP / math.pi:.1f} pi at path "
-                          f"point {i}, (h, l)=({float(h[i]):.4g}, "
-                          f"{float(l[i]):.4g}): refine the path")
-    return failed, live, T[live], theta, branch
+                          f"point {i % n}, (h, l)=("
+                          f"{float(h.flat[i]):.4g}, {float(l.flat[i]):.4g}): "
+                          "refine the path")
+    T, carried = np.full((2, *h.shape), np.nan)
+    sheet = np.zeros(h.shape, dtype=int)
+    T.flat[live], carried.flat[live] = T_at[ok], theta
+    sheet.flat[live] = branch
+    return T, carried, sheet, failed
 
 
 @dataclass(frozen=True)
-class SweepSample:
-    """One branch-tracked sample of an annulus sweep."""
-    c: EMValue
-    j: MomentumValue
-    theta_tracked: float      # unwrapped arg zeta along the sweep path
-    lattice: PeriodLatticeSample
+class PolarTori:
+    """Tori on constant-|j| rows of the momentum chart, carried along each
+    row by transport: arrays of one shape, one row per radius.  arg is
+    the polar angle of each chart point (j1, j2) = rho (cos arg, sin arg),
+    (h, l) its torus, T, theta and branch as transport gives them, and
+    tau1 = alpha T, tau2 = omega T - theta."""
+    arg: np.ndarray
+    j1: np.ndarray
+    j2: np.ndarray
+    h: np.ndarray
+    l: np.ndarray
+    T: np.ndarray
+    theta: np.ndarray
+    branch: np.ndarray
+    tau1: np.ndarray
+    tau2: np.ndarray
+
+
+def polar_tori(system: SystemDefinition, radii, angles) -> PolarTori:
+    """The tori at |j| = radii (rows) and arg zeta = angles (along each
+    row), all in one transport call.  A failed torus or a BranchError
+    fails them all, the first failed torus in row order."""
+    j = polar(radii, angles)
+    c = from_momentum_chart(system, j)
+    T, theta, branch, failed = transport(system, c.h, c.l)
+    if failed:
+        raise failed[min(failed)]
+    ff = system.constants()
+    return PolarTori(arg=np.broadcast_to(angles, T.shape), j1=j.j1, j2=j.j2,
+                     h=c.h, l=c.l, T=T, theta=theta, branch=branch,
+                     tau1=ff.alpha * T, tau2=ff.omega * T - theta)
 
 
 def annulus_sweep(system: SystemDefinition, r_in: float, r_out: float,
-                  n_r: int, n_theta: int) -> list[SweepSample]:
-    """Branch-consistent samples on a log-radial polar grid.
+                  n_r: int, n_theta: int) -> PolarTori:
+    """Branch-consistent tori on a log-radial polar grid.
 
     Each constant-radius row starts at RAY_OFFSET past the positive-j1
     reference ray and is transported counterclockwise.  All rows therefore
-    live on one common sheet and the sample set is fit-ready.  The sweep's
-    tori are evaluated in one array call, then each row is carried by
-    carry_branch.  A failed torus or a BranchError fails the sweep.
+    live on one common sheet and the sample set is fit-ready.
     """
     if not (0.0 < r_in < r_out):
         raise ValueError("need 0 < r_in < r_out")
-    angles = (RAY_OFFSET + TWO_PI * np.arange(n_theta) / n_theta).tolist()
-    js = [MomentumValue(rho * math.cos(th), rho * math.sin(th))
-          for rho in np.geomspace(r_in, r_out, n_r).tolist() for th in angles]
-    cs = [from_momentum_chart(system, j) for j in js]
-    h = np.array([c.h for c in cs], dtype=float)
-    l = np.array([c.l for c in cs], dtype=float)
-    T, raw, ok = _tori_quadrature(system, h, l)
-    out: list[SweepSample] = []
-    for row in range(n_r):
-        a = slice(row * n_theta, (row + 1) * n_theta)
-        failed, _, Ta, theta, branch = carry_branch(system, h[a], l[a], T[a],
-                                                    raw[a], ok[a])
-        if failed:   # the row's first failed torus, as transport orders them
-            raise failed[min(failed)]
-        for c, j, th, t, tht, b in zip(cs[a], js[a], angles, Ta.tolist(),
-                                       theta.tolist(), branch.tolist()):
-            out.append(SweepSample(c=c, j=j, theta_tracked=th,
-                                   lattice=_lattice_sample(system, t, tht, b)))
-    return out
+    return polar_tori(system, np.geomspace(r_in, r_out, n_r),
+                      RAY_OFFSET + TWO_PI * np.arange(n_theta) / n_theta)
 
 
 @dataclass(frozen=True)
@@ -459,19 +455,18 @@ def _lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return coef, resid
 
 
-def fit_asymptotic_model(samples: list[SweepSample]) -> AsymptoticModel:
+def fit_asymptotic_model(samples: PolarTori) -> AsymptoticModel:
     """Least-squares fit of the logarithmic singularity plus smooth linear
     remainders.  Requires branch-consistent samples covering >= 8 angular
     sectors of an annulus (annulus_sweep provides them)."""
-    if len(samples) < 12:
-        raise FitError(f"need >= 12 samples, got {len(samples)}")
-    angles = sorted(s.j.angle for s in samples)
-    sectors = len({int(a // (TWO_PI / 8)) for a in angles})
+    j1, j2 = samples.j1.ravel(), samples.j2.ravel()
+    if j1.size < 12:
+        raise FitError(f"need >= 12 samples, got {j1.size}")
+    sectors = len({int(MomentumValue(a, b).angle // (TWO_PI / 8))
+                   for a, b in zip(j1.tolist(), j2.tolist())})
     if sectors < 8:
         raise FitError(f"samples cover only {sectors}/8 angular sectors")
 
-    j1 = np.array([s.j.j1 for s in samples])
-    j2 = np.array([s.j.j2 for s in samples])
     rho = np.hypot(j1, j2)
     lnrho = np.log(rho)
     if lnrho.max() - lnrho.min() < 0.5:
@@ -479,10 +474,8 @@ def fit_asymptotic_model(samples: list[SweepSample]) -> AsymptoticModel:
                        f"{lnrho.max() - lnrho.min():.2f} < 0.5 ln units; the "
                        "log coefficient cannot be separated from the "
                        "constant")
-    th = np.array([s.theta_tracked for s in samples])
-    tau1 = np.array([s.lattice.tau1 for s in samples])
-    tau2 = np.array([s.lattice.tau2 for s in samples])
-    theta_big = np.array([s.lattice.theta for s in samples])
+    th = samples.arg.ravel()
+    tau1, tau2 = samples.tau1.ravel(), samples.tau2.ravel()
 
     ones = np.ones_like(rho)
     X1 = np.column_stack([-np.log(rho), ones, j1, j2])
@@ -490,11 +483,11 @@ def fit_asymptotic_model(samples: list[SweepSample]) -> AsymptoticModel:
     X2 = np.column_stack([th, ones, j1, j2])
     c2, r2 = _lstsq(X2, tau2)
     # 2 pi W + arg zeta = A(j) (-ln rho) + smooth; coefficient estimates A0
-    cW, _ = _lstsq(X1, theta_big + th)
+    cW, _ = _lstsq(X1, samples.theta.ravel() + th)
 
     return AsymptoticModel(
         log_coeff_tau1=float(c1[0]), log_coeff_tau2=float(c2[0]),
         sigma1_0=float(c1[1]), sigma2_0=float(c2[1] + math.pi),
         A0_fit=float(cW[0]),
         sigma_0=float(cW[0] * c1[1] - (c2[1] + math.pi)),
-        residual_tau1=r1, residual_tau2=r2, n_samples=len(samples))
+        residual_tau1=r1, residual_tau2=r2, n_samples=j1.size)

@@ -1,11 +1,11 @@
 """Rotation numbers with branch tracking, monodromy, level curves, spirals.
 
 W = Theta / 2 pi on the principal sheet anchored at the positive-j1 ray
-(arg zeta = 0).  Every path here is carried as a lattice.transport path: a
+(arg zeta = 0).  Every path here is carried by lattice.transport: a
 single-point query transports W along the constant-|j| arc from the
 reference ray, a grid row along its circle from RAY_OFFSET, and the
-monodromy loop once around the critical value.  A grid evaluates all its
-tori in one array call and carries each row with lattice.carry_branch.
+monodromy loop once around the critical value.  A grid's rows are the
+paths of one transport call.
 Level sets of W are extracted in the (ln rho, theta) plane by marching
 squares, its cell pass on arrays, at levels taken as quantiles of the
 grid's mid row (contour_levels), and compared against the predicted
@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NoTorusError, WindowError
+from .errors import FitError
 from .numerics import TWO_PI, linear_quantiles
-from .lattice import (RAY_OFFSET, PeriodLatticeSample, _tori_quadrature,
-                      carry_branch, period_lattice, raise_failed, transport)
-from .systems import (EMValue, MomentumValue, SystemDefinition,
-                      from_momentum_chart, to_momentum_chart)
+from .lattice import (RAY_OFFSET, PolarTori, period_lattice, polar_tori,
+                      transport)
+from .systems import (EMValue, SystemDefinition, from_momentum_chart, polar,
+                      to_momentum_chart)
 
 MASK_REGULAR = 0
 MASK_CORE = 1        # below the |j| floor: too close to the singular fiber
@@ -37,15 +37,6 @@ MIN_LOOP_POINTS = 64
 ARC_STEP = 0.3
 # the angular extension of a grid past 2 pi in extract_level_curve
 EXTEND_ANGLE = 2.2
-
-
-def _circle(system: SystemDefinition, rho: float, angles) -> list[EMValue]:
-    """The tori at |j| = rho and the given arguments of zeta, as Python
-    floats, with math's cos and sin (rotation_grid uses the same)."""
-    rho = float(rho)
-    return [from_momentum_chart(system, MomentumValue(rho * math.cos(th),
-                                                      rho * math.sin(th)))
-            for th in angles]
 
 
 def rotation_number(system: SystemDefinition, c: EMValue,
@@ -64,9 +55,13 @@ def rotation_number(system: SystemDefinition, c: EMValue,
 
     j = to_momentum_chart(system, c)
     n_steps = max(1, int(math.ceil(j.angle / ARC_STEP)))
-    arc = _circle(system, j.modulus, j.angle * np.arange(n_steps) / n_steps)
-    samples = [raise_failed(s) for s in transport(system, arc + [c])]
-    return float(samples[-1].theta / TWO_PI)
+    arc = from_momentum_chart(system, polar(
+        j.modulus, j.angle * np.arange(n_steps) / n_steps))
+    _, theta, _, failed = transport(system, np.append(arc.h, c.h),
+                                    np.append(arc.l, c.l))
+    if failed:
+        raise failed[min(failed)]
+    return float(theta[-1] / TWO_PI)
 
 
 # --------------------------------------------------------------------------
@@ -97,45 +92,29 @@ class RotationGrid:
 
 def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
                   resolution: tuple[int, int]) -> RotationGrid:
-    """Branch-consistent W matrix, all its tori in one array call.
+    """Branch-consistent W matrix, its rows the paths of one transport call.
 
     Rows are constant-|j| circles anchored just past the reference ray and
     transported counterclockwise, so |W_neighbor - W| < 1/2 along each
-    row.  Points below the system's j_floor (MASK_CORE) and points without
-    a regular torus (MASK_FAILED) do not serve as references; a failed
-    anchor fails the whole row.
+    row.  Points below the system's j_floor (MASK_CORE) are not evaluated,
+    and they and points without a regular torus (MASK_FAILED) do not serve
+    as references; a failed anchor fails the whole row.
     """
     n0, n1 = resolution
     radii = np.geomspace(region.r_in, region.r_out, n0)
     angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
-    # the tori of _circle, with math's cos and sin
-    cos = np.array([math.cos(th) for th in angles.tolist()])
-    sin = np.array([math.sin(th) for th in angles.tolist()])
-    j1, l = np.outer(radii, cos), np.outer(radii, sin)
-    h = from_momentum_chart(system, MomentumValue(j1, l)).h
-    core = system.window_radius(h, l) < system.j_floor
-
-    w = np.full(h.shape, np.nan)
-    br = np.zeros(h.shape, dtype=int)
-    mask = np.where(core, MASK_CORE, MASK_FAILED).astype(np.uint8)
-    T, raw, ok = _tori_quadrature(system, h[~core], l[~core])
-    ends = np.cumsum(np.count_nonzero(~core, axis=1)).tolist()
-    for row, (a, b) in enumerate(zip([0] + ends, ends)):
-        cols = np.flatnonzero(~core[row])
-        failed, live, _, theta, branch = carry_branch(
-            system, h[row, cols], l[row, cols], T[a:b], raw[a:b], ok[a:b])
-        anchor = failed.get(0) if cols.size and cols[0] == 0 else None
-        if isinstance(anchor, (NoTorusError, WindowError)):
-            mask[row] = MASK_FAILED   # row anchor failed: whole row failed
-            continue
-        for exc in failed.values():
-            if not isinstance(exc, (NoTorusError, WindowError)):
-                raise exc
-        cols = cols[live]
-        w[row, cols] = theta / TWO_PI
-        br[row, cols] = branch
-        mask[row, cols] = MASK_REGULAR
-    return RotationGrid(axis0=radii, axis1=angles, h=h, l=l, j1=j1, w=w,
+    j = polar(radii, angles)
+    c = from_momentum_chart(system, j)
+    core = system.window_radius(c.h, c.l) < system.j_floor
+    # a NaN torus is absent from its path: the core is never evaluated
+    _, theta, br, failed = transport(system, np.where(core, np.nan, c.h),
+                                     c.l)
+    w = theta / TWO_PI
+    mask = np.where(core, MASK_CORE, MASK_REGULAR).astype(np.uint8)
+    mask.flat[list(failed)] = MASK_FAILED
+    dead = np.isin(np.arange(n0) * n1, list(failed))   # row anchor failed
+    mask[dead], w[dead], br[dead] = MASK_FAILED, np.nan, 0
+    return RotationGrid(axis0=radii, axis1=angles, h=c.h, l=c.l, j1=j.j1, w=w,
                         branch=br, mask=mask)
 
 
@@ -145,27 +124,26 @@ def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
 
 def monodromy_loop(system: SystemDefinition, radius: float,
                    n_points: int = 256, orientation: int = +1
-                   ) -> tuple[list[EMValue], list[PeriodLatticeSample], float]:
+                   ) -> tuple[PolarTori, float]:
     """The transported loop of n_points + 1 tori around the critical value
-    (the last closes it), their lattice samples, and the monodromy index:
-    the advance of tau2 over the loop in units of 2 pi (equivalently
-    W_start - W_transported; +1 for a simple focus-focus point on the
-    positively oriented circle)."""
+    (the last closes it), one row, and the monodromy index: the advance of
+    tau2 over the loop in units of 2 pi (equivalently W_start -
+    W_transported; +1 for a simple focus-focus point on the positively
+    oriented circle)."""
     if n_points < MIN_LOOP_POINTS:
         raise ValueError(f"n_points >= {MIN_LOOP_POINTS} required")
     # half-step offset keeps loop points off the l = 0 seam
     angles = (np.arange(n_points + 1) * TWO_PI / n_points + math.pi / n_points)
     if orientation < 0:
         angles = angles[::-1]
-    cs = _circle(system, radius, angles)
-    samples = [raise_failed(s) for s in transport(system, cs)]
-    return cs, samples, float((samples[-1].tau2 - samples[0].tau2) / TWO_PI)
+    loop = polar_tori(system, radius, angles)
+    return loop, float((loop.tau2[0, -1] - loop.tau2[0, 0]) / TWO_PI)
 
 
 def monodromy_index(system: SystemDefinition, radius: float,
                     n_points: int = 256, orientation: int = +1) -> float:
     """Lattice monodromy index around the critical value (monodromy_loop)."""
-    return monodromy_loop(system, radius, n_points, orientation)[2]
+    return monodromy_loop(system, radius, n_points, orientation)[1]
 
 
 # --------------------------------------------------------------------------

@@ -272,7 +272,9 @@ class SystemDefinition:
     Required surface, what the engines read: name, j_floor, j_cap,
     hessian() and second_integral_hessian() at the equilibrium (on one
     4-dim symplectic chart), reduced_profile(c) -> the turning points (lo,
-    hi), period_rotation(c) -> (T, Theta), period_rotation_array, flow
+    hi), period_rotation(c) -> (T, Theta), period_rotation_array(h, l) ->
+    (T, Theta, ok) over arrays (no base version: each system brings its
+    own, bit-identical to period_rotation on the lanes it accepts), flow
     components (field, flow_start(c) -> seeds (d, m) from one solve of the
     reduced cubic, section value and rate, angle index, energy on the flow
     chart), constants().  The flow field, the section value and rate and
@@ -309,13 +311,6 @@ class SystemDefinition:
                                  l.real.ravel().tolist())),
                         dtype=float).reshape(h.shape)
 
-    def period_rotation_array(self, h: np.ndarray, l: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array form of period_rotation: (T, Theta, ok) over arrays h, l.
-        Here no lane is accepted, so each takes the scalar path."""
-        nan = np.full(h.shape, np.nan)
-        return nan, nan.copy(), np.zeros(h.shape, dtype=bool)
-
 
 def to_momentum_chart(system: SystemDefinition, c: EMValue) -> MomentumValue:
     """The linear momentum chart at the origin, j1 = (h - omega l) / alpha
@@ -328,6 +323,16 @@ def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
     """(h, l) = (alpha j1 + omega j2, j2), on floats or arrays."""
     ff = system.constants()
     return EMValue(h=j.j1 * ff.alpha + j.j2 * ff.omega, l=j.j2)
+
+
+def polar(radii, angles) -> MomentumValue:
+    """The chart points at |j| = radii (rows) and arg zeta = angles (along
+    each row), (len(radii), len(angles)) arrays.  The cosines and sines
+    are math's, so each point is rho * math.cos(th), rho * math.sin(th) to
+    the last bit."""
+    angles = np.asarray(angles, dtype=float).tolist()
+    return MomentumValue(np.outer(radii, [math.cos(th) for th in angles]),
+                         np.outer(radii, [math.sin(th) for th in angles]))
 
 
 @lru_cache(maxsize=1024)

@@ -1,5 +1,6 @@
 import warnings
 
+import numpy as np
 import pytest
 
 # hypothesis reports a failing @given test through hypothesis.extra._patching,
@@ -13,7 +14,6 @@ with warnings.catch_warnings():
     import hypothesis.extra._patching  # noqa: F401
 
 from focusfocus import ChampagneBottle, SphericalPendulum, lattice
-from focusfocus.systems import SystemDefinition
 
 
 @pytest.fixture(scope="session")
@@ -37,10 +37,13 @@ def scalar_path(monkeypatch):
     the test: no system's array closed form accepts a lane, so each goes
     through lattice.reduced_period_rotation.  Calling it returns the list
     of tori that function then receives."""
+    def rejecting(self, h, l):
+        nan = np.full(h.shape, np.nan)
+        return nan, nan.copy(), np.zeros(h.shape, dtype=bool)
+
     def switch() -> list:
         for cls in (ChampagneBottle, SphericalPendulum):
-            monkeypatch.setattr(cls, "period_rotation_array",
-                                SystemDefinition.period_rotation_array)
+            monkeypatch.setattr(cls, "period_rotation_array", rejecting)
         calls = []
         rpr = lattice.reduced_period_rotation
 

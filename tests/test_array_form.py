@@ -148,8 +148,7 @@ class TestBitForBit:
                 continue
             assert not ok[i], (h[i], l[i], want)
             if isinstance(want, FocusFocusError):
-                got = transport(system, [EMValue(float(h[i]),
-                                                 float(l[i]))])[0]
+                got = transport(system, h[i:i + 1], l[i:i + 1])[3][0]
                 assert type(got) is type(want)
                 assert str(got) == str(want)
 
@@ -191,15 +190,20 @@ def test_failed_tori_in_a_path_carry_the_scalar_exception(system):
     path = list(arc)
     for i in sorted(bad):
         path.insert(i, bad[i])
-    out = transport(system, path)
+    h, l = (np.array(v) for v in zip(*((c.h, c.l) for c in path)))
+    *out, failed = transport(system, h, l)
+    assert sorted(failed) == sorted(bad)
     kinds = set()
     for i, c in bad.items():
         with pytest.raises(FocusFocusError) as info:
             reduced_period_rotation(system, c)
-        assert type(out[i]) is type(info.value)
-        assert str(out[i]) == str(info.value)
-        kinds.add(type(out[i]))
+        assert type(failed[i]) is type(info.value)
+        assert str(failed[i]) == str(info.value)
+        kinds.add(type(failed[i]))
     assert kinds == ({WindowError, NoTorusError, TurningPointDegeneracy}
                      if system.name == "champagne" else {WindowError})
-    assert [out[i] for i in range(len(path)) if i not in bad] \
-        == transport(system, arc)
+    keep = [i for i in range(len(path)) if i not in bad]
+    *want, arc_failed = transport(system, h[keep], l[keep])
+    assert arc_failed == {}
+    for got, arc_value in zip(out, want):
+        assert np.array_equal(got[keep], arc_value)

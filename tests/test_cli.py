@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focusfocus import acceptance, cli, lattice, rotation
+from focusfocus import (acceptance, align_angle, cli, eval_constants, lattice,
+                        make_system, rotation)
 from focusfocus.systems import MomentumValue, from_momentum_chart
 from reference_marching_squares import marching_squares
 
@@ -741,3 +742,45 @@ class TestNegativeGamma:
         assert rc == cli.EXIT_OK, err
         doc = json.loads((tmp_path / "twistless_summary.json").read_text())
         assert doc["tangent_slope_fit"] == pytest.approx(9.0 / 14.0, rel=0.15)
+
+
+@pytest.mark.parametrize("system", ["champagne", "pendulum"])
+def test_monodromy_csv_matches_a_per_torus_reference(tmp_path, capsys,
+                                                      system):
+    # the loop at defaults, one torus at a time: the scalar closed form,
+    # each Theta aligned to its predecessor's, and the lattice basis
+    rc, _ = run(capsys, "monodromy", "--system", system,
+                "--out", str(tmp_path))
+    assert rc == cli.EXIT_OK
+    sys_ = make_system(system)
+    ff = eval_constants(sys_)
+    radius, n, two_pi = 0.1, 256, 2.0 * math.pi
+    lines, theta_ref = ["h,l,T,Theta,tau1,tau2,branch"], None
+    for k in range(n + 1):
+        th = k * two_pi / n + math.pi / n
+        c = from_momentum_chart(sys_, MomentumValue(radius * math.cos(th),
+                                                    radius * math.sin(th)))
+        T, raw = lattice.reduced_period_rotation(sys_, c)
+        theta = raw if theta_ref is None else align_angle(raw, theta_ref)
+        theta_ref = theta
+        lines.append(",".join(
+            [f"{v:.17g}" for v in (c.h, c.l, T, theta, ff.alpha * T,
+                                   ff.omega * T - theta)]
+            + [str(round((theta - raw) / two_pi))]))
+    assert (tmp_path / "monodromy_loop.csv").read_text() \
+        == "\n".join(lines) + "\n"
+
+
+def test_report_at_gamma_zero_fails_without_a_traceback(tmp_path, capsys):
+    # at omega = 0 the twistless curve has no loxodromic tangent, and C6's
+    # relative slope error has no expected slope to divide by
+    rc, _ = run(capsys, "report", "--param", "gamma=0", "--n-tori", "2",
+                "--out", str(tmp_path))
+    assert rc == cli.EXIT_ACCEPTANCE
+    doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    status = {c["id"]: c["status"] for c in doc["criteria"]}
+    assert status.pop("C6") == "fail"
+    status.pop("C5")    # its slope tolerance, 10% of 0, is 0 here
+    assert set(status.values()) == {"pass"}
+    c6 = next(c for c in doc["criteria"] if c["id"] == "C6")
+    assert "no loxodromic tangent at omega = 0" in c6["details"]["error"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from focusfocus import (EMValue, MomentumValue, SphericalPendulum,
                         to_momentum_chart)
 from focusfocus import acceptance, lattice, numerics
 from focusfocus.errors import FitError, FlowError, WindowError
-from focusfocus.lattice import PeriodLatticeSample, SweepSample
+from focusfocus.lattice import PolarTori
 
 TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
@@ -420,11 +421,27 @@ class TestAnnulusSweep:
         system = request.getfixturevalue(name)
         n_r, n_theta = 5, 12
         got = annulus_sweep(system, 1e-4, 1e-2, n_r, n_theta)
-        assert len(got) == n_r * n_theta
+        assert got.T.shape == (n_r, n_theta)
+        ff = eval_constants(system)
+        assert np.array_equal(got.tau1, ff.alpha * got.T)
+        assert np.array_equal(got.tau2, ff.omega * got.T - got.theta)
         for row in range(n_r):
-            samples = got[row * n_theta:(row + 1) * n_theta]
-            carried = lattice.transport(system, [s.c for s in samples])
-            assert [s.lattice for s in samples] == carried
+            *carried, failed = lattice.transport(system, got.h[row],
+                                                 got.l[row])
+            assert failed == {}
+            for a, b in zip((got.T, got.theta, got.branch), carried):
+                assert np.array_equal(a[row], b)
+
+    def test_tori_are_the_scalar_polar_points(self, champagne):
+        # (j1, j2) are rho cos arg and rho sin arg with math's cos and sin,
+        # and (h, l) their scalar chart images, to the last bit
+        got = annulus_sweep(champagne, 1e-4, 1e-2, 3, 8)
+        rhos = np.geomspace(1e-4, 1e-2, 3).tolist()
+        for (r, k), th in np.ndenumerate(got.arg):
+            j = MomentumValue(rhos[r] * math.cos(th), rhos[r] * math.sin(th))
+            c = from_momentum_chart(champagne, j)
+            assert (got.j1[r, k], got.j2[r, k]) == (j.j1, j.j2)
+            assert (got.h[r, k], got.l[r, k]) == (c.h, c.l)
 
     def test_failed_torus_raises_the_scalar_exception(self, champagne):
         # the inner row sits below the |j| floor: its first torus fails
@@ -463,19 +480,17 @@ class TestAsymptoticFit:
         # samples generated from the model class itself: sigma1 = 2 + j1,
         # sigma2 = -pi + 0.3 j2, alpha = 1, omega = 0.3
         alpha, omega = 1.0, 0.3
-        samples = []
-        for rho in np.geomspace(1e-4, 1e-2, 8):
-            for th in 0.01 + TWO_PI * np.arange(16) / 16:
-                j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-                tau1 = (2.0 + j.j1) - math.log(rho)
-                tau2 = (-math.pi + 0.3 * j.j2) + th
-                T = tau1 / alpha
-                theta = omega * T - tau2
-                samples.append(SweepSample(
-                    c=EMValue(alpha * j.j1 + omega * j.j2, j.j2), j=j,
-                    theta_tracked=float(th),
-                    lattice=PeriodLatticeSample(T=T, theta=theta, tau1=tau1,
-                                                tau2=tau2, branch=0)))
+        rho = np.geomspace(1e-4, 1e-2, 8)[:, None]
+        th = np.broadcast_to(0.01 + TWO_PI * np.arange(16) / 16, (8, 16))
+        j1, j2 = rho * np.cos(th), rho * np.sin(th)
+        tau1 = (2.0 + j1) - np.log(rho)
+        tau2 = (-math.pi + 0.3 * j2) + th
+        T = tau1 / alpha
+        theta = omega * T - tau2
+        samples = PolarTori(arg=th, j1=j1, j2=j2, h=alpha * j1 + omega * j2,
+                            l=j2, T=T, theta=theta,
+                            branch=np.zeros(th.shape, dtype=int), tau1=tau1,
+                            tau2=tau2)
         model = fit_asymptotic_model(samples)
         assert model.log_coeff_tau1 == pytest.approx(1.0, abs=1e-9)
         assert model.log_coeff_tau2 == pytest.approx(1.0, abs=1e-9)
@@ -489,6 +504,8 @@ class TestAsymptoticFit:
 
     def test_rejects_missing_sectors(self, champagne):
         sweep = annulus_sweep(champagne, 1e-3, 1e-2, 6, 16)
-        half = [s for s in sweep if s.j.j2 > 0]
+        upper = sweep.j2 > 0
+        half = PolarTori(**{f.name: getattr(sweep, f.name)[upper]
+                            for f in dataclasses.fields(sweep)})
         with pytest.raises(FitError, match="sectors"):
             fit_asymptotic_model(half)

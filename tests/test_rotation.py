@@ -92,6 +92,31 @@ class TestRotationGrid:
         assert MASK_CORE in g.mask
         assert np.all(np.isnan(g.w[g.mask != MASK_REGULAR]))
 
+    @pytest.mark.parametrize("name", ["champagne", "pendulum"])
+    def test_core_is_never_evaluated(self, name, request, monkeypatch):
+        # a torus below the floor reaches neither the array form nor
+        # reduced_period_rotation: it is masked, not failed one by one
+        system = request.getfixturevalue(name)
+        tori = []
+        array_form = type(system).period_rotation_array
+
+        def recording_array(self, h, l):
+            tori.extend(zip(h.tolist(), l.tolist()))
+            return array_form(self, h, l)
+
+        def recording(system, c, *args, **kwargs):
+            tori.append((c.h, c.l))
+            return reduced_period_rotation(system, c, *args, **kwargs)
+
+        monkeypatch.setattr(type(system), "period_rotation_array",
+                            recording_array)
+        monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
+        g = rotation_grid(system, AnnulusRegion(1e-6, 1e-2), (12, 16))
+        assert np.count_nonzero(g.mask == MASK_CORE) == 3 * 16
+        h, l = np.array(tori).T
+        assert h.size == np.count_nonzero(g.mask != MASK_CORE)
+        assert np.all(system.window_radius(h, l) >= system.j_floor)
+
     def test_rows_independent(self, champagne, pendulum):
         self.assert_rows_independent(champagne)
         # the pendulum's rows cross a sheet: nonzero branch offsets

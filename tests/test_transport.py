@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focusfocus import (AnnulusRegion, BranchError, ChampagneBottle, EMValue,
-                        MomentumValue, NoTorusError, PeriodLatticeSample,
-                        SphericalPendulum, align_angle, from_momentum_chart,
-                        monodromy_index, rotation_grid, transport)
+                        MomentumValue, NoTorusError, SphericalPendulum,
+                        align_angle, from_momentum_chart, monodromy_index,
+                        rotation_grid, transport)
 from focusfocus.lattice import (MAX_BRANCH_STEP, RAY_OFFSET,
                                 reduced_period_rotation)
 
@@ -24,6 +24,11 @@ def circle(system, rho, angles):
             for th in angles]
 
 
+def arrays(path):
+    """A path of tori as the (h, l) arrays transport takes."""
+    return (np.array([c.h for c in path]), np.array([c.l for c in path]))
+
+
 def sequential(system, path):
     """Reference: the one-torus-at-a-time align_angle loop that transport
     replaces; (T, Theta, branch) per torus."""
@@ -37,7 +42,16 @@ def sequential(system, path):
 
 
 def transported(system, path):
-    return [(s.T, s.theta, s.branch) for s in transport(system, path)]
+    T, theta, branch, failed = transport(system, *arrays(path))
+    assert failed == {}
+    return list(zip(T.tolist(), theta.tolist(), branch.tolist()))
+
+
+def assert_carried_without(got, want, k):
+    """The arrays transport gave (T, Theta, branch), with torus k deleted,
+    equal want's to the last bit."""
+    for a, b in zip(got[:3], want[:3]):
+        assert np.array_equal(np.delete(a, k), b)
 
 
 class TestMatchesSequentialReference:
@@ -86,7 +100,7 @@ class TestWrapGuard:
         sys_ = SYSTEMS[system]
         row = circle(sys_, 1e-2, RAY_OFFSET + TWO_PI * np.arange(4) / 4)
         with pytest.raises(BranchError, match="refine the path"):
-            transport(sys_, row)
+            transport(sys_, *arrays(row))
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_under_resolved_loop(self, system):
@@ -94,13 +108,13 @@ class TestWrapGuard:
         loop = circle(sys_, 1e-2,
                       TWO_PI * np.arange(5) / 4 + math.pi / 4)
         with pytest.raises(BranchError):
-            transport(sys_, loop)
+            transport(sys_, *arrays(loop))
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     def test_five_angles_pass(self, system):
         sys_ = SYSTEMS[system]
         row = circle(sys_, 1e-2, RAY_OFFSET + TWO_PI * np.arange(5) / 5)
-        thetas = [s.theta for s in transport(sys_, row)]
+        thetas = transport(sys_, *arrays(row))[1]
         assert np.max(np.abs(np.diff(thetas))) <= MAX_BRANCH_STEP
 
     def test_grid_row_raises_rather_than_masks(self):
@@ -119,10 +133,50 @@ class TestFailedTori:
         sys_ = SYSTEMS["champagne"]
         path = circle(sys_, 1e-2, 0.5 + np.arange(5) * 0.1)
         path[k] = EMValue(-0.3, 0.0)
-        out = transport(sys_, path)
-        assert isinstance(out[k], NoTorusError)
-        with pytest.raises(NoTorusError, match=f"^{re.escape(str(out[k]))}$"):
+        T, theta, branch, failed = transport(sys_, *arrays(path))
+        assert list(failed) == [k] and isinstance(failed[k], NoTorusError)
+        with pytest.raises(NoTorusError,
+                           match=f"^{re.escape(str(failed[k]))}$"):
             reduced_period_rotation(sys_, path[k])
-        rest = out[:k] + out[k + 1:]
-        assert all(isinstance(s, PeriodLatticeSample) for s in rest)
-        assert rest == transport(sys_, path[:k] + path[k + 1:])
+        assert np.isnan(T[k]) and np.isnan(theta[k]) and branch[k] == 0
+        rest = transport(sys_, *arrays(path[:k] + path[k + 1:]))
+        assert rest[3] == {}
+        assert_carried_without((T, theta, branch), rest, k)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_nan_torus_is_absent(self, system, k):
+        # a torus whose h is NaN is not evaluated, not a reference and not
+        # failed: the path carries exactly as if it were removed
+        sys_ = SYSTEMS[system]
+        h, l = arrays(circle(sys_, 1e-2, 0.5 + np.arange(5) * 0.4))
+        holed = h.copy()
+        holed[k] = np.nan
+        T, theta, branch, failed = transport(sys_, holed, l)
+        assert failed == {}
+        assert np.isnan(T[k]) and np.isnan(theta[k]) and branch[k] == 0
+        assert_carried_without((T, theta, branch),
+                               transport(sys_, np.delete(h, k),
+                                         np.delete(l, k)), k)
+
+
+class TestPaths:
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_rows_carry_as_their_own_paths(self, system):
+        # the last axis runs along a path: each row of a 2-D call, its
+        # failures at their flat indices, equals the row carried alone
+        sys_ = SYSTEMS[system]
+        n = 17
+        rows = [circle(sys_, rho, RAY_OFFSET + TWO_PI * np.arange(n) / n)
+                for rho in (1e-3, 1e-2, 5e-2)]
+        rows[1][3] = EMValue(0.0, 0.0)      # below the |j| floor
+        h, l = (np.array(a) for a in zip(*map(arrays, rows)))
+        T, theta, branch, failed = transport(sys_, h, l)
+        assert T.shape == theta.shape == branch.shape == h.shape
+        assert list(failed) == [n + 3]
+        for r, row in enumerate(rows):
+            alone = transport(sys_, *arrays(row))
+            assert {r * n + k: str(e) for k, e in alone[3].items()} \
+                == {k: str(e) for k, e in failed.items() if k // n == r}
+            for a, b in zip((T[r], theta[r], branch[r]), alone[:3]):
+                assert np.array_equal(a, b, equal_nan=True)
