@@ -16,8 +16,8 @@ from .systems import (ChampagneBottle, MomentumValue, SphericalPendulum,
                       eval_constants, from_momentum_chart)
 from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, sample_cross_tori)
-from .rotation import (AnnulusRegion, contour_levels, extract_level_curve,
-                       fit_log_spiral, monodromy_index, rotation_grid)
+from .rotation import (contour_levels, extract_level_curve, fit_log_spiral,
+                       monodromy_index, rotation_grid)
 from .twist import tilde_s, twistless_curve, twists
 from .kolmogorov import asymptote_sweep, frequency_samples, tau_jacobian
 from .errors import FocusFocusError
@@ -170,8 +170,7 @@ def c5_spirals(cfg: AcceptanceConfig) -> CriterionResult:
     for system, expected, tol_abs, key in (
             (champ, -eval_constants(champ).A0, None, "champagne"),
             (pend, 0.0, 0.02, "pendulum")):
-        grid = rotation_grid(system, AnnulusRegion(1e-4, 1e-2),
-                             cfg.grid_resolution)
+        grid = rotation_grid(system, (1e-4, 1e-2), cfg.grid_resolution)
         for level in contour_levels(grid, (0.3, 0.5, 0.7)):
             fit = fit_log_spiral(extract_level_curve(grid, level), expected)
             out[key].append({"level": fit.level, "slope": fit.slope_fit,

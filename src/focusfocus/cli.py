@@ -42,8 +42,8 @@ from .errors import FocusFocusError, ScanError
 from .systems import eval_constants, make_system
 from .lattice import CROSS_TOL, cross_checks, sample_cross_tori
 from .rotation import (MASK_CORE, MASK_REGULAR, MIN_LOOP_POINTS,
-                       AnnulusRegion, contour_levels, extract_level_curve,
-                       fit_log_spiral, monodromy_loop, rotation_grid)
+                       contour_levels, extract_level_curve, fit_log_spiral,
+                       monodromy_loop, rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
 from .kolmogorov import asymptote_sweep
 from .acceptance import RNG_SEED, AcceptanceConfig, run_all
@@ -281,7 +281,7 @@ def cmd_constants(cfg: dict) -> int:
 
 def cmd_grid(cfg: dict) -> int:
     system = build_system(cfg)
-    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"])
+    grid = rotation_grid(system, cfg["window"], cfg["res"])
     rows = list(zip(*(a.ravel().tolist() for a in (
         grid.h, grid.l, grid.j1, grid.l, grid.w, grid.branch, grid.mask))))
     out = Path(cfg["out"])
@@ -301,7 +301,7 @@ def cmd_grid(cfg: dict) -> int:
 def cmd_spiral(cfg: dict) -> int:
     system = build_system(cfg)
     ff = eval_constants(system)
-    grid = rotation_grid(system, AnnulusRegion(*cfg["window"]), cfg["res"])
+    grid = rotation_grid(system, cfg["window"], cfg["res"])
     fits = []
     rows = []
     for level in contour_levels(grid, cfg["levels"]):

@@ -53,9 +53,9 @@ along paths of tori, the last axis of its arrays: the first torus of a
 path keeps its raw value, each next one moves to the sheet nearest its
 predecessor, and the sheet offset from the raw value is recorded as
 branch.  Every path in the package (sweep rows, grid rows, monodromy
-loops, rotation-number arcs) goes through it, all the paths of a grid or
-an annulus sweep in one call, with one wrap guard, MAX_BRANCH_STEP.  A
-single torus can be aligned to a reference Theta instead (period_lattice).
+loops) goes through it, all the paths of a grid or an annulus sweep in
+one call, with one wrap guard, MAX_BRANCH_STEP.  A single torus can be
+aligned to a reference Theta instead (period_lattice).
 """
 from __future__ import annotations
 
@@ -175,7 +175,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
         return out, 0
     p0 = np.hstack(seeds)
     section = EventSpec(system.flow_section_value, system.flow_section_rate,
-                        -1.0, count=1)
+                        count=1)
     traj = integrate_flow(system.flow_field, p0, t_max=np.array(budgets),
                           invariant=system.flow_hamiltonian, section=section,
                           tol=system.flow_rtol)

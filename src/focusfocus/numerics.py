@@ -118,18 +118,16 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """A section fn(state) = 0, crossed where fn changes sign in its
-    direction: rising (+1) or falling (-1), at the rate(state, f) = d fn/dt
-    where the field is f.  A lane stops at its count-th crossing."""
-    fn: Callable[[np.ndarray], float]
+    """A section fn(state) = 0, crossed where fn falls through zero, at the
+    rate(state, f) = d fn/dt where the field is f.  A lane stops at its
+    count-th crossing."""
+    fn: Callable[[np.ndarray], np.ndarray]
     rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    direction: float
     count: int
 
     def __post_init__(self):
-        if self.direction not in (-1.0, 1.0) or self.count < 1:
-            raise ValueError("a section needs direction +1 or -1 and "
-                             "count >= 1")
+        if self.count < 1:
+            raise ValueError("a section needs count >= 1")
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -187,12 +185,6 @@ def _error_norm(K, h, scale) -> np.ndarray:
             / np.sqrt(np.where(denom > 0.0, denom, 1.0) * scale.shape[0]))
 
 
-def _one_lane(field):
-    """field on a block of one lane (d, 1), handed the state (d,): far
-    cheaper than arithmetic on (1,) rows."""
-    return lambda y: np.asarray(field(y[:, 0]), dtype=float)[:, None]
-
-
 def _land(field, rate, t, y, f, g):
     """Henon's step: one DOP853 step of the lanes at (t, y), field values f,
     over -g in their section value g, on the state (y, t) with field
@@ -220,25 +212,25 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     (DOP853), whose high order keeps the step count low at the tight
     tolerances the flow oracle runs at.
 
-    field(y) must map a block of states y (d, m) to an array (d, m), and
-    one state (d,), which a batch or a landing of one hands it, to (d,).
-    The section's fn and rate and the invariant must accept a block.
-    t_max may hold one budget per lane.
+    field(y) maps a block of states y (d, m) to an array (d, m), and the
+    section's fn and rate and the invariant take blocks too: no callable
+    is handed a lone state (d,), not even on a batch of one lane.  t_max
+    may hold one budget per lane.
     Each lane runs solve_ivp's controller on its own: starting step, error
     norm, SAFETY/MIN/MAX factors, no growth right after a rejection, and
     failure once the step falls below ten ulps of t.  A lane crosses the
-    section on an accepted step where its fn, signed by the direction, goes
-    from below zero to zero or above (so a seed lying on the section is not a
-    crossing), and stops at its count-th crossing.  After the loop every
-    crossing lands on the section in one call of Henon's step (_land) from
-    its step's start.  The invariant is evaluated on every accepted state,
-    for each lane's running maximum drift.
+    section on an accepted step where its fn goes from above zero to zero
+    or below (so a seed lying on the section is not a crossing), and stops
+    at its count-th crossing.  After the loop every crossing lands on the
+    section in one call of Henon's step (_land) from its step's start.
+    The invariant is evaluated on every accepted state, for each lane's
+    running maximum drift.
 
     A lane fails with FlowError on step-size underflow (near-singular
     dynamics) or a non-finite step size, when it does not reach its count
-    of crossings before its t_max, or when a landing fails: a rate without
-    the section's direction, a non-finite landing, or a landing time
-    outside its step; it then records no later landing.  The error is
+    of crossings before its t_max, or when a landing fails: a rate that is
+    not negative, a non-finite landing, or a landing time outside its
+    step; it then records no later landing.  The error is
     recorded in Trajectory.errors and the other lanes go on.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
@@ -247,7 +239,6 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     if y0.ndim != 2:
         raise ValueError("p0 must hold one seed per column, shape (d, n)")
     d, n = y0.shape
-    block = _one_lane(field) if n == 1 else field
     t_bound = np.broadcast_to(np.asarray(t_max, dtype=float), (n,)).copy()
     if not np.all((t_bound > 0.0) & np.isfinite(t_bound)):
         raise ValueError("t_max must be positive and finite")
@@ -255,8 +246,8 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     lane = np.arange(n)
     t = np.zeros(n)
     y = y0.copy()
-    f = np.asarray(block(y), dtype=float)
-    h_abs = _initial_step(block, y, f, t_bound, tol, FLOW_ATOL)
+    f = np.asarray(field(y), dtype=float)
+    h_abs = _initial_step(field, y, f, t_bound, tol, FLOW_ATOL)
     rejected = np.zeros(n, dtype=bool)
     v0 = np.asarray(invariant(y0), dtype=float)
     drift = np.zeros(n)
@@ -289,7 +280,7 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
         t_new = np.minimum(t + h_abs, t_b)
         h = t_new - t
         K = np.empty((DOP853.n_stages + 1, d, lane.size))
-        y_new = _rk_step(block, y, f, h, K)
+        y_new = _rk_step(field, y, f, h, K)
         scale = FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * tol
         err = _error_norm(K, h, scale)
         accept = err < 1.0
@@ -315,9 +306,8 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
         if section is not None:
             g_old, g_new = g[ids], section.fn(y[:, acc])
             g[ids] = g_new
-            s_old, s_new = section.direction * g_old, section.direction * g_new
             # strict before, so a seed on the section is not a crossing
-            hit = np.flatnonzero((s_old < 0.0) & (s_new >= 0.0))
+            hit = np.flatnonzero((g_old > 0.0) & (g_new <= 0.0))
             if hit.size:
                 crossings.append((ids[hit], t_old[hit], t[acc[hit]],
                                   y_old[:, hit], K[0][:, acc[hit]],
@@ -342,13 +332,13 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     if crossings:
         ids, t_old, t_end, y_old, f_old, g_old = (
             np.concatenate(a, axis=-1) for a in zip(*crossings))
-        t_at, y_at, r = _land(_one_lane(field) if ids.size == 1 else field,
-                              section.rate, t_old, y_old, f_old, g_old)
+        t_at, y_at, r = _land(field, section.rate, t_old, y_old, f_old,
+                              g_old)
         failed = set()
         for q, i in enumerate(ids.tolist()):
             if i in failed:
                 continue
-            if not (section.direction * r[q] > 0.0
+            if not (r[q] < 0.0
                     and np.isfinite(y_at[:, q]).all()
                     and t_old[q] <= t_at[q] <= t_end[q]):
                 errors[i] = FlowError(

@@ -1,11 +1,9 @@
 """Rotation numbers with branch tracking, monodromy, level curves, spirals.
 
 W = Theta / 2 pi on the principal sheet anchored at the positive-j1 ray
-(arg zeta = 0).  Every path here is carried by lattice.transport: a
-single-point query transports W along the constant-|j| arc from the
-reference ray, a grid row along its circle from RAY_OFFSET, and the
-monodromy loop once around the critical value.  A grid's rows are the
-paths of one transport call.
+(arg zeta = 0).  Every path here is carried by lattice.transport: a grid
+row along its circle from RAY_OFFSET, and the monodromy loop once around
+the critical value.  A grid's rows are the paths of one transport call.
 Level sets of W are extracted in the (ln rho, theta) plane by marching
 squares, its cell pass on arrays, at levels taken as quantiles of the
 grid's mid row (contour_levels), and compared against the predicted
@@ -21,10 +19,8 @@ import numpy as np
 
 from .errors import FitError
 from .numerics import TWO_PI, linear_quantiles
-from .lattice import (RAY_OFFSET, PolarTori, period_lattice, polar_tori,
-                      transport)
-from .systems import (EMValue, SystemDefinition, from_momentum_chart, polar,
-                      to_momentum_chart)
+from .lattice import RAY_OFFSET, PolarTori, polar_tori, transport
+from .systems import SystemDefinition, from_momentum_chart, polar
 
 MASK_REGULAR = 0
 MASK_CORE = 1        # below the |j| floor: too close to the singular fiber
@@ -33,47 +29,13 @@ MASK_FAILED = 2
 # fewest loop points for which branch transport around the monodromy loop
 # stays below the wrap guard
 MIN_LOOP_POINTS = 64
-# largest arg zeta step of the rotation_number arc
-ARC_STEP = 0.3
 # the angular extension of a grid past 2 pi in extract_level_curve
 EXTEND_ANGLE = 2.2
-
-
-def rotation_number(system: SystemDefinition, c: EMValue,
-                    branch_anchor: tuple[EMValue, float] | None = None
-                    ) -> float:
-    """Branch-consistent rotation number W at c.
-
-    With branch_anchor = (c_ref, W_ref), returns the branch continuous with
-    the anchor (c must be within half a branch width).  Without an anchor,
-    returns the principal branch: W transported from the reference ray
-    arg zeta = 0 along the constant-|j| arc.
-    """
-    if branch_anchor is not None:
-        _, w_ref = branch_anchor
-        return float(period_lattice(system, c, w_ref * TWO_PI).theta / TWO_PI)
-
-    j = to_momentum_chart(system, c)
-    n_steps = max(1, int(math.ceil(j.angle / ARC_STEP)))
-    arc = from_momentum_chart(system, polar(
-        j.modulus, j.angle * np.arange(n_steps) / n_steps))
-    _, theta, _, failed = transport(system, np.append(arc.h, c.h),
-                                    np.append(arc.l, c.l))
-    if failed:
-        raise failed[min(failed)]
-    return float(theta[-1] / TWO_PI)
 
 
 # --------------------------------------------------------------------------
 # grids
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnnulusRegion:
-    """Log-radial polar region r_in <= |j| <= r_out."""
-    r_in: float
-    r_out: float
-
 
 @dataclass
 class RotationGrid:
@@ -90,9 +52,10 @@ class RotationGrid:
         return float(np.mean(self.mask != MASK_REGULAR))
 
 
-def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
+def rotation_grid(system: SystemDefinition, window: tuple[float, float],
                   resolution: tuple[int, int]) -> RotationGrid:
-    """Branch-consistent W matrix, its rows the paths of one transport call.
+    """Branch-consistent W matrix on the log-radial polar region
+    window = (r_in, r_out) of |j|, its rows the paths of one transport call.
 
     Rows are constant-|j| circles anchored just past the reference ray and
     transported counterclockwise, so |W_neighbor - W| < 1/2 along each
@@ -101,7 +64,7 @@ def rotation_grid(system: SystemDefinition, region: AnnulusRegion,
     as references; a failed anchor fails the whole row.
     """
     n0, n1 = resolution
-    radii = np.geomspace(region.r_in, region.r_out, n0)
+    radii = np.geomspace(*window, n0)
     angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
     j = polar(radii, angles)
     c = from_momentum_chart(system, j)

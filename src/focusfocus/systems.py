@@ -278,10 +278,11 @@ class SystemDefinition:
     components (field, flow_start(c) -> seeds (d, m) from one solve of the
     reduced cubic, section value and rate, angle index, energy on the flow
     chart), constants().  The flow field, the section value and rate and
-    the energy take a state or a block of states (d, m), unpacked row by
-    row.  Each seed is a turning-point state on Fix(R) of a reversor R of
-    the flow (an involution, with t -> -t, that keeps H and L), and lies
-    on the section without crossing it.  The legs from the seeds to their
+    the energy take a block of states (d, m), one per column, unpacked row
+    by row; they are never handed a lone state (d,).  Each seed is a
+    turning-point state on Fix(R) of a reversor R of the flow (an
+    involution, with t -> -t, that keeps H and L), and lies on the section
+    without crossing it.  The legs from the seeds to their
     first falling crossings of the section make half a return together,
     so T = 2 sum t and Theta = 2 sum dphi over them (lattice._tori_flow).
     """
@@ -501,8 +502,8 @@ class ChampagneBottle(SystemDefinition):
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
-        """Cartesian field augmented with the unwrapped polar angle:
-        state (x, y, px, py, phi), or a block of states, one per column."""
+        """Cartesian field augmented with the unwrapped polar angle, on a
+        block of states (x, y, px, py, phi), one per column."""
         g = self.gamma
         x, y, px, py = s[:4]
         r2 = x * x + y * y
@@ -658,9 +659,9 @@ class SphericalPendulum(SystemDefinition):
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
-        """Constrained Cartesian flow on T S^2 with unwrapped azimuth:
-        state (x, y, z, vx, vy, vz, phi), or a block of states, one per
-        column; qddot = -e_z + (z - |v|^2) q.
+        """Constrained Cartesian flow on T S^2 with unwrapped azimuth, on a
+        block of states (x, y, z, vx, vy, vz, phi), one per column;
+        qddot = -e_z + (z - |v|^2) q.
 
         The -eta[(q.v) q + (|q|^2 - 1) v] damping vanishes identically on
         the constraint manifold (trajectories unchanged) and keeps the

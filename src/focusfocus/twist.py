@@ -57,10 +57,8 @@ def twist_scan(system: SystemDefinition, h, ls) -> np.ndarray:
                                                          np.shape(ls)))
 
 
-def tilde_s(system: SystemDefinition, c: EMValue, S: float | None = None) -> float:
-    """S~ = 2 pi |j|^2 S."""
-    if S is None:
-        S = twist(system, c)
+def tilde_s(system: SystemDefinition, c: EMValue, S: float) -> float:
+    """S~ = 2 pi |j|^2 S, given the twist S at c."""
     j = to_momentum_chart(system, c)
     return TWO_PI * (j.j1 ** 2 + j.j2 ** 2) * S
 

@@ -235,10 +235,10 @@ def full_return_reference(system, tori):
     if system.name == "champagne":
         section = numerics.EventSpec(
             lambda s: s[0] * s[0] + s[1] * s[1] - s[5],
-            lambda s, f: 2.0 * (s[0] * f[0] + s[1] * f[1]), -1.0, count=2)
+            lambda s, f: 2.0 * (s[0] * f[0] + s[1] * f[1]), count=2)
     else:
         section = numerics.EventSpec(lambda s: s[2] - s[7],
-                                     lambda s, f: f[2], -1.0, count=2)
+                                     lambda s, f: f[2], count=2)
     traj = numerics.integrate_flow(
         lambda s: np.concatenate([system.flow_field(s[:-1]), 0.0 * s[-1:]]),
         np.array(seeds).T, t_max=np.array(budgets),

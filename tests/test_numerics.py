@@ -24,8 +24,9 @@ def amplitude(y):
 
 
 def x_rate(y, f):
-    # dx/dt, the rate of the sections fn(y) = y[0] - level
-    return f[0]
+    # -dx/dt, the rate of the sections fn(y) = level - y[0], which fall
+    # where x rises through the level
+    return -f[0]
 
 
 def one_lane(seed):
@@ -34,9 +35,9 @@ def one_lane(seed):
 
 class TestIntegrateFlow:
     def test_harmonic_first_return(self):
-        # start on the section x = 0 moving upward; the next rising crossing
-        # is one full period later
-        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=1)
+        # start on the section x = 0 moving upward; the next upward crossing
+        # (-x falling through 0) is one full period later
+        ev = EventSpec(lambda y: -y[0], x_rate, count=1)
         traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=10.0,
                               invariant=amplitude, section=ev, tol=1e-12)
         t1 = traj.event_records[0][0][0]
@@ -61,7 +62,7 @@ class TestIntegrateFlow:
     def test_return_event_exists_on_champagne_torus(self, champagne):
         seed = champagne.flow_start(EMValue(0.1, 0.05))
         section = EventSpec(champagne.flow_section_value,
-                            champagne.flow_section_rate, -1.0, count=2)
+                            champagne.flow_section_rate, count=2)
         traj = integrate_flow(champagne.flow_field, seed, t_max=1e3,
                               invariant=champagne.flow_hamiltonian,
                               section=section, tol=1e-10)
@@ -70,17 +71,15 @@ class TestIntegrateFlow:
         assert traj.event_records[0][1][0] < 1e3
 
     def test_event_count_not_reached(self):
-        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=3)
+        ev = EventSpec(lambda y: -y[0], x_rate, count=3)
         traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=8.0,
                               invariant=amplitude, section=ev)
         assert isinstance(traj.errors[0], FlowError)
         assert "exceeded with 1/3" in str(traj.errors[0])
 
-    @pytest.mark.parametrize("kwargs", [dict(direction=0.0, count=1),
-                                        dict(direction=1.0, count=0)])
-    def test_section_needs_a_direction_and_a_count(self, kwargs):
-        with pytest.raises(ValueError, match="direction"):
-            EventSpec(lambda y: y[0], x_rate, **kwargs)
+    def test_section_needs_a_count(self):
+        with pytest.raises(ValueError, match="count"):
+            EventSpec(lambda y: -y[0], x_rate, count=0)
 
     def test_one_seed_is_one_column(self):
         with pytest.raises(ValueError, match="shape"):
@@ -121,7 +120,7 @@ class TestBatchedFlow:
 
         seeds = np.array([[0.0, 0.3, -0.5], [1.0, 0.8, 0.2],
                           [0.0, 0.1, -0.2]])
-        ev = EventSpec(lambda y: y[0] - y[2], x_rate, direction=+1, count=2)
+        ev = EventSpec(lambda y: y[2] - y[0], x_rate, count=2)
         traj = integrate_flow(field, seeds, t_max=[20.0, 20.0, 30.0],
                               invariant=amplitude, section=ev)
         for i in range(3):
@@ -144,8 +143,8 @@ class TestBatchedFlow:
         def field(y):
             return [y[1], -y[0], 0.0 * y[2]]
 
-        ev = EventSpec(lambda y: y[0], lambda y, f: f[0] * (1.0 - y[2]),
-                       direction=+1, count=2)
+        ev = EventSpec(lambda y: -y[0], lambda y, f: -f[0] * (1.0 - y[2]),
+                       count=2)
         traj = integrate_flow(field, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
                               t_max=20.0, invariant=amplitude, section=ev)
         assert traj.errors[0] is None
@@ -156,7 +155,7 @@ class TestBatchedFlow:
         assert traj.event_records[1] == []
 
     def test_budget_is_per_lane(self):
-        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=2)
+        ev = EventSpec(lambda y: -y[0], x_rate, count=2)
         traj = integrate_flow(oscillator, [[0.0, 0.0], [1.0, 1.0]],
                               t_max=[20.0, 8.0], invariant=amplitude,
                               section=ev)
@@ -209,7 +208,7 @@ class TestNonFinite:
     def test_nan_lane_fails_alone(self):
         # a NaN seed makes its step size NaN, which is never "tiny": the
         # lane fails at once and its neighbour lands as it does alone
-        ev = EventSpec(lambda y: y[0], x_rate, direction=+1, count=2)
+        ev = EventSpec(lambda y: -y[0], x_rate, count=2)
         traj = integrate_flow(oscillator, [[math.nan, 0.3], [1.0, 0.8]],
                               t_max=20.0, invariant=amplitude, section=ev)
         alone = integrate_flow(oscillator, one_lane([0.3, 0.8]), t_max=20.0,

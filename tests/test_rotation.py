@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from focusfocus import (AnnulusRegion, ChampagneBottle, EMValue, FitError,
-                        MomentumValue, SphericalPendulum, align_angle,
-                        cross_check, eval_constants, extract_level_curve,
-                        fit_log_spiral, from_momentum_chart, monodromy_index,
-                        rotation_grid, rotation_number, twist)
+from focusfocus import (ChampagneBottle, EMValue, FitError, MomentumValue,
+                        SphericalPendulum, align_angle, cross_check,
+                        eval_constants, extract_level_curve, fit_log_spiral,
+                        from_momentum_chart, monodromy_index, period_lattice,
+                        rotation_grid, to_momentum_chart, transport, twist)
 from focusfocus import lattice, rotation
 from focusfocus.lattice import annulus_sweep, reduced_period_rotation
 from focusfocus.rotation import (LevelCurve, MASK_CORE, MASK_REGULAR,
@@ -19,76 +19,101 @@ from reference_marching_squares import marching_squares
 TWO_PI = 2.0 * math.pi
 
 
+def arcs(system, cs, n=32):
+    """The (h, l) arrays of one path per torus of cs for transport: n tori
+    on the constant-|j| arc from the reference ray arg zeta = 0 towards
+    the torus, then the torus itself.  Carried along it, Theta ends on the
+    principal sheet; the arc steps, at most 2 pi / n, stay far below the
+    wrap guard."""
+    js = [to_momentum_chart(system, c) for c in cs]
+    rho = np.array([[j.modulus] for j in js])
+    th = np.array([[j.angle] for j in js]) * np.arange(n) / n
+    arc = from_momentum_chart(system, MomentumValue(rho * np.cos(th),
+                                                    rho * np.sin(th)))
+    return (np.column_stack([arc.h, [c.h for c in cs]]),
+            np.column_stack([arc.l, [c.l for c in cs]]))
+
+
+def principal_ws(system, cs):
+    """W at each torus of cs on the principal sheet, from one transport
+    call along arcs."""
+    _, theta, _, failed = transport(system, *arcs(system, cs))
+    assert failed == {}
+    return (theta[:, -1] / TWO_PI).tolist()
+
+
 class TestRotationNumber:
     def test_cross_engine(self, champagne):
         c = EMValue(0.1, 0.05)
-        wq = rotation_number(champagne, c)
+        (wq,) = principal_ws(champagne, [c])
         # the flow's per-torus Theta, on the transported sheet
         theta_flow = cross_check(champagne, c)["theta_flow"]
         wf = align_angle(theta_flow, wq * TWO_PI) / TWO_PI
         assert wq == pytest.approx(wf, abs=1e-7)
 
     def test_reflection_antisymmetry(self, champagne0):
-        w_plus = rotation_number(champagne0, EMValue(0.1, 0.05))
-        w_minus = rotation_number(champagne0, EMValue(0.1, -0.05))
+        w_plus, w_minus = principal_ws(
+            champagne0, [EMValue(0.1, 0.05), EMValue(0.1, -0.05)])
         assert w_minus == pytest.approx(-w_plus, abs=1e-9)
 
     def test_anchored_branch(self, champagne):
         c = EMValue(0.05, 0.01)
-        w = rotation_number(champagne, c)
-        w_up = rotation_number(champagne, c, branch_anchor=(c, w + 1.0))
+        (w,) = principal_ws(champagne, [c])
+        w_up = period_lattice(champagne, c,
+                              (w + 1.0) * TWO_PI).rotation_number
         assert w_up == pytest.approx(w + 1.0, abs=1e-12)
 
     def test_eq8_combination_bounded(self, champagne):
         # 2 pi W + A0 ln|j| + arg(zeta) is the smooth remainder of the
         # rotation-number form; its spread over two decades is small
         a0 = eval_constants(champagne).A0
-        vals = []
-        for rho in np.geomspace(1e-4, 1e-3, 4):
-            for th in 0.05 + TWO_PI * np.arange(10) / 10:
-                j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-                w = rotation_number(champagne, from_momentum_chart(champagne, j))
-                vals.append(TWO_PI * w + a0 * math.log(rho) + th)
+        points = [(rho, th) for rho in np.geomspace(1e-4, 1e-3, 4)
+                  for th in 0.05 + TWO_PI * np.arange(10) / 10]
+        ws = principal_ws(champagne, [
+            from_momentum_chart(champagne, MomentumValue(
+                rho * math.cos(th), rho * math.sin(th)))
+            for rho, th in points])
+        vals = [TWO_PI * w + a0 * math.log(rho) + th
+                for w, (rho, th) in zip(ws, points)]
         assert max(vals) - min(vals) < 0.2
 
     def test_principal_sheet_consistency_lower_half(self, pendulum):
         # the pendulum's raw Theta has an extra cut on the negative-j1 ray
         # (south-pole passages); the arc transport must hide it
         rho = 0.05
-        w_hi = rotation_number(pendulum, from_momentum_chart(
-            pendulum, MomentumValue(rho * math.cos(3.0), rho * math.sin(3.0))))
-        w_lo = rotation_number(pendulum, from_momentum_chart(
-            pendulum, MomentumValue(rho * math.cos(3.3), rho * math.sin(3.3))))
+        w_hi, w_lo = principal_ws(pendulum, [
+            from_momentum_chart(pendulum, MomentumValue(
+                rho * math.cos(th), rho * math.sin(th))) for th in (3.0, 3.3)])
         assert abs(w_hi - w_lo) < 0.1
 
 
 class TestRotationGrid:
     def test_deterministic(self, champagne):
-        g1 = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (5, 12))
-        g2 = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (5, 12))
+        g1 = rotation_grid(champagne, (1e-3, 1e-2), (5, 12))
+        g2 = rotation_grid(champagne, (1e-3, 1e-2), (5, 12))
         assert np.array_equal(g1.w, g2.w)
 
     def test_refinement_agrees_at_coincident_nodes(self, champagne):
-        g1 = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (5, 8))
-        g2 = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (9, 16))
+        g1 = rotation_grid(champagne, (1e-3, 1e-2), (5, 8))
+        g2 = rotation_grid(champagne, (1e-3, 1e-2), (9, 16))
         assert np.nanmax(np.abs(g1.w - g2.w[::2, ::2])) <= 1e-7
 
     def test_row_continuity(self, champagne):
-        g = rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (6, 16))
+        g = rotation_grid(champagne, (1e-3, 1e-2), (6, 16))
         steps = np.abs(np.diff(g.w, axis=1))
         assert np.nanmax(steps) < 0.5
 
     def test_masked_fraction_monotone_in_floor(self, champagne):
-        region = AnnulusRegion(1e-4, 1e-2)
+        window = (1e-4, 1e-2)
         fractions = [rotation_grid(dataclasses.replace(champagne, j_floor=f),
-                                   region, (6, 8)).masked_fraction()
+                                   window, (6, 8)).masked_fraction()
                      for f in (1e-5, 5e-4, 3e-3)]
         assert fractions[0] <= fractions[1] <= fractions[2]
         assert fractions[0] == 0.0 and fractions[2] > 0.0
 
     def test_core_mask_code(self, champagne):
         g = rotation_grid(dataclasses.replace(champagne, j_floor=1e-3),
-                          AnnulusRegion(1e-4, 1e-2), (6, 8))
+                          (1e-4, 1e-2), (6, 8))
         assert MASK_CORE in g.mask
         assert np.all(np.isnan(g.w[g.mask != MASK_REGULAR]))
 
@@ -111,7 +136,7 @@ class TestRotationGrid:
         monkeypatch.setattr(type(system), "period_rotation_array",
                             recording_array)
         monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
-        g = rotation_grid(system, AnnulusRegion(1e-6, 1e-2), (12, 16))
+        g = rotation_grid(system, (1e-6, 1e-2), (12, 16))
         assert np.count_nonzero(g.mask == MASK_CORE) == 3 * 16
         h, l = np.array(tori).T
         assert h.size == np.count_nonzero(g.mask != MASK_CORE)
@@ -149,8 +174,7 @@ class TestRotationGrid:
         ln_in = lo + (hi - lo) * start
         ln_out = ln_in + (hi - ln_in) * span
         n_rows = math.ceil((ln_out - ln_in) / 0.5) + 2 + extra_rows
-        g = rotation_grid(system, AnnulusRegion(math.exp(ln_in),
-                                                math.exp(ln_out)),
+        g = rotation_grid(system, (math.exp(ln_in), math.exp(ln_out)),
                           (n_rows, n_angles))
         # a first row at j_floor may round into the core
         assert np.all(g.mask[1:] == MASK_REGULAR)
@@ -161,9 +185,9 @@ class TestRotationGrid:
     def assert_rows_independent(system):
         # each row of a grid equals the one-row grid at its radius: its
         # tori share one array call with the other rows, and nothing else
-        grid = rotation_grid(system, AnnulusRegion(1e-3, 1e-2), (4, 8))
+        grid = rotation_grid(system, (1e-3, 1e-2), (4, 8))
         for i, rho in enumerate(grid.axis0.tolist()):
-            row = rotation_grid(system, AnnulusRegion(rho, rho), (1, 8))
+            row = rotation_grid(system, (rho, rho), (1, 8))
             assert row.axis0[0] == rho
             for name in ("h", "l", "j1", "w", "branch", "mask"):
                 assert np.array_equal(getattr(row, name)[0],
@@ -191,7 +215,7 @@ def test_grid_is_one_array_call_and_twist_one_complex_lane(champagne,
     monkeypatch.setattr(type(champagne), "period_rotation_array",
                         recording_array)
     monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
-    rotation_grid(champagne, AnnulusRegion(1e-3, 1e-2), (3, 7))
+    rotation_grid(champagne, (1e-3, 1e-2), (3, 7))
     assert batches == [(21, "f")] and seen == []
     annulus_sweep(champagne, 1e-3, 1e-2, 2, 5)
     assert batches == [(21, "f"), (10, "f")] and seen == []
@@ -224,7 +248,7 @@ class TestMonodromy:
 
 @pytest.fixture(scope="module")
 def champagne_grid(champagne):
-    return rotation_grid(champagne, AnnulusRegion(1e-4, 1e-2), (24, 48))
+    return rotation_grid(champagne, (1e-4, 1e-2), (24, 48))
 
 
 class TestLevelCurves:
@@ -234,16 +258,16 @@ class TestLevelCurves:
         curve = extract_level_curve(champagne_grid, level)
         # re-evaluate W on the principal sheet at contour points with
         # theta < 2 pi; linear interpolation on this grid is good to ~1e-3
-        checked = 0
+        cs = []
         for lr, th in zip(curve.lnrho[::5], curve.theta[::5]):
             if th >= TWO_PI - 0.05 or th <= 0.05:
                 continue
             rho = math.exp(lr)
             j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-            w = rotation_number(champagne, from_momentum_chart(champagne, j))
+            cs.append(from_momentum_chart(champagne, j))
+        for w in principal_ws(champagne, cs):
             assert w == pytest.approx(level, abs=5e-3)
-            checked += 1
-        assert checked >= 5
+        assert len(cs) >= 5
 
     def test_spiral_winds_monotonically(self, champagne_grid):
         mid = champagne_grid.w[12]
@@ -262,7 +286,7 @@ class TestLevelCurves:
         assert fit.slope_fit == pytest.approx(-a0, rel=0.10)
 
     def test_pendulum_star(self, pendulum):
-        grid = rotation_grid(pendulum, AnnulusRegion(1e-4, 1e-2), (24, 48))
+        grid = rotation_grid(pendulum, (1e-4, 1e-2), (24, 48))
         mid = grid.w[12]
         fit = fit_log_spiral(
             extract_level_curve(grid, float(np.quantile(mid, 0.5))),
@@ -290,7 +314,7 @@ class TestMarchingSquares:
     @pytest.mark.parametrize("name", ["champagne", "pendulum"])
     def test_default_grids(self, name, request, monkeypatch):
         system = request.getfixturevalue(name)
-        grid = rotation_grid(system, AnnulusRegion(1e-4, 1e-2), (32, 64))
+        grid = rotation_grid(system, (1e-4, 1e-2), (32, 64))
         inputs = []
         vectorised = rotation._marching_squares
 
@@ -352,7 +376,7 @@ class TestContourLevels:
 
     def test_masked_mid_row(self, pendulum):
         # |j| beyond the pendulum's cap 0.2 from the mid row on
-        grid = rotation_grid(pendulum, AnnulusRegion(0.1, 0.5), (8, 16))
+        grid = rotation_grid(pendulum, (0.1, 0.5), (8, 16))
         with pytest.raises(FitError, match="mid row 4 .* masked"):
             contour_levels(grid, (0.5,))
 

@@ -8,7 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
                         SystemRejected, TurningPointDegeneracy, WindowError,
-                        eval_constants, integrate_flow, make_system)
+                        acceptance, eval_constants, integrate_flow, lattice,
+                        make_system)
 from focusfocus.systems import SystemDefinition
 from reference_profiles import (champagne_profile, champagne_profile_dr,
                                 pendulum_profile)
@@ -198,6 +199,18 @@ class TestTurningPoints:
         assert z_lo == -1.0
         assert z_hi == pytest.approx(0.9, abs=1e-12)
 
+    def test_pendulum_matches_the_flow_seeds(self):
+        # the seeds the oracle runs solve the cubic by _roots directly:
+        # their z equal the turning points (z1, z2), bit for bit, on C1's
+        # default pendulum tori (drawn after its champagne tori)
+        cfg = acceptance.AcceptanceConfig()
+        champ, _, pend = cfg.systems()
+        rng = np.random.default_rng(cfg.seed)
+        lattice.sample_cross_tori(champ, rng, cfg.n_cross_tori)
+        for c in lattice.sample_cross_tori(pend, rng, cfg.n_cross_tori):
+            z_seed2, z_seed1 = pend.flow_start(c)[2].tolist()
+            assert pend.reduced_profile(c) == (z_seed1, z_seed2)
+
     def test_elliptic_boundary_reported_distinctly(self, champagne0):
         # double root of the l = 0 profile at h = -1/4: elliptic circle
         with pytest.raises(TurningPointDegeneracy):
@@ -260,10 +273,9 @@ def pendulum_list_field(s):
 
 @st.composite
 def states(draw, d):
-    """A state (d,) or a block (d, m) of m in {1, 2, 50} states."""
-    m = draw(st.sampled_from([None, 1, 2, 50]))
-    return draw(arrays(float, d if m is None else (d, m),
-                       elements=st.floats(-2.0, 2.0)))
+    """A block (d, m) of m in {1, 2, 50} states."""
+    m = draw(st.sampled_from([1, 2, 50]))
+    return draw(arrays(float, (d, m), elements=st.floats(-2.0, 2.0)))
 
 
 class TestArrayFlowField:
@@ -285,6 +297,23 @@ class TestArrayFlowField:
             got = pendulum.flow_field(s)
         assert got.shape == s.shape
         assert got.tobytes() == ref.tobytes()
+
+
+class TestBlocksOnly:
+    # the flow callables act column by column: a block (d, m) gives, bit
+    # for bit, what its columns give one (d, 1) block at a time
+    @pytest.mark.parametrize("name", ["champagne", "pendulum"])
+    def test_block_equals_its_columns(self, request, name):
+        system = request.getfixturevalue(name)
+        d = {"champagne": 5, "pendulum": 7}[name]
+        block = np.random.default_rng(3).uniform(-1.0, 1.0, (d, 40))
+        for fn in (system.flow_field, system.flow_section_value,
+                   lambda s: system.flow_section_rate(s, system.flow_field(s)),
+                   system.flow_hamiltonian):
+            columns = [np.asarray(fn(block[:, i:i + 1]), dtype=float)
+                       for i in range(block.shape[1])]
+            got = np.asarray(fn(block), dtype=float)
+            assert got.tobytes() == np.concatenate(columns, axis=-1).tobytes()
 
 
 class TestMakeSystem:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfocus import (AnnulusRegion, BranchError, ChampagneBottle, EMValue,
+from focusfocus import (BranchError, ChampagneBottle, EMValue,
                         MomentumValue, NoTorusError, SphericalPendulum,
                         align_angle, from_momentum_chart, monodromy_index,
                         rotation_grid, transport)
@@ -119,8 +119,7 @@ class TestWrapGuard:
 
     def test_grid_row_raises_rather_than_masks(self):
         with pytest.raises(BranchError):
-            rotation_grid(SYSTEMS["champagne"], AnnulusRegion(1e-3, 1e-2),
-                          (2, 4))
+            rotation_grid(SYSTEMS["champagne"], (1e-3, 1e-2), (2, 4))
 
 
 class TestFailedTori:

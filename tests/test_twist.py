@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
                         MomentumValue, ScanError, SphericalPendulum, cli,
                         eval_constants, expected_twistless_slope,
-                        from_momentum_chart, lattice, rotation_number,
+                        from_momentum_chart, lattice, period_lattice,
                         tilde_s, to_momentum_chart, twist, twist_scan,
                         twistless_curve, twistless_point)
 from focusfocus.twist import SCAN_CAP, _l_window
@@ -80,15 +80,21 @@ class TestTwist:
         # shifting the whole stencil by one sheet leaves S unchanged
         c = EMValue(0.05, 0.02)
         s = twist(champagne, c)
-        w0 = rotation_number(champagne, c)
+        w0 = period_lattice(champagne, c).rotation_number
         dl = max(1e-6, 1e-3 * abs(c.l))
 
         def w_up(lv):
-            return rotation_number(champagne, EMValue(c.h, lv),
-                                   branch_anchor=(c, w0 + 1.0))
+            return period_lattice(champagne, EMValue(c.h, lv),
+                                  (w0 + 1.0) * TWO_PI).rotation_number
         d1 = (w_up(c.l + dl) - w_up(c.l - dl)) / (2 * dl)
         d2 = (w_up(c.l + dl / 2) - w_up(c.l - dl / 2)) / dl
         assert (4 * d2 - d1) / 3 == pytest.approx(s, abs=1e-6)
+
+
+def tilde_s_at(system, j):
+    """S~ at the chart point j, given its twist."""
+    c = from_momentum_chart(system, j)
+    return tilde_s(system, c, twist(system, c))
 
 
 class TestTildeS:
@@ -97,8 +103,7 @@ class TestTildeS:
             vals = []
             for rho in (1e-2, 1e-3, 1e-4):
                 j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-                vals.append(abs(tilde_s(champagne,
-                                        from_momentum_chart(champagne, j))))
+                vals.append(abs(tilde_s_at(champagne, j)))
             assert vals[0] > vals[1] > vals[2]
 
     def test_gradient_at_origin(self, champagne):
@@ -106,8 +111,7 @@ class TestTildeS:
         d = 1e-3
 
         def s_tilde_at(j1, j2):
-            return tilde_s(champagne, from_momentum_chart(
-                champagne, MomentumValue(j1, j2)))
+            return tilde_s_at(champagne, MomentumValue(j1, j2))
 
         g1 = (s_tilde_at(d, 0.0) - s_tilde_at(-d, 0.0)) / (2 * d)
         g2 = (s_tilde_at(0.0, d) - s_tilde_at(0.0, -d)) / (2 * d)
@@ -119,8 +123,7 @@ class TestTildeS:
         d = 1e-3
 
         def s_tilde_at(j1, j2):
-            return tilde_s(pendulum, from_momentum_chart(
-                pendulum, MomentumValue(j1, j2)))
+            return tilde_s_at(pendulum, MomentumValue(j1, j2))
 
         g1 = (s_tilde_at(d, 0.0) - s_tilde_at(-d, 0.0)) / (2 * d)
         g2 = (s_tilde_at(0.0, d) - s_tilde_at(0.0, -d)) / (2 * d)
@@ -136,7 +139,7 @@ class TestTildeS:
         for th in (0.3, 1.8, 3.6, 5.2):
             j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
             lead = (ff.A0 ** 2 - 1.0) * j.j1 - 2.0 * ff.A0 * j.j2
-            val = tilde_s(champagne, from_momentum_chart(champagne, j))
+            val = tilde_s_at(champagne, j)
             assert abs(val - lead) <= bound * abs(lead)
 
 
