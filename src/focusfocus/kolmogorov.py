@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import TWO_PI
-from .lattice import _tori_quadrature, derivatives, fill_rejected
+from .lattice import _tori, derivatives
 from .systems import (EMValue, MomentumValue, SystemDefinition,
                       from_momentum_chart, to_momentum_chart)
 
@@ -63,8 +63,7 @@ def frequency_samples(system: SystemDefinition,
     hessian = _hessian(system, cs)
     h = np.array([c.h for c in cs], dtype=float)
     l = np.array([c.l for c in cs], dtype=float)
-    Ts, thetas, ok = _tori_quadrature(system, h, l)
-    failed = fill_rejected(system, h, l, Ts, thetas, ok)
+    Ts, thetas, _, failed = _tori(system, h, l)
     if failed:
         raise failed[min(failed)]
     out = []

@@ -11,11 +11,11 @@ one return:
   system evaluates with Bulirsch's cel (period_rotation).  One
   torus costs a few microseconds and is accurate to rounding (checked
   against mpmath); the engine keeps its historical name.  A path, a grid
-  and an annulus sweep evaluate their tori in one array call
-  (_tori_quadrature, the systems' period_rotation_array), bit-identical
-  to the one-torus reduced_period_rotation, which takes the lanes the
-  array form rejects (fill_rejected).  On complex (h, l) the array form
-  gives every derivative of T and Theta by a complex step (derivatives);
+  and an annulus sweep evaluate their tori in one array call (the
+  systems' period_rotation_array), bit-identical to the one-torus
+  reduced_period_rotation, which only names the failure of each lane the
+  array form rejects.  On complex (h, l) the array form gives every
+  derivative of T and Theta by a complex step (derivatives);
 * flow (the independent oracle): direct integration of the full vector
   field over half a return, with the azimuth unwrapped as an extra state
   component.  Both systems are reversible: a reversor R (a reflection,
@@ -102,24 +102,39 @@ class PeriodLatticeSample:
     tau2: float
     branch: int
 
-    @property
-    def rotation_number(self) -> float:
-        return self.theta / TWO_PI
 
-
-def _tori_quadrature(system: SystemDefinition, h: np.ndarray, l: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadrature-engine (T, Theta, ok) of the tori (h, l), arrays, real or
+def _tori(system: SystemDefinition, h: np.ndarray, l: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """(T, Theta, ok, failed) of the tori (h, l), flat arrays, real or
     complex, from one call of the system's array closed form: ok marks the
     lanes in the window (real parts) that it accepted, each real one
-    reduced_period_rotation's to the last bit; the others hold NaN."""
+    reduced_period_rotation's to the last bit.  The others hold NaN, and
+    failed maps each of their indices to a FocusFocusError named by
+    reduced_period_rotation at the lane's real parts, whose value is never
+    used: the exception it raises or, where it returns, that the complex
+    step leaves the closed form's domain or that the two forms disagree.
+    Any other exception propagates."""
     T, theta = (np.full(h.shape, np.nan, dtype=h.dtype) for _ in range(2))
     r = system.window_radius(h, l)
     ok = ~((r < system.j_floor) | (r > system.j_cap))   # as check_window
     i = np.flatnonzero(ok)
     if i.size:
         T[i], theta[i], ok[i] = system.period_rotation_array(h[i], l[i])
-    return T, theta, ok
+    failed = {}
+    for k in np.flatnonzero(~ok).tolist():
+        c = EMValue(float(h[k].real), float(l[k].real))
+        try:
+            reduced_period_rotation(system, c)
+        except FocusFocusError as exc:
+            failed[k] = exc
+            continue
+        at = f"(h, l)=({c.h:.4g}, {c.l:.4g})"
+        failed[k] = FocusFocusError(
+            (f"no derivative at {at}: the complex step leaves the closed "
+             "form's domain") if h.dtype.kind == "c" else
+            (f"the array closed form rejects the torus at {at}, which the "
+             "scalar form accepts"))
+    return T, theta, ok, failed
 
 
 def derivatives(system: SystemDefinition, h, l, dh, dl
@@ -133,17 +148,11 @@ def derivatives(system: SystemDefinition, h, l, dh, dl
     l -> 0.  Near the axis, Theta's third-kind term is l times ~ pi/|l|, and
     dTheta loses ~ EPS pi/(|l| |dTheta/dl|) relative.  A lane outside the
     window or rejected by the array form holds NaN, and failed maps its
-    index to the FocusFocusError reduced_period_rotation raises there."""
+    index to the FocusFocusError that names its failure (_tori)."""
     h, l, dh, dl = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (h, l, dh, dl))))
-    T, theta, ok = _tori_quadrature(system, h + 1j * STEP * dh,
-                                    l + 1j * STEP * dl)
-    filled = ok.copy()
-    failed = fill_rejected(system, h, l, T.real, theta.real, filled)
-    for k in np.flatnonzero(filled & ~ok).tolist():
-        failed[k] = FocusFocusError(
-            f"no derivative at (h, l)=({h[k]:.4g}, {l[k]:.4g}): the complex "
-            "step leaves the closed form's domain")
+    T, theta, ok, failed = _tori(system, h + 1j * STEP * dh,
+                                 l + 1j * STEP * dl)
     return (np.where(ok, T.imag / STEP, np.nan),
             np.where(ok, theta.imag / STEP, np.nan), failed)
 
@@ -310,47 +319,27 @@ def period_lattice(system: SystemDefinition, c: EMValue,
         branch=int(round((theta - theta_raw) / TWO_PI)))
 
 
-def fill_rejected(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
-                  T: np.ndarray, raw: np.ndarray, ok: np.ndarray) -> dict:
-    """Complete array results (T, raw Theta, ok) of the tori (h, l): each
-    lane not ok goes through reduced_period_rotation, which fills it in
-    place (and sets ok) or raises the scalar exception.  Returns the failed
-    lanes (index -> FocusFocusError), whose values it leaves as they were;
-    any other exception propagates."""
-    failed = {}
-    for i in np.flatnonzero(~ok).tolist():
-        try:
-            T[i], raw[i] = reduced_period_rotation(
-                system, EMValue(float(h[i]), float(l[i])))
-            ok[i] = True
-        except FocusFocusError as exc:
-            failed[i] = exc
-    return failed
-
-
 def transport(system: SystemDefinition, h, l
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Theta carried continuously along paths of tori.
 
     h and l are arrays of one shape whose last axis runs along a path (a
     1-D array is one path).  All tori are evaluated in one array call
-    (_tori_quadrature), the lanes it rejects by fill_rejected.  Along each
-    path the first torus that evaluates keeps its raw principal Theta
-    (branch 0); each next one moves to the sheet nearest its predecessor,
-    so branch is the cumulative sum of the rounded raw steps.  Returns T,
-    the carried Theta and branch in h's shape, NaN, NaN and 0 where a torus
-    failed, and failed: flat index -> the FocusFocusError that
-    reduced_period_rotation raises there.  A failed torus is skipped as a
-    reference; a torus whose h is NaN is absent: not evaluated, not a
+    (_tori).  Along each path the first torus that evaluates keeps its raw
+    principal Theta (branch 0); each next one moves to the sheet nearest
+    its predecessor, so branch is the cumulative sum of the rounded raw
+    steps.  Returns T, the carried Theta and branch in h's shape, NaN, NaN
+    and 0 where a torus failed, and failed: flat index -> the
+    FocusFocusError that names its failure.  A failed torus is skipped as
+    a reference; a torus whose h is NaN is absent: not evaluated, not a
     reference and not failed.  Raises BranchError when an aligned step
     exceeds MAX_BRANCH_STEP: the path is too coarse to tell its sheet.
     """
     h, l = np.asarray(h, dtype=float), np.asarray(l, dtype=float)
     at = np.flatnonzero(~np.isnan(h))
     h_at, l_at = h.ravel()[at], l.ravel()[at]
-    T_at, raw, ok = _tori_quadrature(system, h_at, l_at)
-    failed = {int(at[k]): exc for k, exc in
-              fill_rejected(system, h_at, l_at, T_at, raw, ok).items()}
+    T_at, raw, ok, failed = _tori(system, h_at, l_at)
+    failed = {int(at[k]): exc for k, exc in failed.items()}
     live, raw = at[ok], raw[ok]
     n = h.shape[-1]
     # live tori in path order; the first of each path anchors it
@@ -462,8 +451,7 @@ def fit_asymptotic_model(samples: PolarTori) -> AsymptoticModel:
     j1, j2 = samples.j1.ravel(), samples.j2.ravel()
     if j1.size < 12:
         raise FitError(f"need >= 12 samples, got {j1.size}")
-    sectors = len({int(MomentumValue(a, b).angle // (TWO_PI / 8))
-                   for a, b in zip(j1.tolist(), j2.tolist())})
+    sectors = np.unique(samples.arg % TWO_PI // (TWO_PI / 8)).size
     if sectors < 8:
         raise FitError(f"samples cover only {sectors}/8 angular sectors")
 

@@ -30,17 +30,17 @@ pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
 serves only the flow oracle.
 
 Each system has two forms of the closed form.  period_rotation takes one
-torus on Python floats (~5 us): reduced_period_rotation, and the lanes
-the array form rejects, use it.  period_rotation_array takes arrays h, l
-(~0.6 us per torus on thousands) and returns T, Theta and an ok mask, False
-where the scalar form raises or a step would leave its domain.  It runs
-the scalar operations in the scalar order (numpy's + - * / sqrt round as
-Python's do), and each lane leaves the Newton and cel loops by compaction
-at the iteration at which its scalar loop stops, so every accepted real
-lane is bit-identical to period_rotation, whatever its batch.  It also
-takes complex h, l: every comparison reads the real parts, so a lane at
-(h + i d, l) or (h, l + i d), d tiny, holds the derivative of T and Theta
-in h or l as its imaginary part over d (lattice.derivatives).
+torus on Python floats (~5 us): reduced_period_rotation uses it.
+period_rotation_array takes arrays h, l (~0.6 us per torus on thousands)
+and returns T, Theta and an ok mask, False where the scalar form raises or
+a step would leave its domain.  It runs the scalar operations in the
+scalar order (numpy's + - * / sqrt round as Python's do), and each lane
+leaves the Newton and cel loops by compaction at the iteration at which
+its scalar loop stops, so every accepted real lane is bit-identical to
+period_rotation, whatever its batch.  It also takes complex h, l: every
+comparison reads the real parts, so a lane at (h + i d, l) or (h, l + i d),
+d tiny, holds the derivative of T and Theta in h or l as its imaginary
+part over d (lattice.derivatives).
 
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable and hashable, so eval_constants memoizes
@@ -58,7 +58,6 @@ from .errors import (FlowError, NoTorusError, SystemRejected,
                      TurningPointDegeneracy, WindowError)
 from .numerics import _lanes
 
-TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
 NEWTON_MAX_ITER = 100
@@ -99,12 +98,6 @@ class MomentumValue:
     @property
     def modulus(self) -> float:
         return math.hypot(self.j1, self.j2)
-
-    @property
-    def angle(self) -> float:
-        """Principal argument in [0, 2 pi), cut on the positive-j1 ray."""
-        th = math.atan2(self.j2, self.j1)
-        return th if th >= 0.0 else th + TWO_PI
 
 
 def _cubic_roots(b: float, c: float, d: float, x0: float,

@@ -13,7 +13,8 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
-from focusfocus import ChampagneBottle, SphericalPendulum, lattice
+from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
+                        SphericalPendulum, lattice)
 
 
 @pytest.fixture(scope="session")
@@ -34,16 +35,27 @@ def pendulum():
 @pytest.fixture
 def scalar_path(monkeypatch):
     """A switch that puts every torus on the scalar path for the rest of
-    the test: no system's array closed form accepts a lane, so each goes
-    through lattice.reduced_period_rotation.  Calling it returns the list
-    of tori that function then receives."""
-    def rejecting(self, h, l):
-        nan = np.full(h.shape, np.nan)
-        return nan, nan.copy(), np.zeros(h.shape, dtype=bool)
+    the test: each system's array closed form is replaced by one that
+    sends each real lane through lattice.reduced_period_rotation, ok where
+    that call returns and rejected where it raises, and rejects every
+    complex lane.  Calling it returns the list of tori that function then
+    receives."""
+    def scalar_lanes(self, h, l):
+        T, theta = np.full((2, h.size), np.nan)
+        ok = np.zeros(h.size, dtype=bool)
+        if h.dtype.kind == "c":
+            return T, theta, ok
+        for i, c in enumerate(map(EMValue, h.tolist(), l.tolist())):
+            try:
+                T[i], theta[i] = lattice.reduced_period_rotation(self, c)
+                ok[i] = True
+            except FocusFocusError:
+                pass
+        return T, theta, ok
 
     def switch() -> list:
         for cls in (ChampagneBottle, SphericalPendulum):
-            monkeypatch.setattr(cls, "period_rotation_array", rejecting)
+            monkeypatch.setattr(cls, "period_rotation_array", scalar_lanes)
         calls = []
         rpr = lattice.reduced_period_rotation
 

@@ -1,5 +1,5 @@
 """The array form of the closed form (period_rotation_array, behind
-lattice._tori_quadrature) against the scalar form, bit for bit: every
+lattice._tori) against the scalar form, bit for bit: every
 accepted lane equals period_rotation, a lane is accepted exactly when the
 scalar form succeeds, a rejected lane raises the scalar exception through
 transport, and no lane depends on its batch."""
@@ -13,7 +13,7 @@ from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
                         MomentumValue, NoTorusError, SphericalPendulum,
                         TurningPointDegeneracy, WindowError,
                         from_momentum_chart, transport)
-from focusfocus.lattice import _tori_quadrature, reduced_period_rotation
+from focusfocus.lattice import _tori, reduced_period_rotation
 from focusfocus.systems import EPS, L_AXIS_TOL
 
 # what the scalar form may raise on a lane the array form must reject
@@ -139,7 +139,7 @@ class TestBitForBit:
         # a rejected one is recorded by transport as the exception, class
         # and message, that the scalar call raises
         system, h, l = batch
-        T, theta, ok = _tori_quadrature(system, h, l)
+        T, theta, ok, _ = _tori(system, h, l)
         for i in range(h.size):
             want = scalar(reduced_period_rotation, system, h[i], l[i])
             if not isinstance(want, Exception):

@@ -44,7 +44,7 @@ from hypothesis import assume, given, settings, strategies as st
 from focusfocus import (ChampagneBottle, EMValue, MomentumValue, NoTorusError,
                         SphericalPendulum, reduced_period_rotation)
 from focusfocus import derivatives, from_momentum_chart
-from focusfocus.lattice import CLOSED_FORM_REL_TOL, _tori_quadrature
+from focusfocus.lattice import CLOSED_FORM_REL_TOL, _tori
 from focusfocus.systems import EPS, L_AXIS_TOL, _cel
 
 # cel's worst relative error against 40-digit Carlson forms, measured on
@@ -280,7 +280,7 @@ def derivative_tori(draw, region):
     c = from_momentum_chart(system, MomentumValue(rho * math.cos(th),
                                                   rho * math.sin(th)))
     # |j| <= j_cap reaches beyond the image at some angles
-    assume(_tori_quadrature(system, np.array([c.h]), np.array([c.l]))[2][0])
+    assume(_tori(system, np.array([c.h]), np.array([c.l]))[2][0])
     return name, c.h, c.l
 
 
@@ -344,7 +344,7 @@ def test_complex_call_accepts_the_real_lanes(data):
     system = SYSTEMS[name]
     scale = data.draw(st.sampled_from([1.0, 0.5, 3.0, 30.0]))
     hs, ls = np.array([h * scale]), np.array([l * scale])
-    _, _, ok = _tori_quadrature(system, hs, ls)
+    _, _, ok, _ = _tori(system, hs, ls)
     _, dtheta, failed = derivatives(system, hs, ls, 1.0, 1.0)
     assert bool(ok[0]) == (not failed) == bool(np.isfinite(dtheta[0]))
 

@@ -345,7 +345,7 @@ class TestPeriodLattice:
         # 2 pi W = tau1 A0 - tau2 holds identically
         ff = eval_constants(champagne)
         samp = period_lattice(champagne, EMValue(0.07, -0.02))
-        lhs = TWO_PI * samp.rotation_number
+        lhs = samp.theta   # 2 pi W
         rhs = samp.tau1 * ff.A0 - samp.tau2
         assert lhs == pytest.approx(rhs, abs=1e-10)
 

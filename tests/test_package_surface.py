@@ -1,10 +1,12 @@
 """Every name the package exports has a user: program code in src/ that
 reads it, or the benchmark under perfbench/, which wraps the functions
-perfbench/tracer.py pins (FUNCTIONS) by name.  A name that only tests
-call is test-only API: move what the tests need into tests/ and delete it.
+perfbench/tracer.py pins (FUNCTIONS) by name; and every property of an
+exported class is read in src/.  A name that only tests call is test-only
+API: move what the tests need into tests/ and delete it.
 """
 import ast
 import importlib.util
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -25,19 +27,24 @@ def load_tracer(monkeypatch):
     return tracer
 
 
-def referenced_names() -> set[str]:
-    """The names src/ reads, as a name or an attribute, outside the
-    package's __init__ (which only re-exports)."""
-    names = set()
+def src_nodes():
+    """Every AST node of src/ outside the package's __init__ (which only
+    re-exports)."""
     for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    return names
+        if path.name != "__init__.py":
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def attribute_reads() -> set[str]:
+    """The names src/ reads as an attribute."""
+    return {node.attr for node in src_nodes()
+            if isinstance(node, ast.Attribute)}
+
+
+def referenced_names() -> set[str]:
+    """The names src/ reads, as a name or an attribute."""
+    return attribute_reads() | {node.id for node in src_nodes()
+                                if isinstance(node, ast.Name)}
 
 
 def test_every_export_has_a_user(monkeypatch):
@@ -47,3 +54,16 @@ def test_every_export_has_a_user(monkeypatch):
                if not isinstance(getattr(focusfocus, name), types.ModuleType)]
     assert exports
     assert [name for name in exports if name not in used] == []
+
+
+def test_every_property_has_a_reader():
+    # a property of an exported class is read as an attribute in src/;
+    # one that only tests read is test-only API, as an export would be
+    read = attribute_reads()
+    properties = sorted(
+        f"{name}.{attr}" for name in focusfocus.__all__
+        if isinstance(cls := getattr(focusfocus, name), type)
+        for attr, value in inspect.getmembers(cls)
+        if isinstance(value, property))
+    assert properties
+    assert [p for p in properties if p.split(".")[1] not in read] == []

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focusfocus import (BranchError, ChampagneBottle, EMValue,
-                        MomentumValue, NoTorusError, SphericalPendulum,
-                        align_angle, from_momentum_chart, monodromy_index,
-                        rotation_grid, transport)
+                        FocusFocusError, MomentumValue, NoTorusError,
+                        SphericalPendulum, align_angle, from_momentum_chart,
+                        monodromy_index, rotation_grid, transport)
+from focusfocus.kolmogorov import frequency_samples
 from focusfocus.lattice import (MAX_BRANCH_STEP, RAY_OFFSET,
                                 reduced_period_rotation)
 
@@ -141,6 +142,33 @@ class TestFailedTori:
         rest = transport(sys_, *arrays(path[:k] + path[k + 1:]))
         assert rest[3] == {}
         assert_carried_without((T, theta, branch), rest, k)
+
+    def test_lane_only_the_array_form_rejects_is_named_not_filled(
+            self, monkeypatch):
+        # torus 2 is a real lane the array form rejects and the scalar form
+        # accepts: the two forms disagree, so transport records it as failed
+        # and frequency_samples raises, where a fill would hide the bug
+        sys_ = SYSTEMS["champagne"]
+        path = circle(sys_, 1e-2, 0.5 + np.arange(5) * 0.1)
+        k = 2
+        array_form = type(sys_).period_rotation_array
+
+        def rejecting_one(self, h, l):
+            T, theta, ok = array_form(self, h, l)
+            hit = (h.real == path[k].h) & (h.dtype.kind == "f")
+            T[hit], theta[hit], ok[hit] = np.nan, np.nan, False
+            return T, theta, ok
+
+        monkeypatch.setattr(type(sys_), "period_rotation_array",
+                            rejecting_one)
+        reduced_period_rotation(sys_, path[k])
+        T, theta, branch, failed = transport(sys_, *arrays(path))
+        assert list(failed) == [k] and type(failed[k]) is FocusFocusError
+        assert "which the scalar form accepts" in str(failed[k])
+        assert np.isnan(T[k]) and np.isnan(theta[k]) and branch[k] == 0
+        with pytest.raises(FocusFocusError,
+                           match=f"^{re.escape(str(failed[k]))}$"):
+            frequency_samples(sys_, path)
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("k", [0, 2, 4])

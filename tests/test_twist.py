@@ -80,12 +80,12 @@ class TestTwist:
         # shifting the whole stencil by one sheet leaves S unchanged
         c = EMValue(0.05, 0.02)
         s = twist(champagne, c)
-        w0 = period_lattice(champagne, c).rotation_number
+        w0 = period_lattice(champagne, c).theta / TWO_PI
         dl = max(1e-6, 1e-3 * abs(c.l))
 
         def w_up(lv):
             return period_lattice(champagne, EMValue(c.h, lv),
-                                  (w0 + 1.0) * TWO_PI).rotation_number
+                                  (w0 + 1.0) * TWO_PI).theta / TWO_PI
         d1 = (w_up(c.l + dl) - w_up(c.l - dl)) / (2 * dl)
         d2 = (w_up(c.l + dl / 2) - w_up(c.l - dl / 2)) / dl
         assert (4 * d2 - d1) / 3 == pytest.approx(s, abs=1e-6)
