@@ -16,8 +16,7 @@ from .systems import (ChampagneBottle, MomentumValue, SphericalPendulum,
                       eval_constants, from_momentum_chart)
 from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, sample_cross_tori)
-from .rotation import (contour_levels, extract_level_curve, fit_log_spiral,
-                       monodromy_index, rotation_grid)
+from .rotation import extract_level_curve, fit_log_spiral, monodromy_index
 from .twist import tilde_s, twistless_curve, twists
 from .kolmogorov import asymptote_sweep, frequency_samples, tau_jacobian
 from .errors import FocusFocusError
@@ -167,19 +166,19 @@ def c5_spirals(cfg: AcceptanceConfig) -> CriterionResult:
         return _insufficient("C5", desc, (1e-4, 1e-2), champ)
     out = {"champagne": [], "pendulum": []}
     ok = True
-    for system, expected, tol_abs, key in (
-            (champ, -eval_constants(champ).A0, None, "champagne"),
-            (pend, 0.0, 0.02, "pendulum")):
-        grid = rotation_grid(system, (1e-4, 1e-2), cfg.grid_resolution)
-        for level in contour_levels(grid, (0.3, 0.5, 0.7)):
-            fit = fit_log_spiral(extract_level_curve(grid, level), expected)
+    for system, key in ((champ, "champagne"), (pend, "pendulum")):
+        ff = eval_constants(system)
+        # at omega = 0 the spiral is a star: 10% of a 0 pitch is no bound
+        expected, tol = ((-ff.A0, 0.10 * abs(ff.A0)) if ff.omega
+                         else (0.0, 0.02))
+        for curve in extract_level_curve(system, (1e-4, 1e-2),
+                                         cfg.grid_resolution,
+                                         (0.3, 0.5, 0.7)):
+            fit = fit_log_spiral(curve, expected)
             out[key].append({"level": fit.level, "slope": fit.slope_fit,
                              "expected": expected,
                              "residual": fit.residual})
-            if tol_abs is None:
-                ok &= abs(fit.slope_fit - expected) <= 0.10 * abs(expected)
-            else:
-                ok &= abs(fit.slope_fit - expected) <= tol_abs
+            ok &= abs(fit.slope_fit - expected) <= tol
     return CriterionResult("C5", desc, "pass" if ok else "fail", out)
 
 

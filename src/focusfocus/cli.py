@@ -22,6 +22,9 @@ the benchmark harness, perfbench/run.py, which passes --jobs 1 to all.
     crosscheck  system, param.NAME, window, n_tori, seed, tol.cross
     report      param.gamma, window, res, n_tori, seed
 
+res: a grid's radii and angles; for spiral (and C5), each traced curve's
+radii and the angles of the mid ring, whose W quantiles are the levels.
+
 Exit codes: 0 success, 1 configuration error, 2 acceptance failure,
 3 numerical total failure.
 """
@@ -42,8 +45,8 @@ from .errors import FocusFocusError, ScanError
 from .systems import eval_constants, make_system
 from .lattice import CROSS_TOL, cross_checks, sample_cross_tori
 from .rotation import (MASK_CORE, MASK_REGULAR, MIN_LOOP_POINTS,
-                       contour_levels, extract_level_curve, fit_log_spiral,
-                       monodromy_loop, rotation_grid)
+                       extract_level_curve, fit_log_spiral, monodromy_loop,
+                       rotation_grid)
 from .twist import expected_twistless_slope, twistless_curve
 from .kolmogorov import asymptote_sweep
 from .acceptance import RNG_SEED, AcceptanceConfig, run_all
@@ -120,10 +123,10 @@ KEYS = {
                   lambda w: 0 < w[0] < w[1], "0 < RIN < ROUT"),
     # a row of 4 angles steps Theta by 0.5 pi + O(|j|), which the wrap
     # guard of lattice.transport (MAX_BRANCH_STEP = 0.5 pi) rejects
-    "res": Key(_numbers(int, 2), "N_R,N_THETA", "grid radii and angles",
+    "res": Key(_numbers(int, 2), "N_R,N_THETA", "radii and angles",
                lambda r: r[0] >= 2 and r[1] >= 5, "N_R >= 2, N_THETA >= 5"),
     "levels": Key(_numbers(_float), "Q1,Q2,...",
-                  "contour levels, as quantiles of the mid-row W",
+                  "contour levels, as quantiles of the mid-ring W",
                   lambda qs: all(0 <= q <= 1 for q in qs), "in [0, 1]"),
     "radius": Key(_float, "R", "|j| of the monodromy loop", lambda r: r > 0,
                   "> 0"),
@@ -301,11 +304,10 @@ def cmd_grid(cfg: dict) -> int:
 def cmd_spiral(cfg: dict) -> int:
     system = build_system(cfg)
     ff = eval_constants(system)
-    grid = rotation_grid(system, cfg["window"], cfg["res"])
     fits = []
     rows = []
-    for level in contour_levels(grid, cfg["levels"]):
-        curve = extract_level_curve(grid, level)
+    for curve in extract_level_curve(system, cfg["window"], cfg["res"],
+                                     cfg["levels"]):
         fit = fit_log_spiral(curve, -ff.A0)
         fits.append({"level": fit.level, "slope_fit": fit.slope_fit,
                      "expected_slope": fit.expected_slope,
@@ -313,7 +315,7 @@ def cmd_spiral(cfg: dict) -> int:
                      "partial": curve.touches_boundary})
         for (lr, th), (j1, j2) in zip(zip(curve.lnrho, curve.theta),
                                       curve.j_points):
-            rows.append((level, lr, th, j1, j2))
+            rows.append((curve.level, lr, th, j1, j2))
     out = Path(cfg["out"])
     write_csv(out / "contours.csv", ["level", "ln_rho", "theta", "j1", "j2"],
               rows)

@@ -4,11 +4,12 @@ W = Theta / 2 pi on the principal sheet anchored at the positive-j1 ray
 (arg zeta = 0).  Every path here is carried by lattice.transport: a grid
 row along its circle from RAY_OFFSET, and the monodromy loop once around
 the critical value.  A grid's rows are the paths of one transport call.
-Level sets of W are extracted in the (ln rho, theta) plane by marching
-squares, its cell pass on arrays, at levels taken as quantiles of the
-grid's mid row (contour_levels), and compared against the predicted
-logarithmic spiral pitch d theta / d ln rho = -omega/alpha (a star, slope
-0, in the degenerate omega = 0 case).
+Level curves of W, at levels taken as quantiles of W on a mid ring (one
+grid row), are traced exactly: each starts on the predicted logarithmic
+spiral, theta = theta0 - (omega/alpha) ln rho, and Newton in theta moves
+its points onto the level, all in lockstep (extract_level_curve).  Their
+fitted pitch d theta / d ln rho is compared against -omega/alpha (a star,
+slope 0, in the degenerate omega = 0 case).
 """
 from __future__ import annotations
 
@@ -17,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, FocusFocusError
 from .numerics import TWO_PI, linear_quantiles
-from .lattice import RAY_OFFSET, PolarTori, polar_tori, transport
-from .systems import SystemDefinition, from_momentum_chart, polar
+from .lattice import (RAY_OFFSET, STEP, PolarTori, _tori, polar_tori,
+                      transport)
+from .systems import (MomentumValue, SystemDefinition, from_momentum_chart,
+                      polar)
 
 MASK_REGULAR = 0
 MASK_CORE = 1        # below the |j| floor: too close to the singular fiber
@@ -29,8 +32,10 @@ MASK_FAILED = 2
 # fewest loop points for which branch transport around the monodromy loop
 # stays below the wrap guard
 MIN_LOOP_POINTS = 64
-# the angular extension of a grid past 2 pi in extract_level_curve
-EXTEND_ANGLE = 2.2
+# a traced point has settled once its Newton step in theta is below
+# SETTLE: the predictor misses by 2.4e-4 at most, and 3-4 rounds settle it
+SETTLE = 1e-12
+MAX_ROUNDS = 8
 
 
 # --------------------------------------------------------------------------
@@ -39,8 +44,6 @@ EXTEND_ANGLE = 2.2
 
 @dataclass
 class RotationGrid:
-    axis0: np.ndarray         # radii
-    axis1: np.ndarray         # angles, from RAY_OFFSET
     h: np.ndarray             # (n0, n1) tori (h, l), relative to the
     l: np.ndarray             # critical value; l is also the chart's j2
     j1: np.ndarray            # momentum chart j1
@@ -77,8 +80,7 @@ def rotation_grid(system: SystemDefinition, window: tuple[float, float],
     mask.flat[list(failed)] = MASK_FAILED
     dead = np.isin(np.arange(n0) * n1, list(failed))   # row anchor failed
     mask[dead], w[dead], br[dead] = MASK_FAILED, np.nan, 0
-    return RotationGrid(axis0=radii, axis1=angles, h=c.h, l=c.l, j1=j.j1, w=w,
-                        branch=br, mask=mask)
+    return RotationGrid(h=c.h, l=c.l, j1=j.j1, w=w, branch=br, mask=mask)
 
 
 # --------------------------------------------------------------------------
@@ -115,7 +117,8 @@ def monodromy_index(system: SystemDefinition, radius: float,
 
 @dataclass
 class LevelCurve:
-    """Contour polyline of a W level on one branch sheet."""
+    """A traced W level curve: its points (ln rho, theta) in radius order,
+    and touches_boundary when a radius lost its point (partial)."""
     level: float
     lnrho: np.ndarray
     theta: np.ndarray
@@ -128,137 +131,58 @@ class LevelCurve:
                                 rho * np.sin(self.theta)])
 
 
-# corner e of cell (i, k) sits at (x[i + _DI[e]], y[k + _DK[e]]); edge e runs
-# from corner e to corner e + 1 (mod 4)
-_DI = np.array([0, 0, 1, 1])
-_DK = np.array([0, 1, 1, 0])
-
-
-def _marching_squares(x: np.ndarray, y: np.ndarray, z: np.ndarray,
-                      level: float) -> list[np.ndarray]:
-    """Contours of z(x, y) on a rectangular grid by marching squares with
-    linear interpolation; NaN cells are skipped.  Returns chained polylines
-    as arrays of (x, y) vertices.
-
-    The cell pass runs on arrays: the crossing edges of every cell, in
-    row-major cell order and edge order within a cell, are interpolated at
-    once.  A saddle cell (four crossings) is split by its centre value.
+def extract_level_curve(system: SystemDefinition, window: tuple[float, float],
+                        resolution: tuple[int, int], qs) -> list[LevelCurve]:
+    """The W level curves at the quantiles qs of W on the mid ring (the
+    grid row at the middle radius; a failed torus on it raises FitError),
+    traced at the radii geomspace(*window, n_r) by predictor-corrector
+    continuation (Allgower and Georg, SIAM 2003); resolution = (n_r,
+    n_theta).  Each curve is predicted on the spiral theta0 - (omega/alpha)
+    ln(rho/rho_mid) from its level's crossing of the ring, and Newton in
+    theta corrects all points in lockstep, one complex call per round: the
+    lane (h + i STEP dh/dtheta, l + i STEP dl/dtheta) gives Theta, on the
+    sheet nearest 2 pi W, and Im/STEP = dTheta/dtheta.  A point whose torus
+    fails, or not settled (SETTLE) in MAX_ROUNDS, is dropped: partial.
     """
-    v = np.stack([z[:-1, :-1], z[:-1, 1:], z[1:, 1:], z[1:, :-1]], axis=-1)
-    above = v >= level
-    n_above = np.count_nonzero(above, axis=-1)
-    ci, ck = np.nonzero(~np.isnan(v).any(axis=-1)
-                        & (n_above > 0) & (n_above < 4))
-    v, above = v[ci, ck], above[ci, ck]
-    cell, e1 = np.nonzero(above != np.roll(above, -1, axis=1))
-    e2 = (e1 + 1) % 4
-    v1 = v[cell, e1]
-    t = (level - v1) / (v[cell, e2] - v1)
-    x1, y1 = x[ci[cell] + _DI[e1]], y[ck[cell] + _DK[e1]]
-    px = x1 + t * (x[ci[cell] + _DI[e2]] - x1)
-    py = y1 + t * (y[ck[cell] + _DK[e2]] - y1)
-    # each cell's points start at s; two make one segment, four a saddle
-    # pair (0, 3) + (1, 2) when the centre sides with corner 0, else
-    # (0, 1) + (2, 3)
-    count = np.bincount(cell, minlength=len(ci))
-    s = np.cumsum(count) - count
-    saddle = count == 4
-    vc = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0
-    by_corner0 = saddle & ((vc >= level) == above[:, 0])
-    first = np.column_stack([s, np.where(by_corner0, s + 3, s + 1)])
-    second = np.column_stack([np.where(by_corner0, s + 1, s + 2),
-                              np.where(by_corner0, s + 2, s + 3)])
-    pairs = np.stack([first, second], axis=1)[
-        np.column_stack([np.ones_like(saddle), saddle])]
-    # endpoints meet where they agree to 12 decimals; np.round on the array
-    # rounds each point as round(np.float64, 12) would
-    keys = list(zip(np.round(px, 12).tolist(), np.round(py, 12).tolist()))
-    return [np.column_stack([px[c], py[c]])
-            for c in _chain(pairs.tolist(), keys)]
+    n_r, n_theta = resolution
+    radii = np.geomspace(*window, n_r)
+    rho_mid = float(radii[n_r // 2])
+    angles = RAY_OFFSET + TWO_PI * np.arange(n_theta) / n_theta
+    try:
+        ring = polar_tori(system, rho_mid, angles)
+    except FocusFocusError as exc:
+        raise FitError(f"the mid ring, |j| = {rho_mid:.4g}, fails: {exc}; "
+                       "no contour levels") from exc
+    w = ring.theta[0] / TWO_PI
+    levels = np.array(linear_quantiles(w, qs))
+    # the first ring step that brackets each level: a quantile lies
+    # between the least and the largest W, so one does
+    a, b, lv = w[:-1], w[1:], levels[:, None]
+    k = np.argmax((np.minimum(a, b) <= lv) & (lv <= np.maximum(a, b)), axis=1)
+    theta0 = angles[k] + (levels - a[k]) / (b[k] - a[k]) * (TWO_PI / n_theta)
 
-
-def _chain(segs: list[list[int]], keys: list[tuple]) -> list[list[int]]:
-    """Chain segments (pairs of point indices) into polylines (lists of
-    point indices) by shared endpoints: points with equal keys."""
-    adj: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(segs):
-        adj.setdefault(keys[a], []).append(idx)
-        adj.setdefault(keys[b], []).append(idx)
-
-    used = [False] * len(segs)
-    polylines = []
-    for start in range(len(segs)):
-        if used[start]:
-            continue
-        used[start] = True
-        a, b = segs[start]
-        chain = [a, b]
-        for endpoint_idx in (0, 1):
-            while True:
-                tip = keys[chain[-1] if endpoint_idx == 0 else chain[0]]
-                cands = [i for i in adj.get(tip, []) if not used[i]]
-                if not cands:
-                    break
-                i = cands[0]
-                used[i] = True
-                pa, pb = segs[i]
-                nxt = pb if keys[pa] == tip else pa
-                if endpoint_idx == 0:
-                    chain.append(nxt)
-                else:
-                    chain.insert(0, nxt)
-        polylines.append(chain)
-    return polylines
-
-
-def contour_levels(grid: RotationGrid, qs) -> list[float]:
-    """W levels at the quantiles qs of the grid's mid row (numpy's 'linear'
-    rule).  Raises FitError when the mid row holds a masked torus: its W is
-    NaN there, so it has no quantiles."""
-    row = len(grid.axis0) // 2
-    masked = np.count_nonzero(grid.mask[row] != MASK_REGULAR)
-    if masked:
-        raise FitError(f"mid row {row} of the grid (|j| = "
-                       f"{grid.axis0[row]:.4g}) holds {masked} masked "
-                       "tori: no contour levels")
-    return linear_quantiles(grid.w[row], qs)
-
-
-def extract_level_curve(grid: RotationGrid, level: float) -> LevelCurve:
-    """Longest contour polyline of W = level on a rotation grid.
-
-    The angular axis is extended by EXTEND_ANGLE past 2 pi using the
-    tracked continuation W(theta + 2 pi) = W(theta) - 1, so spirals cross
-    the reference-ray seam seamlessly while staying on a single sheet of
-    the tracked surface.
-    """
-    lnr = np.log(grid.axis0)
-    th = np.asarray(grid.axis1)
-    w = grid.w.copy()
-    w[grid.mask != MASK_REGULAR] = np.nan
-
-    n_ext = int(np.ceil(EXTEND_ANGLE / (th[1] - th[0])))
-    n_ext = min(n_ext, len(th))
-    th_ext = np.concatenate([th, th[:n_ext] + TWO_PI])
-    w_ext = np.hstack([w, w[:, :n_ext] - 1.0])
-
-    polylines = _marching_squares(lnr, th_ext, w_ext, level)
-    if not polylines:
-        raise FitError(f"level W={level:.6g} not attained on the grid")
-    best = max(polylines, key=len)
-    lnrho, theta = best[:, 0], best[:, 1]
-
-    touches = False
-    nan_mask = np.isnan(w_ext)
-    if nan_mask.any():
-        for lr, tt in zip(lnrho, theta):
-            i = int(np.clip(np.searchsorted(lnr, lr), 1, len(lnr) - 1))
-            k = int(np.clip(np.searchsorted(th_ext, tt), 1, len(th_ext) - 1))
-            if nan_mask[i - 1:i + 1, k - 1:k + 1].any():
-                touches = True
-                break
-    return LevelCurve(level=level, lnrho=lnrho, theta=theta,
-                      touches_boundary=touches)
+    lnrho = np.log(radii)
+    theta = (theta0[:, None] - system.constants().A0
+             * (lnrho - math.log(rho_mid))).ravel()
+    rho = np.tile(radii, len(levels))
+    target = np.repeat(TWO_PI * levels, n_r)
+    for _ in range(MAX_ROUNDS):
+        j = MomentumValue(rho * np.cos(theta), rho * np.sin(theta))
+        c = from_momentum_chart(system, j)
+        dc = from_momentum_chart(system, MomentumValue(-j.j2, j.j1))
+        _, big, ok, _ = _tori(system, c.h + 1j * STEP * dc.h,
+                              c.l + 1j * STEP * dc.l)
+        miss = big.real - target
+        miss -= TWO_PI * np.round(miss / TWO_PI)
+        step = np.where(ok, miss / (big.imag / STEP), 0.0)
+        theta -= step
+        settled = ok & (np.abs(step) <= SETTLE)
+        if np.all(settled | ~ok):
+            break
+    keep = settled.reshape(len(levels), n_r)
+    return [LevelCurve(level=float(level), lnrho=lnrho[row], theta=th[row],
+                       touches_boundary=not row.all())
+            for level, th, row in zip(levels, theta.reshape(keep.shape), keep)]
 
 
 @dataclass
@@ -268,8 +192,6 @@ class SpiralFit:
     expected_slope: float     # -omega/alpha
     residual: float
     n_points: int
-    rho_span_decades: float
-    theta_span: float
 
 
 def fit_log_spiral(curve: LevelCurve, expected_slope: float) -> SpiralFit:
@@ -288,5 +210,4 @@ def fit_log_spiral(curve: LevelCurve, expected_slope: float) -> SpiralFit:
     resid = float(np.sqrt(np.mean((np.polyval(coef, lnr) - th) ** 2)))
     return SpiralFit(level=curve.level, slope_fit=float(coef[0]),
                      expected_slope=expected_slope, residual=resid,
-                     n_points=len(lnr), rho_span_decades=rho_span,
-                     theta_span=th_span)
+                     n_points=len(lnr))

@@ -67,39 +67,47 @@ def tilde_s(system: SystemDefinition, c: EMValue, S: float) -> float:
 # twistless torus per energy
 # --------------------------------------------------------------------------
 
-def _l_window(system: SystemDefinition, h: float, j_cap: float) -> float:
-    """Largest l >= 0 with |j(h, l)| <= j_cap (|j| of to_momentum_chart),
-    or 0.0 where no l >= 0 has it.  The larger root of the quadratic |j|^2
-    = j_cap^2 in l is within an ulp or two of it, but near a double root
-    (|h| ~ alpha j_cap, omega = 0) many ulps off; so steps doubling from an
-    ulp of the root bracket the last l inside, and a bisection ends there.
-    """
+def _l_window(system: SystemDefinition, h: float, j_cap: float
+              ) -> tuple[float, float] | None:
+    """The scan window (l_lo, l_hi) of C_h, its least and largest l with
+    |j(h, l)| <= j_cap (|j| of to_momentum_chart), or None where even the
+    least |j| on C_h is above: at omega != 0 |j| is not even in l, so each
+    side has its own end.  A root of the quadratic |j|^2 = j_cap^2 in l is
+    within an ulp or two of it, but near a double root (|h| ~ alpha j_cap,
+    omega = 0) many ulps off; so steps doubling from an ulp of the root
+    bracket the last l inside, and a bisection ends there."""
     ff = system.constants()
     a2 = ff.alpha * ff.alpha + ff.omega * ff.omega
     # (alpha^2 + omega^2) l^2 - 2 h omega l + h^2 - alpha^2 j_cap^2 = 0 has
     # discriminant 4 alpha^2 disc; at disc < 0, start at the least |j|
     disc = max(0.0, a2 * j_cap * j_cap - h * h)
+    least = h * ff.omega / a2
 
     def inside(l: float) -> bool:
         return to_momentum_chart(system, EMValue(h, l)).modulus <= j_cap
 
-    lo = hi = max(0.0, (h * ff.omega + ff.alpha * math.sqrt(disc)) / a2)
-    step = math.ulp(lo)
-    while not inside(lo):
-        if lo == 0.0:
-            return 0.0
-        hi, lo, step = lo, max(0.0, lo - step), 2.0 * step
-    while inside(hi):
-        lo, hi, step = hi, hi + step, 2.0 * step
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if inside(mid) else (lo, mid)
-    return lo
+    if not inside(least):
+        return None
+    ends = []
+    for side in (-1.0, 1.0):
+        # in u = side l, from the root on this side; u never passes least
+        floor = side * least
+        lo = hi = (side * h * ff.omega + ff.alpha * math.sqrt(disc)) / a2
+        step = math.ulp(lo)
+        while not inside(side * lo):
+            hi, lo, step = lo, max(floor, lo - step), 2.0 * step
+        while inside(side * hi):
+            lo, hi, step = hi, hi + step, 2.0 * step
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if inside(side * mid) else (lo, mid)
+        ends.append(side * lo)
+    return ends[0], ends[1]
 
 
 def _no_window(h: float, cap: float) -> ScanError:
     """The failure at an energy whose scan window _l_window leaves empty."""
-    return ScanError(f"no twistless torus on C_h, h={h:.6g}: every l >= 0 "
-                     f"puts |j| above the scan cap {cap:.3g}")
+    return ScanError(f"no twistless torus on C_h, h={h:.6g}: every l puts "
+                     f"|j| above the scan cap {cap:.3g}")
 
 
 def _twistless_roots(system: SystemDefinition,
@@ -137,10 +145,10 @@ def _twistless_roots(system: SystemDefinition,
 
     out: list = [None] * len(jobs)
     brent = {}   # job -> Brent's generator for its root
-    for r, ((h, (_, l_hi)), found) in enumerate(zip(jobs, brackets)):
+    for r, ((h, (l_lo, l_hi)), found) in enumerate(zip(jobs, brackets)):
         if not found:
             out[r] = ScanError(f"no twistless torus on C_h, h={h:.6g}, "
-                               f"within |l| <= {l_hi:.3g}")
+                               f"within {l_lo:.3g} <= l <= {l_hi:.3g}")
         elif len(found) > 1:
             out[r] = ScanError(f"{len(found)} sign changes of S on C_h, "
                                f"h={h:.6g}: window too large")
@@ -177,9 +185,8 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
         raise ValueError("h must be nonzero")
     if l_range is None:
         cap = min(SCAN_CAP, system.j_cap)
-        if (lmax := _l_window(system, h, cap)) == 0.0:
+        if (l_range := _l_window(system, h, cap)) is None:
             raise _no_window(h, cap)
-        l_range = (-lmax, lmax)
     (root,) = _twistless_roots(system, [(h, l_range)], n_scan)
     if isinstance(root, ScanError):
         raise root
@@ -242,10 +249,11 @@ def twistless_curve(system: SystemDefinition,
     cap = min(SCAN_CAP, system.j_cap)
     windows = []   # the l ranges scanned at each energy: half-axes at omega = 0
     for h in energies:
-        lmax = _l_window(system, h, cap) if h != 0.0 else 0.0
-        windows.append(() if lmax == 0.0 else
-                       ((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax))
-                       if degenerate else ((-lmax, lmax),))
+        window = _l_window(system, h, cap) if h != 0.0 else None
+        windows.append(() if window is None else
+                       ((1e-4 * window[1], window[1]),
+                        (window[0], 1e-4 * window[0]))
+                       if degenerate else (window,))
     roots = iter(_twistless_roots(system, [
         (h, rng) for h, rngs in zip(energies, windows) for rng in rngs]))
 

@@ -13,7 +13,6 @@ import pytest
 from focusfocus import (acceptance, align_angle, cli, eval_constants, lattice,
                         make_system, rotation)
 from focusfocus.systems import MomentumValue, from_momentum_chart
-from reference_marching_squares import marching_squares
 
 # tolerance names no subcommand reads; only "cross" is a known key
 UNREAD_TOL_KEYS = ["quad_rel", "flow_rtol", "energy_drift", "root_xtol",
@@ -581,13 +580,13 @@ class TestExitCodes:
                        "excluded\n")
 
     def test_twistless_energy_without_a_scan_window(self, tmp_path, capsys):
-        # at h = 0.5 every l >= 0 puts |j| above the scan cap 0.2
+        # at h = 0.5 every l puts |j| above the scan cap 0.2
         rc, err = run(capsys, "twistless", "--h-values", "0.5",
                       "--out", str(tmp_path))
         assert rc == cli.EXIT_NUMERICAL
         assert err == ("numerical failure: tangent fit needs >= 4 twistless "
                        "samples, got 0; the first failure at h=0.5: no "
-                       "twistless torus on C_h, h=0.5: every l >= 0 puts "
+                       "twistless torus on C_h, h=0.5: every l puts "
                        "|j| above the scan cap 0.2\n")
 
     def test_window_bound_printed_at_full_precision(self, tmp_path, capsys):
@@ -618,12 +617,24 @@ class TestExitCodes:
         assert doc["failures"] == 3
 
     def test_spiral_with_a_masked_mid_row(self, tmp_path, capsys):
-        # |j| beyond the pendulum's cap 0.2 masks the grid's mid row
+        # |j| beyond the pendulum's cap 0.2 fails the mid ring, whose W
+        # gives the levels
         rc, err = run(capsys, "spiral", "--system", "pendulum",
                       "--window", "0.1,0.5", "--out", str(tmp_path))
         assert rc == cli.EXIT_NUMERICAL
-        assert "mid row 16 of the grid" in err and "masked" in err
-        assert "nan" not in err and "Traceback" not in err
+        assert err == ("numerical failure: the mid ring, |j| = 0.2295, "
+                       "fails: |j|=0.22948732935908364 above cap "
+                       "0.20000000000000001; no contour levels\n")
+
+    def test_spiral_below_the_floor_is_partial(self, tmp_path, capsys):
+        # the radii below the floor 1e-5 lose their points: the curves
+        # are partial, and their fits still run
+        rc, err = run(capsys, "spiral", "--window", "1e-6,1e-2",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK, err
+        doc = json.loads((tmp_path / "spiral_summary.json").read_text())
+        assert [(f["partial"], f["n_points"]) for f in doc["fits"]] \
+            == [(True, 24)] * 3
 
     def test_kolmogorov_past_the_window_cap(self, tmp_path, capsys):
         # the champagne bottle's cap is |j| = 0.3
@@ -687,7 +698,7 @@ def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
     assert rc == cli.EXIT_OK and flow_modules == []
 
 
-def default_outputs(root, capsys, commands=("grid", "spiral", "monodromy")):
+def default_outputs(root, capsys, commands=("grid", "monodromy")):
     """The files the commands write on both systems at defaults, JSON
     summaries without their config (it holds the path)."""
     out = {}
@@ -708,17 +719,16 @@ def default_outputs(root, capsys, commands=("grid", "spiral", "monodromy")):
 
 
 def test_outputs_byte_identical_on_the_scalar_path(tmp_path, capsys,
-                                                   monkeypatch, scalar_path):
-    # the array closed form and the array cell pass against every torus
-    # through the scalar closed form and the cell-loop marching squares
+                                                   scalar_path):
+    # the array closed form against every torus through the scalar closed
+    # form (spiral's Newton rounds are complex lanes, which it cannot take)
     shipped = default_outputs(tmp_path / "shipped", capsys)
     scalar_calls = scalar_path()
-    monkeypatch.setattr(rotation, "_marching_squares", marching_squares)
     scalar = default_outputs(tmp_path / "scalar", capsys)
-    # two 32 x 64 grids per system, and a 257-torus loop
-    assert len(scalar_calls) == 2 * (2 * 32 * 64 + 257)
+    # a 32 x 64 grid per system, and a 257-torus loop
+    assert len(scalar_calls) == 2 * (32 * 64 + 257)
     assert sorted(shipped) == sorted(scalar)
-    assert sum(name.endswith(".csv") for name in shipped) == 6
+    assert sum(name.endswith(".csv") for name in shipped) == 4
     for name in shipped:
         assert shipped[name] == scalar[name], name
 
@@ -780,7 +790,9 @@ def test_report_at_gamma_zero_fails_without_a_traceback(tmp_path, capsys):
     doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     status = {c["id"]: c["status"] for c in doc["criteria"]}
     assert status.pop("C6") == "fail"
-    status.pop("C5")    # its slope tolerance, 10% of 0, is 0 here
+    # C5 judges the champagne bottle at omega = 0 by the star bound
     assert set(status.values()) == {"pass"}
+    c5 = next(c for c in doc["criteria"] if c["id"] == "C5")
+    assert {fit["expected"] for fit in c5["details"]["champagne"]} == {0.0}
     c6 = next(c for c in doc["criteria"] if c["id"] == "C6")
     assert "no loxodromic tangent at omega = 0" in c6["details"]["error"]

@@ -1,8 +1,9 @@
 """Every name the package exports has a user: program code in src/ that
 reads it, or the benchmark under perfbench/, which wraps the functions
-perfbench/tracer.py pins (FUNCTIONS) by name; and every property of an
-exported class is read in src/.  A name that only tests call is test-only
-API: move what the tests need into tests/ and delete it.
+perfbench/tracer.py pins (FUNCTIONS) by name; every property of an
+exported class and every module-level private name is read in src/.  A
+name that only tests call is test-only API: move what the tests need into
+tests/ and delete it.
 """
 import ast
 import importlib.util
@@ -67,3 +68,36 @@ def test_every_property_has_a_reader():
         if isinstance(value, property))
     assert properties
     assert [p for p in properties if p.split(".")[1] not in read] == []
+
+
+def module_private_names() -> list[str]:
+    """The private names (one leading underscore) each module of src/
+    binds at module level: its functions, classes and assignments."""
+    names = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                bound = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            names += [f"{path.stem}.{name}" for name in bound
+                      if name.startswith("_") and not name.startswith("__")]
+    return sorted(names)
+
+
+def test_every_private_name_has_a_reader():
+    # a module-level helper or constant is read (loaded as a name or an
+    # attribute) somewhere in src/; one that only tests read is dead code
+    read = {node.id for node in src_nodes() if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in src_nodes()
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    names = module_private_names()
+    assert names
+    assert [n for n in names if n.partition(".")[2] not in read] == []

@@ -11,10 +11,9 @@ from focusfocus import (ChampagneBottle, EMValue, FitError, MomentumValue,
                         from_momentum_chart, monodromy_index, period_lattice,
                         rotation_grid, to_momentum_chart, transport, twist)
 from focusfocus import lattice, rotation
-from focusfocus.lattice import annulus_sweep, reduced_period_rotation
-from focusfocus.rotation import (LevelCurve, MASK_CORE, MASK_REGULAR,
-                                 contour_levels)
-from reference_marching_squares import marching_squares
+from focusfocus.lattice import (RAY_OFFSET, annulus_sweep,
+                                reduced_period_rotation)
+from focusfocus.rotation import LevelCurve, MASK_CORE, MASK_REGULAR
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,9 +186,8 @@ class TestRotationGrid:
         # each row of a grid equals the one-row grid at its radius: its
         # tori share one array call with the other rows, and nothing else
         grid = rotation_grid(system, (1e-3, 1e-2), (4, 8))
-        for i, rho in enumerate(grid.axis0.tolist()):
+        for i, rho in enumerate(np.geomspace(1e-3, 1e-2, 4).tolist()):
             row = rotation_grid(system, (rho, rho), (1, 8))
-            assert row.axis0[0] == rho
             for name in ("h", "l", "j1", "w", "branch", "mask"):
                 assert np.array_equal(getattr(row, name)[0],
                                       getattr(grid, name)[i],
@@ -247,139 +245,140 @@ class TestMonodromy:
             monodromy_index(champagne, 0.1, 32)
 
 
+DEFAULT = ((1e-4, 1e-2), (32, 64), (0.3, 0.5, 0.7))
+LEVEL_SYSTEMS = {"champagne": ChampagneBottle(gamma=0.5),
+                 "pendulum": SphericalPendulum(),
+                 "champagne-1.3": ChampagneBottle(gamma=-1.3),
+                 "champagne1.5": ChampagneBottle(gamma=1.5)}
+
+
 @pytest.fixture(scope="module")
-def champagne_grid(champagne):
-    return rotation_grid(champagne, (1e-4, 1e-2), (24, 48))
+def champagne_curves(champagne):
+    return extract_level_curve(champagne, *DEFAULT)
+
+
+def grid_w(grid, lnr, lnrho, theta):
+    """W bilinearly interpolated on a grid of radii exp(lnr) at the points
+    (lnrho, theta), on its tracked continuation W(theta + 2 pi) = W(theta)
+    - 1."""
+    turns = np.floor((theta - RAY_OFFSET) / TWO_PI)
+    theta = theta - TWO_PI * turns
+    n = grid.w.shape[1]
+    ang = RAY_OFFSET + TWO_PI * np.arange(n + 1) / n
+    w = np.column_stack([grid.w, grid.w[:, 0] - 1.0])
+    i = np.clip(np.searchsorted(lnr, lnrho, side="right") - 1, 0,
+                lnr.size - 2)
+    k = np.clip(np.searchsorted(ang, theta, side="right") - 1, 0,
+                ang.size - 2)
+    u = (lnrho - lnr[i]) / (lnr[i + 1] - lnr[i])
+    v = (theta - ang[k]) / (ang[k + 1] - ang[k])
+    return ((1 - u) * (1 - v) * w[i, k] + u * (1 - v) * w[i + 1, k]
+            + (1 - u) * v * w[i, k + 1] + u * v * w[i + 1, k + 1] - turns)
 
 
 class TestLevelCurves:
-    def test_contour_points_match_level(self, champagne, champagne_grid):
-        mid = champagne_grid.w[12]
-        level = float(np.quantile(mid, 0.5))
-        curve = extract_level_curve(champagne_grid, level)
-        # re-evaluate W on the principal sheet at contour points with
-        # theta < 2 pi; linear interpolation on this grid is good to ~1e-3
-        cs = []
-        for lr, th in zip(curve.lnrho[::5], curve.theta[::5]):
-            if th >= TWO_PI - 0.05 or th <= 0.05:
-                continue
-            rho = math.exp(lr)
-            j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
-            cs.append(from_momentum_chart(champagne, j))
-        for w in principal_ws(champagne, cs):
-            assert w == pytest.approx(level, abs=5e-3)
-        assert len(cs) >= 5
+    @pytest.mark.parametrize("name", sorted(LEVEL_SYSTEMS))
+    def test_points_are_on_their_level(self, name):
+        # every traced point, evaluated again in real arithmetic, lies on
+        # its level to rounding, at every radius
+        system = LEVEL_SYSTEMS[name]
+        for curve in extract_level_curve(system, *DEFAULT):
+            assert not curve.touches_boundary and curve.lnrho.size == 32
+            rho = np.exp(curve.lnrho)
+            c = from_momentum_chart(system, MomentumValue(
+                rho * np.cos(curve.theta), rho * np.sin(curve.theta)))
+            _, theta, ok, failed = lattice._tori(system, c.h, c.l)
+            assert ok.all() and failed == {}
+            miss = theta / TWO_PI - curve.level
+            assert np.max(np.abs(miss - np.round(miss))) <= 1e-12
 
-    def test_spiral_winds_monotonically(self, champagne_grid):
-        mid = champagne_grid.w[12]
-        curve = extract_level_curve(champagne_grid,
-                                    float(np.quantile(mid, 0.4)))
-        dth = np.diff(curve.theta)
-        assert np.all(dth <= 0) or np.all(dth >= 0)
-        assert curve.lnrho.max() - curve.lnrho.min() > 2.0
+    def test_contour_points_match_level(self):
+        # the curves against W interpolated on a grid of the same window
+        # and resolution, on its tracked sheet: bilinear interpolation on
+        # it is good to ~1e-5
+        for system in LEVEL_SYSTEMS.values():
+            grid = rotation_grid(system, *DEFAULT[:2])
+            lnr = np.log(np.geomspace(*DEFAULT[0], 32))
+            for curve in extract_level_curve(system, *DEFAULT):
+                assert np.max(np.abs(
+                    grid_w(grid, lnr, curve.lnrho, curve.theta)
+                    - curve.level)) <= 2e-5
 
-    def test_champagne_pitch(self, champagne, champagne_grid):
+    def test_spiral_winds_monotonically(self, champagne_curves):
+        for curve in champagne_curves:
+            dth = np.diff(curve.theta)
+            assert np.all(dth <= 0) or np.all(dth >= 0)
+            assert curve.lnrho.max() - curve.lnrho.min() > 2.0
+
+    def test_champagne_pitch(self, champagne, champagne_curves):
         a0 = eval_constants(champagne).A0
-        mid = champagne_grid.w[12]
-        fit = fit_log_spiral(
-            extract_level_curve(champagne_grid, float(np.quantile(mid, 0.5))),
-            expected_slope=-a0)
-        assert fit.slope_fit == pytest.approx(-a0, rel=0.10)
+        for curve in champagne_curves:
+            fit = fit_log_spiral(curve, expected_slope=-a0)
+            assert fit.slope_fit == pytest.approx(-a0, rel=0.10)
 
     def test_pendulum_star(self, pendulum):
-        grid = rotation_grid(pendulum, (1e-4, 1e-2), (24, 48))
-        mid = grid.w[12]
-        fit = fit_log_spiral(
-            extract_level_curve(grid, float(np.quantile(mid, 0.5))),
-            expected_slope=0.0)
-        assert abs(fit.slope_fit) <= 0.02
-
-    def test_level_not_attained(self, champagne_grid):
-        with pytest.raises(FitError, match="not attained"):
-            extract_level_curve(champagne_grid, 99.0)
-
-
-def same_polylines(x, y, z, level):
-    got = rotation._marching_squares(x, y, z, level)
-    want = marching_squares(x, y, z, level)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-    return got
-
-
-class TestMarchingSquares:
-    """The array cell pass against the cell loop it replaced
-    (reference_marching_squares), polyline for polyline and bit for bit."""
+        for curve in extract_level_curve(pendulum, *DEFAULT):
+            fit = fit_log_spiral(curve, expected_slope=0.0)
+            assert abs(fit.slope_fit) <= 0.02
 
     @pytest.mark.parametrize("name", ["champagne", "pendulum"])
-    def test_default_grids(self, name, request, monkeypatch):
-        system = request.getfixturevalue(name)
-        grid = rotation_grid(system, (1e-4, 1e-2), (32, 64))
-        inputs = []
-        vectorised = rotation._marching_squares
+    def test_pitch_error_falls_by_decade(self, name):
+        # the local pitch d theta / d ln rho tends to -omega/alpha at the
+        # origin: its largest error in each |j| decade falls decade by
+        # decade towards it
+        system = LEVEL_SYSTEMS[name]
+        a0 = eval_constants(system).A0
+        for curve in extract_level_curve(system, (1.1e-5, 1.1e-1), (41, 64),
+                                         (0.3, 0.5, 0.7)):
+            pitch = np.diff(curve.theta) / np.diff(curve.lnrho)
+            err = np.abs(pitch + a0).reshape(4, 10).max(axis=1)
+            assert np.all(np.diff(err) > 0) and err[0] <= 2e-3, err
 
-        def spy(x, y, z, level):
-            inputs.append((x, y, z, level))
-            return vectorised(x, y, z, level)
+    def test_one_real_ring_then_complex_rounds(self, champagne, monkeypatch):
+        # the mid ring is one real call, each Newton round one complex call
+        # of all points, and no torus takes the scalar form
+        batches, seen = [], []
+        array_form = type(champagne).period_rotation_array
 
-        monkeypatch.setattr(rotation, "_marching_squares", spy)
-        mid = np.sort(grid.w[16])
-        for level in mid[::8]:
-            extract_level_curve(grid, float(level))
-        monkeypatch.undo()
-        assert len(inputs) == 8
-        for args in inputs:
-            assert same_polylines(*args)
+        def recording_array(self, h, l):
+            batches.append((h.size, h.dtype.kind))
+            return array_form(self, h, l)
 
-    @given(seed=st.integers(0, 2**32 - 1), holes=st.floats(0.0, 0.3),
-           shape=st.tuples(st.integers(2, 12), st.integers(2, 12)))
-    @settings(max_examples=60, deadline=None)
-    def test_nan_holes(self, seed, holes, shape):
-        # few distinct values make ties with the level and saddle cells
-        rng = np.random.default_rng(seed)
-        z = rng.integers(0, 4, shape).astype(float) / 3.0
-        z[rng.random(shape) < holes] = np.nan
-        x = np.cumsum(rng.uniform(0.1, 1.0, shape[0]))
-        y = np.cumsum(rng.uniform(0.1, 1.0, shape[1]))
-        for level in (0.0, 0.2, 1.0 / 3.0, 0.5, 1.0):
-            same_polylines(x, y, z, level)
+        def recording(system, c, *args, **kwargs):
+            seen.append(c)
+            return reduced_period_rotation(system, c, *args, **kwargs)
 
-    @pytest.mark.parametrize("z, level, pairs", [
-        # corner 0 above, centre 0.5 above: (0, 3) + (1, 2)
-        ([[1.0, 0.0], [0.0, 1.0]], 0.5,
-         [[(0.0, 0.5), (0.5, 0.0)], [(0.5, 1.0), (1.0, 0.5)]]),
-        # corner 0 above, centre below: (0, 1) + (2, 3)
-        ([[1.0, 0.0], [0.0, 1.0]], 0.6,
-         [[(0.0, 0.4), (0.6, 1.0)], [(1.0, 0.6), (0.4, 0.0)]]),
-        # corner 0 below, centre above: (0, 1) + (2, 3)
-        ([[0.0, 1.0], [1.0, 0.0]], 0.5,
-         [[(0.0, 0.5), (0.5, 1.0)], [(1.0, 0.5), (0.5, 0.0)]]),
-        # corner 0 below, centre below: (0, 3) + (1, 2)
-        ([[0.0, 1.0], [1.0, 0.0]], 0.6,
-         [[(0.0, 0.6), (0.6, 0.0)], [(0.4, 1.0), (1.0, 0.4)]]),
-    ])
-    def test_saddle_splits(self, z, level, pairs):
-        # opposite corners equal: all four edges cross
-        lines = same_polylines(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                               np.array(z), level)
-        got = sorted(sorted(map(tuple, line.round(12).tolist()))
-                     for line in lines)
-        assert got == sorted(sorted(p) for p in pairs)
+        monkeypatch.setattr(type(champagne), "period_rotation_array",
+                            recording_array)
+        monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
+        extract_level_curve(champagne, *DEFAULT)
+        assert batches == [(64, "f")] + [(3 * 32, "c")] * 3 and seen == []
+
+    def test_level_not_attained(self, champagne, monkeypatch):
+        # a point that has not settled on its level in MAX_ROUNDS is
+        # dropped: one round leaves every step far above SETTLE, so no
+        # point settles, and each curve is marked partial
+        monkeypatch.setattr(rotation, "MAX_ROUNDS", 1)
+        for curve in extract_level_curve(champagne, *DEFAULT):
+            assert curve.touches_boundary and curve.lnrho.size == 0
 
 
 class TestContourLevels:
-    def test_mid_row_quantiles(self, champagne_grid):
-        mid = champagne_grid.w[len(champagne_grid.axis0) // 2]
+    def test_mid_row_quantiles(self):
+        # the levels are the quantiles of W on the mid row of the grid of
+        # the same window and resolution, bit for bit
         qs = (0.0, 0.3, 0.5, 0.7, 1.0)
-        assert contour_levels(champagne_grid, qs) == \
-            [float(np.quantile(mid, q)) for q in qs]
+        for system in LEVEL_SYSTEMS.values():
+            mid = rotation_grid(system, *DEFAULT[:2]).w[16]
+            assert [curve.level for curve in extract_level_curve(
+                system, *DEFAULT[:2], qs)] == [float(np.quantile(mid, q))
+                                               for q in qs]
 
     def test_masked_mid_row(self, pendulum):
-        # |j| beyond the pendulum's cap 0.2 from the mid row on
-        grid = rotation_grid(pendulum, (0.1, 0.5), (8, 16))
-        with pytest.raises(FitError, match="mid row 4 .* masked"):
-            contour_levels(grid, (0.5,))
+        # |j| beyond the pendulum's cap 0.2 from the mid ring on
+        with pytest.raises(FitError, match=r"the mid ring, \|j\| = 0\.2508, "
+                           "fails: .*above cap"):
+            extract_level_curve(pendulum, (0.1, 0.5), (8, 16), (0.5,))
 
 
 class TestSpiralFit:

@@ -41,15 +41,15 @@ def same_scan(got, want):
 
 @st.composite
 def energy_scans(draw, system):
-    """An energy and a scan along C_h: centred on the l = 0 axis, on the l
-    of the window cap (either sign), or anywhere inside it."""
+    """An energy and a scan along C_h: centred on the l = 0 axis, on either
+    end of the window cap, or anywhere inside it."""
     h = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
         st.floats(-5.0, -1.0))
-    lcap = _l_window(system, h, system.j_cap)
+    l_lo, l_hi = _l_window(system, h, system.j_cap)
     where = draw(st.sampled_from(["axis", "cap", "-cap", "inside"]))
-    centre = {"axis": 0.0, "cap": lcap, "-cap": -lcap,
-              "inside": draw(st.floats(-lcap, lcap))}[where]
-    half = lcap * 10.0 ** draw(st.floats(-7.0, 0.0))
+    centre = {"axis": 0.0, "cap": l_hi, "-cap": l_lo,
+              "inside": draw(st.floats(l_lo, l_hi))}[where]
+    half = l_hi * 10.0 ** draw(st.floats(-7.0, 0.0))
     n = draw(st.integers(1, 17))
     return h, np.linspace(centre - half, centre + half, n)
 
@@ -171,8 +171,8 @@ class TestTwistScan:
         # the default scan window, widened past the cap: NaN exactly where
         # a torus leaves the window
         system = SCAN_SYSTEMS[name]
-        lcap = _l_window(system, h, system.j_cap)
-        ls = np.linspace(-1.05 * lcap, 1.05 * lcap, 65)
+        l_lo, l_hi = _l_window(system, h, system.j_cap)
+        ls = np.linspace(1.05 * l_lo, 1.05 * l_hi, 65)
         got = twist_scan(system, h, ls)
         same_scan(got, scalar_scan(system, h, ls.tolist()))
         assert np.isnan(got[[0, -1]]).all() and np.isfinite(got[32])
@@ -324,7 +324,8 @@ class TestTwistlessCurve:
         # the real pair the mirror rule relies on: |l*| on the two
         # half-axes agree far inside MIRROR_RTOL
         twist_module = importlib.import_module("focusfocus.twist")
-        lmax = twist_module._l_window(pendulum, 0.007, twist_module.SCAN_CAP)
+        _, lmax = twist_module._l_window(pendulum, 0.007,
+                                         twist_module.SCAN_CAP)
         plus, _ = twistless_point(pendulum, 0.007, l_range=(1e-4 * lmax, lmax))
         minus, _ = twistless_point(pendulum, 0.007,
                                    l_range=(-lmax, -1e-4 * lmax))
@@ -348,8 +349,8 @@ def reference_curve(system, h_values):
             if not degenerate:
                 samples.append((h, *twistless_point(system, h)))
                 continue
-            lmax = _l_window(system, h, min(twist_module.SCAN_CAP,
-                                            system.j_cap))
+            _, lmax = _l_window(system, h, min(twist_module.SCAN_CAP,
+                                               system.j_cap))
             found = []
             for rng in ((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax)):
                 try:
@@ -384,14 +385,15 @@ def test_curve_equals_the_per_energy_loop(name):
     assert len(samples) >= 4 and ("h = 0 excluded" in dict(failures)[0.0])
 
 
-def bisection_window(system, h, j_cap, steps=60):
-    """The largest l >= 0 with |j(h, l)| <= j_cap by bisection of [0, 1.5
-    j_cap], the reference for _l_window: steps halvings, as the scans once
-    took them, or with steps None until the ends are adjacent floats."""
-    lo, hi = 0.0, j_cap * 1.5
+def bisection_window(system, h, j_cap, steps=60, side=1.0):
+    """The largest l >= 0 (side -1: the least l <= 0) with |j(h, l)| <=
+    j_cap by bisection of [0, 1.5 j_cap] (side -1: [-1.5 j_cap, 0]), the
+    reference for _l_window: steps halvings, as the scans once took them,
+    or with steps None until the ends are adjacent floats."""
+    lo, hi = 0.0, side * j_cap * 1.5
     for _ in itertools.count() if steps is None else range(steps):
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
+        if mid in (lo, hi):
             break
         if to_momentum_chart(system, EMValue(h, mid)).modulus <= j_cap:
             lo = mid
@@ -409,12 +411,37 @@ class TestScanWindow:
         f"{s.name}{getattr(s, 'gamma', '')}"))
     def test_default_energies_equal_the_60_step_bisection(self, system):
         # the energies twistless and C6 scan at their defaults: the same
-        # windows keep their scans, and so their outputs, bit for bit
+        # upper ends keep their scans bit for bit, and at omega = 0, where
+        # |j| is even in l, so do the lower ends
+        mirrored = eval_constants(system).omega == 0.0
         for cap in (min(SCAN_CAP, system.j_cap), system.j_cap):
             for h in CURVE_ENERGIES + [0.002, -0.002]:
                 if h:
-                    assert (_l_window(system, h, cap)
-                            == bisection_window(system, h, cap))
+                    l_lo, l_hi = _l_window(system, h, cap)
+                    assert l_hi == bisection_window(system, h, cap)
+                    assert l_lo == -l_hi or not mirrored
+
+    @pytest.mark.parametrize("system", WINDOW_SYSTEMS, ids=lambda s: (
+        f"{s.name}{getattr(s, 'gamma', '')}"))
+    def test_every_scan_lane_within_the_cap(self, system, monkeypatch):
+        # each side of the least |j| has its own end: at omega != 0 a
+        # mirrored end passes the cap on one side of l = 0 (|j| = 0.2233 at
+        # h = 0.05, gamma = 0.5).  At |h| = 0.29, past alpha SCAN_CAP, no
+        # l = 0 lane is inside, and the window is one-sided
+        twist_module = importlib.import_module("focusfocus.twist")
+        lanes = []
+        derivatives = twist_module.derivatives
+
+        def recording(system, h, l, dh, dl):
+            lanes.append(np.broadcast_arrays(h, l))
+            return derivatives(system, h, l, dh, dl)
+
+        monkeypatch.setattr(twist_module, "derivatives", recording)
+        twistless_curve(system, [0.005, -0.005, 0.01, -0.01, 0.02, -0.02,
+                                 0.05, -0.05, 0.29, -0.29])
+        h, l = (np.concatenate([np.ravel(a[i]) for a in lanes])
+                for i in (0, 1))
+        assert np.all(system.window_radius(h, l) <= SCAN_CAP)
 
     @given(st.sampled_from(WINDOW_SYSTEMS), st.data())
     @settings(max_examples=200, deadline=None)
@@ -424,20 +451,22 @@ class TestScanWindow:
         edge = ff.alpha * cap
         h = data.draw(st.floats(-edge, edge, exclude_min=True,
                                 exclude_max=True))
-        got = _l_window(system, h, cap)
+        window = _l_window(system, h, cap)
 
         def inside(l):
             return to_momentum_chart(system, EMValue(h, l)).modulus <= cap
-        assert inside(got) or got == 0.0
-        assert not inside(math.nextafter(got, math.inf))
         # |j| comes out of to_momentum_chart within a few EPS cap, and it
         # grows at sqrt(disc)/(alpha cap) in l at the window's end, so the
         # last l inside is fixed only to ~EPS alpha cap^2/sqrt(disc): where
         # j1's rounding makes |j| step back, two searches may end on two
         # neighbouring last l's
         disc = max(0.0, (ff.alpha ** 2 + ff.omega ** 2) * cap * cap - h * h)
-        assert (abs(got - bisection_window(system, h, cap, steps=None))
-                * math.sqrt(disc) <= 16.0 * EPS * ff.alpha * cap * cap)
+        for side, got in zip((-1.0, 1.0), window):
+            assert inside(got)
+            assert not inside(math.nextafter(got, side * math.inf))
+            assert (abs(got - bisection_window(system, h, cap, steps=None,
+                                               side=side))
+                    * math.sqrt(disc) <= 16.0 * EPS * ff.alpha * cap * cap)
 
 
 def recorded_calls(monkeypatch):
@@ -474,16 +503,16 @@ def test_curve_is_two_array_calls(monkeypatch, name, n_energies):
 
 @pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
 def test_energy_without_a_scan_window_is_not_scanned(monkeypatch, name):
-    # at |h| = 0.5 every l >= 0 puts |j| above the scan cap 0.2, so no l is
-    # left to scan: no lane goes to such an energy, and its failure says why
+    # at |h| = 0.5 every l puts |j| above the scan cap 0.2, so no l is left
+    # to scan: no lane goes to such an energy, and its failure says why
     system = SCAN_SYSTEMS[name]
     lanes = recorded_calls(monkeypatch)
     curve = twistless_curve(system, [0.5, -0.5, 0.005, -0.005, 0.01, -0.01])
     jobs = 4 * (2 if curve.degenerate else 1)
     assert lanes[0] == jobs * 64
     for h in (0.5, -0.5):
-        reason = (f"no twistless torus on C_h, h={h:.6g}: every l >= 0 puts "
-                  "|j| above the scan cap 0.2")
+        reason = (f"no twistless torus on C_h, h={h:.6g}: every l puts |j| "
+                  "above the scan cap 0.2")
         assert dict(curve.failures)[h] == reason
         del lanes[:]
         with pytest.raises(ScanError) as exc:
@@ -491,7 +520,7 @@ def test_energy_without_a_scan_window_is_not_scanned(monkeypatch, name):
         assert str(exc.value) == reason and not lanes
 
 
-@pytest.mark.parametrize("name,calls", [("champagne", 38), ("pendulum", 24)])
+@pytest.mark.parametrize("name,calls", [("champagne", 39), ("pendulum", 24)])
 def test_brent_reuses_the_scanned_values(monkeypatch, name, calls):
     # Brent starts from the scanned S at both bracket ends, and S(l*) is the
     # value it holds at its root: at the default energies only Brent's
