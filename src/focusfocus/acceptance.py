@@ -81,14 +81,15 @@ def c1_cross_engine(cfg: AcceptanceConfig) -> CriterionResult:
     rng = np.random.default_rng(cfg.seed)
     worst = {"rel_dT": 0.0, "rel_dtheta": 0.0}
     n_done = 0
-    flow_steps = {}
+    flow = {"flow_steps": {}, "max_energy_drift": {}}
     for system in (champ, pend):
         r_lo, r_hi, _ = CROSS_DOMAINS[system.name]
         if not _range_ok(system, r_lo, r_hi):
             return _insufficient("C1", desc, (r_lo, r_hi), system)
         tori = sample_cross_tori(system, rng, cfg.n_cross_tori)
-        results, flow_steps[system.name] = cross_checks(system, tori,
-                                                        cross_tol=CROSS_TOL)
+        results, stats = cross_checks(system, tori, cross_tol=CROSS_TOL)
+        for key, value in stats.items():
+            flow[key][system.name] = value
         for res in results:
             if isinstance(res, FocusFocusError):
                 return CriterionResult("C1", desc, "fail",
@@ -100,7 +101,7 @@ def c1_cross_engine(cfg: AcceptanceConfig) -> CriterionResult:
     # a check of no torus shows nothing
     return CriterionResult("C1", desc, "pass" if n_done else "fail",
                            {"tori_checked": n_done, **worst,
-                            "tol": CROSS_TOL, "flow_steps": flow_steps})
+                            "tol": CROSS_TOL, **flow})
 
 
 def c2_monodromy(cfg: AcceptanceConfig) -> CriterionResult:

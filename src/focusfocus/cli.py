@@ -304,11 +304,12 @@ def cmd_grid(cfg: dict) -> int:
 def cmd_spiral(cfg: dict) -> int:
     system = build_system(cfg)
     ff = eval_constants(system)
+    expected = -ff.A0 if ff.omega else 0.0   # as C5's, never -0.0
     fits = []
     rows = []
     for curve in extract_level_curve(system, cfg["window"], cfg["res"],
                                      cfg["levels"]):
-        fit = fit_log_spiral(curve, -ff.A0)
+        fit = fit_log_spiral(curve, expected)
         fits.append({"level": fit.level, "slope_fit": fit.slope_fit,
                      "expected_slope": fit.expected_slope,
                      "residual": fit.residual, "n_points": fit.n_points,
@@ -384,8 +385,7 @@ def cmd_crosscheck(cfg: dict) -> int:
                                  window=cfg["window"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    results, flow_steps = cross_checks(system, tori,
-                                       cross_tol=cfg["tol.cross"])
+    results, stats = cross_checks(system, tori, cross_tol=cfg["tol.cross"])
     rows = [(c.h, c.l, res["T_quad"], res["T_flow"], res["theta_quad"],
              res["theta_flow"], res["rel_dT"], res["rel_dtheta"])
             for c, res in zip(tori, results) if isinstance(res, dict)]
@@ -397,8 +397,7 @@ def cmd_crosscheck(cfg: dict) -> int:
     write_summary(out / "crosscheck_summary.json", cfg, {
         "n_tori": cfg["n_tori"], "failures": failures,
         "max_rel_dT": max((r[6] for r in rows), default=0.0),
-        "max_rel_dTheta": max((r[7] for r in rows), default=0.0),
-        "flow_steps": flow_steps})
+        "max_rel_dTheta": max((r[7] for r in rows), default=0.0), **stats})
     # per-point failures are recorded in the summary; only total failure
     # is a nonzero exit
     if failures == cfg["n_tori"]:

@@ -30,13 +30,9 @@ from .systems import (EMValue, MomentumValue, SystemDefinition,
 
 @dataclass(frozen=True)
 class FrequencySample:
-    c: EMValue
     j_mod: float
     tau1: float
-    omega1: float
-    omega2: float
-    det_c: float          # det d(omega1, omega2)/d(h, l)
-    det_I: float          # = omega1 * det_c
+    det_I: float          # omega1 det d(omega1, omega2)/d(h, l)
     asymptote: float      # -(2 pi alpha / (|j| tau1^2))^2
     ratio: float          # det_I / asymptote
 
@@ -63,19 +59,18 @@ def frequency_samples(system: SystemDefinition,
     hessian = _hessian(system, cs)
     h = np.array([c.h for c in cs], dtype=float)
     l = np.array([c.l for c in cs], dtype=float)
-    Ts, thetas, _, failed = _tori(system, h, l)
+    Ts, _, _, failed = _tori(system, h, l)
     if failed:
         raise failed[min(failed)]
     out = []
-    for c, T, theta, (T_h, T_l, th_h, th_l) in zip(
-            cs, Ts.tolist(), thetas.tolist(), hessian.T.tolist()):
+    for c, T, (T_h, T_l, th_h, th_l) in zip(cs, Ts.tolist(),
+                                             hessian.T.tolist()):
         j = to_momentum_chart(system, c).modulus
         det_c = -TWO_PI * (T_h * th_l - T_l * th_h) / T ** 3
         omega1, tau1 = TWO_PI / T, ff.alpha * T
         asym = -((TWO_PI * ff.alpha) / (j * tau1 ** 2)) ** 2
         det_i = omega1 * det_c
-        out.append(FrequencySample(c, j, tau1, omega1, theta / T, det_c,
-                                   det_i, asym, det_i / asym))
+        out.append(FrequencySample(j, tau1, det_i, asym, det_i / asym))
     return out
 
 

@@ -16,23 +16,23 @@ one return:
   reduced_period_rotation, which only names the failure of each lane the
   array form rejects.  On complex (h, l) the array form gives every
   derivative of T and Theta by a complex step (derivatives);
-* flow (the independent oracle): direct integration of the full vector
-  field over half a return, with the azimuth unwrapped as an extra state
-  component.  Both systems are reversible: a reversor R (a reflection,
-  with t -> -t) keeps H and L and fixes each turning-point state, so the
-  orbit from one turning point to the other takes exactly T/2 and turns
-  by Theta/2 (Lamb and Roberts, Physica D 112 (1998) 1-39).  A torus's
-  seeds, turning-point states, come from one solve of its cubic (the
-  system's flow_start).  Each seed runs one leg, to its first falling
-  crossing of the system's section, and the legs make half a return
-  together: the champagne bottle's one leg runs from r_lo to r_hi, the
-  pendulum's two from z2 and from z1 to the equator.  A batch of tori of
-  one system runs as one batched DOP853 integration (integrate_flow) of
-  the system's array-valued field, each leg a lane with its own step
-  control and the energy drift the kernel tracks over its steps; after
-  the loop all crossings of the batch land on the section in one Henon
-  step at the rate the system gives (flow_section_rate).  A failing leg
-  fails only its own torus.
+* flow (the independent oracle): direct integration of the Cartesian
+  vector field over half a return, the azimuth advance read from the
+  positions, not integrated (_tori_flow).  Both systems are reversible:
+  a reversor R (a reflection, with t -> -t) keeps H and L and fixes each
+  turning-point state, so the orbit from one turning point to the other
+  takes exactly T/2 and turns by Theta/2 (Lamb and Roberts, Physica D
+  112 (1998) 1-39).  A torus's seeds, turning-point states, come from one
+  solve of its cubic (the system's flow_start).  Each seed runs one leg,
+  to its first falling crossing of the system's section, and the legs
+  make half a return together: the champagne bottle's one leg runs from
+  r_lo to r_hi, the pendulum's two from z2 and from z1 to the equator.
+  A batch of tori of one system runs as one batched DOP853 integration
+  (integrate_flow) of the system's array-valued field, each leg a lane
+  with its own step control and the energy drift the kernel tracks over
+  its steps; after the loop all crossings of the batch land on the
+  section in one Henon step at the rate the system gives
+  (flow_section_rate).  A failing leg fails only its own torus.
 
 cross_checks runs both engines on a batch of tori drawn by
 sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)
@@ -73,14 +73,19 @@ from .systems import (EMValue, MomentumValue, SystemDefinition,
 
 CROSS_TOL = 1e-7
 # flow-oracle sample domain per system: |j| range, and the |sin arg zeta|
-# margin that keeps seeds off the coordinate seams the flow charts cannot
-# resolve (azimuth spike at near-axis passages)
+# margin that keeps seeds off the l = 0 axis, where the orbit passes
+# beside the axis of the S^1 action: there the azimuth turns fast and
+# the per-step turns that fix its turn count grow
 CROSS_DOMAINS = {"champagne": (1e-4, 0.12, 0.05),
                  "pendulum": (1e-3, 0.1, 0.1)}
 # tightest accuracy request the closed form is verified to meet against
 # mpmath (relative in T, absolute in Theta)
 CLOSED_FORM_REL_TOL = 1e-13
 ENERGY_DRIFT_TOL = 1e-10
+# the window, times sign(l), of a flow step's azimuth turn in the turning
+# frame: the true turn is >= 0, and one read on [-pi/2, 3pi/2) outside it
+# leaves the leg's turn count in doubt
+TURN_GUARD = (-0.25 * math.pi, 1.25 * math.pi)
 # the complex step of derivatives: far below the scale of any torus, so its
 # square vanishes beside every real part
 STEP = 1e-30
@@ -157,14 +162,35 @@ def derivatives(system: SystemDefinition, h, l, dh, dl
             np.where(ok, theta.imag / STEP, np.nan), failed)
 
 
+def _frame_turns(states: np.ndarray, times: np.ndarray, rate: float,
+                 sign: np.ndarray) -> np.ndarray:
+    """The azimuth turn of each lane over each batch step, (k, n), from
+    its states (k+1, d, n) and times (k+1, n): in the frame turning at
+    rate, the atan2 step of the position (x, y) less rate dt, read on
+    sign [-pi/2, 3pi/2) with sign = +-1 the lane's sign of l."""
+    phi = np.arctan2(states[:, 1], states[:, 0])
+    turn = sign * (np.diff(phi, axis=0) - rate * np.diff(times, axis=0))
+    return sign * ((turn + 0.5 * math.pi) % TWO_PI - 0.5 * math.pi)
+
+
 def _tori_flow(system: SystemDefinition, cs: list[EMValue]
-               ) -> tuple[list, int]:
+               ) -> tuple[list, dict]:
     """Flow-engine (T, Theta) of each torus in cs, or the FocusFocusError
     that stopped it, from one batched integration at the system's
-    flow_rtol; and that integration's batch steps.  Each seed flow_start
-    gives a torus is a lane: a leg from a turning point to the section.
-    A torus's legs make half a return, so T = 2 sum t and Theta = 2 sum
-    dphi over them, and its first failing leg fails it."""
+    flow_rtol; and that integration's flow_steps, its batch steps, and
+    max_energy_drift, the largest energy drift of its lanes.  Each seed
+    flow_start gives a torus is a lane: a leg from a turning point to the
+    section.  A torus's legs make half a return, so T = 2 sum t and Theta
+    = 2 sum dphi over them, and its first failing leg fails it.
+
+    The state holds no azimuth.  A seed's is 0, so a leg's dphi is the
+    landing's atan2 plus the 2 pi multiple that the accepted steps fix:
+    in the frame turning at the system's flow_frame_rate the azimuth
+    obeys psi' = l/r^2 (L is conserved), so it turns monotonically with
+    the sign of l.  Each step's turn (_frame_turns) must lie in sign(l)
+    TURN_GUARD, or the leg fails with FlowError rather than guess a turn;
+    the landing's partial step is read on [-pi, pi].  dphi is rate t
+    plus the summed turns, taken to the sheet of the landing's atan2."""
     ff = system.constants()
     out: list = [None] * len(cs)
     seeds, owner, budgets = [], [], []
@@ -181,29 +207,43 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
         budgets += [T_BUDGET_FACTOR * (1.0 + abs(math.log(j.modulus)))
                     / ff.alpha] * start.shape[1]
     if not owner:
-        return out, 0
-    p0 = np.hstack(seeds)
+        return out, {"flow_steps": 0, "max_energy_drift": 0.0}
     section = EventSpec(system.flow_section_value, system.flow_section_rate,
                         count=1)
-    traj = integrate_flow(system.flow_field, p0, t_max=np.array(budgets),
+    traj = integrate_flow(system.flow_field, np.hstack(seeds),
+                          t_max=np.array(budgets),
                           invariant=system.flow_hamiltonian, section=section,
                           tol=system.flow_rtol)
-    k = system.flow_angle_index
+    rate = system.flow_frame_rate
+    sign = np.array([math.copysign(1.0, cs[i].l) for i in owner])
+    turns = _frame_turns(traj.states, traj.times, rate, sign)
+    lo, hi = TURN_GUARD
+    outside = ((sign * turns < lo) | (sign * turns > hi)).any(axis=0)
+    t_end, psi_end = traj.times[-1], turns.sum(axis=0)
+    phi_end = np.arctan2(traj.states[-1, 1], traj.states[-1, 0])
     for lane, i in enumerate(owner):
-        c = cs[i]
         if isinstance(out[i], FocusFocusError):
             continue
+        at = f"(h, l)=({cs[i].h:.4g}, {cs[i].l:.4g})"
         if traj.errors[lane] is not None:
             out[i] = traj.errors[lane]
         elif traj.drift[lane] > ENERGY_DRIFT_TOL:
             out[i] = FlowError(f"energy drift {traj.drift[lane]:.2e} above "
-                               f"{ENERGY_DRIFT_TOL:.0e} at (h, l)="
-                               f"({c.h:.4g}, {c.l:.4g})")
+                               f"{ENERGY_DRIFT_TOL:.0e} at {at}")
+        elif outside[lane]:
+            out[i] = FlowError(f"an azimuth step at {at} turns outside sign(l)"
+                               f" [{lo / math.pi:g} pi, {hi / math.pi:g} pi]:"
+                               " its turn count is unknown")
         else:
             ((t, s),) = traj.event_records[lane]
+            phi = math.atan2(s[1], s[0])
+            psi = psi_end[lane] + math.remainder(
+                phi - phi_end[lane] - rate * (t - t_end[lane]), TWO_PI)
+            dphi = phi + TWO_PI * round((rate * t + psi - phi) / TWO_PI)
             T, theta = out[i] or (0.0, 0.0)
-            out[i] = (T + 2.0 * t, theta + 2.0 * float(s[k] - p0[k, lane]))
-    return out, len(traj.times) - 1
+            out[i] = (T + 2.0 * t, theta + 2.0 * dphi)
+    return out, {"flow_steps": len(traj.times) - 1,
+                 "max_energy_drift": float(traj.drift.max())}
 
 
 def raise_failed(result):
@@ -264,15 +304,15 @@ def sample_cross_tori(system: SystemDefinition, rng: np.random.Generator,
 
 
 def cross_checks(system: SystemDefinition, cs: list[EMValue],
-                 cross_tol: float = CROSS_TOL) -> tuple[list, int]:
+                 cross_tol: float = CROSS_TOL) -> tuple[list, dict]:
     """Run both engines on each torus in cs, the flow engine as one batched
     integration.  Returns one entry per torus, the measured discrepancies
     (see cross_check) or the FocusFocusError that failed that torus: no
     torus, a flow failure or energy drift, or CrossEngineMismatch beyond
-    cross_tol; and the flow integration's batch steps.  A failing torus
-    leaves the others' results intact.
+    cross_tol; and the flow integration's flow_steps and max_energy_drift
+    (_tori_flow).  A failing torus leaves the others' results intact.
     """
-    flows, steps = _tori_flow(system, cs)
+    flows, stats = _tori_flow(system, cs)
     out = []
     for c, flow in zip(cs, flows):
         try:
@@ -290,7 +330,7 @@ def cross_checks(system: SystemDefinition, cs: list[EMValue],
             continue
         out.append({"T_quad": Tq, "T_flow": Tf, "theta_quad": thq,
                     "theta_flow": thf, "rel_dT": dT, "rel_dtheta": dth})
-    return out, steps
+    return out, stats
 
 
 def cross_check(system: SystemDefinition, c: EMValue,
@@ -420,18 +460,13 @@ class AsymptoticModel:
 
     tau1 ~ log_coeff_tau1 * (-ln|j|) + sigma1_0 + <linear in j>
     tau2 ~ log_coeff_tau2 * arg(zeta) + (sigma2_0 - pi) + <linear in j>
-    2 pi W + arg(zeta) ~ A0_fit * (-ln|j|) + <smooth>,
-    and sigma_0 = A0_fit sigma1_0 - sigma2_0.
     """
     log_coeff_tau1: float
     log_coeff_tau2: float
     sigma1_0: float
     sigma2_0: float
-    A0_fit: float
-    sigma_0: float
     residual_tau1: float
     residual_tau2: float
-    n_samples: int
 
 
 def _lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -470,12 +505,7 @@ def fit_asymptotic_model(samples: PolarTori) -> AsymptoticModel:
     c1, r1 = _lstsq(X1, tau1)
     X2 = np.column_stack([th, ones, j1, j2])
     c2, r2 = _lstsq(X2, tau2)
-    # 2 pi W + arg zeta = A(j) (-ln rho) + smooth; coefficient estimates A0
-    cW, _ = _lstsq(X1, samples.theta.ravel() + th)
-
     return AsymptoticModel(
         log_coeff_tau1=float(c1[0]), log_coeff_tau2=float(c2[0]),
         sigma1_0=float(c1[1]), sigma2_0=float(c2[1] + math.pi),
-        A0_fit=float(cW[0]),
-        sigma_0=float(cW[0] * c1[1] - (c2[1] + math.pi)),
-        residual_tau1=r1, residual_tau2=r2, n_samples=j1.size)
+        residual_tau1=r1, residual_tau2=r2)

@@ -101,16 +101,16 @@ def align_angle(value: float, reference: float, period: float = TWO_PI) -> float
 class Trajectory:
     """A batch of n lanes integrated together.
 
-    Row i of times (k+1, n) holds every lane's time after the i-th batch
-    step; a lane that retries a rejected step or has stopped repeats its
-    last time.  final (d, n) holds each lane's count-th landing, or else
-    its last state, event_records one list per lane of its landed (time,
-    state) section crossings in order, drift each lane's largest
+    Row i of times (k+1, n) and of states (k+1, d, n) holds every lane's
+    time and state after the i-th batch step; a lane that retries a
+    rejected step or has stopped repeats its last ones.  event_records
+    holds one list per lane of its landed (time, state) section
+    crossings in order, drift each lane's largest
     |f(y) - f(y0)| / (1 + |f(y0)|) of the invariant f over its accepted
     steps, and errors the FlowError that stopped each lane, or None.
     """
     times: np.ndarray
-    final: np.ndarray
+    states: np.ndarray
     event_records: list
     drift: np.ndarray
     errors: list
@@ -258,8 +258,8 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
 
     records: list[list] = [[] for _ in range(n)]
     errors: list[FlowError | None] = [None] * n
-    now_t, final = t.copy(), y0.copy()
-    times = [now_t.copy()]
+    now_t, now_y = t.copy(), y0.copy()
+    times, states = [now_t.copy()], [now_y.copy()]
 
     while lane.size:
         min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
@@ -316,10 +316,11 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
                 done[acc[hit]] |= found[ids[hit]] >= section.count
 
         now_t[ids] = t[acc]
-        final[:, ids] = y[:, acc]
+        now_y[:, ids] = y[:, acc]
         drift[ids] = np.maximum(drift[ids],
                                 np.abs(invariant(y[:, acc]) - v0[ids]))
         times.append(now_t.copy())
+        states.append(now_y.copy())
         if done.any():
             for i in lane[done]:
                 if section is not None and found[i] < section.count:
@@ -347,10 +348,8 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
                 failed.add(i)
                 continue
             records[i].append((float(t_at[q]), y_at[:, q]))
-            if len(records[i]) == section.count:
-                final[:, i] = y_at[:, q]
 
-    return Trajectory(times=np.array(times), final=final,
+    return Trajectory(times=np.array(times), states=np.array(states),
                       event_records=records,
                       drift=drift / (1.0 + np.abs(v0)), errors=errors)
 

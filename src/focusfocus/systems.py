@@ -269,15 +269,20 @@ class SystemDefinition:
     (T, Theta, ok) over arrays (no base version: each system brings its
     own, bit-identical to period_rotation on the lanes it accepts), flow
     components (field, flow_start(c) -> seeds (d, m) from one solve of the
-    reduced cubic, section value and rate, angle index, energy on the flow
-    chart), constants().  The flow field, the section value and rate and
-    the energy take a block of states (d, m), one per column, unpacked row
-    by row; they are never handed a lone state (d,).  Each seed is a
-    turning-point state on Fix(R) of a reversor R of the flow (an
-    involution, with t -> -t, that keeps H and L), and lies on the section
-    without crossing it.  The legs from the seeds to their
-    first falling crossings of the section make half a return together,
-    so T = 2 sum t and Theta = 2 sum dphi over them (lattice._tori_flow).
+    reduced cubic, section value and rate, frame rate, energy on the flow
+    chart), constants().  The flow state is Cartesian, its first two rows
+    the position (x, y) in the plane of the S^1 action, so the azimuth is
+    read from positions and not integrated.  The flow field, the section
+    value and rate and the energy take a block of states (d, m), one per
+    column, unpacked row by row; they are never handed a lone state (d,).
+    Each seed is a turning-point state on Fix(R) of a reversor R of the
+    flow (an involution, with t -> -t, that keeps H and L) at azimuth 0,
+    on the positive x axis, and lies on the section without crossing it.
+    The legs from the seeds to their first falling crossings of the
+    section make half a return together, so T = 2 sum t and Theta = 2 sum
+    dphi over them (lattice._tori_flow).  flow_frame_rate is the rate of
+    the frame in which the azimuth obeys psi' = l/r^2 (r the distance from
+    the axis), which turns monotonically with the sign of l.
     """
 
     name = "abstract"
@@ -495,32 +500,30 @@ class ChampagneBottle(SystemDefinition):
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
-        """Cartesian field augmented with the unwrapped polar angle, on a
-        block of states (x, y, px, py, phi), one per column."""
+        """The Cartesian field on a block of states (x, y, px, py), one
+        per column."""
         g = self.gamma
-        x, y, px, py = s[:4]
-        r2 = x * x + y * y
-        xd, yd = px - g * y, py + g * x
-        acc = 2 * s[:2] - 4 * s[:2] * r2
+        x, y, px, py = s
+        acc = 2 * s[:2] - 4 * s[:2] * (x * x + y * y)
         acc[0] -= g * py
         acc[1] += g * px
-        return np.concatenate([[xd, yd], acc, [(x * yd - y * xd) / r2]])
+        return np.concatenate([[px - g * y, py + g * x], acc])
 
     def flow_start(self, c: EMValue) -> np.ndarray:
         """One seed, as a column: the state at the inner turning point r =
         r_lo on the x axis.  It lies on Fix(R) of the reversor R: (x, y,
-        px, py, phi) -> (x, -y, -px, py, -phi), t -> -t, which keeps H and
-        L; so the orbit reaches the outer turning point after half a
-        return, T/2 and Theta/2.  Seeded beside the saddle passage and
-        landing at r_hi, the leg is ~100x more accurate in T and Theta than
-        the reverse one.  On the l = 0 axis at g > 0, r_lo = 0 is a center
+        px, py) -> (x, -y, -px, py), t -> -t, which keeps H and L; so the
+        orbit reaches the outer turning point after half a return, T/2
+        and Theta/2.  Seeded beside the saddle passage and landing at
+        r_hi, the leg is ~100x more accurate in T and Theta than the
+        reverse one.  On the l = 0 axis at g > 0, r_lo = 0 is a center
         passage, not a turning point: FlowError."""
         r_lo, _ = self.reduced_profile(c)
         if r_lo == 0.0:
             raise FlowError(f"no turning-point seed on the l = 0 axis at "
                             f"(h, l)=({c.h:.4g}, {c.l:.4g}): r_lo = 0 is a "
                             "center passage")
-        return np.array([[r_lo], [0.0], [0.0], [c.l / r_lo], [0.0]])
+        return np.array([[r_lo], [0.0], [0.0], [c.l / r_lo]])
 
     def flow_section_value(self, s):
         """r rdot = x px + y py (the gamma terms cancel): zero at both
@@ -531,7 +534,11 @@ class ChampagneBottle(SystemDefinition):
         """d(x px + y py)/dt where the field takes the value f."""
         return f[0] * s[2] + s[0] * f[2] + f[1] * s[3] + s[1] * f[3]
 
-    flow_angle_index = 4
+    @property
+    def flow_frame_rate(self) -> float:
+        """gamma: in the frame turning at gamma, phi' = gamma + l/r^2
+        leaves l/r^2."""
+        return self.gamma
 
     def flow_hamiltonian(self, s) -> float:
         return self.hamiltonian(s)
@@ -652,34 +659,31 @@ class SphericalPendulum(SystemDefinition):
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
-        """Constrained Cartesian flow on T S^2 with unwrapped azimuth, on a
-        block of states (x, y, z, vx, vy, vz, phi), one per column;
-        qddot = -e_z + (z - |v|^2) q.
+        """Constrained Cartesian flow on T S^2, on a block of states (x, y,
+        z, vx, vy, vz), one per column; qddot = -e_z + (z - |v|^2) q.
 
         The -eta[(q.v) q + (|q|^2 - 1) v] damping vanishes identically on
         the constraint manifold (trajectories unchanged) and keeps the
         numerical drift of |q| = 1, q.v = 0 -- and with it the energy
         drift -- inside the 1e-10 budget on near-fiber tori."""
         eta = 2.0
-        q, v = s[:3], s[3:6]
+        q, v = s[:3], s[3:]
         qq, qv3, vv = q * q, q * v, v * v
-        r2 = qq[0] + qq[1]
-        q2m1 = r2 + qq[2] - 1.0
+        q2m1 = (qq[0] + qq[1]) + qq[2] - 1.0
         qv = (qv3[0] + qv3[1]) + qv3[2]
         acc = (q[2] - ((vv[0] + vv[1]) + vv[2])) * q   # lam q
         acc[2] -= 1.0
-        return np.concatenate([v, acc - eta * (qv * q + q2m1 * v),
-                               [(q[0] * v[1] - q[1] * v[0]) / r2]])
+        return np.concatenate([v, acc - eta * (qv * q + q2m1 * v)])
 
     def flow_start(self, c: EMValue) -> np.ndarray:
         """Two seeds, one per column: the states at the turning points z2
         and z1 in the x-z plane, x0 = sqrt((1 - z)(1 + z)) from _roots'
         cancellation-free 1 - z2 and 1 + z1.  Both lie on Fix(R) of the
-        reversor R: (x, y, z, vx, vy, vz, phi) -> (x, -y, z, -vx, vy, -vz,
-        -phi), t -> -t, which keeps H and L; so the legs from z2 down and
-        from z1 up to the equator z = 0 make half a return together, T/2
-        and Theta/2.  Both land where z moves fast and phi' = l/(1 - z^2)
-        is small: a one-leg half return lands at z2, beside the slow saddle
+        reversor R: (x, y, z, vx, vy, vz) -> (x, -y, z, -vx, vy, -vz),
+        t -> -t, which keeps H and L; so the legs from z2 down and from z1
+        up to the equator z = 0 make half a return together, T/2 and
+        Theta/2.  Both land where z moves fast and phi' = l/(1 - z^2) is
+        small: a one-leg half return lands at z2, beside the slow saddle
         passage, or at z1, the south-pole graze, and is some 1000x less
         accurate in T or Theta.  On the l = 0 axis z1 = -1 is a pole
         passage, not a turning point, and an orbit that misses the equator
@@ -692,8 +696,8 @@ class SphericalPendulum(SystemDefinition):
         if not (one_z1 < 1.0 and w2 < 1.0):
             raise FlowError(f"the orbit at {where} misses the equator z = 0")
         x2, x1 = math.sqrt(w2 * (2.0 - w2)), math.sqrt(one_z1 * wc)
-        return np.array([[x2, 0.0, 1.0 - w2, 0.0, c.l / x2, 0.0, 0.0],
-                         [x1, 0.0, one_z1 - 1.0, 0.0, c.l / x1, 0.0, 0.0]]).T
+        return np.array([[x2, 0.0, 1.0 - w2, 0.0, c.l / x2, 0.0],
+                         [x1, 0.0, one_z1 - 1.0, 0.0, c.l / x1, 0.0]]).T
 
     def flow_section_value(self, s):
         """-z sgn(vz), the height left to the equator z = 0 along the
@@ -705,7 +709,7 @@ class SphericalPendulum(SystemDefinition):
         """d(-z sgn(vz))/dt = -|vz| where the field takes the value f."""
         return -f[2] * np.sign(s[5])
 
-    flow_angle_index = 6
+    flow_frame_rate = 0.0   # phi' = l/(1 - z^2) is the l/r^2 itself
 
     def flow_hamiltonian(self, s) -> float:
         x, y, z, vx, vy, vz = s[:6]

@@ -299,7 +299,26 @@ def test_c1_records_its_flow_steps():
     # deterministic, so a change to the oracle's cost shows here
     res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
     assert res.status == "pass"
-    assert res.details["flow_steps"] == {"champagne": 88, "pendulum": 107}
+    assert res.details["flow_steps"] == {"champagne": 49, "pendulum": 46}
+
+
+def test_c1_records_its_worst_energy_drift(monkeypatch):
+    # C1's details name each system's largest energy drift over its flow
+    # lanes: the maximum of the drifts its two integrations track
+    integrate_flow = lattice.integrate_flow
+    drifts = []
+
+    def recording_flow(*args, **kwargs):
+        traj = integrate_flow(*args, **kwargs)
+        drifts.append(float(traj.drift.max()))
+        return traj
+
+    monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
+    res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
+    assert res.status == "pass"
+    got = res.details["max_energy_drift"]
+    assert got == {"champagne": drifts[0], "pendulum": drifts[1]}
+    assert 0.0 < max(got.values()) <= lattice.ENERGY_DRIFT_TOL
 
 
 def test_crosscheck_summary_records_its_flow_steps(tmp_path, capsys,
@@ -317,6 +336,24 @@ def test_crosscheck_summary_records_its_flow_steps(tmp_path, capsys,
     assert rc == cli.EXIT_OK
     doc = json.loads((tmp_path / "crosscheck_summary.json").read_text())
     assert len(steps) == 1 and doc["flow_steps"] == steps[0] > 0
+
+
+def test_crosscheck_summary_records_its_worst_energy_drift(tmp_path, capsys,
+                                                          monkeypatch):
+    integrate_flow = lattice.integrate_flow
+    drifts = []
+
+    def recording_flow(*args, **kwargs):
+        traj = integrate_flow(*args, **kwargs)
+        drifts.append(float(traj.drift.max()))
+        return traj
+
+    monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
+    rc, _ = run(capsys, "crosscheck", "--n-tori", "3", "--out", str(tmp_path))
+    assert rc == cli.EXIT_OK
+    doc = json.loads((tmp_path / "crosscheck_summary.json").read_text())
+    assert doc["max_energy_drift"] == drifts[0]
+    assert 0.0 < drifts[0] <= lattice.ENERGY_DRIFT_TOL
 
 
 def test_c1_fails_when_no_torus_is_checked():
@@ -625,6 +662,21 @@ class TestExitCodes:
         assert err == ("numerical failure: the mid ring, |j| = 0.2295, "
                        "fails: |j|=0.22948732935908364 above cap "
                        "0.20000000000000001; no contour levels\n")
+
+    def test_spiral_expects_a_zero_pitch_at_omega_zero(self, tmp_path,
+                                                       capsys):
+        # the pendulum's star: spiral_summary.json states the expected
+        # slope as C5 does, 0.0, not -0.0
+        rc, err = run(capsys, "spiral", "--system", "pendulum",
+                      "--out", str(tmp_path))
+        assert rc == cli.EXIT_OK, err
+        doc = json.loads((tmp_path / "spiral_summary.json").read_text())
+        c5 = acceptance.c5_spirals(acceptance.AcceptanceConfig())
+        for fits in (doc["fits"], c5.details["pendulum"]):
+            expected = [f.get("expected_slope", f.get("expected"))
+                        for f in fits]
+            assert [(x, math.copysign(1.0, x)) for x in expected] \
+                == [(0.0, 1.0)] * 3
 
     def test_spiral_below_the_floor_is_partial(self, tmp_path, capsys):
         # the radii below the floor 1e-5 lose their points: the curves

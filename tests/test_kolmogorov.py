@@ -6,6 +6,7 @@ import pytest
 from focusfocus import (EMValue, MomentumValue, WindowError, asymptote_sweep,
                         eval_constants, frequency_jacobian_det,
                         from_momentum_chart, tau_jacobian)
+from focusfocus import kolmogorov
 from focusfocus.lattice import reduced_period_rotation
 
 TWO_PI = 2.0 * math.pi
@@ -41,8 +42,14 @@ class TestJacobianDeterminant:
                     assert fs.asymptote < 0.0
 
     def test_chain_factor_exact(self, champagne):
-        fs = frequency_jacobian_det(champagne, ray_point(champagne, 1e-3, 0.7))
-        assert fs.det_I == fs.det_c * fs.omega1
+        # det_I = omega1 det domega/d(h, l), with det domega/d(h, l) =
+        # -2 pi (T_h Theta_l - T_l Theta_h) / T^3 from the same derivatives
+        c = ray_point(champagne, 1e-3, 0.7)
+        fs = frequency_jacobian_det(champagne, c)
+        T, _ = reduced_period_rotation(champagne, c)
+        (T_h, T_l, th_h, th_l), = kolmogorov._hessian(champagne, [c]).T
+        det_c = -TWO_PI * (T_h * th_l - T_l * th_h) / T ** 3
+        assert fs.det_I == (TWO_PI / T) * det_c
 
     def test_ratio_near_one_and_improving(self, champagne):
         sweep = asymptote_sweep(champagne, 0.7, 1e-4, 1e-2,
@@ -57,7 +64,7 @@ class TestJacobianDeterminant:
         # determinant to its O(d^4) truncation
         c = ray_point(champagne, 1e-3, 0.7)
         base = frequency_jacobian_det(champagne, c)
-        _, theta0 = reduced_period_rotation(champagne, c)
+        T0, theta0 = reduced_period_rotation(champagne, c)
 
         def omegas(cc):
             T, theta = reduced_period_rotation(champagne, cc)
@@ -72,7 +79,7 @@ class TestJacobianDeterminant:
         d = 1e-2 * 1e-3
         (w1h, w2h), (w1l, w2l) = [(4 * b - a) / 3 for a, b in
                                   zip(gradient(d), gradient(d / 2))]
-        det_shifted = (w1h * w2l - w1l * w2h) * base.omega1
+        det_shifted = (w1h * w2l - w1l * w2h) * TWO_PI / T0
         assert det_shifted == pytest.approx(base.det_I, rel=1e-6)
 
 

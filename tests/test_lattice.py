@@ -129,7 +129,7 @@ class TestBatchedCrossCheck:
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
         assert acceptance.c1_cross_engine(
             acceptance.AcceptanceConfig()).status == "pass"
-        assert [traj.final.shape[1] for _, traj in calls] == [50, 100]
+        assert [traj.states.shape[2] for _, traj in calls] == [50, 100]
         for section, traj in calls:
             for records in traj.event_records:
                 assert len(records) == 1
@@ -214,10 +214,17 @@ class TestBatchedCrossCheck:
 
 def full_return_reference(system, tori):
     """(T, Theta) of each torus by a full return, independent of the
-    reversor: seeded at its outer turning point (r_hi, or z2), timed
-    between its first and second falling crossings of the mid-orbit level
-    of r^2, or z.  Each lane's level rides as an extra, constant state
-    component, which the section subtracts."""
+    reversor and of the oracle's azimuth reading: seeded at its outer
+    turning point (r_hi, or z2), timed between its first and second
+    falling crossings of the mid-orbit level of r^2, or z.  The azimuth
+    phi is integrated, as phi' = (x ydot - y xdot)/r^2, in a state row
+    after the system's own.  Each lane's level rides as a last, constant
+    state component, which the section subtracts."""
+    def field(s):
+        f = system.flow_field(s[:-2])
+        phi_dot = (s[0] * f[1] - s[1] * f[0]) / (s[0] * s[0] + s[1] * s[1])
+        return np.concatenate([f, [phi_dot], 0.0 * s[-1:]])
+
     seeds, budgets = [], []
     for c in tori:
         lo, hi = system.reduced_profile(c)
@@ -240,14 +247,12 @@ def full_return_reference(system, tori):
         section = numerics.EventSpec(lambda s: s[2] - s[7],
                                      lambda s, f: f[2], count=2)
     traj = numerics.integrate_flow(
-        lambda s: np.concatenate([system.flow_field(s[:-1]), 0.0 * s[-1:]]),
-        np.array(seeds).T, t_max=np.array(budgets),
+        field, np.array(seeds).T, t_max=np.array(budgets),
         invariant=system.flow_hamiltonian, section=section,
         tol=system.flow_rtol)
     assert traj.errors == [None] * len(tori)
     assert traj.drift.max() <= lattice.ENERGY_DRIFT_TOL
-    k = system.flow_angle_index
-    return [(t2 - t1, float(s2[k] - s1[k]))
+    return [(t2 - t1, float(s2[-2] - s1[-2]))
             for (t1, s1), (t2, s2) in traj.event_records]
 
 
@@ -264,6 +269,60 @@ class TestHalfReturn:
                     flows, full_return_reference(system, tori)):
                 assert abs(T - T_ref) <= 1e-9 * T_ref
                 assert abs(theta - theta_ref) <= 1e-9
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_step_turns_stay_in_the_half_circle(self, monkeypatch, seed):
+        # C1's tori at seeds 1-5: every accepted step's wrapped azimuth turn
+        # in the turning frame lies in sign(l) [0, pi], well inside the
+        # guard window, so no turn count is in doubt
+        integrate_flow = lattice.integrate_flow
+        calls = []
+
+        def recording_flow(*args, **kwargs):
+            calls.append(integrate_flow(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
+        cfg = acceptance.AcceptanceConfig(seed=seed)
+        champ, _, pend = cfg.systems()
+        rng = np.random.default_rng(seed)
+        for system, legs in ((champ, 1), (pend, 2)):
+            tori = lattice.sample_cross_tori(system, rng, cfg.n_cross_tori)
+            flows, _ = lattice._tori_flow(system, tori)
+            assert all(isinstance(f, tuple) for f in flows)
+            traj = calls.pop()
+            sign = np.repeat([math.copysign(1.0, c.l) for c in tori], legs)
+            turns = sign * lattice._frame_turns(
+                traj.states, traj.times, system.flow_frame_rate, sign)
+            assert 0.0 <= turns.min() and turns.max() <= math.pi
+
+    @pytest.mark.parametrize("name", ["champagne", "pendulum"])
+    def test_a_turn_outside_the_guard_fails_its_torus(self, request,
+                                                      monkeypatch, name):
+        # the first recorded position of torus 1's first leg turned back by
+        # a quarter circle: that step reads a turn below sign(l) (-pi/4),
+        # which no monotone azimuth makes, so torus 1 fails with FlowError
+        # and the other tori keep their values
+        system = request.getfixturevalue(name)
+        tori = batch_tori(system)
+        clean, _ = lattice._tori_flow(system, tori)
+        integrate_flow = lattice.integrate_flow
+        legs = {"champagne": 1, "pendulum": 2}[name]
+        bad = legs   # the first leg of torus 1
+
+        def rotated_flow(*args, **kwargs):
+            traj = integrate_flow(*args, **kwargs)
+            back = -math.copysign(0.5 * math.pi, tori[1].l)
+            x, y = traj.states[1, :2, bad]
+            traj.states[1, 0, bad] = x * math.cos(back) - y * math.sin(back)
+            traj.states[1, 1, bad] = x * math.sin(back) + y * math.cos(back)
+            return traj
+
+        monkeypatch.setattr(lattice, "integrate_flow", rotated_flow)
+        flows, _ = lattice._tori_flow(system, tori)
+        assert isinstance(flows[1], FlowError)
+        assert "turns outside sign(l) [-0.25 pi, 1.25 pi]" in str(flows[1])
+        assert [flows[k] for k in (0, 2, 3)] == [clean[k] for k in (0, 2, 3)]
 
     @pytest.mark.parametrize("name,h,axis_error", [
         ("champagne", 0.01, True), ("champagne", -0.01, False),
@@ -464,9 +523,15 @@ class TestAsymptoticFit:
         assert model.log_coeff_tau2 == pytest.approx(1.0, abs=0.05)
 
     def test_a0_recovered(self, sweep, champagne):
-        model = fit_asymptotic_model(sweep)
+        # 2 pi W + arg zeta ~ A0 (-ln|j|) + smooth: a least-squares fit on
+        # the sweep, in the fit_asymptotic_model basis, recovers A0
+        rho = np.hypot(sweep.j1, sweep.j2).ravel()
+        X = np.column_stack([-np.log(rho), np.ones_like(rho),
+                             sweep.j1.ravel(), sweep.j2.ravel()])
+        coef, *_ = np.linalg.lstsq(
+            X, (sweep.theta + sweep.arg).ravel(), rcond=None)
         a0 = eval_constants(champagne).A0
-        assert model.A0_fit == pytest.approx(a0, rel=0.02)
+        assert coef[0] == pytest.approx(a0, rel=0.02)
 
     def test_residual_decays_toward_origin(self, champagne):
         inner = fit_asymptotic_model(annulus_sweep(champagne, 1e-4, 1e-3,

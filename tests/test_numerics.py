@@ -40,9 +40,9 @@ class TestIntegrateFlow:
         ev = EventSpec(lambda y: -y[0], x_rate, count=1)
         traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=10.0,
                               invariant=amplitude, section=ev, tol=1e-12)
-        t1 = traj.event_records[0][0][0]
+        ((t1, landing),) = traj.event_records[0]
         assert t1 == pytest.approx(TWO_PI, abs=1e-9)
-        assert traj.final[:, 0] == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert landing == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_energy_conservation_long_run(self, champagne):
         traj = integrate_flow(champagne.flow_field,
@@ -107,9 +107,9 @@ class TestBatchedFlow:
         assert "spacing between numbers" in str(traj.errors[0])
         assert traj.errors[1] is None
         assert traj.times[-1, 1] == 2.0
-        assert traj.final[0, 1] == pytest.approx(0.1 / 0.8, rel=1e-10)
+        assert traj.states[-1, 0, 1] == pytest.approx(0.1 / 0.8, rel=1e-10)
         assert traj.times.shape == (len(traj.times), 2)
-        assert traj.final.shape == (1, 2)
+        assert traj.states.shape == (len(traj.times), 1, 2)
 
     def test_lanes_match_single_seeds(self):
         # per-lane levels, carried as a third, constant state component
@@ -130,8 +130,8 @@ class TestBatchedFlow:
             got = [t for t, _ in traj.event_records[i]]
             assert got == pytest.approx([t for t, _ in one.event_records[0]],
                                         abs=1e-12)
-            assert traj.final[:, i] == pytest.approx(one.final[:, 0],
-                                                     abs=1e-12)
+            assert traj.event_records[i][-1][1] == pytest.approx(
+                one.event_records[0][-1][1], abs=1e-12)
             assert traj.drift[i] == pytest.approx(one.drift[0], abs=1e-14)
         # the seed on the section (lane 0) is not a crossing
         assert traj.event_records[0][0][0] == pytest.approx(TWO_PI,
@@ -165,7 +165,7 @@ class TestBatchedFlow:
         assert "exceeded with 1/2" in str(traj.errors[1])
 
     def test_drift_matches_loop_reference(self, champagne):
-        # a sixth, constant state component tags each lane, so the blocks
+        # a fifth, constant state component tags each lane, so the blocks
         # the kernel passes to the invariant can be told apart by lane; the
         # running maximum must equal the max-then-divide formula over every
         # state the kernel evaluated, lane by lane
@@ -175,7 +175,7 @@ class TestBatchedFlow:
         seen = []
 
         def field(y):
-            return [*champagne.flow_field(y[:5]), 0.0 * y[5]]
+            return [*champagne.flow_field(y[:4]), 0.0 * y[4]]
 
         def invariant(y):
             seen.append(y.copy())
@@ -186,7 +186,7 @@ class TestBatchedFlow:
         states = [[], []]
         for block in seen:
             for s in block.T:
-                states[int(s[5])].append(s)
+                states[int(s[4])].append(s)
         for i, lane in enumerate(states):
             assert len(lane) >= 2 and lane[0].tolist() == seeds[:, i].tolist()
             v0 = champagne.flow_hamiltonian(lane[0])
@@ -219,7 +219,8 @@ class TestNonFinite:
         assert traj.errors[1] is None and alone.errors[0] is None
         assert [(t, s.tolist()) for t, s in traj.event_records[1]] == \
             [(t, s.tolist()) for t, s in alone.event_records[0]]
-        assert traj.final[:, 1].tolist() == alone.final[:, 0].tolist()
+        assert (traj.states[-1, :, 1].tolist()
+                == alone.states[-1, :, 0].tolist())
 
 
 def test_dop853_tableau_is_scipys():

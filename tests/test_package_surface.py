@@ -1,11 +1,13 @@
 """Every name the package exports has a user: program code in src/ that
 reads it, or the benchmark under perfbench/, which wraps the functions
 perfbench/tracer.py pins (FUNCTIONS) by name; every property of an
-exported class and every module-level private name is read in src/.  A
-name that only tests call is test-only API: move what the tests need into
-tests/ and delete it.
+exported class, every field of a dataclass of src/ and every module-level
+private name is read in src/.  A name that only tests call is test-only
+API: move what the tests need into tests/ and delete it.
 """
 import ast
+import dataclasses
+import importlib
 import importlib.util
 import inspect
 import sys
@@ -70,6 +72,30 @@ def test_every_property_has_a_reader():
     assert [p for p in properties if p.split(".")[1] not in read] == []
 
 
+def loaded_attributes() -> set[str]:
+    """The names src/ loads as an attribute (reads, not assignments)."""
+    return {node.attr for node in src_nodes()
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_has_a_reader():
+    # a field of a dataclass defined in src/ is loaded as an attribute in
+    # src/; a field that only tests read is test-only API, computed and
+    # stored for nothing
+    read = loaded_attributes()
+    fields = []
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"focusfocus.{path.stem}")
+        fields += [f"{path.stem}.{name}.{field.name}"
+                   for name, cls in vars(module).items()
+                   if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                   and cls.__module__ == module.__name__
+                   for field in dataclasses.fields(cls)]
+    assert fields
+    assert [f for f in fields if f.rpartition(".")[2] not in read] == []
+
+
 def module_private_names() -> list[str]:
     """The private names (one leading underscore) each module of src/
     binds at module level: its functions, classes and assignments."""
@@ -95,9 +121,7 @@ def test_every_private_name_has_a_reader():
     # attribute) somewhere in src/; one that only tests read is dead code
     read = {node.id for node in src_nodes() if isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Load)}
-    read |= {node.attr for node in src_nodes()
-             if isinstance(node, ast.Attribute)
-             and isinstance(node.ctx, ast.Load)}
+    read |= loaded_attributes()
     names = module_private_names()
     assert names
     assert [n for n in names if n.partition(".")[2] not in read] == []

@@ -235,7 +235,7 @@ class TestProfileAlongFlow:
         seeds = np.tile(champagne.flow_start(c), budgets.size)
         traj = integrate_flow(champagne.flow_field, seeds, t_max=budgets,
                               invariant=champagne.flow_hamiltonian, tol=1e-12)
-        for s in traj.final.T:
+        for s in traj.states[-1].T:
             r = math.hypot(s[0], s[1])
             rdot = (s[0] * s[2] + s[1] * s[3]) / r
             assert champagne_profile(champagne.gamma, c, r) == pytest.approx(
@@ -245,30 +245,25 @@ class TestProfileAlongFlow:
 def champagne_list_field(gamma, s):
     """The champagne bottle's field as a list of rows, as flow_field once
     returned it: the reference for the array form."""
-    x, y, px, py, _ = s
+    x, y, px, py = s
     r2 = x * x + y * y
-    xd = px - gamma * y
-    yd = py + gamma * x
-    return [xd, yd,
+    return [px - gamma * y, py + gamma * x,
             2 * x - 4 * x * r2 - gamma * py,
-            2 * y - 4 * y * r2 + gamma * px,
-            (x * yd - y * xd) / r2]
+            2 * y - 4 * y * r2 + gamma * px]
 
 
 def pendulum_list_field(s):
     """The spherical pendulum's field as a list of rows, as flow_field
     once returned it: the reference for the array form."""
     eta = 2.0
-    x, y, z, vx, vy, vz, _ = s
+    x, y, z, vx, vy, vz = s
     q2m1 = x * x + y * y + z * z - 1.0
     qv = x * vx + y * vy + z * vz
     lam = z - (vx * vx + vy * vy + vz * vz)
-    r2 = x * x + y * y
     return [vx, vy, vz,
             lam * x - eta * (qv * x + q2m1 * vx),
             lam * y - eta * (qv * y + q2m1 * vy),
-            lam * z - 1.0 - eta * (qv * z + q2m1 * vz),
-            (x * vy - y * vx) / r2]
+            lam * z - 1.0 - eta * (qv * z + q2m1 * vz)]
 
 
 @st.composite
@@ -280,21 +275,19 @@ def states(draw, d):
 
 class TestArrayFlowField:
     # the array fields keep each element's operation order: bit for bit
-    @given(st.sampled_from([-1.0, 0.0, 0.5]), states(5))
+    @given(st.sampled_from([-1.0, 0.0, 0.5]), states(4))
     @settings(max_examples=200, deadline=None)
     def test_champagne(self, gamma, s):
-        with np.errstate(all="ignore"):   # r = 0 draws divide by zero
-            ref = np.asarray(champagne_list_field(gamma, s), dtype=float)
-            got = ChampagneBottle(gamma=gamma).flow_field(s)
+        ref = np.asarray(champagne_list_field(gamma, s), dtype=float)
+        got = ChampagneBottle(gamma=gamma).flow_field(s)
         assert got.shape == s.shape
         assert got.tobytes() == ref.tobytes()
 
-    @given(states(7))
+    @given(states(6))
     @settings(max_examples=200, deadline=None)
     def test_pendulum(self, pendulum, s):
-        with np.errstate(all="ignore"):
-            ref = np.asarray(pendulum_list_field(s), dtype=float)
-            got = pendulum.flow_field(s)
+        ref = np.asarray(pendulum_list_field(s), dtype=float)
+        got = pendulum.flow_field(s)
         assert got.shape == s.shape
         assert got.tobytes() == ref.tobytes()
 
@@ -305,7 +298,7 @@ class TestBlocksOnly:
     @pytest.mark.parametrize("name", ["champagne", "pendulum"])
     def test_block_equals_its_columns(self, request, name):
         system = request.getfixturevalue(name)
-        d = {"champagne": 5, "pendulum": 7}[name]
+        d = {"champagne": 4, "pendulum": 6}[name]
         block = np.random.default_rng(3).uniform(-1.0, 1.0, (d, 40))
         for fn in (system.flow_field, system.flow_section_value,
                    lambda s: system.flow_section_rate(s, system.flow_field(s)),
