@@ -7,14 +7,14 @@ one return:
 * quadrature (the primary engine): the reduced-profile integrals
   T = 2 int dr / sqrt(P) and Theta = 2 int a(r) / sqrt(P) dr over the
   reduced orbit, in closed form.  Both profiles are cubics, so these are
-  complete elliptic integrals of the first and third kind, which each
-  system evaluates with Bulirsch's cel (period_rotation).  One
-  torus costs a few microseconds and is accurate to rounding (checked
-  against mpmath); the engine keeps its historical name.  A path, a grid
-  and an annulus sweep evaluate their tori in one array call (the
-  systems' period_rotation_array), bit-identical to the one-torus
-  reduced_period_rotation, which only names the failure of each lane the
-  array form rejects.  On complex (h, l) the array form gives every
+  complete elliptic integrals of the first and third kind, evaluated with
+  Bulirsch's cel by one body for every system (period_rotation), from the
+  system's cubic and elliptic terms.  One torus costs 7-14 microseconds
+  and is accurate to rounding (checked against mpmath); the engine keeps
+  its historical name.  A path, a grid and an annulus sweep evaluate their
+  tori in one array call (period_rotation_array), bit-identical to the
+  one-torus reduced_period_rotation, which only names the failure of each
+  lane the array form rejects.  On complex (h, l) the array form gives every
   derivative of T and Theta by a complex step (derivatives);
 * flow (the independent oracle): direct integration of the Cartesian
   vector field over half a return, the azimuth advance read from the
@@ -185,7 +185,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
 
     The state holds no azimuth.  A seed's is 0, so a leg's dphi is the
     landing's atan2 plus the 2 pi multiple that the accepted steps fix:
-    in the frame turning at the system's flow_frame_rate the azimuth
+    in the frame turning at the system's frame_rate the azimuth
     obeys psi' = l/r^2 (L is conserved), so it turns monotonically with
     the sign of l.  Each step's turn (_frame_turns) must lie in sign(l)
     TURN_GUARD, or the leg fails with FlowError rather than guess a turn;
@@ -214,7 +214,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
                           t_max=np.array(budgets),
                           invariant=system.flow_hamiltonian, section=section,
                           tol=system.flow_rtol)
-    rate = system.flow_frame_rate
+    rate = system.frame_rate
     sign = np.array([math.copysign(1.0, cs[i].l) for i in owner])
     turns = _frame_turns(traj.states, traj.times, rate, sign)
     lo, hi = TURN_GUARD

@@ -29,18 +29,19 @@ roots are taken without cancellation (the largest by Newton, the small
 pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
 serves only the flow oracle.
 
-Each system has two forms of the closed form.  period_rotation takes one
-torus on Python floats (~5 us): reduced_period_rotation uses it.
-period_rotation_array takes arrays h, l (~0.6 us per torus on thousands)
-and returns T, Theta and an ok mask, False where the scalar form raises or
-a step would leave its domain.  It runs the scalar operations in the
-scalar order (numpy's + - * / sqrt round as Python's do), and each lane
-leaves the Newton and cel loops by compaction at the iteration at which
-its scalar loop stops, so every accepted real lane is bit-identical to
+The closed form has two forms, one body each, that every system shares
+(SystemDefinition).  period_rotation takes one torus on Python floats
+(7-14 us on a shared 2-core Xeon): reduced_period_rotation uses it.
+period_rotation_array takes arrays h, l (~1 us per torus on thousands) and
+returns T, Theta and an ok mask, False where the scalar form raises or a
+step would leave its domain.  It runs the scalar operations in the scalar
+order (numpy's + - * / sqrt round as Python's do), and each lane leaves
+the Newton and cel loops by compaction at the iteration at which its
+scalar loop stops, so every accepted real lane is bit-identical to
 period_rotation, whatever its batch.  It also takes complex h, l: every
-comparison reads the real parts, so a lane at (h + i d, l) or (h, l + i d),
-d tiny, holds the derivative of T and Theta in h or l as its imaginary
-part over d (lattice.derivatives).
+comparison reads the real parts, so a lane at (h + i d, l) or
+(h, l + i d), d tiny, holds the derivative of T and Theta in h or l as
+its imaginary part over d (lattice.derivatives).
 
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable and hashable, so eval_constants memoizes
@@ -248,41 +249,40 @@ def _cel_array(kc: np.ndarray, p: np.ndarray
     return out, ok
 
 
-def _scatter(n: int, lane: np.ndarray, ok: np.ndarray, T: np.ndarray,
-             theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(T, Theta, ok) over n input lanes from the accepted ok lanes of the
-    surviving lanes lane."""
-    T_out, theta_out = (np.full(n, np.nan, dtype=x.dtype) for x in (T, theta))
-    accepted = np.zeros(n, dtype=bool)
-    lane = lane[ok]
-    T_out[lane], theta_out[lane], accepted[lane] = T[ok], theta[ok], True
-    return T_out, theta_out, accepted
-
-
 class SystemDefinition:
     """Duck-typed interface shared by the built-in systems.
 
     Required surface, what the engines read: name, j_floor, j_cap,
     hessian() and second_integral_hessian() at the equilibrium (on one
     4-dim symplectic chart), reduced_profile(c) -> the turning points (lo,
-    hi), period_rotation(c) -> (T, Theta), period_rotation_array(h, l) ->
-    (T, Theta, ok) over arrays (no base version: each system brings its
-    own, bit-identical to period_rotation on the lanes it accepts), flow
-    components (field, flow_start(c) -> seeds (d, m) from one solve of the
-    reduced cubic, section value and rate, frame rate, energy on the flow
-    chart), constants().  The flow state is Cartesian, its first two rows
-    the position (x, y) in the plane of the S^1 action, so the azimuth is
-    read from positions and not integrated.  The flow field, the section
-    value and rate and the energy take a block of states (d, m), one per
-    column, unpacked row by row; they are never handed a lone state (d,).
-    Each seed is a turning-point state on Fix(R) of a reversor R of the
-    flow (an involution, with t -> -t, that keeps H and L) at azimuth 0,
-    on the positive x axis, and lies on the section without crossing it.
-    The legs from the seeds to their first falling crossings of the
-    section make half a return together, so T = 2 sum t and Theta = 2 sum
-    dphi over them (lattice._tori_flow).  flow_frame_rate is the rate of
-    the frame in which the azimuth obeys psi' = l/r^2 (r the distance from
-    the axis), which turns monotonically with the sign of l.
+    hi), the closed form's three parts, frame_rate, flow components
+    (field, flow_start(c) -> seeds (d, m) from one solve of the reduced
+    cubic, section value and rate, energy on the flow chart), constants().
+
+    The closed form, period_rotation(c) -> (T, Theta) on floats and
+    period_rotation_array(h, l) -> (T, Theta, ok) on arrays, has one body
+    each, here.  A system states its cubic and its elliptic terms once:
+    _roots(c) -> roots, raising where there is no regular torus;
+    _roots_array(h, l, axis) -> (lane, roots) of the lanes _roots accepts;
+    and _elliptic(h, roots, sqrt) -> (scale, kc, terms, passages), one
+    body for floats and arrays: T = sqrt(2) K(kc)/scale, and Theta =
+    frame_rate T + sqrt(2) l sum cel(kc_k, p_k)/den_k over the third-kind
+    terms (kc_k, p_k, den_k), or frame_rate T + pi passages sign(l) on the
+    l = 0 axis.  frame_rate is the rate of the frame in which the azimuth
+    obeys psi' = l/r^2 (r the distance from the axis), turning
+    monotonically with the sign of l; the flow oracle counts turns in it.
+
+    The flow state is Cartesian, its first two rows the position (x, y) in
+    the plane of the S^1 action, so the azimuth is read from positions and
+    not integrated.  The flow field, the section value and rate and the
+    energy take a block of states (d, m), one per column, unpacked row by
+    row; they are never handed a lone state (d,).  Each seed is a
+    turning-point state on Fix(R) of a reversor R of the flow (an
+    involution, with t -> -t, that keeps H and L) at azimuth 0, on the
+    positive x axis, and lies on the section without crossing it.  The
+    legs from the seeds to their first falling crossings of the section
+    make half a return together, so T = 2 sum t and Theta = 2 sum dphi
+    over them (lattice._tori_flow).
     """
 
     name = "abstract"
@@ -309,6 +309,50 @@ class SystemDefinition:
         return np.array(list(map(math.hypot, j1.ravel().tolist(),
                                  l.real.ravel().tolist())),
                         dtype=float).reshape(h.shape)
+
+    def period_rotation(self, c: EMValue) -> tuple[float, float]:
+        """(T, Theta) of one torus in closed form, on Python floats."""
+        scale, kc, terms, passages = self._elliptic(c.h, self._roots(c),
+                                                    math.sqrt)
+        T = SQRT2 * _cel(kc, 1.0) / scale
+        if abs(c.l) <= L_AXIS_TOL:
+            # pi per pole passage, with the sign of l (l = +0.0 takes the
+            # upper sign); none adds +0.0, as the array form does
+            turn = (math.pi * passages * math.copysign(1.0, c.l) if passages
+                    else 0.0)
+            return T, self.frame_rate * T + turn
+        third = sum(_cel(k, p) / den for k, p, den in terms)
+        return T, self.frame_rate * T + SQRT2 * c.l * third
+
+    def period_rotation_array(self, h: np.ndarray, l: np.ndarray
+                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """period_rotation over flat arrays h, l: (T, Theta, ok), ok False
+        where the scalar form raises or a step would leave its domain.  On
+        the axis a complex l adds i Im(l) sqrt(2) sum cel(kc_k, p_k)/den_k,
+        the l -> 0 limit of the l-derivative of the third-kind terms: l
+        times their pole parts (_cel_array) is pi sign(l) per passage."""
+        size, axis = h.size, np.abs(l.real) <= L_AXIS_TOL
+        lane, roots = self._roots_array(h, l, axis)
+        h, l, axis = h[lane], l[lane], axis[lane]
+        scale, kc, terms, passages = self._elliptic(h, roots, np.sqrt)
+        kcs, ps, dens = zip(*terms)
+        # one cel pass: K, then each third-kind term (on the axis, d/dl only)
+        cels, ok = (x.reshape(1 + len(dens), kc.size) for x in _cel_array(
+            np.concatenate((kc,) + kcs), np.concatenate([np.ones(kc.size)] + [
+                np.where(axis & (l.imag == 0.0), 1.0, p) for p in ps])))
+        T = SQRT2 * cels[0] / scale
+        third = sum(cel / den for cel, den in zip(cels[1:], dens))
+        poles = np.where(axis, math.pi * passages * np.copysign(1.0, l.real),
+                         0.0)
+        theta = self.frame_rate * T + (
+            poles + SQRT2 * np.where(axis, l - l.real, l) * third)
+        ok = ok.all(axis=0)
+        T_out, theta_out = (np.full(size, np.nan, dtype=x.dtype)
+                            for x in (T, theta))
+        accepted = np.zeros(size, dtype=bool)
+        lane = lane[ok]
+        T_out[lane], theta_out[lane], accepted[lane] = T[ok], theta[ok], True
+        return T_out, theta_out, accepted
 
 
 def to_momentum_chart(system: SystemDefinition, c: EMValue) -> MomentumValue:
@@ -401,16 +445,6 @@ class ChampagneBottle(SystemDefinition):
                              "usable")
 
     # -- 4-dim chart (x, y, px, py) -----------------------------------
-    def hamiltonian(self, s) -> float:
-        x, y, px, py = s[:4]
-        r2 = x * x + y * y
-        return ((px * px + py * py) / 2.0 + self.gamma * (x * py - y * px)
-                - r2 + r2 * r2)
-
-    def second_integral(self, s) -> float:
-        x, y, px, py = s[:4]
-        return x * py - y * px
-
     def hessian(self) -> np.ndarray:
         g = self.gamma
         return np.array([[-2.0, 0.0, 0.0, g],
@@ -449,32 +483,10 @@ class ChampagneBottle(SystemDefinition):
         s1, s2, _ = self._roots(c)
         return math.sqrt(s1), math.sqrt(s2)
 
-    def period_rotation(self, c: EMValue) -> tuple[float, float]:
-        """(T, Theta) in closed form.  T = int ds/sqrt(C) over [s1, s2] and
-        Theta = gamma T + l int ds/(s sqrt(C)), a third-kind integral with
-        its pole at s = 0."""
-        s1, s2, s3 = self._roots(c)
-        kc = math.sqrt((s1 - s3) / (s2 - s3))
-        T = SQRT2 * _cel(kc, 1.0) / math.sqrt(s2 - s3)
-        if abs(c.l) <= L_AXIS_TOL:
-            # a center passage (s1 = 0) adds pi, with the sign of l; l = +0.0
-            # takes the upper sign (copysign(1, +0.0) = +1)
-            pole = math.pi * math.copysign(1.0, c.l) if s1 == 0.0 else 0.0
-            return T, self.gamma * T + pole
-        theta_l = SQRT2 * c.l / (s2 * math.sqrt(s2 - s3)) * _cel(kc, s1 / s2)
-        return T, self.gamma * T + theta_l
-
-    def period_rotation_array(self, h: np.ndarray, l: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """period_rotation over arrays h, l: (T, Theta, ok).  ok is False
-        where the scalar form raises or a step would leave its domain;
-        every accepted real lane is bit-identical to period_rotation.  On
-        the axis a complex l adds i Im(l) pref cel(kc, s1/s2), the l -> 0
-        limit of the l-derivative of the third-kind term l pref cel: l pref
-        times the pole part of cel (_cel_array) is pi sign(l) exactly."""
+    def _roots_array(self, h: np.ndarray, l: np.ndarray, axis: np.ndarray):
+        """The lanes of h, l that _roots accepts, and what it returns there."""
         lane = np.arange(h.size)
         g = h - self.gamma * l
-        axis = np.abs(l.real) <= L_AXIS_TOL
         disc = 1.0 + 4.0 * g
         lane, g, l, axis, disc = _lanes(
             (disc.real >= 0.0) & ~(axis & (g.real == 0.0)), lane, g, l, axis,
@@ -484,19 +496,16 @@ class ChampagneBottle(SystemDefinition):
             0.5 * (1.0 + np.sqrt(disc)))
         ok &= ((s2 - s1).real
                > np.where(axis, 1e-6, 1e-12) * np.maximum(1.0, s2.real))
-        lane, l, axis, s1, s2, s3 = _lanes(ok, lane, l, axis, s1, s2, s3)
-        kc = np.sqrt((s1 - s3) / (s2 - s3))
-        n = kc.size
-        # one cel pass: K, then the third kind (on the axis, only for d/dl)
-        cels, cel_ok = _cel_array(np.concatenate([kc, kc]), np.concatenate(
-            [np.ones(n), np.where(axis & (l.imag == 0.0), 1.0, s1 / s2)]))
-        ok = cel_ok[:n] & cel_ok[n:]
-        T = SQRT2 * cels[:n] / np.sqrt(s2 - s3)
-        pole = np.where(s1 == 0.0, math.pi * np.copysign(1.0, l.real), 0.0)
-        third = (SQRT2 * np.where(axis, l - l.real, l)
-                 / (s2 * np.sqrt(s2 - s3)) * cels[n:])
-        theta = self.gamma * T + (pole + third)
-        return _scatter(h.size, lane, ok, T, theta)
+        lane, s1, s2, s3 = _lanes(ok, lane, s1, s2, s3)
+        return lane, (s1, s2, s3)
+
+    def _elliptic(self, h, roots, sqrt):
+        """T = int ds/sqrt(C) over [s1, s2] and Theta = gamma T + l int
+        ds/(s sqrt(C)), one third-kind term with its pole at s = 0, passed
+        (s1 = 0) on the l = 0 axis at g > 0."""
+        s1, s2, s3 = roots
+        scale, kc = sqrt(s2 - s3), sqrt((s1 - s3) / (s2 - s3))
+        return scale, kc, [(kc, s1 / s2, s2 * scale)], s1 == 0.0
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
@@ -535,13 +544,16 @@ class ChampagneBottle(SystemDefinition):
         return f[0] * s[2] + s[0] * f[2] + f[1] * s[3] + s[1] * f[3]
 
     @property
-    def flow_frame_rate(self) -> float:
+    def frame_rate(self) -> float:
         """gamma: in the frame turning at gamma, phi' = gamma + l/r^2
         leaves l/r^2."""
         return self.gamma
 
     def flow_hamiltonian(self, s) -> float:
-        return self.hamiltonian(s)
+        x, y, px, py = s[:4]
+        r2 = x * x + y * y
+        return ((px * px + py * py) / 2.0 + self.gamma * (x * py - y * px)
+                - r2 + r2 * r2)
 
 
 # --------------------------------------------------------------------------
@@ -602,60 +614,32 @@ class SphericalPendulum(SystemDefinition):
         _, w2, _, one_z1 = self._roots(c)
         return one_z1 - 1.0, 1.0 - w2
 
-    def period_rotation(self, c: EMValue) -> tuple[float, float]:
-        """(T, Theta) in closed form.  T = 2 int dz/sqrt(f) over [z1, z2];
-        Theta = l int (1/(1 - z) + 1/(1 + z)) dz/sqrt(f) splits into two
-        third-kind integrals, with poles at the north (z = 1) and the south
-        (z = -1) pole; each 1 - n is the ratio of that pole's distances to
-        the near and the far turning point."""
-        wc, w2, w3, one_z1 = self._roots(c)
-        kc = math.sqrt((w2 - w3) / (wc - w3))
-        T = 2.0 * SQRT2 * _cel(kc, 1.0) / math.sqrt(wc - w3)
-        if abs(c.l) <= L_AXIS_TOL:
-            # each pole passage adds pi, with the sign of l (l = +0.0 takes
-            # the upper sign): the south pole always, the north one at h > 0
-            npoles = 2 if c.h > 0.0 else 1
-            return T, npoles * math.pi * math.copysign(1.0, c.l)
-        one_z2 = one_z1 + (wc - w2)
-        north = _cel(kc, w2 / wc) / (wc * math.sqrt(wc - w3))
-        south = (_cel(math.sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2)
-                 / (one_z2 * math.sqrt(w2 - w3)))
-        return T, SQRT2 * c.l * (north + south)
-
-    def period_rotation_array(self, h: np.ndarray, l: np.ndarray
-                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """period_rotation over arrays h, l: (T, Theta, ok).  ok is False
-        where the scalar form raises or a step would leave its domain;
-        every accepted real lane is bit-identical to period_rotation, and
-        on the axis a complex l adds the champagne bottle's limit."""
-        size, lane = h.size, np.arange(h.size)
-        axis = np.abs(l.real) <= L_AXIS_TOL
+    def _roots_array(self, h: np.ndarray, l: np.ndarray, axis: np.ndarray):
+        """The lanes of h, l that _roots accepts, and what it returns there."""
+        lane = np.arange(h.size)
         lane, h, l, axis = _lanes(~(axis & (h.real == 0.0)), lane, h, l, axis)
         l2h = np.where(axis, 0.0, 0.5 * l * l)
         wc, w2, w3, ok = _cubic_roots_array(h - 2.0, -2.0 * h, l2h,
                                             np.full(lane.size, 2.0))
         ok &= ((h + wc).real > 0.0) & ((wc - w2).real > 1e-12)
-        lane, h, l, axis, l2h, wc, w2, w3 = _lanes(ok, lane, h, l, axis, l2h,
-                                                  wc, w2, w3)
-        kc = np.sqrt((w2 - w3) / (wc - w3))
-        n = kc.size
-        one_z1 = l2h / ((h + wc) * wc)
+        lane, h, l2h, wc, w2, w3 = _lanes(ok, lane, h, l2h, wc, w2, w3)
+        return lane, (wc, w2, w3, l2h / ((h + wc) * wc))
+
+    def _elliptic(self, h, roots, sqrt):
+        """T = 2 int dz/sqrt(f) over [z1, z2]; Theta = l int (1/(1 - z) +
+        1/(1 + z)) dz/sqrt(f) splits into two third-kind terms, with poles
+        at the north (z = 1) and the south (z = -1) pole; each 1 - n is the
+        ratio of that pole's distances to the near and the far turning
+        point.  On the l = 0 axis the orbit passes the south pole, and the
+        north one too at h > 0."""
+        wc, w2, w3, one_z1 = roots
         one_z2 = one_z1 + (wc - w2)
-        # one cel pass: K, north and south, as the champagne bottle's
-        cels, cel_ok = _cel_array(
-            np.concatenate([kc, kc, np.sqrt((wc - w3) / (w2 - w3))]),
-            np.concatenate([np.ones(n), np.where(
-                np.tile(axis & (l.imag == 0.0), 2), 1.0,
-                np.concatenate([w2 / wc, one_z1 / one_z2]))]))
-        ok = cel_ok[:n] & cel_ok[n:2 * n] & cel_ok[2 * n:]
-        T = 2.0 * SQRT2 * cels[:n] / np.sqrt(wc - w3)
-        # pi per pole passage, as period_rotation adds it
-        poles = np.where(axis, np.where(h.real > 0.0, 2.0, 1.0) * math.pi
-                         * np.copysign(1.0, l.real), 0.0)
-        north = cels[n:2 * n] / (wc * np.sqrt(wc - w3))
-        south = cels[2 * n:] / (one_z2 * np.sqrt(w2 - w3))
-        theta = poles + SQRT2 * np.where(axis, l - l.real, l) * (north + south)
-        return _scatter(size, lane, ok, T, theta)
+        scale, kc = sqrt(wc - w3), sqrt((w2 - w3) / (wc - w3))
+        return (0.5 * scale, kc,
+                [(kc, w2 / wc, wc * scale),
+                 (sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2,
+                  one_z2 * sqrt(w2 - w3))],
+                1.0 + (h.real > 0.0))
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
@@ -709,7 +693,7 @@ class SphericalPendulum(SystemDefinition):
         """d(-z sgn(vz))/dt = -|vz| where the field takes the value f."""
         return -f[2] * np.sign(s[5])
 
-    flow_frame_rate = 0.0   # phi' = l/(1 - z^2) is the l/r^2 itself
+    frame_rate = 0.0   # phi' = l/(1 - z^2) is the l/r^2 itself
 
     def flow_hamiltonian(self, s) -> float:
         x, y, z, vx, vy, vz = s[:6]

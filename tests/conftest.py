@@ -14,7 +14,7 @@ with warnings.catch_warnings():
     import hypothesis.extra._patching  # noqa: F401
 
 from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
-                        SphericalPendulum, lattice)
+                        SphericalPendulum, SystemDefinition, lattice)
 
 
 @pytest.fixture(scope="session")
@@ -35,11 +35,11 @@ def pendulum():
 @pytest.fixture
 def scalar_path(monkeypatch):
     """A switch that puts every torus on the scalar path for the rest of
-    the test: each system's array closed form is replaced by one that
-    sends each real lane through lattice.reduced_period_rotation, ok where
-    that call returns and rejected where it raises, and rejects every
-    complex lane.  Calling it returns the list of tori that function then
-    receives."""
+    the test: the array closed form, one body that every system shares,
+    is replaced by one that sends each real lane through
+    lattice.reduced_period_rotation, ok where that call returns and
+    rejected where it raises, and rejects every complex lane.  Calling it
+    returns the list of tori that function then receives."""
     def scalar_lanes(self, h, l):
         T, theta = np.full((2, h.size), np.nan)
         ok = np.zeros(h.size, dtype=bool)
@@ -54,8 +54,8 @@ def scalar_path(monkeypatch):
         return T, theta, ok
 
     def switch() -> list:
-        for cls in (ChampagneBottle, SphericalPendulum):
-            monkeypatch.setattr(cls, "period_rotation_array", scalar_lanes)
+        monkeypatch.setattr(SystemDefinition, "period_rotation_array",
+                            scalar_lanes)
         calls = []
         rpr = lattice.reduced_period_rotation
 

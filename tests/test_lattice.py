@@ -293,7 +293,7 @@ class TestHalfReturn:
             traj = calls.pop()
             sign = np.repeat([math.copysign(1.0, c.l) for c in tori], legs)
             turns = sign * lattice._frame_turns(
-                traj.states, traj.times, system.flow_frame_rate, sign)
+                traj.states, traj.times, system.frame_rate, sign)
             assert 0.0 <= turns.min() and turns.max() <= math.pi
 
     @pytest.mark.parametrize("name", ["champagne", "pendulum"])

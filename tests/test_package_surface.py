@@ -1,6 +1,7 @@
 """Every name the package exports has a user: program code in src/ that
 reads it, or the benchmark under perfbench/, which wraps the functions
-perfbench/tracer.py pins (FUNCTIONS) by name; every property of an
+perfbench/tracer.py pins (FUNCTIONS) by name; every method of an exported
+class is read in src/ or pinned there too (METHODS); every property of an
 exported class, every field of a dataclass of src/ and every module-level
 private name is read in src/.  A name that only tests call is test-only
 API: move what the tests need into tests/ and delete it.
@@ -77,6 +78,25 @@ def loaded_attributes() -> set[str]:
     return {node.attr for node in src_nodes()
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_method_has_a_reader(monkeypatch):
+    # a method defined in an exported class's own body is loaded as an
+    # attribute in src/, or pinned by the tracer (METHODS), which wraps it
+    # by name; one that only tests call is test-only API
+    read = loaded_attributes()
+    pinned = {(cls, meth) for _, cls, meth, _ in
+              load_tracer(monkeypatch).METHODS}
+    methods = sorted(
+        (name, attr) for name in focusfocus.__all__
+        if isinstance(cls := getattr(focusfocus, name), type)
+        for attr, value in vars(cls).items()
+        if not attr.startswith("__")
+        and (inspect.isfunction(value)
+             or isinstance(value, (staticmethod, classmethod))))
+    assert methods
+    assert [f"{name}.{attr}" for name, attr in methods
+            if attr not in read and (name, attr) not in pinned] == []
 
 
 def test_every_dataclass_field_has_a_reader():

@@ -10,7 +10,7 @@ from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
                         SystemRejected, TurningPointDegeneracy, WindowError,
                         acceptance, eval_constants, integrate_flow, lattice,
                         make_system)
-from focusfocus.systems import SystemDefinition
+from focusfocus.systems import SYSTEMS, SystemDefinition
 from reference_profiles import (champagne_profile, champagne_profile_dr,
                                 pendulum_profile)
 
@@ -87,6 +87,13 @@ class TestEvalConstants:
             assert ff.omega == pytest.approx(base.omega, abs=1e-10)
 
 
+def rotation_integral(s):
+    """L = x p_y - y p_x on (x, y, p_x, p_y), the champagne bottle's second
+    integral, on a state or a block of states, one per column."""
+    x, y, px, py = s[:4]
+    return x * py - y * px
+
+
 def complex_step_gradient(f, s, step=1e-30):
     """The gradient of f at the phase point s, one complex step per
     component: f takes the four perturbed states as the columns of one
@@ -103,8 +110,8 @@ class TestPoissonBracket:
         system = make_system(name, **params)
         rng = np.random.default_rng(42)
         for s in rng.uniform(-0.8, 0.8, size=(1000, 4)):
-            gh = complex_step_gradient(system.hamiltonian, s)
-            gl = complex_step_gradient(system.second_integral, s)
+            gh = complex_step_gradient(system.flow_hamiltonian, s)
+            gl = complex_step_gradient(rotation_integral, s)
             bracket = gh[0] * gl[2] + gh[1] * gl[3] - gh[2] * gl[0] \
                 - gh[3] * gl[1]
             scale = 1.0 + np.linalg.norm(gh) * np.linalg.norm(gl)
@@ -116,7 +123,7 @@ class TestChampagneModel:
         # (0.3, 0, 0, 0.2) has p_r = 0, so r = 0.3 is a turning point of the
         # profile at this state's (H, L)
         s = np.array([0.3, 0.0, 0.0, 0.2])
-        c = EMValue(champagne.hamiltonian(s), champagne.second_integral(s))
+        c = EMValue(champagne.flow_hamiltonian(s), rotation_integral(s))
         assert abs(champagne_profile(champagne.gamma, c, 0.3)) <= 1e-12
         assert min(abs(r - 0.3) for r in champagne.reduced_profile(c)) <= 1e-12
 
@@ -125,7 +132,7 @@ class TestChampagneModel:
         rng = np.random.default_rng(3)
         checked = 0
         for s in rng.uniform(-0.7, 0.7, size=(40, 4)):
-            c = EMValue(champagne.hamiltonian(s), champagne.second_integral(s))
+            c = EMValue(champagne.flow_hamiltonian(s), rotation_integral(s))
             r = math.hypot(s[0], s[1])
             if r < 1e-3 or abs(c.l) < 1e-12:
                 continue
@@ -142,8 +149,8 @@ class TestChampagneModel:
 
     def test_critical_value_at_origin(self, champagne):
         z = np.zeros(4)
-        assert champagne.hamiltonian(z) == 0.0
-        assert champagne.second_integral(z) == 0.0
+        assert champagne.flow_hamiltonian(z) == 0.0
+        assert rotation_integral(z) == 0.0
 
     def test_foliation_independent_of_gamma(self, champagne, champagne0):
         # H_gamma = H_0 + gamma L: turning points at matched (h - gamma l, l)
@@ -307,6 +314,15 @@ class TestBlocksOnly:
                        for i in range(block.shape[1])]
             got = np.asarray(fn(block), dtype=float)
             assert got.tobytes() == np.concatenate(columns, axis=-1).tobytes()
+
+
+def test_one_closed_form_body():
+    # every system reads SystemDefinition's one scalar and one array body
+    # of the closed form, and brings only its cubic and elliptic terms
+    for cls in SYSTEMS.values():
+        own = set(vars(cls))
+        assert not {"period_rotation", "period_rotation_array"} & own
+        assert {"_roots", "_roots_array", "_elliptic"} <= own
 
 
 class TestMakeSystem:
