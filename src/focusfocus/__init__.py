@@ -16,9 +16,9 @@ from .lattice import (AsymptoticModel, PeriodLatticeSample, PolarTori,
                       annulus_sweep, cross_check, derivatives,
                       fit_asymptotic_model, period_lattice,
                       reduced_period_rotation, transport)
-from .rotation import (LevelCurve, RotationGrid, SpiralFit,
-                       extract_level_curve, fit_log_spiral, monodromy_index,
-                       monodromy_loop, rotation_grid)
+from .rotation import (LevelCurve, RotationGrid, extract_level_curve,
+                       fit_log_spiral, monodromy_index, monodromy_loop,
+                       rotation_grid)
 from .twist import (TwistlessCurve, TwistlessSample, expected_twistless_slope,
                     tilde_s, twist, twist_scan, twistless_curve,
                     twistless_point, twists)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .systems import (ChampagneBottle, MomentumValue, SphericalPendulum,
-                      eval_constants, from_momentum_chart)
+                      eval_constants, from_momentum_chart, polar)
 from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, sample_cross_tori)
 from .rotation import extract_level_curve, fit_log_spiral, monodromy_index
@@ -175,11 +175,10 @@ def c5_spirals(cfg: AcceptanceConfig) -> CriterionResult:
         for curve in extract_level_curve(system, (1e-4, 1e-2),
                                          cfg.grid_resolution,
                                          (0.3, 0.5, 0.7)):
-            fit = fit_log_spiral(curve, expected)
-            out[key].append({"level": fit.level, "slope": fit.slope_fit,
-                             "expected": expected,
-                             "residual": fit.residual})
-            ok &= abs(fit.slope_fit - expected) <= tol
+            slope, residual = fit_log_spiral(curve)
+            out[key].append({"level": curve.level, "slope": slope,
+                             "expected": expected, "residual": residual})
+            ok &= abs(slope - expected) <= tol
     return CriterionResult("C5", desc, "pass" if ok else "fail", out)
 
 
@@ -234,13 +233,16 @@ def c7_tilde_s(cfg: AcceptanceConfig) -> CriterionResult:
     if not _range_ok(champ, 1e-4, 1e-2):
         return _insufficient("C7", desc, (1e-4, 1e-2), champ)
     ff = eval_constants(champ)
-    rays = [k * math.pi / 4 + 0.02 for k in range(8)]
     d = 1e-3   # the gradient's central-difference step in j
-    js = [MomentumValue(rho * math.cos(th), rho * math.sin(th))
-          for th in rays for rho in (1e-2, 1e-3, 1e-4)]
-    js += [MomentumValue(*v) for v in ((d, 0.), (-d, 0.), (0., d), (0., -d))]
-    cs = [from_momentum_chart(champ, j) for j in js]
-    st = [tilde_s(champ, c, S) for c, S in zip(cs, twists(champ, cs))]
+    # 8 rays (rows) at 3 radii; then (d, 0), (-d, 0) on the j1 axis and,
+    # mirrored, (0, d), (0, -d): math.cos(pi / 2) is not 0
+    rays = polar((1e-2, 1e-3, 1e-4), [k * math.pi / 4 + 0.02
+                                      for k in range(8)])
+    axis = polar((d, -d), [0.0])
+    c = from_momentum_chart(champ, MomentumValue(
+        np.concatenate([rays.j1.T.ravel(), axis.j1.ravel(), axis.j2.ravel()]),
+        np.concatenate([rays.j2.T.ravel(), axis.j2.ravel(), axis.j1.ravel()])))
+    st = tilde_s(champ, c.h, c.l, twists(champ, c.h, c.l)).tolist()
     ray_values = [list(map(abs, st[k:k + 3])) for k in range(0, 24, 3)]
     decay_ok = all(v[0] > v[1] > v[2] for v in ray_values)
     g1, g2 = (st[-4] - st[-3]) / (2.0 * d), (st[-2] - st[-1]) / (2.0 * d)
@@ -266,11 +268,10 @@ def c8_kolmogorov(cfg: AcceptanceConfig) -> CriterionResult:
     # negativity on both systems, each in one call
     dets = []
     for system in (champ, pend):
-        dets += [fs.det_I for fs in frequency_samples(system, [
-            from_momentum_chart(system, MomentumValue(rho * math.cos(th),
-                                                      rho * math.sin(th)))
-            for th in (0.7, 2.2, 3.9, 5.5)
-            for rho in np.geomspace(1e-4, 1e-2, 3).tolist()])]
+        c = from_momentum_chart(system, polar(np.geomspace(1e-4, 1e-2, 3),
+                                              (0.7, 2.2, 3.9, 5.5)))
+        dets += [fs.det_I for fs in frequency_samples(system, c.h.ravel(),
+                                                      c.l.ravel())]
     neg_ok = all(d < 0.0 for d in dets)
     details["n_negativity_samples"] = len(dets)
     details["max_det_I"] = max(dets)

@@ -309,10 +309,10 @@ def cmd_spiral(cfg: dict) -> int:
     rows = []
     for curve in extract_level_curve(system, cfg["window"], cfg["res"],
                                      cfg["levels"]):
-        fit = fit_log_spiral(curve, expected)
-        fits.append({"level": fit.level, "slope_fit": fit.slope_fit,
-                     "expected_slope": fit.expected_slope,
-                     "residual": fit.residual, "n_points": fit.n_points,
+        slope, residual = fit_log_spiral(curve)
+        fits.append({"level": curve.level, "slope_fit": slope,
+                     "expected_slope": expected, "residual": residual,
+                     "n_points": len(curve.lnrho),
                      "partial": curve.touches_boundary})
         for (lr, th), (j1, j2) in zip(zip(curve.lnrho, curve.theta),
                                       curve.j_points):

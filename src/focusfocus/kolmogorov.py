@@ -23,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import TWO_PI
-from .lattice import _tori, derivatives
-from .systems import (EMValue, MomentumValue, SystemDefinition,
-                      from_momentum_chart, to_momentum_chart)
+from .lattice import derivatives
+from .systems import EMValue, SystemDefinition, from_momentum_chart, polar
 
 
 @dataclass(frozen=True)
@@ -37,35 +36,31 @@ class FrequencySample:
     ratio: float          # det_I / asymptote
 
 
-def _hessian(system: SystemDefinition, cs: list[EMValue]) -> np.ndarray:
-    """(T_h, T_l, Theta_h, Theta_l) of each torus of cs, rows (4, n), from
-    one call of 2n lanes; raises the first failing torus's error."""
-    n = len(cs)
+def _hessian(system: SystemDefinition, h, l) -> np.ndarray:
+    """(T, T_h, T_l, Theta_h, Theta_l) of the tori (h, l), flat arrays,
+    rows (5, n), from one call of 2n lanes, T the real parts of the lanes
+    stepped in h; raises the first failing torus's error."""
+    n = np.size(h)
     along_h = np.repeat([1.0, 0.0], n)
-    dT, dtheta, failed = derivatives(system, np.tile([c.h for c in cs], 2),
-                                     np.tile([c.l for c in cs], 2), along_h,
-                                     1.0 - along_h)
+    T, _, dT, dtheta, failed = derivatives(system, np.tile(h, 2),
+                                           np.tile(l, 2), along_h,
+                                           1.0 - along_h)
     if failed:
         raise failed[min(failed, key=lambda k: (k % n, k))]
-    return np.concatenate([dT.reshape(2, n), dtheta.reshape(2, n)])
+    return np.concatenate([T[None, :n], dT.reshape(2, n),
+                           dtheta.reshape(2, n)])
 
 
-def frequency_samples(system: SystemDefinition,
-                      cs: list[EMValue]) -> list[FrequencySample]:
-    """The frequency-map Jacobian at each torus of cs: det domega/d(h, l)
-    = -2 pi (T_h Theta_l - T_l Theta_h) / T^3, the derivatives of all tori
-    from one complex array call, T and Theta from one real one."""
+def frequency_samples(system: SystemDefinition, h: np.ndarray,
+                      l: np.ndarray) -> list[FrequencySample]:
+    """The frequency-map Jacobian at each torus (h, l), flat arrays:
+    det domega/d(h, l) = -2 pi (T_h Theta_l - T_l Theta_h) / T^3, T and
+    its derivatives at all tori from one complex array call."""
     ff = system.constants()
-    hessian = _hessian(system, cs)
-    h = np.array([c.h for c in cs], dtype=float)
-    l = np.array([c.l for c in cs], dtype=float)
-    Ts, _, _, failed = _tori(system, h, l)
-    if failed:
-        raise failed[min(failed)]
     out = []
-    for c, T, (T_h, T_l, th_h, th_l) in zip(cs, Ts.tolist(),
-                                             hessian.T.tolist()):
-        j = to_momentum_chart(system, c).modulus
+    for j, (T, T_h, T_l, th_h, th_l) in zip(
+            system.window_radius(h, l).tolist(),
+            _hessian(system, h, l).T.tolist()):
         det_c = -TWO_PI * (T_h * th_l - T_l * th_h) / T ** 3
         omega1, tau1 = TWO_PI / T, ff.alpha * T
         asym = -((TWO_PI * ff.alpha) / (j * tau1 ** 2)) ** 2
@@ -77,7 +72,7 @@ def frequency_samples(system: SystemDefinition,
 def frequency_jacobian_det(system: SystemDefinition, c: EMValue
                            ) -> FrequencySample:
     """frequency_samples at one torus."""
-    return frequency_samples(system, [c])[0]
+    return frequency_samples(system, np.array([c.h]), np.array([c.l]))[0]
 
 
 def tau_jacobian(system: SystemDefinition, c: EMValue) -> np.ndarray:
@@ -86,7 +81,7 @@ def tau_jacobian(system: SystemDefinition, c: EMValue) -> np.ndarray:
     d/dj1 = alpha d/dh and d/dj2 = omega d/dh + d/dl."""
     ff = system.constants()
     a, w = ff.alpha, ff.omega
-    (T_h, T_l, th_h, th_l), = _hessian(system, [c]).T.tolist()
+    (_, T_h, T_l, th_h, th_l), = _hessian(system, c.h, c.l).T.tolist()
     return np.array([[a * a * T_h, a * (w * T_h + T_l)],
                      [a * (w * T_h - th_h),
                       w * (w * T_h + T_l) - (w * th_h + th_l)]])
@@ -100,7 +95,6 @@ def asymptote_sweep(system: SystemDefinition, ray_angle: float,
     if not (0.0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
     n = max(2, int(round(samples_per_decade * math.log10(r_max / r_min))) + 1)
-    return frequency_samples(system, [
-        from_momentum_chart(system, MomentumValue(rho * math.cos(ray_angle),
-                                                  rho * math.sin(ray_angle)))
-        for rho in np.geomspace(r_min, r_max, n).tolist()])
+    c = from_momentum_chart(system, polar(np.geomspace(r_min, r_max, n),
+                                          [ray_angle]))
+    return frequency_samples(system, c.h.ravel(), c.l.ravel())

@@ -14,8 +14,8 @@ one return:
   its historical name.  A path, a grid and an annulus sweep evaluate their
   tori in one array call (period_rotation_array), bit-identical to the
   one-torus reduced_period_rotation, which only names the failure of each
-  lane the array form rejects.  On complex (h, l) the array form gives every
-  derivative of T and Theta by a complex step (derivatives);
+  lane the array form rejects.  On complex (h, l) the array form gives T,
+  Theta and their derivatives in one call, by a complex step (derivatives);
 * flow (the independent oracle): direct integration of the Cartesian
   vector field over half a return, the azimuth advance read from the
   positions, not integrated (_tori_flow).  Both systems are reversible:
@@ -143,22 +143,25 @@ def _tori(system: SystemDefinition, h: np.ndarray, l: np.ndarray
 
 
 def derivatives(system: SystemDefinition, h, l, dh, dl
-                ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(dT, dTheta, failed): the derivatives of T and Theta along (dh, dl)
-    at the tori (h, l), all four broadcast together and flattened, from one
-    complex call of the array closed form.  Each lane runs at (h + i STEP
-    dh, l + i STEP dl), and Im/STEP is the derivative to rounding, with no
-    difference taken and no step to tune (Squire and Trapp, SIAM Rev. 40
-    (1998) 110-112), whatever Theta's sheet; on the l = 0 axis, the limit
-    l -> 0.  Near the axis, Theta's third-kind term is l times ~ pi/|l|, and
-    dTheta loses ~ EPS pi/(|l| |dTheta/dl|) relative.  A lane outside the
-    window or rejected by the array form holds NaN, and failed maps its
-    index to the FocusFocusError that names its failure (_tori)."""
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                           dict]:
+    """(T, Theta, dT, dTheta, failed): the values of T and Theta at the tori
+    (h, l) and their derivatives along (dh, dl), all four broadcast
+    together and flattened, from one complex call of the array closed form.
+    Each lane runs at (h + i STEP dh, l + i STEP dl): its real parts are the
+    values, equal to the real lanes' to rounding, and Im/STEP is the
+    derivative to rounding, with no difference taken and no step to tune
+    (Squire and Trapp, SIAM Rev. 40 (1998) 110-112), whatever Theta's
+    sheet; on the l = 0 axis, the limit l -> 0.  Near the axis, Theta's
+    third-kind term is l times ~ pi/|l|, and dTheta loses ~ EPS pi/(|l|
+    |dTheta/dl|) relative.  A lane outside the window or rejected by the
+    array form holds NaN, and failed maps its index to the FocusFocusError
+    that names its failure (_tori)."""
     h, l, dh, dl = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (h, l, dh, dl))))
     T, theta, ok, failed = _tori(system, h + 1j * STEP * dh,
                                  l + 1j * STEP * dl)
-    return (np.where(ok, T.imag / STEP, np.nan),
+    return (T.real, theta.real, np.where(ok, T.imag / STEP, np.nan),
             np.where(ok, theta.imag / STEP, np.nan), failed)
 
 

@@ -89,12 +89,12 @@ class DOP853:
         0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
 
 
-def align_angle(value: float, reference: float, period: float = TWO_PI) -> float:
-    """Shift `value` by an integer multiple of `period` to land nearest
+def align_angle(value: float, reference: float) -> float:
+    """Shift `value` by an integer multiple of 2 pi to land nearest
     `reference`.  Exact as long as the true continuous change between the
-    two samples is below period/2.  Scalars only: Python's round (half to
-    even, as np.round) keeps a float a float, at a tenth of the cost."""
-    return value + period * round((reference - value) / period)
+    two samples is below pi.  Scalars only: Python's round (half to even,
+    as np.round) keeps a float a float, at a tenth of the cost."""
+    return value + TWO_PI * round((reference - value) / TWO_PI)
 
 
 @dataclass

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import FitError, FocusFocusError
 from .numerics import TWO_PI, linear_quantiles
-from .lattice import (RAY_OFFSET, STEP, PolarTori, _tori, polar_tori,
+from .lattice import (RAY_OFFSET, PolarTori, derivatives, polar_tori,
                       transport)
 from .systems import (MomentumValue, SystemDefinition, from_momentum_chart,
                       polar)
@@ -139,10 +139,10 @@ def extract_level_curve(system: SystemDefinition, window: tuple[float, float],
     continuation (Allgower and Georg, SIAM 2003); resolution = (n_r,
     n_theta).  Each curve is predicted on the spiral theta0 - (omega/alpha)
     ln(rho/rho_mid) from its level's crossing of the ring, and Newton in
-    theta corrects all points in lockstep, one complex call per round: the
-    lane (h + i STEP dh/dtheta, l + i STEP dl/dtheta) gives Theta, on the
-    sheet nearest 2 pi W, and Im/STEP = dTheta/dtheta.  A point whose torus
-    fails, or not settled (SETTLE) in MAX_ROUNDS, is dropped: partial.
+    theta corrects all points in lockstep, one derivatives call per round:
+    Theta, on the sheet nearest 2 pi W, and dTheta/dtheta along (dh/dtheta,
+    dl/dtheta).  A point whose torus fails, or not settled (SETTLE) in
+    MAX_ROUNDS, is dropped: partial.
     """
     n_r, n_theta = resolution
     radii = np.geomspace(*window, n_r)
@@ -170,11 +170,11 @@ def extract_level_curve(system: SystemDefinition, window: tuple[float, float],
         j = MomentumValue(rho * np.cos(theta), rho * np.sin(theta))
         c = from_momentum_chart(system, j)
         dc = from_momentum_chart(system, MomentumValue(-j.j2, j.j1))
-        _, big, ok, _ = _tori(system, c.h + 1j * STEP * dc.h,
-                              c.l + 1j * STEP * dc.l)
-        miss = big.real - target
+        _, value, _, slope, _ = derivatives(system, c.h, c.l, dc.h, dc.l)
+        ok = ~np.isnan(slope)
+        miss = value - target
         miss -= TWO_PI * np.round(miss / TWO_PI)
-        step = np.where(ok, miss / (big.imag / STEP), 0.0)
+        step = np.where(ok, miss / slope, 0.0)
         theta -= step
         settled = ok & (np.abs(step) <= SETTLE)
         if np.all(settled | ~ok):
@@ -185,17 +185,9 @@ def extract_level_curve(system: SystemDefinition, window: tuple[float, float],
             for level, th, row in zip(levels, theta.reshape(keep.shape), keep)]
 
 
-@dataclass
-class SpiralFit:
-    level: float
-    slope_fit: float          # d theta / d ln rho along the contour
-    expected_slope: float     # -omega/alpha
-    residual: float
-    n_points: int
-
-
-def fit_log_spiral(curve: LevelCurve, expected_slope: float) -> SpiralFit:
-    """Least-squares slope of theta against ln rho along a contour.
+def fit_log_spiral(curve: LevelCurve) -> tuple[float, float]:
+    """Least-squares slope d theta / d ln rho of a contour, and the rms
+    residual of its line.
 
     Regressing theta on ln rho (not the reverse) keeps the degenerate
     omega = 0 star case regular: the fitted slope is then simply 0.
@@ -208,6 +200,4 @@ def fit_log_spiral(curve: LevelCurve, expected_slope: float) -> SpiralFit:
                        f"{th_span:.2f} rad; too short for a pitch fit")
     coef = np.polyfit(lnr, th, 1)
     resid = float(np.sqrt(np.mean((np.polyval(coef, lnr) - th) ** 2)))
-    return SpiralFit(level=curve.level, slope_fit=float(coef[0]),
-                     expected_slope=expected_slope, residual=resid,
-                     n_points=len(lnr))
+    return float(coef[0]), resid

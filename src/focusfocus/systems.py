@@ -27,7 +27,7 @@ kc^2, 1), so R_F(0, x, y) = cel(sqrt(x/y), 1)/sqrt(y), and Pi(n) =
 cel(kc, 1 - n) = K + (n/3) R_J(0, kc^2, 1, 1 - n) (DLMF 19.25.2).  The
 roots are taken without cancellation (the largest by Newton, the small
 pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
-serves only the flow oracle.
+serves only numerics.quad_singular, a test reference.
 
 The closed form has two forms, one body each, that every system shares
 (SystemDefinition).  period_rotation takes one torus on Python floats

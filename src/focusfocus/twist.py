@@ -27,39 +27,40 @@ from .systems import EMValue, SystemDefinition, to_momentum_chart
 
 # twistless scans stay within |j| <= SCAN_CAP (and the system's j_cap)
 SCAN_CAP = 0.2
+# points of each sign scan along C_h (of each half-axis at omega = 0)
+N_SCAN = 64
 # omega = 0: half-axis roots of an S even in l (the pendulum's) agree in |l*|
 # to 3.2e-14 relative (measured at h = 0.002-0.02); within MIRROR_RTOL, over
 # 100x that, they are one mirror pair, whose l > 0 root is taken
 MIRROR_RTOL = 1e-10
 
 
-def twists(system: SystemDefinition, cs: list[EMValue]) -> list[float]:
-    """twist at each torus of cs, in one array call; raises the first
-    torus's FocusFocusError."""
-    _, dtheta, failed = derivatives(system, [c.h for c in cs],
-                                    [c.l for c in cs], 0.0, 1.0)
+def twists(system: SystemDefinition, h, l) -> np.ndarray:
+    """twist at each torus (h, l), broadcast together and flattened, in one
+    array call; raises the first torus's FocusFocusError."""
+    *_, dtheta, failed = derivatives(system, h, l, 0.0, 1.0)
     if failed:
         raise failed[min(failed)]
-    return (dtheta / TWO_PI).tolist()
+    return dtheta / TWO_PI
 
 
 def twist(system: SystemDefinition, c: EMValue) -> float:
     """S = dW/dl at fixed h: (dTheta/dl)/2 pi by a complex step in l."""
-    return twists(system, [c])[0]
+    return float(twists(system, c.h, c.l)[0])
 
 
 def twist_scan(system: SystemDefinition, h, ls) -> np.ndarray:
     """twist at each (h, l) of h and ls broadcast together (h a float, or
     one energy per lane), one lane each in one array call, with the
     broadcast shape; NaN where twist raises a FocusFocusError."""
-    _, dtheta, _ = derivatives(system, h, ls, 0.0, 1.0)
+    *_, dtheta, _ = derivatives(system, h, ls, 0.0, 1.0)
     return (dtheta / TWO_PI).reshape(np.broadcast_shapes(np.shape(h),
                                                          np.shape(ls)))
 
 
-def tilde_s(system: SystemDefinition, c: EMValue, S: float) -> float:
-    """S~ = 2 pi |j|^2 S, given the twist S at c."""
-    j = to_momentum_chart(system, c)
+def tilde_s(system: SystemDefinition, h, l, S):
+    """S~ = 2 pi |j|^2 S at the tori (h, l), given the twist S there."""
+    j = to_momentum_chart(system, EMValue(h, l))
     return TWO_PI * (j.j1 ** 2 + j.j2 ** 2) * S
 
 
@@ -104,19 +105,12 @@ def _l_window(system: SystemDefinition, h: float, j_cap: float
     return ends[0], ends[1]
 
 
-def _no_window(h: float, cap: float) -> ScanError:
-    """The failure at an energy whose scan window _l_window leaves empty."""
-    return ScanError(f"no twistless torus on C_h, h={h:.6g}: every l puts "
-                     f"|j| above the scan cap {cap:.3g}")
-
-
 def _twistless_roots(system: SystemDefinition,
-                     jobs: list[tuple[float, tuple[float, float]]],
-                     n_scan: int = 64) -> list:
+                     jobs: list[tuple[float, tuple[float, float]]]) -> list:
     """The unique zero of S along C_h inside l_range, for each job
     (h, l_range): (l*, S(l*)), or the ScanError that rules it out.
 
-    The n_scan points of every job's sign scan are one twist_scan, and the
+    The N_SCAN points of every job's sign scan are one twist_scan, and the
     3 refinement points inside every interval where S changes sign, over
     all jobs, another; a point whose torus fails reads NaN and brackets no
     root.  Brent then starts each root from the scanned S at its bracket
@@ -125,8 +119,8 @@ def _twistless_roots(system: SystemDefinition,
     Brent holds at the root it returns.
     """
     hs = np.array([h for h, _ in jobs], dtype=float).reshape(-1, 1)
-    ls = np.array([np.linspace(lo, hi, n_scan)
-                   for _, (lo, hi) in jobs]).reshape(-1, n_scan)
+    ls = np.array([np.linspace(lo, hi, N_SCAN)
+                   for _, (lo, hi) in jobs]).reshape(-1, N_SCAN)
     sv = twist_scan(system, hs, ls)
     job, i = np.nonzero(sv[:, :-1] * sv[:, 1:] < 0)   # NaN pairs: False
 
@@ -164,17 +158,52 @@ def _twistless_roots(system: SystemDefinition,
                 out[r] = tuple(map(float, stop.value))
                 del brent[r]
         if at:
-            sent = dict(zip(at, twists(system, [EMValue(jobs[r][0], x)
-                                                for r, x in at.items()])))
+            sent = dict(zip(at, twists(system, [jobs[r][0] for r in at],
+                                       list(at.values())).tolist()))
     return out
 
 
-def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
-                    l_range: tuple[float, float] | None = None
+def _twistless(system: SystemDefinition, energies: list[float]) -> list:
+    """The twistless torus of each energy: (l*, S(l*)), or the ScanError
+    that rules it out.  Each energy's window on C_h (_l_window) is one job
+    of _twistless_roots, or at omega = 0 each of its half-axes one, of
+    which the root nearest the axis is taken (the l > 0 one of a mirror
+    pair, MIRROR_RTOL); h = 0 is excluded."""
+    degenerate = system.constants().omega == 0.0
+    cap = min(SCAN_CAP, system.j_cap)
+    ranges = []   # the l ranges scanned at each energy
+    for h in energies:
+        window = _l_window(system, h, cap) if h != 0.0 else None
+        ranges.append(() if window is None else
+                      ((1e-4 * window[1], window[1]),
+                       (window[0], 1e-4 * window[0]))
+                      if degenerate else (window,))
+    jobs = [(h, rng) for h, rngs in zip(energies, ranges) for rng in rngs]
+    roots = iter(_twistless_roots(system, jobs) if jobs else ())
+    out = []
+    for h, rngs in zip(energies, ranges):
+        results = [next(roots) for _ in rngs]
+        found = [r for r in results if not isinstance(r, ScanError)]
+        if found:
+            out.append(min(found, key=lambda t: abs(t[0]) * (
+                1.0 - MIRROR_RTOL if t[0] > 0.0 else 1.0)))
+        elif not rngs:
+            out.append(ScanError(
+                "h = 0 excluded" if h == 0.0 else
+                f"no twistless torus on C_h, h={h:.6g}: every l puts |j| "
+                f"above the scan cap {cap:.3g}"))
+        else:
+            out.append(ScanError(f"no twistless torus at h={h:.6g} "
+                                 "(expected for one h sign at omega = 0)")
+                       if degenerate else results[0])
+    return out
+
+
+def twistless_point(system: SystemDefinition, h: float
                     ) -> tuple[float, float]:
     """The unique zero of S along the isoenergy curve C_h inside the scan
     window, by sign scan (refined x4 near candidate changes) plus a
-    bracketed root: the one-job case of the twistless core.  Returns (l*,
+    bracketed root: the one-energy case of twistless_curve.  Returns (l*,
     S(l*)).
 
     Raises ScanError when no sign change exists in the window (expected for
@@ -183,11 +212,7 @@ def twistless_point(system: SystemDefinition, h: float, n_scan: int = 64,
     """
     if h == 0.0:
         raise ValueError("h must be nonzero")
-    if l_range is None:
-        cap = min(SCAN_CAP, system.j_cap)
-        if (l_range := _l_window(system, h, cap)) is None:
-            raise _no_window(h, cap)
-    (root,) = _twistless_roots(system, [(h, l_range)], n_scan)
+    (root,) = _twistless(system, [h])
     if isinstance(root, ScanError):
         raise root
     return root
@@ -234,43 +259,22 @@ def twistless_curve(system: SystemDefinition,
     against the predicted tangent.  omega = 0 systems: per h, the half-axis
     root nearest the axis (l > 0 of a mirror pair), and the |h|/|l*| trend.
 
-    Each energy (each half-axis at omega = 0) is one job of the twistless
-    core, as twistless_point is, so the roots equal a loop of
-    twistless_point bit for bit; the scans of all jobs are one twist_scan
-    call, their refinement points another, and Brent's iterates of all
-    roots one call per round.
+    Every energy goes through the one twistless core that twistless_point
+    calls (_twistless), so the roots equal a loop of twistless_point bit
+    for bit; the scans of all energies (half-axes at omega = 0) are one
+    twist_scan call, their refinement points another, and Brent's iterates
+    of all roots one call per round.
     """
     ff = system.constants()
     degenerate = ff.omega == 0.0
     samples: list[TwistlessSample] = []
     failures: list[tuple[float, str]] = []
-
     energies = sorted(h_values)
-    cap = min(SCAN_CAP, system.j_cap)
-    windows = []   # the l ranges scanned at each energy: half-axes at omega = 0
-    for h in energies:
-        window = _l_window(system, h, cap) if h != 0.0 else None
-        windows.append(() if window is None else
-                       ((1e-4 * window[1], window[1]),
-                        (window[0], 1e-4 * window[0]))
-                       if degenerate else (window,))
-    roots = iter(_twistless_roots(system, [
-        (h, rng) for h, rngs in zip(energies, windows) for rng in rngs]))
-
-    for h, rngs in zip(energies, windows):
-        if not rngs:
-            failures.append((h, "h = 0 excluded" if h == 0.0
-                             else str(_no_window(h, cap))))
+    for h, root in zip(energies, _twistless(system, energies)):
+        if isinstance(root, ScanError):
+            failures.append((h, str(root)))
             continue
-        results = [next(roots) for _ in rngs]
-        found = [r for r in results if not isinstance(r, ScanError)]
-        if not found:
-            failures.append((h, f"no twistless torus at h={h:.6g} (expected "
-                             "for one h sign at omega = 0)" if degenerate
-                             else str(results[0])))
-            continue
-        l_star, resid = min(found, key=lambda t: abs(t[0]) * (
-            1.0 - MIRROR_RTOL if t[0] > 0.0 else 1.0))
+        l_star, resid = root
         j = to_momentum_chart(system, EMValue(h, l_star))
         samples.append(TwistlessSample(h=h, l_star=l_star, j1=j.j1, j2=j.j2,
                                        s_residual=resid))

@@ -250,8 +250,8 @@ def mp_derivatives(name, h, l):
 def complex_step(system, h, l):
     """(T_h, T_l, Theta_h, Theta_l) of one torus from lattice.derivatives,
     and whether both of its lanes were accepted."""
-    dT, dtheta, failed = derivatives(system, [h, h], [l, l], [1.0, 0.0],
-                                     [0.0, 1.0])
+    _, _, dT, dtheta, failed = derivatives(system, [h, h], [l, l],
+                                           [1.0, 0.0], [0.0, 1.0])
     return [*dT, *dtheta], not failed
 
 
@@ -345,7 +345,7 @@ def test_complex_call_accepts_the_real_lanes(data):
     scale = data.draw(st.sampled_from([1.0, 0.5, 3.0, 30.0]))
     hs, ls = np.array([h * scale]), np.array([l * scale])
     _, _, ok, _ = _tori(system, hs, ls)
-    _, dtheta, failed = derivatives(system, hs, ls, 1.0, 1.0)
+    *_, dtheta, failed = derivatives(system, hs, ls, 1.0, 1.0)
     assert bool(ok[0]) == (not failed) == bool(np.isfinite(dtheta[0]))
 
 
@@ -353,6 +353,6 @@ def test_lane_without_a_complex_step(scalar_path):
     # a lane that the array form rejects and the scalar form accepts has no
     # derivative: it fails with that reason, never as a silent NaN
     scalar_path()
-    _, dtheta, failed = derivatives(SYSTEMS["champagne"], [0.05], [0.02],
-                                    0.0, 1.0)
+    *_, dtheta, failed = derivatives(SYSTEMS["champagne"], [0.05], [0.02],
+                                     0.0, 1.0)
     assert np.isnan(dtheta[0]) and "no derivative" in str(failed[0])

@@ -6,10 +6,11 @@ import pytest
 from focusfocus import (EMValue, MomentumValue, WindowError, asymptote_sweep,
                         eval_constants, frequency_jacobian_det,
                         from_momentum_chart, tau_jacobian)
-from focusfocus import kolmogorov
+from focusfocus import kolmogorov, lattice
 from focusfocus.lattice import reduced_period_rotation
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
 
 
 def ray_point(system, rho, th):
@@ -46,8 +47,10 @@ class TestJacobianDeterminant:
         # -2 pi (T_h Theta_l - T_l Theta_h) / T^3 from the same derivatives
         c = ray_point(champagne, 1e-3, 0.7)
         fs = frequency_jacobian_det(champagne, c)
-        T, _ = reduced_period_rotation(champagne, c)
-        (T_h, T_l, th_h, th_l), = kolmogorov._hessian(champagne, [c]).T
+        (T, T_h, T_l, th_h, th_l), = kolmogorov._hessian(champagne, c.h,
+                                                         c.l).T
+        assert T == pytest.approx(reduced_period_rotation(champagne, c)[0],
+                                  rel=4 * EPS)
         det_c = -TWO_PI * (T_h * th_l - T_l * th_h) / T ** 3
         assert fs.det_I == (TWO_PI / T) * det_c
 
@@ -149,3 +152,26 @@ class TestSweep:
     def test_rejects_bad_range(self, champagne):
         with pytest.raises(ValueError):
             asymptote_sweep(champagne, 0.0, 1e-2, 1e-3)
+
+
+@pytest.mark.parametrize("name", ["champagne", "pendulum"])
+def test_frequency_samples_is_one_closed_form_call(request, monkeypatch,
+                                                   name):
+    # T and every derivative come from the lanes of one complex call: the
+    # values are its real parts, so no second, real call is made
+    system = request.getfixturevalue(name)
+    calls = []
+    tori = lattice._tori
+
+    def counting(*args):
+        calls.append(args[1].size)
+        return tori(*args)
+
+    # every binding of the evaluator in the package, as the tracer rebinds
+    for module in (lattice, kolmogorov):
+        if getattr(module, "_tori", None) is tori:
+            monkeypatch.setattr(module, "_tori", counting)
+    c = [ray_point(system, rho, 0.7) for rho in (1e-4, 1e-3, 1e-2)]
+    samples = kolmogorov.frequency_samples(
+        system, np.array([x.h for x in c]), np.array([x.l for x in c]))
+    assert len(samples) == 3 and calls == [6]

@@ -4,7 +4,9 @@ perfbench/tracer.py pins (FUNCTIONS) by name; every method of an exported
 class is read in src/ or pinned there too (METHODS); every property of an
 exported class, every field of a dataclass of src/ and every module-level
 private name is read in src/.  A name that only tests call is test-only
-API: move what the tests need into tests/ and delete it.
+API: move what the tests need into tests/ and delete it.  Every default of
+a function that src/ calls is passed by some call there, and only lattice
+reads the closed-form evaluator _tori and its complex step STEP.
 """
 import ast
 import dataclasses
@@ -145,3 +147,57 @@ def test_every_private_name_has_a_reader():
     names = module_private_names()
     assert names
     assert [n for n in names if n.partition(".")[2] not in read] == []
+
+
+def test_every_default_is_passed():
+    # a parameter with a default, in a function that src/ calls, is passed
+    # by some call in src/: a default that no call overrides is a knob that
+    # acts on nothing.  cli.main's argv is the command line, and the tracer
+    # reads the defaults of reduced_period_rotation's engine and rel_tol
+    exempt = {"main.argv", "reduced_period_rotation.engine",
+              "reduced_period_rotation.rel_tol"}
+    calls: dict[str, list[ast.Call]] = {}
+    defaults = []   # (function, parameter, positional index or None)
+    for node in src_nodes():
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", getattr(func, "attr", None))
+            calls.setdefault(name, []).append(node)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = int(positional[:1] != [] and positional[0].arg in
+                        ("self", "cls"))
+            first = len(positional) - len(args.defaults)
+            defaults += [(node.name, arg.arg, i - bound) for i, arg in
+                         enumerate(positional[first:], first)]
+            defaults += [(node.name, arg.arg, None) for arg, default in
+                         zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None]
+
+    def passes(call, param, index):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg in (None, param) for kw in call.keywords)
+                or index is not None and index < len(call.args))
+
+    unpassed = [f"{func}.{param}" for func, param, index in defaults
+                if func in calls and f"{func}.{param}" not in exempt
+                and not any(passes(call, param, index)
+                            for call in calls[func])]
+    assert unpassed == []
+
+
+def test_only_lattice_reads_the_evaluator_and_its_step():
+    # every other module takes tori and derivatives from lattice's public
+    # calls (transport, polar_tori, derivatives), not from the evaluator
+    # _tori or the complex step STEP
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        read = {getattr(node, "id", getattr(node, "attr", None))
+                for node in nodes}
+        read |= {alias.name for node in nodes
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        readers += [f"{path.stem}.{name}" for name in ("_tori", "STEP")
+                    if name in read and path.name != "lattice.py"]
+    assert readers == []

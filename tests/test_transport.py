@@ -145,9 +145,10 @@ class TestFailedTori:
 
     def test_lane_only_the_array_form_rejects_is_named_not_filled(
             self, monkeypatch):
-        # torus 2 is a real lane the array form rejects and the scalar form
+        # torus 2 is a lane the array form rejects and the scalar form
         # accepts: the two forms disagree, so transport records it as failed
-        # and frequency_samples raises, where a fill would hide the bug
+        # and frequency_samples, on its complex lanes, raises that it has no
+        # derivative, where a fill would hide the bug
         sys_ = SYSTEMS["champagne"]
         path = circle(sys_, 1e-2, 0.5 + np.arange(5) * 0.1)
         k = 2
@@ -155,7 +156,7 @@ class TestFailedTori:
 
         def rejecting_one(self, h, l):
             T, theta, ok = array_form(self, h, l)
-            hit = (h.real == path[k].h) & (h.dtype.kind == "f")
+            hit = h.real == path[k].h
             T[hit], theta[hit], ok[hit] = np.nan, np.nan, False
             return T, theta, ok
 
@@ -166,9 +167,9 @@ class TestFailedTori:
         assert list(failed) == [k] and type(failed[k]) is FocusFocusError
         assert "which the scalar form accepts" in str(failed[k])
         assert np.isnan(T[k]) and np.isnan(theta[k]) and branch[k] == 0
-        with pytest.raises(FocusFocusError,
-                           match=f"^{re.escape(str(failed[k]))}$"):
-            frequency_samples(sys_, path)
+        with pytest.raises(FocusFocusError, match="^no derivative at .*: "
+                           "the complex step leaves the closed form's domain$"):
+            frequency_samples(sys_, *arrays(path))
 
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
     @pytest.mark.parametrize("k", [0, 2, 4])

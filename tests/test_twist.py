@@ -94,7 +94,7 @@ class TestTwist:
 def tilde_s_at(system, j):
     """S~ at the chart point j, given its twist."""
     c = from_momentum_chart(system, j)
-    return tilde_s(system, c, twist(system, c))
+    return tilde_s(system, c.h, c.l, twist(system, c))
 
 
 class TestTildeS:
@@ -232,9 +232,12 @@ class TestTwistlessPoint:
         with pytest.raises(TypeError):
             twistless_point(champagne, 0.02)
 
-    def test_root_count_stable_under_refinement(self, champagne):
-        l64, _ = twistless_point(champagne, 0.02, n_scan=64)
-        l128, _ = twistless_point(champagne, 0.02, n_scan=128)
+    def test_root_count_stable_under_refinement(self, champagne,
+                                                monkeypatch):
+        twist_module = importlib.import_module("focusfocus.twist")
+        l64, _ = twistless_point(champagne, 0.02)
+        monkeypatch.setattr(twist_module, "N_SCAN", 128)
+        l128, _ = twistless_point(champagne, 0.02)
         assert l64 == pytest.approx(l128, abs=1e-10)
 
     def test_position_approaches_eq19_ratio(self, champagne):
@@ -255,8 +258,7 @@ class TestTwistlessPoint:
     def test_no_root_reported(self, champagne0):
         # omega = 0: no twistless torus on the negative-h side in the window
         with pytest.raises(ScanError, match="no twistless"):
-            twistless_point(champagne0, -0.01,
-                            l_range=(1e-4, 0.15))
+            twistless_point(champagne0, -0.01)
 
 
 class TestTwistlessCurve:
@@ -301,7 +303,7 @@ class TestTwistlessCurve:
         # sign
         twist_module = importlib.import_module("focusfocus.twist")
 
-        def mirrored(system, jobs, n_scan=64):
+        def mirrored(system, jobs):
             return [(0.0642 + skew if l_range[0] > 0 else -0.0642, 0.0)
                     for _, l_range in jobs]
 
@@ -313,7 +315,7 @@ class TestTwistlessCurve:
                                                       monkeypatch):
         twist_module = importlib.import_module("focusfocus.twist")
 
-        def lopsided(system, jobs, n_scan=64):
+        def lopsided(system, jobs):
             return [(0.0642 if l_range[0] > 0 else -0.05, 0.0)
                     for _, l_range in jobs]
 
@@ -326,9 +328,8 @@ class TestTwistlessCurve:
         twist_module = importlib.import_module("focusfocus.twist")
         _, lmax = twist_module._l_window(pendulum, 0.007,
                                          twist_module.SCAN_CAP)
-        plus, _ = twistless_point(pendulum, 0.007, l_range=(1e-4 * lmax, lmax))
-        minus, _ = twistless_point(pendulum, 0.007,
-                                   l_range=(-lmax, -1e-4 * lmax))
+        (plus, _), (minus, _) = twist_module._twistless_roots(pendulum, [
+            (0.007, (1e-4 * lmax, lmax)), (0.007, (-lmax, -1e-4 * lmax))])
         assert plus > 0 > minus
         assert abs(plus + minus) <= 1e-2 * twist_module.MIRROR_RTOL * plus
         assert twistless_curve(pendulum, [0.007]).samples[0].l_star == plus
@@ -336,32 +337,14 @@ class TestTwistlessCurve:
 
 def reference_curve(system, h_values):
     """The samples (h, l*, S(l*)) and failures of twistless_curve, by a
-    loop of twistless_point over the energies and, at omega = 0, over
-    each energy's half-axes."""
-    twist_module = importlib.import_module("focusfocus.twist")
-    degenerate = eval_constants(system).omega == 0.0
+    loop of twistless_point over the energies."""
     samples, failures = [], []
     for h in sorted(h_values):
         if h == 0.0:
             failures.append((h, "h = 0 excluded"))
             continue
         try:
-            if not degenerate:
-                samples.append((h, *twistless_point(system, h)))
-                continue
-            _, lmax = _l_window(system, h, min(twist_module.SCAN_CAP,
-                                               system.j_cap))
-            found = []
-            for rng in ((1e-4 * lmax, lmax), (-lmax, -1e-4 * lmax)):
-                try:
-                    found.append(twistless_point(system, h, l_range=rng))
-                except ScanError:
-                    pass
-            if not found:
-                raise ScanError(f"no twistless torus at h={h:.6g} "
-                                "(expected for one h sign at omega = 0)")
-            samples.append((h, *min(found, key=lambda t: abs(t[0]) * (
-                1.0 - twist_module.MIRROR_RTOL if t[0] > 0.0 else 1.0))))
+            samples.append((h, *twistless_point(system, h)))
         except ScanError as exc:
             failures.append((h, str(exc)))
     return samples, failures
@@ -374,8 +357,8 @@ CURVE_ENERGIES = [0.005, -0.005, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05,
 @pytest.mark.parametrize("name", sorted(SCAN_SYSTEMS))
 def test_curve_equals_the_per_energy_loop(name):
     # all energies' scans in one array call and their refinement points in
-    # another, against one twistless_point (two calls) per energy and
-    # half-axis: the same roots, residuals and failures, bit for bit
+    # another, against one twistless_point (two calls) per energy: the same
+    # roots, residuals and failures, bit for bit
     system = SCAN_SYSTEMS[name]
     curve = twistless_curve(system, CURVE_ENERGIES)
     samples, failures = reference_curve(system, CURVE_ENERGIES)
@@ -383,6 +366,29 @@ def test_curve_equals_the_per_energy_loop(name):
     assert np.array(got).tobytes() == np.array(samples).tobytes()
     assert curve.failures == failures
     assert len(samples) >= 4 and ("h = 0 excluded" in dict(failures)[0.0])
+
+
+@pytest.mark.parametrize("name", ["champagne0", "pendulum"])
+@pytest.mark.parametrize("h", [0.005, 0.01, 0.02])
+def test_point_equals_curve_at_omega_zero(name, h):
+    # omega = 0: C_h's window holds the mirror pair +-l*, and twistless_point
+    # takes the half-axis root that twistless_curve takes, bit for bit
+    system = SCAN_SYSTEMS[name]
+    (sample,) = twistless_curve(system, [h]).samples
+    got = np.array(twistless_point(system, h))
+    assert got.tobytes() == np.array([sample.l_star,
+                                      sample.s_residual]).tobytes()
+
+
+@pytest.mark.parametrize("name", ["champagne0", "pendulum"])
+def test_point_raises_the_curve_failure_at_omega_zero(name):
+    # at h < 0 neither half-axis has a twistless torus
+    system = SCAN_SYSTEMS[name]
+    (failure,) = twistless_curve(system, [-0.01]).failures
+    with pytest.raises(ScanError) as exc:
+        twistless_point(system, -0.01)
+    assert (-0.01, str(exc.value)) == failure
+    assert "expected for one h sign at omega = 0" in failure[1]
 
 
 def bisection_window(system, h, j_cap, steps=60, side=1.0):
