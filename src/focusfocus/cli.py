@@ -229,9 +229,7 @@ def build_system(cfg: dict):
 # --------------------------------------------------------------------------
 
 def fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+    return format(x, ".17g")   # the CSVs' ints (branch, mask) are small
 
 
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:

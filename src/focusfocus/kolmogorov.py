@@ -24,7 +24,8 @@ import numpy as np
 
 from .numerics import TWO_PI
 from .lattice import derivatives
-from .systems import EMValue, SystemDefinition, from_momentum_chart, polar
+from .systems import (EMValue, SystemDefinition, eval_constants,
+                      from_momentum_chart, polar)
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def frequency_samples(system: SystemDefinition, h: np.ndarray,
     """The frequency-map Jacobian at each torus (h, l), flat arrays:
     det domega/d(h, l) = -2 pi (T_h Theta_l - T_l Theta_h) / T^3, T and
     its derivatives at all tori from one complex array call."""
-    ff = system.constants()
+    ff = eval_constants(system)
     out = []
     for j, (T, T_h, T_l, th_h, th_l) in zip(
             system.window_radius(h, l).tolist(),
@@ -79,7 +80,7 @@ def tau_jacobian(system: SystemDefinition, c: EMValue) -> np.ndarray:
     """d(tau1, tau2)/d(j1, j2) on the linear chart, rows = (tau1, tau2),
     columns = (d/dj1, d/dj2): with tau1 = alpha T, tau2 = omega T - Theta,
     d/dj1 = alpha d/dh and d/dj2 = omega d/dh + d/dl."""
-    ff = system.constants()
+    ff = eval_constants(system)
     a, w = ff.alpha, ff.omega
     (_, T_h, T_l, th_h, th_l), = _hessian(system, c.h, c.l).T.tolist()
     return np.array([[a * a * T_h, a * (w * T_h + T_l)],

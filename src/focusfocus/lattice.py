@@ -35,9 +35,9 @@ one return:
   (flow_section_rate).  A failing leg fails only its own torus.
 
 cross_checks runs both engines on a batch of tori drawn by
-sample_cross_tori from the flow oracle's per-system domain (CROSS_DOMAINS)
-and compares them to CROSS_TOL; cross_check and the "flow" engine of
-reduced_period_rotation are its one-torus cases.
+sample_cross_tori from the flow oracle's per-system |j| range at every
+arg zeta (CROSS_DOMAINS) and compares them to CROSS_TOL; cross_check and
+the "flow" engine of reduced_period_rotation are its one-torus cases.
 
 Conversion to the lattice basis uses the linear momentum chart at the
 origin (systems.to_momentum_chart; Phi1 ~ alpha, Phi2 ~ omega; the
@@ -69,15 +69,15 @@ from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
 from .numerics import (EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR, TWO_PI,
                        align_angle, integrate_flow)
 from .systems import (EMValue, MomentumValue, SystemDefinition,
-                      from_momentum_chart, polar, to_momentum_chart)
+                      eval_constants, from_momentum_chart, polar,
+                      to_momentum_chart)
 
 CROSS_TOL = 1e-7
-# flow-oracle sample domain per system: |j| range, and the |sin arg zeta|
-# margin that keeps seeds off the l = 0 axis, where the orbit passes
-# beside the axis of the S^1 action: there the azimuth turns fast and
-# the per-step turns that fix its turn count grow
-CROSS_DOMAINS = {"champagne": (1e-4, 0.12, 0.05),
-                 "pendulum": (1e-3, 0.1, 0.1)}
+# flow-oracle sample domain per system, a |j| range over the whole circle
+# of arg zeta: the floor bounds the oracle's steps, which grow with the
+# period, as -ln|j|, and past 0.12 the bottle's image boundary cuts the |j|
+# disc
+CROSS_DOMAINS = {"champagne": (1e-4, 0.12), "pendulum": (1e-3, 0.1)}
 # tightest accuracy request the closed form is verified to meet against
 # mpmath (relative in T, absolute in Theta)
 CLOSED_FORM_REL_TOL = 1e-13
@@ -194,7 +194,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
     TURN_GUARD, or the leg fails with FlowError rather than guess a turn;
     the landing's partial step is read on [-pi, pi].  dphi is rate t
     plus the summed turns, taken to the sheet of the landing's atan2."""
-    ff = system.constants()
+    ff = eval_constants(system)
     out: list = [None] * len(cs)
     seeds, owner, budgets = [], [], []
     for i, c in enumerate(cs):
@@ -286,21 +286,19 @@ def sample_cross_tori(system: SystemDefinition, rng: np.random.Generator,
                       n: int, window: tuple[float, float] | None = None
                       ) -> list[EMValue]:
     """n tori drawn from the system's cross-check domain (CROSS_DOMAINS),
-    optionally narrowed to a |j| window: log-uniform |j|, uniform arg
-    zeta, rejecting angles within the |sin| margin of the l = 0 axis."""
-    r_lo, r_hi, margin = CROSS_DOMAINS[system.name]
+    optionally narrowed to a |j| window, one torus at a time: a
+    log-uniform |j|, then a uniform arg zeta."""
+    r_lo, r_hi = CROSS_DOMAINS[system.name]
     if window is not None:
         r_lo, r_hi = max(r_lo, window[0]), min(r_hi, window[1])
         if not r_lo < r_hi:
             raise ValueError(f"window {list(window)} misses the "
                              f"{system.name} cross-check |j| range "
-                             f"{list(CROSS_DOMAINS[system.name][:2])}")
+                             f"{list(CROSS_DOMAINS[system.name])}")
     out = []
-    while len(out) < n:
+    for _ in range(n):
         rho = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
         th = rng.uniform(0.0, TWO_PI)
-        if abs(math.sin(th)) < margin:
-            continue
         out.append(from_momentum_chart(
             system, MomentumValue(rho * math.cos(th), rho * math.sin(th))))
     return out
@@ -356,7 +354,7 @@ def period_lattice(system: SystemDefinition, c: EMValue,
     theta = theta_raw
     if theta_ref is not None:
         theta = align_angle(theta_raw, theta_ref)
-    ff = system.constants()
+    ff = eval_constants(system)
     return PeriodLatticeSample(
         T=T, theta=theta, tau1=ff.alpha * T, tau2=ff.omega * T - theta,
         branch=int(round((theta - theta_raw) / TWO_PI)))
@@ -437,7 +435,7 @@ def polar_tori(system: SystemDefinition, radii, angles) -> PolarTori:
     T, theta, branch, failed = transport(system, c.h, c.l)
     if failed:
         raise failed[min(failed)]
-    ff = system.constants()
+    ff = eval_constants(system)
     return PolarTori(arg=np.broadcast_to(angles, T.shape), j1=j.j1, j2=j.j2,
                      h=c.h, l=c.l, T=T, theta=theta, branch=branch,
                      tau1=ff.alpha * T, tau2=ff.omega * T - theta)

@@ -22,8 +22,8 @@ from .errors import FitError, FocusFocusError
 from .numerics import TWO_PI, linear_quantiles
 from .lattice import (RAY_OFFSET, PolarTori, derivatives, polar_tori,
                       transport)
-from .systems import (MomentumValue, SystemDefinition, from_momentum_chart,
-                      polar)
+from .systems import (MomentumValue, SystemDefinition, eval_constants,
+                      from_momentum_chart, polar)
 
 MASK_REGULAR = 0
 MASK_CORE = 1        # below the |j| floor: too close to the singular fiber
@@ -162,7 +162,7 @@ def extract_level_curve(system: SystemDefinition, window: tuple[float, float],
     theta0 = angles[k] + (levels - a[k]) / (b[k] - a[k]) * (TWO_PI / n_theta)
 
     lnrho = np.log(radii)
-    theta = (theta0[:, None] - system.constants().A0
+    theta = (theta0[:, None] - eval_constants(system).A0
              * (lnrho - math.log(rho_mid))).ravel()
     rho = np.tile(radii, len(levels))
     target = np.repeat(TWO_PI * levels, n_r)

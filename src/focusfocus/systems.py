@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import (FlowError, NoTorusError, SystemRejected,
                      TurningPointDegeneracy, WindowError)
-from .numerics import _lanes
+from .numerics import FLOW_RTOL, _lanes
 
 SQRT2 = math.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
@@ -257,7 +257,7 @@ class SystemDefinition:
     4-dim symplectic chart), reduced_profile(c) -> the turning points (lo,
     hi), the closed form's three parts, frame_rate, flow components
     (field, flow_start(c) -> seeds (d, m) from one solve of the reduced
-    cubic, section value and rate, energy on the flow chart), constants().
+    cubic, section value and rate, energy on the flow chart).
 
     The closed form, period_rotation(c) -> (T, Theta) on floats and
     period_rotation_array(h, l) -> (T, Theta, ok) on arrays, has one body
@@ -288,10 +288,7 @@ class SystemDefinition:
     name = "abstract"
     j_floor = 1e-5
     j_cap = 0.3
-    flow_rtol = 1e-12   # the flow oracle's solver tolerance
-
-    def constants(self) -> FocusFocusData:
-        return eval_constants(self)
+    flow_rtol = FLOW_RTOL   # the flow oracle's solver tolerance
 
     def check_window(self, c: EMValue) -> None:
         r = to_momentum_chart(self, c).modulus
@@ -358,13 +355,13 @@ class SystemDefinition:
 def to_momentum_chart(system: SystemDefinition, c: EMValue) -> MomentumValue:
     """The linear momentum chart at the origin, j1 = (h - omega l) / alpha
     and j2 = l, on floats or arrays (one torus per lane)."""
-    ff = system.constants()
+    ff = eval_constants(system)
     return MomentumValue(j1=(c.h - ff.omega * c.l) / ff.alpha, j2=c.l)
 
 
 def from_momentum_chart(system: SystemDefinition, j: MomentumValue) -> EMValue:
     """(h, l) = (alpha j1 + omega j2, j2), on floats or arrays."""
-    ff = system.constants()
+    ff = eval_constants(system)
     return EMValue(h=j.j1 * ff.alpha + j.j2 * ff.omega, l=j.j2)
 
 

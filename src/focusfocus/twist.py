@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ScanError
 from .numerics import TWO_PI, find_root_bracketed
 from .lattice import derivatives
-from .systems import EMValue, SystemDefinition, to_momentum_chart
+from .systems import (EMValue, SystemDefinition, eval_constants,
+                      to_momentum_chart)
 
 # twistless scans stay within |j| <= SCAN_CAP (and the system's j_cap)
 SCAN_CAP = 0.2
@@ -77,7 +78,7 @@ def _l_window(system: SystemDefinition, h: float, j_cap: float
     within an ulp or two of it, but near a double root (|h| ~ alpha j_cap,
     omega = 0) many ulps off; so steps doubling from an ulp of the root
     bracket the last l inside, and a bisection ends there."""
-    ff = system.constants()
+    ff = eval_constants(system)
     a2 = ff.alpha * ff.alpha + ff.omega * ff.omega
     # (alpha^2 + omega^2) l^2 - 2 h omega l + h^2 - alpha^2 j_cap^2 = 0 has
     # discriminant 4 alpha^2 disc; at disc < 0, start at the least |j|
@@ -169,7 +170,7 @@ def _twistless(system: SystemDefinition, energies: list[float]) -> list:
     of _twistless_roots, or at omega = 0 each of its half-axes one, of
     which the root nearest the axis is taken (the l > 0 one of a mirror
     pair, MIRROR_RTOL); h = 0 is excluded."""
-    degenerate = system.constants().omega == 0.0
+    degenerate = eval_constants(system).omega == 0.0
     cap = min(SCAN_CAP, system.j_cap)
     ranges = []   # the l ranges scanned at each energy
     for h in energies:
@@ -265,7 +266,7 @@ def twistless_curve(system: SystemDefinition,
     twist_scan call, their refinement points another, and Brent's iterates
     of all roots one call per round.
     """
-    ff = system.constants()
+    ff = eval_constants(system)
     degenerate = ff.omega == 0.0
     samples: list[TwistlessSample] = []
     failures: list[tuple[float, str]] = []

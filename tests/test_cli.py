@@ -297,9 +297,9 @@ class TestCrosscheck:
 def test_c1_records_its_flow_steps():
     # the batch steps of C1's two flow integrations at the default seed:
     # deterministic, so a change to the oracle's cost shows here
-    res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
-    assert res.status == "pass"
-    assert res.details["flow_steps"] == {"champagne": 49, "pendulum": 46}
+    status, details = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
+    assert status == "pass"
+    assert details["flow_steps"] == {"champagne": 49, "pendulum": 46}
 
 
 def test_c1_records_its_worst_energy_drift(monkeypatch):
@@ -314,9 +314,9 @@ def test_c1_records_its_worst_energy_drift(monkeypatch):
         return traj
 
     monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
-    res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
-    assert res.status == "pass"
-    got = res.details["max_energy_drift"]
+    status, details = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
+    assert status == "pass"
+    got = details["max_energy_drift"]
     assert got == {"champagne": drifts[0], "pendulum": drifts[1]}
     assert 0.0 < max(got.values()) <= lattice.ENERGY_DRIFT_TOL
 
@@ -357,10 +357,10 @@ def test_crosscheck_summary_records_its_worst_energy_drift(tmp_path, capsys,
 
 
 def test_c1_fails_when_no_torus_is_checked():
-    res = acceptance.c1_cross_engine(acceptance.AcceptanceConfig(
+    status, details = acceptance.c1_cross_engine(acceptance.AcceptanceConfig(
         n_cross_tori=0))
-    assert res.status == "fail"
-    assert res.details["tori_checked"] == 0
+    assert status == "fail"
+    assert details["tori_checked"] == 0
 
 
 def test_c9_runs_in_one_process(monkeypatch):
@@ -371,7 +371,8 @@ def test_c9_runs_in_one_process(monkeypatch):
         raise RuntimeError("a worker pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    res = acceptance.c9_determinism(acceptance.AcceptanceConfig())
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.c9_determinism])
+    (res,) = acceptance.run_all()
     assert res.status == "pass", res.details
     assert res.details["identical"] and res.details["bytes"] > 0
     assert res.description == ("identical configs produce byte-identical "
@@ -671,8 +672,8 @@ class TestExitCodes:
                       "--out", str(tmp_path))
         assert rc == cli.EXIT_OK, err
         doc = json.loads((tmp_path / "spiral_summary.json").read_text())
-        c5 = acceptance.c5_spirals(acceptance.AcceptanceConfig())
-        for fits in (doc["fits"], c5.details["pendulum"]):
+        _, c5 = acceptance.c5_spirals(acceptance.AcceptanceConfig())
+        for fits in (doc["fits"], c5["pendulum"]):
             expected = [f.get("expected_slope", f.get("expected"))
                         for f in fits]
             assert [(x, math.copysign(1.0, x)) for x in expected] \

@@ -128,7 +128,7 @@ class TestBatchedCrossCheck:
 
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
         assert acceptance.c1_cross_engine(
-            acceptance.AcceptanceConfig()).status == "pass"
+            acceptance.AcceptanceConfig())[0] == "pass"
         assert [traj.states.shape[2] for _, traj in calls] == [50, 100]
         for section, traj in calls:
             for records in traj.event_records:
@@ -177,34 +177,46 @@ class TestBatchedCrossCheck:
 
         monkeypatch.setattr(numerics, "_land", counting_land)
         assert acceptance.c1_cross_engine(
-            acceptance.AcceptanceConfig()).status == "pass"
+            acceptance.AcceptanceConfig())[0] == "pass"
         assert calls == [50, 100]
 
     def test_sampler_draws_the_reference_sequence(self, champagne,
                                                   pendulum):
         # the draw loop C1 and crosscheck each carried before they shared
         # sample_cross_tori; C1 continues one generator across systems
-        def reference(system, rng, n, r_lo, r_hi, margin):
+        def reference(system, rng, n, r_lo, r_hi):
             out = []
             while len(out) < n:
                 rho = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
                 th = rng.uniform(0.0, TWO_PI)
-                if abs(math.sin(th)) < margin:
-                    continue
                 out.append(from_momentum_chart(system, MomentumValue(
                     rho * math.cos(th), rho * math.sin(th))))
             return out
 
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-        for system, domain in ((champagne, (1e-4, 0.12, 0.05)),
-                               (pendulum, (1e-3, 0.1, 0.1))):
+        for system, domain in ((champagne, (1e-4, 0.12)),
+                               (pendulum, (1e-3, 0.1))):
             got = lattice.sample_cross_tori(system, rng_a, 20)
             assert got == reference(system, rng_b, 20, *domain)
         window = (1e-4, 1e-2)
         got = lattice.sample_cross_tori(
             champagne, np.random.default_rng(3), 20, window=window)
         assert got == reference(champagne, np.random.default_rng(3), 20,
-                                1e-4, 1e-2, 0.05)
+                                1e-4, 1e-2)
+
+    def test_sampler_draws_near_the_axis_and_the_oracle_agrees_there(
+            self, champagne, pendulum):
+        # at seed 5, three of 20 tori per system lie within the |sin arg
+        # zeta| margins (0.05, 0.1) that once kept C1 off the l = 0 axis,
+        # and both engines agree on each of them
+        for system, margin in ((champagne, 0.05), (pendulum, 0.1)):
+            tori = lattice.sample_cross_tori(system, np.random.default_rng(5),
+                                             20)
+            near = [c for c in tori if abs(c.l)
+                    < margin * to_momentum_chart(system, c).modulus]
+            assert len(near) == 3
+            results, _ = lattice.cross_checks(system, near)
+            assert all(isinstance(res, dict) for res in results), results
 
     def test_sampler_rejects_a_window_outside_the_domain(self, champagne):
         with pytest.raises(ValueError, match="misses"):
@@ -238,7 +250,7 @@ def full_return_reference(system, tori):
         j = to_momentum_chart(system, c)
         budgets.append(numerics.T_BUDGET_FACTOR
                        * (1.0 + abs(math.log(j.modulus)))
-                       / system.constants().alpha)
+                       / eval_constants(system).alpha)
     if system.name == "champagne":
         section = numerics.EventSpec(
             lambda s: s[0] * s[0] + s[1] * s[1] - s[5],
