@@ -3,8 +3,9 @@
 Each criterion is a pure function returning (status, details), the measured
 values, and its docstring states the claim.  run_all executes the battery
 and alone builds each CriterionResult, on every status: the id from the
-function's name, the description from its docstring.  Criteria degrade to
-"insufficient_range" when the window cannot host their |j| range.
+function's name, the description from its docstring.  Each criterion fixes
+the |j| range it judges, inside the default window of every system it runs
+on.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .systems import (ChampagneBottle, MomentumValue, SphericalPendulum,
                       eval_constants, from_momentum_chart, polar)
-from .lattice import (CROSS_DOMAINS, CROSS_TOL, annulus_sweep, cross_checks,
+from .lattice import (CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, sample_cross_tori)
 from .rotation import extract_level_curve, fit_log_spiral, monodromy_index
 from .twist import tilde_s, twistless_curve, twists
@@ -29,7 +30,7 @@ RNG_SEED = 20260810
 class CriterionResult:
     cid: str
     description: str
-    status: str                  # pass | fail | insufficient_range | error
+    status: str                  # pass | fail | error
     details: dict
 
     @property
@@ -40,35 +41,13 @@ class CriterionResult:
 @dataclass(frozen=True)
 class AcceptanceConfig:
     gamma: float = 0.5
-    j_floor: float | None = None     # override the systems' default floor
-    j_cap: float | None = None
     n_cross_tori: int = 50
     grid_resolution: tuple[int, int] = (32, 64)
     seed: int = RNG_SEED             # draws C1's cross-check tori
 
     def systems(self):
-        import dataclasses
-
-        def adj(s):
-            kw = {}
-            if self.j_floor is not None:
-                kw["j_floor"] = self.j_floor
-            if self.j_cap is not None:
-                kw["j_cap"] = min(self.j_cap, s.j_cap)
-            return dataclasses.replace(s, **kw) if kw else s
-
-        return (adj(ChampagneBottle(gamma=self.gamma)),
-                adj(ChampagneBottle(gamma=0.0)),
-                adj(SphericalPendulum()))
-
-
-def _range_ok(system, r_lo: float, r_hi: float) -> bool:
-    return system.j_floor <= r_lo and r_hi <= system.j_cap
-
-
-def _insufficient(need: tuple[float, float], system) -> tuple[str, dict]:
-    return "insufficient_range", {"needed_j_range": list(need),
-                                  "window": [system.j_floor, system.j_cap]}
+        return (ChampagneBottle(gamma=self.gamma), ChampagneBottle(gamma=0.0),
+                SphericalPendulum())
 
 
 # --------------------------------------------------------------------------
@@ -82,9 +61,6 @@ def c1_cross_engine(cfg: AcceptanceConfig) -> tuple[str, dict]:
     n_done = 0
     flow = {"flow_steps": {}, "max_energy_drift": {}}
     for system in (champ, pend):
-        r_lo, r_hi = CROSS_DOMAINS[system.name]
-        if not _range_ok(system, r_lo, r_hi):
-            return _insufficient((r_lo, r_hi), system)
         tori = sample_cross_tori(system, rng, cfg.n_cross_tori)
         results, stats = cross_checks(system, tori, cross_tol=CROSS_TOL)
         for key, value in stats.items():
@@ -108,8 +84,6 @@ def c2_monodromy(cfg: AcceptanceConfig) -> tuple[str, dict]:
     cases = []
     for system in (champ, champ0, pend):
         for radius in (0.05, 0.1):
-            if radius > system.j_cap or radius < system.j_floor:
-                return _insufficient((radius, radius), system)
             cases.append((system.name, getattr(system, "gamma", None),
                           radius, monodromy_index(system, radius, 256)))
     rev = monodromy_index(champ, 0.1, 256, orientation=-1)
@@ -125,8 +99,6 @@ def c3_period_asymptotics(cfg: AcceptanceConfig) -> tuple[str, dict]:
     """fitted coefficients of -Re ln(zeta) in tau1 and +Im ln(zeta) in tau2
     equal 1 +- 5% on |j| in [1e-4, 1e-2]"""
     champ, _, _ = cfg.systems()
-    if not _range_ok(champ, 1e-4, 1e-2):
-        return _insufficient((1e-4, 1e-2), champ)
     model = fit_asymptotic_model(annulus_sweep(champ, 1e-4, 1e-2, 10, 16))
     ok = (abs(model.log_coeff_tau1 - 1.0) <= 0.05
           and abs(model.log_coeff_tau2 - 1.0) <= 0.05)
@@ -142,8 +114,6 @@ def c4_rotation_form(cfg: AcceptanceConfig) -> tuple[str, dict]:
     """2 pi W + A(0) ln|j| + arg(zeta) spreads by < 0.2 over |j| in [1e-4,
     1e-3]"""
     champ, _, _ = cfg.systems()
-    if not _range_ok(champ, 1e-4, 1e-3):
-        return _insufficient((1e-4, 1e-3), champ)
     a0 = eval_constants(champ).A0
     sweep = annulus_sweep(champ, 1e-4, 1e-3, 5, 16)
     vals = [th + a0 * math.log(math.hypot(j1, j2)) + arg
@@ -158,8 +128,6 @@ def c5_spirals(cfg: AcceptanceConfig) -> tuple[str, dict]:
     """W-contours are log-spirals with pitch -omega/alpha within 10%
     (champagne); pendulum contours are radial, slope 0 +- 0.02"""
     champ, _, pend = cfg.systems()
-    if not _range_ok(champ, 1e-4, 1e-2) or not _range_ok(pend, 1e-4, 1e-2):
-        return _insufficient((1e-4, 1e-2), champ)
     out = {"champagne": [], "pendulum": []}
     ok = True
     for system, key in ((champ, "champagne"), (pend, "pendulum")):
@@ -225,8 +193,6 @@ def c7_tilde_s(cfg: AcceptanceConfig) -> tuple[str, dict]:
     rays) and its central-difference gradient at the origin equals (A0^2
     - 1, -2 A0) within 10%"""
     champ, _, _ = cfg.systems()
-    if not _range_ok(champ, 1e-4, 1e-2):
-        return _insufficient((1e-4, 1e-2), champ)
     ff = eval_constants(champ)
     d = 1e-3   # the gradient's central-difference step in j
     # 8 rays (rows) at 3 radii; then (d, 0), (-d, 0) on the j1 axis and,
@@ -255,8 +221,6 @@ def c8_kolmogorov(cfg: AcceptanceConfig) -> tuple[str, dict]:
     1e-4 and |ratio - 1| decreasing over decades; det dtau/dj |j|^2 = -1
     +- 10% at 1e-3; mixed partials to 1e-5"""
     champ, _, pend = cfg.systems()
-    if not _range_ok(champ, 1e-4, 1e-2):
-        return _insufficient((1e-4, 1e-2), champ)
     details: dict = {}
 
     # negativity on both systems, each in one call

@@ -20,7 +20,7 @@ the benchmark harness, perfbench/run.py, which passes --jobs 1 to all.
     twistless   system, param.NAME, h_values
     kolmogorov  system, param.NAME, window, ray_angle
     crosscheck  system, param.NAME, window, n_tori, seed, tol.cross
-    report      param.gamma, window, res, n_tori, seed
+    report      param.gamma, res, n_tori, seed
 
 res: a grid's radii and angles; for spiral (and C5), each traced curve's
 radii and the angles of the mid ring, whose W quantiles are the levels.
@@ -77,9 +77,8 @@ READS = {
     "kolmogorov": {"system": "champagne", "window": WINDOW, "ray_angle": 0.7},
     "crosscheck": {"system": "champagne", "window": WINDOW, "n_tori": 50,
                    "seed": RNG_SEED, "tol.cross": CROSS_TOL},
-    # no default window: the criteria run on each system's own |j|
-    # window, which a given window narrows
-    "report": {"param.gamma": 0.5, "window": None, "res": RES, "n_tori": 50,
+    # no window: the criteria run on each system's own |j| window
+    "report": {"param.gamma": 0.5, "res": RES, "n_tori": 50,
                "seed": RNG_SEED},
 }
 
@@ -407,23 +406,16 @@ def cmd_crosscheck(cfg: dict) -> int:
 
 
 def cmd_report(cfg: dict) -> int:
-    # a given window narrows the regular window of every system under test;
-    # criteria whose |j| ranges no longer fit degrade to the
-    # insufficient_range status
-    j_floor, j_cap = cfg["window"] or (None, None)
     acc_cfg = AcceptanceConfig(
-        gamma=cfg["param.gamma"],
-        j_floor=j_floor,
-        j_cap=j_cap,
-        n_cross_tori=cfg["n_tori"],
-        grid_resolution=cfg["res"],
-        seed=cfg["seed"])
+        gamma=cfg["param.gamma"], n_cross_tori=cfg["n_tori"],
+        grid_resolution=cfg["res"], seed=cfg["seed"])
+    try:
+        acc_cfg.systems()   # a bad gamma, as build_system reports it
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     results = run_all(acc_cfg)
     for r in results:
-        tag = {"pass": "PASS", "fail": "FAIL",
-               "insufficient_range": "SKIP(insufficient range)",
-               "error": "ERROR"}[r.status]
-        print(f"[{tag}] {r.cid}: {r.description}")
+        print(f"[{r.status.upper()}] {r.cid}: {r.description}")
     doc = {"criteria": [{"id": r.cid, "description": r.description,
                          "status": r.status, "details": r.details}
                         for r in results],

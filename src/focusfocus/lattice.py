@@ -372,16 +372,12 @@ def transport(system: SystemDefinition, h, l
     steps.  Returns T, the carried Theta and branch in h's shape, NaN, NaN
     and 0 where a torus failed, and failed: flat index -> the
     FocusFocusError that names its failure.  A failed torus is skipped as
-    a reference; a torus whose h is NaN is absent: not evaluated, not a
-    reference and not failed.  Raises BranchError when an aligned step
-    exceeds MAX_BRANCH_STEP: the path is too coarse to tell its sheet.
+    a reference.  Raises BranchError when an aligned step exceeds
+    MAX_BRANCH_STEP: the path is too coarse to tell its sheet.
     """
     h, l = np.asarray(h, dtype=float), np.asarray(l, dtype=float)
-    at = np.flatnonzero(~np.isnan(h))
-    h_at, l_at = h.ravel()[at], l.ravel()[at]
-    T_at, raw, ok, failed = _tori(system, h_at, l_at)
-    failed = {int(at[k]): exc for k, exc in failed.items()}
-    live, raw = at[ok], raw[ok]
+    T_all, raw, ok, failed = _tori(system, h.ravel(), l.ravel())
+    live, raw = np.flatnonzero(ok), raw[ok]
     n = h.shape[-1]
     # live tori in path order; the first of each path anchors it
     first = np.diff(live // n, prepend=-1) != 0
@@ -402,7 +398,7 @@ def transport(system: SystemDefinition, h, l
                           "refine the path")
     T, carried = np.full((2, *h.shape), np.nan)
     sheet = np.zeros(h.shape, dtype=int)
-    T.flat[live], carried.flat[live] = T_at[ok], theta
+    T.flat[live], carried.flat[live] = T_all[ok], theta
     sheet.flat[live] = branch
     return T, carried, sheet, failed
 
@@ -487,7 +483,8 @@ def fit_asymptotic_model(samples: PolarTori) -> AsymptoticModel:
     j1, j2 = samples.j1.ravel(), samples.j2.ravel()
     if j1.size < 12:
         raise FitError(f"need >= 12 samples, got {j1.size}")
-    sectors = np.unique(samples.arg % TWO_PI // (TWO_PI / 8)).size
+    sector = samples.arg % TWO_PI // (TWO_PI / 8)
+    sectors = len(set(sector.ravel().tolist()))   # unique() loads numpy.ma
     if sectors < 8:
         raise FitError(f"samples cover only {sectors}/8 angular sectors")
 

@@ -62,9 +62,10 @@ def rotation_grid(system: SystemDefinition, window: tuple[float, float],
 
     Rows are constant-|j| circles anchored just past the reference ray and
     transported counterclockwise, so |W_neighbor - W| < 1/2 along each
-    row.  Points below the system's j_floor (MASK_CORE) are not evaluated,
-    and they and points without a regular torus (MASK_FAILED) do not serve
-    as references; a failed anchor fails the whole row.
+    row.  Points below the system's j_floor fail its window and are
+    masked MASK_CORE, other points without a regular torus MASK_FAILED;
+    neither serves as a reference, and a failed anchor outside the core
+    fails the whole row.
     """
     n0, n1 = resolution
     radii = np.geomspace(*window, n0)
@@ -72,13 +73,12 @@ def rotation_grid(system: SystemDefinition, window: tuple[float, float],
     j = polar(radii, angles)
     c = from_momentum_chart(system, j)
     core = system.window_radius(c.h, c.l) < system.j_floor
-    # a NaN torus is absent from its path: the core is never evaluated
-    _, theta, br, failed = transport(system, np.where(core, np.nan, c.h),
-                                     c.l)
+    _, theta, br, failed = transport(system, c.h, c.l)
+    failed = [k for k in failed if not core.flat[k]]
     w = theta / TWO_PI
     mask = np.where(core, MASK_CORE, MASK_REGULAR).astype(np.uint8)
-    mask.flat[list(failed)] = MASK_FAILED
-    dead = np.isin(np.arange(n0) * n1, list(failed))   # row anchor failed
+    mask.flat[failed] = MASK_FAILED
+    dead = np.isin(np.arange(n0) * n1, failed)   # row anchor failed
     mask[dead], w[dead], br[dead] = MASK_FAILED, np.nan, 0
     return RotationGrid(h=c.h, l=c.l, j1=j.j1, w=w, branch=br, mask=mask)
 

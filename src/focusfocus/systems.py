@@ -290,6 +290,11 @@ class SystemDefinition:
     j_cap = 0.3
     flow_rtol = FLOW_RTOL   # the flow oracle's solver tolerance
 
+    def __post_init__(self):
+        if not 0.0 < self.j_floor < self.j_cap:
+            raise ValueError(f"need 0 < j_floor < j_cap, got j_floor="
+                             f"{self.j_floor:g}, j_cap={self.j_cap:g}")
+
     def check_window(self, c: EMValue) -> None:
         r = to_momentum_chart(self, c).modulus
         if r < self.j_floor:
@@ -437,6 +442,7 @@ class ChampagneBottle(SystemDefinition):
     name = "champagne"
 
     def __post_init__(self):
+        super().__post_init__()
         if abs(self.gamma) >= 2.0:
             raise ValueError("need |gamma| < 2 to keep the regular window "
                              "usable")

@@ -30,7 +30,7 @@ READ = {
     "kolmogorov": {"system", "param.j_cap", "window", "ray_angle"},
     "crosscheck": {"system", "param.j_cap", "window", "n_tori", "seed",
                    "tol.cross"},
-    "report": {"param.gamma", "window", "res", "n_tori", "seed"},
+    "report": {"param.gamma", "res", "n_tori", "seed"},
 }
 # an admissible value of every key, and its parsed form
 VALUES = {"system": ("pendulum", "pendulum"), "param.gamma": ("0.3", 0.3),
@@ -185,6 +185,31 @@ class TestConfigErrors:
         rc, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
         assert rc == cli.EXIT_CONFIG
         assert "configuration error:" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv,need", [
+        (["grid", "--param", "j_cap=-1"], "0 < j_floor < j_cap"),
+        (["grid", "--param", "j_floor=0.5"], "0 < j_floor < j_cap"),
+        (["grid", "--param", "j_floor=-1"], "0 < j_floor < j_cap"),
+        (["report", "--param", "gamma=3"], "|gamma| < 2")])
+    def test_system_that_cannot_be_built(self, tmp_path, capsys, argv,
+                                         need):
+        # a window with no |j| in it, or one reaching down to the singular
+        # fiber, is a bad system, not an all-masked grid; report builds its
+        # systems before any criterion runs
+        rc, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert err.startswith(f"configuration error: need {need}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_reads_no_window(self, tmp_path, capsys):
+        # each criterion judges a fixed |j| range on its systems' own
+        # windows; a window could only switch criteria off
+        rc, err = run(capsys, "report", "--window", "1e-3,1e-2",
+                      "--out", str(tmp_path / "out"))
+        assert rc == cli.EXIT_CONFIG
+        assert "configuration error:" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["crosscheck", "--seed", "-1"],
@@ -578,14 +603,19 @@ class TestExitCodes:
         assert rc == cli.EXIT_CONFIG
         assert "configuration error:" in err
 
-    def test_acceptance_failure(self, tmp_path, capsys):
-        # a window that cannot host the criteria's |j| ranges degrades them
-        # to insufficient_range, which is not a pass
-        rc, _ = run(capsys, "report", "--window", "1e-3,1e-2",
-                    "--n-tori", "4", "--res", "8,16", "--out", str(tmp_path))
+    def test_acceptance_failure(self, tmp_path, capsys, monkeypatch):
+        # a planted criterion that fails
+        def c0_planted(cfg):
+            """a planted failure"""
+            return "fail", {}
+
+        monkeypatch.setattr(acceptance, "CRITERIA", [c0_planted])
+        rc, _ = run(capsys, "report", "--out", str(tmp_path))
         assert rc == cli.EXIT_ACCEPTANCE
         doc = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert not doc["all_passed"]
+        assert [(c["id"], c["status"]) for c in doc["criteria"]] \
+            == [("C0", "fail")]
 
     def test_numerical_failure(self, tmp_path, capsys):
         # every grid point lies below the system's |j| floor
@@ -707,8 +737,8 @@ class TestExitCodes:
 
 
 # runs in a fresh interpreter: the scipy modules (and numpy.ma, which
-# np.quantile imports lazily) loaded after importing the CLI and after each
-# subcommand
+# np.quantile and np.unique import lazily) loaded after importing the CLI
+# and after each subcommand
 IMPORT_PROBE = """
 import json, sys
 from focusfocus import cli
@@ -726,13 +756,15 @@ for system in ("champagne", "pendulum"):
         seen.append([f"{command} {system}", rc, watched_modules()])
 rc = cli.main(["crosscheck", "--n-tori", "1", "--out", f"{out}/crosscheck"])
 seen.append(["crosscheck", rc, watched_modules()])
+rc = cli.main(["report", "--out", f"{out}/report"])
+seen.append(["report", rc, watched_modules()])
 print(json.dumps(seen))
 """
 
 
 def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
-    # a cold start of every subcommand, the flow oracle's crosscheck (and
-    # report's C1) too, pays for numpy alone, without numpy.ma
+    # a cold start of every subcommand, the flow oracle's crosscheck and
+    # the report battery too, pays for numpy alone, without numpy.ma
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -741,14 +773,13 @@ def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
                           capture_output=True, text=True, env=env,
                           timeout=300, check=True)
     # the subcommands print to stdout; the probe's record is the last line
-    *closed_form, (_, rc, flow_modules) = json.loads(
-        proc.stdout.splitlines()[-1])
-    assert len(closed_form) == 13
-    for stage, rc, modules in closed_form:
+    # the flow oracle carries its own DOP853 tableau, and C3 counts its
+    # sectors without np.unique
+    stages = json.loads(proc.stdout.splitlines()[-1])
+    assert len(stages) == 15 and stages[-1][0] == "report"
+    for stage, rc, modules in stages:
         assert rc == cli.EXIT_OK, stage
         assert modules == [], stage
-    # the flow oracle carries its own DOP853 tableau
-    assert rc == cli.EXIT_OK and flow_modules == []
 
 
 def default_outputs(root, capsys, commands=("grid", "monodromy")):

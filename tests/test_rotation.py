@@ -9,7 +9,8 @@ from focusfocus import (ChampagneBottle, EMValue, FitError, MomentumValue,
                         SphericalPendulum, align_angle, cross_check,
                         eval_constants, extract_level_curve, fit_log_spiral,
                         from_momentum_chart, monodromy_index, period_lattice,
-                        rotation_grid, to_momentum_chart, transport, twist)
+                        rotation_grid, to_momentum_chart, transport, twist,
+                        WindowError)
 from focusfocus import lattice, rotation
 from focusfocus.lattice import (RAY_OFFSET, annulus_sweep,
                                 reduced_period_rotation)
@@ -119,10 +120,11 @@ class TestRotationGrid:
 
     @pytest.mark.parametrize("name", ["champagne", "pendulum"])
     def test_core_is_never_evaluated(self, name, request, monkeypatch):
-        # a torus below the floor reaches neither the array form nor
-        # reduced_period_rotation: it is masked, not failed one by one
+        # a torus below the floor reaches neither the array form nor the
+        # scalar one: reduced_period_rotation names it by the window check
+        # alone, and it is masked core
         system = request.getfixturevalue(name)
-        tori = []
+        tori, named, scalar = [], [], []
         array_form = type(system).period_rotation_array
 
         def recording_array(self, h, l):
@@ -130,17 +132,29 @@ class TestRotationGrid:
             return array_form(self, h, l)
 
         def recording(system, c, *args, **kwargs):
-            tori.append((c.h, c.l))
-            return reduced_period_rotation(system, c, *args, **kwargs)
+            try:
+                return reduced_period_rotation(system, c, *args, **kwargs)
+            except WindowError as exc:
+                named.append((c.h, c.l, str(exc)))
+                raise
 
         monkeypatch.setattr(type(system), "period_rotation_array",
                             recording_array)
+        monkeypatch.setattr(type(system), "period_rotation",
+                            lambda self, c: scalar.append(c))
         monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
         g = rotation_grid(system, (1e-6, 1e-2), (12, 16))
         assert np.count_nonzero(g.mask == MASK_CORE) == 3 * 16
+        assert scalar == []
         h, l = np.array(tori).T
         assert h.size == np.count_nonzero(g.mask != MASK_CORE)
         assert np.all(system.window_radius(h, l) >= system.j_floor)
+        h, l, reasons = zip(*named)
+        assert len(h) == 3 * 16
+        assert np.all(system.window_radius(np.array(h), np.array(l))
+                      < system.j_floor)
+        assert all(r.endswith(": too close to the singular fiber")
+                   for r in reasons)
 
     def test_rows_independent(self, champagne, pendulum):
         self.assert_rows_independent(champagne)

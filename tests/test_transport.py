@@ -171,22 +171,6 @@ class TestFailedTori:
                            "the complex step leaves the closed form's domain$"):
             frequency_samples(sys_, *arrays(path))
 
-    @pytest.mark.parametrize("system", sorted(SYSTEMS))
-    @pytest.mark.parametrize("k", [0, 2, 4])
-    def test_nan_torus_is_absent(self, system, k):
-        # a torus whose h is NaN is not evaluated, not a reference and not
-        # failed: the path carries exactly as if it were removed
-        sys_ = SYSTEMS[system]
-        h, l = arrays(circle(sys_, 1e-2, 0.5 + np.arange(5) * 0.4))
-        holed = h.copy()
-        holed[k] = np.nan
-        T, theta, branch, failed = transport(sys_, holed, l)
-        assert failed == {}
-        assert np.isnan(T[k]) and np.isnan(theta[k]) and branch[k] == 0
-        assert_carried_without((T, theta, branch),
-                               transport(sys_, np.delete(h, k),
-                                         np.delete(l, k)), k)
-
 
 class TestPaths:
     @pytest.mark.parametrize("system", sorted(SYSTEMS))
