@@ -5,13 +5,18 @@ summary embedding the fully resolved configuration.  Outputs are
 byte-identical run to run for a fixed configuration: every subcommand runs
 in one process, and numbers are serialized with 17 significant digits.
 
-Each subcommand reads the keys below (READS), given as flags or as
-"key = value" lines of a --config file, which the flags override; any
-other key is a configuration error.  param.NAME sets one parameter of the
-system (--param NAME=V), tol.NAME one tolerance (--tol NAME=V).  Every
-subcommand also takes --out DIR and --jobs 1: it runs in one process (a
-grid is one array call, which workers only slowed), and the flag stays for
-the benchmark harness, perfbench/run.py, which passes --jobs 1 to all.
+Each subcommand reads the keys below (READS), given as "key = value"
+lines of a --config file or as flags; any other key is a configuration
+error.  A flag is --NAME VALUE or --NAME=VALUE, NAME the key with dashes
+for underscores, never abbreviated; the token after a flag is its value
+even when it starts with "-" (--h-values -1e-2,2e-2), but not "--".  The
+file's lines apply first, then the flags in order: the last setting of a
+key wins.  param.NAME sets one parameter of the system (--param NAME=V),
+tol.NAME one tolerance (--tol NAME=V).  Every subcommand also takes --out
+DIR and --jobs 1: it runs in one process (a grid is one array call, which
+workers only slowed), and the flag stays for the benchmark harness,
+perfbench/run.py, which passes --jobs 1 to all.  -h or --help lists the
+subcommands, or after one its flags.
 
     constants   system, param.NAME
     grid        system, param.NAME, window, res
@@ -30,10 +35,8 @@ Exit codes: 0 success, 1 configuration error, 2 acceptance failure,
 """
 from __future__ import annotations
 
-import argparse
 import json
 import math
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,14 +148,9 @@ KEYS = {
 }
 
 
-def _flags(command: str) -> list[str]:
-    """The KEYS entries a subcommand has a flag for, in table order."""
-    flags = []
-    for key in READS[command]:
-        flags.append(key.partition(".")[0])
-        if key == "system":
-            flags.append("param")
-    return list(dict.fromkeys(flags + ["out", "jobs"]))
+# the flag of each key, and of the --config file
+FLAGS = {"--" + name.replace("_", "-"): name for name in ("config", *KEYS)}
+HELP = ("-h", "--help")
 
 
 def parse_config_file(path: str | Path) -> list[tuple[str, str, str]]:
@@ -191,27 +189,44 @@ def _assign(cfg: dict, command: str, key: str, text: str, where: str) -> None:
     cfg[key] = value
 
 
-def build_config(args: argparse.Namespace) -> dict:
-    """The value of every key the subcommand reads, plus out and jobs: the
-    defaults of READS, then the --config file, then the flags."""
-    cfg = {**READS[args.command], "out": "out", "jobs": 1}
-    given = parse_config_file(args.config) if args.config else []
-    for flag, value in vars(args).items():
-        if flag in ("command", "config") or value is None:
+def parse_argv(argv: list[str]) -> tuple[str | None,
+                                         list[tuple[str, str, str]] | None]:
+    """The subcommand argv names and the (key, value text, where) of each
+    setting it gives: the --config file's lines, then the flags in order.
+    The settings are None where argv asks for help, and the subcommand too
+    where it asks before naming one."""
+    if not argv:
+        raise ConfigError(f"no subcommand; choose from {', '.join(READS)}")
+    if argv[0] in HELP:
+        return None, None
+    command, tokens = argv[0], iter(argv[1:])
+    if command not in READS:
+        raise ConfigError(f"invalid choice: {command!r} (choose from "
+                          f"{', '.join(READS)})")
+    config, flags = None, []
+    for token in tokens:
+        if token in HELP:
+            return command, None
+        flag, eq, text = token.partition("=")
+        if flag not in FLAGS:
+            raise ConfigError(f"unrecognized argument {token!r}")
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ConfigError(f"{flag}: expected one argument")
+        key = FLAGS[flag]
+        if key == "config":
+            config = text
             continue
-        where = "--" + flag.replace("_", "-")
-        if flag not in ("param", "tol"):
-            given.append((flag, value, where))
-            continue
-        for kv in value:
-            name, eq, text = kv.partition("=")
+        if key in ("param", "tol"):
+            name, eq, text = text.partition("=")
             if not eq:
-                raise ConfigError(f"{where} must look like NAME=V, got "
-                                  f"{kv!r}")
-            given.append((f"{flag}.{name.strip()}", text, where))
-    for key, text, where in given:
-        _assign(cfg, args.command, key, text, where)
-    return cfg
+                raise ConfigError(f"{flag} must look like NAME=V, got "
+                                  f"{name!r}")
+            key = f"{key}.{name.strip()}"
+        flags.append((key, text, flag))
+    return command, (parse_config_file(config) if config is not None
+                     else []) + flags
 
 
 def build_system(cfg: dict):
@@ -227,14 +242,12 @@ def build_system(cfg: dict):
 # serialization helpers
 # --------------------------------------------------------------------------
 
-def fmt(x) -> str:
-    return format(x, ".17g")   # the CSVs' ints (branch, mask) are small
-
-
 def write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """One line per row, every value with 17 significant digits (the ints,
+    branch and mask, are small)."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    lines += [",".join(fmt(v) for v in row) for row in rows]
+    row = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header), *(row % values for values in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -436,56 +449,41 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad command line as a
-    ConfigError, as build_config reports a bad key or value.  A token of
-    "-" or "-." and a digit is a value (-1e-2,2e-2), which argparse, taking
-    only plain numbers such as -0.5 as values, would read as a flag."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Given the name of a subcommand, only that
-    subcommand's parser is built (the one a command line naming it runs);
-    otherwise all of them, which --help lists and an unknown name is
-    checked against."""
-    p = _Parser(prog="focusfocus",
-                description="rotation number, twist and frequency-map "
-                            "analyses near a focus-focus equilibrium")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in [command] if command in READS else READS:
-        reads = READS[name]
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", metavar="FILE",
-                        help="'key = value' lines, which the flags override")
-        for flag in _flags(name):
-            key = KEYS[flag]
-            if flag in ("param", "tol"):
-                names = [k.partition(".")[2] for k in reads
-                         if k.startswith(flag + ".")]
-                sp.add_argument("--" + flag, action="append", help=key.help,
-                                metavar="|".join(names) + "=V" if names
-                                else key.metavar)
-            else:
-                sp.add_argument("--" + flag.replace("_", "-"),
-                                metavar=key.metavar, help=key.help)
-    return p
+def usage(command: str | None) -> str:
+    """The --help text: the subcommands, or the flags of one."""
+    if command is None:
+        return (f"usage: focusfocus {{{','.join(READS)}}} [FLAG VALUE]...\n\n"
+                "rotation number, twist and frequency-map analyses near a "
+                "focus-focus equilibrium;\n'focusfocus COMMAND --help' lists "
+                "the flags of a subcommand")
+    reads = READS[command]
+    names = [key.partition(".")[0] for key in reads]
+    names += ["param"] * ("system" in reads) + ["out", "jobs"]
+    rows = [("--config FILE", "'key = value' lines, which the flags "
+                              "override")]
+    for name in dict.fromkeys(names):
+        key = KEYS[name]
+        subs = [k.partition(".")[2] for k in reads if k.startswith(name + ".")]
+        metavar = "|".join(subs) + "=V" if subs else key.metavar
+        rows.append((f"--{name.replace('_', '-')} {metavar}", key.help))
+    rows.append(("-h, --help", "show this help"))
+    width = max(len(flag) for flag, _ in rows) + 2
+    return "\n".join([f"usage: focusfocus {command} [FLAG VALUE]...", ""]
+                     + [f"  {flag:{width}}{text}" for flag, text in rows])
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
-        return COMMANDS[args.command](build_config(args))
-    except SystemExit:   # --help; a bad command line raises ConfigError
-        return EXIT_OK
+        command, given = parse_argv(argv)
+        if given is None:
+            print(usage(command))
+            return EXIT_OK
+        cfg = {**READS[command], "out": "out", "jobs": 1}
+        for key, text, where in given:
+            _assign(cfg, command, key, text, where)
+        return COMMANDS[command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -72,13 +72,14 @@ def rotation_grid(system: SystemDefinition, window: tuple[float, float],
     angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
     j = polar(radii, angles)
     c = from_momentum_chart(system, j)
-    core = system.window_radius(c.h, c.l) < system.j_floor
     _, theta, br, failed = transport(system, c.h, c.l)
-    failed = [k for k in failed if not core.flat[k]]
+    lanes = np.fromiter(failed, dtype=np.intp)
+    core = (system.window_radius(c.h.flat[lanes], c.l.flat[lanes])
+            < system.j_floor)
     w = theta / TWO_PI
-    mask = np.where(core, MASK_CORE, MASK_REGULAR).astype(np.uint8)
-    mask.flat[failed] = MASK_FAILED
-    dead = np.isin(np.arange(n0) * n1, failed)   # row anchor failed
+    mask = np.full(c.h.shape, MASK_REGULAR, dtype=np.uint8)
+    mask.flat[lanes] = np.where(core, MASK_CORE, MASK_FAILED)
+    dead = np.isin(np.arange(n0) * n1, lanes[~core])   # row anchor failed
     mask[dead], w[dead], br[dead] = MASK_FAILED, np.nan, 0
     return RotationGrid(h=c.h, l=c.l, j1=j.j1, w=w, branch=br, mask=mask)
 

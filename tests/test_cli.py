@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import math
@@ -9,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focusfocus import (acceptance, align_angle, cli, eval_constants, lattice,
                         make_system, rotation)
@@ -100,9 +100,9 @@ class TestKeysEachSubcommandReads:
                 return super().__getitem__(key)
 
         read = set()
-        build_config = cli.build_config
-        monkeypatch.setattr(cli, "build_config",
-                            lambda args: Recording(build_config(args)))
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            lambda cfg, run=cli.COMMANDS[command]:
+                            run(Recording(cfg)))
         monkeypatch.setattr(acceptance, "CRITERIA", [])
         keys = set(cli.READS[command])
         if "system" in keys:
@@ -414,7 +414,7 @@ def reference_chart_columns(system, window, res):
         for th in lattice.RAY_OFFSET + 2.0 * math.pi * np.arange(n1) / n1:
             j = MomentumValue(rho * math.cos(th), rho * math.sin(th))
             c = from_momentum_chart(system, j)
-            rows.append([cli.fmt(v) for v in (c.h, c.l, j.j1, j.j2)])
+            rows.append([f"{v:.17g}" for v in (c.h, c.l, j.j1, j.j2)])
     return rows
 
 
@@ -501,21 +501,81 @@ def test_summaries_are_strict_json(tmp_path, capsys):
     assert fit["tangent_slope_fit"] is None
 
 
+def parsed(monkeypatch, capsys, *argv):
+    """The exit code and stderr of cli.main(argv), and the configuration
+    the subcommand would have run with (None if it was not run)."""
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, argv[0] if argv else "constants",
+                        lambda cfg: seen.append(cfg) or cli.EXIT_OK)
+    rc, err = run(capsys, *argv)
+    return rc, err, seen[0] if seen else None
+
+
 class TestParser:
     @pytest.mark.parametrize("token", ["-1e-2,2e-2", "-.5,1", "-0.5", "-3",
                                        "-1,2"])
-    def test_dash_digit_token_is_a_value(self, token):
-        # argparse by itself takes only a plain number such as -0.5 for a
-        # value; _Parser widens its private _negative_number_matcher, which
-        # this pins
-        args = cli.build_parser("twistless").parse_args(
-            ["twistless", "--h-values", token])
-        assert args.h_values == token
+    def test_dash_digit_token_is_a_value(self, monkeypatch, capsys, token):
+        # the token after a flag is its value, whatever its first character
+        rc, err, cfg = parsed(monkeypatch, capsys, "twistless", "--h-values",
+                              token)
+        assert rc == cli.EXIT_OK, err
+        assert cfg["h_values"] == tuple(float(t) for t in token.split(","))
 
-    def test_flag_after_a_flag_is_still_a_flag(self):
-        with pytest.raises(cli.ConfigError, match="expected one argument"):
-            cli.build_parser("grid").parse_args(["grid", "--window", "--res",
-                                                 "3,7"])
+    def test_flag_after_a_flag_is_still_a_flag(self, monkeypatch, capsys):
+        rc, err, cfg = parsed(monkeypatch, capsys, "grid", "--window",
+                              "--res", "3,7")
+        assert rc == cli.EXIT_CONFIG and cfg is None
+        assert err == "configuration error: --window: expected one argument\n"
+
+    def test_flag_equals_value(self, monkeypatch, capsys):
+        rc, err, cfg = parsed(monkeypatch, capsys, "crosscheck",
+                              "--window=1e-3,2e-3", "--param=gamma=0.3",
+                              "--tol=cross=1e-6", "--n-tori=2")
+        assert rc == cli.EXIT_OK, err
+        assert (cfg["window"], cfg["param.gamma"], cfg["tol.cross"],
+                cfg["n_tori"]) == ((1e-3, 2e-3), 0.3, 1e-6, 2)
+
+    def test_repeated_flag_last_wins(self, tmp_path, monkeypatch, capsys):
+        # the --config file's lines apply first, wherever --config stands,
+        # then the flags in order
+        cfg_file = config_file(tmp_path, "radius = 0.05\nn_points = 64\n")
+        rc, err, cfg = parsed(monkeypatch, capsys, "monodromy",
+                              "--n-points", "128", "--radius", "0.07",
+                              "--config", cfg_file, "--radius=0.08",
+                              "--param", "gamma=0.1", "--param", "gamma=0.2")
+        assert rc == cli.EXIT_OK, err
+        assert (cfg["n_points"], cfg["radius"], cfg["param.gamma"]) \
+            == (128, 0.08, 0.2)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["grid", "--bogus", "1"], id="unknown-flag"),
+        pytest.param(["grid", "--sys", "pendulum"], id="prefix"),
+        pytest.param(["grid", "--h_values", "0.1"], id="underscore"),
+        pytest.param(["grid", "stray"], id="positional"),
+        pytest.param(["grid", "--out", "o", "--res"], id="no-value"),
+        pytest.param(["--out", "o", "grid"], id="option-before-subcommand"),
+        pytest.param([], id="empty")])
+    def test_bad_command_line(self, monkeypatch, capsys, argv):
+        rc, err, cfg = parsed(monkeypatch, capsys, *argv)
+        assert rc == cli.EXIT_CONFIG and cfg is None
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["focusfocus", "constants", "--out",
+                                          str(tmp_path)])
+        assert cli.main() == cli.EXIT_OK
+        assert (tmp_path / "constants.json").is_file()
+        capsys.readouterr()
+
+    def test_system_exit_from_a_command_is_not_success(self, monkeypatch):
+        # only --help exits 0 without running a subcommand
+        def exiting(cfg):
+            raise SystemExit(5)
+
+        monkeypatch.setitem(cli.COMMANDS, "constants", exiting)
+        with pytest.raises(SystemExit, match="5"):
+            cli.main(["constants"])
 
     def test_h_values_led_by_a_negative_energy(self, tmp_path, capsys):
         rc, err = run(capsys, "twistless", "--system", "pendulum",
@@ -572,27 +632,6 @@ class TestParser:
                  if word.strip("[],").startswith("--")}
         assert flags == {"--config", "--system", "--param", "--window",
                          "--res", "--levels", "--out", "--jobs", "--help"}
-
-    def test_one_subparser_for_a_named_subcommand(self, tmp_path, capsys,
-                                                  monkeypatch):
-        # main() reads sys.argv; naming a subcommand builds its parser alone
-        built = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def recording(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
-                            recording)
-        monkeypatch.setattr(sys, "argv", ["focusfocus", "constants", "--out",
-                                          str(tmp_path)])
-        assert cli.main() == cli.EXIT_OK
-        assert built == ["constants"]
-        assert cli.main(["--config", "missing.cfg", "constants"]) \
-            == cli.EXIT_CONFIG
-        assert built == ["constants", *cli.READS]
-        capsys.readouterr()
 
 
 class TestExitCodes:
@@ -762,24 +801,58 @@ print(json.dumps(seen))
 """
 
 
-def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
-    # a cold start of every subcommand, the flow oracle's crosscheck and
-    # the report battery too, pays for numpy alone, without numpy.ma
+def run_fresh(*args):
+    """python -c args in a fresh interpreter that imports the package from
+    this source tree; its standard output."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(tmp_path)],
-                          capture_output=True, text=True, env=env,
-                          timeout=300, check=True)
+    return subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                          text=True, env=env, timeout=300, check=True).stdout
+
+
+def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
+    # a cold start of every subcommand, the flow oracle's crosscheck and
+    # the report battery too, pays for numpy alone, without numpy.ma
+    stdout = run_fresh(IMPORT_PROBE, str(tmp_path))
     # the subcommands print to stdout; the probe's record is the last line
     # the flow oracle carries its own DOP853 tableau, and C3 counts its
     # sectors without np.unique
-    stages = json.loads(proc.stdout.splitlines()[-1])
+    stages = json.loads(stdout.splitlines()[-1])
     assert len(stages) == 15 and stages[-1][0] == "report"
     for stage, rc, modules in stages:
         assert rc == cli.EXIT_OK, stage
         assert modules == [], stage
+
+
+def test_importing_the_cli_loads_no_argparse():
+    # argparse's import and parser build cost every cold subcommand ~1.5 ms
+    stdout = run_fresh("import sys, focusfocus.cli; "
+                       "print('argparse' in sys.modules)")
+    assert stdout == "False\n"
+
+
+# every kind of value the CSVs hold: floats of every class (nan, the
+# infinities, -0.0, subnormals), numpy's, and the branch and mask ints
+CSV_VALUES = st.one_of(
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, math.nan, -math.inf, 5e-324, -2.225e-308]),
+    st.integers(-2**63, 2**63 - 1),
+    st.integers(-2**63, 2**63 - 1).map(np.int64))
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just([f"c{i}" for i in range(n)]),
+    st.lists(st.tuples(*[CSV_VALUES] * n), max_size=5))))
+@settings(max_examples=300, deadline=None)
+def test_write_csv_equals_the_per_value_join(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.getbasetemp() / "csv" / "rows.csv"
+    cli.write_csv(path, header, rows)
+    expected = [",".join(header)] + [",".join(format(v, ".17g") for v in row)
+                                     for row in rows]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
 def default_outputs(root, capsys, commands=("grid", "monodromy")):
