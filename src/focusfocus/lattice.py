@@ -47,15 +47,16 @@ asymptotic fits):
     tau1 = alpha T,   tau2 = omega T - Theta,
     (tau1, tau2) and (0, 2 pi) span the period lattice.
 
-Branch convention: the raw per-torus Theta (with the +pi convention on the
-l = 0 axis) is the principal value.  transport carries Theta continuously
-along paths of tori, the last axis of its arrays: the first torus of a
-path keeps its raw value, each next one moves to the sheet nearest its
-predecessor, and the sheet offset from the raw value is recorded as
-branch.  Every path in the package (sweep rows, grid rows, monodromy
-loops) goes through it, all the paths of a grid or an annulus sweep in
-one call, with one wrap guard, MAX_BRANCH_STEP.  A single torus can be
-aligned to a reference Theta instead (period_lattice).
+Branch convention: the raw per-torus Theta (pi sign(l) per pole passage
+on the l = 0 axis, -0.0 taking the minus sign) is the principal value.
+transport carries Theta continuously along paths of tori, the last axis
+of its arrays: the first torus of a path keeps its raw value, each next
+one moves to the sheet nearest its predecessor, and the sheet offset from
+the raw value is recorded as branch.  Every path in the package (sweep
+rows, grid rows, monodromy loops) goes through it, all the paths of a
+grid or an annulus sweep in one call, with one wrap guard,
+MAX_BRANCH_STEP.  A single torus can be aligned to a reference Theta
+instead (period_lattice).
 """
 from __future__ import annotations
 
@@ -152,15 +153,16 @@ def derivatives(system: SystemDefinition, h, l, dh, dl
     values, equal to the real lanes' to rounding, and Im/STEP is the
     derivative to rounding, with no difference taken and no step to tune
     (Squire and Trapp, SIAM Rev. 40 (1998) 110-112), whatever Theta's
-    sheet; on the l = 0 axis, the limit l -> 0.  Near the axis, Theta's
-    third-kind term is l times ~ pi/|l|, and dTheta loses ~ EPS pi/(|l|
-    |dTheta/dl|) relative.  A lane outside the window or rejected by the
-    array form holds NaN, and failed maps its index to the FocusFocusError
-    that names its failure (_tori)."""
+    sheet; at l = +-0.0, the limit from l's side.  Theta's pole part is
+    split off in closed form, so no accuracy is lost near the l = 0 axis.
+    A lane outside the window or rejected by the array form holds NaN, and
+    failed maps its index to the FocusFocusError that names its failure
+    (_tori)."""
     h, l, dh, dl = (a.ravel() for a in np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (h, l, dh, dl))))
-    T, theta, ok, failed = _tori(system, h + 1j * STEP * dh,
-                                 l + 1j * STEP * dl)
+    l_step = l + 1j * STEP * dl
+    l_step.real = l   # -0.0 + 0.0 would be +0.0, the other torus
+    T, theta, ok, failed = _tori(system, h + 1j * STEP * dh, l_step)
     return (T.real, theta.real, np.where(ok, T.imag / STEP, np.nan),
             np.where(ok, theta.imag / STEP, np.nan), failed)
 
@@ -264,8 +266,8 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     """First-return time and continuous azimuth advance of one torus.
 
     Both engines report the same branch convention: the honest per-torus
-    Theta, with pole passages on the l = 0 axis counted as +pi each (the
-    l -> 0+ limit).
+    Theta, with pole passages on the l = 0 axis counted as pi sign(l) each
+    (the l -> 0+ limit at l = +0.0, the l -> 0- limit at l = -0.0).
 
     rel_tol is the accuracy requested of the quadrature engine.  Its
     closed form meets any request down to CLOSED_FORM_REL_TOL = 1e-13; a

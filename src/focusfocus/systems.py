@@ -26,8 +26,9 @@ kc^2 sin^2)) (Numer. Math. 13 (1969) 305-315): K = cel(kc, 1) = R_F(0,
 kc^2, 1), so R_F(0, x, y) = cel(sqrt(x/y), 1)/sqrt(y), and Pi(n) =
 cel(kc, 1 - n) = K + (n/3) R_J(0, kc^2, 1, 1 - n) (DLMF 19.25.2).  The
 roots are taken without cancellation (the largest by Newton, the small
-pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny.  scipy
-serves only numerics.quad_singular, a test reference.
+pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny, and the
+pole is split off exactly (SystemDefinition).  scipy serves only
+numerics.quad_singular, a test reference.
 
 The closed form has two forms, one body each, that every system shares
 (SystemDefinition).  period_rotation takes one torus on Python floats
@@ -64,10 +65,6 @@ EPS = float(np.finfo(float).eps)
 NEWTON_MAX_ITER = 100
 # cel stops once its means agree to CEL_TOL; its last pass squares that, ~EPS
 CEL_TOL = math.sqrt(EPS)
-
-# treat |l| below this as exactly on the l = 0 axis (the third-kind
-# integrals' 1 - n vanishes there; the angular jump is added analytically)
-L_AXIS_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -112,7 +109,7 @@ def _cubic_roots(b: float, c: float, d: float, x0: float,
     means no real root there: a single real root, so no torus.  Vieta then
     gives the pair without cancellation: y z = -d/top and
     y + z = (c + d/top)/top, the larger magnitude first, the other as the
-    quotient.
+    quotient.  A double root at 0, the singular fiber, is no torus.
     """
     x = x0
     for _ in range(NEWTON_MAX_ITER):
@@ -135,6 +132,8 @@ def _cubic_roots(b: float, c: float, d: float, x0: float,
     total = (c - prod) / x
     big = 0.5 * (total + math.copysign(math.sqrt(total * total - 4.0 * prod),
                                        total))
+    if big == 0.0:
+        raise NoTorusError(f"{where} is on the singular fiber")
     small = prod / big
     return (x, big, small) if big >= 0.0 else (x, small, big)
 
@@ -215,19 +214,13 @@ def _cel_array(kc: np.ndarray, p: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """_cel over arrays, real or complex: (values, ok).  Each lane runs the
     scalar loop and leaves, by compaction, when the real parts of its means
-    agree.  ok is False where kc is not > 0 or p < 0 (real parts); such a
-    lane runs as cel(1, 1).  At p = 0, a pole passage on the l = 0 axis, a
-    lane takes the finite part of cel(kc, p) = pi/(2 kc sqrt(p)) + K -
-    E/kc^2 + O(p) (DLMF 19.7.9), which is Bulirsch's cel(kc, 1, 1 - 1/kc^2,
-    0)."""
-    ok = (kc.real > 0.0) & (p.real >= 0.0)
-    passage = p == 0.0
-    kc, p = np.where(ok, kc, 1.0), np.where(ok & ~passage, p, 1.0)
+    agree.  ok is False where kc or p is not > 0 (real parts), where the
+    scalar loop raises or never stops; such a lane runs as cel(1, 1)."""
+    ok = (kc.real > 0.0) & (p.real > 0.0)
+    kc, p = np.where(ok, kc, 1.0), np.where(ok, p, 1.0)
     out = np.empty(kc.shape, dtype=np.result_type(kc, p))
-    lane = np.arange(kc.size)
-    p = np.sqrt(p)
-    a = np.where(passage, 1.0 - 1.0 / np.where(passage, kc * kc, 1.0), 1.0)
-    b, e, m = np.where(passage, 0.0, 1.0) / p, kc, np.ones(kc.shape)
+    lane, p = np.arange(kc.size), np.sqrt(p)
+    a, b, e, m = np.ones(kc.shape), 1.0 / p, kc, np.ones(kc.shape)
     while lane.size:
         f = a
         a = a + b / p
@@ -263,14 +256,17 @@ class SystemDefinition:
     period_rotation_array(h, l) -> (T, Theta, ok) on arrays, has one body
     each, here.  A system states its cubic and its elliptic terms once:
     _roots(c) -> roots, raising where there is no regular torus;
-    _roots_array(h, l, axis) -> (lane, roots) of the lanes _roots accepts;
-    and _elliptic(h, roots, sqrt) -> (scale, kc, terms, passages), one
-    body for floats and arrays: T = sqrt(2) K(kc)/scale, and Theta =
-    frame_rate T + sqrt(2) l sum cel(kc_k, p_k)/den_k over the third-kind
-    terms (kc_k, p_k, den_k), or frame_rate T + pi passages sign(l) on the
-    l = 0 axis.  frame_rate is the rate of the frame in which the azimuth
-    obeys psi' = l/r^2 (r the distance from the axis), turning
-    monotonically with the sign of l; the flow oracle counts turns in it.
+    _roots_array(h, l) -> (lane, roots) of the lanes _roots accepts; and
+    _elliptic(h, roots, sqrt) -> (scale, kc, terms), one body for floats
+    and arrays: T = sqrt(2) K/scale, K = K(kc), and Theta = frame_rate T +
+    sqrt(2) l sum cel(kc_k, p_k)/den_k over the third-kind terms (kc_k,
+    p_k, den_k, |l|/sqrt(p_k), K(kc_k)/K).  Where p < kc^2/2, cel(kc, p) =
+    K(kc) + (pi/2) sqrt((1 - p)/(p (kc^2 - p))) - cel(kc, (kc^2 - p)/(1 -
+    p)) (DLMF 19.7.9) splits the pole off, |l|/sqrt(p_k) from the roots:
+    pi sign(l) per pole passage at l = +-0.0.  frame_rate is the rate of
+    the frame in which the azimuth obeys psi' = l/r^2 (r the distance from
+    the axis), turning monotonically with the sign of l; the flow oracle
+    counts turns in it.
 
     The flow state is Cartesian, its first two rows the position (x, y) in
     the plane of the S^1 action, so the azimuth is read from positions and
@@ -314,44 +310,51 @@ class SystemDefinition:
 
     def period_rotation(self, c: EMValue) -> tuple[float, float]:
         """(T, Theta) of one torus in closed form, on Python floats."""
-        scale, kc, terms, passages = self._elliptic(c.h, self._roots(c),
-                                                    math.sqrt)
-        T = SQRT2 * _cel(kc, 1.0) / scale
-        if abs(c.l) <= L_AXIS_TOL:
-            # pi per pole passage, with the sign of l (l = +0.0 takes the
-            # upper sign); none adds +0.0, as the array form does
-            turn = (math.pi * passages * math.copysign(1.0, c.l) if passages
-                    else 0.0)
-            return T, self.frame_rate * T + turn
-        third = sum(_cel(k, p) / den for k, p, den in terms)
-        return T, self.frame_rate * T + SQRT2 * c.l * third
+        scale, kc, terms = self._elliptic(c.h, self._roots(c), math.sqrt)
+        K = _cel(kc, 1.0)
+        T = SQRT2 * K / scale
+        sign = math.copysign(1.0, c.l)
+        third = jump = 0.0
+        for k, p, den, lsp, kk in terms:
+            gap = k * k - p
+            if p < 0.5 * (k * k):   # split the pole off (DLMF 19.7.9)
+                part = kk * K - _cel(k, gap / (1.0 - p))
+                pole = 0.5 * math.pi * sign * lsp * math.sqrt((1.0 - p) / gap)
+            else:
+                part, pole = _cel(k, p), 0.0
+            third += part / den
+            jump += pole / den
+        return T, self.frame_rate * T + SQRT2 * c.l * third + SQRT2 * jump
 
     def period_rotation_array(self, h: np.ndarray, l: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """period_rotation over flat arrays h, l: (T, Theta, ok), ok False
-        where the scalar form raises or a step would leave its domain.  On
-        the axis a complex l adds i Im(l) sqrt(2) sum cel(kc_k, p_k)/den_k,
-        the l -> 0 limit of the l-derivative of the third-kind terms: l
-        times their pole parts (_cel_array) is pi sign(l) per passage."""
-        size, axis = h.size, np.abs(l.real) <= L_AXIS_TOL
-        lane, roots = self._roots_array(h, l, axis)
-        h, l, axis = h[lane], l[lane], axis[lane]
-        scale, kc, terms, passages = self._elliptic(h, roots, np.sqrt)
-        kcs, ps, dens = zip(*terms)
-        # one cel pass: K, then each third-kind term (on the axis, d/dl only)
-        cels, ok = (x.reshape(1 + len(dens), kc.size) for x in _cel_array(
-            np.concatenate((kc,) + kcs), np.concatenate([np.ones(kc.size)] + [
-                np.where(axis & (l.imag == 0.0), 1.0, p) for p in ps])))
-        T = SQRT2 * cels[0] / scale
-        third = sum(cel / den for cel, den in zip(cels[1:], dens))
-        poles = np.where(axis, math.pi * passages * np.copysign(1.0, l.real),
-                         0.0)
-        theta = self.frame_rate * T + (
-            poles + SQRT2 * np.where(axis, l - l.real, l) * third)
+        where the scalar form raises or a step would leave its domain."""
+        lane, roots = self._roots_array(h, l)
+        l = l[lane]
+        scale, kc, terms = self._elliptic(h[lane], roots, np.sqrt)
+        ks, ps, dens, lsps, kks = zip(*terms)
+        splits = [p.real < 0.5 * (k * k).real for k, p in zip(ks, ps)]
+        gaps = [np.where(s, k * k - p, 1.0) for s, k, p in zip(splits, ks, ps)]
+        # one cel pass: K, then each third-kind term at p_k or q_k
+        cels, ok = (x.reshape(1 + len(ks), kc.size) for x in _cel_array(
+            np.concatenate((kc,) + ks), np.concatenate([np.ones(kc.size)] + [
+                np.where(s, gap / (1.0 - p), p)
+                for s, gap, p in zip(splits, gaps, ps)])))
+        K = cels[0]
+        T = SQRT2 * K / scale
+        sign = np.where(np.signbit(l.real), -1.0, 1.0)
+        third = sum(np.where(s, kk * K - cel, cel) / den
+                    for s, kk, cel, den in zip(splits, kks, cels[1:], dens))
+        jump = sum(np.where(s, 0.5 * math.pi * sign * lsp
+                            * np.sqrt((1.0 - p) / gap), 0.0) / den
+                   for s, lsp, p, gap, den in zip(splits, lsps, ps, gaps,
+                                                  dens))
+        theta = self.frame_rate * T + SQRT2 * l * third + SQRT2 * jump
         ok = ok.all(axis=0)
-        T_out, theta_out = (np.full(size, np.nan, dtype=x.dtype)
+        T_out, theta_out = (np.full(h.size, np.nan, dtype=x.dtype)
                             for x in (T, theta))
-        accepted = np.zeros(size, dtype=bool)
+        accepted = np.zeros(h.size, dtype=bool)
         lane = lane[ok]
         T_out[lane], theta_out[lane], accepted[lane] = T[ok], theta[ok], True
         return T_out, theta_out, accepted
@@ -464,17 +467,14 @@ class ChampagneBottle(SystemDefinition):
         exactly 0."""
         h, l = c.h, c.l
         g = h - self.gamma * l
-        on_axis = abs(l) <= L_AXIS_TOL
-        if on_axis and g == 0.0:
-            raise NoTorusError("(h, l) = (0, 0) is the singular fiber")
         disc = 1.0 + 4.0 * g
         if disc < 0.0:
             raise NoTorusError(f"no torus at (h, l)=({h:.4g}, {l:.4g})")
         # the l = 0 root (1 + sqrt(disc))/2 lies at or right of s2
-        s2, s1, s3 = _cubic_roots(-1.0, -g, 0.0 if on_axis else 0.5 * l * l,
+        s2, s1, s3 = _cubic_roots(-1.0, -g, 0.5 * l * l,
                                   0.5 * (1.0 + math.sqrt(disc)),
                                   f"(h, l)=({h:.4g}, {l:.4g})")
-        if (s2 - s1) <= (1e-6 if on_axis else 1e-12) * max(1.0, s2):
+        if (s2 - s1) <= 1e-12 * max(1.0, s2):
             raise TurningPointDegeneracy(
                 f"double turning point at (h, l)=({h:.4g}, {l:.4g}): "
                 "elliptic boundary")
@@ -486,29 +486,28 @@ class ChampagneBottle(SystemDefinition):
         s1, s2, _ = self._roots(c)
         return math.sqrt(s1), math.sqrt(s2)
 
-    def _roots_array(self, h: np.ndarray, l: np.ndarray, axis: np.ndarray):
+    def _roots_array(self, h: np.ndarray, l: np.ndarray):
         """The lanes of h, l that _roots accepts, and what it returns there."""
-        lane = np.arange(h.size)
         g = h - self.gamma * l
         disc = 1.0 + 4.0 * g
-        lane, g, l, axis, disc = _lanes(
-            (disc.real >= 0.0) & ~(axis & (g.real == 0.0)), lane, g, l, axis,
-            disc)
+        lane, g, l, disc = _lanes(disc.real >= 0.0, np.arange(h.size), g, l,
+                                  disc)
         s2, s1, s3, ok = _cubic_roots_array(
-            np.full(lane.size, -1.0), -g, np.where(axis, 0.0, 0.5 * l * l),
+            np.full(lane.size, -1.0), -g, 0.5 * l * l,
             0.5 * (1.0 + np.sqrt(disc)))
-        ok &= ((s2 - s1).real
-               > np.where(axis, 1e-6, 1e-12) * np.maximum(1.0, s2.real))
+        ok &= (s2 - s1).real > 1e-12 * np.maximum(1.0, s2.real)
         lane, s1, s2, s3 = _lanes(ok, lane, s1, s2, s3)
         return lane, (s1, s2, s3)
 
     def _elliptic(self, h, roots, sqrt):
         """T = int ds/sqrt(C) over [s1, s2] and Theta = gamma T + l int
         ds/(s sqrt(C)), one third-kind term with its pole at s = 0, passed
-        (s1 = 0) on the l = 0 axis at g > 0."""
+        (s1 = 0) on the l = 0 axis at g > 0; |l|/sqrt(s1/s2) = s2 sqrt(-2
+        s3) by Vieta."""
         s1, s2, s3 = roots
         scale, kc = sqrt(s2 - s3), sqrt((s1 - s3) / (s2 - s3))
-        return scale, kc, [(kc, s1 / s2, s2 * scale)], s1 == 0.0
+        return scale, kc, [(kc, s1 / s2, s2 * scale, s2 * sqrt(-2.0 * s3),
+                            1.0)]
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
@@ -598,10 +597,7 @@ class SphericalPendulum(SystemDefinition):
         2 (h + wc) wc (1 + z1) = l^2, free of the cancellation in 2 - wc.
         On the l = 0 axis, z1 = -1 and z2 = 1 (h > 0) or z3 = 1 (h < 0)."""
         h, l = c.h, c.l
-        on_axis = abs(l) <= L_AXIS_TOL
-        if on_axis and h == 0.0:
-            raise NoTorusError("(h, l) = (0, 0) is the singular fiber")
-        l2h = 0.0 if on_axis else 0.5 * l * l
+        l2h = 0.5 * l * l
         where = f"(h, l)=({h:.4g}, {l:.4g})"
         # w (w - 2)(w + h) + l^2/2 > 0 for w > 2 > -h: wc <= 2
         wc, w2, w3 = _cubic_roots(h - 2.0, -2.0 * h, l2h, 2.0, where)
@@ -617,15 +613,14 @@ class SphericalPendulum(SystemDefinition):
         _, w2, _, one_z1 = self._roots(c)
         return one_z1 - 1.0, 1.0 - w2
 
-    def _roots_array(self, h: np.ndarray, l: np.ndarray, axis: np.ndarray):
+    def _roots_array(self, h: np.ndarray, l: np.ndarray):
         """The lanes of h, l that _roots accepts, and what it returns there."""
-        lane = np.arange(h.size)
-        lane, h, l, axis = _lanes(~(axis & (h.real == 0.0)), lane, h, l, axis)
-        l2h = np.where(axis, 0.0, 0.5 * l * l)
+        l2h = 0.5 * l * l
         wc, w2, w3, ok = _cubic_roots_array(h - 2.0, -2.0 * h, l2h,
-                                            np.full(lane.size, 2.0))
+                                            np.full(h.size, 2.0))
         ok &= ((h + wc).real > 0.0) & ((wc - w2).real > 1e-12)
-        lane, h, l2h, wc, w2, w3 = _lanes(ok, lane, h, l2h, wc, w2, w3)
+        lane, h, l2h, wc, w2, w3 = _lanes(ok, np.arange(h.size), h, l2h, wc,
+                                          w2, w3)
         return lane, (wc, w2, w3, l2h / ((h + wc) * wc))
 
     def _elliptic(self, h, roots, sqrt):
@@ -634,15 +629,17 @@ class SphericalPendulum(SystemDefinition):
         at the north (z = 1) and the south (z = -1) pole; each 1 - n is the
         ratio of that pole's distances to the near and the far turning
         point.  On the l = 0 axis the orbit passes the south pole, and the
-        north one too at h > 0."""
+        north one too at h > 0.  |l|/sqrt(1 - n) is wc sqrt(-2 w3) (Vieta)
+        at the north pole and sqrt(2 (h + wc) wc (1 + z2)) (_roots'
+        identity) at the south one, whose modulus 1/kc has K(1/kc) = kc K."""
         wc, w2, w3, one_z1 = roots
         one_z2 = one_z1 + (wc - w2)
         scale, kc = sqrt(wc - w3), sqrt((w2 - w3) / (wc - w3))
         return (0.5 * scale, kc,
-                [(kc, w2 / wc, wc * scale),
+                [(kc, w2 / wc, wc * scale, wc * sqrt(-2.0 * w3), 1.0),
                  (sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2,
-                  one_z2 * sqrt(w2 - w3))],
-                1.0 + (h.real > 0.0))
+                  one_z2 * sqrt(w2 - w3),
+                  sqrt(2.0 * (h + wc) * wc * one_z2), kc)])
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:

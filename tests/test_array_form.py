@@ -14,7 +14,7 @@ from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
                         TurningPointDegeneracy, WindowError,
                         from_momentum_chart, transport)
 from focusfocus.lattice import _tori, reduced_period_rotation
-from focusfocus.systems import EPS, L_AXIS_TOL
+from focusfocus.systems import EPS
 
 # what the scalar form may raise on a lane the array form must reject
 SCALAR_FAILURES = (FocusFocusError, ArithmeticError, ValueError)
@@ -36,7 +36,7 @@ def tori(draw, system):
                                  "boundary"]))
     th = draw(st.floats(0.0, 2.0 * math.pi))
     if kind == "singular":
-        return 0.0, draw(st.sampled_from([0.0, -0.0, 0.5 * L_AXIS_TOL]))
+        return 0.0, draw(st.sampled_from([0.0, -0.0, 5e-14]))
     if kind == "boundary":
         u = draw(st.floats(1.0, 1.9)) * 10.0 ** draw(st.integers(-15, -1))
         return double_turning_point(system, u,
@@ -52,8 +52,8 @@ def tori(draw, system):
                                                   rho * math.sin(th)))
     if kind == "axis":
         return c.h, draw(st.sampled_from(
-            [0.0, -0.0, L_AXIS_TOL, -L_AXIS_TOL, L_AXIS_TOL * (1 + EPS),
-             L_AXIS_TOL * (1 - EPS), -3 * L_AXIS_TOL]))
+            [0.0, -0.0, 1e-13, -1e-13, 1e-13 * (1 + EPS), 1e-13 * (1 - EPS),
+             -3e-13]))
     return c.h, c.l
 
 

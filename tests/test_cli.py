@@ -267,8 +267,8 @@ class TestKolmogorovNearAxis:
     @pytest.mark.parametrize("angle", [math.pi, math.pi + 1e-4,
                                        math.pi - 1e-4, math.pi - 1e-2, 0.01])
     def test_pendulum_ray_near_the_l_axis(self, tmp_path, capsys, angle):
-        # the complex-step lanes on these rays land within ~1e-8 of l = 0
-        # without reaching the axis tolerance
+        # the complex-step lanes on these rays land within ~1e-8 of l = 0,
+        # where the closed form splits each third-kind pole off exactly
         out = tmp_path / "out"
         rc, err = run(capsys, "kolmogorov", "--system", "pendulum",
                       "--ray-angle", repr(angle), "--out", str(out))

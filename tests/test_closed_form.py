@@ -45,7 +45,7 @@ from focusfocus import (ChampagneBottle, EMValue, MomentumValue, NoTorusError,
                         SphericalPendulum, reduced_period_rotation)
 from focusfocus import derivatives, from_momentum_chart
 from focusfocus.lattice import CLOSED_FORM_REL_TOL, _tori
-from focusfocus.systems import EPS, L_AXIS_TOL, _cel
+from focusfocus.systems import _cel
 
 # cel's worst relative error against 40-digit Carlson forms, measured on
 # 9,500 draws over the ranges below, was 9.3e-16 (Pi) and 5.6e-16 (K); the
@@ -139,11 +139,11 @@ def test_matches_reference(name, h, l, T_ref, theta_ref):
 @pytest.mark.parametrize("h", [1e-3, -1e-3])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_axis_branch_continues_general_formula(name, h, sign):
-    # just off the axis the general formula approaches the axis branch's
-    # l -> 0+- limit (pi per pole passage, with the sign of l)
+    # the torus at l = +-0.0 is the l -> 0+- limit of its neighbours (pi
+    # per pole passage, with the sign of l)
     system = SYSTEMS[name]
     T_axis, theta_axis = system.period_rotation(EMValue(h, sign * 0.0))
-    T, theta = system.period_rotation(EMValue(h, sign * 2 * L_AXIS_TOL))
+    T, theta = system.period_rotation(EMValue(h, sign * 2e-13))
     assert abs(T - T_axis) <= 1e-8 * T_axis
     assert abs(theta - theta_axis) <= 1e-8
 
@@ -226,13 +226,11 @@ def mp_period_rotation(name, h, l):
 
 def mp_derivatives(name, h, l):
     """(T_h, T_l, Theta_h, Theta_l) by mpmath.diff of mp_period_rotation at
-    MP_DPS digits.  On the axis (|l| <= L_AXIS_TOL) the closed form takes
-    the limit l -> 0 from l's side at g = h - gamma l fixed, and so does
-    this reference, at |l| = 1e-25."""
+    MP_DPS digits.  At l = +-0.0 the closed form takes the limit l -> 0
+    from l's side, and so does this reference, at |l| = 1e-25."""
     with mp.workdps(MP_DPS):
-        if abs(l) <= L_AXIS_TOL:
-            h = h - (l / 2 if name == "champagne" else 0.0)
-            l = mp.mpf(math.copysign(1e-25, l))
+        if l == 0.0:
+            l = math.copysign(1e-25, l)
         h, l = mp.mpf(h), mp.mpf(l)
         step = min(mp.mpf(10) ** -20, abs(l) / 1000)
         values = {}
@@ -260,18 +258,19 @@ def derivative_tori(draw, region):
     """(system name, h, l) of one torus in a region: generic (|j| from 1e-4
     to 0.9 j_cap), at j_floor, near j_cap (0.99 j_cap), all three with
     |sin arg zeta| >= 0.3 and inside the image; near the axis (2e-13 <=
-    |l| <= 1e-7, 1e-3 <= |h| <= 0.05) and on it (|l| <= L_AXIS_TOL), both
-    sides."""
+    |l| <= 1e-7), nearer (1e-20 <= |l| <= 1e-13) and on it (l = +-0.0,
+    5e-14, -1e-13), all three at 1e-3 <= |h| <= 0.05, both sides."""
     name = draw(st.sampled_from(sorted(SYSTEMS)))
     system = SYSTEMS[name]
-    if region in ("near_axis", "axis"):
+    if region in ("near_axis", "axis_band", "axis"):
         h = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
             st.floats(-3.0, math.log10(0.05)))
         if region == "axis":
-            return name, h, draw(st.sampled_from(
-                [0.0, -0.0, 0.5 * L_AXIS_TOL, -L_AXIS_TOL]))
+            return name, h, draw(st.sampled_from([0.0, -0.0, 5e-14, -1e-13]))
+        lo, hi = (-20.0, -13.0) if region == "axis_band" else (
+            math.log10(2e-13), -7.0)
         return name, h, draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
-            st.floats(math.log10(2 * L_AXIS_TOL), -7.0))
+            st.floats(lo, hi))
     rho = {"floor": 1.001 * system.j_floor, "cap": 0.99 * system.j_cap,
            "generic": 10.0 ** draw(st.floats(
                -4.0, math.log10(0.9 * system.j_cap)))}[region]
@@ -285,26 +284,24 @@ def derivative_tori(draw, region):
 
 
 def gradient_errors(name, h, l):
-    """The largest error of (T_h, T_l) relative to |grad T|, of (Theta_h,
-    Theta_l) relative to |grad Theta|, and |grad Theta|."""
+    """The largest error of (T_h, T_l) relative to |grad T| and of
+    (Theta_h, Theta_l) relative to |grad Theta|."""
     got, accepted = complex_step(SYSTEMS[name], h, l)
     assert accepted, (name, h, l)
     want = mp_derivatives(name, h, l)
-    norms = [math.hypot(*want[k:k + 2]) for k in (0, 2)]
     return [max(abs(g - w) for g, w in zip(got[k:k + 2], want[k:k + 2]))
-            / norm for k, norm in zip((0, 2), norms)] + norms[1:]
+            / math.hypot(*want[k:k + 2]) for k in (0, 2)]
 
 
 # Gates at 100 x the worst error measured over 300 draws per region (both
 # systems): generic 1.1e-14 (gated at 1e-12, the bound set for exact
-# derivatives), floor 1.5e-14, cap 8.5e-15, axis 1.3e-15, near the axis
-# 1.6e-15 in grad T.
+# derivatives), floor 1.5e-14, cap 8.5e-15, axis 1.35e-15 (gated at
+# 1.3e-13, as before the pole split), near the axis 1.55e-15, and 1.4e-15
+# at 1e-20 <= |l| <= 1e-13.  Theta's pole part is split off exactly, so
+# the complex step takes no l times ~ pi/|l| near the axis.
 DERIVATIVE_REL_TOL = {"generic": 1e-12, "floor": 1.5e-12, "cap": 8.5e-13,
-                      "axis": 1.3e-13, "near_axis": 1.6e-13}
-# Near the axis Theta's third-kind term is l times a value ~ pi/|l|, so
-# grad Theta loses ~ EPS pi/(|l| |grad Theta|) relative: at most 6.4 times
-# that over the draws (1.9e-4 at |l| ~ 2e-13), gated at 100 x.
-NEAR_AXIS_LOSS = 640.0
+                      "axis": 1.3e-13, "axis_band": 1.4e-13,
+                      "near_axis": 1.6e-13}
 
 
 @pytest.mark.parametrize("region", sorted(DERIVATIVE_REL_TOL))
@@ -312,12 +309,9 @@ NEAR_AXIS_LOSS = 640.0
 @settings(max_examples=10, deadline=None)
 def test_derivatives_against_mpmath(region, data):
     name, h, l = data.draw(derivative_tori(region))
-    err_T, err_theta, grad_theta = gradient_errors(name, h, l)
-    tol = DERIVATIVE_REL_TOL[region]
-    assert err_T <= tol
-    if region == "near_axis":
-        tol += NEAR_AXIS_LOSS * EPS * math.pi / (abs(l) * grad_theta)
-    assert err_theta <= tol
+    err_T, err_theta = gradient_errors(name, h, l)
+    assert err_T <= DERIVATIVE_REL_TOL[region]
+    assert err_theta <= DERIVATIVE_REL_TOL[region]
 
 
 @given(torus=derivative_tori("generic"))
@@ -356,3 +350,32 @@ def test_lane_without_a_complex_step(scalar_path):
     *_, dtheta, failed = derivatives(SYSTEMS["champagne"], [0.05], [0.02],
                                      0.0, 1.0)
     assert np.isnan(dtheta[0]) and "no derivative" in str(failed[0])
+
+
+# ---------------------------------------------------------------------------
+# the l = 0 axis: one formula down to |l| = 1e-300, against mpmath
+# ---------------------------------------------------------------------------
+
+AXIS_SWEEP_H = [1e-5, -1e-5, 1e-3, -1e-3, 1e-8, -1e-8, 1e-11, 0.05, -0.05]
+AXIS_SWEEP_L = [3e-2, 1e-4, 1e-6, 1.01e-13, 9.9e-14, 5e-14, 1e-16, 1e-30,
+                1e-100, 1e-200, 1e-300]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+@pytest.mark.parametrize("h", AXIS_SWEEP_H)
+def test_axis_sweep_against_mpmath(name, h):
+    # both forms, both signs of l: each third-kind pole is split off
+    # exactly, so no |l| is evaluated at the l -> 0 limit in its place
+    system = SYSTEMS[name]
+    ls = np.array([sign * l for l in AXIS_SWEEP_L for sign in (1.0, -1.0)])
+    T_array, theta_array, ok = system.period_rotation_array(
+        np.full(ls.size, h), ls)
+    assert ok.all()
+    with mp.workdps(MP_DPS):
+        for k, l in enumerate(ls.tolist()):
+            T_mp, theta_mp = mp_period_rotation(name, mp.mpf(h), mp.mpf(l))
+            for T, theta in (system.period_rotation(EMValue(h, l)),
+                             (T_array[k], theta_array[k])):
+                assert abs(T - T_mp) <= 2e-15 * T_mp, (l, T)
+                assert (abs(theta - theta_mp)
+                        <= 4e-15 * max(abs(theta_mp), 1)), (l, theta)

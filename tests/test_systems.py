@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
                         SystemRejected, TurningPointDegeneracy, WindowError,
                         acceptance, eval_constants, integrate_flow, lattice,
                         make_system)
+from focusfocus import systems
 from focusfocus.systems import SYSTEMS, SystemDefinition
 from reference_profiles import (champagne_profile, champagne_profile_dr,
                                 pendulum_profile)
@@ -318,11 +320,15 @@ class TestBlocksOnly:
 
 def test_one_closed_form_body():
     # every system reads SystemDefinition's one scalar and one array body
-    # of the closed form, and brings only its cubic and elliptic terms
+    # of the closed form, and brings only its cubic and elliptic terms; the
+    # l = 0 axis has no tolerance and no second path
     for cls in SYSTEMS.values():
         own = set(vars(cls))
         assert not {"period_rotation", "period_rotation_array"} & own
         assert {"_roots", "_roots_array", "_elliptic"} <= own
+        assert list(inspect.signature(cls._roots_array).parameters) == [
+            "self", "h", "l"]
+    assert not hasattr(systems, "L_AXIS_TOL")
 
 
 class TestMakeSystem:
