@@ -6,8 +6,8 @@ from .errors import (BracketError, BranchError, CrossEngineMismatch,
                      FitError, FlowError, FocusFocusError, NoTorusError,
                      QuadratureError, ScanError, SystemRejected,
                      TurningPointDegeneracy, WindowError)
-from .numerics import (EventSpec, QuadratureSpec, Trajectory, align_angle,
-                       find_root_bracketed, integrate_flow, quad_singular)
+from .numerics import (EventSpec, Trajectory, align_angle, find_root_bracketed,
+                       integrate_flow)
 from .systems import (ChampagneBottle, EMValue, FocusFocusData,
                       MomentumValue, SphericalPendulum, SystemDefinition,
                       eval_constants, from_momentum_chart, make_system,

@@ -284,7 +284,8 @@ def cmd_constants(cfg: dict) -> int:
         "lambda": [ff.alpha, ff.omega],
         "A0": ff.A0,
         "expected_twistless_slope":
-            slope if ff.omega != 0.0 else "degenerate (omega = 0)",
+            "degenerate (omega = 0)" if ff.omega == 0.0 else
+            "pole (omega^2 = alpha^2)" if math.isnan(slope) else slope,
     }
     out = Path(cfg["out"])
     write_summary(out / "constants.json", cfg, doc)

@@ -188,7 +188,7 @@ def extract_level_curve(system: SystemDefinition, window: tuple[float, float],
 
 def fit_log_spiral(curve: LevelCurve) -> tuple[float, float]:
     """Least-squares slope d theta / d ln rho of a contour, and the rms
-    residual of its line.
+    residual of its line, from the centred normal equations.
 
     Regressing theta on ln rho (not the reverse) keeps the degenerate
     omega = 0 star case regular: the fitted slope is then simply 0.
@@ -196,9 +196,10 @@ def fit_log_spiral(curve: LevelCurve) -> tuple[float, float]:
     lnr, th = curve.lnrho, curve.theta
     rho_span = (lnr.max() - lnr.min()) / math.log(10.0)
     th_span = float(th.max() - th.min())
-    if rho_span < 1.0 and th_span < 0.5 * math.pi:
+    # a single ln rho (sum dx^2 = 0) has no pitch, whatever its angles
+    if rho_span == 0.0 or (rho_span < 1.0 and th_span < 0.5 * math.pi):
         raise FitError(f"contour spans only {rho_span:.2f} decades and "
                        f"{th_span:.2f} rad; too short for a pitch fit")
-    coef = np.polyfit(lnr, th, 1)
-    resid = float(np.sqrt(np.mean((np.polyval(coef, lnr) - th) ** 2)))
-    return float(coef[0]), resid
+    dx, dy = lnr - lnr.mean(), th - th.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    return slope, float(np.sqrt(np.mean((slope * dx - dy) ** 2)))

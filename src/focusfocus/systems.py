@@ -28,7 +28,13 @@ cel(kc, 1 - n) = K + (n/3) R_J(0, kc^2, 1, 1 - n) (DLMF 19.25.2).  The
 roots are taken without cancellation (the largest by Newton, the small
 pair by Vieta), and 1 - n comes from them: near l = 0 it is tiny, and the
 pole is split off exactly (SystemDefinition).  scipy serves only
-numerics.quad_singular, a test reference.
+numerics.quad_singular, a test reference, and traces replace an
+eigensolver (eval_constants): M = J d^2H is Hamiltonian, so its
+eigenvalues, the roots of lambda^4 - (tr M^2/2) lambda^2 + det M, det M =
+((tr M^2)^2 - 2 tr M^4)/8, are +-alpha +- i omega with alpha^2, omega^2 =
+(sqrt(det M) +- tr M^2/4)/2; N = J d^2L generates the S^1 action (N^2 =
+-I, MN = NM), so M = A + omega N, A^2 = alpha^2, tr AN = 0, and omega =
+-tr(MN)/4, alpha = sqrt(tr M^2/4 + omega^2), both exact to rounding.
 
 The closed form has two forms, one body each, that every system shares
 (SystemDefinition).  period_rotation takes one torus on Python floats
@@ -383,45 +389,58 @@ def polar(radii, angles) -> MomentumValue:
                          np.outer(radii, [math.sin(th) for th in angles]))
 
 
+def _j_times(d2, what: str) -> list[list[float]]:
+    """J d2, J = [[0, I], [-I, 0]], on rows of floats; d2 symmetric 4x4."""
+    d2 = np.asarray(d2, dtype=float)
+    if d2.shape != (4, 4) or np.any(np.abs(d2 - d2.T)
+                                    > 1e-8 * max(1.0, np.max(np.abs(d2)))):
+        raise SystemRejected(f"{what} is no symmetric 4x4: {d2.tolist()}")
+    return d2[2:].tolist() + (-d2[:2]).tolist()
+
+
+def _product(a, b) -> list[list[float]]:
+    """a b on rows of floats, each entry one fsum."""
+    return [[math.fsum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
 @lru_cache(maxsize=1024)
 def eval_constants(system: SystemDefinition) -> FocusFocusData:
-    """Eigenvalue data (alpha, omega) of J d^2H at the equilibrium.
-
-    alpha is the positive real part of the quadruple +-alpha +- i omega,
-    and the S^1 action orients omega: alpha + i omega is the eigenvalue on
-    the eigenvector where J d^2L acts as +i (H + gamma L turns by +gamma).
-    Rejects spectra that do not form such a quadruple within 1e-8.
+    """Eigenvalue data (alpha, omega) of M = J d^2H at the equilibrium, from
+    the traces of the module docstring on Python floats: N acts as +i on
+    the eigenvectors of alpha + i omega (H + gamma L turns by +gamma).
+    SystemRejected, within 1e-8 of max(1, |lambda|) (squared for squared
+    eigenvalues), unless: d^2H is a symmetric 4x4 with alpha^2 > 0 <=
+    omega^2 (both checked before d^2L is read); d^2L is a symmetric 4x4;
+    N^2 = -I; MN = NM; and (tr MN/4)^2 = omega^2.
 
     Memoized per system (systems are frozen, so the Hessians are fixed); a
     rejection is raised afresh on every call, never cached.
     """
-    d2h = np.asarray(system.hessian(), dtype=float)
-    if d2h.shape != (4, 4):
-        raise SystemRejected(f"hessian must be 4x4, got {d2h.shape}")
-    J = np.zeros((4, 4))
-    J[0, 2] = J[1, 3] = 1.0
-    J[2, 0] = J[3, 1] = -1.0
-    eig, vec = np.linalg.eig(J @ d2h)
-    scale = max(1.0, float(np.max(np.abs(eig))))
-    pos = np.flatnonzero(eig.real > 1e-8 * scale)
-    if len(pos) != 2:
-        raise SystemRejected(
-            f"expected two eigenvalues with positive real part, got {len(pos)}"
-            f" (spectrum {np.round(eig, 6)})")
-    d2l = np.asarray(system.second_integral_hessian(), dtype=float)
-    turn = [(v.conj() @ J @ d2l @ v).imag for v in vec[:, pos].T]
-    lam = eig[pos[np.argmax(turn)]]
-    alpha, omega = float(lam.real), float(lam.imag) + 0.0   # never -0.0
-    target = np.array([alpha + 1j * omega, alpha - 1j * omega,
-                       -alpha + 1j * omega, -alpha - 1j * omega])
-    # multiset match of the quadruple
-    got = np.sort_complex(eig)
-    want = np.sort_complex(target)
-    if np.max(np.abs(got - want)) > 1e-8 * scale:
-        raise SystemRejected(
-            f"spectrum {np.round(got, 8)} is not a +-alpha +- i omega "
-            "quadruple")
-    return FocusFocusData(alpha=alpha, omega=omega)
+    m = _j_times(system.hessian(), "d^2H")
+    m2 = _product(m, m)
+    t2, t4 = (math.fsum(a[i][i] for i in range(4))
+              for a in (m2, _product(m2, m2)))
+    det = (t2 * t2 - 2.0 * t4) / 8.0
+    root = math.sqrt(max(det, 0.0))   # |lambda|^2
+    tol = 1e-8 * max(1.0, root)
+    omega2 = 0.5 * (root - 0.25 * t2)
+    if not (det > 0.0 and root + 0.25 * t2 > 2.0 * tol and omega2 >= -tol):
+        raise SystemRejected(f"J d^2H has no +-alpha +- i omega spectrum, "
+                             f"alpha > 0: tr M^2 = {t2:.8g}, det M = {det:.8g}")
+    n = _j_times(system.second_integral_hessian(), "d^2L")
+    mn = _product(m, n)
+    omega = -0.25 * math.fsum(mn[i][i] for i in range(4)) + 0.0   # not -0.0
+    for off, bound, claim in (
+            (np.add(_product(n, n), np.eye(4)), 1e-8, "N^2 = -I"),
+            (np.subtract(mn, _product(n, m)), math.sqrt(1e-8 * tol),
+             "MN = NM"),
+            (omega * omega - omega2, tol, f"(tr MN/4)^2 = the spectrum's "
+                                          f"omega^2 = {omega2:.8g}")):
+        if np.max(np.abs(off)) > bound:
+            raise SystemRejected(f"N = J d^2L fails {claim}")
+    return FocusFocusData(alpha=math.sqrt(0.25 * t2 + omega * omega),
+                          omega=omega)
 
 
 def _rotation_hessian(system: SystemDefinition) -> np.ndarray:

@@ -245,10 +245,11 @@ class TwistlessCurve:
 def expected_twistless_slope(alpha: float, omega: float) -> float:
     """Tangent slope dh/dj2 of the twistless curve at the origin,
     omega (omega^2 + alpha^2) / (omega^2 - alpha^2); 0 signals the
-    degenerate omega = 0 mode."""
+    degenerate omega = 0 mode, nan the pole at omega^2 = alpha^2."""
     if omega == 0.0:
         return 0.0
-    return omega * (omega ** 2 + alpha ** 2) / (omega ** 2 - alpha ** 2)
+    gap = omega ** 2 - alpha ** 2
+    return omega * (omega ** 2 + alpha ** 2) / gap if gap else math.nan
 
 
 def twistless_curve(system: SystemDefinition,

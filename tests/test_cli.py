@@ -777,53 +777,124 @@ class TestExitCodes:
 
 # runs in a fresh interpreter: the scipy modules (and numpy.ma, which
 # np.quantile and np.unique import lazily) loaded after importing the CLI
-# and after each subcommand
-IMPORT_PROBE = """
+# and after each subcommand, and the LAPACK kernels each stage called
+COLD_PROBE = """
 import json, sys
+from numpy.linalg import _umath_linalg
 from focusfocus import cli
+
+calls = []
+
+def recorder(name, kernel):
+    def recorded(*args, **kwargs):
+        calls.append(name)
+        return kernel(*args, **kwargs)
+    return recorded
+
+# every LAPACK kernel numpy.linalg calls (eig, lstsq under np.polyfit, svd
+# under np.linalg.cond, ...) is looked up on this module at each call
+for name in dir(_umath_linalg):
+    if not name.startswith("_") and callable(getattr(_umath_linalg, name)):
+        setattr(_umath_linalg, name, recorder(name, getattr(_umath_linalg,
+                                                           name)))
 
 def watched_modules():
     return sorted(m for m in sys.modules
                   if m.partition(".")[0] == "scipy" or m == "numpy.ma")
 
-out, seen = sys.argv[1], [["import", 0, watched_modules()]]
+def stage(name, rc):
+    seen.append([name, rc, watched_modules(), sorted(set(calls))])
+    calls.clear()
+
+out, seen = sys.argv[1], []
+stage("import", 0)
 for system in ("champagne", "pendulum"):
     for command in ("constants", "grid", "spiral", "twistless", "kolmogorov",
                     "monodromy"):
-        rc = cli.main([command, "--system", system,
-                       "--out", f"{out}/{command}-{system}"])
-        seen.append([f"{command} {system}", rc, watched_modules()])
-rc = cli.main(["crosscheck", "--n-tori", "1", "--out", f"{out}/crosscheck"])
-seen.append(["crosscheck", rc, watched_modules()])
-rc = cli.main(["report", "--out", f"{out}/report"])
-seen.append(["report", rc, watched_modules()])
+        stage(f"{command} {system}",
+              cli.main([command, "--system", system,
+                        "--out", f"{out}/{command}-{system}"]))
+stage("crosscheck", cli.main(["crosscheck", "--n-tori", "1",
+                              "--out", f"{out}/crosscheck"]))
+stage("report", cli.main(["report", "--out", f"{out}/report"]))
 print(json.dumps(seen))
 """
 
 
-def run_fresh(*args):
-    """python -c args in a fresh interpreter that imports the package from
-    this source tree; its standard output."""
+def fresh_process(*args, check=True):
+    """python args in a fresh interpreter that imports the package from
+    this source tree, its output captured."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-c", *args], capture_output=True,
-                          text=True, env=env, timeout=300, check=True).stdout
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=300, check=check)
 
 
-def test_closed_form_subcommands_run_on_numpy_alone(tmp_path):
-    # a cold start of every subcommand, the flow oracle's crosscheck and
-    # the report battery too, pays for numpy alone, without numpy.ma
-    stdout = run_fresh(IMPORT_PROBE, str(tmp_path))
+def run_fresh(*args):
+    """python -c args in a fresh interpreter; its standard output."""
+    return fresh_process("-c", *args).stdout
+
+
+@pytest.fixture(scope="module")
+def cold_stages(tmp_path_factory):
+    """[stage, exit code, scipy and numpy.ma modules loaded, LAPACK kernels
+    called] of every subcommand at its defaults, one after another in one
+    fresh interpreter (COLD_PROBE); the first stage is the import."""
+    stdout = run_fresh(COLD_PROBE, str(tmp_path_factory.mktemp("cold")))
     # the subcommands print to stdout; the probe's record is the last line
-    # the flow oracle carries its own DOP853 tableau, and C3 counts its
-    # sectors without np.unique
     stages = json.loads(stdout.splitlines()[-1])
     assert len(stages) == 15 and stages[-1][0] == "report"
-    for stage, rc, modules in stages:
-        assert rc == cli.EXIT_OK, stage
-        assert modules == [], stage
+    for name, rc, _, _ in stages:
+        assert rc == cli.EXIT_OK, name
+    return stages
+
+
+def test_closed_form_subcommands_run_on_numpy_alone(cold_stages):
+    # a cold start of every subcommand, the flow oracle's crosscheck and
+    # the report battery too, pays for numpy alone, without numpy.ma
+    # the flow oracle carries its own DOP853 tableau, and C3 counts its
+    # sectors without np.unique
+    for name, _, modules, _ in cold_stages:
+        assert modules == [], name
+
+
+def test_only_report_calls_lapack(cold_stages):
+    # eval_constants takes alpha and omega from traces and fit_log_spiral
+    # solves its normal equations, so no subcommand but report pages
+    # LAPACK into a cold process; report's C3 fits its four-parameter
+    # model by lstsq, which shows the recorder sees the calls
+    for name, _, _, kernels in cold_stages[:-1]:
+        assert kernels == [], name
+    assert "lstsq" in cold_stages[-1][3]
+
+
+@pytest.mark.parametrize("gamma", [math.sqrt(2.0), -math.sqrt(2.0)])
+def test_omega_equal_to_alpha_is_a_stated_pole(tmp_path, gamma):
+    # at gamma = +-sqrt(2), |omega| = alpha to the bit, the pole of the
+    # twistless slope omega (omega^2 + alpha^2)/(omega^2 - alpha^2)
+    codes = {"constants": cli.EXIT_OK, "twistless": cli.EXIT_OK,
+             "report": cli.EXIT_ACCEPTANCE}
+    for command, code in codes.items():
+        proc = fresh_process(
+            "-m", "focusfocus.cli", command, "--param", f"gamma={gamma!r}",
+            "--out", str(tmp_path / command),
+            *(["--n-tori", "2"] if command == "report" else []), check=False)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
+    def summary(command, name):
+        return json.loads((tmp_path / command / name).read_text("utf-8"))
+    assert summary("constants", "constants.json")[
+        "expected_twistless_slope"] == "pole (omega^2 = alpha^2)"
+    assert summary("twistless", "twistless_summary.json")[
+        "expected_slope"] is None
+    criteria = {c["id"]: c for c in summary("report", "report.json")[
+        "criteria"]}
+    assert "pole" in criteria["C6"]["details"]["error"]
+    assert {cid for cid, c in criteria.items()
+            if c["status"] != "pass"} == {"C6", "C7"}
 
 
 def test_importing_the_cli_loads_no_argparse():

@@ -6,9 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from focusfocus import numerics
 from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
-                        QuadratureSpec, align_angle, find_root_bracketed,
-                        integrate_flow, quad_singular)
-from focusfocus.numerics import linear_quantiles
+                        align_angle, find_root_bracketed, integrate_flow)
+from focusfocus.numerics import QuadratureSpec, linear_quantiles, quad_singular
 from focusfocus.lattice import reduced_period_rotation
 from reference_profiles import champagne_profile
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from focusfocus import (ChampagneBottle, EMValue, FitError, MomentumValue,
                         from_momentum_chart, monodromy_index, period_lattice,
                         rotation_grid, to_momentum_chart, transport, twist,
                         WindowError)
-from focusfocus import lattice, rotation
+from focusfocus import acceptance, lattice, rotation
 from focusfocus.lattice import (RAY_OFFSET, annulus_sweep,
                                 reduced_period_rotation)
 from focusfocus.rotation import LevelCurve, MASK_CORE, MASK_REGULAR
@@ -407,4 +408,56 @@ class TestSpiralFit:
         lnr = np.linspace(-5.0, -4.9, 10)
         curve = LevelCurve(level=0.5, lnrho=lnr, theta=0.001 * lnr)
         with pytest.raises(FitError, match="spans"):
+            fit_log_spiral(curve)
+
+    @staticmethod
+    def assert_matches_polyfit(curve, scaled=True):
+        # the centred normal equations against numpy's least squares, to
+        # 1e-12 relative.  Both round theta at its own size, so a slope or
+        # residual left by noise far below |theta| is compared to 1e-12 of
+        # max |theta| (over the ln rho span, for the slope) where scaled
+        slope, residual = fit_log_spiral(curve)
+        lnr, th = curve.lnrho, curve.theta
+        coef = np.polyfit(lnr, th, 1)
+        ref = float(np.sqrt(np.mean((np.polyval(coef, lnr) - th) ** 2)))
+        size = 1e-12 * np.max(np.abs(th)) if scaled else 0.0
+        assert slope == pytest.approx(coef[0], rel=1e-12,
+                                      abs=size / np.ptp(lnr))
+        assert residual == pytest.approx(ref, rel=1e-12, abs=size)
+
+    @given(st.integers(3, 200), st.floats(-12.0, -2.0), st.floats(2.5, 10.0),
+           st.floats(-3.0, 3.0), st.floats(-10.0, 10.0),
+           st.floats(0.0, 0.5), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_noisy_lines_match_polyfit(self, n, start, span, slope,
+                                       offset, noise, seed):
+        # the ends span the window, so the span precondition holds
+        lnr = np.sort(np.concatenate(([start, start + span], np.random.
+                      default_rng(seed).uniform(start, start + span, n - 2))))
+        theta = (slope * lnr + offset
+                 + noise * np.random.default_rng(seed + 1).normal(size=n))
+        self.assert_matches_polyfit(LevelCurve(level=0.5, lnrho=lnr,
+                                               theta=theta))
+
+    def test_c5_contours_match_polyfit(self):
+        champ, _, pend = acceptance.AcceptanceConfig().systems()
+        curves = [curve for system in (champ, pend)
+                  for curve in extract_level_curve(system, *DEFAULT)]
+        assert len(curves) == 6
+        for curve in curves:
+            self.assert_matches_polyfit(curve, scaled=False)
+            # and to rounding of the exact least squares of the same floats,
+            # where polyfit is up to 1e-12 off on the near-0 star pitches
+            x, y = ([Fraction(v) for v in a.tolist()]
+                    for a in (curve.lnrho, curve.theta))
+            dx = [v - sum(x) / len(x) for v in x]
+            exact = (sum(u * v for u, v in zip(dx, y))
+                     / sum(u * u for u in dx))
+            assert abs(Fraction(fit_log_spiral(curve)[0]) / exact - 1) <= 1e-15
+
+    def test_single_ln_rho(self):
+        # a contour through one ring spans angle but no ln rho: no slope
+        curve = LevelCurve(level=0.5, lnrho=np.full(8, -6.0),
+                           theta=np.linspace(0.0, 3.0, 8))
+        with pytest.raises(FitError, match="spans only 0.00 decades"):
             fit_log_spiral(curve)

@@ -17,6 +17,8 @@ from reference_profiles import (champagne_profile, champagne_profile_dr,
                                 pendulum_profile)
 
 SQRT2 = math.sqrt(2.0)
+CHAMPAGNE_D2H = ChampagneBottle(gamma=0.5).hessian()
+CHAMPAGNE_D2L = ChampagneBottle(gamma=0.5).second_integral_hessian()
 
 
 class TestEvalConstants:
@@ -64,29 +66,79 @@ class TestEvalConstants:
             assert eval_constants(variant) == base
 
     def test_invariance_under_symplectic_basis_change(self, champagne):
-        from scipy.linalg import expm
-        J = np.zeros((4, 4))
-        J[0, 2] = J[1, 3] = 1.0
-        J[2, 0] = J[3, 1] = -1.0
-        rng = np.random.default_rng(7)
         base = eval_constants(champagne)
-        for _ in range(5):
-            S = rng.normal(size=(4, 4), scale=0.3)
-            S = S + S.T
-            M = expm(J @ S)
-            transformed = M.T @ champagne.hessian() @ M
-            transformed_l = M.T @ champagne.second_integral_hessian() @ M
-
-            class Transformed(SystemDefinition):
-                def hessian(self):
-                    return transformed
-
-                def second_integral_hessian(self):
-                    return transformed_l
-
-            ff = eval_constants(Transformed())
+        for d2h, d2l in symplectic_images(champagne):
+            ff = eval_constants(hessian_system(d2h, d2l))
             assert ff.alpha == pytest.approx(base.alpha, abs=1e-10)
             assert ff.omega == pytest.approx(base.omega, abs=1e-10)
+
+    @pytest.mark.parametrize("gamma", [-1.9, -1.3, -0.5, 0.0, 0.25, 0.5, 1.0,
+                                       SQRT2, 1.9])
+    def test_exact_to_an_ulp(self, gamma):
+        # the analytic quadruple +-sqrt(2) +- i gamma, to the last bit or
+        # one: an eigensolver reads omega = 0.5000000000000001 at 0.5
+        ff = eval_constants(ChampagneBottle(gamma=gamma))
+        assert abs(ff.omega - gamma) <= math.ulp(gamma)
+        assert abs(ff.alpha - SQRT2) <= math.ulp(SQRT2)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, -1.3])
+    def test_agrees_with_an_eigensolver(self, gamma):
+        system = ChampagneBottle(gamma=gamma)
+        for d2h, d2l in symplectic_images(system):
+            ff = eval_constants(hessian_system(d2h, d2l))
+            alpha, omega = eig_constants(d2h, d2l)
+            assert abs(ff.alpha - alpha) <= 1e-13
+            assert abs(ff.omega - omega) <= 1e-13
+
+    @pytest.mark.parametrize("d2h,d2l,reason", [
+        (np.diag([-1.0, -4.0, 1.0, 1.0]), None, "spectrum"),   # +-1, +-2
+        (CHAMPAGNE_D2H + np.diag([0.1], k=-3), None, "symmetric"),
+        (CHAMPAGNE_D2H, 2.0 * CHAMPAGNE_D2L, "N\\^2 = -I"),
+        (CHAMPAGNE_D2H, np.eye(4), "MN = NM"),
+    ], ids=["saddle-saddle", "asymmetric", "not-a-circle", "not-commuting"])
+    def test_rejections_on_every_call(self, d2h, d2l, reason):
+        system = hessian_system(d2h, d2l)
+        for _ in range(2):
+            with pytest.raises(SystemRejected, match=reason):
+                eval_constants(system)
+
+
+J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]])
+
+
+def hessian_system(d2h, d2l=None):
+    """A system of the given Hessians at the equilibrium; without d2l, one
+    whose d^2L must not be read."""
+    class Hessians(SystemDefinition):
+        def hessian(self):
+            return d2h
+
+        def second_integral_hessian(self):
+            assert d2l is not None, "d^2L read"
+            return d2l
+    return Hessians()
+
+
+def symplectic_images(system, count=5):
+    """(d^2H, d^2L) of system in count random symplectic bases expm(J S)."""
+    from scipy.linalg import expm
+    rng = np.random.default_rng(7)
+    for _ in range(count):
+        S = rng.normal(size=(4, 4), scale=0.3)
+        M = expm(J4 @ (S + S.T))
+        yield (M.T @ system.hessian() @ M,
+               M.T @ system.second_integral_hessian() @ M)
+
+
+def eig_constants(d2h, d2l):
+    """(alpha, omega) by an eigensolver: alpha + i omega is the eigenvalue
+    of J d^2H with positive real part on whose eigenvector J d^2L acts most
+    nearly as +i."""
+    eig, vec = np.linalg.eig(J4 @ d2h)
+    pos = np.flatnonzero(eig.real > 0.0)
+    turn = [(v.conj() @ J4 @ d2l @ v).imag for v in vec[:, pos].T]
+    lam = eig[pos[np.argmax(turn)]]
+    return float(lam.real), float(lam.imag)
 
 
 def rotation_integral(s):
