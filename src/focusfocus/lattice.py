@@ -8,24 +8,22 @@ one return:
   T = 2 int dr / sqrt(P) and Theta = 2 int a(r) / sqrt(P) dr over the
   reduced orbit, in closed form.  Both profiles are cubics, so these are
   complete elliptic integrals of the first and third kind, evaluated with
-  Bulirsch's cel by one body for every system (period_rotation), from the
-  system's cubic and elliptic terms.  One torus costs 7-14 microseconds
-  and is accurate to rounding (checked against mpmath); the engine keeps
-  its historical name.  A path, a grid and an annulus sweep evaluate their
-  tori in one array call (period_rotation_array), bit-identical to the
-  one-torus reduced_period_rotation, which only names the failure of each
-  lane the array form rejects.  On complex (h, l) the array form gives T,
-  Theta and their derivatives in one call, by a complex step (derivatives);
+  Bulirsch's cel by one array body for every system
+  (period_rotation_array), accurate to rounding (checked against mpmath);
+  the engine keeps its historical name.  Every caller evaluates its tori
+  in one call (_tori), which names each rejected torus by its reason; on
+  complex (h, l) it gives T, Theta and their derivatives by a complex
+  step (derivatives);
 * flow (the independent oracle): direct integration of the Cartesian
   vector field over half a return, the azimuth advance read from the
   positions, not integrated (_tori_flow).  Both systems are reversible:
   a reversor R (a reflection, with t -> -t) keeps H and L and fixes each
   turning-point state, so the orbit from one turning point to the other
   takes exactly T/2 and turns by Theta/2 (Lamb and Roberts, Physica D
-  112 (1998) 1-39).  A torus's seeds, turning-point states, come from one
-  solve of its cubic (the system's flow_start).  Each seed runs one leg,
-  to its first falling crossing of the system's section, and the legs
-  make half a return together: the champagne bottle's one leg runs from
+  112 (1998) 1-39).  The seeds of a batch, turning-point states, come
+  from one solve of its cubics (the system's flow_start).  Each seed runs
+  one leg, to its first falling crossing of the system's section, and the
+  legs make half a return together: the champagne bottle's one leg runs from
   r_lo to r_hi, the pendulum's two from z2 and from z1 to the equator.
   A batch of tori of one system runs as one batched DOP853 integration
   (integrate_flow) of the system's array-valued field, each leg a lane
@@ -36,8 +34,9 @@ one return:
 
 cross_checks runs both engines on a batch of tori drawn by
 sample_cross_tori from the flow oracle's per-system |j| range at every
-arg zeta (CROSS_DOMAINS) and compares them to CROSS_TOL; cross_check and
-the "flow" engine of reduced_period_rotation are its one-torus cases.
+arg zeta (CROSS_DOMAINS) and compares them to CROSS_TOL, each engine in
+one call per batch; cross_check and reduced_period_rotation are its
+one-torus cases.
 
 Conversion to the lattice basis uses the linear momentum chart at the
 origin (systems.to_momentum_chart; Phi1 ~ alpha, Phi2 ~ omega; the
@@ -70,8 +69,7 @@ from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
 from .numerics import (EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR, TWO_PI,
                        align_angle, integrate_flow)
 from .systems import (EMValue, MomentumValue, SystemDefinition,
-                      eval_constants, from_momentum_chart, polar,
-                      to_momentum_chart)
+                      eval_constants, from_momentum_chart, polar)
 
 CROSS_TOL = 1e-7
 # flow-oracle sample domain per system, a |j| range over the whole circle
@@ -113,34 +111,21 @@ def _tori(system: SystemDefinition, h: np.ndarray, l: np.ndarray
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """(T, Theta, ok, failed) of the tori (h, l), flat arrays, real or
     complex, from one call of the system's array closed form: ok marks the
-    lanes in the window (real parts) that it accepted, each real one
-    reduced_period_rotation's to the last bit.  The others hold NaN, and
-    failed maps each of their indices to a FocusFocusError named by
-    reduced_period_rotation at the lane's real parts, whose value is never
-    used: the exception it raises or, where it returns, that the complex
-    step leaves the closed form's domain or that the two forms disagree.
-    Any other exception propagates."""
+    lanes in the window (real parts) that it accepted.  The others hold
+    NaN, and failed maps each of their indices to the FocusFocusError that
+    names its reason (systems.REJECTIONS), at the lane's real parts."""
     T, theta = (np.full(h.shape, np.nan, dtype=h.dtype) for _ in range(2))
-    r = system.window_radius(h, l)
-    ok = ~((r < system.j_floor) | (r > system.j_cap))   # as check_window
-    i = np.flatnonzero(ok)
-    if i.size:
-        T[i], theta[i], ok[i] = system.period_rotation_array(h[i], l[i])
-    failed = {}
-    for k in np.flatnonzero(~ok).tolist():
-        c = EMValue(float(h[k].real), float(l[k].real))
-        try:
-            reduced_period_rotation(system, c)
-        except FocusFocusError as exc:
-            failed[k] = exc
-            continue
-        at = f"(h, l)=({c.h:.4g}, {c.l:.4g})"
-        failed[k] = FocusFocusError(
-            (f"no derivative at {at}: the complex step leaves the closed "
-             "form's domain") if h.dtype.kind == "c" else
-            (f"the array closed form rejects the torus at {at}, which the "
-             "scalar form accepts"))
-    return T, theta, ok, failed
+    reason = system.window(h, l)[1]
+    i = np.flatnonzero(reason == 0)
+    T[i], theta[i], reason[i] = system.period_rotation_array(h[i], l[i])
+    return T, theta, reason == 0, _failed(system, h, l, reason)
+
+
+def _failed(system: SystemDefinition, h, l, reason) -> dict:
+    """Index -> the FocusFocusError of each torus (h, l) with a reason."""
+    return {k: system.rejection(int(reason[k]), float(h[k].real),
+                                float(l[k].real))
+            for k in np.flatnonzero(reason).tolist()}
 
 
 def derivatives(system: SystemDefinition, h, l, dh, dl
@@ -183,10 +168,12 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
     """Flow-engine (T, Theta) of each torus in cs, or the FocusFocusError
     that stopped it, from one batched integration at the system's
     flow_rtol; and that integration's flow_steps, its batch steps, and
-    max_energy_drift, the largest energy drift of its lanes.  Each seed
-    flow_start gives a torus is a lane: a leg from a turning point to the
-    section.  A torus's legs make half a return, so T = 2 sum t and Theta
-    = 2 sum dphi over them, and its first failing leg fails it.
+    max_energy_drift, the largest energy drift of its lanes.  The seeds
+    of all tori in the window come from one flow_start call, each seed a
+    lane: a leg from a turning point to the section, its time budget set
+    by the torus's |j| (window).  A torus's legs make half a return, so T
+    = 2 sum t and Theta = 2 sum dphi over them, and its first failing leg
+    fails it.
 
     The state holds no azimuth.  A seed's is 0, so a leg's dphi is the
     landing's atan2 plus the 2 pi multiple that the accepted steps fix:
@@ -197,30 +184,26 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
     the landing's partial step is read on [-pi, pi].  dphi is rate t
     plus the summed turns, taken to the sheet of the landing's atan2."""
     ff = eval_constants(system)
-    out: list = [None] * len(cs)
-    seeds, owner, budgets = [], [], []
-    for i, c in enumerate(cs):
-        try:
-            system.check_window(c)
-            start = system.flow_start(c)
-        except FocusFocusError as exc:
-            out[i] = exc
-            continue
-        j = to_momentum_chart(system, c)
-        seeds.append(start)
-        owner += [i] * start.shape[1]
-        budgets += [T_BUDGET_FACTOR * (1.0 + abs(math.log(j.modulus)))
-                    / ff.alpha] * start.shape[1]
-    if not owner:
+    h, l = _arrays(cs)
+    r, reason = system.window(h, l)
+    inside = np.flatnonzero(reason == 0)
+    lane, seeds, reason[inside] = system.flow_start(h[inside], l[inside])
+    failed = _failed(system, h, l, reason)
+    out: list = [failed.get(i) for i in range(len(cs))]
+    if not lane.size:
         return out, {"flow_steps": 0, "max_energy_drift": 0.0}
+    owner = np.repeat(inside[lane], seeds.shape[-1]).tolist()
+    budgets = [T_BUDGET_FACTOR * (1.0 + abs(math.log(r[i]))) / ff.alpha
+               for i in owner]
     section = EventSpec(system.flow_section_value, system.flow_section_rate,
                         count=1)
-    traj = integrate_flow(system.flow_field, np.hstack(seeds),
+    traj = integrate_flow(system.flow_field,
+                          seeds.reshape(seeds.shape[0], -1),
                           t_max=np.array(budgets),
                           invariant=system.flow_hamiltonian, section=section,
                           tol=system.flow_rtol)
     rate = system.frame_rate
-    sign = np.array([math.copysign(1.0, cs[i].l) for i in owner])
+    sign = np.where(np.signbit(l[owner]), -1.0, 1.0)
     turns = _frame_turns(traj.states, traj.times, rate, sign)
     lo, hi = TURN_GUARD
     outside = ((sign * turns < lo) | (sign * turns > hi)).any(axis=0)
@@ -251,6 +234,12 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
                  "max_energy_drift": float(traj.drift.max())}
 
 
+def _arrays(cs: list[EMValue]) -> tuple[np.ndarray, np.ndarray]:
+    """The tori cs as the flat arrays h, l."""
+    return (np.array([c.h for c in cs], dtype=float),
+            np.array([c.l for c in cs], dtype=float))
+
+
 def raise_failed(result):
     """result itself, or raised if it is the FocusFocusError that failed a
     torus (the per-torus entries of cross_checks)."""
@@ -263,7 +252,10 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
                             engine: str = "quadrature",
                             rel_tol: float = QUAD_REL_TOL
                             ) -> tuple[float, float]:
-    """First-return time and continuous azimuth advance of one torus.
+    """First-return time and continuous azimuth advance of one torus: the
+    one-torus case of _tori (quadrature, ~0.4 ms, ~1 us a torus in a
+    batch) and of _tori_flow (flow), which no engine calls; the tracer
+    under perfbench/ wraps it and reads its engine and rel_tol.
 
     Both engines report the same branch convention: the honest per-torus
     Theta, with pole passages on the l = 0 axis counted as pi sign(l) each
@@ -276,9 +268,9 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     if engine == "quadrature" and rel_tol < CLOSED_FORM_REL_TOL:
         raise ValueError(f"rel_tol={rel_tol:.1e} is below the closed form's "
                          f"verified accuracy {CLOSED_FORM_REL_TOL:.0e}")
-    system.check_window(c)
     if engine == "quadrature":
-        return system.period_rotation(c)
+        T, theta, _, failed = _tori(system, *_arrays([c]))
+        return raise_failed(failed.get(0, (float(T[0]), float(theta[0]))))
     if engine == "flow":
         return raise_failed(_tori_flow(system, [c])[0][0])
     raise ValueError(f"unknown engine {engine!r}")
@@ -308,19 +300,20 @@ def sample_cross_tori(system: SystemDefinition, rng: np.random.Generator,
 
 def cross_checks(system: SystemDefinition, cs: list[EMValue],
                  cross_tol: float = CROSS_TOL) -> tuple[list, dict]:
-    """Run both engines on each torus in cs, the flow engine as one batched
-    integration.  Returns one entry per torus, the measured discrepancies
-    (see cross_check) or the FocusFocusError that failed that torus: no
-    torus, a flow failure or energy drift, or CrossEngineMismatch beyond
-    cross_tol; and the flow integration's flow_steps and max_energy_drift
-    (_tori_flow).  A failing torus leaves the others' results intact.
+    """Run both engines on the tori cs, each in one call (_tori, _tori_flow).
+    Returns one entry per torus, the measured discrepancies (see
+    cross_check) or the FocusFocusError that failed that torus: no torus,
+    a flow failure or energy drift, or CrossEngineMismatch beyond
+    cross_tol; and the flow integration's flow_steps and max_energy_drift.
+    A failing torus leaves the others' results intact.
     """
     flows, stats = _tori_flow(system, cs)
+    T, theta, _, failed = _tori(system, *_arrays(cs))
     out = []
-    for c, flow in zip(cs, flows):
+    for k, (c, Tq, thq, flow) in enumerate(zip(cs, T.tolist(),
+                                               theta.tolist(), flows)):
         try:
-            Tq, thq = reduced_period_rotation(system, c, "quadrature")
-            Tf, thf = raise_failed(flow)
+            Tf, thf = raise_failed(failed.get(k, flow))
         except FocusFocusError as exc:
             out.append(exc)
             continue
@@ -374,8 +367,9 @@ def transport(system: SystemDefinition, h, l
     steps.  Returns T, the carried Theta and branch in h's shape, NaN, NaN
     and 0 where a torus failed, and failed: flat index -> the
     FocusFocusError that names its failure.  A failed torus is skipped as
-    a reference.  Raises BranchError when an aligned step exceeds
-    MAX_BRANCH_STEP: the path is too coarse to tell its sheet.
+    a reference.  An aligned step above MAX_BRANCH_STEP raises the error
+    of the first failed torus it spans, or BranchError where it spans
+    none: the path is too coarse to tell its sheet.
     """
     h, l = np.asarray(h, dtype=float), np.asarray(l, dtype=float)
     T_all, raw, ok, failed = _tori(system, h.ravel(), l.ravel())
@@ -393,6 +387,8 @@ def transport(system: SystemDefinition, h, l
     if over.size:
         k = over[0]
         i = int(live[k + 1])
+        if i - live[k] > 1:   # the step spans failed tori: name the first
+            raise failed[int(live[k]) + 1]
         raise BranchError(f"aligned Theta step {jumps[k] / math.pi:.4f} pi "
                           f"above {MAX_BRANCH_STEP / math.pi:.1f} pi at path "
                           f"point {i % n}, (h, l)=("

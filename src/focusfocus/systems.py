@@ -20,7 +20,7 @@ Two models around a focus-focus equilibrium at energy-momentum value (0,0):
 
 Both profiles being cubics, the first-return time T and the azimuth
 advance Theta of a torus are complete elliptic integrals of the first and
-third kind, both from one quadratically convergent loop on Python floats,
+third kind, both from one quadratically convergent loop on arrays,
 Bulirsch's cel(kc, p) = int_0^{pi/2} dt / ((cos^2 + p sin^2) sqrt(cos^2 +
 kc^2 sin^2)) (Numer. Math. 13 (1969) 305-315): K = cel(kc, 1) = R_F(0,
 kc^2, 1), so R_F(0, x, y) = cel(sqrt(x/y), 1)/sqrt(y), and Pi(n) =
@@ -36,19 +36,13 @@ eigenvalues, the roots of lambda^4 - (tr M^2/2) lambda^2 + det M, det M =
 -I, MN = NM), so M = A + omega N, A^2 = alpha^2, tr AN = 0, and omega =
 -tr(MN)/4, alpha = sqrt(tr M^2/4 + omega^2), both exact to rounding.
 
-The closed form has two forms, one body each, that every system shares
-(SystemDefinition).  period_rotation takes one torus on Python floats
-(7-14 us on a shared 2-core Xeon): reduced_period_rotation uses it.
-period_rotation_array takes arrays h, l (~1 us per torus on thousands) and
-returns T, Theta and an ok mask, False where the scalar form raises or a
-step would leave its domain.  It runs the scalar operations in the scalar
-order (numpy's + - * / sqrt round as Python's do), and each lane leaves
-the Newton and cel loops by compaction at the iteration at which its
-scalar loop stops, so every accepted real lane is bit-identical to
-period_rotation, whatever its batch.  It also takes complex h, l: every
-comparison reads the real parts, so a lane at (h + i d, l) or
-(h, l + i d), d tiny, holds the derivative of T and Theta in h or l as
-its imaginary part over d (lattice.derivatives).
+The closed form has one body, SystemDefinition.period_rotation_array, on
+arrays h, l (~1 us per torus on thousands, ~0.4 ms for a lone one): T,
+Theta and each rejected lane's reason, named once in REJECTIONS.  Each
+lane leaves the Newton and cel loops by compaction, so it does not depend
+on its batch.  On complex h, l every comparison reads the real parts: a
+lane at (h + i d, l) or (h, l + i d), d tiny, holds the derivative of T
+and Theta in h or l as its imaginary part over d (lattice.derivatives).
 
 Values (h, l) are always relative to the critical value.  Systems are
 frozen dataclasses: immutable and hashable, so eval_constants memoizes
@@ -62,8 +56,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (FlowError, NoTorusError, SystemRejected,
-                     TurningPointDegeneracy, WindowError)
+from .errors import (FlowError, FocusFocusError, NoTorusError,
+                     SystemRejected, TurningPointDegeneracy, WindowError)
 from .numerics import FLOW_RTOL, _lanes
 
 SQRT2 = math.sqrt(2.0)
@@ -71,6 +65,33 @@ EPS = float(np.finfo(float).eps)
 NEWTON_MAX_ITER = 100
 # cel stops once its means agree to CEL_TOL; its last pass squares that, ~EPS
 CEL_TOL = math.sqrt(EPS)
+
+# why a torus is rejected (0: it is not) by the window, the roots
+# (_roots_array), cel's domain (complex lanes only) or the flow seeds
+# (flow_start): each reason's class and message, at the torus's "(h, l)="
+REJECTIONS = {
+    1: (WindowError, "|j|={r:.17g} below floor {floor:.17g}: too close to "
+                     "the singular fiber"),
+    2: (WindowError, "|j|={r:.17g} above cap {cap:.17g}"),
+    3: (NoTorusError, "no torus at {at}"),
+    4: (NoTorusError, "no regular torus at {at}"),
+    5: (NoTorusError, "no regular torus at {at}: root iteration did not "
+                      "settle"),
+    6: (NoTorusError, "{at} is on the singular fiber"),
+    7: (TurningPointDegeneracy, "double turning point at {at}: elliptic "
+                                "boundary"),
+    8: (TurningPointDegeneracy, "double turning point at {at}"),
+    9: (FocusFocusError, "no derivative at {at}: the complex step leaves the "
+                         "closed form's domain"),
+    10: (FlowError, "no turning-point seed on the l = 0 axis at {at}: r_lo "
+                    "= 0 is a center passage"),
+    11: (FlowError, "no turning-point seed on the l = 0 axis at {at}: z1 = "
+                    "-1 is a pole passage"),
+    12: (FlowError, "the orbit at {at} misses the equator z = 0"),
+}
+(BELOW_FLOOR, ABOVE_CAP, NO_TORUS, NO_REGULAR_TORUS, UNSETTLED,
+ SINGULAR_FIBER, ELLIPTIC_BOUNDARY, DOUBLE_TURNING_POINT, NO_DERIVATIVE,
+ CENTER_PASSAGE, POLE_PASSAGE, MISSES_EQUATOR) = REJECTIONS
 
 
 @dataclass(frozen=True)
@@ -104,60 +125,24 @@ class MomentumValue:
         return math.hypot(self.j1, self.j2)
 
 
-def _cubic_roots(b: float, c: float, d: float, x0: float,
-                 where: str) -> tuple[float, float, float]:
-    """Roots top > y >= 0 >= z of x^3 + b x^2 + c x + d, d >= 0, given a
-    start x0 at or right of top.
-
-    Newton takes top: right of the inflection -b/3, the mean of the roots
-    and so left of top, the cubic is convex and the iterates fall
-    monotonically onto top.  An iterate left of -b/3, or a slope <= 0,
-    means no real root there: a single real root, so no torus.  Vieta then
-    gives the pair without cancellation: y z = -d/top and
-    y + z = (c + d/top)/top, the larger magnitude first, the other as the
-    quotient.  A double root at 0, the singular fiber, is no torus.
-    """
-    x = x0
-    for _ in range(NEWTON_MAX_ITER):
-        if x < -b / 3.0:
-            raise NoTorusError(f"no regular torus at {where}")
-        value = ((x + b) * x + c) * x + d
-        if value <= 0.0:   # reached top (to rounding) from the right
-            break
-        slope = (3.0 * x + 2.0 * b) * x + c
-        if slope <= 0.0:
-            raise NoTorusError(f"no regular torus at {where}")
-        step = value / slope
-        x -= step
-        if step <= 4.0 * EPS * x:
-            break
-    else:
-        raise NoTorusError(f"no regular torus at {where}: root iteration "
-                           "did not settle")
-    prod = -d / x
-    total = (c - prod) / x
-    big = 0.5 * (total + math.copysign(math.sqrt(total * total - 4.0 * prod),
-                                       total))
-    if big == 0.0:
-        raise NoTorusError(f"{where} is on the singular fiber")
-    small = prod / big
-    return (x, big, small) if big >= 0.0 else (x, small, big)
-
-
 def _cubic_roots_array(b: np.ndarray, c: np.ndarray, d: np.ndarray,
                        x0: np.ndarray) -> tuple[np.ndarray, np.ndarray,
                                                 np.ndarray, np.ndarray]:
-    """_cubic_roots over arrays of coefficients: (top, y, z, ok), with ok
-    False where the scalar form raises or its Vieta step would fail (a
-    negative discriminant, a zero divisor).  Complex coefficients take
-    every comparison on their real parts.
+    """Roots top > y >= 0 >= z of x^3 + b x^2 + c x + d, d >= 0, over arrays
+    of coefficients given starts x0 at or right of top: (top, y, z,
+    reason), reason 0 where they are found (REJECTIONS).  Complex
+    coefficients take every comparison on their real parts.
 
-    Each lane runs the scalar Newton loop in the scalar order of
-    operations and leaves the batch, by compaction, at the iteration at
-    which that loop stops.
+    Newton takes top, each lane leaving the loop by compaction: right of
+    the inflection -b/3, the mean of the roots and so left of top, the
+    cubic is convex and the iterates fall monotonically onto top.  An
+    iterate left of -b/3, or a slope <= 0, means a single real root: no
+    regular torus.  Vieta then gives the pair without cancellation: y z =
+    -d/top and y + z = (c + d/top)/top, the larger magnitude first, the
+    other as the quotient.  A double root at 0 is the singular fiber.
     """
     top = np.array(x0, dtype=np.result_type(b, c, d, float))
-    settled = np.zeros(top.shape, dtype=bool)
+    reason = np.full(top.shape, UNSETTLED)
     lane = np.arange(top.size)
     x, bl, cl, dl = top, b, c, d
     for _ in range(NEWTON_MAX_ITER):
@@ -167,16 +152,18 @@ def _cubic_roots_array(b: np.ndarray, c: np.ndarray, d: np.ndarray,
         value = ((x + bl) * x + cl) * x + dl
         done = ~fail & (value.real <= 0.0)
         slope = (3.0 * x + 2.0 * bl) * x + cl
-        settled[lane[done]], top[lane[done]] = True, x[done]
+        fail |= ~done & (slope.real <= 0.0)
+        reason[lane[done]], top[lane[done]] = 0, x[done]
+        reason[lane[fail]] = NO_REGULAR_TORUS
         lane, x, value, slope, bl, cl, dl = _lanes(
-            ~(fail | done | (slope.real <= 0.0)), lane, x, value, slope, bl,
-            cl, dl)
+            ~(fail | done), lane, x, value, slope, bl, cl, dl)
         step = value / slope
         x = x - step
         done = step.real <= 4.0 * EPS * x.real
-        settled[lane[done]], top[lane[done]] = True, x[done]
+        reason[lane[done]], top[lane[done]] = 0, x[done]
         lane, x, bl, cl, dl = _lanes(~done, lane, x, bl, cl, dl)
-    i = np.flatnonzero(settled & (top != 0.0))
+    reason[(reason == 0) & (top == 0.0)] = NO_REGULAR_TORUS
+    i = np.flatnonzero(reason == 0)
     if top.dtype.kind == "c":   # Im, a derivative, lags Re by one step
         x = top[i]
         top[i] = x - ((((x + b[i]) * x + c[i]) * x + d[i])
@@ -184,44 +171,25 @@ def _cubic_roots_array(b: np.ndarray, c: np.ndarray, d: np.ndarray,
     prod = -d[i] / top[i]
     total = (c[i] - prod) / top[i]
     disc = total * total - 4.0 * prod
+    reason[i[disc.real < 0.0]] = NO_DERIVATIVE   # a real d >= 0 has disc >= 0
     i, prod, total, disc = _lanes(disc.real >= 0.0, i, prod, total, disc)
     root = np.sqrt(disc)
     big = 0.5 * (total + np.where(np.signbit(total.real), -root, root))
+    reason[i[big == 0.0]] = SINGULAR_FIBER
     i, prod, big = _lanes(big != 0.0, i, prod, big)
     small = prod / big
     pos = big.real >= 0.0
     y, z = np.zeros_like(top), np.zeros_like(top)
     y[i], z[i] = np.where(pos, big, small), np.where(pos, small, big)
-    ok = np.zeros(top.shape, dtype=bool)
-    ok[i] = True
-    return top, y, z, ok
-
-
-def _cel(kc: float, p: float) -> float:
-    """Bulirsch's cel(kc, p, 1, 1) for kc > 0 and p > 0 (Numer. Math. 13
-    (1969) 305-315): K(kc) at p = 1, Pi(n; kc) at p = 1 - n."""
-    p = math.sqrt(p)
-    a, b, e, m = 1.0, 1.0 / p, kc, 1.0
-    while True:
-        f = a
-        a += b / p
-        g = e / p
-        b = 2.0 * (b + f * g)
-        p += g
-        g = m
-        m += kc
-        if abs(g - kc) <= g * CEL_TOL:
-            return 0.5 * math.pi * (b + a * m) / (m * (m + p))
-        kc = 2.0 * math.sqrt(e)
-        e = kc * m
+    return top, y, z, reason
 
 
 def _cel_array(kc: np.ndarray, p: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-    """_cel over arrays, real or complex: (values, ok).  Each lane runs the
-    scalar loop and leaves, by compaction, when the real parts of its means
-    agree.  ok is False where kc or p is not > 0 (real parts), where the
-    scalar loop raises or never stops; such a lane runs as cel(1, 1)."""
+    """Bulirsch's cel(kc, p, 1, 1) over arrays, real or complex: (values,
+    ok).  Each lane leaves the loop, by compaction, when the real parts of
+    its means agree.  ok is False where kc or p is not > 0 (real parts);
+    such a lane runs as cel(1, 1)."""
     ok = (kc.real > 0.0) & (p.real > 0.0)
     kc, p = np.where(ok, kc, 1.0), np.where(ok, p, 1.0)
     out = np.empty(kc.shape, dtype=np.result_type(kc, p))
@@ -253,26 +221,23 @@ class SystemDefinition:
 
     Required surface, what the engines read: name, j_floor, j_cap,
     hessian() and second_integral_hessian() at the equilibrium (on one
-    4-dim symplectic chart), reduced_profile(c) -> the turning points (lo,
-    hi), the closed form's three parts, frame_rate, flow components
-    (field, flow_start(c) -> seeds (d, m) from one solve of the reduced
-    cubic, section value and rate, energy on the flow chart).
+    4-dim symplectic chart), the closed form's two parts, frame_rate, flow
+    components (field, flow_start(h, l) -> seeds from one solve of the
+    reduced cubics, section value and rate, energy on the flow chart).
 
-    The closed form, period_rotation(c) -> (T, Theta) on floats and
-    period_rotation_array(h, l) -> (T, Theta, ok) on arrays, has one body
-    each, here.  A system states its cubic and its elliptic terms once:
-    _roots(c) -> roots, raising where there is no regular torus;
-    _roots_array(h, l) -> (lane, roots) of the lanes _roots accepts; and
-    _elliptic(h, roots, sqrt) -> (scale, kc, terms), one body for floats
-    and arrays: T = sqrt(2) K/scale, K = K(kc), and Theta = frame_rate T +
-    sqrt(2) l sum cel(kc_k, p_k)/den_k over the third-kind terms (kc_k,
-    p_k, den_k, |l|/sqrt(p_k), K(kc_k)/K).  Where p < kc^2/2, cel(kc, p) =
-    K(kc) + (pi/2) sqrt((1 - p)/(p (kc^2 - p))) - cel(kc, (kc^2 - p)/(1 -
-    p)) (DLMF 19.7.9) splits the pole off, |l|/sqrt(p_k) from the roots:
-    pi sign(l) per pole passage at l = +-0.0.  frame_rate is the rate of
-    the frame in which the azimuth obeys psi' = l/r^2 (r the distance from
-    the axis), turning monotonically with the sign of l; the flow oracle
-    counts turns in it.
+    The closed form, period_rotation_array(h, l) -> (T, Theta, reason), has
+    one body, here.  A system states its cubic and its elliptic terms once:
+    _roots_array(h, l) -> (lane, roots, reason), the roots at the lanes it
+    accepts and why it rejects each other lane (REJECTIONS; 0 where it
+    accepts); and _elliptic(h, roots) -> (scale, kc, terms): T = sqrt(2)
+    K/scale, K = K(kc), and Theta = frame_rate T + sqrt(2) l sum cel(kc_k,
+    p_k)/den_k over the third-kind terms (kc_k, p_k, den_k, |l|/sqrt(p_k),
+    K(kc_k)/K).  Where p < kc^2/2, cel(kc, p) = K(kc) + (pi/2) sqrt((1 -
+    p)/(p (kc^2 - p))) - cel(kc, (kc^2 - p)/(1 - p)) (DLMF 19.7.9) splits
+    the pole off, |l|/sqrt(p_k) from the roots: pi sign(l) per pole
+    passage at l = +-0.0.  frame_rate is the rate of the frame in which
+    the azimuth obeys psi' = l/r^2 (r the distance from the axis), turning
+    monotonically with the sign of l; the flow oracle counts turns in it.
 
     The flow state is Cartesian, its first two rows the position (x, y) in
     the plane of the S^1 action, so the azimuth is read from positions and
@@ -297,48 +262,53 @@ class SystemDefinition:
             raise ValueError(f"need 0 < j_floor < j_cap, got j_floor="
                              f"{self.j_floor:g}, j_cap={self.j_cap:g}")
 
+    def window(self, h: np.ndarray, l: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(|j|, reason) of the tori (h, l), arrays (their real parts):
+        window_radius, and BELOW_FLOOR, ABOVE_CAP or 0 inside."""
+        r = self.window_radius(h, l)
+        return r, np.where(r < self.j_floor, BELOW_FLOOR,
+                           np.where(r > self.j_cap, ABOVE_CAP, 0))
+
     def check_window(self, c: EMValue) -> None:
-        r = to_momentum_chart(self, c).modulus
-        if r < self.j_floor:
-            raise WindowError(f"|j|={r:.17g} below floor {self.j_floor:.17g}"
-                              ": too close to the singular fiber")
-        if r > self.j_cap:
-            raise WindowError(f"|j|={r:.17g} above cap {self.j_cap:.17g}")
+        """Raise the WindowError of a torus outside the window: the
+        one-torus case of window, kept for the tracer under perfbench/."""
+        _, (reason,) = self.window(np.array([c.h]), np.array([c.l]))
+        if reason:
+            raise self.rejection(int(reason), c.h, c.l)
 
     def window_radius(self, h: np.ndarray, l: np.ndarray) -> np.ndarray:
         """|j| of the tori (h, l), arrays (their real parts), as
-        check_window measures it: math.hypot lane by lane, so the two agree
-        to the last bit."""
+        to_momentum_chart(...).modulus measures it: math.hypot lane by
+        lane, so the two agree to the last bit."""
         j1 = to_momentum_chart(self, EMValue(h.real, l.real)).j1
         return np.array(list(map(math.hypot, j1.ravel().tolist(),
                                  l.real.ravel().tolist())),
                         dtype=float).reshape(h.shape)
 
-    def period_rotation(self, c: EMValue) -> tuple[float, float]:
-        """(T, Theta) of one torus in closed form, on Python floats."""
-        scale, kc, terms = self._elliptic(c.h, self._roots(c), math.sqrt)
-        K = _cel(kc, 1.0)
-        T = SQRT2 * K / scale
-        sign = math.copysign(1.0, c.l)
-        third = jump = 0.0
-        for k, p, den, lsp, kk in terms:
-            gap = k * k - p
-            if p < 0.5 * (k * k):   # split the pole off (DLMF 19.7.9)
-                part = kk * K - _cel(k, gap / (1.0 - p))
-                pole = 0.5 * math.pi * sign * lsp * math.sqrt((1.0 - p) / gap)
-            else:
-                part, pole = _cel(k, p), 0.0
-            third += part / den
-            jump += pole / den
-        return T, self.frame_rate * T + SQRT2 * c.l * third + SQRT2 * jump
+    def rejection(self, reason: int, h: float, l: float) -> FocusFocusError:
+        """The exception that names why the torus (h, l), floats, is
+        rejected for reason (REJECTIONS)."""
+        cls, text = REJECTIONS[reason]
+        return cls(text.format(
+            at=f"(h, l)=({h:.4g}, {l:.4g})", floor=self.j_floor,
+            cap=self.j_cap, r=to_momentum_chart(self, EMValue(h, l)).modulus))
+
+    def _torus_roots(self, c: EMValue) -> tuple[float, ...]:
+        """_roots_array's roots at one torus c, or its rejection raised."""
+        _, roots, reason = self._roots_array(np.array([c.h]), np.array([c.l]))
+        if reason[0]:
+            raise self.rejection(int(reason[0]), c.h, c.l)
+        return tuple(float(x[0]) for x in roots)
 
     def period_rotation_array(self, h: np.ndarray, l: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """period_rotation over flat arrays h, l: (T, Theta, ok), ok False
-        where the scalar form raises or a step would leave its domain."""
-        lane, roots = self._roots_array(h, l)
+        """(T, Theta, reason) of the tori (h, l), flat arrays, in closed
+        form: NaN where reason, nonzero, names why a lane is rejected
+        (REJECTIONS).  The window is not checked here (window)."""
+        lane, roots, reason = self._roots_array(h, l)
         l = l[lane]
-        scale, kc, terms = self._elliptic(h[lane], roots, np.sqrt)
+        scale, kc, terms = self._elliptic(h[lane], roots)
         ks, ps, dens, lsps, kks = zip(*terms)
         splits = [p.real < 0.5 * (k * k).real for k, p in zip(ks, ps)]
         gaps = [np.where(s, k * k - p, 1.0) for s, k, p in zip(splits, ks, ps)]
@@ -358,12 +328,12 @@ class SystemDefinition:
                                                   dens))
         theta = self.frame_rate * T + SQRT2 * l * third + SQRT2 * jump
         ok = ok.all(axis=0)
+        reason[lane[~ok]] = NO_DERIVATIVE
         T_out, theta_out = (np.full(h.size, np.nan, dtype=x.dtype)
                             for x in (T, theta))
-        accepted = np.zeros(h.size, dtype=bool)
         lane = lane[ok]
-        T_out[lane], theta_out[lane], accepted[lane] = T[ok], theta[ok], True
-        return T_out, theta_out, accepted
+        T_out[lane], theta_out[lane] = T[ok], theta[ok]
+        return T_out, theta_out, reason
 
 
 def to_momentum_chart(system: SystemDefinition, c: EMValue) -> MomentumValue:
@@ -480,52 +450,40 @@ class ChampagneBottle(SystemDefinition):
     second_integral_hessian = _rotation_hessian
 
     # -- reduced profile and closed form -------------------------------
-    def _roots(self, c: EMValue) -> tuple[float, float, float]:
-        """Roots s3 <= 0 <= s1 < s2 of s^3 - s^2 - g s + l^2/2 = -C(s)/2,
-        g = h - gamma l.  On the l = 0 axis s1 (g > 0) or s3 (g < 0) is
-        exactly 0."""
-        h, l = c.h, c.l
-        g = h - self.gamma * l
-        disc = 1.0 + 4.0 * g
-        if disc < 0.0:
-            raise NoTorusError(f"no torus at (h, l)=({h:.4g}, {l:.4g})")
-        # the l = 0 root (1 + sqrt(disc))/2 lies at or right of s2
-        s2, s1, s3 = _cubic_roots(-1.0, -g, 0.5 * l * l,
-                                  0.5 * (1.0 + math.sqrt(disc)),
-                                  f"(h, l)=({h:.4g}, {l:.4g})")
-        if (s2 - s1) <= 1e-12 * max(1.0, s2):
-            raise TurningPointDegeneracy(
-                f"double turning point at (h, l)=({h:.4g}, {l:.4g}): "
-                "elliptic boundary")
-        return s1, s2, s3
-
     def reduced_profile(self, c: EMValue) -> tuple[float, float]:
-        """Turning points (sqrt(s1), sqrt(s2)) of the reduced orbit; on the
-        l = 0 axis at g > 0, r_lo = 0 is a center passage."""
-        s1, s2, _ = self._roots(c)
+        """Turning points (sqrt(s1), sqrt(s2)) of the reduced orbit of one
+        torus, or its rejection raised; on the l = 0 axis at g > 0, r_lo =
+        0 is a center passage.  The one-torus case of _roots_array (~0.3
+        ms), which no engine calls; the tracer under perfbench/ wraps it."""
+        s1, s2, _ = self._torus_roots(c)
         return math.sqrt(s1), math.sqrt(s2)
 
     def _roots_array(self, h: np.ndarray, l: np.ndarray):
-        """The lanes of h, l that _roots accepts, and what it returns there."""
+        """Roots s3 <= 0 <= s1 < s2 of s^3 - s^2 - g s + l^2/2 = -C(s)/2,
+        g = h - gamma l (SystemDefinition).  On the l = 0 axis s1 (g > 0)
+        or s3 (g < 0) is exactly 0."""
         g = h - self.gamma * l
         disc = 1.0 + 4.0 * g
-        lane, g, l, disc = _lanes(disc.real >= 0.0, np.arange(h.size), g, l,
-                                  disc)
-        s2, s1, s3, ok = _cubic_roots_array(
+        reason = np.where(disc.real >= 0.0, 0, NO_TORUS)
+        lane, g, l, disc = _lanes(reason == 0, np.arange(h.size), g, l, disc)
+        # the l = 0 root (1 + sqrt(disc))/2 lies at or right of s2
+        s2, s1, s3, why = _cubic_roots_array(
             np.full(lane.size, -1.0), -g, 0.5 * l * l,
             0.5 * (1.0 + np.sqrt(disc)))
-        ok &= (s2 - s1).real > 1e-12 * np.maximum(1.0, s2.real)
-        lane, s1, s2, s3 = _lanes(ok, lane, s1, s2, s3)
-        return lane, (s1, s2, s3)
+        near = (s2 - s1).real <= 1e-12 * np.maximum(1.0, s2.real)
+        why[(why == 0) & near] = ELLIPTIC_BOUNDARY
+        reason[lane] = why
+        lane, s1, s2, s3 = _lanes(why == 0, lane, s1, s2, s3)
+        return lane, (s1, s2, s3), reason
 
-    def _elliptic(self, h, roots, sqrt):
+    def _elliptic(self, h, roots):
         """T = int ds/sqrt(C) over [s1, s2] and Theta = gamma T + l int
         ds/(s sqrt(C)), one third-kind term with its pole at s = 0, passed
         (s1 = 0) on the l = 0 axis at g > 0; |l|/sqrt(s1/s2) = s2 sqrt(-2
         s3) by Vieta."""
         s1, s2, s3 = roots
-        scale, kc = sqrt(s2 - s3), sqrt((s1 - s3) / (s2 - s3))
-        return scale, kc, [(kc, s1 / s2, s2 * scale, s2 * sqrt(-2.0 * s3),
+        scale, kc = np.sqrt(s2 - s3), np.sqrt((s1 - s3) / (s2 - s3))
+        return scale, kc, [(kc, s1 / s2, s2 * scale, s2 * np.sqrt(-2.0 * s3),
                             1.0)]
 
     # -- full flow (oracle engine) ------------------------------------
@@ -539,21 +497,23 @@ class ChampagneBottle(SystemDefinition):
         acc[1] += g * px
         return np.concatenate([[px - g * y, py + g * x], acc])
 
-    def flow_start(self, c: EMValue) -> np.ndarray:
-        """One seed, as a column: the state at the inner turning point r =
-        r_lo on the x axis.  It lies on Fix(R) of the reversor R: (x, y,
-        px, py) -> (x, -y, -px, py), t -> -t, which keeps H and L; so the
-        orbit reaches the outer turning point after half a return, T/2
-        and Theta/2.  Seeded beside the saddle passage and landing at
-        r_hi, the leg is ~100x more accurate in T and Theta than the
-        reverse one.  On the l = 0 axis at g > 0, r_lo = 0 is a center
-        passage, not a turning point: FlowError."""
-        r_lo, _ = self.reduced_profile(c)
-        if r_lo == 0.0:
-            raise FlowError(f"no turning-point seed on the l = 0 axis at "
-                            f"(h, l)=({c.h:.4g}, {c.l:.4g}): r_lo = 0 is a "
-                            "center passage")
-        return np.array([[r_lo], [0.0], [0.0], [c.l / r_lo]])
+    def flow_start(self, h: np.ndarray, l: np.ndarray):
+        """(lane, seeds, reason): one seed (4, lanes, 1) per torus (h, l) at
+        the lanes that have one, and why each other lane has none.  A seed
+        is the state at the inner turning point r = r_lo on the x axis.  It
+        lies on Fix(R) of the reversor R: (x, y, px, py) -> (x, -y, -px,
+        py), t -> -t, which keeps H and L; so the orbit reaches the outer
+        turning point after half a return, T/2 and Theta/2.  Seeded beside
+        the saddle passage and landing at r_hi, the leg is ~100x more
+        accurate in T and Theta than the reverse one.  On the l = 0 axis at
+        g > 0, r_lo = 0 is a center passage, not a turning point."""
+        lane, (s1, _, _), reason = self._roots_array(h, l)
+        r_lo = np.sqrt(s1)
+        reason[lane[r_lo == 0.0]] = CENTER_PASSAGE
+        lane, r_lo = _lanes(r_lo != 0.0, lane, r_lo)
+        zero = np.zeros(lane.size)
+        return (lane, np.array([r_lo, zero, zero, l[lane] / r_lo])[..., None],
+                reason)
 
     def flow_section_value(self, s):
         """r rdot = x px + y py (the gamma terms cancel): zero at both
@@ -609,56 +569,49 @@ class SphericalPendulum(SystemDefinition):
     second_integral_hessian = _rotation_hessian
 
     # -- reduced profile and closed form -------------------------------
-    def _roots(self, c: EMValue) -> tuple[float, float, float, float]:
-        """(wc, w2, w3, 1 + z1) with wc = 1 - z1 > w2 = 1 - z2 >= 0 >= w3
-        = 1 - z3, the roots of w^3 + (h - 2) w^2 - 2 h w + l^2/2 = 0, which
-        is f(1 - w) = 0.  1 + z1 comes from the turning-point identity
-        2 (h + wc) wc (1 + z1) = l^2, free of the cancellation in 2 - wc.
-        On the l = 0 axis, z1 = -1 and z2 = 1 (h > 0) or z3 = 1 (h < 0)."""
-        h, l = c.h, c.l
-        l2h = 0.5 * l * l
-        where = f"(h, l)=({h:.4g}, {l:.4g})"
-        # w (w - 2)(w + h) + l^2/2 > 0 for w > 2 > -h: wc <= 2
-        wc, w2, w3 = _cubic_roots(h - 2.0, -2.0 * h, l2h, 2.0, where)
-        if h + wc <= 0.0:
-            raise NoTorusError(f"no torus at {where}")
-        if (wc - w2) <= 1e-12:
-            raise TurningPointDegeneracy(f"double turning point at {where}")
-        return wc, w2, w3, l2h / ((h + wc) * wc)
-
     def reduced_profile(self, c: EMValue) -> tuple[float, float]:
-        """Turning points (z1, z2) of the reduced orbit; on the l = 0 axis
-        they are pole passages, z1 = -1 and, at h > 0, z2 = 1."""
-        _, w2, _, one_z1 = self._roots(c)
+        """Turning points (z1, z2) of the reduced orbit of one torus, or its
+        rejection raised; on the l = 0 axis they are pole passages, z1 = -1
+        and, at h > 0, z2 = 1.  The one-torus case of _roots_array (~0.3
+        ms), which no engine calls; the tracer under perfbench/ wraps it."""
+        _, w2, _, one_z1 = self._torus_roots(c)
         return one_z1 - 1.0, 1.0 - w2
 
     def _roots_array(self, h: np.ndarray, l: np.ndarray):
-        """The lanes of h, l that _roots accepts, and what it returns there."""
+        """(wc, w2, w3, 1 + z1) with wc = 1 - z1 > w2 = 1 - z2 >= 0 >= w3
+        = 1 - z3, the roots of w^3 + (h - 2) w^2 - 2 h w + l^2/2 = 0, which
+        is f(1 - w) = 0 (SystemDefinition).  1 + z1 comes from the
+        turning-point identity 2 (h + wc) wc (1 + z1) = l^2, free of the
+        cancellation in 2 - wc.  On the l = 0 axis, z1 = -1 and z2 = 1 (h >
+        0) or z3 = 1 (h < 0)."""
         l2h = 0.5 * l * l
-        wc, w2, w3, ok = _cubic_roots_array(h - 2.0, -2.0 * h, l2h,
-                                            np.full(h.size, 2.0))
-        ok &= ((h + wc).real > 0.0) & ((wc - w2).real > 1e-12)
-        lane, h, l2h, wc, w2, w3 = _lanes(ok, np.arange(h.size), h, l2h, wc,
-                                          w2, w3)
-        return lane, (wc, w2, w3, l2h / ((h + wc) * wc))
+        # w (w - 2)(w + h) + l^2/2 > 0 for w > 2 > -h: wc <= 2
+        wc, w2, w3, reason = _cubic_roots_array(h - 2.0, -2.0 * h, l2h,
+                                                np.full(h.size, 2.0))
+        for bad, why in (((h + wc).real <= 0.0, NO_TORUS),
+                         ((wc - w2).real <= 1e-12, DOUBLE_TURNING_POINT)):
+            reason[(reason == 0) & bad] = why
+        lane, h, l2h, wc, w2, w3 = _lanes(reason == 0, np.arange(h.size), h,
+                                          l2h, wc, w2, w3)
+        return lane, (wc, w2, w3, l2h / ((h + wc) * wc)), reason
 
-    def _elliptic(self, h, roots, sqrt):
+    def _elliptic(self, h, roots):
         """T = 2 int dz/sqrt(f) over [z1, z2]; Theta = l int (1/(1 - z) +
         1/(1 + z)) dz/sqrt(f) splits into two third-kind terms, with poles
         at the north (z = 1) and the south (z = -1) pole; each 1 - n is the
         ratio of that pole's distances to the near and the far turning
         point.  On the l = 0 axis the orbit passes the south pole, and the
         north one too at h > 0.  |l|/sqrt(1 - n) is wc sqrt(-2 w3) (Vieta)
-        at the north pole and sqrt(2 (h + wc) wc (1 + z2)) (_roots'
+        at the north pole and sqrt(2 (h + wc) wc (1 + z2)) (_roots_array's
         identity) at the south one, whose modulus 1/kc has K(1/kc) = kc K."""
         wc, w2, w3, one_z1 = roots
         one_z2 = one_z1 + (wc - w2)
-        scale, kc = sqrt(wc - w3), sqrt((w2 - w3) / (wc - w3))
+        scale, kc = np.sqrt(wc - w3), np.sqrt((w2 - w3) / (wc - w3))
         return (0.5 * scale, kc,
-                [(kc, w2 / wc, wc * scale, wc * sqrt(-2.0 * w3), 1.0),
-                 (sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2,
-                  one_z2 * sqrt(w2 - w3),
-                  sqrt(2.0 * (h + wc) * wc * one_z2), kc)])
+                [(kc, w2 / wc, wc * scale, wc * np.sqrt(-2.0 * w3), 1.0),
+                 (np.sqrt((wc - w3) / (w2 - w3)), one_z1 / one_z2,
+                  one_z2 * np.sqrt(w2 - w3),
+                  np.sqrt(2.0 * (h + wc) * wc * one_z2), kc)])
 
     # -- full flow (oracle engine) ------------------------------------
     def flow_field(self, s) -> np.ndarray:
@@ -678,29 +631,29 @@ class SphericalPendulum(SystemDefinition):
         acc[2] -= 1.0
         return np.concatenate([v, acc - eta * (qv * q + q2m1 * v)])
 
-    def flow_start(self, c: EMValue) -> np.ndarray:
-        """Two seeds, one per column: the states at the turning points z2
-        and z1 in the x-z plane, x0 = sqrt((1 - z)(1 + z)) from _roots'
+    def flow_start(self, h: np.ndarray, l: np.ndarray):
+        """(lane, seeds, reason) as the champagne bottle's, two seeds (6,
+        lanes, 2) per torus: the states at the turning points z2 and z1 in
+        the x-z plane, x0 = sqrt((1 - z)(1 + z)) from _roots_array's
         cancellation-free 1 - z2 and 1 + z1.  Both lie on Fix(R) of the
-        reversor R: (x, y, z, vx, vy, vz) -> (x, -y, z, -vx, vy, -vz),
-        t -> -t, which keeps H and L; so the legs from z2 down and from z1
-        up to the equator z = 0 make half a return together, T/2 and
-        Theta/2.  Both land where z moves fast and phi' = l/(1 - z^2) is
-        small: a one-leg half return lands at z2, beside the slow saddle
-        passage, or at z1, the south-pole graze, and is some 1000x less
-        accurate in T or Theta.  On the l = 0 axis z1 = -1 is a pole
-        passage, not a turning point, and an orbit that misses the equator
-        has no landing: FlowError."""
-        wc, w2, _, one_z1 = self._roots(c)
-        where = f"(h, l)=({c.h:.4g}, {c.l:.4g})"
-        if one_z1 == 0.0:
-            raise FlowError(f"no turning-point seed on the l = 0 axis at "
-                            f"{where}: z1 = -1 is a pole passage")
-        if not (one_z1 < 1.0 and w2 < 1.0):
-            raise FlowError(f"the orbit at {where} misses the equator z = 0")
-        x2, x1 = math.sqrt(w2 * (2.0 - w2)), math.sqrt(one_z1 * wc)
-        return np.array([[x2, 0.0, 1.0 - w2, 0.0, c.l / x2, 0.0],
-                         [x1, 0.0, one_z1 - 1.0, 0.0, c.l / x1, 0.0]]).T
+        reversor R: (x, y, z, vx, vy, vz) -> (x, -y, z, -vx, vy, -vz), t ->
+        -t, which keeps H and L; so the legs from z2 down and from z1 up to
+        the equator z = 0 make half a return together, T/2 and Theta/2.
+        Both land where z moves fast and phi' = l/(1 - z^2) is small: a
+        one-leg half return lands at z2, beside the slow saddle passage, or
+        at z1, the south-pole graze, and is some 1000x less accurate in T or
+        Theta.  On the l = 0 axis z1 = -1 is a pole passage, not a turning
+        point, and an orbit that misses the equator has no landing."""
+        lane, (wc, w2, _, one_z1), reason = self._roots_array(h, l)
+        pole = one_z1 == 0.0
+        miss = ~pole & ~((one_z1 < 1.0) & (w2 < 1.0))
+        reason[lane[pole]], reason[lane[miss]] = POLE_PASSAGE, MISSES_EQUATOR
+        lane, wc, w2, one_z1 = _lanes(~(pole | miss), lane, wc, w2, one_z1)
+        x2, x1 = np.sqrt(w2 * (2.0 - w2)), np.sqrt(one_z1 * wc)
+        zero, l = np.zeros(lane.size), l[lane]
+        return lane, np.array([[x2, zero, 1.0 - w2, zero, l / x2, zero],
+                               [x1, zero, one_z1 - 1.0, zero, l / x1, zero]]
+                              ).transpose(1, 2, 0), reason
 
     def flow_section_value(self, s):
         """-z sgn(vz), the height left to the equator z = 0 along the

@@ -1,27 +1,48 @@
-"""The array form of the closed form (period_rotation_array, behind
-lattice._tori) against the scalar form, bit for bit: every
-accepted lane equals period_rotation, a lane is accepted exactly when the
-scalar form succeeds, a rejected lane raises the scalar exception through
-transport, and no lane depends on its batch."""
+"""The array closed form (period_rotation_array, behind lattice._tori), the
+package's one closed form, on lanes drawn anywhere around the window:
+every accepted lane agrees with the 50-digit mpmath closed form
+(test_closed_form.mp_period_rotation) at that module's gates, every
+rejected lane carries the reason its region implies, each reason is named
+by the exception class and message that the one-torus entries have always
+raised for it, and no lane depends on its batch."""
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
-                        MomentumValue, NoTorusError, SphericalPendulum,
+from focusfocus import (ChampagneBottle, EMValue, FlowError, MomentumValue,
+                        NoTorusError, SphericalPendulum,
                         TurningPointDegeneracy, WindowError,
-                        from_momentum_chart, transport)
-from focusfocus.lattice import _tori, reduced_period_rotation
+                        from_momentum_chart, lattice, systems,
+                        to_momentum_chart, transport)
+from focusfocus.lattice import _tori
 from focusfocus.systems import EPS
+from test_closed_form import (AXIS_T_REL_TOL, AXIS_THETA_TOL, MP_DPS,
+                              mp_period_rotation)
 
-# what the scalar form may raise on a lane the array form must reject
-SCALAR_FAILURES = (FocusFocusError, ArithmeticError, ValueError)
+# a rejected lane's exact turning points may lie this close, relative to
+# the largest root, and still pass for a double turning point: the float
+# roots of a near-double root carry errors of ~sqrt(EPS) relative
+AMBIGUOUS_GAP = 1e-6
+# below this energy the pendulum's Theta loses accuracy as h nears the
+# hanging rest at -2, where its turning points meet (measured relative
+# errors 7e-16 at h + 2 = 0.5, 2.5e-14 at 0.1, 1e-11 at 0.01, 8e-2 at
+# 1e-7, all far below the window's h >= -0.2), which
+# test_theta_near_a_double_turning_point pins; T, and the champagne
+# bottle's Theta, hold their gates down to the degeneracy threshold
+PENDULUM_THETA_H_MIN = -1.5
+# the closed-form reasons a real lane may carry; UNSETTLED (the Newton loop
+# always settles) and NO_DERIVATIVE (complex lanes only) are not among them
+REAL_LANE_REASONS = {systems.NO_TORUS, systems.NO_REGULAR_TORUS,
+                     systems.SINGULAR_FIBER, systems.ELLIPTIC_BOUNDARY,
+                     systems.DOUBLE_TURNING_POINT}
 
 
 @st.composite
-def systems(draw):
+def systems_(draw):
     if draw(st.booleans()):
         return SphericalPendulum()
     return ChampagneBottle(gamma=draw(st.floats(-1.9, 1.9)))
@@ -82,7 +103,7 @@ def double_turning_point(system, u, sign, ulps):
 
 @st.composite
 def batches(draw, max_size=30):
-    system = draw(systems())
+    system = draw(systems_())
     lanes = draw(st.lists(tori(system), min_size=1, max_size=max_size))
     h, l = (np.array(v, dtype=float) for v in zip(*lanes))
     return system, h, l
@@ -92,65 +113,136 @@ def bits(x) -> str:
     return float(x).hex()
 
 
-def scalar(fn, system, h, l):
-    try:
-        return fn(system, EMValue(float(h), float(l)))
-    except SCALAR_FAILURES as exc:
-        return exc
+def exact_gap(system, h, l):
+    """The gap between the turning points of the torus (h, l) on its exact
+    reduced cubic, relative to the largest root; None where the cubic has
+    no torus: a single real root (the sign of the exact discriminant), or
+    on the pendulum an energy at or below the hanging rest, h <= -2."""
+    h, l = Fraction(h), Fraction(l)
+    if system.name == "champagne":
+        b, c, d = Fraction(-1), Fraction(system.gamma) * l - h, l * l / 2
+    else:
+        b, c, d = h - 2, -2 * h, l * l / 2
+    disc = (18 * b * c * d - 4 * b ** 3 * d + b * b * c * c - 4 * c ** 3
+            - 27 * d * d)
+    if disc < 0 or (system.name == "pendulum" and h <= -2):
+        return None
+    _, mid, top = sorted(np.roots([1.0, float(b), float(c), float(d)]).real)
+    return (top - mid) / max(1.0, abs(top))
 
 
-def assert_matches_period_rotation(system, h, l):
-    T, theta, ok = system.period_rotation_array(h, l)
-    for i in range(h.size):
-        want = scalar(type(system).period_rotation, system, h[i], l[i])
-        if isinstance(want, Exception):
-            assert not ok[i], (h[i], l[i], want)
-        else:
-            assert ok[i], (h[i], l[i])
-            assert (bits(T[i]), bits(theta[i])) == tuple(map(bits, want))
+def assert_matches_mpmath(system, h, l, T, theta):
+    """T and Theta of an accepted lane against mp_period_rotation at the
+    axis sweep's gates, the pendulum's Theta only at h >=
+    PENDULUM_THETA_H_MIN.  At l = +-0.0 the reference takes l's side of
+    the axis at |l| = 1e-300."""
+    with mp.workdps(MP_DPS):
+        T_mp, theta_mp = mp_period_rotation(
+            system.name, mp.mpf(h), mp.mpf(l or math.copysign(1e-300, l)),
+            getattr(system, "gamma", 0.5))
+        dT = float(abs(T - T_mp) / T_mp)
+        dtheta = float(abs(theta - theta_mp) / max(abs(theta_mp), 1))
+    assert dT <= AXIS_T_REL_TOL, (h, l, dT)
+    if system.name == "champagne" or h >= PENDULUM_THETA_H_MIN:
+        assert dtheta <= AXIS_THETA_TOL, (h, l, dtheta)
 
 
-class TestBitForBit:
-    @given(batches())
-    @settings(max_examples=150, deadline=None)
+def assert_lanes_hold(system, h, l):
+    """Every lane of one period_rotation_array call: an accepted one
+    matches mpmath, a rejected one carries a closed-form reason its region
+    implies: the singular fiber at (0, +-0.0), else no torus on the exact
+    cubic, or turning points within AMBIGUOUS_GAP."""
+    T, theta, reason = system.period_rotation_array(h, l)
+    for lane in zip(h.tolist(), l.tolist(), T.tolist(), theta.tolist(),
+                    reason.tolist()):
+        hk, lk, Tk, thk, why = lane
+        if not why:
+            assert_matches_mpmath(system, hk, lk, Tk, thk)
+            continue
+        assert math.isnan(Tk) and math.isnan(thk), lane
+        if hk == 0.0 and lk == 0.0:
+            assert why == systems.SINGULAR_FIBER
+            continue
+        assert why in REAL_LANE_REASONS, lane
+        gap = exact_gap(system, hk, lk)
+        assert gap is None or gap <= AMBIGUOUS_GAP, (lane, gap)
+
+
+class TestAgainstMpmath:
+    @given(batches(max_size=3))
+    @settings(max_examples=50, deadline=None)
     def test_period_rotation(self, batch):
-        assert_matches_period_rotation(*batch)
+        assert_lanes_hold(*batch)
 
     @pytest.mark.parametrize("system", [ChampagneBottle(gamma=0.5),
                                         ChampagneBottle(gamma=-1.3),
                                         SphericalPendulum()],
                              ids=["champagne", "champagne-1.3", "pendulum"])
     def test_double_turning_points(self, system):
-        # every decade of distance from the elliptic boundary, on and off
-        # the axis, across the degeneracy thresholds
-        lanes = [double_turning_point(system, side * m * 10.0 ** e, sign,
-                                      ulps)
-                 for e in range(-15, 0) for m in (1.0, 1.3, 1.7)
-                 for sign in (1.0, -1.0, 0.0)
+        # every fourth decade of distance from the elliptic boundary, on and
+        # off the axis, across the degeneracy thresholds
+        lanes = [double_turning_point(system, side * 10.0 ** e, sign, ulps)
+                 for e in range(-14, 0, 4) for sign in (1.0, -1.0, 0.0)
                  for side in ((1.0, -1.0) if sign == 0.0 else (1.0,))
-                 for ulps in range(-2, 3)]
+                 for ulps in (-2, 0, 2)]
         h, l = (np.array(v) for v in zip(*lanes))
-        assert_matches_period_rotation(system, h, l)
+        assert_lanes_hold(system, h, l)
 
+    @pytest.mark.xfail(strict=True, reason="near a double turning point "
+                       "the pendulum's roots carry errors of order EPS/gap, "
+                       "which reach Theta")
+    @pytest.mark.parametrize("torus", [
+        (-1.999999, 0.0), double_turning_point(SphericalPendulum(), 1e-7,
+                                               1.0, 0)],
+        ids=["axis", "off-axis"])
+    def test_theta_near_a_double_turning_point(self, torus):
+        # a known defect pinned: the accepted pendulum tori with turning
+        # points 5e-7 (on the axis, h + 2 = 1e-6) and 3.2e-8 apart miss
+        # Theta by 7.0e-4 and 1.2e-4; when their Theta meets the gate, this
+        # test passes, and its xfail mark must come off
+        system, (h, l) = SphericalPendulum(), torus
+        _, theta, reason = system.period_rotation_array(np.array([h]),
+                                                        np.array([l]))
+        assert reason[0] == 0 and h < PENDULUM_THETA_H_MIN
+        with mp.workdps(MP_DPS):
+            _, theta_mp = mp_period_rotation(system.name, mp.mpf(h),
+                                             mp.mpf(l or 1e-300))
+            assert float(abs(theta[0] - theta_mp)) <= AXIS_THETA_TOL
+
+
+class TestBitForBit:
     @given(batches())
     @settings(max_examples=150, deadline=None)
     def test_window_and_transport(self, batch):
-        # a lane is accepted exactly when reduced_period_rotation succeeds;
-        # a rejected one is recorded by transport as the exception, class
-        # and message, that the scalar call raises
+        # a lane in the window, by check_window's rule on Python floats, is
+        # the array form's lane bit for bit, its value or its reason; one
+        # outside carries the WindowError with check_window's text; and
+        # transport records a rejected lane as its reason's exception,
+        # class and message
         system, h, l = batch
-        T, theta, ok, _ = _tori(system, h, l)
+        T, theta, ok, failed = _tori(system, h, l)
+        want_T, want_theta, reason = system.period_rotation_array(h, l)
         for i in range(h.size):
-            want = scalar(reduced_period_rotation, system, h[i], l[i])
-            if not isinstance(want, Exception):
-                assert ok[i], (h[i], l[i])
-                assert (bits(T[i]), bits(theta[i])) == tuple(map(bits, want))
+            r = to_momentum_chart(system, EMValue(h[i], l[i])).modulus
+            if r < system.j_floor:
+                text = (f"|j|={r:.17g} below floor {system.j_floor:.17g}: "
+                        "too close to the singular fiber")
+            elif r > system.j_cap:
+                text = f"|j|={r:.17g} above cap {system.j_cap:.17g}"
+            else:
+                assert ([bits(T[i]), bits(theta[i]), bool(ok[i])]
+                        == [bits(want_T[i]), bits(want_theta[i]),
+                            not reason[i]])
+                if reason[i]:
+                    want = system.rejection(int(reason[i]), h[i], l[i])
+                    assert (type(failed[i]), str(failed[i])) \
+                        == (type(want), str(want))
                 continue
-            assert not ok[i], (h[i], l[i], want)
-            if isinstance(want, FocusFocusError):
-                got = transport(system, h[i:i + 1], l[i:i + 1])[3][0]
-                assert type(got) is type(want)
-                assert str(got) == str(want)
+            assert not ok[i] and type(failed[i]) is WindowError
+            assert str(failed[i]) == text
+        for i in failed:
+            got = transport(system, h[i:i + 1], l[i:i + 1])[3][0]
+            assert (type(got), str(got)) == (type(failed[i]), str(failed[i]))
 
     @given(batches(), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)
@@ -175,33 +267,125 @@ class TestBitForBit:
                             + [doubled[2][k]])
 
 
+CHAMPAGNE, PENDULUM = ChampagneBottle(gamma=0.5), SphericalPendulum()
+# each reason at a torus of each system that has it, with the class and
+# message that the one-torus entries raised for it before the closed form
+# had only its array body; "window", "closed form" and "flow" say which
+# stage rejects the torus (_tori's window, period_rotation_array, or the
+# flow seeds of _tori_flow).  NO_DERIVATIVE, which only complex lanes
+# reach, is test_closed_form.test_lane_without_a_complex_step's.
+REJECTION_TEXTS = [
+    (CHAMPAGNE, "window", "BELOW_FLOOR", (1e-7, 0.0), WindowError,
+     "|j|=7.0710678118654745e-08 below floor 1.0000000000000001e-05: too "
+     "close to the singular fiber"),
+    (PENDULUM, "window", "BELOW_FLOOR", (1e-7, 0.0), WindowError,
+     "|j|=9.9999999999999995e-08 below floor 1.0000000000000001e-05: too "
+     "close to the singular fiber"),
+    (CHAMPAGNE, "window", "ABOVE_CAP", (0.9, 0.0), WindowError,
+     "|j|=0.63639610306789274 above cap 0.29999999999999999"),
+    (PENDULUM, "window", "ABOVE_CAP", (0.9, 0.0), WindowError,
+     "|j|=0.90000000000000002 above cap 0.20000000000000001"),
+    (CHAMPAGNE, "closed form", "NO_TORUS", (-0.3, 0.0), NoTorusError,
+     "no torus at (h, l)=(-0.3, 0)"),
+    (PENDULUM, "closed form", "NO_TORUS", (-2.5, 0.0), NoTorusError,
+     "no torus at (h, l)=(-2.5, 0)"),
+    (CHAMPAGNE, "closed form", "NO_REGULAR_TORUS", (1.31, 2.92),
+     NoTorusError, "no regular torus at (h, l)=(1.31, 2.92)"),
+    (PENDULUM, "closed form", "NO_REGULAR_TORUS", (0.5, 3.0),
+     NoTorusError, "no regular torus at (h, l)=(0.5, 3)"),
+    (CHAMPAGNE, "closed form", "UNSETTLED", (0.05, 0.02),
+     NoTorusError, "no regular torus at (h, l)=(0.05, 0.02): root iteration "
+     "did not settle"),
+    (PENDULUM, "closed form", "UNSETTLED", (0.05, 0.02), NoTorusError,
+     "no regular torus at (h, l)=(0.05, 0.02): root iteration did not "
+     "settle"),
+    (CHAMPAGNE, "closed form", "SINGULAR_FIBER", (0.0, 0.0),
+     NoTorusError, "(h, l)=(0, 0) is on the singular fiber"),
+    (PENDULUM, "closed form", "SINGULAR_FIBER", (0.0, 0.0),
+     NoTorusError, "(h, l)=(0, 0) is on the singular fiber"),
+    (CHAMPAGNE, "closed form", "ELLIPTIC_BOUNDARY", (-0.25, 0.0),
+     TurningPointDegeneracy,
+     "double turning point at (h, l)=(-0.25, 0): elliptic boundary"),
+    (PENDULUM, "closed form", "DOUBLE_TURNING_POINT",
+     (-1.9999998999999988, 1.000000000048738e-07), TurningPointDegeneracy,
+     "double turning point at (h, l)=(-2, 1e-07)"),
+    (CHAMPAGNE, "flow", "CENTER_PASSAGE", (0.05, 0.0), FlowError,
+     "no turning-point seed on the l = 0 axis at (h, l)=(0.05, 0): r_lo = 0 "
+     "is a center passage"),
+    (PENDULUM, "flow", "POLE_PASSAGE", (0.05, 0.0), FlowError,
+     "no turning-point seed on the l = 0 axis at (h, l)=(0.05, 0): z1 = -1 "
+     "is a pole passage"),
+    (SphericalPendulum(j_cap=1.5), "flow", "MISSES_EQUATOR",
+     (-0.9, 0.6), FlowError, "the orbit at (h, l)=(-0.9, 0.6) misses the "
+     "equator z = 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "system,stage,name,torus,cls,text", REJECTION_TEXTS,
+    ids=[f"{row[0].name}-{row[2].lower()}" for row in REJECTION_TEXTS])
+def test_every_reason_names_its_rejection(monkeypatch, system, stage, name,
+                                          torus, cls, text):
+    # every reason is reached on a real lane and on a complex one, a step
+    # of 1e-30 in h (0 at the singular fiber, where T and Theta have no
+    # derivative; the flow seeds take real lanes only), and names one
+    # class and message, which the one-torus entries raise as well
+    reason = getattr(systems, name)
+    if reason == systems.UNSETTLED:
+        monkeypatch.setattr(systems, "NEWTON_MAX_ITER", 1)
+    h, l = (np.array([x]) for x in torus)
+    step = 0.0 if reason == systems.SINGULAR_FIBER else 1e-30
+    if stage == "flow":
+        (got,), _ = lattice._tori_flow(system, [EMValue(*torus)])
+        errors = [got]
+        one = lattice.reduced_period_rotation
+        args = (system, EMValue(*torus), "flow")
+    elif stage == "window":
+        errors = [_tori(system, x, l)[3][0] for x in (h, h + 1j * step)]
+        one, args = system.check_window, (EMValue(*torus),)
+    else:
+        for x in (h, h + 1j * step):
+            assert system.period_rotation_array(x, l)[2].tolist() == [reason]
+        errors = [system.rejection(reason, *torus)]
+        one, args = system.reduced_profile, (EMValue(*torus),)
+    with pytest.raises(cls) as raised:
+        one(*args)
+    for got in errors + [raised.value]:
+        assert (type(got), str(got)) == (cls, text)
+
+
 @pytest.mark.parametrize("system", [ChampagneBottle(gamma=0.5),
                                     SphericalPendulum()],
                          ids=["champagne", "pendulum"])
 def test_failed_tori_in_a_path_carry_the_scalar_exception(system):
+    # the exceptions of the scalar era, class and message, recorded at
+    # their path indices; the rest of the path is carried as if they were
+    # absent
     arc = [from_momentum_chart(system, MomentumValue(
         1e-2 * math.cos(th), 1e-2 * math.sin(th)))
         for th in 0.5 + 0.1 * np.arange(6)]
-    bad = {1: EMValue(0.0, 0.0),     # below the |j| floor
-           3: EMValue(0.9, 0.0)}     # above the |j| cap
+    cap = f"{system.j_cap:.17g}"
+    bad = {1: (EMValue(0.0, 0.0), WindowError,    # below the |j| floor
+               "|j|=0 below floor 1.0000000000000001e-05: too close to the "
+               "singular fiber"),
+           3: (EMValue(0.9, 0.0), WindowError,    # above the |j| cap
+               {"champagne": "|j|=0.63639610306789274",
+                "pendulum": "|j|=0.90000000000000002"}[system.name]
+               + f" above cap {cap}")}
     if system.name == "champagne":
-        bad[4] = EMValue(-0.3, 0.0)    # 1 + 4 h < 0: no torus
-        bad[6] = EMValue(-0.25, 0.0)   # s1 = s2: a double turning point
+        # 1 + 4 h < 0: no torus; s1 = s2: a double turning point
+        bad[4] = (EMValue(-0.3, 0.0), NoTorusError,
+                  "no torus at (h, l)=(-0.3, 0)")
+        bad[6] = (EMValue(-0.25, 0.0), TurningPointDegeneracy,
+                  "double turning point at (h, l)=(-0.25, 0): elliptic "
+                  "boundary")
     path = list(arc)
     for i in sorted(bad):
-        path.insert(i, bad[i])
+        path.insert(i, bad[i][0])
     h, l = (np.array(v) for v in zip(*((c.h, c.l) for c in path)))
     *out, failed = transport(system, h, l)
-    assert sorted(failed) == sorted(bad)
-    kinds = set()
-    for i, c in bad.items():
-        with pytest.raises(FocusFocusError) as info:
-            reduced_period_rotation(system, c)
-        assert type(failed[i]) is type(info.value)
-        assert str(failed[i]) == str(info.value)
-        kinds.add(type(failed[i]))
-    assert kinds == ({WindowError, NoTorusError, TurningPointDegeneracy}
-                     if system.name == "champagne" else {WindowError})
+    assert {i: (type(e), str(e)) for i, e in failed.items()} \
+        == {i: (cls, text) for i, (_, cls, text) in bad.items()}
     keep = [i for i in range(len(path)) if i not in bad]
     *want, arc_failed = transport(system, h[keep], l[keep])
     assert arc_failed == {}

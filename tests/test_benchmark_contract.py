@@ -35,9 +35,11 @@ def test_traced_crosscheck_runs(tmp_path):
     doc = json.loads(result.read_text(encoding="utf-8"))
     assert doc["rc"] == 0
     assert doc["trace"]["flow_steps"] > 0
-    assert doc["trace"]["engine_calls"]["quadrature"] > 0
-    # one solve of the reduced cubic per flow torus
-    assert doc["trace"]["spans"]["systems.reduced_profile"][0] == 2
+    # both engines take each batch in one call: no torus goes through the
+    # one-torus entries, which stay wrapped
+    assert doc["trace"]["engine_calls"]["quadrature"] == 0
+    assert doc["trace"]["spans"]["systems.reduced_profile"][0] == 0
+    assert doc["trace"]["spans"]["lattice.reduced_period_rotation"][0] == 0
 
 
 def load_workloads(monkeypatch):

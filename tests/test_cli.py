@@ -926,39 +926,17 @@ def test_write_csv_equals_the_per_value_join(tmp_path_factory, table):
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
-def default_outputs(root, capsys, commands=("grid", "monodromy")):
-    """The files the commands write on both systems at defaults, JSON
-    summaries without their config (it holds the path)."""
-    out = {}
-    for system in ("champagne", "pendulum"):
-        for command in commands:
-            d = root / f"{command}-{system}"
-            rc = cli.main([command, "--system", system, "--out", str(d)])
-            assert rc == cli.EXIT_OK
-            for path in sorted(d.iterdir()):
-                data = path.read_bytes()
-                if path.suffix == ".json":
-                    doc = json.loads(data)
-                    doc.pop("config")
-                    data = json.dumps(doc, sort_keys=True).encode()
-                out[f"{d.name}/{path.name}"] = data
-    capsys.readouterr()
-    return out
-
-
-def test_outputs_byte_identical_on_the_scalar_path(tmp_path, capsys,
-                                                   scalar_path):
-    # the array closed form against every torus through the scalar closed
-    # form (spiral's Newton rounds are complex lanes, which it cannot take)
-    shipped = default_outputs(tmp_path / "shipped", capsys)
-    scalar_calls = scalar_path()
-    scalar = default_outputs(tmp_path / "scalar", capsys)
-    # a 32 x 64 grid per system, and a 257-torus loop
-    assert len(scalar_calls) == 2 * (32 * 64 + 257)
-    assert sorted(shipped) == sorted(scalar)
-    assert sum(name.endswith(".csv") for name in shipped) == 4
-    for name in shipped:
-        assert shipped[name] == scalar[name], name
+@pytest.mark.parametrize("radius", ["0.25", "0.29"])
+def test_monodromy_loop_off_the_image_names_the_torus(tmp_path, capsys,
+                                                      radius):
+    # past |j| ~ 0.13 the bottle's image boundary cuts the loop: its wide
+    # Theta step spans tori with no regular torus, and the first of them,
+    # not the path's resolution, is what the run reports
+    rc, err = run(capsys, "monodromy", "--radius", radius,
+                  "--out", str(tmp_path))
+    assert rc == cli.EXIT_NUMERICAL
+    assert "no regular torus at (h, l)=" in err
+    assert "refine the path" not in err
 
 
 class TestNegativeGamma:
@@ -985,20 +963,25 @@ class TestNegativeGamma:
 @pytest.mark.parametrize("system", ["champagne", "pendulum"])
 def test_monodromy_csv_matches_a_per_torus_reference(tmp_path, capsys,
                                                       system):
-    # the loop at defaults, one torus at a time: the scalar closed form,
-    # each Theta aligned to its predecessor's, and the lattice basis
+    # the loop at defaults, one torus at a time: each torus's raw values
+    # from one closed-form call, each Theta aligned to its predecessor's,
+    # and the lattice basis
     rc, _ = run(capsys, "monodromy", "--system", system,
                 "--out", str(tmp_path))
     assert rc == cli.EXIT_OK
     sys_ = make_system(system)
     ff = eval_constants(sys_)
     radius, n, two_pi = 0.1, 256, 2.0 * math.pi
-    lines, theta_ref = ["h,l,T,Theta,tau1,tau2,branch"], None
+    tori = []
     for k in range(n + 1):
         th = k * two_pi / n + math.pi / n
-        c = from_momentum_chart(sys_, MomentumValue(radius * math.cos(th),
-                                                    radius * math.sin(th)))
-        T, raw = lattice.reduced_period_rotation(sys_, c)
+        tori.append(from_momentum_chart(sys_, MomentumValue(
+            radius * math.cos(th), radius * math.sin(th))))
+    Ts, raws, ok, _ = lattice._tori(sys_, np.array([c.h for c in tori]),
+                                    np.array([c.l for c in tori]))
+    assert ok.all()
+    lines, theta_ref = ["h,l,T,Theta,tau1,tau2,branch"], None
+    for c, T, raw in zip(tori, Ts.tolist(), raws.tolist()):
         theta = raw if theta_ref is None else align_angle(raw, theta_ref)
         theta_ref = theta
         lines.append(",".join(

@@ -41,11 +41,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from focusfocus import (ChampagneBottle, EMValue, MomentumValue, NoTorusError,
-                        SphericalPendulum, reduced_period_rotation)
+from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
+                        MomentumValue, NoTorusError, SphericalPendulum,
+                        reduced_period_rotation)
 from focusfocus import derivatives, from_momentum_chart
 from focusfocus.lattice import CLOSED_FORM_REL_TOL, _tori
-from focusfocus.systems import _cel
+from focusfocus.systems import NO_DERIVATIVE, _cel_array
 
 # cel's worst relative error against 40-digit Carlson forms, measured on
 # 9,500 draws over the ranges below, was 9.3e-16 (Pi) and 5.6e-16 (K); the
@@ -111,12 +112,23 @@ def test_cel_against_mpmath(log_x, log_p):
     # kc^2 in [1e-12, 10] and p = 1 - n in [1e-12, 1]: down to the
     # near-axis tori, where 1 - n is tiny
     kc, p = math.sqrt(10.0 ** log_x), 10.0 ** log_p
+    (cel_K, cel_Pi), ok = _cel_array(np.array([kc, kc]), np.array([1.0, p]))
+    assert ok.all()
     with mp.workdps(40):
         x = mp.mpf(kc) ** 2
         K = mp.elliprf(0, x, 1)
         Pi = K + (1 - mp.mpf(p)) / 3 * mp.elliprj(0, x, 1, p)
-        assert abs(_cel(kc, 1.0) / K - 1) <= CEL_REL_TOL
-        assert abs(_cel(kc, p) / Pi - 1) <= CEL_REL_TOL
+        assert abs(cel_K / K - 1) <= CEL_REL_TOL
+        assert abs(cel_Pi / Pi - 1) <= CEL_REL_TOL
+
+
+def closed_form(system, h, l):
+    """(T, Theta) of the torus (h, l) from the array closed form, which
+    must accept it; the window is not checked."""
+    T, theta, reason = system.period_rotation_array(np.array([h]),
+                                                    np.array([l]))
+    assert reason[0] == 0, system.rejection(int(reason[0]), h, l)
+    return float(T[0]), float(theta[0])
 
 
 def _cases():
@@ -130,7 +142,7 @@ def _cases():
 def test_matches_reference(name, h, l, T_ref, theta_ref):
     system = SYSTEMS[name]
     # the closed form itself: j_floor tori may round to just below the floor
-    T, theta = system.period_rotation(EMValue(h, l))
+    T, theta = closed_form(system, h, l)
     assert abs(T - T_ref) <= 1e-13 * T_ref
     assert abs(theta - theta_ref) <= 1e-11
 
@@ -142,8 +154,8 @@ def test_axis_branch_continues_general_formula(name, h, sign):
     # the torus at l = +-0.0 is the l -> 0+- limit of its neighbours (pi
     # per pole passage, with the sign of l)
     system = SYSTEMS[name]
-    T_axis, theta_axis = system.period_rotation(EMValue(h, sign * 0.0))
-    T, theta = system.period_rotation(EMValue(h, sign * 2e-13))
+    T_axis, theta_axis = closed_form(system, h, sign * 0.0)
+    T, theta = closed_form(system, h, sign * 2e-13)
     assert abs(T - T_axis) <= 1e-8 * T_axis
     assert abs(theta - theta_axis) <= 1e-8
 
@@ -170,9 +182,10 @@ def test_champagne_below_the_image_has_no_torus():
                                       ("pendulum", 0.5, 3.0)])
 def test_outside_the_image_raises_no_torus(name, h, l):
     # a single real root: Newton leaves the convex branch of the cubic,
-    # which must read as "no torus", never as a math domain error
-    with pytest.raises(NoTorusError):
-        SYSTEMS[name].period_rotation(EMValue(h, l))
+    # which must read as "no torus", never as a domain error
+    system = SYSTEMS[name]
+    _, _, reason = system.period_rotation_array(np.array([h]), np.array([l]))
+    assert isinstance(system.rejection(int(reason[0]), h, l), NoTorusError)
 
 
 def test_accuracy_request_below_verified_floor_rejected():
@@ -190,12 +203,14 @@ def test_accuracy_request_below_verified_floor_rejected():
 MP_DPS = 50
 
 
-def mp_period_rotation(name, h, l):
-    """(T, Theta) of the closed form in mpmath at the working precision.
-    The smallest root comes from the other two by Vieta, so that it keeps
-    its digits near the axis, where it is ~ l^2."""
-    if name == "champagne":   # gamma = 1/2, over s = r^2
-        coeffs = [1, -1, l / 2 - h, l * l / 2]
+def mp_period_rotation(name, h, l, gamma=0.5):
+    """(T, Theta) of the closed form in mpmath at the working precision,
+    the champagne bottle's at gamma.  The smallest root comes from the
+    other two by Vieta, so that it keeps its digits near the axis, where
+    it is ~ l^2."""
+    if name == "champagne":   # over s = r^2
+        gamma = mp.mpf(gamma)
+        coeffs = [1, -1, gamma * l - h, l * l / 2]
     else:                     # over w = 1 - z
         coeffs = [1, h - 2, -2 * h, l * l / 2]
     a, b, _ = sorted((mp.re(r) for r in mp.polyroots(
@@ -205,13 +220,15 @@ def mp_period_rotation(name, h, l):
 
     def cel(kc, p):
         x = kc * kc
+        if p == 1:
+            return mp.elliprf(0, x, 1)
         return mp.elliprf(0, x, 1) + (1 - p) / 3 * mp.elliprj(0, x, 1, p)
 
     if name == "champagne":
         s3, s1, s2 = lo, mid, hi
         kc = mp.sqrt((s1 - s3) / (s2 - s3))
         T = mp.sqrt(2) * cel(kc, 1) / mp.sqrt(s2 - s3)
-        return T, (T / 2 + mp.sqrt(2) * l / (s2 * mp.sqrt(s2 - s3))
+        return T, (gamma * T + mp.sqrt(2) * l / (s2 * mp.sqrt(s2 - s3))
                    * cel(kc, s1 / s2))
     w3, w2, wc = lo, mid, hi
     kc = mp.sqrt((w2 - w3) / (wc - w3))
@@ -343,19 +360,29 @@ def test_complex_call_accepts_the_real_lanes(data):
     assert bool(ok[0]) == (not failed) == bool(np.isfinite(dtheta[0]))
 
 
-def test_lane_without_a_complex_step(scalar_path):
-    # a lane that the array form rejects and the scalar form accepts has no
-    # derivative: it fails with that reason, never as a silent NaN
-    scalar_path()
-    *_, dtheta, failed = derivatives(SYSTEMS["champagne"], [0.05], [0.02],
-                                     0.0, 1.0)
-    assert np.isnan(dtheta[0]) and "no derivative" in str(failed[0])
+def test_lane_without_a_complex_step():
+    # a lane whose complex step leaves the closed form's domain, a step of
+    # i in h here, or any step at the singular fiber, where T and Theta
+    # have no derivative, fails with that reason, never as a silent NaN
+    for system in SYSTEMS.values():
+        *_, dtheta, failed = derivatives(system, [0.05], [0.02], 1e30, 0.0)
+        assert np.isnan(dtheta[0])
+        assert str(failed[0]) == ("no derivative at (h, l)=(0.05, 0.02): the "
+                                  "complex step leaves the closed form's "
+                                  "domain")
+        assert type(failed[0]) is FocusFocusError
+        _, _, reason = system.period_rotation_array(np.array([1e-30j]),
+                                                    np.array([0j]))
+        assert reason.tolist() == [NO_DERIVATIVE]
 
 
 # ---------------------------------------------------------------------------
 # the l = 0 axis: one formula down to |l| = 1e-300, against mpmath
 # ---------------------------------------------------------------------------
 
+# the axis sweep's gates: T relative, Theta relative to max(|Theta|, 1)
+AXIS_T_REL_TOL = 2e-15
+AXIS_THETA_TOL = 4e-15
 AXIS_SWEEP_H = [1e-5, -1e-5, 1e-3, -1e-3, 1e-8, -1e-8, 1e-11, 0.05, -0.05]
 AXIS_SWEEP_L = [3e-2, 1e-4, 1e-6, 1.01e-13, 9.9e-14, 5e-14, 1e-16, 1e-30,
                 1e-100, 1e-200, 1e-300]
@@ -364,18 +391,16 @@ AXIS_SWEEP_L = [3e-2, 1e-4, 1e-6, 1.01e-13, 9.9e-14, 5e-14, 1e-16, 1e-30,
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 @pytest.mark.parametrize("h", AXIS_SWEEP_H)
 def test_axis_sweep_against_mpmath(name, h):
-    # both forms, both signs of l: each third-kind pole is split off
-    # exactly, so no |l| is evaluated at the l -> 0 limit in its place
+    # both signs of l: each third-kind pole is split off exactly, so no
+    # |l| is evaluated at the l -> 0 limit in its place
     system = SYSTEMS[name]
     ls = np.array([sign * l for l in AXIS_SWEEP_L for sign in (1.0, -1.0)])
-    T_array, theta_array, ok = system.period_rotation_array(
+    T_array, theta_array, reason = system.period_rotation_array(
         np.full(ls.size, h), ls)
-    assert ok.all()
+    assert not reason.any()
     with mp.workdps(MP_DPS):
-        for k, l in enumerate(ls.tolist()):
+        for T, theta, l in zip(T_array, theta_array, ls.tolist()):
             T_mp, theta_mp = mp_period_rotation(name, mp.mpf(h), mp.mpf(l))
-            for T, theta in (system.period_rotation(EMValue(h, l)),
-                             (T_array[k], theta_array[k])):
-                assert abs(T - T_mp) <= 2e-15 * T_mp, (l, T)
-                assert (abs(theta - theta_mp)
-                        <= 4e-15 * max(abs(theta_mp), 1)), (l, theta)
+            assert abs(T - T_mp) <= AXIS_T_REL_TOL * T_mp, (l, T)
+            assert (abs(theta - theta_mp)
+                    <= AXIS_THETA_TOL * max(abs(theta_mp), 1)), (l, theta)

@@ -407,8 +407,10 @@ class TestThetaStructure:
         minus, plus = EMValue(0.0031, -0.0), EMValue(0.0031, 0.0)
         _, th_minus = reduced_period_rotation(system, minus)
         _, th_plus = reduced_period_rotation(system, plus)
-        assert th_minus == system.period_rotation(minus)[1]
-        assert th_plus == system.period_rotation(plus)[1] > th_minus
+        _, theta, _ = system.period_rotation_array(np.array([0.0031, 0.0031]),
+                                                   np.array([-0.0, 0.0]))
+        assert [th_minus, th_plus] == theta.tolist()
+        assert th_plus > th_minus
         # and so does the complex step, whose values are its real parts
         values = lattice.derivatives(system, 0.0031, [-0.0, 0.0], 1.0, 1.0)[1]
         assert values == pytest.approx([th_minus, th_plus], abs=1e-14)

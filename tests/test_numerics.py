@@ -9,7 +9,7 @@ from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
                         align_angle, find_root_bracketed, integrate_flow)
 from focusfocus.numerics import QuadratureSpec, linear_quantiles, quad_singular
 from focusfocus.lattice import reduced_period_rotation
-from reference_profiles import champagne_profile
+from reference_profiles import champagne_profile, flow_seeds
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,7 +45,7 @@ class TestIntegrateFlow:
 
     def test_energy_conservation_long_run(self, champagne):
         traj = integrate_flow(champagne.flow_field,
-                              champagne.flow_start(EMValue(0.1, 0.05)),
+                              flow_seeds(champagne, EMValue(0.1, 0.05)),
                               t_max=100.0,
                               invariant=champagne.flow_hamiltonian, tol=1e-12)
         assert traj.drift[0] <= 1e-10
@@ -53,13 +53,13 @@ class TestIntegrateFlow:
     def test_energy_conservation_pendulum(self, pendulum):
         c = EMValue(0.05, 0.02)
         traj = integrate_flow(pendulum.flow_field,
-                              pendulum.flow_start(c)[:, :1], t_max=100.0,
+                              flow_seeds(pendulum, c)[:, :1], t_max=100.0,
                               invariant=pendulum.flow_hamiltonian,
                               tol=pendulum.flow_rtol)
         assert traj.drift[0] <= 1e-10
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
-        seed = champagne.flow_start(EMValue(0.1, 0.05))
+        seed = flow_seeds(champagne, EMValue(0.1, 0.05))
         section = EventSpec(champagne.flow_section_value,
                             champagne.flow_section_rate, count=2)
         traj = integrate_flow(champagne.flow_field, seed, t_max=1e3,
@@ -168,8 +168,8 @@ class TestBatchedFlow:
         # the kernel passes to the invariant can be told apart by lane; the
         # running maximum must equal the max-then-divide formula over every
         # state the kernel evaluated, lane by lane
-        seeds = np.hstack([champagne.flow_start(c) for c in (
-            EMValue(0.1, 0.05), EMValue(0.05, -0.02))])
+        seeds = flow_seeds(champagne, EMValue(0.1, 0.05),
+                           EMValue(0.05, -0.02))
         seeds = np.vstack([seeds, [0.0, 1.0]])
         seen = []
 

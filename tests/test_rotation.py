@@ -13,8 +13,7 @@ from focusfocus import (ChampagneBottle, EMValue, FitError, MomentumValue,
                         rotation_grid, to_momentum_chart, transport, twist,
                         WindowError)
 from focusfocus import acceptance, lattice, rotation
-from focusfocus.lattice import (RAY_OFFSET, annulus_sweep,
-                                reduced_period_rotation)
+from focusfocus.lattice import RAY_OFFSET, annulus_sweep
 from focusfocus.rotation import LevelCurve, MASK_CORE, MASK_REGULAR
 
 TWO_PI = 2.0 * math.pi
@@ -121,37 +120,32 @@ class TestRotationGrid:
 
     @pytest.mark.parametrize("name", ["champagne", "pendulum"])
     def test_core_is_never_evaluated(self, name, request, monkeypatch):
-        # a torus below the floor reaches neither the array form nor the
-        # scalar one: reduced_period_rotation names it by the window check
-        # alone, and it is masked core
+        # a torus below the floor never reaches the array form: the window
+        # alone names it, and it is masked core
         system = request.getfixturevalue(name)
-        tori, named, scalar = [], [], []
+        tori, named = [], []
         array_form = type(system).period_rotation_array
+        rejection = type(system).rejection
 
         def recording_array(self, h, l):
             tori.extend(zip(h.tolist(), l.tolist()))
             return array_form(self, h, l)
 
-        def recording(system, c, *args, **kwargs):
-            try:
-                return reduced_period_rotation(system, c, *args, **kwargs)
-            except WindowError as exc:
-                named.append((c.h, c.l, str(exc)))
-                raise
+        def recording(self, reason, h, l):
+            exc = rejection(self, reason, h, l)
+            named.append((h, l, type(exc), str(exc)))
+            return exc
 
         monkeypatch.setattr(type(system), "period_rotation_array",
                             recording_array)
-        monkeypatch.setattr(type(system), "period_rotation",
-                            lambda self, c: scalar.append(c))
-        monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
+        monkeypatch.setattr(type(system), "rejection", recording)
         g = rotation_grid(system, (1e-6, 1e-2), (12, 16))
         assert np.count_nonzero(g.mask == MASK_CORE) == 3 * 16
-        assert scalar == []
         h, l = np.array(tori).T
         assert h.size == np.count_nonzero(g.mask != MASK_CORE)
         assert np.all(system.window_radius(h, l) >= system.j_floor)
-        h, l, reasons = zip(*named)
-        assert len(h) == 3 * 16
+        h, l, kinds, reasons = zip(*named)
+        assert len(h) == 3 * 16 and set(kinds) == {WindowError}
         assert np.all(system.window_radius(np.array(h), np.array(l))
                       < system.j_floor)
         assert all(r.endswith(": too close to the singular fiber")
@@ -213,28 +207,23 @@ class TestRotationGrid:
 def test_grid_is_one_array_call_and_twist_one_complex_lane(champagne,
                                                            monkeypatch):
     # a grid and an annulus sweep each evaluate all their tori in one call
-    # of the array form; a twist is one more, of a single complex lane, and
-    # no torus goes through the scalar closed form
-    batches, seen = [], []
+    # of the array form (the closed form's one body); a twist is one more,
+    # of a single complex lane
+    batches = []
     array_form = type(champagne).period_rotation_array
 
     def recording_array(self, h, l):
         batches.append((h.size, h.dtype.kind))
         return array_form(self, h, l)
 
-    def recording(system, c, *args, **kwargs):
-        seen.append(c)
-        return reduced_period_rotation(system, c, *args, **kwargs)
-
     monkeypatch.setattr(type(champagne), "period_rotation_array",
                         recording_array)
-    monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
     rotation_grid(champagne, (1e-3, 1e-2), (3, 7))
-    assert batches == [(21, "f")] and seen == []
+    assert batches == [(21, "f")]
     annulus_sweep(champagne, 1e-3, 1e-2, 2, 5)
-    assert batches == [(21, "f"), (10, "f")] and seen == []
+    assert batches == [(21, "f"), (10, "f")]
     twist(champagne, EMValue(0.01, 0.005))
-    assert batches == [(21, "f"), (10, "f"), (1, "c")] and seen == []
+    assert batches == [(21, "f"), (10, "f"), (1, "c")]
 
 
 class TestMonodromy:
@@ -351,23 +340,18 @@ class TestLevelCurves:
 
     def test_one_real_ring_then_complex_rounds(self, champagne, monkeypatch):
         # the mid ring is one real call, each Newton round one complex call
-        # of all points, and no torus takes the scalar form
-        batches, seen = [], []
+        # of all points, and no torus takes a call of its own
+        batches = []
         array_form = type(champagne).period_rotation_array
 
         def recording_array(self, h, l):
             batches.append((h.size, h.dtype.kind))
             return array_form(self, h, l)
 
-        def recording(system, c, *args, **kwargs):
-            seen.append(c)
-            return reduced_period_rotation(system, c, *args, **kwargs)
-
         monkeypatch.setattr(type(champagne), "period_rotation_array",
                             recording_array)
-        monkeypatch.setattr(lattice, "reduced_period_rotation", recording)
         extract_level_curve(champagne, *DEFAULT)
-        assert batches == [(64, "f")] + [(3 * 32, "c")] * 3 and seen == []
+        assert batches == [(64, "f")] + [(3 * 32, "c")] * 3
 
     def test_level_not_attained(self, champagne, monkeypatch):
         # a point that has not settled on its level in MAX_ROUNDS is

@@ -14,7 +14,7 @@ from focusfocus import (ChampagneBottle, EMValue, NoTorusError,
 from focusfocus import systems
 from focusfocus.systems import SYSTEMS, SystemDefinition
 from reference_profiles import (champagne_profile, champagne_profile_dr,
-                                pendulum_profile)
+                                flow_seeds, pendulum_profile)
 
 SQRT2 = math.sqrt(2.0)
 CHAMPAGNE_D2H = ChampagneBottle(gamma=0.5).hessian()
@@ -261,15 +261,16 @@ class TestTurningPoints:
         assert z_hi == pytest.approx(0.9, abs=1e-12)
 
     def test_pendulum_matches_the_flow_seeds(self):
-        # the seeds the oracle runs solve the cubic by _roots directly:
-        # their z equal the turning points (z1, z2), bit for bit, on C1's
+        # the seeds the oracle runs, from one solve of all the cubics: their
+        # z equal each torus's turning points (z1, z2), bit for bit, on C1's
         # default pendulum tori (drawn after its champagne tori)
         cfg = acceptance.AcceptanceConfig()
         champ, _, pend = cfg.systems()
         rng = np.random.default_rng(cfg.seed)
         lattice.sample_cross_tori(champ, rng, cfg.n_cross_tori)
-        for c in lattice.sample_cross_tori(pend, rng, cfg.n_cross_tori):
-            z_seed2, z_seed1 = pend.flow_start(c)[2].tolist()
+        tori = lattice.sample_cross_tori(pend, rng, cfg.n_cross_tori)
+        z = flow_seeds(pend, *tori)[2].reshape(-1, 2).tolist()
+        for c, (z_seed2, z_seed1) in zip(tori, z):
             assert pend.reduced_profile(c) == (z_seed1, z_seed2)
 
     def test_elliptic_boundary_reported_distinctly(self, champagne0):
@@ -293,7 +294,7 @@ class TestProfileAlongFlow:
         # final states of one seed run at several budgets
         c = EMValue(0.08, -0.03)
         budgets = np.linspace(0.25, 5.0, 20)
-        seeds = np.tile(champagne.flow_start(c), budgets.size)
+        seeds = np.tile(flow_seeds(champagne, c), budgets.size)
         traj = integrate_flow(champagne.flow_field, seeds, t_max=budgets,
                               invariant=champagne.flow_hamiltonian, tol=1e-12)
         for s in traj.states[-1].T:
@@ -371,16 +372,18 @@ class TestBlocksOnly:
 
 
 def test_one_closed_form_body():
-    # every system reads SystemDefinition's one scalar and one array body
-    # of the closed form, and brings only its cubic and elliptic terms; the
-    # l = 0 axis has no tolerance and no second path
+    # every system reads SystemDefinition's one array body of the closed
+    # form, and brings only its cubic and elliptic terms; there is no
+    # scalar body, and the l = 0 axis has no tolerance and no second path
     for cls in SYSTEMS.values():
         own = set(vars(cls))
-        assert not {"period_rotation", "period_rotation_array"} & own
-        assert {"_roots", "_roots_array", "_elliptic"} <= own
+        assert not {"period_rotation", "period_rotation_array", "_roots"} & own
+        assert {"_roots_array", "_elliptic"} <= own
         assert list(inspect.signature(cls._roots_array).parameters) == [
             "self", "h", "l"]
-    assert not hasattr(systems, "L_AXIS_TOL")
+    for name in ("L_AXIS_TOL", "_cel", "_cubic_roots"):
+        assert not hasattr(systems, name)
+    assert not hasattr(SystemDefinition, "period_rotation")
 
 
 class TestMakeSystem:

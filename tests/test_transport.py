@@ -10,7 +10,8 @@ from focusfocus import (BranchError, ChampagneBottle, EMValue,
                         SphericalPendulum, align_angle, from_momentum_chart,
                         monodromy_index, rotation_grid, transport)
 from focusfocus.kolmogorov import frequency_samples
-from focusfocus.lattice import (MAX_BRANCH_STEP, RAY_OFFSET,
+from focusfocus.systems import NO_DERIVATIVE
+from focusfocus.lattice import (MAX_BRANCH_STEP, RAY_OFFSET, _tori,
                                 reduced_period_rotation)
 
 TWO_PI = 2.0 * math.pi
@@ -32,10 +33,12 @@ def arrays(path):
 
 def sequential(system, path):
     """Reference: the one-torus-at-a-time align_angle loop that transport
-    replaces; (T, Theta, branch) per torus."""
+    replaces, on the raw values of one closed-form call; (T, Theta,
+    branch) per torus."""
+    Ts, raws, ok, _ = _tori(system, *arrays(path))
+    assert ok.all()
     out, theta_ref = [], None
-    for c in path:
-        T, raw = reduced_period_rotation(system, c)
+    for T, raw in zip(Ts.tolist(), raws.tolist()):
         theta = raw if theta_ref is None else align_angle(raw, theta_ref)
         out.append((T, theta, int(round((theta - raw) / TWO_PI))))
         theta_ref = theta
@@ -119,8 +122,22 @@ class TestWrapGuard:
         assert np.max(np.abs(np.diff(thetas))) <= MAX_BRANCH_STEP
 
     def test_grid_row_raises_rather_than_masks(self):
-        with pytest.raises(BranchError):
+        with pytest.raises(BranchError, match="refine the path"):
             rotation_grid(SYSTEMS["champagne"], (1e-3, 1e-2), (2, 4))
+
+    @pytest.mark.parametrize("radius", [0.25, 0.29])
+    def test_step_across_failed_tori_names_the_first(self, radius):
+        # a loop that leaves the bottle's image: a wide step that spans
+        # tori without a regular torus raises the first one's error, not
+        # BranchError
+        sys_ = SYSTEMS["champagne"]
+        h, l = arrays(circle(sys_, radius, TWO_PI * np.arange(257) / 256
+                             + math.pi / 256))
+        failed = _tori(sys_, h, l)[3]
+        firsts = {str(failed[k]) for k in failed if k - 1 not in failed}
+        with pytest.raises(NoTorusError, match="^no regular torus at ") as e:
+            transport(sys_, h, l)
+        assert str(e.value) in firsts
 
 
 class TestFailedTori:
@@ -145,27 +162,26 @@ class TestFailedTori:
 
     def test_lane_only_the_array_form_rejects_is_named_not_filled(
             self, monkeypatch):
-        # torus 2 is a lane the array form rejects and the scalar form
-        # accepts: the two forms disagree, so transport records it as failed
-        # and frequency_samples, on its complex lanes, raises that it has no
-        # derivative, where a fill would hide the bug
+        # torus 2 is a lane in the window that only the array form rejects,
+        # here because its complex step would leave the closed form's
+        # domain: transport records it as failed with that reason's error,
+        # and frequency_samples, on its complex lanes, raises it, where a
+        # fill would hide it
         sys_ = SYSTEMS["champagne"]
         path = circle(sys_, 1e-2, 0.5 + np.arange(5) * 0.1)
         k = 2
         array_form = type(sys_).period_rotation_array
 
         def rejecting_one(self, h, l):
-            T, theta, ok = array_form(self, h, l)
+            T, theta, reason = array_form(self, h, l)
             hit = h.real == path[k].h
-            T[hit], theta[hit], ok[hit] = np.nan, np.nan, False
-            return T, theta, ok
+            T[hit], theta[hit], reason[hit] = np.nan, np.nan, NO_DERIVATIVE
+            return T, theta, reason
 
         monkeypatch.setattr(type(sys_), "period_rotation_array",
                             rejecting_one)
-        reduced_period_rotation(sys_, path[k])
         T, theta, branch, failed = transport(sys_, *arrays(path))
         assert list(failed) == [k] and type(failed[k]) is FocusFocusError
-        assert "which the scalar form accepts" in str(failed[k])
         assert np.isnan(T[k]) and np.isnan(theta[k]) and branch[k] == 0
         with pytest.raises(FocusFocusError, match="^no derivative at .*: "
                            "the complex step leaves the closed form's domain$"):

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from focusfocus import (ChampagneBottle, EMValue, FocusFocusError,
                         MomentumValue, ScanError, SphericalPendulum, cli,
                         eval_constants, expected_twistless_slope,
-                        from_momentum_chart, lattice, period_lattice,
+                        from_momentum_chart, period_lattice,
                         tilde_s, to_momentum_chart, twist, twist_scan,
                         twistless_curve, twistless_point)
+from focusfocus import systems
 from focusfocus.twist import SCAN_CAP, _l_window
 
 TWO_PI = 2.0 * math.pi
@@ -194,11 +195,10 @@ class TestTwistScan:
 
     @pytest.mark.parametrize("where", ["array form", "rejected lanes"])
     def test_programming_error_in_the_scan_surfaces(self, champagne,
-                                                    monkeypatch, scalar_path,
-                                                    where):
+                                                    monkeypatch, where):
         # only toolkit errors read as NaN; a bug in the scan's evaluation,
-        # in the array form or in the scalar call its rejected lanes take,
-        # must reach the caller
+        # in the array form or in naming the lanes it rejects, must reach
+        # the caller
         def broken(*args, **kwargs):
             raise TypeError("bug in the scan")
 
@@ -206,8 +206,10 @@ class TestTwistScan:
             monkeypatch.setattr(type(champagne), "period_rotation_array",
                                 broken)
         else:
-            scalar_path()
-            monkeypatch.setattr(lattice, "reduced_period_rotation", broken)
+            monkeypatch.setattr(type(champagne), "window",
+                                lambda self, h, l: (None, np.full(
+                                    h.shape, systems.BELOW_FLOOR)))
+            monkeypatch.setattr(type(champagne), "rejection", broken)
         with pytest.raises(TypeError, match="bug in the scan"):
             twistless_point(champagne, 0.02)
 
