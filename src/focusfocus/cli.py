@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -390,7 +391,7 @@ def cmd_kolmogorov(cfg: dict) -> int:
 
 def cmd_crosscheck(cfg: dict) -> int:
     system = build_system(cfg)
-    rng = np.random.default_rng(cfg["seed"])
+    rng = random.Random(cfg["seed"])
     try:
         tori = sample_cross_tori(system, rng, cfg["n_tori"],
                                  window=cfg["window"])

@@ -60,14 +60,15 @@ instead (period_lattice).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
                      FocusFocusError)
-from .numerics import (EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR, TWO_PI,
-                       align_angle, integrate_flow)
+from .numerics import (EPS, EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR,
+                       TWO_PI, align_angle, integrate_flow)
 from .systems import (EMValue, MomentumValue, SystemDefinition,
                       eval_constants, from_momentum_chart, polar)
 
@@ -95,6 +96,8 @@ MAX_BRANCH_STEP = 0.5 * math.pi
 # polar rows start just past the positive-j1 reference ray, where the raw
 # Theta is the principal value, so no row crosses the principal cut
 RAY_OFFSET = 1e-3
+# sweeps _lstsq's Jacobi rotations may take; C3's designs take two or three
+JACOBI_SWEEPS = 30
 
 
 @dataclass(frozen=True)
@@ -276,12 +279,13 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def sample_cross_tori(system: SystemDefinition, rng: np.random.Generator,
-                      n: int, window: tuple[float, float] | None = None
+def sample_cross_tori(system: SystemDefinition, rng: random.Random, n: int,
+                      window: tuple[float, float] | None = None
                       ) -> list[EMValue]:
-    """n tori drawn from the system's cross-check domain (CROSS_DOMAINS),
-    optionally narrowed to a |j| window, one torus at a time: a
-    log-uniform |j|, then a uniform arg zeta."""
+    """n tori drawn by rng, the standard library's generator, from the
+    system's cross-check domain (CROSS_DOMAINS), optionally narrowed to a
+    |j| window, one torus at a time: a log-uniform |j|, then a uniform arg
+    zeta."""
     r_lo, r_hi = CROSS_DOMAINS[system.name]
     if window is not None:
         r_lo, r_hi = max(r_lo, window[0]), min(r_hi, window[1])
@@ -464,14 +468,53 @@ class AsymptoticModel:
     residual_tau2: float
 
 
-def _lstsq(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    cond = np.linalg.cond(X.T @ X)
-    if not np.isfinite(cond) or cond > 1e12:
+def _lstsq(X: np.ndarray, y: np.ndarray
+           ) -> tuple[np.ndarray, float, float]:
+    """(coefficients, cond(X^T X), rms residual) of the least-squares fit
+    X coef ~ y, on numpy's core alone.  One-sided Jacobi (Hestenes): plane
+    rotations V turn the columns of X into orthogonal columns a_k of X V,
+    so X = U diag(s) V^T with s_k = |a_k|; then coef = V (a_k . y / s_k^2)
+    and cond(X^T X) = (max s / min s)^2.  A pair of columns counts as
+    orthogonal once |a_p . a_q| <= sqrt(n) EPS |a_p| |a_q|."""
+    cols = list(X.T.copy())
+    m = len(cols)
+    tol = math.sqrt(len(X)) * EPS
+    V = [[float(i == k) for k in range(m)] for i in range(m)]
+    for _ in range(JACOBI_SWEEPS):
+        rotated = False
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                a, b = cols[p], cols[q]
+                aa, bb = float((a * a).sum()), float((b * b).sum())
+                ab = float((a * b).sum())
+                # false on a NaN or infinite column too: the gate fails it
+                if not abs(ab) > tol * math.sqrt(aa) * math.sqrt(bb):
+                    continue
+                rotated = True
+                zeta = (bb - aa) / (2.0 * ab)
+                t = math.copysign(1.0, zeta) / (abs(zeta)
+                                                + math.hypot(1.0, zeta))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                cols[p], cols[q] = c * a - s * b, s * a + c * b
+                for row in V:
+                    row[p], row[q] = (c * row[p] - s * row[q],
+                                      s * row[p] + c * row[q])
+        if not rotated:
+            break
+    else:
+        raise FitError(f"Jacobi SVD of the design matrix did not converge "
+                       f"in {JACOBI_SWEEPS} sweeps")
+    s2 = np.array([(a * a).sum() for a in cols])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = float(s2.max() / s2.min())
+    if not math.isfinite(cond) or cond > 1e12:
         raise FitError(f"design matrix ill-conditioned (cond={cond:.2e}); "
                        "annulus too thin?")
-    coef, *_ = np.linalg.lstsq(X, y, rcond=None)
-    resid = float(np.sqrt(np.mean((X @ coef - y) ** 2)))
-    return coef, resid
+    w = [float((a * y).sum()) / sk for a, sk in zip(cols, s2.tolist())]
+    coef = np.array([sum(v * wk for v, wk in zip(row, w)) for row in V])
+    resid = float(np.sqrt(np.mean(((X * coef).sum(axis=1) - y) ** 2)))
+    return coef, cond, resid
 
 
 def fit_asymptotic_model(samples: PolarTori) -> AsymptoticModel:
@@ -498,9 +541,9 @@ def fit_asymptotic_model(samples: PolarTori) -> AsymptoticModel:
 
     ones = np.ones_like(rho)
     X1 = np.column_stack([-np.log(rho), ones, j1, j2])
-    c1, r1 = _lstsq(X1, tau1)
+    c1, _, r1 = _lstsq(X1, tau1)
     X2 = np.column_stack([th, ones, j1, j2])
-    c2, r2 = _lstsq(X2, tau2)
+    c2, _, r2 = _lstsq(X2, tau2)
     return AsymptoticModel(
         log_coeff_tau1=float(c1[0]), log_coeff_tau2=float(c2[0]),
         sigma1_0=float(c1[1]), sigma2_0=float(c2[1] + math.pi),

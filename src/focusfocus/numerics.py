@@ -12,7 +12,8 @@ Quadrature with inverse-square-root endpoint singularities
 it, the tests use it as a reference), and Brent root finding (scipy's
 brentq.c, ported, as a generator that roots step in lockstep).  With
 Bulirsch's cel for T and Theta (systems) and the DOP853 tableau written out
-here, the package runs on numpy alone: only quad_singular imports scipy.
+here, only quad_singular imports scipy: the package runs on numpy's core
+alone, with no numpy.linalg (LAPACK), numpy.random or numpy.ma.
 
 All functions here are pure; callers may evaluate them concurrently.
 """

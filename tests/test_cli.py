@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -324,7 +325,7 @@ def test_c1_records_its_flow_steps():
     # deterministic, so a change to the oracle's cost shows here
     status, details = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
     assert status == "pass"
-    assert details["flow_steps"] == {"champagne": 49, "pendulum": 46}
+    assert details["flow_steps"] == {"champagne": 53, "pendulum": 46}
 
 
 def test_c1_records_its_worst_energy_drift(monkeypatch):
@@ -468,8 +469,9 @@ def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):
     tori_d, _ = c1("d")
     assert tori_a == tori_b and details_a == details_b
     assert tori_a != tori_c
-    # the default seed draws the tori C1 has always drawn
-    rng = np.random.default_rng(acceptance.RNG_SEED)
+    # the default seed draws C1's tori from random.Random(RNG_SEED), one
+    # generator continued across the systems
+    rng = random.Random(acceptance.RNG_SEED)
     champ, _, pend = acceptance.AcceptanceConfig().systems()
     assert tori_d == [sample(s, rng, 1) for s in (champ, pend)]
 
@@ -775,11 +777,13 @@ class TestExitCodes:
         assert "did not converge" in err and "Traceback" not in err
 
 
-# runs in a fresh interpreter: the scipy modules (and numpy.ma, which
-# np.quantile and np.unique import lazily) loaded after importing the CLI
-# and after each subcommand, and the LAPACK kernels each stage called
+# runs in a fresh interpreter: the scipy modules, numpy.ma (which
+# np.quantile and np.unique import lazily) and numpy.random loaded after
+# importing the CLI and after each subcommand, and the LAPACK kernels each
+# stage called; a last control stage calls np.linalg.lstsq itself
 COLD_PROBE = """
 import json, sys
+import numpy as np
 from numpy.linalg import _umath_linalg
 from focusfocus import cli
 
@@ -800,7 +804,8 @@ for name in dir(_umath_linalg):
 
 def watched_modules():
     return sorted(m for m in sys.modules
-                  if m.partition(".")[0] == "scipy" or m == "numpy.ma")
+                  if m.partition(".")[0] == "scipy"
+                  or m in ("numpy.ma", "numpy.random"))
 
 def stage(name, rc):
     seen.append([name, rc, watched_modules(), sorted(set(calls))])
@@ -817,6 +822,8 @@ for system in ("champagne", "pendulum"):
 stage("crosscheck", cli.main(["crosscheck", "--n-tori", "1",
                               "--out", f"{out}/crosscheck"]))
 stage("report", cli.main(["report", "--out", f"{out}/report"]))
+np.linalg.lstsq(np.eye(2), np.ones(2), rcond=None)
+stage("control", 0)
 print(json.dumps(seen))
 """
 
@@ -839,13 +846,15 @@ def run_fresh(*args):
 
 @pytest.fixture(scope="module")
 def cold_stages(tmp_path_factory):
-    """[stage, exit code, scipy and numpy.ma modules loaded, LAPACK kernels
-    called] of every subcommand at its defaults, one after another in one
-    fresh interpreter (COLD_PROBE); the first stage is the import."""
+    """[stage, exit code, scipy, numpy.ma and numpy.random modules loaded,
+    LAPACK kernels called] of every subcommand at its defaults, one after
+    another in one fresh interpreter (COLD_PROBE); the first stage is the
+    import, the last the control call of np.linalg.lstsq."""
     stdout = run_fresh(COLD_PROBE, str(tmp_path_factory.mktemp("cold")))
     # the subcommands print to stdout; the probe's record is the last line
     stages = json.loads(stdout.splitlines()[-1])
-    assert len(stages) == 15 and stages[-1][0] == "report"
+    assert len(stages) == 16 and stages[-2][0] == "report"
+    assert stages[-1][0] == "control"
     for name, rc, _, _ in stages:
         assert rc == cli.EXIT_OK, name
     return stages
@@ -853,21 +862,22 @@ def cold_stages(tmp_path_factory):
 
 def test_closed_form_subcommands_run_on_numpy_alone(cold_stages):
     # a cold start of every subcommand, the flow oracle's crosscheck and
-    # the report battery too, pays for numpy alone, without numpy.ma
-    # the flow oracle carries its own DOP853 tableau, and C3 counts its
-    # sectors without np.unique
+    # the report battery too, pays for numpy's core alone, without numpy.ma
+    # or numpy.random: the flow oracle carries its own DOP853 tableau, C3
+    # counts its sectors without np.unique, and C1 and crosscheck draw
+    # their tori from random.Random
     for name, _, modules, _ in cold_stages:
         assert modules == [], name
 
 
-def test_only_report_calls_lapack(cold_stages):
-    # eval_constants takes alpha and omega from traces and fit_log_spiral
-    # solves its normal equations, so no subcommand but report pages
-    # LAPACK into a cold process; report's C3 fits its four-parameter
-    # model by lstsq, which shows the recorder sees the calls
+def test_no_subcommand_calls_lapack(cold_stages):
+    # eval_constants takes alpha and omega from traces, fit_log_spiral
+    # solves its normal equations and C3 fits by Jacobi rotations, so no
+    # subcommand pages LAPACK into a cold process; the control stage's own
+    # np.linalg.lstsq call shows that the recorder sees the calls
     for name, _, _, kernels in cold_stages[:-1]:
         assert kernels == [], name
-    assert "lstsq" in cold_stages[-1][3]
+    assert cold_stages[-1][3] == ["lstsq"]
 
 
 @pytest.mark.parametrize("gamma", [math.sqrt(2.0), -math.sqrt(2.0)])

@@ -201,3 +201,31 @@ def test_only_lattice_reads_the_evaluator_and_its_step():
         readers += [f"{path.stem}.{name}" for name in ("_tori", "STEP")
                     if name in read and path.name != "lattice.py"]
     assert readers == []
+
+
+def numpy_names(node: ast.AST) -> list[str]:
+    """The dotted names a node of src/ names: an attribute of a name
+    (np.linalg), an imported module, or a name imported from a module
+    (numpy.random from "from numpy import random")."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        return [f"{node.value.id}.{node.attr}"]
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_no_module_names_numpy_linalg_or_random():
+    # the package runs on numpy's core: no branch of any module reaches
+    # LAPACK through numpy.linalg or loads numpy.random, not only the
+    # branches a cold run at the defaults takes (test_cli's COLD_PROBE)
+    named = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for name in numpy_names(node)
+             if name.split(".")[:2] in (["np", "linalg"], ["np", "random"],
+                                        ["numpy", "linalg"],
+                                        ["numpy", "random"])]
+    assert named == []

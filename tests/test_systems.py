@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import random
 
 import numpy as np
 import pytest
@@ -266,7 +267,7 @@ class TestTurningPoints:
         # default pendulum tori (drawn after its champagne tori)
         cfg = acceptance.AcceptanceConfig()
         champ, _, pend = cfg.systems()
-        rng = np.random.default_rng(cfg.seed)
+        rng = random.Random(cfg.seed)
         lattice.sample_cross_tori(champ, rng, cfg.n_cross_tori)
         tori = lattice.sample_cross_tori(pend, rng, cfg.n_cross_tori)
         z = flow_seeds(pend, *tori)[2].reshape(-1, 2).tolist()
