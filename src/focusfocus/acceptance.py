@@ -1,17 +1,16 @@
 """Acceptance suite: structural and asymptotic checks at desk scale.
 
-Each criterion is a pure function returning (status, details), the measured
-values, and its docstring states the claim.  run_all executes the battery
-and alone builds each CriterionResult, on every status: the id from the
-function's name, the description from its docstring.  Each criterion fixes
-the |j| range it judges, inside the default window of every system it runs
-on.
+Each criterion is a pure function of report's config dict returning
+(status, details), the measured values; its docstring states the claim.
+run_all executes the battery and alone builds report.json's entry of each
+criterion, on every status: the id from the function's name, the
+description from its docstring.  Each criterion fixes the |j| range it
+judges, inside the default window of every system it runs on.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,51 +18,30 @@ from .systems import (ChampagneBottle, MomentumValue, SphericalPendulum,
                       eval_constants, from_momentum_chart, polar)
 from .lattice import (CROSS_TOL, annulus_sweep, cross_checks,
                       fit_asymptotic_model, sample_cross_tori)
-from .rotation import extract_level_curve, fit_log_spiral, monodromy_index
+from .rotation import (expected_spiral_slope, extract_level_curve,
+                       fit_log_spiral, monodromy_index)
 from .twist import tilde_s, twistless_curve, twists
 from .kolmogorov import asymptote_sweep, frequency_samples, tau_jacobian
 from .errors import FocusFocusError
 
-RNG_SEED = 20260810
-
-
-@dataclass
-class CriterionResult:
-    cid: str
-    description: str
-    status: str                  # pass | fail | error
-    details: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
-
-
-@dataclass(frozen=True)
-class AcceptanceConfig:
-    gamma: float = 0.5
-    n_cross_tori: int = 50
-    grid_resolution: tuple[int, int] = (32, 64)
-    # seeds the standard library's random.Random that draws C1's tori
-    seed: int = RNG_SEED
-
-    def systems(self):
-        return (ChampagneBottle(gamma=self.gamma), ChampagneBottle(gamma=0.0),
-                SphericalPendulum())
+def systems(cfg: dict):
+    """The champagne bottle at gamma cfg["param.gamma"] and 0; the pendulum."""
+    return (ChampagneBottle(gamma=cfg["param.gamma"]),
+            ChampagneBottle(gamma=0.0), SphericalPendulum())
 
 
 # --------------------------------------------------------------------------
 
-def c1_cross_engine(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c1_cross_engine(cfg: dict) -> tuple[str, dict]:
     """quadrature vs flow (T, Theta) on random regular tori agree to 1e-7
     relative, both systems"""
-    champ, _, pend = cfg.systems()
-    rng = random.Random(cfg.seed)
+    champ, _, pend = systems(cfg)
+    rng = random.Random(cfg["seed"])
     worst = {"rel_dT": 0.0, "rel_dtheta": 0.0}
     n_done = 0
     flow = {"flow_steps": {}, "max_energy_drift": {}}
     for system in (champ, pend):
-        tori = sample_cross_tori(system, rng, cfg.n_cross_tori)
+        tori = sample_cross_tori(system, rng, cfg["n_tori"])
         results, stats = cross_checks(system, tori, cross_tol=CROSS_TOL)
         for key, value in stats.items():
             flow[key][system.name] = value
@@ -78,11 +56,11 @@ def c1_cross_engine(cfg: AcceptanceConfig) -> tuple[str, dict]:
                                           "tol": CROSS_TOL, **flow}
 
 
-def c2_monodromy(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c2_monodromy(cfg: dict) -> tuple[str, dict]:
     """monodromy index 1.000 +- 1e-3 around the critical value (champagne
     gamma in {0, 0.5} and pendulum, radii {0.05, 0.1}); orientation
     reversal gives -1"""
-    champ, champ0, pend = cfg.systems()
+    champ, champ0, pend = systems(cfg)
     cases = []
     for system in (champ, champ0, pend):
         for radius in (0.05, 0.1):
@@ -97,10 +75,10 @@ def c2_monodromy(cfg: AcceptanceConfig) -> tuple[str, dict]:
         "reversed_orientation": rev, "tol": 1e-3}
 
 
-def c3_period_asymptotics(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c3_period_asymptotics(cfg: dict) -> tuple[str, dict]:
     """fitted coefficients of -Re ln(zeta) in tau1 and +Im ln(zeta) in tau2
     equal 1 +- 5% on |j| in [1e-4, 1e-2]"""
-    champ, _, _ = cfg.systems()
+    champ, _, _ = systems(cfg)
     model = fit_asymptotic_model(annulus_sweep(champ, 1e-4, 1e-2, 10, 16))
     ok = (abs(model.log_coeff_tau1 - 1.0) <= 0.05
           and abs(model.log_coeff_tau2 - 1.0) <= 0.05)
@@ -112,10 +90,10 @@ def c3_period_asymptotics(cfg: AcceptanceConfig) -> tuple[str, dict]:
         "tol": 0.05}
 
 
-def c4_rotation_form(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c4_rotation_form(cfg: dict) -> tuple[str, dict]:
     """2 pi W + A(0) ln|j| + arg(zeta) spreads by < 0.2 over |j| in [1e-4,
     1e-3]"""
-    champ, _, _ = cfg.systems()
+    champ, _, _ = systems(cfg)
     a0 = eval_constants(champ).A0
     sweep = annulus_sweep(champ, 1e-4, 1e-3, 5, 16)
     vals = [th + a0 * math.log(math.hypot(j1, j2)) + arg
@@ -126,19 +104,18 @@ def c4_rotation_form(cfg: AcceptanceConfig) -> tuple[str, dict]:
         "spread": spread, "n_samples": len(vals), "tol": 0.2}
 
 
-def c5_spirals(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c5_spirals(cfg: dict) -> tuple[str, dict]:
     """W-contours are log-spirals with pitch -omega/alpha within 10%
     (champagne); pendulum contours are radial, slope 0 +- 0.02"""
-    champ, _, pend = cfg.systems()
+    champ, _, pend = systems(cfg)
     out = {"champagne": [], "pendulum": []}
     ok = True
     for system, key in ((champ, "champagne"), (pend, "pendulum")):
         ff = eval_constants(system)
+        expected = expected_spiral_slope(ff.alpha, ff.omega)
         # at omega = 0 the spiral is a star: 10% of a 0 pitch is no bound
-        expected, tol = ((-ff.A0, 0.10 * abs(ff.A0)) if ff.omega
-                         else (0.0, 0.02))
-        for curve in extract_level_curve(system, (1e-4, 1e-2),
-                                         cfg.grid_resolution,
+        tol = 0.10 * abs(expected) if ff.omega else 0.02
+        for curve in extract_level_curve(system, (1e-4, 1e-2), cfg["res"],
                                          (0.3, 0.5, 0.7)):
             slope, residual = fit_log_spiral(curve)
             out[key].append({"level": curve.level, "slope": slope,
@@ -147,12 +124,12 @@ def c5_spirals(cfg: AcceptanceConfig) -> tuple[str, dict]:
     return "pass" if ok else "fail", out
 
 
-def c6_twistless(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c6_twistless(cfg: dict) -> tuple[str, dict]:
     """unique twistless torus per energy (champagne, h in {+-0.02,
     +-0.05}); twistless-curve tangent slope within 15% of
     omega(omega^2+alpha^2)/(omega^2-alpha^2) as h -> 0; gamma=0 degenerate
     mode: |h|/|l*| -> 0"""
-    champ, champ0, _ = cfg.systems()
+    champ, champ0, _ = systems(cfg)
     details: dict = {}
     try:
         curve = twistless_curve(
@@ -192,11 +169,11 @@ def c6_twistless(cfg: AcceptanceConfig) -> tuple[str, dict]:
     return "pass" if ok else "fail", details
 
 
-def c7_tilde_s(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c7_tilde_s(cfg: dict) -> tuple[str, dict]:
     """S~ -> 0 at the origin (monotone over |j| = 1e-2, 1e-3, 1e-4 along 8
     rays) and its central-difference gradient at the origin equals (A0^2
     - 1, -2 A0) within 10%"""
-    champ, _, _ = cfg.systems()
+    champ, _, _ = systems(cfg)
     ff = eval_constants(champ)
     d = 1e-3   # the gradient's central-difference step in j
     # 8 rays (rows) at 3 radii; then (d, 0), (-d, 0) on the j1 axis and,
@@ -219,12 +196,12 @@ def c7_tilde_s(cfg: AcceptanceConfig) -> tuple[str, dict]:
         "grad_expected": [exp1, exp2]}
 
 
-def c8_kolmogorov(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c8_kolmogorov(cfg: dict) -> tuple[str, dict]:
     """det domega/dI < 0 on every evaluated torus with |j| <= 1e-2 (both
     systems); ratio to -(2 pi alpha/(|j| tau1^2))^2 within 30% at |j| =
     1e-4 and |ratio - 1| decreasing over decades; det dtau/dj |j|^2 = -1
     +- 10% at 1e-3; mixed partials to 1e-5"""
-    champ, _, pend = cfg.systems()
+    champ, _, pend = systems(cfg)
     details: dict = {}
 
     # negativity on both systems, each in one call
@@ -265,7 +242,7 @@ def c8_kolmogorov(cfg: AcceptanceConfig) -> tuple[str, dict]:
     return "pass" if ok else "fail", details
 
 
-def c9_determinism(cfg: AcceptanceConfig) -> tuple[str, dict]:
+def c9_determinism(cfg: dict) -> tuple[str, dict]:
     """identical configs produce byte-identical CSVs run to run"""
     import tempfile
     from pathlib import Path
@@ -276,7 +253,7 @@ def c9_determinism(cfg: AcceptanceConfig) -> tuple[str, dict]:
         for tag in ("a", "b"):
             out = Path(td) / tag
             rc = cli_main(["grid", "--system", "champagne",
-                           "--param", f"gamma={cfg.gamma}",
+                           "--param", f"gamma={cfg['param.gamma']}",
                            "--window", "1e-3,1e-2", "--res", "6,12",
                            "--out", str(out)])
             if rc != 0:
@@ -291,9 +268,9 @@ CRITERIA = [c1_cross_engine, c2_monodromy, c3_period_asymptotics,
             c8_kolmogorov, c9_determinism]
 
 
-def run_all(cfg: AcceptanceConfig | None = None) -> list[CriterionResult]:
-    cfg = cfg or AcceptanceConfig()
-    results = []
+def run_all(cfg: dict) -> list[dict]:
+    """report.json's entry of each criterion, run on cfg."""
+    entries = []
     for crit in CRITERIA:
         try:
             status, details = crit(cfg)
@@ -301,6 +278,7 @@ def run_all(cfg: AcceptanceConfig | None = None) -> list[CriterionResult]:
             status, details = "error", {"error": str(exc)}
         name = crit.__name__
         doc = crit.__doc__ or name      # python -OO strips docstrings
-        results.append(CriterionResult(name.split("_")[0].upper(),
-                                       " ".join(doc.split()), status, details))
-    return results
+        entries.append({"id": name.split("_")[0].upper(),
+                        "description": " ".join(doc.split()),
+                        "status": status, "details": details})
+    return entries

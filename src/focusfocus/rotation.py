@@ -186,6 +186,12 @@ def extract_level_curve(system: SystemDefinition, window: tuple[float, float],
             for level, th, row in zip(levels, theta.reshape(keep.shape), keep)]
 
 
+def expected_spiral_slope(alpha: float, omega: float) -> float:
+    """Pitch d theta / d ln rho of the log-spiral level curves of W,
+    -omega/alpha; 0.0, never -0.0, for the star at omega = 0."""
+    return -omega / alpha if omega else 0.0
+
+
 def fit_log_spiral(curve: LevelCurve) -> tuple[float, float]:
     """Least-squares slope d theta / d ln rho of a contour, and the rms
     residual of its line, from the centred normal equations.

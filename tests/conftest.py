@@ -12,7 +12,7 @@ with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
 
-from focusfocus import ChampagneBottle, SphericalPendulum
+from focusfocus import ChampagneBottle, SphericalPendulum, cli
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,9 @@ def champagne0():
 @pytest.fixture(scope="session")
 def pendulum():
     return SphericalPendulum()
+
+
+@pytest.fixture
+def report_cfg():
+    """A fresh copy of report's defaults: the config each criterion takes."""
+    return dict(cli.READS["report"])

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import os
@@ -101,10 +102,17 @@ class TestKeysEachSubcommandReads:
                 return super().__getitem__(key)
 
         read = set()
-        monkeypatch.setitem(cli.COMMANDS, command,
-                            lambda cfg, run=cli.COMMANDS[command]:
-                            run(Recording(cfg)))
-        monkeypatch.setattr(acceptance, "CRITERIA", [])
+        if command == "report":
+            # the battery runs; a key counts where a criterion reads it,
+            # not where cmd_report hands it on
+            monkeypatch.setattr(acceptance, "CRITERIA", [
+                functools.wraps(crit)(lambda cfg, crit=crit:
+                                      crit(Recording(cfg)))
+                for crit in acceptance.CRITERIA])
+        else:
+            monkeypatch.setitem(cli.COMMANDS, command,
+                                lambda cfg, run=cli.COMMANDS[command]:
+                                run(Recording(cfg)))
         keys = set(cli.READS[command])
         if "system" in keys:
             keys.add("param.j_cap")
@@ -320,15 +328,15 @@ class TestCrosscheck:
         assert "configuration error:" in err
 
 
-def test_c1_records_its_flow_steps():
+def test_c1_records_its_flow_steps(report_cfg):
     # the batch steps of C1's two flow integrations at the default seed:
     # deterministic, so a change to the oracle's cost shows here
-    status, details = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
+    status, details = acceptance.c1_cross_engine(report_cfg)
     assert status == "pass"
     assert details["flow_steps"] == {"champagne": 53, "pendulum": 46}
 
 
-def test_c1_records_its_worst_energy_drift(monkeypatch):
+def test_c1_records_its_worst_energy_drift(monkeypatch, report_cfg):
     # C1's details name each system's largest energy drift over its flow
     # lanes: the maximum of the drifts its two integrations track
     integrate_flow = lattice.integrate_flow
@@ -340,7 +348,7 @@ def test_c1_records_its_worst_energy_drift(monkeypatch):
         return traj
 
     monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
-    status, details = acceptance.c1_cross_engine(acceptance.AcceptanceConfig())
+    status, details = acceptance.c1_cross_engine(report_cfg)
     assert status == "pass"
     got = details["max_energy_drift"]
     assert got == {"champagne": drifts[0], "pendulum": drifts[1]}
@@ -382,14 +390,13 @@ def test_crosscheck_summary_records_its_worst_energy_drift(tmp_path, capsys,
     assert 0.0 < drifts[0] <= lattice.ENERGY_DRIFT_TOL
 
 
-def test_c1_fails_when_no_torus_is_checked():
-    status, details = acceptance.c1_cross_engine(acceptance.AcceptanceConfig(
-        n_cross_tori=0))
+def test_c1_fails_when_no_torus_is_checked(report_cfg):
+    status, details = acceptance.c1_cross_engine({**report_cfg, "n_tori": 0})
     assert status == "fail"
     assert details["tori_checked"] == 0
 
 
-def test_c9_runs_in_one_process(monkeypatch):
+def test_c9_runs_in_one_process(monkeypatch, report_cfg):
     # two identical grid runs, compared byte for byte, without a worker
     import concurrent.futures
 
@@ -398,11 +405,11 @@ def test_c9_runs_in_one_process(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.c9_determinism])
-    (res,) = acceptance.run_all()
-    assert res.status == "pass", res.details
-    assert res.details["identical"] and res.details["bytes"] > 0
-    assert res.description == ("identical configs produce byte-identical "
-                               "CSVs run to run")
+    (res,) = acceptance.run_all(report_cfg)
+    assert res["status"] == "pass", res["details"]
+    assert res["details"]["identical"] and res["details"]["bytes"] > 0
+    assert res["description"] == ("identical configs produce byte-identical "
+                                  "CSVs run to run")
 
 
 def reference_chart_columns(system, window, res):
@@ -440,7 +447,7 @@ def test_grid_chart_columns_equal_the_per_point_reference(tmp_path, capsys,
         assert {row[6] for row in rows[:16]} == {str(rotation.MASK_CORE)}
 
 
-def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):
+def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch, report_cfg):
     # C1 alone, on two tori per system: the seed picks the tori, and a
     # seed repeats its C1 details exactly
     monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.c1_cross_engine])
@@ -471,8 +478,8 @@ def test_report_seed_reaches_c1(tmp_path, capsys, monkeypatch):
     assert tori_a != tori_c
     # the default seed draws C1's tori from random.Random(RNG_SEED), one
     # generator continued across the systems
-    rng = random.Random(acceptance.RNG_SEED)
-    champ, _, pend = acceptance.AcceptanceConfig().systems()
+    rng = random.Random(cli.RNG_SEED)
+    champ, _, pend = acceptance.systems(report_cfg)
     assert tori_d == [sample(s, rng, 1) for s in (champ, pend)]
 
 
@@ -736,14 +743,14 @@ class TestExitCodes:
                        "0.20000000000000001; no contour levels\n")
 
     def test_spiral_expects_a_zero_pitch_at_omega_zero(self, tmp_path,
-                                                       capsys):
+                                                       capsys, report_cfg):
         # the pendulum's star: spiral_summary.json states the expected
         # slope as C5 does, 0.0, not -0.0
         rc, err = run(capsys, "spiral", "--system", "pendulum",
                       "--out", str(tmp_path))
         assert rc == cli.EXIT_OK, err
         doc = json.loads((tmp_path / "spiral_summary.json").read_text())
-        _, c5 = acceptance.c5_spirals(acceptance.AcceptanceConfig())
+        _, c5 = acceptance.c5_spirals(report_cfg)
         for fits in (doc["fits"], c5["pendulum"]):
             expected = [f.get("expected_slope", f.get("expected"))
                         for f in fits]

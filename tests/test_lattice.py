@@ -12,7 +12,7 @@ from focusfocus import (EMValue, MomentumValue, SphericalPendulum,
                         fit_asymptotic_model, from_momentum_chart,
                         period_lattice, reduced_period_rotation,
                         to_momentum_chart)
-from focusfocus import acceptance, lattice, numerics
+from focusfocus import acceptance, cli, lattice, numerics
 from focusfocus.errors import FitError, FlowError, WindowError
 from focusfocus.lattice import PolarTori
 
@@ -119,7 +119,7 @@ class TestBatchedCrossCheck:
             for key, value in clean[k].items():
                 assert results[k][key] == pytest.approx(value, rel=1e-10)
 
-    def test_crossings_land_on_the_section(self, monkeypatch):
+    def test_crossings_land_on_the_section(self, monkeypatch, report_cfg):
         # C1's batches, 50 champagne lanes and 2 x 50 pendulum legs: Henon's
         # step puts every recorded crossing on its section to rounding
         integrate_flow = lattice.integrate_flow
@@ -130,8 +130,7 @@ class TestBatchedCrossCheck:
             return calls[-1][1]
 
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
-        assert acceptance.c1_cross_engine(
-            acceptance.AcceptanceConfig())[0] == "pass"
+        assert acceptance.c1_cross_engine(report_cfg)[0] == "pass"
         assert [traj.states.shape[2] for _, traj in calls] == [50, 100]
         for section, traj in calls:
             for records in traj.event_records:
@@ -139,13 +138,12 @@ class TestBatchedCrossCheck:
                 for _, state in records:
                     assert abs(section.fn(state)) <= 1e-13
 
-    def test_landing_is_lane_independent(self, monkeypatch):
+    def test_landing_is_lane_independent(self, monkeypatch, report_cfg):
         # four of C1's tori per system, as one batch and each alone: every
         # lane (one per champagne torus, two per pendulum torus) lands on
         # the same bits
-        cfg = acceptance.AcceptanceConfig()
-        champ, _, pend = cfg.systems()
-        rng = random.Random(cfg.seed)
+        champ, _, pend = acceptance.systems(report_cfg)
+        rng = random.Random(report_cfg["seed"])
         integrate_flow = lattice.integrate_flow
         records = []
 
@@ -157,7 +155,8 @@ class TestBatchedCrossCheck:
 
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
         for system in (champ, pend):
-            tori = lattice.sample_cross_tori(system, rng, cfg.n_cross_tori)
+            tori = lattice.sample_cross_tori(system, rng,
+                                             report_cfg["n_tori"])
             records.clear()
             lattice._tori_flow(system, tori[:4])
             batch = list(records)
@@ -168,7 +167,8 @@ class TestBatchedCrossCheck:
                 lattice._tori_flow(system, [c])
                 assert records == batch[k * legs:(k + 1) * legs]
 
-    def test_one_landing_call_per_integration(self, monkeypatch):
+    def test_one_landing_call_per_integration(self, monkeypatch,
+                                              report_cfg):
         # C1's 50 champagne lanes and 100 pendulum legs land their 150
         # crossings in two calls
         land = numerics._land
@@ -179,8 +179,7 @@ class TestBatchedCrossCheck:
             return land(field, rate, t, *args)
 
         monkeypatch.setattr(numerics, "_land", counting_land)
-        assert acceptance.c1_cross_engine(
-            acceptance.AcceptanceConfig())[0] == "pass"
+        assert acceptance.c1_cross_engine(report_cfg)[0] == "pass"
         assert calls == [50, 100]
 
     def test_sampler_draws_the_reference_sequence(self, champagne,
@@ -211,7 +210,7 @@ class TestBatchedCrossCheck:
         # C1's first torus at the default seed, from the standard library's
         # Mersenne Twister: a change to the draw stream shows here
         (c,) = lattice.sample_cross_tori(
-            champagne, random.Random(acceptance.RNG_SEED), 1)
+            champagne, random.Random(cli.RNG_SEED), 1)
         assert c.h == pytest.approx(0.001480072287734807, rel=1e-15)
         assert c.l == pytest.approx(0.00029719441082549236, rel=1e-15)
 
@@ -279,13 +278,13 @@ def full_return_reference(system, tori):
 
 
 class TestHalfReturn:
-    def test_matches_the_full_return_reference(self):
+    def test_matches_the_full_return_reference(self, report_cfg):
         # C1's default 2 x 50 tori: half a return, doubled, is a full one
-        cfg = acceptance.AcceptanceConfig()
-        champ, _, pend = cfg.systems()
-        rng = random.Random(cfg.seed)
+        champ, _, pend = acceptance.systems(report_cfg)
+        rng = random.Random(report_cfg["seed"])
         for system in (champ, pend):
-            tori = lattice.sample_cross_tori(system, rng, cfg.n_cross_tori)
+            tori = lattice.sample_cross_tori(system, rng,
+                                             report_cfg["n_tori"])
             flows, _ = lattice._tori_flow(system, tori)
             for (T, theta), (T_ref, theta_ref) in zip(
                     flows, full_return_reference(system, tori)):
@@ -293,7 +292,8 @@ class TestHalfReturn:
                 assert abs(theta - theta_ref) <= 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_step_turns_stay_in_the_half_circle(self, monkeypatch, seed):
+    def test_step_turns_stay_in_the_half_circle(self, monkeypatch, seed,
+                                                report_cfg):
         # C1's tori at seeds 1-5: every accepted step's wrapped azimuth turn
         # in the turning frame lies in sign(l) [0, pi], well inside the
         # guard window, so no turn count is in doubt
@@ -305,11 +305,11 @@ class TestHalfReturn:
             return calls[-1]
 
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
-        cfg = acceptance.AcceptanceConfig(seed=seed)
-        champ, _, pend = cfg.systems()
+        cfg = {**report_cfg, "seed": seed}
+        champ, _, pend = acceptance.systems(cfg)
         rng = random.Random(seed)
         for system, legs in ((champ, 1), (pend, 2)):
-            tori = lattice.sample_cross_tori(system, rng, cfg.n_cross_tori)
+            tori = lattice.sample_cross_tori(system, rng, cfg["n_tori"])
             flows, _ = lattice._tori_flow(system, tori)
             assert all(isinstance(f, tuple) for f in flows)
             traj = calls.pop()

@@ -423,8 +423,8 @@ class TestSpiralFit:
         self.assert_matches_polyfit(LevelCurve(level=0.5, lnrho=lnr,
                                                theta=theta))
 
-    def test_c5_contours_match_polyfit(self):
-        champ, _, pend = acceptance.AcceptanceConfig().systems()
+    def test_c5_contours_match_polyfit(self, report_cfg):
+        champ, _, pend = acceptance.systems(report_cfg)
         curves = [curve for system in (champ, pend)
                   for curve in extract_level_curve(system, *DEFAULT)]
         assert len(curves) == 6

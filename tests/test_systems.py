@@ -261,15 +261,14 @@ class TestTurningPoints:
         assert z_lo == -1.0
         assert z_hi == pytest.approx(0.9, abs=1e-12)
 
-    def test_pendulum_matches_the_flow_seeds(self):
+    def test_pendulum_matches_the_flow_seeds(self, report_cfg):
         # the seeds the oracle runs, from one solve of all the cubics: their
         # z equal each torus's turning points (z1, z2), bit for bit, on C1's
         # default pendulum tori (drawn after its champagne tori)
-        cfg = acceptance.AcceptanceConfig()
-        champ, _, pend = cfg.systems()
-        rng = random.Random(cfg.seed)
-        lattice.sample_cross_tori(champ, rng, cfg.n_cross_tori)
-        tori = lattice.sample_cross_tori(pend, rng, cfg.n_cross_tori)
+        champ, _, pend = acceptance.systems(report_cfg)
+        rng = random.Random(report_cfg["seed"])
+        lattice.sample_cross_tori(champ, rng, report_cfg["n_tori"])
+        tori = lattice.sample_cross_tori(pend, rng, report_cfg["n_tori"])
         z = flow_seeds(pend, *tori)[2].reshape(-1, 2).tolist()
         for c, (z_seed2, z_seed1) in zip(tori, z):
             assert pend.reduced_profile(c) == (z_seed1, z_seed2)
