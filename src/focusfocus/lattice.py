@@ -212,19 +212,23 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
     outside = ((sign * turns < lo) | (sign * turns > hi)).any(axis=0)
     t_end, psi_end = traj.times[-1], turns.sum(axis=0)
     phi_end = np.arctan2(traj.states[-1, 1], traj.states[-1, 0])
+
+    def at(i):
+        return f"(h, l)=({cs[i].h:.4g}, {cs[i].l:.4g})"
+
     for lane, i in enumerate(owner):
         if isinstance(out[i], FocusFocusError):
             continue
-        at = f"(h, l)=({cs[i].h:.4g}, {cs[i].l:.4g})"
         if traj.errors[lane] is not None:
             out[i] = traj.errors[lane]
         elif traj.drift[lane] > ENERGY_DRIFT_TOL:
             out[i] = FlowError(f"energy drift {traj.drift[lane]:.2e} above "
-                               f"{ENERGY_DRIFT_TOL:.0e} at {at}")
+                               f"{ENERGY_DRIFT_TOL:.0e} at {at(i)}")
         elif outside[lane]:
-            out[i] = FlowError(f"an azimuth step at {at} turns outside sign(l)"
-                               f" [{lo / math.pi:g} pi, {hi / math.pi:g} pi]:"
-                               " its turn count is unknown")
+            out[i] = FlowError(
+                f"an azimuth step at {at(i)} turns outside sign(l) "
+                f"[{lo / math.pi:g} pi, {hi / math.pi:g} pi]: its turn count"
+                " is unknown")
         else:
             ((t, s),) = traj.event_records[lane]
             phi = math.atan2(s[1], s[0])

@@ -6,7 +6,8 @@ own step-size controller, on an autonomous field evaluated on whole blocks
 of states.  Every crossing lands on the section after the loop, all in one
 call, by Henon's step (one DOP853 step in the section function; M. Henon,
 Physica D 5 (1982) 412-414), and the kernel tracks the running drift of an
-invariant (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).
+invariant (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).  Its
+loop and the Newton and cel loops of systems drop finished lanes by _lanes.
 Quadrature with inverse-square-root endpoint singularities
 (singularity-removing substitution + adaptive refinement; no engine uses
 it, the tests use it as a reference), and Brent root finding (scipy's
@@ -153,23 +154,31 @@ def _initial_step(field, y, f, t_bound, rtol, atol) -> np.ndarray:
 
 
 def _lanes(mask, *arrays):
-    """The lanes selected by mask, from arrays indexed by lane last."""
-    return tuple(a[..., mask] for a in arrays)
+    """The lanes selected by mask, from arrays indexed by lane last: one
+    flatnonzero and a take per array, a[..., mask] at a fraction of the cost.
+    """
+    i = np.flatnonzero(mask)
+    return tuple(a.take(i, axis=-1) for a in arrays)
 
 
 def _combine(w: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """sum_s w[..., s] K[s] over the stages K (S, d, m).  einsum sums
-    stage by stage within each lane, so a lane's arithmetic does not
-    depend on the lanes beside it, as a BLAS product blocked across lanes
-    would."""
+    """sum_s w[..., s] K[s] over the stages K (S, d, m), w one row or
+    several.  einsum sums stage by stage within each lane, so a lane's
+    arithmetic does not depend on the lanes beside it, as a BLAS product
+    (dot, matmul, tensordot) blocked across lanes would."""
     return np.einsum("...s,sdm->...dm", w, K[:w.shape[-1]])
+
+
+_STAGE_ROWS = [DOP853.A[s, :s] for s in range(1, DOP853.n_stages)]
+_ERROR_ROWS = np.stack([DOP853.E5, DOP853.E3])
+_ERR_FLOOR = float(np.finfo(float).smallest_subnormal)   # below every err > 0
 
 
 def _rk_step(field, y, f, h, K):
     """One DOP853 step of every lane; fills the stages K[:13]."""
     K[0] = f
-    for s in range(1, DOP853.n_stages):
-        K[s] = field(y + _combine(DOP853.A[s, :s], K) * h)
+    for s, a in enumerate(_STAGE_ROWS, start=1):
+        K[s] = field(y + _combine(a, K) * h)
     y_new = y + h * _combine(DOP853.B, K)
     K[DOP853.n_stages] = field(y_new)
     return y_new
@@ -177,10 +186,8 @@ def _rk_step(field, y, f, h, K):
 
 def _error_norm(K, h, scale) -> np.ndarray:
     """DOP853's blended 5th/3rd-order error estimate, one value per lane."""
-    err5 = _combine(DOP853.E5, K) / scale
-    err3 = _combine(DOP853.E3, K) / scale
-    e5 = np.sum(err5 * err5, axis=0)
-    e3 = np.sum(err3 * err3, axis=0)
+    err = _combine(_ERROR_ROWS, K) / scale
+    e5, e3 = np.add.reduce(err * err, axis=1)
     denom = e5 + 0.01 * e3
     return (np.abs(h) * e5
             / np.sqrt(np.where(denom > 0.0, denom, 1.0) * scale.shape[0]))
@@ -224,8 +231,10 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     or below (so a seed lying on the section is not a crossing), and stops
     at its count-th crossing.  After the loop every crossing lands on the
     section in one call of Henon's step (_land) from its step's start.
-    The invariant is evaluated on every accepted state, for each lane's
-    running maximum drift.
+    Live lanes stay in place: np.where takes each one's new or old state,
+    and the arrays are compacted (_lanes) only when lanes stop.  The
+    invariant, for each lane's running maximum drift, is evaluated on
+    every live state after a batch step that accepts any lane.
 
     A lane fails with FlowError on step-size underflow (near-singular
     dynamics) or a non-finite step size, when it does not reach its count
@@ -246,24 +255,27 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
 
     lane = np.arange(n)
     t = np.zeros(n)
-    y = y0.copy()
+    t_b = t_bound
+    y = y0
     f = np.asarray(field(y), dtype=float)
     h_abs = _initial_step(field, y, f, t_bound, tol, FLOW_ATOL)
     rejected = np.zeros(n, dtype=bool)
     v0 = np.asarray(invariant(y0), dtype=float)
-    drift = np.zeros(n)
+    v, dv = v0, np.zeros(n)   # the live lanes' v0 and running drift
+    g = np.zeros(n)
     if section is not None:
-        g = np.array(section.fn(y), dtype=float)   # a copy: fn may slice y
+        g = np.asarray(section.fn(y), dtype=float)
         found = np.zeros(n, dtype=int)
     crossings = []   # per step: its crossing lanes' ids, t, t_end, y, f, g
 
     records: list[list] = [[] for _ in range(n)]
     errors: list[FlowError | None] = [None] * n
+    drift = np.zeros(n)
     now_t, now_y = t.copy(), y0.copy()
     times, states = [now_t.copy()], [now_y.copy()]
 
     while lane.size:
-        min_step = 10.0 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10.0 * np.spacing(t)
         h_abs = np.where(rejected, h_abs, np.maximum(h_abs, min_step))
         tiny = ~(h_abs >= min_step)   # NaN too
         if tiny.any():
@@ -274,10 +286,10 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
                         "numbers. (near-singular dynamics?)"
                         if h_abs[j] < min_step[j] else
                         "non-finite step size (a non-finite seed or field?)"))
-            lane, t, y, f, h_abs, rejected = _lanes(
-                ~tiny, lane, t, y, f, h_abs, rejected)
+            drift[lane] = dv
+            lane, t, t_b, y, f, g, v, dv, h_abs, rejected = _lanes(
+                ~tiny, lane, t, t_b, y, f, g, v, dv, h_abs, rejected)
             continue
-        t_b = t_bound[lane]
         t_new = np.minimum(t + h_abs, t_b)
         h = t_new - t
         K = np.empty((DOP853.n_stages + 1, d, lane.size))
@@ -285,41 +297,36 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
         scale = FLOW_ATOL + np.maximum(np.abs(y), np.abs(y_new)) * tol
         err = _error_norm(K, h, scale)
         accept = err < 1.0
-        base = (np.where(err == 0.0, 1.0, err)
-                ** (-1.0 / (DOP853.error_estimator_order + 1)))
-        grow = np.where(err == 0.0, MAX_FACTOR,
-                        np.minimum(MAX_FACTOR, SAFETY * base))
-        grow = np.where(rejected, np.minimum(1.0, grow), grow)
-        shrink = np.fmax(MIN_FACTOR, SAFETY * base)   # fmax: NaN -> MIN
+        # _ERR_FLOOR stands in for err = 0: such a lane grows by MAX_FACTOR
+        raw = SAFETY * (np.maximum(err, _ERR_FLOOR)
+                        ** (-1.0 / (DOP853.error_estimator_order + 1)))
+        grow = np.minimum(np.where(rejected, 1.0, MAX_FACTOR), raw)
+        shrink = np.fmax(MIN_FACTOR, raw)   # fmax: NaN -> MIN
         h_abs = h * np.where(accept, grow, shrink)
         rejected = ~accept
-        acc = np.flatnonzero(accept)
-        if not acc.size:
+        if not accept.any():
             continue
 
-        ids = lane[acc]
-        t_old, y_old = t[acc], y[:, acc]
-        t[acc] = t_new[acc]
-        y[:, acc] = y_new[:, acc]
-        f[:, acc] = K[DOP853.n_stages][:, acc]
-        done = np.zeros(lane.size, dtype=bool)
-        done[acc] = t_new[acc] >= t_b[acc]
+        # a rejected lane keeps its state
+        t_old, y_old, f_old = t, y, f
+        t = np.where(accept, t_new, t)
+        y = np.where(accept, y_new, y)
+        f = np.where(accept, K[DOP853.n_stages], f)
+        done = accept & (t_new >= t_b)
         if section is not None:
-            g_old, g_new = g[ids], section.fn(y[:, acc])
-            g[ids] = g_new
+            g_old, g = g, section.fn(y)
             # strict before, so a seed on the section is not a crossing
-            hit = np.flatnonzero((g_old > 0.0) & (g_new <= 0.0))
+            hit = np.flatnonzero(accept & (g_old > 0.0) & (g <= 0.0))
             if hit.size:
-                crossings.append((ids[hit], t_old[hit], t[acc[hit]],
-                                  y_old[:, hit], K[0][:, acc[hit]],
-                                  g_old[hit]))
-                found[ids[hit]] += 1
-                done[acc[hit]] |= found[ids[hit]] >= section.count
+                ids = lane[hit]
+                crossings.append((ids, t_old[hit], t[hit], y_old[:, hit],
+                                  f_old[:, hit], g_old[hit]))
+                found[ids] += 1
+                done[hit] |= found[ids] >= section.count
 
-        now_t[ids] = t[acc]
-        now_y[:, ids] = y[:, acc]
-        drift[ids] = np.maximum(drift[ids],
-                                np.abs(invariant(y[:, acc]) - v0[ids]))
+        now_t[lane] = t
+        now_y[:, lane] = y
+        dv = np.maximum(dv, np.abs(invariant(y) - v))
         times.append(now_t.copy())
         states.append(now_y.copy())
         if done.any():
@@ -328,8 +335,9 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
                     errors[i] = FlowError(
                         f"t_max={t_bound[i]:.6g} exceeded with {found[i]}/"
                         f"{section.count} section crossings")
-            lane, t, y, f, h_abs, rejected = _lanes(
-                ~done, lane, t, y, f, h_abs, rejected)
+            drift[lane] = dv
+            lane, t, t_b, y, f, g, v, dv, h_abs, rejected = _lanes(
+                ~done, lane, t, t_b, y, f, g, v, dv, h_abs, rejected)
 
     if crossings:
         ids, t_old, t_end, y_old, f_old, g_old = (

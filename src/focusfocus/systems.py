@@ -208,9 +208,7 @@ def _cel_array(kc: np.ndarray, p: np.ndarray
             md = m[done]
             out[lane[done]] = (0.5 * math.pi * (b[done] + a[done] * md)
                                / (md * (md + p[done])))
-            go = ~done
-            lane, a, b, e, m, p = (lane[go], a[go], b[go], e[go], m[go],
-                                   p[go])
+            lane, a, b, e, m, p = _lanes(~done, lane, a, b, e, m, p)
         kc = 2.0 * np.sqrt(e)
         e = kc * m
     return out, ok
@@ -490,12 +488,14 @@ class ChampagneBottle(SystemDefinition):
     def flow_field(self, s) -> np.ndarray:
         """The Cartesian field on a block of states (x, y, px, py), one
         per column."""
-        g = self.gamma
         x, y, px, py = s
-        acc = 2 * s[:2] - 4 * s[:2] * (x * x + y * y)
-        acc[0] -= g * py
-        acc[1] += g * px
-        return np.concatenate([[px - g * y, py + g * x], acc])
+        gx, gy, gpx, gpy = self.gamma * s
+        out = np.empty_like(s)
+        out[0], out[1] = px - gy, py + gx
+        out[2:] = 2 * s[:2] - 4 * s[:2] * (x * x + y * y)
+        out[2] -= gpy
+        out[3] += gpx
+        return out
 
     def flow_start(self, h: np.ndarray, l: np.ndarray):
         """(lane, seeds, reason): one seed (4, lanes, 1) per torus (h, l) at
@@ -629,7 +629,9 @@ class SphericalPendulum(SystemDefinition):
         qv = (qv3[0] + qv3[1]) + qv3[2]
         acc = (q[2] - ((vv[0] + vv[1]) + vv[2])) * q   # lam q
         acc[2] -= 1.0
-        return np.concatenate([v, acc - eta * (qv * q + q2m1 * v)])
+        out = np.empty_like(s)
+        out[:3], out[3:] = v, acc - eta * (qv * q + q2m1 * v)
+        return out
 
     def flow_start(self, h: np.ndarray, l: np.ndarray):
         """(lane, seeds, reason) as the champagne bottle's, two seeds (6,

@@ -140,32 +140,52 @@ class TestBatchedCrossCheck:
 
     def test_landing_is_lane_independent(self, monkeypatch, report_cfg):
         # four of C1's tori per system, as one batch and each alone: every
-        # lane (one per champagne torus, two per pendulum torus) lands on
-        # the same bits
+        # lane (one per champagne torus, two per pendulum torus) takes the
+        # same accepted states and lands on the same bits, with the same
+        # drift and error, though in the batch it steps beside lanes that
+        # retry a rejected step while it moves on, or the reverse
         champ, _, pend = acceptance.systems(report_cfg)
         rng = random.Random(report_cfg["seed"])
         integrate_flow = lattice.integrate_flow
-        records = []
+        runs = []
 
         def recording_flow(*args, **kwargs):
-            traj = integrate_flow(*args, **kwargs)
-            records.extend([(t, s.tolist()) for t, s in lane]
-                           for lane in traj.event_records)
-            return traj
+            runs.append(integrate_flow(*args, **kwargs))
+            return runs[-1]
+
+        def lanes(traj):
+            # each lane's distinct accepted (time, state) rows, its drift,
+            # error and landings, as bytes where they are floats
+            moved = np.diff(traj.times, axis=0) != 0.0
+            out = []
+            for j in range(traj.times.shape[1]):
+                rows = [0, *(np.flatnonzero(moved[:, j]) + 1)]
+                error = traj.errors[j]
+                out.append((traj.times[rows, j].tobytes(),
+                            traj.states[rows, :, j].tobytes(),
+                            traj.drift[j].tobytes(),
+                            None if error is None else str(error),
+                            [(t.hex(), s.tobytes())
+                             for t, s in traj.event_records[j]]))
+            return out
 
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
         for system in (champ, pend):
             tori = lattice.sample_cross_tori(system, rng,
                                              report_cfg["n_tori"])
-            records.clear()
             lattice._tori_flow(system, tori[:4])
-            batch = list(records)
-            legs = len(batch) // 4
-            assert [len(lane) for lane in batch] == [1] * 4 * legs
+            traj = runs[-1]
+            legs = traj.times.shape[1] // 4
+            assert [len(lane) for lane in traj.event_records] == [1] * 4 * legs
+            # a row where a lane stands still before its last time retried
+            # a rejected step; every row has a lane that moved
+            moved = np.diff(traj.times, axis=0) != 0.0
+            retried = ~moved & (traj.times[1:] < traj.times[-1])
+            assert (retried.any(axis=1) & moved.any(axis=1)).any()
+            batch = lanes(traj)
             for k, c in enumerate(tori[:4]):
-                records.clear()
                 lattice._tori_flow(system, [c])
-                assert records == batch[k * legs:(k + 1) * legs]
+                assert lanes(runs[-1]) == batch[k * legs:(k + 1) * legs]
 
     def test_one_landing_call_per_integration(self, monkeypatch,
                                               report_cfg):

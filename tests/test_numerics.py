@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from focusfocus import numerics
 from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
@@ -98,6 +99,17 @@ class TestBatchedFlow:
                               invariant=lambda y: y[0])
         assert isinstance(traj.errors[0], FlowError)
         assert "spacing between numbers" in str(traj.errors[0])
+
+    def test_zero_error_grows_by_max_factor(self):
+        # a field that vanishes estimates every step's error at exactly 0,
+        # and the step grows by MAX_FACTOR each time, as in solve_ivp
+        traj = integrate_flow(lambda y: 0.0 * y, [[1.0]], t_max=1.0,
+                              invariant=lambda y: y[0])
+        steps = np.diff(traj.times[:, 0])
+        assert steps[0] == 1e-6 and traj.times[-1, 0] == 1.0
+        assert steps[1:-1] / steps[:-2] == pytest.approx(
+            numerics.MAX_FACTOR, rel=1e-9)
+        assert (traj.states == 1.0).all()
 
     def test_underflow_stays_in_its_lane(self):
         traj = integrate_flow(blowup, [[1.0, 0.1]], t_max=2.0,
@@ -230,6 +242,52 @@ def test_dop853_tableau_is_scipys():
         ours, theirs = getattr(numerics.DOP853, name), getattr(DOP853, name)
         assert ours.shape == theirs.shape
         assert ours.tobytes() == np.ascontiguousarray(theirs).tobytes()
+
+
+@pytest.mark.parametrize("name", ["champagne", "pendulum"])
+def test_rk_step_matches_scipy(request, name):
+    # one DOP853 step of each system's field, against scipy's at
+    # first_step = h with a tolerance loose enough to accept it: scipy sums
+    # the stages by BLAS dot, so the two agree to the rounding of the sums
+    from scipy.integrate import DOP853
+    system = request.getfixturevalue(name)
+    y0 = flow_seeds(system, EMValue(0.1, 0.05))[:, 0]
+    h = 0.05
+    ref = DOP853(lambda t, y: system.flow_field(y[:, None])[:, 0], 0.0, y0,
+                 t_bound=1.0, first_step=h, rtol=1e-3, atol=1e-6)
+    ref.step()
+    assert ref.status == "running" and ref.t == h
+    K = np.empty((numerics.DOP853.n_stages + 1, y0.size, 1))
+    got = numerics._rk_step(system.flow_field, y0[:, None],
+                            system.flow_field(y0[:, None]), np.array([h]), K)
+    bound = 4.0 * numerics.EPS * np.maximum(1.0, np.abs(ref.y))
+    assert (np.abs(got[:, 0] - ref.y) <= bound).all()
+
+
+@st.composite
+def lane_blocks(draw):
+    """Arrays indexed by lane last, real or complex, 1-D or (d, m) blocks,
+    with a mask over their m lanes: drawn, all false or all true."""
+    m = draw(st.integers(1, 12))
+    lead = draw(st.sampled_from([(), (1,), (3,), (6,)]))
+    blocks = [draw(arrays(dtype, lead + (m,)))
+              for dtype in draw(st.lists(st.sampled_from([float, complex]),
+                                         min_size=1, max_size=3))]
+    mask = draw(st.one_of(arrays(bool, (m,)), st.just(np.zeros(m, bool)),
+                          st.just(np.ones(m, bool))))
+    return mask, blocks
+
+
+@given(lane_blocks())
+@settings(max_examples=200, deadline=None)
+def test_lanes_gathers_as_a_mask(case):
+    mask, blocks = case
+    got = numerics._lanes(mask, *blocks)
+    assert len(got) == len(blocks)
+    for a, b in zip(got, blocks):
+        ref = b[..., mask]
+        assert (a.dtype, a.shape) == (ref.dtype, ref.shape)
+        assert a.tobytes() == ref.tobytes()
 
 
 class TestQuadSingular:
