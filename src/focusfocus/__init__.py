@@ -6,7 +6,7 @@ from .errors import (BracketError, BranchError, CrossEngineMismatch,
                      FitError, FlowError, FocusFocusError, NoTorusError,
                      QuadratureError, ScanError, SystemRejected,
                      TurningPointDegeneracy, WindowError)
-from .numerics import (EventSpec, Trajectory, align_angle, find_root_bracketed,
+from .numerics import (Trajectory, align_angle, find_root_bracketed,
                        integrate_flow)
 from .systems import (ChampagneBottle, EMValue, FocusFocusData,
                       MomentumValue, SphericalPendulum, SystemDefinition,

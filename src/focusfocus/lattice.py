@@ -67,7 +67,7 @@ import numpy as np
 
 from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
                      FocusFocusError)
-from .numerics import (EPS, EventSpec, QUAD_REL_TOL, T_BUDGET_FACTOR,
+from .numerics import (EPS, QUAD_REL_TOL, T_BUDGET_FACTOR,
                        TWO_PI, align_angle, integrate_flow)
 from .systems import (EMValue, MomentumValue, SystemDefinition,
                       eval_constants, from_momentum_chart, polar)
@@ -198,13 +198,12 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
     owner = np.repeat(inside[lane], seeds.shape[-1]).tolist()
     budgets = [T_BUDGET_FACTOR * (1.0 + abs(math.log(r[i]))) / ff.alpha
                for i in owner]
-    section = EventSpec(system.flow_section_value, system.flow_section_rate,
-                        count=1)
     traj = integrate_flow(system.flow_field,
                           seeds.reshape(seeds.shape[0], -1),
                           t_max=np.array(budgets),
-                          invariant=system.flow_hamiltonian, section=section,
-                          tol=system.flow_rtol)
+                          invariant=system.flow_hamiltonian,
+                          section=system.flow_section_value,
+                          rate=system.flow_section_rate, tol=system.flow_rtol)
     rate = system.frame_rate
     sign = np.where(np.signbit(l[owner]), -1.0, 1.0)
     turns = _frame_turns(traj.states, traj.times, rate, sign)
@@ -230,7 +229,7 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
                 f"[{lo / math.pi:g} pi, {hi / math.pi:g} pi]: its turn count"
                 " is unknown")
         else:
-            ((t, s),) = traj.event_records[lane]
+            t, s = float(traj.landing_t[lane]), traj.landing_y[:, lane]
             phi = math.atan2(s[1], s[0])
             psi = psi_end[lane] + math.remainder(
                 phi - phi_end[lane] - rate * (t - t_end[lane]), TWO_PI)

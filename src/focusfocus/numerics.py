@@ -3,11 +3,13 @@
 Adaptive ODE integration to a section: a batched Dormand-Prince 8(5,3)
 integrator (DOP853) that steps a block of seeds at once, each lane with its
 own step-size controller, on an autonomous field evaluated on whole blocks
-of states.  Every crossing lands on the section after the loop, all in one
-call, by Henon's step (one DOP853 step in the section function; M. Henon,
-Physica D 5 (1982) 412-414), and the kernel tracks the running drift of an
-invariant (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.6).  Its
-loop and the Newton and cel loops of systems drop finished lanes by _lanes.
+of states.  Each lane runs to its first falling crossing of the one
+section it is given, and lands on it at most once: every crossing lands
+after the loop, all in one call, by Henon's step (one DOP853 step in the
+section function; M. Henon, Physica D 5 (1982) 412-414), and the kernel
+tracks the running drift of an invariant (Hairer, Norsett and Wanner,
+Solving ODEs I, II.4-II.6).  Its loop and the Newton and cel loops of
+systems drop finished lanes by _lanes.
 Quadrature with inverse-square-root endpoint singularities
 (singularity-removing substitution + adaptive refinement; no engine uses
 it, the tests use it as a reference), and Brent root finding (scipy's
@@ -101,35 +103,23 @@ def align_angle(value: float, reference: float) -> float:
 
 @dataclass
 class Trajectory:
-    """A batch of n lanes integrated together.
+    """A batch of n lanes integrated together, each to its first falling
+    crossing of the section.
 
     Row i of times (k+1, n) and of states (k+1, d, n) holds every lane's
     time and state after the i-th batch step; a lane that retries a
-    rejected step or has stopped repeats its last ones.  event_records
-    holds one list per lane of its landed (time, state) section
-    crossings in order, drift each lane's largest
+    rejected step or has stopped repeats its last ones.  landing_t (n,)
+    and landing_y (d, n) hold each lane's one landing on the section, NaN
+    where it has none; drift each lane's largest
     |f(y) - f(y0)| / (1 + |f(y0)|) of the invariant f over its accepted
     steps, and errors the FlowError that stopped each lane, or None.
     """
     times: np.ndarray
     states: np.ndarray
-    event_records: list
+    landing_t: np.ndarray
+    landing_y: np.ndarray
     drift: np.ndarray
     errors: list
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """A section fn(state) = 0, crossed where fn falls through zero, at the
-    rate(state, f) = d fn/dt where the field is f.  A lane stops at its
-    count-th crossing."""
-    fn: Callable[[np.ndarray], np.ndarray]
-    rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    count: int
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("a section needs count >= 1")
 
 
 def _rms(x: np.ndarray) -> np.ndarray:
@@ -213,35 +203,38 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
                    p0: np.ndarray,
                    t_max: float | Sequence[float],
                    invariant: Callable[[np.ndarray], np.ndarray],
-                   section: EventSpec | None = None,
+                   section: Callable[[np.ndarray], np.ndarray],
+                   rate: Callable[[np.ndarray, np.ndarray], np.ndarray],
                    tol: float = FLOW_RTOL) -> Trajectory:
     """Integrate the autonomous `field` from the seeds p0 (d, n), n lanes
     stepped together, with the embedded Dormand-Prince 8(5,3) pair
     (DOP853), whose high order keeps the step count low at the tight
-    tolerances the flow oracle runs at.
+    tolerances the flow oracle runs at, each lane to its first falling
+    crossing of the section section(y) = 0, crossed at rate(y, f) = d
+    section/dt where the field is f.
 
-    field(y) maps a block of states y (d, m) to an array (d, m), and the
-    section's fn and rate and the invariant take blocks too: no callable
-    is handed a lone state (d,), not even on a batch of one lane.  t_max
-    may hold one budget per lane.
+    field(y) maps a block of states y (d, m) to an array (d, m), and
+    section, rate and the invariant take blocks too: no callable is handed
+    a lone state (d,), not even on a batch of one lane.  t_max may hold one
+    budget per lane.
     Each lane runs solve_ivp's controller on its own: starting step, error
     norm, SAFETY/MIN/MAX factors, no growth right after a rejection, and
     failure once the step falls below ten ulps of t.  A lane crosses the
-    section on an accepted step where its fn goes from above zero to zero
+    section on an accepted step where section goes from above zero to zero
     or below (so a seed lying on the section is not a crossing), and stops
-    at its count-th crossing.  After the loop every crossing lands on the
-    section in one call of Henon's step (_land) from its step's start.
+    there.  After the loop every crossing lands on the section in one call
+    of Henon's step (_land) from its step's start.
     Live lanes stay in place: np.where takes each one's new or old state,
     and the arrays are compacted (_lanes) only when lanes stop.  The
     invariant, for each lane's running maximum drift, is evaluated on
     every live state after a batch step that accepts any lane.
 
     A lane fails with FlowError on step-size underflow (near-singular
-    dynamics) or a non-finite step size, when it does not reach its count
-    of crossings before its t_max, or when a landing fails: a rate that is
+    dynamics) or a non-finite step size, when it does not cross the
+    section before its t_max, or when its landing fails: a rate that is
     not negative, a non-finite landing, or a landing time outside its
-    step; it then records no later landing.  The error is
-    recorded in Trajectory.errors and the other lanes go on.
+    step.  The error is recorded in Trajectory.errors, the lane has no
+    landing, and the other lanes go on.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
@@ -262,13 +255,9 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
     rejected = np.zeros(n, dtype=bool)
     v0 = np.asarray(invariant(y0), dtype=float)
     v, dv = v0, np.zeros(n)   # the live lanes' v0 and running drift
-    g = np.zeros(n)
-    if section is not None:
-        g = np.asarray(section.fn(y), dtype=float)
-        found = np.zeros(n, dtype=int)
+    g = np.asarray(section(y), dtype=float)
     crossings = []   # per step: its crossing lanes' ids, t, t_end, y, f, g
 
-    records: list[list] = [[] for _ in range(n)]
     errors: list[FlowError | None] = [None] * n
     drift = np.zeros(n)
     now_t, now_y = t.copy(), y0.copy()
@@ -312,17 +301,12 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
         t = np.where(accept, t_new, t)
         y = np.where(accept, y_new, y)
         f = np.where(accept, K[DOP853.n_stages], f)
-        done = accept & (t_new >= t_b)
-        if section is not None:
-            g_old, g = g, section.fn(y)
-            # strict before, so a seed on the section is not a crossing
-            hit = np.flatnonzero(accept & (g_old > 0.0) & (g <= 0.0))
-            if hit.size:
-                ids = lane[hit]
-                crossings.append((ids, t_old[hit], t[hit], y_old[:, hit],
-                                  f_old[:, hit], g_old[hit]))
-                found[ids] += 1
-                done[hit] |= found[ids] >= section.count
+        g_old, g = g, section(y)
+        # strict before, so a seed on the section is not a crossing
+        hit = accept & (g_old > 0.0) & (g <= 0.0)
+        if hit.any():
+            crossings.append(_lanes(hit, lane, t_old, t, y_old, f_old, g_old))
+        done = hit | (accept & (t_new >= t_b))
 
         now_t[lane] = t
         now_y[:, lane] = y
@@ -330,36 +314,28 @@ def integrate_flow(field: Callable[[np.ndarray], np.ndarray],
         times.append(now_t.copy())
         states.append(now_y.copy())
         if done.any():
-            for i in lane[done]:
-                if section is not None and found[i] < section.count:
-                    errors[i] = FlowError(
-                        f"t_max={t_bound[i]:.6g} exceeded with {found[i]}/"
-                        f"{section.count} section crossings")
+            for i in lane[done & ~hit]:
+                errors[i] = FlowError(f"t_max={t_bound[i]:.6g} exceeded with "
+                                      "0/1 section crossings")
             drift[lane] = dv
             lane, t, t_b, y, f, g, v, dv, h_abs, rejected = _lanes(
                 ~done, lane, t, t_b, y, f, g, v, dv, h_abs, rejected)
 
+    landing_t, landing_y = np.full(n, np.nan), np.full((d, n), np.nan)
     if crossings:
         ids, t_old, t_end, y_old, f_old, g_old = (
             np.concatenate(a, axis=-1) for a in zip(*crossings))
-        t_at, y_at, r = _land(field, section.rate, t_old, y_old, f_old,
-                              g_old)
-        failed = set()
-        for q, i in enumerate(ids.tolist()):
-            if i in failed:
-                continue
-            if not (r[q] < 0.0
-                    and np.isfinite(y_at[:, q]).all()
-                    and t_old[q] <= t_at[q] <= t_end[q]):
-                errors[i] = FlowError(
-                    f"no landing on the section from t={t_old[q]:.6g}: "
-                    f"rate {r[q]:.3g}, landing time {t_at[q]:.6g}")
-                failed.add(i)
-                continue
-            records[i].append((float(t_at[q]), y_at[:, q]))
+        t_at, y_at, r = _land(field, rate, t_old, y_old, f_old, g_old)
+        ok = ((r < 0.0) & np.isfinite(y_at).all(axis=0)
+              & (t_old <= t_at) & (t_at <= t_end))
+        landing_t[ids[ok]], landing_y[:, ids[ok]] = t_at[ok], y_at[:, ok]
+        for q in np.flatnonzero(~ok):
+            errors[ids[q]] = FlowError(
+                f"no landing on the section from t={t_old[q]:.6g}: "
+                f"rate {r[q]:.3g}, landing time {t_at[q]:.6g}")
 
     return Trajectory(times=np.array(times), states=np.array(states),
-                      event_records=records,
+                      landing_t=landing_t, landing_y=landing_y,
                       drift=drift / (1.0 + np.abs(v0)), errors=errors)
 
 

@@ -62,25 +62,29 @@ def rotation_grid(system: SystemDefinition, window: tuple[float, float],
 
     Rows are constant-|j| circles anchored just past the reference ray and
     transported counterclockwise, so |W_neighbor - W| < 1/2 along each
-    row.  Points below the system's j_floor fail its window and are
-    masked MASK_CORE, other points without a regular torus MASK_FAILED;
-    neither serves as a reference, and a failed anchor outside the core
-    fails the whole row.
+    row.  A row whose radius lies below the system's j_floor is masked
+    MASK_CORE whole, unevaluated, as is a point of another row that fails
+    the window below j_floor; other points without a regular torus are
+    masked MASK_FAILED.  Neither serves as a reference, and a failed
+    anchor outside the core fails the whole row.
     """
     n0, n1 = resolution
     radii = np.geomspace(*window, n0)
     angles = RAY_OFFSET + TWO_PI * np.arange(n1) / n1
     j = polar(radii, angles)
     c = from_momentum_chart(system, j)
-    _, theta, br, failed = transport(system, c.h, c.l)
+    w, br = np.full(c.h.shape, np.nan), np.zeros(c.h.shape, dtype=int)
+    mask = np.full(c.h.shape, MASK_CORE, dtype=np.uint8)
+    rows = radii >= system.j_floor
+    h, l = c.h[rows], c.l[rows]
+    _, theta, sheet, failed = transport(system, h, l)
     lanes = np.fromiter(failed, dtype=np.intp)
-    core = (system.window_radius(c.h.flat[lanes], c.l.flat[lanes])
-            < system.j_floor)
-    w = theta / TWO_PI
-    mask = np.full(c.h.shape, MASK_REGULAR, dtype=np.uint8)
-    mask.flat[lanes] = np.where(core, MASK_CORE, MASK_FAILED)
-    dead = np.isin(np.arange(n0) * n1, lanes[~core])   # row anchor failed
-    mask[dead], w[dead], br[dead] = MASK_FAILED, np.nan, 0
+    core = system.window_radius(h.flat[lanes], l.flat[lanes]) < system.j_floor
+    code = np.full(h.shape, MASK_REGULAR, dtype=np.uint8)
+    code.flat[lanes] = np.where(core, MASK_CORE, MASK_FAILED)
+    dead = np.isin(np.arange(len(h)) * n1, lanes[~core])   # row anchor failed
+    code[dead], theta[dead], sheet[dead] = MASK_FAILED, np.nan, 0
+    w[rows], br[rows], mask[rows] = theta / TWO_PI, sheet, code
     return RotationGrid(h=c.h, l=c.l, j1=j.j1, w=w, branch=br, mask=mask)
 
 

@@ -133,10 +133,8 @@ class TestBatchedCrossCheck:
         assert acceptance.c1_cross_engine(report_cfg)[0] == "pass"
         assert [traj.states.shape[2] for _, traj in calls] == [50, 100]
         for section, traj in calls:
-            for records in traj.event_records:
-                assert len(records) == 1
-                for _, state in records:
-                    assert abs(section.fn(state)) <= 1e-13
+            assert np.isfinite(traj.landing_t).all()
+            assert (np.abs(section(traj.landing_y)) <= 1e-13).all()
 
     def test_landing_is_lane_independent(self, monkeypatch, report_cfg):
         # four of C1's tori per system, as one batch and each alone: every
@@ -165,8 +163,8 @@ class TestBatchedCrossCheck:
                             traj.states[rows, :, j].tobytes(),
                             traj.drift[j].tobytes(),
                             None if error is None else str(error),
-                            [(t.hex(), s.tobytes())
-                             for t, s in traj.event_records[j]]))
+                            traj.landing_t[j].tobytes(),
+                            traj.landing_y[:, j].tobytes()))
             return out
 
         monkeypatch.setattr(lattice, "integrate_flow", recording_flow)
@@ -176,7 +174,8 @@ class TestBatchedCrossCheck:
             lattice._tori_flow(system, tori[:4])
             traj = runs[-1]
             legs = traj.times.shape[1] // 4
-            assert [len(lane) for lane in traj.event_records] == [1] * 4 * legs
+            assert np.isfinite(traj.landing_t).all()
+            assert traj.landing_t.shape == (4 * legs,)
             # a row where a lane stands still before its last time retried
             # a rejected step; every row has a lane that moved
             moved = np.diff(traj.times, axis=0) != 0.0
@@ -253,48 +252,61 @@ class TestBatchedCrossCheck:
                                       window=(0.2, 0.3))
 
 
+# the reference's solver tolerance, below either system's flow_rtol: its
+# Theta error scales with it, and at 3e-14 stays under 5e-10 on pendulum
+# tori down to |j| = 1e-4
+REFERENCE_TOL = 3e-14
+
+
 def full_return_reference(system, tori):
     """(T, Theta) of each torus by a full return, independent of the
-    reversor and of the oracle's azimuth reading: seeded at its outer
-    turning point (r_hi, or z2), timed between its first and second
-    falling crossings of the mid-orbit level of r^2, or z.  The azimuth
-    phi is integrated, as phi' = (x ydot - y xdot)/r^2, in a state row
-    after the system's own.  Each lane's level rides as a last, constant
-    state component, which the section subtracts."""
+    reversor and of the oracle's azimuth reading: timed from its seed to
+    its first falling crossing of a section through the seed, one period
+    later.  The bottle's seed is its outer turning point r_hi, on the
+    radial-velocity section x px + y py = r rdot, which the orbit crosses
+    rising at r_lo.  The pendulum's is its descending equator passage,
+    (1, 0, 0, 0, l, -sqrt(2 (h + 1) - l^2)) from H and L alone, on the
+    section z: its turning points lie beside the saddle passage (z2) and
+    the south-pole graze (z1), where a landing's time error moves phi
+    most.  The azimuth phi is integrated, as phi' = (x ydot - y xdot)/r^2,
+    in a state row after the system's own."""
     def field(s):
-        f = system.flow_field(s[:-2])
+        f = system.flow_field(s[:-1])
         phi_dot = (s[0] * f[1] - s[1] * f[0]) / (s[0] * s[0] + s[1] * s[1])
-        return np.concatenate([f, [phi_dot], 0.0 * s[-1:]])
+        return np.concatenate([f, [phi_dot]])
 
     seeds, budgets = [], []
     for c in tori:
-        lo, hi = system.reduced_profile(c)
         if system.name == "champagne":
-            seeds.append([hi, 0.0, 0.0, c.l / hi, 0.0,
-                          0.5 * (lo * lo + hi * hi)])
+            hi = system.reduced_profile(c)[1]
+            seeds.append([hi, 0.0, 0.0, c.l / hi, 0.0])
         else:
-            x0 = math.sqrt(1.0 - hi * hi)
-            seeds.append([x0, 0.0, hi, 0.0, c.l / x0, 0.0, 0.0,
-                          0.5 * (lo + hi)])
+            vz = math.sqrt(2.0 * (c.h + 1.0) - c.l * c.l)
+            seeds.append([1.0, 0.0, 0.0, 0.0, c.l, -vz, 0.0])
         j = to_momentum_chart(system, c)
         budgets.append(numerics.T_BUDGET_FACTOR
                        * (1.0 + abs(math.log(j.modulus)))
                        / eval_constants(system).alpha)
     if system.name == "champagne":
-        section = numerics.EventSpec(
-            lambda s: s[0] * s[0] + s[1] * s[1] - s[5],
-            lambda s, f: 2.0 * (s[0] * f[0] + s[1] * f[1]), count=2)
+        def section(s):
+            return s[0] * s[2] + s[1] * s[3]
+
+        def rate(s, f):
+            return f[0] * s[2] + s[0] * f[2] + f[1] * s[3] + s[1] * f[3]
     else:
-        section = numerics.EventSpec(lambda s: s[2] - s[7],
-                                     lambda s, f: f[2], count=2)
+        def section(s):
+            return s[2]
+
+        def rate(s, f):
+            return f[2]
     traj = numerics.integrate_flow(
         field, np.array(seeds).T, t_max=np.array(budgets),
-        invariant=system.flow_hamiltonian, section=section,
-        tol=system.flow_rtol)
+        invariant=system.flow_hamiltonian, section=section, rate=rate,
+        tol=REFERENCE_TOL)
     assert traj.errors == [None] * len(tori)
     assert traj.drift.max() <= lattice.ENERGY_DRIFT_TOL
-    return [(t2 - t1, float(s2[-2] - s1[-2]))
-            for (t1, s1), (t2, s2) in traj.event_records]
+    return [(float(t), float(phi))
+            for t, phi in zip(traj.landing_t, traj.landing_y[-1])]
 
 
 class TestHalfReturn:
@@ -310,6 +322,22 @@ class TestHalfReturn:
                     flows, full_return_reference(system, tori)):
                 assert abs(T - T_ref) <= 1e-9 * T_ref
                 assert abs(theta - theta_ref) <= 1e-9
+
+    def test_reference_reaches_below_the_pendulum_domain(self, monkeypatch,
+                                                         pendulum):
+        # 50 pendulum tori at |j| in [1e-4, 3e-4], below the pendulum's
+        # cross-check domain (1e-3): the half return, doubled, and the
+        # closed form both match the reference to the bounds above, so it
+        # can check a lower pendulum floor
+        monkeypatch.setitem(lattice.CROSS_DOMAINS, "pendulum", (1e-4, 3e-4))
+        tori = lattice.sample_cross_tori(pendulum, random.Random(1), 50)
+        flows, _ = lattice._tori_flow(pendulum, tori)
+        T, theta, _, _ = lattice._tori(pendulum, *lattice._arrays(tori))
+        for (T_ref, theta_ref), *engines in zip(
+                full_return_reference(pendulum, tori), flows, zip(T, theta)):
+            for T_eng, theta_eng in engines:
+                assert abs(T_eng - T_ref) <= 1e-9 * T_ref
+                assert abs(theta_eng - theta_ref) <= 1e-9
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_step_turns_stay_in_the_half_circle(self, monkeypatch, seed,

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from focusfocus import numerics
-from focusfocus import (BracketError, EMValue, EventSpec, FlowError,
-                        align_angle, find_root_bracketed, integrate_flow)
+from focusfocus import (BracketError, EMValue, FlowError, align_angle,
+                        find_root_bracketed, integrate_flow)
 from focusfocus.numerics import QuadratureSpec, linear_quantiles, quad_singular
 from focusfocus.lattice import reduced_period_rotation
 from reference_profiles import champagne_profile, flow_seeds
@@ -23,68 +23,84 @@ def amplitude(y):
     return y[0] * y[0] + y[1] * y[1]
 
 
+def upward(y):
+    # -x, which falls through zero where x rises through it
+    return -y[0]
+
+
 def x_rate(y, f):
-    # -dx/dt, the rate of the sections fn(y) = level - y[0], which fall
-    # where x rises through the level
+    # -dx/dt, the rate of the sections level - y[0], which fall where x
+    # rises through the level
     return -f[0]
+
+
+def never(y):
+    # a section no lane crosses: each runs to its t_max
+    return np.ones(y.shape[-1])
+
+
+def no_rate(y, f):
+    raise AssertionError("a section no lane crosses has no landing to rate")
 
 
 def one_lane(seed):
     return np.array(seed, dtype=float)[:, None]
 
 
+def assert_ran_out(traj, i, t_max):
+    """Lane i ran to its t_max without a crossing, and has no landing."""
+    assert isinstance(traj.errors[i], FlowError)
+    assert str(traj.errors[i]) == (f"t_max={t_max:.6g} exceeded with 0/1 "
+                                   "section crossings")
+    assert traj.times[-1, i] == t_max
+    assert np.isnan(traj.landing_t[i]) and np.isnan(traj.landing_y[:, i]).all()
+
+
 class TestIntegrateFlow:
     def test_harmonic_first_return(self):
         # start on the section x = 0 moving upward; the next upward crossing
         # (-x falling through 0) is one full period later
-        ev = EventSpec(lambda y: -y[0], x_rate, count=1)
         traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=10.0,
-                              invariant=amplitude, section=ev, tol=1e-12)
-        ((t1, landing),) = traj.event_records[0]
-        assert t1 == pytest.approx(TWO_PI, abs=1e-9)
-        assert landing == pytest.approx([0.0, 1.0], abs=1e-9)
+                              invariant=amplitude, section=upward,
+                              rate=x_rate, tol=1e-12)
+        assert traj.errors == [None]
+        assert traj.landing_t[0] == pytest.approx(TWO_PI, abs=1e-9)
+        assert traj.landing_y[:, 0] == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_energy_conservation_long_run(self, champagne):
         traj = integrate_flow(champagne.flow_field,
                               flow_seeds(champagne, EMValue(0.1, 0.05)),
                               t_max=100.0,
-                              invariant=champagne.flow_hamiltonian, tol=1e-12)
+                              invariant=champagne.flow_hamiltonian,
+                              section=never, rate=no_rate, tol=1e-12)
         assert traj.drift[0] <= 1e-10
+        assert_ran_out(traj, 0, 100.0)
 
     def test_energy_conservation_pendulum(self, pendulum):
         c = EMValue(0.05, 0.02)
         traj = integrate_flow(pendulum.flow_field,
                               flow_seeds(pendulum, c)[:, :1], t_max=100.0,
                               invariant=pendulum.flow_hamiltonian,
+                              section=never, rate=no_rate,
                               tol=pendulum.flow_rtol)
         assert traj.drift[0] <= 1e-10
+        assert_ran_out(traj, 0, 100.0)
 
     def test_return_event_exists_on_champagne_torus(self, champagne):
+        # the seed at the inner turning point lands at the outer one
         seed = flow_seeds(champagne, EMValue(0.1, 0.05))
-        section = EventSpec(champagne.flow_section_value,
-                            champagne.flow_section_rate, count=2)
         traj = integrate_flow(champagne.flow_field, seed, t_max=1e3,
                               invariant=champagne.flow_hamiltonian,
-                              section=section, tol=1e-10)
+                              section=champagne.flow_section_value,
+                              rate=champagne.flow_section_rate, tol=1e-10)
         assert traj.errors[0] is None
-        assert len(traj.event_records[0]) == 2
-        assert traj.event_records[0][1][0] < 1e3
-
-    def test_event_count_not_reached(self):
-        ev = EventSpec(lambda y: -y[0], x_rate, count=3)
-        traj = integrate_flow(oscillator, one_lane([0.0, 1.0]), t_max=8.0,
-                              invariant=amplitude, section=ev)
-        assert isinstance(traj.errors[0], FlowError)
-        assert "exceeded with 1/3" in str(traj.errors[0])
-
-    def test_section_needs_a_count(self):
-        with pytest.raises(ValueError, match="count"):
-            EventSpec(lambda y: -y[0], x_rate, count=0)
+        assert 0.0 < traj.landing_t[0] <= traj.times[-1, 0] < 1e3
+        assert abs(champagne.flow_section_value(traj.landing_y)[0]) <= 1e-12
 
     def test_one_seed_is_one_column(self):
         with pytest.raises(ValueError, match="shape"):
             integrate_flow(oscillator, [0.0, 1.0], t_max=1.0,
-                           invariant=amplitude)
+                           invariant=amplitude, section=upward, rate=x_rate)
 
 
 def blowup(y):
@@ -96,27 +112,32 @@ class TestBatchedFlow:
     def test_step_underflow_raises(self):
         # as solve_ivp's status -1: the step falls below ten ulps of t
         traj = integrate_flow(blowup, [[1.0]], t_max=2.0,
-                              invariant=lambda y: y[0])
+                              invariant=lambda y: y[0], section=never,
+                              rate=no_rate)
         assert isinstance(traj.errors[0], FlowError)
         assert "spacing between numbers" in str(traj.errors[0])
+        assert np.isnan(traj.landing_t[0])
 
     def test_zero_error_grows_by_max_factor(self):
         # a field that vanishes estimates every step's error at exactly 0,
         # and the step grows by MAX_FACTOR each time, as in solve_ivp
         traj = integrate_flow(lambda y: 0.0 * y, [[1.0]], t_max=1.0,
-                              invariant=lambda y: y[0])
+                              invariant=lambda y: y[0], section=never,
+                              rate=no_rate)
         steps = np.diff(traj.times[:, 0])
         assert steps[0] == 1e-6 and traj.times[-1, 0] == 1.0
         assert steps[1:-1] / steps[:-2] == pytest.approx(
             numerics.MAX_FACTOR, rel=1e-9)
         assert (traj.states == 1.0).all()
+        assert_ran_out(traj, 0, 1.0)
 
     def test_underflow_stays_in_its_lane(self):
         traj = integrate_flow(blowup, [[1.0, 0.1]], t_max=2.0,
-                              invariant=lambda y: y[0])
+                              invariant=lambda y: y[0], section=never,
+                              rate=no_rate)
         assert isinstance(traj.errors[0], FlowError)
         assert "spacing between numbers" in str(traj.errors[0])
-        assert traj.errors[1] is None
+        assert_ran_out(traj, 1, 2.0)
         assert traj.times[-1, 1] == 2.0
         assert traj.states[-1, 0, 1] == pytest.approx(0.1 / 0.8, rel=1e-10)
         assert traj.times.shape == (len(traj.times), 2)
@@ -129,24 +150,30 @@ class TestBatchedFlow:
         def field(y):
             return [y[1], -y[0], 0.0 * y[2]]
 
+        def section(y):
+            return y[2] - y[0]
+
         seeds = np.array([[0.0, 0.3, -0.5], [1.0, 0.8, 0.2],
                           [0.0, 0.1, -0.2]])
-        ev = EventSpec(lambda y: y[2] - y[0], x_rate, count=2)
         traj = integrate_flow(field, seeds, t_max=[20.0, 20.0, 30.0],
-                              invariant=amplitude, section=ev)
+                              invariant=amplitude, section=section,
+                              rate=x_rate)
         for i in range(3):
             one = integrate_flow(field, seeds[:, i:i + 1], t_max=20.0,
-                                 invariant=amplitude, section=ev)
-            assert traj.errors[i] is None
-            got = [t for t, _ in traj.event_records[i]]
-            assert got == pytest.approx([t for t, _ in one.event_records[0]],
-                                        abs=1e-12)
-            assert traj.event_records[i][-1][1] == pytest.approx(
-                one.event_records[0][-1][1], abs=1e-12)
+                                 invariant=amplitude, section=section,
+                                 rate=x_rate)
+            assert traj.errors[i] is None and one.errors[0] is None
+            assert traj.landing_t[i] == pytest.approx(one.landing_t[0],
+                                                      abs=1e-12)
+            assert traj.landing_y[:, i] == pytest.approx(
+                one.landing_y[:, 0], abs=1e-12)
             assert traj.drift[i] == pytest.approx(one.drift[0], abs=1e-14)
         # the seed on the section (lane 0) is not a crossing
-        assert traj.event_records[0][0][0] == pytest.approx(TWO_PI,
-                                                            abs=1e-9)
+        assert traj.landing_t[0] == pytest.approx(TWO_PI, abs=1e-9)
+        # each lane stopped at its landing's step: lanes 1 and 2 cross
+        # their levels before 2 pi
+        assert (traj.landing_t[1:] < TWO_PI).all()
+        assert (traj.times[-1] < [20.0, 20.0, 30.0]).all()
 
     def test_zero_rate_fails_only_its_lane(self):
         # a third, constant component tags lane 1, whose section rate reads
@@ -154,26 +181,26 @@ class TestBatchedFlow:
         def field(y):
             return [y[1], -y[0], 0.0 * y[2]]
 
-        ev = EventSpec(lambda y: -y[0], lambda y, f: -f[0] * (1.0 - y[2]),
-                       count=2)
         traj = integrate_flow(field, [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]],
-                              t_max=20.0, invariant=amplitude, section=ev)
+                              t_max=20.0, invariant=amplitude,
+                              section=upward,
+                              rate=lambda y, f: -f[0] * (1.0 - y[2]))
         assert traj.errors[0] is None
-        assert [t for t, _ in traj.event_records[0]] == pytest.approx(
-            [TWO_PI, 2.0 * TWO_PI], abs=1e-9)
+        assert traj.landing_t[0] == pytest.approx(TWO_PI, abs=1e-9)
         assert isinstance(traj.errors[1], FlowError)
         assert "no landing on the section" in str(traj.errors[1])
-        assert traj.event_records[1] == []
+        assert np.isnan(traj.landing_t[1])
+        assert np.isnan(traj.landing_y[:, 1]).all()
 
     def test_budget_is_per_lane(self):
-        ev = EventSpec(lambda y: -y[0], x_rate, count=2)
+        # both lanes start on the section, one period before their first
+        # crossing; lane 1's budget ends first
         traj = integrate_flow(oscillator, [[0.0, 0.0], [1.0, 1.0]],
-                              t_max=[20.0, 8.0], invariant=amplitude,
-                              section=ev)
+                              t_max=[20.0, 6.0], invariant=amplitude,
+                              section=upward, rate=x_rate)
         assert traj.errors[0] is None
-        assert len(traj.event_records[0]) == 2
-        assert isinstance(traj.errors[1], FlowError)
-        assert "exceeded with 1/2" in str(traj.errors[1])
+        assert traj.landing_t[0] == pytest.approx(TWO_PI, abs=1e-9)
+        assert_ran_out(traj, 1, 6.0)
 
     def test_drift_matches_loop_reference(self, champagne):
         # a fifth, constant state component tags each lane, so the blocks
@@ -193,7 +220,10 @@ class TestBatchedFlow:
             return champagne.flow_hamiltonian(y)
 
         traj = integrate_flow(field, seeds, t_max=[5.0, 3.0],
-                              invariant=invariant)
+                              invariant=invariant, section=never,
+                              rate=no_rate)
+        assert_ran_out(traj, 0, 5.0)
+        assert_ran_out(traj, 1, 3.0)
         states = [[], []]
         for block in seen:
             for s in block.T:
@@ -212,24 +242,27 @@ class TestNonFinite:
                                         dict(t_max=math.inf),
                                         dict(t_max=[1.0, math.nan])])
     def test_rejects_a_non_finite_tol_or_budget(self, kwargs):
-        args = {"t_max": 1.0, "invariant": amplitude, **kwargs}
+        args = {"t_max": 1.0, "invariant": amplitude, "section": upward,
+                "rate": x_rate, **kwargs}
         with pytest.raises(ValueError, match="finite"):
             integrate_flow(oscillator, [[0.0, 0.3], [1.0, 0.8]], **args)
 
     def test_nan_lane_fails_alone(self):
         # a NaN seed makes its step size NaN, which is never "tiny": the
         # lane fails at once and its neighbour lands as it does alone
-        ev = EventSpec(lambda y: -y[0], x_rate, count=2)
         traj = integrate_flow(oscillator, [[math.nan, 0.3], [1.0, 0.8]],
-                              t_max=20.0, invariant=amplitude, section=ev)
+                              t_max=20.0, invariant=amplitude,
+                              section=upward, rate=x_rate)
         alone = integrate_flow(oscillator, one_lane([0.3, 0.8]), t_max=20.0,
-                               invariant=amplitude, section=ev)
+                               invariant=amplitude, section=upward,
+                               rate=x_rate)
         assert isinstance(traj.errors[0], FlowError)
         assert "non-finite step size" in str(traj.errors[0])
-        assert traj.event_records[0] == []
+        assert np.isnan(traj.landing_t[0])
         assert traj.errors[1] is None and alone.errors[0] is None
-        assert [(t, s.tolist()) for t, s in traj.event_records[1]] == \
-            [(t, s.tolist()) for t, s in alone.event_records[0]]
+        assert traj.landing_t[1].tobytes() == alone.landing_t[0].tobytes()
+        assert (traj.landing_y[:, 1].tobytes()
+                == alone.landing_y[:, 0].tobytes())
         assert (traj.states[-1, :, 1].tolist()
                 == alone.states[-1, :, 0].tolist())
 

@@ -5,8 +5,9 @@ class is read in src/ or pinned there too (METHODS); every property of an
 exported class, every field of a dataclass of src/ and every module-level
 private name is read in src/.  A name that only tests call is test-only
 API: move what the tests need into tests/ and delete it.  Every default of
-a function that src/ calls is passed by some call there, and only lattice
-reads the closed-form evaluator _tori and its complex step STEP.
+a function that src/ calls is passed by some call there, no keyword takes
+one literal at every call, and only lattice reads the closed-form evaluator
+_tori and its complex step STEP.
 """
 import ast
 import dataclasses
@@ -185,6 +186,40 @@ def test_every_default_is_passed():
                 and not any(passes(call, param, index)
                             for call in calls[func])]
     assert unpassed == []
+
+
+def literal(node: ast.AST) -> str | None:
+    """The repr of the literal a node of src/ spells, or None."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def test_no_keyword_takes_one_value():
+    # a keyword that every src/ call of a function or class of src/ passes
+    # as the same literal is an option with one value: the callee should
+    # do that one thing, without the keyword and the branches it selects
+    nodes = list(src_nodes())
+    defined = {node.name for node in nodes
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    calls: dict[str, int] = {}
+    values: dict[tuple[str, str], list] = {}
+    for node in nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name not in defined:
+            continue
+        calls[name] = calls.get(name, 0) + 1
+        for kw in node.keywords:
+            if kw.arg is not None:
+                values.setdefault((name, kw.arg), []).append(literal(kw.value))
+    one = [f"{func}({arg}={found[0]})"
+           for (func, arg), found in values.items()
+           if len(found) == calls[func] and found[0] is not None
+           and found.count(found[0]) == len(found)]
+    assert one == []
 
 
 def test_only_lattice_reads_the_evaluator_and_its_step():

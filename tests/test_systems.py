@@ -296,7 +296,14 @@ class TestProfileAlongFlow:
         budgets = np.linspace(0.25, 5.0, 20)
         seeds = np.tile(flow_seeds(champagne, c), budgets.size)
         traj = integrate_flow(champagne.flow_field, seeds, t_max=budgets,
-                              invariant=champagne.flow_hamiltonian, tol=1e-12)
+                              invariant=champagne.flow_hamiltonian,
+                              section=lambda y: np.ones(y.shape[-1]),
+                              rate=None, tol=1e-12)
+        # the section is never crossed: every lane runs out of its budget
+        assert traj.times[-1].tolist() == budgets.tolist()
+        assert [str(e) for e in traj.errors] == [
+            f"t_max={t:.6g} exceeded with 0/1 section crossings"
+            for t in budgets]
         for s in traj.states[-1].T:
             r = math.hypot(s[0], s[1])
             rdot = (s[0] * s[2] + s[1] * s[3]) / r
