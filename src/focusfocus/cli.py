@@ -39,6 +39,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -398,23 +399,25 @@ def cmd_crosscheck(cfg: dict) -> int:
                                  window=cfg["window"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    results, stats = cross_checks(system, tori, cross_tol=cfg["tol.cross"])
-    rows = [(c.h, c.l, res["T_quad"], res["T_flow"], res["theta_quad"],
-             res["theta_flow"], res["rel_dT"], res["rel_dtheta"])
-            for c, res in zip(tori, results) if isinstance(res, dict)]
-    failures = len(tori) - len(rows)
+    columns, ok, failed, stats = cross_checks(system, tori.h, tori.l,
+                                              cross_tol=cfg["tol.cross"])
+    rows = list(zip(*(x[ok].tolist() for x in (tori.h, tori.l,
+                                               *columns.values()))))
+    failures = len(failed)
     out = Path(cfg["out"])
     write_csv(out / "crosscheck.csv",
               ["h", "l", "T_quad", "T_flow", "Theta_quad", "Theta_flow",
                "rel_dT", "rel_dTheta"], rows)
     write_summary(out / "crosscheck_summary.json", cfg, {
         "n_tori": cfg["n_tori"], "failures": failures,
+        "failures_by_class": Counter(type(exc).__name__
+                                     for exc in failed.values()),
         "max_rel_dT": max((r[6] for r in rows), default=0.0),
         "max_rel_dTheta": max((r[7] for r in rows), default=0.0), **stats})
     # per-point failures are recorded in the summary; only total failure
     # is a nonzero exit
     if failures == cfg["n_tori"]:
-        first = results[0]
+        first = failed[0]
         raise FocusFocusError(f"every one of the {failures} cross-check tori "
                               f"failed, the first with "
                               f"{type(first).__name__}: {first}")

@@ -32,11 +32,10 @@ one return:
   section in one Henon step at the rate the system gives
   (flow_section_rate).  A failing leg fails only its own torus.
 
-cross_checks runs both engines on a batch of tori drawn by
-sample_cross_tori from the flow oracle's per-system |j| range at every
-arg zeta (CROSS_DOMAINS) and compares them to CROSS_TOL, each engine in
-one call per batch; cross_check and reduced_period_rotation are its
-one-torus cases.
+cross_checks compares the two engines' arrays to CROSS_TOL on a batch of
+tori that sample_cross_tori draws, as flat arrays, from the flow oracle's
+per-system |j| range at every arg zeta (CROSS_DOMAINS), each engine in
+one call; cross_check and reduced_period_rotation are its one-torus cases.
 
 Conversion to the lattice basis uses the linear momentum chart at the
 origin (systems.to_momentum_chart; Phi1 ~ alpha, Phi2 ~ omega; the
@@ -65,8 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BranchError, CrossEngineMismatch, FitError, FlowError,
-                     FocusFocusError)
+from .errors import BranchError, CrossEngineMismatch, FitError, FlowError
 from .numerics import (EPS, QUAD_REL_TOL, T_BUDGET_FACTOR,
                        TWO_PI, align_angle, integrate_flow)
 from .systems import (EMValue, MomentumValue, SystemDefinition,
@@ -166,17 +164,16 @@ def _frame_turns(states: np.ndarray, times: np.ndarray, rate: float,
     return sign * ((turn + 0.5 * math.pi) % TWO_PI - 0.5 * math.pi)
 
 
-def _tori_flow(system: SystemDefinition, cs: list[EMValue]
-               ) -> tuple[list, dict]:
-    """Flow-engine (T, Theta) of each torus in cs, or the FocusFocusError
-    that stopped it, from one batched integration at the system's
-    flow_rtol; and that integration's flow_steps, its batch steps, and
-    max_energy_drift, the largest energy drift of its lanes.  The seeds
-    of all tori in the window come from one flow_start call, each seed a
-    lane: a leg from a turning point to the section, its time budget set
-    by the torus's |j| (window).  A torus's legs make half a return, so T
-    = 2 sum t and Theta = 2 sum dphi over them, and its first failing leg
-    fails it.
+def _tori_flow(system: SystemDefinition, h: np.ndarray, l: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict, dict]:
+    """_tori's (T, Theta, ok, failed) of the tori (h, l), flat real arrays,
+    from one batched flow integration at the system's flow_rtol, and its
+    stats: flow_steps, its batch steps, and max_energy_drift, the largest
+    energy drift of its lanes.  The seeds of all tori in the window come
+    from one flow_start call, each seed a lane: a leg from a turning point
+    to the section, its time budget set by the torus's |j| (window).  A
+    torus's legs make half a return, so T = 2 sum t and Theta = 2 sum dphi
+    over them, and the error of its first failing leg fails it.
 
     The state holds no azimuth.  A seed's is 0, so a leg's dphi is the
     landing's atan2 plus the 2 pi multiple that the accepted steps fix:
@@ -187,15 +184,16 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
     the landing's partial step is read on [-pi, pi].  dphi is rate t
     plus the summed turns, taken to the sheet of the landing's atan2."""
     ff = eval_constants(system)
-    h, l = _arrays(cs)
     r, reason = system.window(h, l)
     inside = np.flatnonzero(reason == 0)
     lane, seeds, reason[inside] = system.flow_start(h[inside], l[inside])
     failed = _failed(system, h, l, reason)
-    out: list = [failed.get(i) for i in range(len(cs))]
+    T, theta = (np.full(h.shape, np.nan) for _ in range(2))
     if not lane.size:
-        return out, {"flow_steps": 0, "max_energy_drift": 0.0}
-    owner = np.repeat(inside[lane], seeds.shape[-1]).tolist()
+        return T, theta, reason == 0, failed, {"flow_steps": 0,
+                                               "max_energy_drift": 0.0}
+    legs = seeds.shape[-1]
+    owner = np.repeat(inside[lane], legs).tolist()
     budgets = [T_BUDGET_FACTOR * (1.0 + abs(math.log(r[i]))) / ff.alpha
                for i in owner]
     traj = integrate_flow(system.flow_field,
@@ -211,47 +209,37 @@ def _tori_flow(system: SystemDefinition, cs: list[EMValue]
     outside = ((sign * turns < lo) | (sign * turns > hi)).any(axis=0)
     t_end, psi_end = traj.times[-1], turns.sum(axis=0)
     phi_end = np.arctan2(traj.states[-1, 1], traj.states[-1, 0])
+    t_leg, dphi = np.full((2, len(owner)), np.nan)
 
     def at(i):
-        return f"(h, l)=({cs[i].h:.4g}, {cs[i].l:.4g})"
+        return f"(h, l)=({h[i]:.4g}, {l[i]:.4g})"
 
-    for lane, i in enumerate(owner):
-        if isinstance(out[i], FocusFocusError):
+    for k, i in enumerate(owner):
+        if i in failed:
             continue
-        if traj.errors[lane] is not None:
-            out[i] = traj.errors[lane]
-        elif traj.drift[lane] > ENERGY_DRIFT_TOL:
-            out[i] = FlowError(f"energy drift {traj.drift[lane]:.2e} above "
-                               f"{ENERGY_DRIFT_TOL:.0e} at {at(i)}")
-        elif outside[lane]:
-            out[i] = FlowError(
+        if traj.errors[k] is not None:
+            failed[i] = traj.errors[k]
+        elif traj.drift[k] > ENERGY_DRIFT_TOL:
+            failed[i] = FlowError(f"energy drift {traj.drift[k]:.2e} above "
+                                  f"{ENERGY_DRIFT_TOL:.0e} at {at(i)}")
+        elif outside[k]:
+            failed[i] = FlowError(
                 f"an azimuth step at {at(i)} turns outside sign(l) "
                 f"[{lo / math.pi:g} pi, {hi / math.pi:g} pi]: its turn count"
                 " is unknown")
         else:
-            t, s = float(traj.landing_t[lane]), traj.landing_y[:, lane]
+            t, s = float(traj.landing_t[k]), traj.landing_y[:, k]
             phi = math.atan2(s[1], s[0])
-            psi = psi_end[lane] + math.remainder(
-                phi - phi_end[lane] - rate * (t - t_end[lane]), TWO_PI)
-            dphi = phi + TWO_PI * round((rate * t + psi - phi) / TWO_PI)
-            T, theta = out[i] or (0.0, 0.0)
-            out[i] = (T + 2.0 * t, theta + 2.0 * dphi)
-    return out, {"flow_steps": len(traj.times) - 1,
-                 "max_energy_drift": float(traj.drift.max())}
-
-
-def _arrays(cs: list[EMValue]) -> tuple[np.ndarray, np.ndarray]:
-    """The tori cs as the flat arrays h, l."""
-    return (np.array([c.h for c in cs], dtype=float),
-            np.array([c.l for c in cs], dtype=float))
-
-
-def raise_failed(result):
-    """result itself, or raised if it is the FocusFocusError that failed a
-    torus (the per-torus entries of cross_checks)."""
-    if isinstance(result, FocusFocusError):
-        raise result
-    return result
+            psi = psi_end[k] + math.remainder(
+                phi - phi_end[k] - rate * (t - t_end[k]), TWO_PI)
+            t_leg[k] = t
+            dphi[k] = phi + TWO_PI * round((rate * t + psi - phi) / TWO_PI)
+    # a failed leg's NaN, and only that, makes its torus's sums NaN
+    T[inside[lane]], theta[inside[lane]] = (
+        (2.0 * x).reshape(-1, legs).sum(axis=1) for x in (t_leg, dphi))
+    return T, theta, ~np.isnan(T), failed, {
+        "flow_steps": len(traj.times) - 1,
+        "max_energy_drift": float(traj.drift.max())}
 
 
 def reduced_period_rotation(system: SystemDefinition, c: EMValue,
@@ -274,21 +262,23 @@ def reduced_period_rotation(system: SystemDefinition, c: EMValue,
     if engine == "quadrature" and rel_tol < CLOSED_FORM_REL_TOL:
         raise ValueError(f"rel_tol={rel_tol:.1e} is below the closed form's "
                          f"verified accuracy {CLOSED_FORM_REL_TOL:.0e}")
-    if engine == "quadrature":
-        T, theta, _, failed = _tori(system, *_arrays([c]))
-        return raise_failed(failed.get(0, (float(T[0]), float(theta[0]))))
-    if engine == "flow":
-        return raise_failed(_tori_flow(system, [c])[0][0])
-    raise ValueError(f"unknown engine {engine!r}")
+    tori = {"quadrature": _tori, "flow": _tori_flow}
+    if engine not in tori:
+        raise ValueError(f"unknown engine {engine!r}")
+    T, theta, _, failed, *_ = tori[engine](
+        system, *np.array([[c.h], [c.l]], dtype=float))
+    if failed:
+        raise failed[0]
+    return float(T[0]), float(theta[0])
 
 
 def sample_cross_tori(system: SystemDefinition, rng: random.Random, n: int,
                       window: tuple[float, float] | None = None
-                      ) -> list[EMValue]:
-    """n tori drawn by rng, the standard library's generator, from the
-    system's cross-check domain (CROSS_DOMAINS), optionally narrowed to a
-    |j| window, one torus at a time: a log-uniform |j|, then a uniform arg
-    zeta."""
+                      ) -> EMValue:
+    """n tori, flat arrays h and l, drawn by rng, the standard library's
+    generator, from the system's cross-check domain (CROSS_DOMAINS),
+    optionally narrowed to a |j| window, one torus at a time: a log-uniform
+    |j|, then a uniform arg zeta."""
     r_lo, r_hi = CROSS_DOMAINS[system.name]
     if window is not None:
         r_lo, r_hi = max(r_lo, window[0]), min(r_hi, window[1])
@@ -296,44 +286,36 @@ def sample_cross_tori(system: SystemDefinition, rng: random.Random, n: int,
             raise ValueError(f"window {list(window)} misses the "
                              f"{system.name} cross-check |j| range "
                              f"{list(CROSS_DOMAINS[system.name])}")
-    out = []
-    for _ in range(n):
+    j = np.empty((2, n))
+    for k in range(n):
         rho = math.exp(rng.uniform(math.log(r_lo), math.log(r_hi)))
         th = rng.uniform(0.0, TWO_PI)
-        out.append(from_momentum_chart(
-            system, MomentumValue(rho * math.cos(th), rho * math.sin(th))))
-    return out
+        j[:, k] = rho * math.cos(th), rho * math.sin(th)
+    return from_momentum_chart(system, MomentumValue(*j))
 
 
-def cross_checks(system: SystemDefinition, cs: list[EMValue],
-                 cross_tol: float = CROSS_TOL) -> tuple[list, dict]:
-    """Run both engines on the tori cs, each in one call (_tori, _tori_flow).
-    Returns one entry per torus, the measured discrepancies (see
-    cross_check) or the FocusFocusError that failed that torus: no torus,
-    a flow failure or energy drift, or CrossEngineMismatch beyond
-    cross_tol; and the flow integration's flow_steps and max_energy_drift.
-    A failing torus leaves the others' results intact.
-    """
-    flows, stats = _tori_flow(system, cs)
-    T, theta, _, failed = _tori(system, *_arrays(cs))
-    out = []
-    for k, (c, Tq, thq, flow) in enumerate(zip(cs, T.tolist(),
-                                               theta.tolist(), flows)):
-        try:
-            Tf, thf = raise_failed(failed.get(k, flow))
-        except FocusFocusError as exc:
-            out.append(exc)
-            continue
-        dT = abs(Tq - Tf) / Tq
-        dth = abs(thq - thf) / max(1.0, abs(thq))
-        if dT > cross_tol or dth > cross_tol:
-            out.append(CrossEngineMismatch(
-                f"engines disagree at (h, l)=({c.h:.6g}, {c.l:.6g}): "
-                f"dT/T={dT:.2e}, dTheta={dth:.2e} (tol {cross_tol:.0e})"))
-            continue
-        out.append({"T_quad": Tq, "T_flow": Tf, "theta_quad": thq,
-                    "theta_flow": thf, "rel_dT": dT, "rel_dtheta": dth})
-    return out, stats
+def cross_checks(system: SystemDefinition, h: np.ndarray, l: np.ndarray,
+                 cross_tol: float = CROSS_TOL
+                 ) -> tuple[dict, np.ndarray, dict, dict]:
+    """Both engines on the tori (h, l), flat real arrays, one call each:
+    the columns T_quad, T_flow, theta_quad, theta_flow, rel_dT and
+    rel_dtheta (see cross_check), NaN where a torus failed; ok and failed
+    as _tori's, a torus failing with its quadrature error, else its flow
+    error, else CrossEngineMismatch beyond cross_tol; and the flow stats."""
+    T_f, th_f, _, failed, stats = _tori_flow(system, h, l)
+    T_q, th_q, _, failed_q = _tori(system, h, l)
+    failed.update(failed_q)
+    dT = np.abs(T_q - T_f) / T_q
+    dth = np.abs(th_q - th_f) / np.maximum(1.0, np.abs(th_q))
+    for k in np.flatnonzero((dT > cross_tol) | (dth > cross_tol)).tolist():
+        failed[k] = CrossEngineMismatch(
+            f"engines disagree at (h, l)=({h[k]:.6g}, {l[k]:.6g}): "
+            f"dT/T={dT[k]:.2e}, dTheta={dth[k]:.2e} (tol {cross_tol:.0e})")
+    ok = (dT <= cross_tol) & (dth <= cross_tol)   # False at a NaN
+    columns = {"T_quad": T_q, "T_flow": T_f, "theta_quad": th_q,
+               "theta_flow": th_f, "rel_dT": dT, "rel_dtheta": dth}
+    return ({name: np.where(ok, x, np.nan) for name, x in columns.items()},
+            ok, failed, stats)
 
 
 def cross_check(system: SystemDefinition, c: EMValue,
@@ -343,7 +325,11 @@ def cross_check(system: SystemDefinition, c: EMValue,
     Returns the measured discrepancies.  T is compared relatively, Theta
     absolutely with a relative floor (|Theta| can pass through 0).
     """
-    return raise_failed(cross_checks(system, [c], cross_tol)[0][0])
+    columns, _, failed, _ = cross_checks(
+        system, *np.array([[c.h], [c.l]], dtype=float), cross_tol)
+    if failed:
+        raise failed[0]
+    return {name: float(x[0]) for name, x in columns.items()}
 
 
 def period_lattice(system: SystemDefinition, c: EMValue,

@@ -10,6 +10,7 @@ import copy
 import importlib
 import json
 import math
+import random
 import re
 import sys
 from pathlib import Path
@@ -100,16 +101,45 @@ class TestPlantedDefects:
                                                  report_cfg):
         tori_flow = lattice._tori_flow
 
-        def shifted(system, cs):
-            out, stats = tori_flow(system, cs)
-            T, theta = out[0]
-            out[0] = (T, theta + TWO_PI)
-            return out, stats
+        def shifted(system, h, l):
+            T, theta, ok, failed, stats = tori_flow(system, h, l)
+            theta[0] += TWO_PI
+            return T, theta, ok, failed, stats
 
         monkeypatch.setattr(lattice, "_tori_flow", shifted)
         status, details = acceptance.c1_cross_engine(report_cfg)
         assert status == "fail"
         assert details["error"].startswith("engines disagree")
+
+    def test_a_drifting_pendulum_torus_fails_c1_at_its_index(
+            self, monkeypatch, report_cfg):
+        # energy drift planted on the second leg of pendulum torus k and
+        # on the first of torus k + 3: C1 reports torus k's error, the
+        # first in draw order, after the champagne's n tori and the k
+        # pendulum tori before it
+        k, n = 7, report_cfg["n_tori"]
+        integrate_flow = lattice.integrate_flow
+        calls = []
+
+        def drifting_flow(*args, **kwargs):
+            calls.append(integrate_flow(*args, **kwargs))
+            if len(calls) == 2:   # the pendulum's, two legs a torus
+                calls[-1].drift[2 * k + 1] = 1e-6
+                calls[-1].drift[2 * (k + 3)] = 1e-5
+            return calls[-1]
+
+        monkeypatch.setattr(lattice, "integrate_flow", drifting_flow)
+        status, details = acceptance.c1_cross_engine(report_cfg)
+        assert calls[-1].drift.size == 2 * n
+        champ, _, pend = acceptance.systems(report_cfg)
+        rng = random.Random(report_cfg["seed"])
+        lattice.sample_cross_tori(champ, rng, n)
+        tori = lattice.sample_cross_tori(pend, rng, n)
+        h, l = tori.h[k].item(), tori.l[k].item()
+        assert status == "fail"
+        assert details == {"error": f"energy drift 1.00e-06 above 1e-10 at "
+                                    f"(h, l)=({h:.4g}, {l:.4g})",
+                           "tori_checked": n + k}
 
     def test_a_loop_end_off_a_sheet_fails_c2(self, monkeypatch, report_cfg):
         polar_tori = rotation.polar_tori

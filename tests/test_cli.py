@@ -390,6 +390,37 @@ def test_crosscheck_summary_records_its_worst_energy_drift(tmp_path, capsys,
     assert 0.0 < drifts[0] <= lattice.ENERGY_DRIFT_TOL
 
 
+def test_crosscheck_summary_counts_failures_by_class(tmp_path, capsys,
+                                                    monkeypatch):
+    # a cap of 0.05 inside the window rejects the tori above it
+    # (WindowError), and drift planted on the first flow lane fails its
+    # torus (FlowError): the counts, keyed by class name in sorted order,
+    # add up to the failures
+    integrate_flow = lattice.integrate_flow
+
+    def drifting_flow(*args, **kwargs):
+        traj = integrate_flow(*args, **kwargs)
+        traj.drift[0] = 1e-6
+        return traj
+
+    monkeypatch.setattr(lattice, "integrate_flow", drifting_flow)
+    rc, _ = run(capsys, "crosscheck", "--param", "j_cap=0.05", "--window",
+                "1e-4,0.1", "--n-tori", "60", "--out", str(tmp_path))
+    assert rc == cli.EXIT_OK
+    doc = json.loads((tmp_path / "crosscheck_summary.json").read_text())
+    system = cli.build_system({"system": "champagne"})
+    tori = lattice.sample_cross_tori(system, random.Random(cli.RNG_SEED), 60,
+                                     window=(1e-4, 0.1))
+    above = int((system.window(tori.h, tori.l)[0] > 0.05).sum())
+    assert 0 < above < 59
+    by_class = doc["failures_by_class"]
+    assert by_class == {"FlowError": 1, "WindowError": above}
+    assert list(by_class) == sorted(by_class)
+    assert sum(by_class.values()) == doc["failures"]
+    with (tmp_path / "crosscheck.csv").open(newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 60 - doc["failures"]
+
+
 def test_c1_fails_when_no_torus_is_checked(report_cfg):
     status, details = acceptance.c1_cross_engine({**report_cfg, "n_tori": 0})
     assert status == "fail"

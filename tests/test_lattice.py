@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from focusfocus import (EMValue, MomentumValue, SphericalPendulum,
-                        annulus_sweep, cross_check, eval_constants,
+from focusfocus import (ChampagneBottle, EMValue, MomentumValue,
+                        SphericalPendulum, annulus_sweep, cross_check,
+                        eval_constants,
                         fit_asymptotic_model, from_momentum_chart,
                         period_lattice, reduced_period_rotation,
                         to_momentum_chart)
@@ -83,21 +84,28 @@ def batch_tori(system, n=4, seed=7):
     return lattice.sample_cross_tori(system, random.Random(seed), n)
 
 
+def each_torus(tori):
+    """The tori of the flat arrays tori.h, tori.l, one EMValue each."""
+    return [EMValue(h, l) for h, l in zip(tori.h.tolist(), tori.l.tolist())]
+
+
 class TestBatchedCrossCheck:
     @pytest.mark.parametrize("name", ["champagne", "pendulum"])
     def test_batch_matches_one_torus_calls(self, request, name):
         system = request.getfixturevalue(name)
         tori = batch_tori(system)
-        results, _ = lattice.cross_checks(system, tori)
-        for c, res in zip(tori, results):
+        columns, ok, _, _ = lattice.cross_checks(system, tori.h, tori.l)
+        assert ok.all()
+        for k, c in enumerate(each_torus(tori)):
             T, theta = reduced_period_rotation(system, c, engine="flow")
-            assert res["T_flow"] == pytest.approx(T, rel=1e-10)
-            assert res["theta_flow"] == pytest.approx(theta, rel=1e-10)
+            assert columns["T_flow"][k] == pytest.approx(T, rel=1e-10)
+            assert columns["theta_flow"][k] == pytest.approx(theta,
+                                                             rel=1e-10)
 
     @pytest.mark.parametrize("fault", ["budget", "drift"])
     def test_failing_lane_is_isolated(self, champagne, monkeypatch, fault):
         tori = batch_tori(champagne)
-        clean, _ = lattice.cross_checks(champagne, tori)
+        clean, _, _, _ = lattice.cross_checks(champagne, tori.h, tori.l)
         integrate_flow = lattice.integrate_flow
 
         def faulty_flow(field, p0, t_max, **kwargs):
@@ -111,13 +119,31 @@ class TestBatchedCrossCheck:
             return traj
 
         monkeypatch.setattr(lattice, "integrate_flow", faulty_flow)
-        results, _ = lattice.cross_checks(champagne, tori)
-        assert isinstance(results[1], FlowError)
+        columns, ok, failed, _ = lattice.cross_checks(champagne, tori.h,
+                                                      tori.l)
+        assert ok.tolist() == [True, False, True, True]
+        assert list(failed) == [1] and isinstance(failed[1], FlowError)
         assert ("exceeded" if fault == "budget" else "energy drift") \
-            in str(results[1])
-        for k in (0, 2, 3):
-            for key, value in clean[k].items():
-                assert results[k][key] == pytest.approx(value, rel=1e-10)
+            in str(failed[1])
+        for key, value in clean.items():
+            assert np.isnan(columns[key][1])
+            assert columns[key][ok] == pytest.approx(value[ok], rel=1e-10)
+
+    def test_a_quadrature_error_takes_precedence(self, champagne,
+                                                 monkeypatch):
+        # a torus below the floor fails both engines: cross_checks names
+        # it by the quadrature's error, here marked apart from the flow's
+        tori = lattice._tori
+
+        def marked(system, h, l):
+            T, theta, ok, failed = tori(system, h, l)
+            return T, theta, ok, {k: WindowError("quadrature") for k in failed}
+
+        monkeypatch.setattr(lattice, "_tori", marked)
+        _, ok, failed, _ = lattice.cross_checks(
+            champagne, np.array([0.1, 1e-7]), np.array([0.05, 0.0]))
+        assert ok.tolist() == [True, False]
+        assert list(failed) == [1] and str(failed[1]) == "quadrature"
 
     def test_crossings_land_on_the_section(self, monkeypatch, report_cfg):
         # C1's batches, 50 champagne lanes and 2 x 50 pendulum legs: Henon's
@@ -171,7 +197,7 @@ class TestBatchedCrossCheck:
         for system in (champ, pend):
             tori = lattice.sample_cross_tori(system, rng,
                                              report_cfg["n_tori"])
-            lattice._tori_flow(system, tori[:4])
+            lattice._tori_flow(system, tori.h[:4], tori.l[:4])
             traj = runs[-1]
             legs = traj.times.shape[1] // 4
             assert np.isfinite(traj.landing_t).all()
@@ -182,8 +208,8 @@ class TestBatchedCrossCheck:
             retried = ~moved & (traj.times[1:] < traj.times[-1])
             assert (retried.any(axis=1) & moved.any(axis=1)).any()
             batch = lanes(traj)
-            for k, c in enumerate(tori[:4]):
-                lattice._tori_flow(system, [c])
+            for k in range(4):
+                lattice._tori_flow(system, tori.h[k:k + 1], tori.l[k:k + 1])
                 assert lanes(runs[-1]) == batch[k * legs:(k + 1) * legs]
 
     def test_one_landing_call_per_integration(self, monkeypatch,
@@ -203,8 +229,9 @@ class TestBatchedCrossCheck:
 
     def test_sampler_draws_the_reference_sequence(self, champagne,
                                                   pendulum):
-        # the draw loop C1 and crosscheck each carried before they shared
-        # sample_cross_tori; C1 continues one generator across systems
+        # the scalar draw loop C1 and crosscheck each carried before they
+        # shared sample_cross_tori, as the bytes of its h and l; C1
+        # continues one generator across systems
         def reference(system, rng, n, r_lo, r_hi):
             out = []
             while len(out) < n:
@@ -212,24 +239,27 @@ class TestBatchedCrossCheck:
                 th = rng.uniform(0.0, TWO_PI)
                 out.append(from_momentum_chart(system, MomentumValue(
                     rho * math.cos(th), rho * math.sin(th))))
-            return out
+            return [np.array([getattr(c, x) for c in out]).tobytes()
+                    for x in "hl"]
 
         rng_a, rng_b = random.Random(5), random.Random(5)
         for system, domain in ((champagne, (1e-4, 0.12)),
                                (pendulum, (1e-3, 0.1))):
             got = lattice.sample_cross_tori(system, rng_a, 20)
-            assert got == reference(system, rng_b, 20, *domain)
+            assert [got.h.tobytes(), got.l.tobytes()] == reference(
+                system, rng_b, 20, *domain)
         window = (1e-4, 1e-2)
         got = lattice.sample_cross_tori(
             champagne, random.Random(3), 20, window=window)
-        assert got == reference(champagne, random.Random(3), 20,
-                                1e-4, 1e-2)
+        assert [got.h.tobytes(), got.l.tobytes()] == reference(
+            champagne, random.Random(3), 20, 1e-4, 1e-2)
 
     def test_sampler_draws_a_pinned_first_torus(self, champagne):
         # C1's first torus at the default seed, from the standard library's
         # Mersenne Twister: a change to the draw stream shows here
-        (c,) = lattice.sample_cross_tori(
+        tori = lattice.sample_cross_tori(
             champagne, random.Random(cli.RNG_SEED), 1)
+        (c,) = each_torus(tori)
         assert c.h == pytest.approx(0.001480072287734807, rel=1e-15)
         assert c.l == pytest.approx(0.00029719441082549236, rel=1e-15)
 
@@ -240,11 +270,12 @@ class TestBatchedCrossCheck:
         # and both engines agree on each of them
         for system, margin in ((champagne, 0.05), (pendulum, 0.1)):
             tori = lattice.sample_cross_tori(system, random.Random(1), 20)
-            near = [c for c in tori if abs(c.l)
+            near = [k for k, c in enumerate(each_torus(tori)) if abs(c.l)
                     < margin * to_momentum_chart(system, c).modulus]
             assert len(near) == 2
-            results, _ = lattice.cross_checks(system, near)
-            assert all(isinstance(res, dict) for res in results), results
+            _, ok, failed, _ = lattice.cross_checks(system, tori.h[near],
+                                                    tori.l[near])
+            assert ok.all(), failed
 
     def test_sampler_rejects_a_window_outside_the_domain(self, champagne):
         with pytest.raises(ValueError, match="misses"):
@@ -317,9 +348,12 @@ class TestHalfReturn:
         for system in (champ, pend):
             tori = lattice.sample_cross_tori(system, rng,
                                              report_cfg["n_tori"])
-            flows, _ = lattice._tori_flow(system, tori)
-            for (T, theta), (T_ref, theta_ref) in zip(
-                    flows, full_return_reference(system, tori)):
+            T_flow, theta_flow, ok, _, _ = lattice._tori_flow(system, tori.h,
+                                                              tori.l)
+            assert ok.all()
+            for T, theta, (T_ref, theta_ref) in zip(
+                    T_flow.tolist(), theta_flow.tolist(),
+                    full_return_reference(system, each_torus(tori))):
                 assert abs(T - T_ref) <= 1e-9 * T_ref
                 assert abs(theta - theta_ref) <= 1e-9
 
@@ -331,10 +365,12 @@ class TestHalfReturn:
         # can check a lower pendulum floor
         monkeypatch.setitem(lattice.CROSS_DOMAINS, "pendulum", (1e-4, 3e-4))
         tori = lattice.sample_cross_tori(pendulum, random.Random(1), 50)
-        flows, _ = lattice._tori_flow(pendulum, tori)
-        T, theta, _, _ = lattice._tori(pendulum, *lattice._arrays(tori))
+        flow = lattice._tori_flow(pendulum, tori.h, tori.l)
+        quadrature = lattice._tori(pendulum, tori.h, tori.l)
+        assert flow[2].all() and quadrature[2].all()
         for (T_ref, theta_ref), *engines in zip(
-                full_return_reference(pendulum, tori), flows, zip(T, theta)):
+                full_return_reference(pendulum, each_torus(tori)),
+                zip(*flow[:2]), zip(*quadrature[:2])):
             for T_eng, theta_eng in engines:
                 assert abs(T_eng - T_ref) <= 1e-9 * T_ref
                 assert abs(theta_eng - theta_ref) <= 1e-9
@@ -358,10 +394,10 @@ class TestHalfReturn:
         rng = random.Random(seed)
         for system, legs in ((champ, 1), (pend, 2)):
             tori = lattice.sample_cross_tori(system, rng, cfg["n_tori"])
-            flows, _ = lattice._tori_flow(system, tori)
-            assert all(isinstance(f, tuple) for f in flows)
+            ok = lattice._tori_flow(system, tori.h, tori.l)[2]
+            assert ok.all()
             traj = calls.pop()
-            sign = np.repeat([math.copysign(1.0, c.l) for c in tori], legs)
+            sign = np.repeat([math.copysign(1.0, l) for l in tori.l], legs)
             turns = sign * lattice._frame_turns(
                 traj.states, traj.times, system.frame_rate, sign)
             assert 0.0 <= turns.min() and turns.max() <= math.pi
@@ -375,24 +411,27 @@ class TestHalfReturn:
         # and the other tori keep their values
         system = request.getfixturevalue(name)
         tori = batch_tori(system)
-        clean, _ = lattice._tori_flow(system, tori)
+        clean = lattice._tori_flow(system, tori.h, tori.l)
         integrate_flow = lattice.integrate_flow
         legs = {"champagne": 1, "pendulum": 2}[name]
         bad = legs   # the first leg of torus 1
 
         def rotated_flow(*args, **kwargs):
             traj = integrate_flow(*args, **kwargs)
-            back = -math.copysign(0.5 * math.pi, tori[1].l)
+            back = -math.copysign(0.5 * math.pi, tori.l[1])
             x, y = traj.states[1, :2, bad]
             traj.states[1, 0, bad] = x * math.cos(back) - y * math.sin(back)
             traj.states[1, 1, bad] = x * math.sin(back) + y * math.cos(back)
             return traj
 
         monkeypatch.setattr(lattice, "integrate_flow", rotated_flow)
-        flows, _ = lattice._tori_flow(system, tori)
-        assert isinstance(flows[1], FlowError)
-        assert "turns outside sign(l) [-0.25 pi, 1.25 pi]" in str(flows[1])
-        assert [flows[k] for k in (0, 2, 3)] == [clean[k] for k in (0, 2, 3)]
+        T, theta, ok, failed, _ = lattice._tori_flow(system, tori.h, tori.l)
+        assert ok.tolist() == [True, False, True, True]
+        assert list(failed) == [1] and isinstance(failed[1], FlowError)
+        assert "turns outside sign(l) [-0.25 pi, 1.25 pi]" in str(failed[1])
+        assert np.isnan([T[1], theta[1]]).all()
+        for got, want in zip((T, theta), clean):
+            assert got[ok].tobytes() == want[ok].tobytes()
 
     @pytest.mark.parametrize("name,h,axis_error", [
         ("champagne", 0.01, True), ("champagne", -0.01, False),
@@ -402,15 +441,62 @@ class TestHalfReturn:
         # not turning points: no seed there, and a FlowError says so
         system = request.getfixturevalue(name)
         c = EMValue(h, 0.0)
-        (res,), _ = lattice.cross_checks(system, [c])
+        columns, _, failed, _ = lattice.cross_checks(
+            system, np.array([h]), np.array([0.0]))
         if axis_error:
             with pytest.raises(FlowError, match="l = 0 axis"):
                 reduced_period_rotation(system, c, "flow")
-            assert isinstance(res, FlowError) and "l = 0 axis" in str(res)
+            assert isinstance(failed[0], FlowError)
+            assert "l = 0 axis" in str(failed[0])
+            assert all(np.isnan(x[0]) for x in columns.values())
         else:
             T, theta = reduced_period_rotation(system, c, "flow")
-            assert (res["T_flow"], res["theta_flow"]) == (T, theta)
-            assert res["rel_dT"] <= 1e-7 and res["rel_dtheta"] <= 1e-7
+            assert not failed
+            assert (columns["T_flow"][0], columns["theta_flow"][0]) \
+                == (T, theta)
+            assert columns["rel_dT"][0] <= 1e-7
+            assert columns["rel_dtheta"][0] <= 1e-7
+
+    @pytest.mark.parametrize("system,rejected", [
+        (ChampagneBottle(gamma=0.5),
+         [(1e-7, 0.0), (0.9, 0.0), (-0.3, 0.0), (0.05, 0.0)]),
+        (SphericalPendulum(j_cap=1.5),
+         [(1e-7, 0.0), (2.0, 0.0), (-1.0, 1.0), (0.05, 0.0), (-0.9, 0.6)])],
+        ids=["champagne", "pendulum"])
+    def test_both_engines_share_one_interface(self, system, rejected):
+        # four regular tori, then one below the |j| floor, one above the
+        # cap, one with no torus, the l = 0 axis passage (the bottle's
+        # center at h > 0, the pendulum's pole) and, inside the pendulum's
+        # cap of 1.5, its missed equator: both engines answer in flat float
+        # arrays, NaN exactly where a torus failed and named in failed
+        regular = batch_tori(system)
+        n = regular.h.size
+        h = np.concatenate([regular.h, [x for x, _ in rejected]])
+        l = np.concatenate([regular.l, [y for _, y in rejected]])
+        quadrature = lattice._tori(system, h, l)
+        flow = lattice._tori_flow(system, h, l)[:4]
+        for T, theta, ok, failed in (quadrature, flow):
+            for x in (T, theta):
+                assert x.dtype == np.float64 and x.shape == h.shape
+                assert (np.isnan(x) == ~ok).all()
+            assert set(failed) == set(np.flatnonzero(~ok).tolist())
+        assert flow[2].tolist() == [True] * n + [False] * len(rejected)
+        # the tori that both reject, the window's first, carry one class
+        # and text; the rest of the oracle's rejections are FlowErrors
+        assert isinstance(flow[3][n], WindowError)
+        assert isinstance(flow[3][n + 1], WindowError)
+        assert set(quadrature[3]) <= set(flow[3])
+        for k, error in flow[3].items():
+            if k in quadrature[3]:
+                other = quadrature[3][k]
+                assert (type(error), str(error)) == (type(other), str(other))
+            else:
+                assert isinstance(error, FlowError)
+        T_q, theta_q, T_f, theta_f = (x[:n] for x in (*quadrature[:2],
+                                                     *flow[:2]))
+        assert (abs(T_q - T_f) <= lattice.CROSS_TOL * T_q).all()
+        assert (abs(theta_q - theta_f)
+                <= lattice.CROSS_TOL * np.maximum(1.0, abs(theta_q))).all()
 
     def test_pendulum_orbit_below_the_equator(self):
         # 2 (1 + h) < l^2: both turning points lie below z = 0, where the

@@ -268,7 +268,8 @@ class TestTurningPoints:
         champ, _, pend = acceptance.systems(report_cfg)
         rng = random.Random(report_cfg["seed"])
         lattice.sample_cross_tori(champ, rng, report_cfg["n_tori"])
-        tori = lattice.sample_cross_tori(pend, rng, report_cfg["n_tori"])
+        drawn = lattice.sample_cross_tori(pend, rng, report_cfg["n_tori"])
+        tori = list(map(EMValue, drawn.h.tolist(), drawn.l.tolist()))
         z = flow_seeds(pend, *tori)[2].reshape(-1, 2).tolist()
         for c, (z_seed2, z_seed1) in zip(tori, z):
             assert pend.reduced_profile(c) == (z_seed1, z_seed2)
